@@ -27,6 +27,8 @@ from .quadrature import (
     RadialProfile,
     fd_derivative,
     flat_radial_volume_integral,
+    gauss_kronrod_batch,
+    hyperbolic_gaussian_masses,
     hyperbolic_radial_volume_integral,
     monte_carlo_integral,
     radial_integral,

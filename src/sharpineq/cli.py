@@ -203,6 +203,7 @@ class CheckRow:
     err: float
     tolerance: float
     passed: bool
+    error: str = ""  # "Type: message" of the exception behind an error row
 
 
 @dataclass
@@ -241,7 +242,6 @@ def _row(suite, name, param, report, tolerance, predicate=None) -> CheckRow:
 
 
 def _scalar_row(suite, name, param, value, target, tolerance) -> CheckRow:
-    slack = tolerance - abs(value - target)
     return CheckRow(
         suite=suite,
         name=name,
@@ -425,7 +425,7 @@ def _run_ko_refute(cfg: RunConfig) -> tuple[list, dict]:
             "ko-refute", "no-sign-change", float(cfg.n),
             float(len(scan["brackets"])), 0.0,
             float(len(scan["brackets"])), 0.0,
-            -float(len(scan["brackets"])), 0.0, 0.0,
+            -float(len(scan["brackets"])), scan["worst_rel_err"], 0.0,
             len(scan["brackets"]) == 0,
         )
     ]
@@ -479,7 +479,8 @@ def run_suite(cfg: RunConfig, out_dir: Optional[str] = None) -> SuiteResult:
         except Exception as exc:  # record, keep running the rest of the suite
             checks.append(
                 CheckRow(s, f"error:{type(exc).__name__}", 0.0, math.nan, math.nan,
-                         math.nan, math.nan, math.nan, math.nan, 0.0, False)
+                         math.nan, math.nan, math.nan, math.nan, 0.0, False,
+                         error=f"{type(exc).__name__}: {exc}")
             )
     wall = time.perf_counter() - start
     cfg_hash = hashlib.sha256(render_config(cfg).encode()).hexdigest()[:16]
@@ -527,6 +528,7 @@ def _write_artifacts(result: SuiteResult, cfg: RunConfig, out: Path) -> None:
         summary.append(
             f"[{'PASS' if c.passed else 'FAIL'}] {c.suite}/{c.name} param={c.param:g} "
             f"slack={c.slack:.3e} tolerance={c.tolerance:.3e}"
+            + (f" error={c.error}" if c.error else "")
         )
     summary.append(f"overall: {'PASS' if result.passed else 'FAIL'} ({result.wall_time:.2f}s)")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")

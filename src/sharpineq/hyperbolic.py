@@ -19,6 +19,7 @@ from .quadrature import (
     DecayClass,
     QuadratureSpec,
     RadialProfile,
+    hyperbolic_gaussian_masses,
     hyperbolic_radial_volume_integral,
 )
 
@@ -340,12 +341,6 @@ def hardy_hyperbolic_report(
     return rep1, rep2
 
 
-def _gaussian_mass(k: int, alpha: float, spec: QuadratureSpec) -> float:
-    """k omega_k int e^(-alpha rho^2) sinh^(k-1)(rho) d rho."""
-    prof = RadialProfile(lambda r: math.exp(-alpha * r * r), DecayClass.gaussian(alpha))
-    return hyperbolic_radial_volume_integral(prof, k, spec).value
-
-
 def ko_alpha_scan(
     n: int,
     alpha_range: tuple[float, float],
@@ -355,9 +350,11 @@ def ko_alpha_scan(
     """Scan the published extremal-parameter equation for solutions.
 
     Phi(alpha) = ((n-1)/(n-2)) (n-1 + 2 pi C_{n-2}(alpha)/C_n(alpha)) - alpha
-    where C_k is the gaussian mass on the k-dimensional model.  Returns every
-    bracketing interval with a sign change; an empty list means the equation
-    has no root on the range.
+    where C_k is the gaussian mass on the k-dimensional model, computed for
+    the whole grid at once by hyperbolic_gaussian_masses.  Returns every
+    bracketing interval with a sign change (an empty list means the equation
+    has no root on the range), the worst relative error estimate of the
+    masses and the integrand evaluations spent on them.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -365,21 +362,23 @@ def ko_alpha_scan(
     if not (0 < lo < hi):
         raise ValueError("alpha range must be positive and increasing")
     if grid_size < 2:
-        return {"alphas": [], "phi": [], "brackets": []}
+        return {"alphas": [], "phi": [], "brackets": [], "worst_rel_err": 0.0, "nodes_used": 0}
     alphas = np.linspace(lo, hi, grid_size)
-
-    def phi(a: float) -> float:
-        c_small = _gaussian_mass(n - 2, a, spec)
-        c_big = _gaussian_mass(n, a, spec)
-        return (n - 1) / (n - 2) * (n - 1 + 2 * math.pi * c_small / c_big) - a
-
-    values = [phi(a) for a in alphas]
+    c_small, err_small, evals_small = hyperbolic_gaussian_masses(n - 2, alphas, spec)
+    c_big, err_big, evals_big = hyperbolic_gaussian_masses(n, alphas, spec)
+    values = ((n - 1) / (n - 2) * (n - 1 + 2 * math.pi * c_small / c_big) - alphas).tolist()
     brackets = [
         (float(alphas[i]), float(alphas[i + 1]))
         for i in range(len(alphas) - 1)
         if values[i] == 0.0 or (values[i] > 0) != (values[i + 1] > 0)
     ]
-    return {"alphas": alphas.tolist(), "phi": values, "brackets": brackets}
+    return {
+        "alphas": alphas.tolist(),
+        "phi": values,
+        "brackets": brackets,
+        "worst_rel_err": float(max(np.max(err_small / c_small), np.max(err_big / c_big))),
+        "nodes_used": evals_small + evals_big,
+    }
 
 
 def hpw_constant_bounds(

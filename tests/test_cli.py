@@ -134,6 +134,24 @@ class TestRunSuite:
         result = run_suite(cfg, str(tmp_path))
         assert not result.passed
         assert any(c.name.startswith("error:") for c in result.checks)
+        # the row keeps its cause: exception type and message, in JSON and summary
+        cause = "ValueError: Hardy needs n >= 3"
+        assert [c.error for c in result.checks if c.name == "error:ValueError"] == [cause]
+        payload = json.loads((tmp_path / "flat-hardy.json").read_text())
+        assert [c["error"] for c in payload["checks"]] == [cause]
+        assert f"error={cause}" in (tmp_path / "summary.txt").read_text()
+        assert "error:ValueError," in (tmp_path / "flat-hardy.csv").read_text()
+
+    def test_ko_refute_row_carries_error_estimate(self, tmp_path):
+        cfg = RunConfig(suite="ko-refute", alpha_nodes=64)
+        result = run_suite(cfg, str(tmp_path))
+        (row,) = result.checks
+        assert row.passed
+        assert 0 < row.err <= cfg.tolerance
+        run_suite(cfg, str(tmp_path / "again"))
+        assert (tmp_path / "ko-refute.csv").read_bytes() == (
+            tmp_path / "again" / "ko-refute.csv"
+        ).read_bytes()
 
 
 class TestMain:

@@ -5,6 +5,7 @@ import pytest
 
 from sharpineq import (
     DecayClass,
+    QuadratureError,
     QuadratureSpec,
     RadialHypFunction,
     RadialProfile,
@@ -207,6 +208,26 @@ class TestAlphaScan:
     def test_degenerate_grid(self):
         scan = ko_alpha_scan(4, (3.0, 100.0), grid_size=0)
         assert scan["alphas"] == [] and scan["brackets"] == []
+        assert scan["worst_rel_err"] == 0.0 and scan["nodes_used"] == 0
+
+    def test_scan_reports_error_and_evaluations(self):
+        spec = QuadratureSpec(relative_tolerance=1e-9)
+        scan = ko_alpha_scan(4, (3.0, 100.0), grid_size=64, spec=spec)
+        assert 0 < scan["worst_rel_err"] <= spec.relative_tolerance
+        # two masses, at least 8 panels of 15 nodes per alpha each
+        assert scan["nodes_used"] >= 2 * 64 * 8 * 15
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_value_independent_of_grid(self, n, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        full = np.array(ko_alpha_scan(n, (3.0, 100.0), 4096, spec)["phi"])[[0, -1]]
+        ends = np.array(ko_alpha_scan(n, (3.0, 100.0), 2, spec)["phi"])
+        assert np.all(np.abs(ends - full) <= 4 * np.spacing(np.abs(full)))
+
+    def test_unattainable_tolerance_raises(self):
+        with pytest.raises(QuadratureError, match="not met"):
+            ko_alpha_scan(4, (3.0, 100.0), 8, QuadratureSpec(relative_tolerance=1e-20))
 
     def test_bad_range(self):
         with pytest.raises(ValueError):

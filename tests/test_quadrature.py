@@ -10,8 +10,11 @@ from sharpineq import (
     QuadratureSpec,
     RadialProfile,
     bh_density,
+    ball_volume_constant,
     fd_derivative,
     flat_radial_volume_integral,
+    gauss_kronrod_batch,
+    hyperbolic_gaussian_masses,
     hyperbolic_radial_volume_integral,
     monte_carlo_integral,
     radial_integral,
@@ -94,6 +97,84 @@ class TestVolumeIntegrals:
         assert flat_radial_volume_integral(scaled, 3).value == pytest.approx(
             s ** -3 * base, rel=1e-8
         )
+
+
+def gaussian_mass_closed_form(k, alpha):
+    """k omega_k int e^(-alpha rho^2) sinh^(k-1) rho d rho via the binomial expansion.
+
+    sinh^m = 2^-m sum_j C(m, j) (-1)^j e^((m - 2j) rho), and
+    int_0^oo e^(-alpha rho^2 + c rho) = sqrt(pi/alpha)/2 e^(c^2/4alpha) erfc(-c/(2 sqrt alpha)).
+    The alternating sum cancels; for alpha <= 20 and k <= 6 it loses under
+    four digits.
+    """
+    m = k - 1
+    total = sum(
+        math.comb(m, j) * (-1) ** j * math.exp((m - 2 * j) ** 2 / (4 * alpha))
+        * math.erfc(-(m - 2 * j) / (2 * math.sqrt(alpha)))
+        for j in range(m + 1)
+    )
+    return k * ball_volume_constant(k) * math.sqrt(math.pi / alpha) / 2 ** (m + 1) * total
+
+
+class TestGaussKronrodBatch:
+    def test_rule_exact_on_polynomials(self):
+        # K15 is exact to degree 22 and G7 to degree 13 on every panel, which
+        # pins every entry of the hard-coded node and weight table
+        degrees = np.arange(23)
+        values, errors, evals = gauss_kronrod_batch(lambda x, j: x ** j, degrees)
+        assert values == pytest.approx(1 / (degrees + 1), rel=1e-14)
+        assert np.all(errors[:14] <= 1e-15)
+        assert evals == degrees.size * 8 * 15
+
+    def test_blocks_bound_memory(self):
+        from sharpineq.quadrature import _BLOCK_VALUES
+
+        sizes = []
+
+        def integrand(x, p):
+            sizes.append(p.size * x.size)
+            return np.exp(-p * x)
+
+        params = np.linspace(0.1, 5.0, 2000)
+        values, _, _ = gauss_kronrod_batch(integrand, params)
+        assert max(sizes) <= _BLOCK_VALUES and len(sizes) > 1
+        assert values == pytest.approx(-np.expm1(-params) / params, rel=1e-12)
+
+    def test_non_finite_raises(self):
+        with pytest.raises(QuadratureError, match="non-finite"), np.errstate(all="ignore"):
+            gauss_kronrod_batch(lambda x, p: np.exp(p * 1e3 * x), [1.0])
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_masses_match_quad_oracle(self, n, tol):
+        # every 64th node of a 4096-node scan grid spanning all scan bands
+        spec = QuadratureSpec(relative_tolerance=tol)
+        alphas = np.linspace(0.5, 400.0, 4096)
+        for k in (n - 2, n):
+            masses, errors, _ = hyperbolic_gaussian_masses(k, alphas, spec)
+            assert np.all(errors <= tol * masses)
+            for a, got in zip(alphas[::64], masses[::64]):
+                oracle = hyperbolic_radial_volume_integral(gauss_profile(a), k, spec).value
+                assert got == pytest.approx(oracle, rel=10 * tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_masses_closed_form(self, k, tol):
+        # below alpha ~ 0.035 sinh^5 alone overflows on the truncated range
+        # while the k = 6 mass is still a finite double
+        alphas = np.concatenate([[0.02, 0.05, 0.1, 0.25], np.linspace(0.5, 20.0, 64)])
+        masses, _, _ = hyperbolic_gaussian_masses(k, alphas, QuadratureSpec(relative_tolerance=tol))
+        for a, got in zip(alphas, masses):
+            assert got == pytest.approx(gaussian_mass_closed_form(k, a), rel=10 * tol)
+
+    def test_unattainable_tolerance_raises(self):
+        spec = QuadratureSpec(relative_tolerance=1e-20)
+        with pytest.raises(QuadratureError, match=r"not met .* worst at (3\.0|50\.0)"):
+            hyperbolic_gaussian_masses(4, [3.0, 50.0], spec)
+
+    def test_masses_need_positive_dimension(self):
+        with pytest.raises(ValueError):
+            hyperbolic_gaussian_masses(0, [1.0])
 
 
 class TestMonteCarlo:
