@@ -21,18 +21,10 @@ from typing import Optional
 import numpy as np
 
 from . import flat, hyperbolic as hyp
+# dual_norm_value is not called here; perfbench/tracer.py lists this import
+# site and refuses to install without it
 from .norms import MinkowskiNorm, dual_norm_value, uniformity_constant
 from .quadrature import DecayClass, QuadratureSpec, RadialProfile
-
-SUITES = (
-    "identities",
-    "flat-hpw",
-    "flat-hardy",
-    "hyperbolic",
-    "ko-refute",
-    "chpw-bounds",
-    "all",
-)
 
 
 class ConfigError(ValueError):
@@ -257,7 +249,9 @@ def _scalar_row(suite, name, param, value, target, tolerance) -> CheckRow:
     )
 
 
-def _run_identities(cfg: RunConfig) -> list:
+def _run_identities(cfg: RunConfig) -> tuple[list, dict]:
+    if cfg.triple is None:
+        raise ConfigError(["suite 'identities' requires a [triple] section"])
     spec = cfg.quadrature_spec()
     t = flat.ExponentTriple(*cfg.triple)
     rows = []
@@ -288,7 +282,7 @@ def _run_identities(cfg: RunConfig) -> list:
                 gt["ode_relative_residual"], 0.0, 1e-6,
             )
         )
-    return rows
+    return rows, {}
 
 
 def _gaussian_test_function(lam: float) -> flat.TestFunction:
@@ -301,7 +295,7 @@ def _gaussian_test_function(lam: float) -> flat.TestFunction:
     return flat.TestFunction.radial(RadialProfile(u, DecayClass.gaussian(lam)), du)
 
 
-def _run_flat_hpw(cfg: RunConfig) -> list:
+def _run_flat_hpw(cfg: RunConfig) -> tuple[list, dict]:
     spec = cfg.quadrature_spec()
     norm = cfg.norm()
     rows = []
@@ -319,7 +313,7 @@ def _run_flat_hpw(cfg: RunConfig) -> list:
         )
         res = flat.gaussian_moment_identity(cfg.n, lam, spec)
         rows.append(_scalar_row("flat-hpw", "moment-identity", lam, res, 0.0, 1e-8))
-    return rows
+    return rows, {}
 
 
 def _run_flat_hardy(cfg: RunConfig) -> tuple[list, dict]:
@@ -433,7 +427,7 @@ def _run_ko_refute(cfg: RunConfig) -> tuple[list, dict]:
     return rows, series
 
 
-def _run_chpw_bounds(cfg: RunConfig) -> list:
+def _run_chpw_bounds(cfg: RunConfig) -> tuple[list, dict]:
     spec = cfg.quadrature_spec()
     b = hyp.hpw_constant_bounds(cfg.n, spec=spec)
     return [
@@ -443,37 +437,32 @@ def _run_chpw_bounds(cfg: RunConfig) -> list:
             b["upper"] - b["lower"], 0.0, 0.0,
             bool(b["upper"] >= b["lower"]),
         )
-    ]
+    ], {}
+
+
+# suite name -> runner returning (rows, plot series); 'all' runs them in order
+RUNNERS = {
+    "identities": _run_identities,
+    "flat-hpw": _run_flat_hpw,
+    "flat-hardy": _run_flat_hardy,
+    "hyperbolic": _run_hyperbolic,
+    "ko-refute": _run_ko_refute,
+    "chpw-bounds": _run_chpw_bounds,
+}
+SUITES = (*RUNNERS, "all")
 
 
 def run_suite(cfg: RunConfig, out_dir: Optional[str] = None) -> SuiteResult:
     """Execute the configured suite and write CSV/JSON/summary artifacts."""
     start = time.perf_counter()
-    suites = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
+    suites = tuple(RUNNERS) if cfg.suite == "all" else (cfg.suite,)
     checks: list = []
     series: dict = {}
     for s in suites:
         try:
-            if s == "identities":
-                if cfg.triple is None:
-                    raise ConfigError(["suite 'identities' requires a [triple] section"])
-                checks.extend(_run_identities(cfg))
-            elif s == "flat-hpw":
-                checks.extend(_run_flat_hpw(cfg))
-            elif s == "flat-hardy":
-                rows, ser = _run_flat_hardy(cfg)
-                checks.extend(rows)
-                series.update(ser)
-            elif s == "hyperbolic":
-                rows, ser = _run_hyperbolic(cfg)
-                checks.extend(rows)
-                series.update(ser)
-            elif s == "ko-refute":
-                rows, ser = _run_ko_refute(cfg)
-                checks.extend(rows)
-                series.update(ser)
-            elif s == "chpw-bounds":
-                checks.extend(_run_chpw_bounds(cfg))
+            rows, ser = RUNNERS[s](cfg)
+            checks.extend(rows)
+            series.update(ser)
         except ConfigError:
             raise
         except Exception as exc:  # record, keep running the rest of the suite

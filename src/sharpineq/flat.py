@@ -7,12 +7,12 @@ equality family, and Hardy inequalities with the curvature-flat remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .norms import MinkowskiNorm, ball_volume_constant, bh_density, dual_norm_value
+from .norms import MinkowskiNorm, ball_volume_constant, bh_density, dual_norm_value, norm_value
 from .quadrature import (
     DecayClass,
     IntegralResult,
@@ -21,6 +21,7 @@ from .quadrature import (
     fd_derivative,
     flat_radial_volume_integral,
     monte_carlo_integral,
+    radial_integral,
 )
 
 __all__ = [
@@ -120,7 +121,13 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """One inequality evaluation, arranged so ratio >= target is the claim."""
+    """One inequality evaluation, arranged so ratio >= target is the claim.
+
+    Every inequality checked here has one of three shapes, one constructor
+    each: a product a b / c^2, a quotient a / h, or a normalised a against a
+    sum of weighted integrals.  integral_errors holds the relative error
+    estimate of each integral, in argument order.
+    """
 
     lhs: float
     rhs: float
@@ -135,6 +142,59 @@ class InequalityReport:
     @property
     def combined_error(self) -> float:
         return float(sum(self.integral_errors))
+
+    @staticmethod
+    def product(a: IntegralResult, b: IntegralResult, c: IntegralResult, target: float) -> "InequalityReport":
+        """a b against target c^2: the uncertainty and interpolation products."""
+        return InequalityReport(
+            lhs=a.value * b.value,
+            rhs=target * c.value**2,
+            ratio=a.value * b.value / c.value**2,
+            target=target,
+            integral_errors=_relative_errors(a, b, c),
+        )
+
+    @staticmethod
+    def quotient(a: IntegralResult, h: IntegralResult, target: float) -> "InequalityReport":
+        """a against target h: the Hardy quotient."""
+        return InequalityReport(
+            lhs=a.value,
+            rhs=target * h.value,
+            ratio=a.value / h.value,
+            target=target,
+            integral_errors=_relative_errors(a, h),
+        )
+
+    @staticmethod
+    def normalised(a: IntegralResult, *terms: tuple) -> "InequalityReport":
+        """a against the sum of coeff h over the (coeff, h) terms, target 1:
+        Hardy inequalities with a remainder."""
+        rhs = sum(coeff * h.value for coeff, h in terms)
+        return InequalityReport(
+            lhs=a.value,
+            rhs=rhs,
+            ratio=a.value / rhs,
+            target=1.0,
+            integral_errors=_relative_errors(a, *(h for _, h in terms)),
+        )
+
+
+def _relative_errors(*results: IntegralResult) -> tuple:
+    return tuple(r.error_estimate / max(abs(r.value), 1e-300) for r in results)
+
+
+def _integrals(u, volume, n: int, spec: QuadratureSpec, *terms) -> list:
+    """volume(fn, n, spec) for every (fn, power, rho_pow) term.
+
+    u is a radial test function (profile and derivative); fn decays like
+    |u|^power rho^rho_pow, so it gets that decay class and u's breakpoints.
+    volume is flat_radial_volume_integral or hyperbolic_radial_volume_integral.
+    """
+    prof = u.profile
+    return [
+        volume(RadialProfile(fn, prof.decay.scaled(power, rho_pow), breakpoints=prof.breakpoints), n, spec)
+        for fn, power, rho_pow in terms
+    ]
 
 
 def kernel_h(t: ExponentTriple, lam: float, rho: float) -> float:
@@ -179,12 +239,7 @@ def _kernel_profile(t: ExponentTriple, lam: float, kernel) -> RadialProfile:
 def _spec_for(t: ExponentTriple, spec: QuadratureSpec) -> QuadratureSpec:
     if not t.near_boundary:
         return spec
-    return QuadratureSpec(
-        relative_tolerance=spec.relative_tolerance,
-        max_subdivisions=spec.max_subdivisions * 2,
-        mc_samples=spec.mc_samples,
-        mc_seed=spec.mc_seed,
-    )
+    return replace(spec, max_subdivisions=spec.max_subdivisions * 2)
 
 
 def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
@@ -211,8 +266,6 @@ def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = Quadra
 
 
 def _radial(t, lam, kernel, spec):
-    from .quadrature import radial_integral
-
     return radial_integral(_kernel_profile(t, lam, kernel), ("power", 0), spec)
 
 
@@ -225,20 +278,9 @@ def check_pqr_identity(
         P = pqr(t, lam, "P", spec)
         Q = pqr(t, lam, "Q", spec)
         R = pqr(t, lam, "R", spec)
-        ratio = Q.value * R.value / P.value**2
-        out.append(
-            InequalityReport(
-                lhs=Q.value * R.value,
-                rhs=t.target * P.value**2,
-                ratio=ratio,
-                target=t.target,
-                integral_errors=(
-                    P.error_estimate / abs(P.value),
-                    Q.error_estimate / abs(Q.value),
-                    R.error_estimate / abs(R.value),
-                ),
-            )
-        )
+        rep = InequalityReport.product(Q, R, P, t.target)
+        # errors in (P, Q, R) order: the err column is their float sum
+        out.append(replace(rep, integral_errors=_relative_errors(P, Q, R)))
     return out
 
 
@@ -256,35 +298,6 @@ def check_p_ode(
         res = coeff * P(lam) + lam * fd_derivative(P, lam)
         out.append(res / P(lam))
     return out
-
-
-def _radial_triple_integrals(
-    t: ExponentTriple, u: TestFunction, spec: QuadratureSpec
-) -> tuple[IntegralResult, IntegralResult, IntegralResult]:
-    """A = int F*(Du)^2, B = int |u|^(2p-2)/rho^(2q-2), C = int |u|^p/rho^q."""
-    n, p, q = t.n, t.p, t.q
-    prof, du = u.profile, u.derivative
-    d = prof.decay
-
-    def scaled(power: float, rho_pow: float, fn) -> RadialProfile:
-        if d.kind == "gaussian":
-            dec = DecayClass.gaussian(d.rate * power)
-        elif d.kind == "compact":
-            dec = DecayClass.compact(d.support_radius)
-        else:
-            dec = DecayClass.algebraic(d.sigma * power - rho_pow)
-        return RadialProfile(fn, dec, breakpoints=prof.breakpoints)
-
-    A = flat_radial_volume_integral(scaled(2, 0, lambda r: du(r) ** 2), n, spec)
-    B = flat_radial_volume_integral(
-        scaled(2 * p - 2, -(2 * q - 2), lambda r: abs(prof(r)) ** (2 * p - 2) / r ** (2 * q - 2)),
-        n,
-        spec,
-    )
-    C = flat_radial_volume_integral(
-        scaled(p, -q, lambda r: abs(prof(r)) ** p / r**q), n, spec
-    )
-    return A, B, C
 
 
 def _general_triple_integrals(norm, t, u, spec):
@@ -310,8 +323,6 @@ def _general_triple_integrals(norm, t, u, spec):
         return np.array([dual_norm_value(norm, g) for g in gs]) ** 2 * density
 
     def dist(pts):
-        from .norms import norm_value
-
         return np.array([norm_value(norm, x - x0) for x in pts])
 
     def fB(pts):
@@ -338,24 +349,23 @@ def interpolation_report(
     u: TestFunction,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> InequalityReport:
-    """A * B / C^2 against (n-q)^2/p^2 for one test function."""
+    """A * B / C^2 against (n-q)^2/p^2 for one test function.
+
+    A = int F*(Du)^2, B = int |u|^(2p-2)/rho^(2q-2), C = int |u|^p/rho^q.
+    """
     spec = _spec_for(t, spec)
     if u.kind == "radial":
-        A, B, C = _radial_triple_integrals(t, u, spec)
+        n, p, q = t.n, t.p, t.q
+        prof, du = u.profile, u.derivative
+        A, B, C = _integrals(
+            u, flat_radial_volume_integral, n, spec,
+            (lambda r: du(r) ** 2, 2, 0),
+            (lambda r: abs(prof(r)) ** (2 * p - 2) / r ** (2 * q - 2), 2 * p - 2, -(2 * q - 2)),
+            (lambda r: abs(prof(r)) ** p / r**q, p, -q),
+        )
     else:
         A, B, C = _general_triple_integrals(norm, t, u, spec)
-    ratio = A.value * B.value / C.value**2
-    return InequalityReport(
-        lhs=A.value * B.value,
-        rhs=t.target * C.value**2,
-        ratio=ratio,
-        target=t.target,
-        integral_errors=(
-            A.error_estimate / abs(A.value),
-            B.error_estimate / abs(B.value),
-            C.error_estimate / abs(C.value),
-        ),
-    )
+    return InequalityReport.product(A, B, C, t.target)
 
 
 def extremal_profile(t: ExponentTriple, lam: float) -> TestFunction:
@@ -387,9 +397,7 @@ def gaussian_T(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> d
     omega = ball_volume_constant(n)
 
     def T(la):
-        from .quadrature import radial_integral
-
-        prof = RadialProfile(lambda r: r ** (n + 1), DecayClass.gaussian(2 * la), origin_tau=0.0)
+        prof = RadialProfile(lambda r: r ** (n + 1), DecayClass.gaussian(2 * la))
         base = radial_integral(prof, ("gaussian", 2 * la), spec)
         return 4 * la * omega * base.value
 
@@ -404,50 +412,22 @@ def gaussian_T(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> d
     }
 
 
-def _ratio_report(A, M, L, target) -> InequalityReport:
-    """(A * M) / L^2 style report with relative integral errors."""
-    ratio = A.value * M.value / L.value**2
-    return InequalityReport(
-        lhs=A.value * M.value,
-        rhs=target * L.value**2,
-        ratio=ratio,
-        target=target,
-        integral_errors=(
-            A.error_estimate / abs(A.value),
-            M.error_estimate / abs(M.value),
-            L.error_estimate / abs(L.value),
-        ),
-    )
-
-
 def hpw_report(
     norm: MinkowskiNorm, n: int, u: TestFunction, spec: QuadratureSpec = QuadratureSpec()
 ) -> InequalityReport:
     """Uncertainty product over the squared mass, against n^2/4."""
     prof, du = u.profile, u.derivative
-    d = prof.decay
-    if d.kind == "algebraic":
+    if prof.decay.kind == "algebraic":
         raise ValueError("gaussian-class decay required for the uncertainty product")
-
-    def dec(power):
-        if d.kind == "compact":
-            return DecayClass.compact(d.support_radius)
-        return DecayClass.gaussian(d.rate * power)
-
-    A = flat_radial_volume_integral(
-        RadialProfile(lambda r: du(r) ** 2, dec(2), breakpoints=prof.breakpoints), n, spec
-    )
-    M = flat_radial_volume_integral(
-        RadialProfile(lambda r: r**2 * prof(r) ** 2, dec(2), breakpoints=prof.breakpoints),
-        n,
-        spec,
-    )
-    L = flat_radial_volume_integral(
-        RadialProfile(lambda r: prof(r) ** 2, dec(2), breakpoints=prof.breakpoints), n, spec
+    A, M, L = _integrals(
+        u, flat_radial_volume_integral, n, spec,
+        (lambda r: du(r) ** 2, 2, 0),
+        (lambda r: r**2 * prof(r) ** 2, 2, 2),
+        (lambda r: prof(r) ** 2, 2, 0),
     )
     if L.value == 0:
         raise ValueError("zero test function")
-    return _ratio_report(A, M, L, n**2 / 4)
+    return InequalityReport.product(A, M, L, n**2 / 4)
 
 
 def gaussian_moment_identity(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -480,36 +460,14 @@ def hardy_report(
     if c > 0:
         raise ValueError("curvature bound must be <= 0")
     prof, du = u.profile, u.derivative
-    d = prof.decay
-
-    def dec(power, rho_pow=0.0):
-        if d.kind == "compact":
-            return DecayClass.compact(d.support_radius)
-        if d.kind == "gaussian":
-            return DecayClass.gaussian(d.rate * power)
-        return DecayClass.algebraic(d.sigma * power - rho_pow)
-
-    A = flat_radial_volume_integral(
-        RadialProfile(lambda r: du(r) ** 2, dec(2), breakpoints=prof.breakpoints), n, spec
-    )
-    H = flat_radial_volume_integral(
-        RadialProfile(lambda r: prof(r) ** 2 / r**2, dec(2, -2.0), breakpoints=prof.breakpoints),
-        n,
-        spec,
+    A, H = _integrals(
+        u, flat_radial_volume_integral, n, spec,
+        (lambda r: du(r) ** 2, 2, 0),
+        (lambda r: prof(r) ** 2 / r**2, 2, -2),
     )
     if H.value == 0:
         raise ValueError("zero test function")
-    ratio = A.value / H.value
-    return InequalityReport(
-        lhs=A.value,
-        rhs=(n - 2) ** 2 / 4 * H.value,
-        ratio=ratio,
-        target=(n - 2) ** 2 / 4,
-        integral_errors=(
-            A.error_estimate / abs(A.value),
-            H.error_estimate / abs(H.value),
-        ),
-    )
+    return InequalityReport.quotient(A, H, (n - 2) ** 2 / 4)
 
 
 def smoothstep_cutoff(r: float, R: float) -> tuple[Callable, Callable]:
@@ -571,22 +529,8 @@ def hardy_sharpness_sweep(
                 return 0.0
             return dpsi(rho) * rho ** (-gamma) - gamma * psi(rho) * rho ** (-gamma - 1)
 
-        prof = RadialProfile(
-            lambda rho, eps=eps: u(rho),
-            DecayClass.compact(R),
-            breakpoints=(eps, r),
-        )
-        I1 = flat_radial_volume_integral(
-            RadialProfile(lambda rho, eps=eps: du(rho) ** 2, DecayClass.compact(R), breakpoints=(eps, r)),
-            n,
-            spec,
-        )
-        I2 = flat_radial_volume_integral(
-            RadialProfile(lambda rho, eps=eps: u(rho) ** 2 / rho**2, DecayClass.compact(R), breakpoints=(eps, r)),
-            n,
-            spec,
-        )
-        quotients.append(I1.value / I2.value)
+        tf = TestFunction.radial(RadialProfile(u, DecayClass.compact(R), breakpoints=(eps, r)), du)
+        quotients.append(hardy_report(norm, n, tf, 0.0, spec).ratio)
     ell = np.array([math.log(1.0 / e) for e in eps_list])
     y = np.array(quotients)
     if len(eps_list) >= 3:
@@ -638,37 +582,12 @@ def double_hardy_report(
         raise ValueError("R must exceed the support radius")
     if n < 3:
         raise ValueError("need n >= 3")
-    sup = prof.decay.support_radius
-    A = flat_radial_volume_integral(
-        RadialProfile(lambda r: du(r) ** 2, DecayClass.compact(sup), breakpoints=prof.breakpoints),
-        n,
-        spec,
-    )
-    H = flat_radial_volume_integral(
-        RadialProfile(lambda r: prof(r) ** 2 / r**2, DecayClass.compact(sup), breakpoints=prof.breakpoints),
-        n,
-        spec,
+    A, H, Rem = _integrals(
+        u, flat_radial_volume_integral, n, spec,
+        (lambda r: du(r) ** 2, 2, 0),
+        (lambda r: prof(r) ** 2 / r**2, 2, -2),
+        (lambda r: prof(r) ** 2 / (r * math.log(math.e * R / r)) ** 2, 2, -2),
     )
     if H.value == 0:
         raise ValueError("zero test function")
-    Rem = flat_radial_volume_integral(
-        RadialProfile(
-            lambda r: prof(r) ** 2 / (r * math.log(math.e * R / r)) ** 2,
-            DecayClass.compact(sup),
-            breakpoints=prof.breakpoints,
-        ),
-        n,
-        spec,
-    )
-    rhs = (n - 2) ** 2 / 4 * H.value + uniformity / 4 * Rem.value
-    return InequalityReport(
-        lhs=A.value,
-        rhs=rhs,
-        ratio=A.value / rhs,
-        target=1.0,
-        integral_errors=(
-            A.error_estimate / abs(A.value),
-            H.error_estimate / abs(H.value),
-            Rem.error_estimate / max(abs(Rem.value), 1e-300),
-        ),
-    )
+    return InequalityReport.normalised(A, ((n - 2) ** 2 / 4, H), (uniformity / 4, Rem))

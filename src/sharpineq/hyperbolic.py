@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flat import InequalityReport
+from .flat import InequalityReport, _integrals
 from .norms import ball_volume_constant
 from .quadrature import (
     DecayClass,
@@ -167,35 +167,6 @@ def hyp_volume_ratio_check(
     }
 
 
-def _hyp_integrals(u: RadialHypFunction, n: int, spec: QuadratureSpec):
-    """Dirichlet energy, second moment, and mass of a radial function."""
-    prof, du = u.profile, u.derivative
-    d = prof.decay
-    if d.kind == "algebraic":
-        raise ValueError(
-            "algebraic decay cannot beat the exponential volume growth; "
-            "gaussian decay is mandatory"
-        )
-
-    def dec():
-        if d.kind == "compact":
-            return DecayClass.compact(d.support_radius)
-        return DecayClass.gaussian(2 * d.rate)
-
-    A = hyperbolic_radial_volume_integral(
-        RadialProfile(lambda r: du(r) ** 2, dec(), breakpoints=prof.breakpoints), n, spec
-    )
-    M = hyperbolic_radial_volume_integral(
-        RadialProfile(lambda r: r**2 * prof(r) ** 2, dec(), breakpoints=prof.breakpoints),
-        n,
-        spec,
-    )
-    L = hyperbolic_radial_volume_integral(
-        RadialProfile(lambda r: prof(r) ** 2, dec(), breakpoints=prof.breakpoints), n, spec
-    )
-    return A, M, L
-
-
 def hpw_hyperbolic_report(
     u: RadialHypFunction, n: int, spec: QuadratureSpec = QuadratureSpec()
 ) -> InequalityReport:
@@ -203,21 +174,18 @@ def hpw_hyperbolic_report(
 
     Strictly above the target for every nonzero input; no extremal exists.
     """
-    A, M, L = _hyp_integrals(u, n, spec)
+    prof, du = u.profile, u.derivative
+    if prof.decay.kind == "algebraic":
+        raise ValueError("gaussian decay is mandatory against the volume growth")
+    A, M, L = _integrals(
+        u, hyperbolic_radial_volume_integral, n, spec,
+        (lambda r: du(r) ** 2, 2, 0),
+        (lambda r: r**2 * prof(r) ** 2, 2, 2),
+        (lambda r: prof(r) ** 2, 2, 0),
+    )
     if L.value == 0:
         raise ValueError("zero test function")
-    ratio = A.value * M.value / L.value**2
-    return InequalityReport(
-        lhs=A.value * M.value,
-        rhs=n**2 / 4 * L.value**2,
-        ratio=ratio,
-        target=n**2 / 4,
-        integral_errors=(
-            A.error_estimate / abs(A.value),
-            M.error_estimate / abs(M.value),
-            L.error_estimate / abs(L.value),
-        ),
-    )
+    return InequalityReport.product(A, M, L, n**2 / 4)
 
 
 def modified_hpw_report(
@@ -236,35 +204,16 @@ def modified_hpw_report(
         raise ValueError("pass exactly one of alpha or u")
     if u is None:
         u = RadialHypFunction.gaussian(alpha)
-    A, M, _ = _hyp_integrals(u, n, spec)
-    prof = u.profile
-    d = prof.decay
-    dec = (
-        DecayClass.compact(d.support_radius)
-        if d.kind == "compact"
-        else DecayClass.gaussian(2 * d.rate)
+    prof, du = u.profile, u.derivative
+    if prof.decay.kind == "algebraic":
+        raise ValueError("gaussian decay is mandatory against the volume growth")
+    A, M, W = _integrals(
+        u, hyperbolic_radial_volume_integral, n, spec,
+        (lambda r: du(r) ** 2, 2, 0),
+        (lambda r: r**2 * prof(r) ** 2, 2, 2),
+        (lambda r: (1 + (n - 1) / n * curvature_defect(-1.0, r)) * prof(r) ** 2, 2, 0),
     )
-    W = hyperbolic_radial_volume_integral(
-        RadialProfile(
-            lambda r: (1 + (n - 1) / n * curvature_defect(-1.0, r)) * prof(r) ** 2,
-            dec,
-            breakpoints=prof.breakpoints,
-        ),
-        n,
-        spec,
-    )
-    ratio = A.value * M.value / W.value**2
-    return InequalityReport(
-        lhs=A.value * M.value,
-        rhs=n**2 / 4 * W.value**2,
-        ratio=ratio,
-        target=n**2 / 4,
-        integral_errors=(
-            A.error_estimate / abs(A.value),
-            M.error_estimate / abs(M.value),
-            W.error_estimate / abs(W.value),
-        ),
-    )
+    return InequalityReport.product(A, M, W, n**2 / 4)
 
 
 def hardy_hyperbolic_report(
@@ -279,66 +228,22 @@ def hardy_hyperbolic_report(
     if n < 3:
         raise ValueError("need n >= 3")
     prof, du = u.profile, u.derivative
-    d = prof.decay
-    if d.kind == "algebraic":
+    if prof.decay.kind == "algebraic":
         raise ValueError("gaussian decay is mandatory against the volume growth")
-    dec = (
-        DecayClass.compact(d.support_radius)
-        if d.kind == "compact"
-        else DecayClass.gaussian(2 * d.rate)
-    )
-    A = hyperbolic_radial_volume_integral(
-        RadialProfile(lambda r: du(r) ** 2, dec, breakpoints=prof.breakpoints), n, spec
-    )
-    H1 = hyperbolic_radial_volume_integral(
-        RadialProfile(
-            lambda r: (1 + 2 * (n - 1) / (n - 2) * curvature_defect(-1.0, r))
-            * prof(r) ** 2
-            / r**2,
-            dec,
-            breakpoints=prof.breakpoints,
-        ),
-        n,
-        spec,
+    A, H1, H2, H3 = _integrals(
+        u, hyperbolic_radial_volume_integral, n, spec,
+        (lambda r: du(r) ** 2, 2, 0),
+        (lambda r: (1 + 2 * (n - 1) / (n - 2) * curvature_defect(-1.0, r)) * prof(r) ** 2 / r**2, 2, -2),
+        (lambda r: prof(r) ** 2 / r**2, 2, -2),
+        (lambda r: prof(r) ** 2 / (math.pi**2 + r**2), 2, -2),
     )
     if H1.value == 0:
         raise ValueError("zero test function")
-    rhs1 = (n - 2) ** 2 / 4 * H1.value
-    rep1 = InequalityReport(
-        lhs=A.value,
-        rhs=rhs1,
-        ratio=A.value / rhs1,
-        target=1.0,
-        integral_errors=(
-            A.error_estimate / abs(A.value),
-            H1.error_estimate / abs(H1.value),
-        ),
+    hardy = (n - 2) ** 2 / 4
+    return (
+        InequalityReport.normalised(A, (hardy, H1)),
+        InequalityReport.normalised(A, (hardy, H2), (3 * (n - 1) * (n - 2) / 2, H3)),
     )
-    H2 = hyperbolic_radial_volume_integral(
-        RadialProfile(lambda r: prof(r) ** 2 / r**2, dec, breakpoints=prof.breakpoints),
-        n,
-        spec,
-    )
-    H3 = hyperbolic_radial_volume_integral(
-        RadialProfile(
-            lambda r: prof(r) ** 2 / (math.pi**2 + r**2), dec, breakpoints=prof.breakpoints
-        ),
-        n,
-        spec,
-    )
-    rhs2 = (n - 2) ** 2 / 4 * H2.value + 3 * (n - 1) * (n - 2) / 2 * H3.value
-    rep2 = InequalityReport(
-        lhs=A.value,
-        rhs=rhs2,
-        ratio=A.value / rhs2,
-        target=1.0,
-        integral_errors=(
-            A.error_estimate / abs(A.value),
-            H2.error_estimate / abs(H2.value),
-            H3.error_estimate / abs(H3.value),
-        ),
-    )
-    return rep1, rep2
 
 
 def ko_alpha_scan(

@@ -9,8 +9,8 @@ counter-based generator, and Richardson-extrapolated finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -62,18 +62,24 @@ class DecayClass:
     def compact(support_radius: float) -> "DecayClass":
         return DecayClass("compact", support_radius=support_radius)
 
+    def scaled(self, power: float, rho_pow: float = 0.0) -> "DecayClass":
+        """Decay of |f|^power * rho^rho_pow for a profile f with this decay."""
+        if self.kind == "gaussian":
+            return DecayClass.gaussian(self.rate * power)
+        if self.kind == "algebraic":
+            return DecayClass.algebraic(self.sigma * power - rho_pow)
+        return self
+
 
 @dataclass(frozen=True)
 class RadialProfile:
     """Scalar function of geodesic distance with declared asymptotics.
 
-    origin_tau > 0 declares a power singularity f = O(rho^-tau) at 0;
     breakpoints are interior points where the evaluator is non-smooth.
     """
 
     evaluator: Callable[[float], float]
     decay: DecayClass
-    origin_tau: float = 0.0
     breakpoints: tuple = ()
 
     def __call__(self, rho: float) -> float:
@@ -174,14 +180,27 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
     """
     w, growth = _weight_fn(weight)
     T = _truncation_radius(f.decay, growth, spec.relative_tolerance)
+    m = weight[1] if weight[0] == "sinh-power" else None
 
     def g(r: float) -> float:
-        # past the truncation radius the true product has underflowed; the
-        # weight alone may still overflow (sinh powers), so treat that as 0
         try:
             return f.evaluator(r) * w(r)
         except OverflowError:
+            if m is None:
+                # a power weight overflows only far out in the mapped tail,
+                # where the true product has underflowed
+                return 0.0
+        # sinh^m alone overflows while f sinh^m may still be large (small
+        # gaussian rates), so form the product in log space:
+        # log sinh rho = rho + log(1 - e^(-2 rho)) - log 2
+        v = f.evaluator(r)
+        if v == 0.0:
             return 0.0
+        log_w = m * (r + math.log1p(-math.exp(-2 * r)) - math.log(2))
+        try:
+            return math.copysign(math.exp(math.log(abs(v)) + log_w), v)
+        except OverflowError:
+            raise QuadratureError(f"integrand exceeds the float range at rho={r!r}") from None
 
     pieces = []  # (lo, hi, integrand), finite panels
     interior = sorted(b for b in f.breakpoints if 0 < b < min(T, 1e300))

@@ -7,6 +7,8 @@ from sharpineq import (
     AdmissibilityError,
     DecayClass,
     ExponentTriple,
+    InequalityReport,
+    IntegralResult,
     MinkowskiNorm,
     QuadratureSpec,
     RadialProfile,
@@ -38,6 +40,31 @@ def gaussian_tf(lam=1.0):
         RadialProfile(lambda r: math.exp(-lam * r * r), DecayClass.gaussian(lam)),
         lambda r: -2 * lam * r * math.exp(-lam * r * r),
     )
+
+
+class TestReportForms:
+    A = IntegralResult(6.0, 6e-9, 0)
+    B = IntegralResult(2.0, 1e-9, 0)
+    C = IntegralResult(-4.0, 1e-8, 0)
+
+    def test_product(self):
+        rep = InequalityReport.product(self.A, self.B, self.C, 0.5)
+        assert (rep.lhs, rep.rhs, rep.ratio, rep.target) == (12.0, 8.0, 0.75, 0.5)
+        assert rep.integral_errors == (1e-9, 5e-10, 2.5e-9)
+
+    def test_quotient(self):
+        rep = InequalityReport.quotient(self.A, self.B, 0.25)
+        assert (rep.lhs, rep.rhs, rep.ratio, rep.target) == (6.0, 0.5, 3.0, 0.25)
+        assert rep.integral_errors == (1e-9, 5e-10)
+
+    def test_normalised(self):
+        rep = InequalityReport.normalised(self.A, (0.5, self.B), (2.0, self.C))
+        assert (rep.lhs, rep.rhs, rep.ratio, rep.target) == (6.0, -7.0, 6.0 / -7.0, 1.0)
+        assert rep.integral_errors == (1e-9, 5e-10, 2.5e-9)
+
+    def test_zero_integral_error(self):
+        rep = InequalityReport.quotient(IntegralResult(0.0, 0.0, 0), self.B, 1.0)
+        assert rep.integral_errors == (0.0, 5e-10)
 
 
 class TestExponentTriple:

@@ -66,6 +66,22 @@ class TestRadialIntegral:
         res = radial_integral(prof, ("power", 0))
         assert res.value == pytest.approx(math.pi / 4, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sinh_weight_overflow_not_dropped(self, n):
+        # at small rates sinh^(n-1) alone overflows where e^(-a rho^2)
+        # sinh^(n-1) is still large; such nodes must not count as zero
+        spec = QuadratureSpec()
+        checked = 0
+        for a in (0.002, 0.005, 0.01, 0.02):
+            try:
+                got = hyperbolic_radial_volume_integral(gauss_profile(a), n, spec).value
+            except QuadratureError:
+                continue
+            mass = hyperbolic_gaussian_masses(n, [a], spec)[0][0]
+            assert got == pytest.approx(mass, rel=10 * spec.relative_tolerance)
+            checked += 1
+        assert checked > 0
+
 
 class TestVolumeIntegrals:
     def test_flat_gaussian(self):
@@ -263,6 +279,13 @@ class TestSpecAndProfiles:
         assert comp.check_decay()
         leaky = RadialProfile(lambda r: 1.0, DecayClass.compact(1.0))
         assert not leaky.check_decay()
+
+    def test_scaled_decay(self):
+        # decay of |f|^power rho^rho_pow
+        assert DecayClass.gaussian(1.5).scaled(2, 2) == DecayClass.gaussian(3.0)
+        assert DecayClass.algebraic(3.0).scaled(2) == DecayClass.algebraic(6.0)
+        assert DecayClass.algebraic(3.0).scaled(4, -2) == DecayClass.algebraic(14.0)
+        assert DecayClass.compact(2.0).scaled(3, -2) == DecayClass.compact(2.0)
 
 
 class TestFiniteDifference:
