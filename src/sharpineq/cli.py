@@ -350,7 +350,7 @@ def _run_flat_hardy(cfg: RunConfig) -> tuple[list, dict]:
         RadialProfile(lambda r: psi(r), DecayClass.compact(1.0), breakpoints=(0.5,)),
         dpsi,
     )
-    l_star = 1.0 if norm.family == "weighted-euclidean" else uniformity_constant(norm)
+    l_star = uniformity_constant(norm)
     rows.append(
         _row(
             "flat-hardy", "double-hardy", l_star,

@@ -184,16 +184,17 @@ def _relative_errors(*results: IntegralResult) -> tuple:
 
 
 def _integrals(u, volume, n: int, spec: QuadratureSpec, *terms) -> list:
-    """volume(fn, n, spec) for every (fn, power, rho_pow) term.
+    """volume(fn, n, spec) for every (fn, power) term.
 
     u is a radial test function (profile and derivative); fn decays like
-    |u|^power rho^rho_pow, so it gets that decay class and u's breakpoints.
-    volume is flat_radial_volume_integral or hyperbolic_radial_volume_integral.
+    |u|^power times a power of rho, so it gets that decay class and u's
+    breakpoints.  volume is flat_radial_volume_integral or
+    hyperbolic_radial_volume_integral.
     """
     prof = u.profile
     return [
-        volume(RadialProfile(fn, prof.decay.scaled(power, rho_pow), breakpoints=prof.breakpoints), n, spec)
-        for fn, power, rho_pow in terms
+        volume(RadialProfile(fn, prof.decay.scaled(power), breakpoints=prof.breakpoints), n, spec)
+        for fn, power in terms
     ]
 
 
@@ -218,24 +219,6 @@ def kernel_g(t: ExponentTriple, lam: float, rho: float) -> float:
     )
 
 
-def _kernel_profile(t: ExponentTriple, lam: float, kernel) -> RadialProfile:
-    """rho^n * kernel(lam, rho) as a profile with its true asymptotics."""
-    if kernel is kernel_h:
-        sigma = -(t.n - 2 * (t.p - t.q) / (t.p - 2) - 1)
-    else:
-        # rho^n g ~ rho^(n + (2-q)(3p-4)/(2-p) - (2q-1) + (2-q))
-        sigma = -(
-            t.n
-            + (2 - t.q) * (3 * t.p - 4) / (2 - t.p)
-            - (2 * t.q - 1)
-            + (2 - t.q)
-        )
-    return RadialProfile(
-        evaluator=lambda r: r**t.n * kernel(t, lam, r),
-        decay=DecayClass.algebraic(sigma),
-    )
-
-
 def _spec_for(t: ExponentTriple, spec: QuadratureSpec) -> QuadratureSpec:
     if not t.near_boundary:
         return spec
@@ -250,34 +233,38 @@ def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = Quadra
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    if which not in ("P", "Q", "R"):
+        raise ValueError("selector must be one of P, Q, R")
     spec = _spec_for(t, spec)
-    omega = ball_volume_constant(t.n)
     if which == "P":
-        base = _radial(t, lam, kernel_h, spec)
-        return IntegralResult(omega * base.value, omega * base.error_estimate, base.nodes_used)
-    if which == "R":
-        base = _radial(t, lam, kernel_g, spec)
-        return IntegralResult(omega * base.value, omega * base.error_estimate, base.nodes_used)
-    if which == "Q":
-        r = pqr(t, lam, "R", spec)
-        c = (2 - t.q) ** 2 / (t.p - 2) ** 2
-        return IntegralResult(c * r.value, c * r.error_estimate, r.nodes_used)
-    raise ValueError("selector must be one of P, Q, R")
+        return _radial(t, lam, kernel_h, spec)
+    r = _radial(t, lam, kernel_g, spec)
+    return r if which == "R" else _q_from_r(t, r)
 
 
-def _radial(t, lam, kernel, spec):
-    return radial_integral(_kernel_profile(t, lam, kernel), ("power", 0), spec)
+def _radial(t: ExponentTriple, lam: float, kernel, spec: QuadratureSpec) -> IntegralResult:
+    """omega_n int rho^n kernel(lam, rho) d rho."""
+    prof = RadialProfile(lambda r: r**t.n * kernel(t, lam, r), DecayClass.algebraic())
+    base = radial_integral(prof, ("power", 0), spec)
+    omega = ball_volume_constant(t.n)
+    return IntegralResult(omega * base.value, omega * base.error_estimate, base.nodes_used)
+
+
+def _q_from_r(t: ExponentTriple, r: IntegralResult) -> IntegralResult:
+    c = (2 - t.q) ** 2 / (t.p - 2) ** 2
+    return IntegralResult(c * r.value, c * r.error_estimate, r.nodes_used)
 
 
 def check_pqr_identity(
     t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
 ) -> list[InequalityReport]:
     """Q R / P^2 against (n-q)^2 / p^2 on a lambda grid (an equality)."""
+    spec = _spec_for(t, spec)
     out = []
     for lam in lam_grid:
-        P = pqr(t, lam, "P", spec)
-        Q = pqr(t, lam, "Q", spec)
-        R = pqr(t, lam, "R", spec)
+        P = _radial(t, lam, kernel_h, spec)
+        R = _radial(t, lam, kernel_g, spec)
+        Q = _q_from_r(t, R)
         rep = InequalityReport.product(Q, R, P, t.target)
         # errors in (P, Q, R) order: the err column is their float sum
         out.append(replace(rep, integral_errors=_relative_errors(P, Q, R)))
@@ -295,8 +282,8 @@ def check_p_ode(
 
     out = []
     for lam in lam_grid:
-        res = coeff * P(lam) + lam * fd_derivative(P, lam)
-        out.append(res / P(lam))
+        p = P(lam)
+        out.append((coeff * p + lam * fd_derivative(P, lam)) / p)
     return out
 
 
@@ -359,9 +346,9 @@ def interpolation_report(
         prof, du = u.profile, u.derivative
         A, B, C = _integrals(
             u, flat_radial_volume_integral, n, spec,
-            (lambda r: du(r) ** 2, 2, 0),
-            (lambda r: abs(prof(r)) ** (2 * p - 2) / r ** (2 * q - 2), 2 * p - 2, -(2 * q - 2)),
-            (lambda r: abs(prof(r)) ** p / r**q, p, -q),
+            (lambda r: du(r) ** 2, 2),
+            (lambda r: abs(prof(r)) ** (2 * p - 2) / r ** (2 * q - 2), 2 * p - 2),
+            (lambda r: abs(prof(r)) ** p / r**q, p),
         )
     else:
         A, B, C = _general_triple_integrals(norm, t, u, spec)
@@ -372,7 +359,6 @@ def extremal_profile(t: ExponentTriple, lam: float) -> TestFunction:
     """The minimizer family (lam + rho^(2-q))^(1/(2-p)) with its derivative."""
     p, q = t.p, t.q
     expo = 1 / (2 - p)
-    sigma = -(2 - q) * expo  # algebraic decay rate of the profile
 
     def w(r):
         return (lam + r ** (2 - q)) ** expo
@@ -381,7 +367,7 @@ def extremal_profile(t: ExponentTriple, lam: float) -> TestFunction:
         return expo * (2 - q) * r ** (1 - q) * (lam + r ** (2 - q)) ** (expo - 1)
 
     return TestFunction.radial(
-        RadialProfile(w, DecayClass.algebraic(sigma)), dw
+        RadialProfile(w, DecayClass.algebraic()), dw
     )
 
 
@@ -421,9 +407,9 @@ def hpw_report(
         raise ValueError("gaussian-class decay required for the uncertainty product")
     A, M, L = _integrals(
         u, flat_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2, 0),
-        (lambda r: r**2 * prof(r) ** 2, 2, 2),
-        (lambda r: prof(r) ** 2, 2, 0),
+        (lambda r: du(r) ** 2, 2),
+        (lambda r: r**2 * prof(r) ** 2, 2),
+        (lambda r: prof(r) ** 2, 2),
     )
     if L.value == 0:
         raise ValueError("zero test function")
@@ -462,8 +448,8 @@ def hardy_report(
     prof, du = u.profile, u.derivative
     A, H = _integrals(
         u, flat_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2, 0),
-        (lambda r: prof(r) ** 2 / r**2, 2, -2),
+        (lambda r: du(r) ** 2, 2),
+        (lambda r: prof(r) ** 2 / r**2, 2),
     )
     if H.value == 0:
         raise ValueError("zero test function")
@@ -584,9 +570,9 @@ def double_hardy_report(
         raise ValueError("need n >= 3")
     A, H, Rem = _integrals(
         u, flat_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2, 0),
-        (lambda r: prof(r) ** 2 / r**2, 2, -2),
-        (lambda r: prof(r) ** 2 / (r * math.log(math.e * R / r)) ** 2, 2, -2),
+        (lambda r: du(r) ** 2, 2),
+        (lambda r: prof(r) ** 2 / r**2, 2),
+        (lambda r: prof(r) ** 2 / (r * math.log(math.e * R / r)) ** 2, 2),
     )
     if H.value == 0:
         raise ValueError("zero test function")

@@ -179,9 +179,9 @@ def hpw_hyperbolic_report(
         raise ValueError("gaussian decay is mandatory against the volume growth")
     A, M, L = _integrals(
         u, hyperbolic_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2, 0),
-        (lambda r: r**2 * prof(r) ** 2, 2, 2),
-        (lambda r: prof(r) ** 2, 2, 0),
+        (lambda r: du(r) ** 2, 2),
+        (lambda r: r**2 * prof(r) ** 2, 2),
+        (lambda r: prof(r) ** 2, 2),
     )
     if L.value == 0:
         raise ValueError("zero test function")
@@ -209,9 +209,9 @@ def modified_hpw_report(
         raise ValueError("gaussian decay is mandatory against the volume growth")
     A, M, W = _integrals(
         u, hyperbolic_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2, 0),
-        (lambda r: r**2 * prof(r) ** 2, 2, 2),
-        (lambda r: (1 + (n - 1) / n * curvature_defect(-1.0, r)) * prof(r) ** 2, 2, 0),
+        (lambda r: du(r) ** 2, 2),
+        (lambda r: r**2 * prof(r) ** 2, 2),
+        (lambda r: (1 + (n - 1) / n * curvature_defect(-1.0, r)) * prof(r) ** 2, 2),
     )
     return InequalityReport.product(A, M, W, n**2 / 4)
 
@@ -232,10 +232,10 @@ def hardy_hyperbolic_report(
         raise ValueError("gaussian decay is mandatory against the volume growth")
     A, H1, H2, H3 = _integrals(
         u, hyperbolic_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2, 0),
-        (lambda r: (1 + 2 * (n - 1) / (n - 2) * curvature_defect(-1.0, r)) * prof(r) ** 2 / r**2, 2, -2),
-        (lambda r: prof(r) ** 2 / r**2, 2, -2),
-        (lambda r: prof(r) ** 2 / (math.pi**2 + r**2), 2, -2),
+        (lambda r: du(r) ** 2, 2),
+        (lambda r: (1 + 2 * (n - 1) / (n - 2) * curvature_defect(-1.0, r)) * prof(r) ** 2 / r**2, 2),
+        (lambda r: prof(r) ** 2 / r**2, 2),
+        (lambda r: prof(r) ** 2 / (math.pi**2 + r**2), 2),
     )
     if H1.value == 0:
         raise ValueError("zero test function")

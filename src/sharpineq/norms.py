@@ -90,12 +90,6 @@ class MinkowskiNorm:
     def __hash__(self):
         return id(self)
 
-    def value(self, y: np.ndarray) -> float:
-        return norm_value(self, y)
-
-    def dual_value(self, alpha: Covector) -> float:
-        return dual_norm_value(self, alpha)
-
 
 @dataclass(frozen=True)
 class DualityCertificate:
@@ -233,16 +227,16 @@ def legendre_map(norm: MinkowskiNorm, alpha: Covector) -> DualityCertificate:
     alpha = _check_dim(norm, alpha)
     if not np.any(alpha):
         raise NormError("Legendre map needs a nonzero covector for a certificate")
+    Fs = dual_norm_value(norm, alpha)
     if norm.family == "weighted-euclidean":
         y = norm._matrix_inv @ alpha
     elif norm.family == "lp":
         p = norm.exponent
         s = p / (p - 1)
-        Fs = dual_norm_value(norm, alpha)
         y = Fs ** (2 - s) * np.sign(alpha) * np.abs(alpha) ** (s - 1)
     else:
         # central FD of (1/2) F*(.)^2 at alpha
-        h = 1e-6 * dual_norm_value(norm, alpha)
+        h = 1e-6 * Fs
         y = np.empty_like(alpha)
         for i in range(len(alpha)):
             e = np.zeros_like(alpha)
@@ -252,7 +246,7 @@ def legendre_map(norm: MinkowskiNorm, alpha: Covector) -> DualityCertificate:
             y[i] = (fp - fm) / (2 * h)
     return DualityCertificate(
         primal_value=norm_value(norm, y),
-        dual_value=dual_norm_value(norm, alpha),
+        dual_value=Fs,
         maximizer=y,
         pairing=float(alpha @ y),
     )
@@ -261,13 +255,14 @@ def legendre_map(norm: MinkowskiNorm, alpha: Covector) -> DualityCertificate:
 def _dual_hessian(norm: MinkowskiNorm, alpha: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
     """Hessian of (1/2) F*(.)^2 at alpha, central differences."""
     n = len(alpha)
-    h = rel_step * dual_norm_value(norm, alpha)
+    d0 = dual_norm_value(norm, alpha)
+    h = rel_step * d0
 
     def f(a):
         return dual_norm_value(norm, a) ** 2 / 2
 
     H = np.empty((n, n))
-    f0 = f(alpha)
+    f0 = d0**2 / 2
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = h
@@ -293,15 +288,11 @@ def uniformity_constant(norm: MinkowskiNorm, resolution: int = 64) -> float:
     squared dual norm.  Equals 1 exactly for inner-product norms.
     """
     if norm.family == "weighted-euclidean":
-        # Hessian is the constant matrix A^{-1}; the quotient is identically 1.
-        # Still touch the FD path once so a broken Hessian would surface.
-        a = _sphere_lattice(norm.dimension, 1)[0]
-        H = _dual_hessian(norm, a)
-        b = _sphere_lattice(norm.dimension, 3)[1]
-        q = (b @ H @ b) / dual_norm_value(norm, b) ** 2
-        return float(min(1.0, q) if abs(q - 1.0) < 1e-5 else q)
+        # the Hessian is the constant matrix A^{-1}: the quotient is identically 1
+        return 1.0
     alphas = _sphere_lattice(norm.dimension, resolution)
     betas = _sphere_lattice(norm.dimension, resolution + 1)
+    dual_sq = [dual_norm_value(norm, b) ** 2 for b in betas]
     best = np.inf
     for a in alphas:
         H = _dual_hessian(norm, a)
@@ -311,8 +302,8 @@ def uniformity_constant(norm: MinkowskiNorm, resolution: int = 64) -> float:
                 "dual Hessian not positive definite at a sample point "
                 "(norm not strongly convex, or FD step too coarse)"
             )
-        for b in betas:
-            q = (b @ H @ b) / dual_norm_value(norm, b) ** 2
+        for b, d2 in zip(betas, dual_sq):
+            q = (b @ H @ b) / d2
             if q < best:
                 best = q
     return float(best)

@@ -34,25 +34,25 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Tolerance not met or declared integrability violated."""
+    """Tolerance not met, or an integrand or integral outside the float range."""
 
 
 @dataclass(frozen=True)
 class DecayClass:
-    """Behavior of a profile at infinity.
+    """Behavior of a profile at infinity, which decides where its domain ends.
 
-    kind: 'algebraic' (f = O(rho^-sigma)), 'gaussian' (f = O(exp(-a rho^2)))
-    or 'compact' (support inside [0, R]).
+    kind: 'algebraic' (an integrable tail, mapped from 1 or a breakpoint past it),
+    'gaussian' (f = O(exp(-rate rho^2))) or 'compact' (support inside
+    [0, support_radius]).
     """
 
     kind: str
-    sigma: float = 0.0
     rate: float = 0.0
     support_radius: float = 0.0
 
     @staticmethod
-    def algebraic(sigma: float) -> "DecayClass":
-        return DecayClass("algebraic", sigma=sigma)
+    def algebraic() -> "DecayClass":
+        return DecayClass("algebraic")
 
     @staticmethod
     def gaussian(rate: float) -> "DecayClass":
@@ -62,12 +62,10 @@ class DecayClass:
     def compact(support_radius: float) -> "DecayClass":
         return DecayClass("compact", support_radius=support_radius)
 
-    def scaled(self, power: float, rho_pow: float = 0.0) -> "DecayClass":
-        """Decay of |f|^power * rho^rho_pow for a profile f with this decay."""
+    def scaled(self, power: float) -> "DecayClass":
+        """Decay of |f|^power, times any power of rho, for a profile f with this decay."""
         if self.kind == "gaussian":
             return DecayClass.gaussian(self.rate * power)
-        if self.kind == "algebraic":
-            return DecayClass.algebraic(self.sigma * power - rho_pow)
         return self
 
 
@@ -84,27 +82,6 @@ class RadialProfile:
 
     def __call__(self, rho: float) -> float:
         return self.evaluator(rho)
-
-    def check_decay(self, probes: Sequence[float] = (4.0, 8.0, 16.0)) -> bool:
-        """Spot-check the declared decay: log-slope within a factor 2."""
-        if self.decay.kind == "compact":
-            return all(
-                self.evaluator(self.decay.support_radius * (1 + t)) == 0.0
-                for t in (0.01, 0.5, 1.0)
-            )
-        vals = [abs(self.evaluator(r)) for r in probes]
-        if any(v == 0.0 for v in vals):
-            return True  # faster than any declared decay
-        for r1, r2, v1, v2 in zip(probes, probes[1:], vals, vals[1:]):
-            slope = (math.log(v2) - math.log(v1)) / (math.log(r2) - math.log(r1))
-            if self.decay.kind == "algebraic":
-                declared = -self.decay.sigma
-            else:
-                # gaussian: local log-log slope of exp(-a rho^2) at midpoint
-                declared = -2 * self.decay.rate * ((r1 + r2) / 2) ** 2
-            if not (abs(slope) >= abs(declared) / 2 or slope <= declared / 2):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -175,8 +152,10 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
     """Integral of f(rho) w(rho) over [0, oo).
 
     weight is ('power', k), ('gaussian', a) or ('sinh-power', m).  The domain
-    is split at 1 and at the truncation radius T; the tail [T, oo) is mapped
-    onto [0, 1) by rho = T + t/(1 - t).
+    is split at 1 and at every breakpoint up to its end: the truncation
+    radius T, or for algebraic decay the larger of 1 and the last breakpoint.
+    Unless the decay is compact, the tail past the end is mapped onto [0, 1)
+    by rho = end + t/(1 - t).
     """
     w, growth = _weight_fn(weight)
     T = _truncation_radius(f.decay, growth, spec.relative_tolerance)
@@ -184,7 +163,11 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
 
     def g(r: float) -> float:
         try:
-            return f.evaluator(r) * w(r)
+            v = f.evaluator(r)
+        except OverflowError:
+            raise QuadratureError(f"profile exceeds the float range at rho={r!r}") from None
+        try:
+            return v * w(r)
         except OverflowError:
             if m is None:
                 # a power weight overflows only far out in the mapped tail,
@@ -193,7 +176,6 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
         # sinh^m alone overflows while f sinh^m may still be large (small
         # gaussian rates), so form the product in log space:
         # log sinh rho = rho + log(1 - e^(-2 rho)) - log 2
-        v = f.evaluator(r)
         if v == 0.0:
             return 0.0
         log_w = m * (r + math.log1p(-math.exp(-2 * r)) - math.log(2))
@@ -202,31 +184,20 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
         except OverflowError:
             raise QuadratureError(f"integrand exceeds the float range at rho={r!r}") from None
 
-    pieces = []  # (lo, hi, integrand), finite panels
-    interior = sorted(b for b in f.breakpoints if 0 < b < min(T, 1e300))
-    if math.isinf(T):
-        # algebraic decay, power weight only: map [S, oo) via the same
-        # rational substitution with S past the last breakpoint
-        S = max([1.0] + interior)
-        cuts = [0.0] + interior + [S]
-        for lo, hi in zip(cuts, cuts[1:]):
-            if hi > lo:
-                pieces.append((lo, hi, g))
-        pieces.append((0.0, 1.0, lambda t, S=S: g(S + t / (1 - t)) / (1 - t) ** 2))
-    else:
-        cuts = sorted({0.0, min(1.0, T), T} | set(interior))
-        for lo, hi in zip(cuts, cuts[1:]):
-            if hi > lo:
-                pieces.append((lo, hi, g))
-        if f.decay.kind != "compact":
-            pieces.append((0.0, 1.0, lambda t, T=T: g(T + t / (1 - t)) / (1 - t) ** 2))
+    interior = {b for b in f.breakpoints if 0 < b < T}
+    end = T if math.isfinite(T) else max({1.0} | interior)
+    cuts = sorted({0.0, min(1.0, end), end} | interior)
+    panels = list(zip(cuts, cuts[1:]))
+    if f.decay.kind != "compact":
+        panels.append((end, math.inf))
+
+    def tail(t: float) -> float:
+        return g(end + t / (1 - t)) / (1 - t) ** 2
 
     total, err, nodes = 0.0, 0.0, 0
-    for lo, hi, fn in pieces:
+    for lo, hi in panels:
         val, abserr, info = integrate.quad(
-            fn,
-            lo,
-            hi,
+            *((g, lo, hi) if hi < math.inf else (tail, 0.0, 1.0)),
             epsabs=1e-300,
             epsrel=spec.relative_tolerance,
             limit=spec.max_subdivisions * 10,
@@ -236,7 +207,9 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
         err += abserr
         nodes += int(info["neval"])
         if not math.isfinite(val):
-            raise QuadratureError("divergent panel (declared integrability violated)")
+            raise QuadratureError(
+                f"integral over rho in [{lo!r}, {hi!r}] is {val!r}: outside the float range"
+            )
     if abs(total) > 0 and err > 100 * spec.relative_tolerance * abs(total) + 1e-280:
         raise QuadratureError(
             f"requested tolerance not met: value={total!r}, error={err!r}"
@@ -325,14 +298,20 @@ def gauss_kronrod_batch(
         wk = half * _GK15_KRONROD
         wd = half * (_GK15_KRONROD - _GK15_GAUSS)
         rows = max(1, _BLOCK_VALUES // x.size)
-        for start in range(0, todo.size, rows):
-            idx = todo[start:start + rows]
-            f = integrand(x, params[idx, None]).reshape(idx.size, panels, _GK15_NODES.size)
-            values[idx] = (f * wk).sum(axis=2).sum(axis=1)
-            errors[idx] = np.abs((f * wd).sum(axis=2)).sum(axis=1)
+        # values outside the float range are caught below, with their parameter
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, todo.size, rows):
+                idx = todo[start:start + rows]
+                f = integrand(x, params[idx, None]).reshape(idx.size, panels, _GK15_NODES.size)
+                values[idx] = (f * wk).sum(axis=2).sum(axis=1)
+                errors[idx] = np.abs((f * wd).sum(axis=2)).sum(axis=1)
         evals += todo.size * x.size
-        if not np.all(np.isfinite(values[todo])):
-            raise QuadratureError("non-finite panel (declared integrability violated)")
+        bad = todo[~np.isfinite(values[todo])]
+        if bad.size:
+            raise QuadratureError(
+                f"non-finite integral at {bad.size} of {params.size} parameters, first at "
+                f"{float(params[bad[0]])!r}: outside the float range"
+            )
         todo = todo[errors[todo] > tol * np.abs(values[todo])]
         if todo.size == 0:
             return values, errors, evals

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sharpineq import flat
 from sharpineq import (
     AdmissibilityError,
     DecayClass,
@@ -10,6 +11,7 @@ from sharpineq import (
     InequalityReport,
     IntegralResult,
     MinkowskiNorm,
+    QuadratureError,
     QuadratureSpec,
     RadialProfile,
     TestFunction as TF,
@@ -155,6 +157,34 @@ class TestExtremalIntegrals:
         res = check_p_ode(ExponentTriple(3, 2.5, 0.5), [2.0])
         assert abs(res[0]) <= 1e-5
 
+    def test_each_integral_once_with_one_widening(self, monkeypatch):
+        # near the boundary (q < 1e-3) the subdivision budget doubles once;
+        # the identity needs P and R once per lambda, the ODE P and its FD
+        budgets = []
+
+        def fake(prof, weight, spec):
+            budgets.append(spec.max_subdivisions)
+            return IntegralResult(1.0, 0.0, 1)
+
+        monkeypatch.setattr(flat, "radial_integral", fake)
+        t = ExponentTriple(3, 3.0, 0.0005)
+        assert t.near_boundary
+        check_pqr_identity(t, [1.0])
+        assert budgets == [120, 120]
+        budgets.clear()
+        check_p_ode(t, [1.0])
+        assert budgets == [120] * 5
+
+    def test_overflow_named(self):
+        # P of (3, 2.002, 1) is about 1e600 at lam = 0.5; at lam = 0.25 the
+        # kernel itself overflows near the origin
+        t = ExponentTriple(3, 2.002, 1.0)
+        with pytest.raises(QuadratureError) as exc:
+            pqr(t, 0.5, "P")
+        assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
+        with pytest.raises(QuadratureError, match=r"profile exceeds the float range at rho=0\.01"):
+            pqr(t, 0.25, "P")
+
 
 class TestInterpolation:
     def test_gaussian_strict_slack(self):
@@ -247,7 +277,7 @@ class TestHpw:
 
     def test_algebraic_decay_rejected(self):
         u = TF.radial(
-            RadialProfile(lambda r: (1 + r * r) ** -4, DecayClass.algebraic(8.0)),
+            RadialProfile(lambda r: (1 + r * r) ** -4, DecayClass.algebraic()),
             lambda r: -8 * r * (1 + r * r) ** -5,
         )
         with pytest.raises(ValueError):

@@ -142,7 +142,7 @@ class TestHpwHyperbolic:
 
     def test_algebraic_decay_rejected(self):
         u = RadialHypFunction(
-            RadialProfile(lambda r: (1 + r) ** -10, DecayClass.algebraic(10.0)),
+            RadialProfile(lambda r: (1 + r) ** -10, DecayClass.algebraic()),
             lambda r: -10 * (1 + r) ** -11,
         )
         with pytest.raises(ValueError):

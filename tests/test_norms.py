@@ -175,6 +175,11 @@ class TestUniformityConstant:
         assert uniformity_constant(euclid(3)) == pytest.approx(1.0, abs=1e-6)
         assert uniformity_constant(weighted([4.0, 1.0])) == pytest.approx(1.0, abs=1e-6)
 
+    def test_weighted_euclidean_is_exactly_one(self):
+        # the weighted matrix of the n = 4 suites; a finite-difference Hessian
+        # would return 1 minus its noise
+        assert uniformity_constant(weighted(np.geomspace(1, 100, 4))) == 1.0
+
     def test_lp_gap_strict(self):
         for p in (3.0, 4.0):
             assert uniformity_constant(lp(2, p)) < 1 - 1e-3
