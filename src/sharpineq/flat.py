@@ -307,10 +307,10 @@ def _general_triple_integrals(norm, t, u, spec):
 
     def fA(pts):
         gs = grad(pts)
-        return np.array([dual_norm_value(norm, g) for g in gs]) ** 2 * density
+        return dual_norm_value(norm, gs) ** 2 * density
 
     def dist(pts):
-        return np.array([norm_value(norm, x - x0) for x in pts])
+        return norm_value(norm, pts - x0)
 
     def fB(pts):
         return (

@@ -119,8 +119,39 @@ def _check_dim(norm: MinkowskiNorm, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def norm_value(norm: MinkowskiNorm, y: np.ndarray) -> float:
-    """Evaluate F(y); zero exactly at the origin."""
+def _rows_value(norm: MinkowskiNorm, y: np.ndarray, dual: bool) -> np.ndarray:
+    """F, or F* if dual, of every row of the (m, n) array y; zero rows give 0.0."""
+    if y.shape[1] != norm.dimension:
+        raise NormError(
+            f"rows of shape {y.shape} incompatible with dimension {norm.dimension}"
+        )
+    nonzero = np.any(y, axis=1)
+    if not nonzero.all():
+        out = np.zeros(len(y))
+        out[nonzero] = _rows_value(norm, y[nonzero], dual)
+        return out
+    if norm.family == "weighted-euclidean":
+        A = norm._matrix_inv if dual else norm.matrix
+        return np.sqrt(np.einsum("ij,ij->i", y @ A, y))
+    if norm.family == "lp":
+        p = norm.exponent
+        if dual:
+            p = p / (p - 1)
+        return np.sum(np.abs(y) ** p, axis=1) ** (1.0 / p)
+    if dual:
+        return np.fromiter((_dual_by_maximization(norm, a)[0] for a in y), float, len(y))
+    return np.fromiter(map(norm.value_fn, y), float, len(y))
+
+
+def norm_value(norm: MinkowskiNorm, y: np.ndarray) -> float | np.ndarray:
+    """Evaluate F(y); zero exactly at the origin.
+
+    y is one vector of shape (n,), or m of them as the rows of an (m, n)
+    ndarray, which gives an ndarray of m values.
+    """
+    # rows come as an ndarray; np.ndim costs each per-point call several times this test
+    if getattr(y, "ndim", 1) == 2:
+        return _rows_value(norm, y.astype(float, copy=False), dual=False)
     y = _check_dim(norm, y)
     if not np.any(y):
         return 0.0
@@ -156,55 +187,55 @@ def _sphere_lattice(n: int, count: int) -> np.ndarray:
 def _dual_by_maximization(norm: MinkowskiNorm, alpha: np.ndarray) -> tuple[float, np.ndarray]:
     """sup alpha(y) / F(y) by projected gradient ascent on the F-unit sphere.
 
-    32 deterministic restarts; the objective is quasi-concave on the sphere
-    for convex F, restarts defeat local flats.
+    32 deterministic restarts, advanced together as the rows of one array;
+    each keeps its own step and stops on its own.  The objective is
+    quasi-concave on the sphere for convex F, restarts defeat local flats.
     """
-    n = norm.dimension
-    best_val, best_y = -np.inf, None
-    for d in _sphere_lattice(n, 32):
-        y = d / norm_value(norm, d)
-        val = float(alpha @ y)
-        step = 1.0
-        for _ in range(400):
-            g = alpha - val * _norm_gradient(norm, y)
-            if np.linalg.norm(g) < 1e-14 * max(1.0, abs(val)):
-                break
-            cand = y + step * g
-            cand = cand / norm_value(norm, cand)
-            cand_val = float(alpha @ cand)
-            if cand_val > val:
-                y, val = cand, cand_val
-            else:
-                step *= 0.5
-                if step < 1e-16:
-                    break
-        if val > best_val:
-            best_val, best_y = val, y
-    return best_val, best_y
+    d = _sphere_lattice(norm.dimension, 32)
+    y = d / norm_value(norm, d)[:, None]
+    val = y @ alpha
+    step = np.ones(len(y))
+    live = np.arange(len(y))  # restarts still climbing
+    for _ in range(400):
+        g = alpha - val[live, None] * _norm_gradient(norm, y[live])
+        climbing = ~(np.linalg.norm(g, axis=1) < 1e-14 * np.maximum(1.0, np.abs(val[live])))
+        live, g = live[climbing], g[climbing]
+        if live.size == 0:
+            break
+        cand = y[live] + step[live, None] * g
+        cand = cand / norm_value(norm, cand)[:, None]
+        cand_val = cand @ alpha
+        up = cand_val > val[live]
+        y[live[up]], val[live[up]] = cand[up], cand_val[up]
+        step[live[~up]] *= 0.5
+        live = live[step[live] >= 1e-16]
+        if live.size == 0:
+            break
+    best = int(np.argmax(val))
+    return float(val[best]), y[best]
 
 
 def _norm_gradient(norm: MinkowskiNorm, y: np.ndarray) -> np.ndarray:
-    """Gradient of F at y != 0."""
-    if norm.family == "weighted-euclidean":
-        return norm.matrix @ y / norm_value(norm, y)
-    if norm.family == "lp":
-        p = norm.exponent
-        F = norm_value(norm, y)
-        return np.sign(y) * np.abs(y) ** (p - 1) * F ** (1 - p)
+    """Gradient of a custom F at every row of y (rows nonzero)."""
     if norm.gradient_fn is not None:
-        return np.asarray(norm.gradient_fn(y), dtype=float)
-    # central differences, scaled to the point
-    h = 1e-6 * max(1.0, float(np.linalg.norm(y)))
-    g = np.empty_like(y)
-    for i in range(len(y)):
-        e = np.zeros_like(y)
-        e[i] = h
-        g[i] = (norm_value(norm, y + e) - norm_value(norm, y - e)) / (2 * h)
-    return g
+        return np.array([norm.gradient_fn(r) for r in y], dtype=float)
+    # central differences, scaled to each point; stencil[:, i] moves coordinate i
+    m, n = y.shape
+    h = 1e-6 * np.maximum(1.0, np.linalg.norm(y, axis=1))
+    shift = h[:, None, None] * np.eye(n)
+    stencil = np.concatenate([y[:, None, :] + shift, y[:, None, :] - shift])
+    F = norm_value(norm, stencil.reshape(-1, n)).reshape(2, m, n)
+    return (F[0] - F[1]) / (2 * h[:, None])
 
 
-def dual_norm_value(norm: MinkowskiNorm, alpha: Covector) -> float:
-    """Evaluate the polar norm F*(alpha) = sup_y alpha(y)/F(y)."""
+def dual_norm_value(norm: MinkowskiNorm, alpha: Covector) -> float | np.ndarray:
+    """Evaluate the polar norm F*(alpha) = sup_y alpha(y)/F(y).
+
+    alpha is one covector of shape (n,), or m of them as the rows of an
+    (m, n) ndarray, which gives an ndarray of m values.
+    """
+    if getattr(alpha, "ndim", 1) == 2:
+        return _rows_value(norm, alpha.astype(float, copy=False), dual=True)
     alpha = _check_dim(norm, alpha)
     if not np.any(alpha):
         return 0.0
@@ -318,9 +349,7 @@ def unit_ball_volume(norm: MinkowskiNorm, mc_samples: int = 1 << 20, mc_seed: in
         p = norm.exponent
         return (2 * math.gamma(1 + 1 / p)) ** n / math.gamma(1 + n / p)
     # Monte Carlo over a bounding box from sampled support radii
-    dirs = _sphere_lattice(n, 256)
-    radii = np.array([1.0 / norm_value(norm, d) for d in dirs])
-    half = radii.max() * 1.05
+    half = (1.0 / norm_value(norm, _sphere_lattice(n, 256))).max() * 1.05
     rng = np.random.Generator(np.random.Philox(key=mc_seed))
     total = 0
     hits = 0
@@ -328,7 +357,7 @@ def unit_ball_volume(norm: MinkowskiNorm, mc_samples: int = 1 << 20, mc_seed: in
     while total < mc_samples:
         m = min(batch, mc_samples - total)
         pts = rng.uniform(-half, half, size=(m, n))
-        hits += int(sum(1 for x in pts if norm_value(norm, x) < 1.0))
+        hits += int(np.count_nonzero(norm_value(norm, pts) < 1.0))
         total += m
     return (2 * half) ** n * hits / total
 

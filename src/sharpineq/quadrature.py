@@ -86,7 +86,12 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy, truncation and seeding parameters shared by all integrals."""
+    """Accuracy, truncation and seeding parameters shared by all integrals.
+
+    radial_integral accepts a summed error estimate of up to
+    ACCEPTANCE_FACTOR x relative_tolerance x |value|; gauss_kronrod_batch
+    holds every value to relative_tolerance itself.
+    """
 
     relative_tolerance: float = 1e-9
     max_subdivisions: int = 60
@@ -106,6 +111,14 @@ class IntegralResult:
     error_estimate: float
     nodes_used: int
     truncation: float = math.inf
+
+
+# radial_integral accepts a summed QUADPACK error estimate up to this multiple
+# of relative_tolerance * |value| before it raises "tolerance not met"
+ACCEPTANCE_FACTOR = 100
+
+# e^(-x) underflows to 0.0 once x passes about 745
+_LOG_UNDERFLOW = 745.0
 
 
 def _weight_fn(weight) -> tuple[Callable[[float], float], float]:
@@ -155,11 +168,24 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
     is split at 1 and at every breakpoint up to its end: the truncation
     radius T, or for algebraic decay the larger of 1 and the last breakpoint.
     Unless the decay is compact, the tail past the end is mapped onto [0, 1)
-    by rho = end + t/(1 - t).
+    by rho = end + t/(1 - t).  The summed error estimate may reach
+    ACCEPTANCE_FACTOR x relative_tolerance x |value| before QuadratureError
+    is raised.  Against ('sinh-power', m), a gaussian profile of rate a
+    underflows to 0.0 at rho_u = sqrt(745/a) while f sinh^m may still hold
+    mass there; QuadratureError is raised when e^(-a rho^2 + m rho) at rho_u,
+    relative to its peak at rho = m/(2a), exceeds relative_tolerance.
     """
     w, growth = _weight_fn(weight)
     T = _truncation_radius(f.decay, growth, spec.relative_tolerance)
     m = weight[1] if weight[0] == "sinh-power" else None
+    if m is not None and f.decay.kind == "gaussian":
+        a = f.decay.rate
+        rho_u = math.sqrt(_LOG_UNDERFLOW / a)
+        if -a * rho_u**2 + m * rho_u - m * m / (4 * a) > math.log(spec.relative_tolerance):
+            raise QuadratureError(
+                f"gaussian profile of rate {a!r} underflows to 0 at rho={rho_u!r}, "
+                f"where f sinh^{m} still carries mass above the tolerance"
+            )
 
     def g(r: float) -> float:
         try:
@@ -210,7 +236,7 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
             raise QuadratureError(
                 f"integral over rho in [{lo!r}, {hi!r}] is {val!r}: outside the float range"
             )
-    if abs(total) > 0 and err > 100 * spec.relative_tolerance * abs(total) + 1e-280:
+    if abs(total) > 0 and err > ACCEPTANCE_FACTOR * spec.relative_tolerance * abs(total) + 1e-280:
         raise QuadratureError(
             f"requested tolerance not met: value={total!r}, error={err!r}"
         )

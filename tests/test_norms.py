@@ -28,6 +28,20 @@ def weighted(diag):
     return MinkowskiNorm(len(diag), "weighted-euclidean", matrix=np.diag(diag))
 
 
+def custom_lp(n, p, grad=True, value_fn=None):
+    """||y||_p as a custom norm, with its analytic gradient or by FD."""
+
+    def value(y):
+        return float(np.sum(np.abs(y) ** p) ** (1 / p))
+
+    def gradient(y):
+        return np.sign(y) * np.abs(y) ** (p - 1) * value(y) ** (1 - p)
+
+    return MinkowskiNorm(
+        n, "custom", value_fn=value_fn or value, gradient_fn=gradient if grad else None
+    )
+
+
 class TestNormValue:
     def test_euclidean_pythagorean(self):
         assert norm_value(euclid(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
@@ -136,6 +150,80 @@ class TestDualNorm:
             assert dual_norm_value(custom, a) == pytest.approx(
                 dual_norm_value(ref, a), rel=1e-6
             )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_custom_lp_dual_matches_closed_form(self, p, n):
+        alphas = np.random.Generator(np.random.Philox(key=7)).standard_normal((2, n))
+        want = dual_norm_value(lp(n, p), alphas)
+        for grad in (True, False):
+            got = dual_norm_value(custom_lp(n, p, grad), alphas)
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.xfail(
+        strict=True, reason="the ascent step only halves: all 32 restarts hit the 400-iteration cap"
+    )
+    def test_custom_lp4_dual_with_a_small_component(self):
+        # the curvature of the l4 sphere vanishes with a coordinate, and a step
+        # that can only halve climbs too slowly there: 4.6e-6 low
+        alpha = np.array([-1.10207871, -0.05194939, 1.13072128])
+        got = dual_norm_value(custom_lp(3, 4.0), alpha)
+        assert got == pytest.approx(dual_norm_value(lp(3, 4.0), alpha), rel=1e-12)
+
+    def test_custom_dual_value_fn_calls(self):
+        # 106681 calls when the restarts ran one at a time; rounding in the
+        # batched path moves single covectors by up to about 1% either way
+        calls = [0]
+
+        def value(y):
+            calls[0] += 1
+            return float(np.sum(np.abs(y) ** 3.0) ** (1 / 3.0))
+
+        norm = custom_lp(2, 3.0, grad=False, value_fn=value)
+        for alpha in np.random.Generator(np.random.Philox(key=29)).standard_normal((8, 2)):
+            dual_norm_value(norm, alpha)
+        assert calls[0] <= 106681
+
+
+class TestRowInput:
+    CLOSED = [euclid(3), weighted([4.0, 1.0, 2.0]), lp(3, 1.5), lp(3, 4.0)]
+
+    @pytest.mark.parametrize("norm", CLOSED)
+    @pytest.mark.parametrize("fn", [norm_value, dual_norm_value])
+    def test_closed_rows_match_per_point(self, norm, fn):
+        rows = np.random.Generator(np.random.Philox(key=37)).standard_normal((64, 3))
+        got = fn(norm, rows)
+        want = np.array([fn(norm, r) for r in rows])
+        assert isinstance(got, np.ndarray) and got.shape == (64,)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_custom_rows_equal_per_point(self, grad):
+        norm = custom_lp(2, 3.0, grad)
+        rows = np.random.Generator(np.random.Philox(key=41)).standard_normal((64, 2))
+        assert np.array_equal(norm_value(norm, rows), [norm_value(norm, r) for r in rows])
+        assert np.array_equal(
+            dual_norm_value(norm, rows[:2]), [dual_norm_value(norm, r) for r in rows[:2]]
+        )
+
+    def test_zero_rows_give_zero(self):
+        def value(y):
+            assert np.any(y), "value_fn called at the origin"
+            return float(np.linalg.norm(y))
+
+        rows = np.array([[0.0, 0.0], [3.0, 4.0], [-0.0, 0.0]])
+        custom = MinkowskiNorm(2, "custom", value_fn=value)
+        for norm in (euclid(2), weighted([4.0, 1.0]), lp(2, 4.0), custom):
+            for fn in (norm_value, dual_norm_value):
+                got = fn(norm, rows)
+                assert got[0] == 0.0 and got[2] == 0.0 and got[1] > 0
+                assert got[1] == fn(norm, rows[1])
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (2, 4, 3), (), (0,)])
+    def test_bad_shapes_rejected(self, shape):
+        for fn in (norm_value, dual_norm_value):
+            with pytest.raises(NormError):
+                fn(euclid(3), np.ones(shape))
 
 
 class TestLegendreMap:

@@ -1,9 +1,9 @@
-"""Property tests: scaling laws, the dual-norm bound and algebraic tails."""
+"""Property tests: scaling laws, the dual-norm bound, Legendre certificates and algebraic tails."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sharpineq import (
     DecayClass,
@@ -11,6 +11,7 @@ from sharpineq import (
     RadialProfile,
     dual_norm_value,
     flat_radial_volume_integral,
+    legendre_map,
     norm_value,
     radial_integral,
 )
@@ -64,6 +65,37 @@ def test_pairing_bounded_by_norm_times_dual_norm(case):
     norm, y, alpha = case
     bound = norm_value(norm, y) * dual_norm_value(norm, alpha)
     assert float(alpha @ y) <= bound * (1 + 1e-12)
+
+
+# covectors with entries 0 or of size in [0.01, 10]: a map whose entries
+# underflow is outside what the certificate promises
+entries = st.one_of(st.just(0.0), st.floats(0.01, 10.0), st.floats(-10.0, -0.01))
+covectors = st.lists(entries, min_size=2, max_size=5).map(np.array)
+
+
+@st.composite
+def legendre_case(draw):
+    alpha = draw(covectors)
+    assume(np.any(alpha))
+    n = len(alpha)
+    if draw(st.booleans()):
+        return MinkowskiNorm(n, "lp", exponent=draw(st.floats(1.2, 6.0))), alpha
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 1000))).standard_normal((n, n)))
+    eigs = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    A = q @ np.diag(eigs) @ q.T
+    return MinkowskiNorm(n, "weighted-euclidean", matrix=(A + A.T) / 2), alpha
+
+
+@PROPERTY
+@given(case=legendre_case())
+def test_legendre_certificate(case):
+    # y = L(alpha) has F(y) = F*(alpha) and alpha(y) = F(y) F*(alpha)
+    norm, alpha = case
+    cert = legendre_map(norm, alpha)
+    r1, r2 = cert.residuals()
+    assert r1 <= 1e-12 and r2 <= 1e-12
+    dual = dual_norm_value(norm, alpha)
+    assert math.isclose(norm_value(norm, cert.maximizer), dual, rel_tol=1e-12)
 
 
 @PROPERTY

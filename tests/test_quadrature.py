@@ -94,6 +94,21 @@ class TestRadialIntegral:
             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("n, a, tol", [(8, 0.02, 1e-9), (6, 0.0112, 1e-9), (4, 0.0043, 1e-12)])
+    def test_sinh_weight_profile_underflow_raises(self, n, a, tol):
+        # e^(-a rho^2) is 0.0 past sqrt(745/a) while e^(-a rho^2) sinh^(n-1)
+        # still holds mass there: 1.5e-4, 9.8e-8 and 1.9e-10 of it
+        spec = QuadratureSpec(relative_tolerance=tol)
+        with pytest.raises(QuadratureError, match=r"underflows to 0 at rho=\d"):
+            hyperbolic_radial_volume_integral(gauss_profile(a), n, spec)
+
+    @pytest.mark.parametrize("a", [0.02, 0.25])
+    def test_sinh_weight_without_underflow_accepted(self, a):
+        spec = QuadratureSpec()
+        got = hyperbolic_radial_volume_integral(gauss_profile(a), 6, spec).value
+        mass = hyperbolic_gaussian_masses(6, [a], spec)[0][0]
+        assert got == pytest.approx(mass, rel=10 * spec.relative_tolerance)
+
 
 class TestVolumeIntegrals:
     def test_flat_gaussian(self):
