@@ -190,35 +190,58 @@ def _dual_by_maximization(norm: MinkowskiNorm, alpha: np.ndarray) -> tuple[float
     32 deterministic restarts, advanced together as the rows of one array;
     each keeps its own step and stops on its own.  The objective is
     quasi-concave on the sphere for convex F, restarts defeat local flats.
+
+    A move is taken only on a strict increase.  After one, the step becomes
+    the Barzilai-Borwein ratio s.s / s.dg of the move s and the fall dg of
+    the ascent direction, when s.dg > 0; a rejected move halves the step.
+    A restart stops once its predicted gain step |g|^2 is at most eps |val|
+    or its move step |g| at most eps |y|, eps the machine epsilon.  If the
+    best restart is still climbing after 400 iterations, NormError is raised.
     """
+    eps = np.finfo(float).eps
     d = _sphere_lattice(norm.dimension, 32)
     y = d / norm_value(norm, d)[:, None]
     val = y @ alpha
+    g = alpha - val[:, None] * _norm_gradient(norm, y)
     step = np.ones(len(y))
     live = np.arange(len(y))  # restarts still climbing
+
+    def climbing(idx: np.ndarray) -> np.ndarray:
+        gg = np.einsum("ij,ij->i", g[idx], g[idx])
+        return (step[idx] * gg > eps * np.abs(val[idx])) & (
+            step[idx] * np.sqrt(gg) > eps * np.linalg.norm(y[idx], axis=1)
+        )
+
     for _ in range(400):
-        g = alpha - val[live, None] * _norm_gradient(norm, y[live])
-        climbing = ~(np.linalg.norm(g, axis=1) < 1e-14 * np.maximum(1.0, np.abs(val[live])))
-        live, g = live[climbing], g[climbing]
+        live = live[climbing(live)]
         if live.size == 0:
             break
-        cand = y[live] + step[live, None] * g
+        cand = y[live] + step[live, None] * g[live]
         cand = cand / norm_value(norm, cand)[:, None]
         cand_val = cand @ alpha
         up = cand_val > val[live]
-        y[live[up]], val[live[up]] = cand[up], cand_val[up]
         step[live[~up]] *= 0.5
-        live = live[step[live] >= 1e-16]
-        if live.size == 0:
-            break
+        moved, cand, cand_val = live[up], cand[up], cand_val[up]
+        cand_g = alpha - cand_val[:, None] * _norm_gradient(norm, cand)
+        s, dg = cand - y[moved], g[moved] - cand_g
+        ss, sdg = np.einsum("ij,ij->i", s, s), np.einsum("ij,ij->i", s, dg)
+        bb = sdg > 0
+        step[moved[bb]] = ss[bb] / sdg[bb]
+        y[moved], val[moved], g[moved] = cand, cand_val, cand_g
     best = int(np.argmax(val))
+    if climbing(np.array([best]))[0]:
+        raise NormError(
+            f"dual norm of {alpha!r} not converged: the best restart is still "
+            "climbing at the 400-iteration cap"
+        )
     return float(val[best]), y[best]
 
 
 def _norm_gradient(norm: MinkowskiNorm, y: np.ndarray) -> np.ndarray:
     """Gradient of a custom F at every row of y (rows nonzero)."""
     if norm.gradient_fn is not None:
-        return np.array([norm.gradient_fn(r) for r in y], dtype=float)
+        # reshape: no rows would otherwise give shape (0,), not (0, n)
+        return np.array([norm.gradient_fn(r) for r in y], dtype=float).reshape(y.shape)
     # central differences, scaled to each point; stencil[:, i] moves coordinate i
     m, n = y.shape
     h = 1e-6 * np.maximum(1.0, np.linalg.norm(y, axis=1))

@@ -173,7 +173,9 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
     is raised.  Against ('sinh-power', m), a gaussian profile of rate a
     underflows to 0.0 at rho_u = sqrt(745/a) while f sinh^m may still hold
     mass there; QuadratureError is raised when e^(-a rho^2 + m rho) at rho_u,
-    relative to its peak at rho = m/(2a), exceeds relative_tolerance.
+    relative to its peak at rho = m/(2a), exceeds relative_tolerance.  A
+    compact profile of support radius R is evaluated at R (1 + 2^-20), 1.5 R
+    and 2 R, and QuadratureError is raised if it is nonzero at any of them.
     """
     w, growth = _weight_fn(weight)
     T = _truncation_radius(f.decay, growth, spec.relative_tolerance)
@@ -186,6 +188,14 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
                 f"gaussian profile of rate {a!r} underflows to 0 at rho={rho_u!r}, "
                 f"where f sinh^{m} still carries mass above the tolerance"
             )
+    if f.decay.kind == "compact":
+        R = f.decay.support_radius
+        for r in (R * (1 + 2.0**-20), 1.5 * R, 2 * R):
+            v = f.evaluator(r)
+            if v != 0.0:
+                raise QuadratureError(
+                    f"profile declared compact on [0, {R!r}] is {v!r} at rho={r!r}"
+                )
 
     def g(r: float) -> float:
         try:

@@ -62,6 +62,12 @@ class TestRadialIntegral:
         assert res.value == pytest.approx(2.0, rel=1e-10)
         assert res.truncation == 2.0
 
+    def test_compact_support_is_checked(self):
+        # a gaussian declared compact would lose its mass past rho = 1
+        prof = RadialProfile(lambda r: math.exp(-r * r), DecayClass.compact(1.0))
+        with pytest.raises(QuadratureError, match=r"declared compact on \[0, 1.0\] is 0.36787"):
+            radial_integral(prof, ("power", 2))
+
     def test_algebraic_tail(self):
         prof = RadialProfile(lambda r: (1 + r * r) ** -2, DecayClass.algebraic())
         res = radial_integral(prof, ("power", 0))
