@@ -29,6 +29,7 @@ from .quadrature import (
     flat_radial_volume_integral,
     gauss_kronrod_batch,
     hyperbolic_gaussian_masses,
+    hyperbolic_gaussian_moments,
     hyperbolic_radial_volume_integral,
     monte_carlo_integral,
     radial_integral,

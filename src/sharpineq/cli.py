@@ -434,7 +434,7 @@ def _run_chpw_bounds(cfg: RunConfig) -> tuple[list, dict]:
         CheckRow(
             "chpw-bounds", "upper-above-lower", float(cfg.n),
             b["upper"], b["lower"], b["upper"] / b["lower"], b["lower"],
-            b["upper"] - b["lower"], 0.0, 0.0,
+            b["upper"] - b["lower"], b["worst_rel_err"], 0.0,
             bool(b["upper"] >= b["lower"]),
         )
     ], {}

@@ -28,6 +28,7 @@ __all__ = [
     "hyperbolic_radial_volume_integral",
     "gauss_kronrod_batch",
     "hyperbolic_gaussian_masses",
+    "hyperbolic_gaussian_moments",
     "monte_carlo_integral",
     "fd_derivative",
 ]
@@ -308,25 +309,31 @@ _BLOCK_VALUES = 1 << 15
 
 def gauss_kronrod_batch(
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    params: Sequence[float],
+    params: np.ndarray,
     spec: QuadratureSpec = QuadratureSpec(),
+    describe: Callable[[object], str] = repr,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrals over [0, 1] of integrand(x, p), one for every p in params.
 
-    integrand maps the node positions x, shape (m,), and a column of
-    parameters, shape (r, 1), to an (r, m) array.  The rule is composite
-    G7/K15 on equal panels.  Every parameter carries its own error estimate,
-    the sum over panels of |K - G|; the panel count is doubled only for the
-    parameters whose estimate exceeds relative_tolerance * |value|, up to
-    the 10 * max_subdivisions subintervals radial_integral allows QUADPACK.
-    A value depends only on its parameter, never on the rest of the grid.
-    Returns (values, error_estimates, integrand evaluations).
+    params is an array whose first axis runs over the parameters: shape (N,),
+    or (N, k) for k numbers per parameter.  integrand maps the node positions
+    x, shape (m,), and a column of parameters, shape (r, 1) or (r, 1, k), to
+    an (r, m) array, or to a (q, r, m) array for q integrals per parameter on
+    the same nodes.  The rule is composite G7/K15 on equal panels.  Every
+    integral carries its own error estimate, the sum over panels of |K - G|;
+    the panel count is doubled only for the parameters with an estimate
+    above relative_tolerance * |value|, up to the 10 * max_subdivisions
+    subintervals radial_integral allows QUADPACK.  A value depends only on
+    its parameter, never on the rest of the grid.  A QuadratureError names
+    a parameter by describe(params[i].tolist()).  Returns (values,
+    error_estimates, integrand evaluations), values and estimates of shape
+    (N,), or (q, N) for q integrals per parameter.
     """
     params = np.asarray(params, dtype=float)
-    values = np.empty(params.shape)
-    errors = np.empty(params.shape)
+    count = len(params)
+    values = errors = None
     tol = spec.relative_tolerance
-    todo = np.arange(params.size)
+    todo = np.arange(count)
     panels, evals = _FIRST_PANELS, 0
     while True:
         half = 0.5 / panels
@@ -338,29 +345,58 @@ def gauss_kronrod_batch(
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, todo.size, rows):
                 idx = todo[start:start + rows]
-                f = integrand(x, params[idx, None]).reshape(idx.size, panels, _GK15_NODES.size)
-                values[idx] = (f * wk).sum(axis=2).sum(axis=1)
-                errors[idx] = np.abs((f * wd).sum(axis=2)).sum(axis=1)
+                f = integrand(x, params[idx, None])
+                if values is None:
+                    values = np.empty(f.shape[:-2] + (count,))
+                    errors = np.empty(values.shape)
+                f = f.reshape(f.shape[:-2] + (idx.size, panels, _GK15_NODES.size))
+                values[..., idx] = (f * wk).sum(axis=-1).sum(axis=-1)
+                errors[..., idx] = np.abs((f * wd).sum(axis=-1)).sum(axis=-1)
+        if values is None:
+            return np.empty(0), np.empty(0), 0
         evals += todo.size * x.size
-        bad = todo[~np.isfinite(values[todo])]
+        # one row per integral of a parameter, one column per parameter
+        val = values[..., todo].reshape(-1, todo.size)
+        err = errors[..., todo].reshape(-1, todo.size)
+        bad = todo[~np.isfinite(val).all(axis=0)]
         if bad.size:
             raise QuadratureError(
-                f"non-finite integral at {bad.size} of {params.size} parameters, first at "
-                f"{float(params[bad[0]])!r}: outside the float range"
+                f"non-finite integral at {bad.size} of {count} parameters, first at "
+                f"{describe(params[bad[0]].tolist())}: outside the float range"
             )
-        todo = todo[errors[todo] > tol * np.abs(values[todo])]
-        if todo.size == 0:
+        missed = (err > tol * np.abs(val)).any(axis=0)
+        if not missed.any():
             return values, errors, evals
         if 2 * panels > 10 * spec.max_subdivisions:
             with np.errstate(divide="ignore"):
-                rel = errors[todo] / np.abs(values[todo])
+                rel = (err[:, missed] / np.abs(val[:, missed])).max(axis=0)
             worst = int(np.argmax(rel))
             raise QuadratureError(
                 f"requested tolerance {tol!r} not met with {panels} panels at "
-                f"{todo.size} parameters; worst at {float(params[todo[worst]])!r}: "
+                f"{int(missed.sum())} parameters; worst at "
+                f"{describe(params[todo[missed][worst]].tolist())}: "
                 f"relative error estimate {float(rel[worst])!r}"
             )
+        todo = todo[missed]
         panels *= 2
+
+
+def _sinh_gaussian(m: int, rate, x: np.ndarray, budget: float):
+    """The substitution s = rho sqrt(rate) for e^(-rate rho^2) sinh^m(rho) on [0, oo).
+
+    s runs over [0, S] as S x, where S solves s^2 - g s = budget for
+    g = m / sqrt(rate): the tail bound _truncation_radius uses, without its
+    floors in rho.  Returns (S, rho, log(e^(-s^2) sinh^m(rho))) at the nodes
+    x; the log stays finite where sinh^m alone would overflow (small rates).
+    The integral in rho is int_0^1 S e^(log) dx / sqrt(rate).
+    """
+    root = np.sqrt(rate)
+    g = m / root
+    S = (g + np.sqrt(g * g + 4 * budget)) / 2
+    s = S * x
+    t = s / root
+    # log sinh t = t + log(1 - e^(-2t)) - log 2
+    return S, t, m * (t + np.log(-np.expm1(-2 * t)) - math.log(2)) - s * s
 
 
 def hyperbolic_gaussian_masses(
@@ -369,31 +405,59 @@ def hyperbolic_gaussian_masses(
     """n omega_n int e^(-alpha rho^2) sinh^(n-1)(rho) d rho for every alpha.
 
     The batched counterpart of hyperbolic_radial_volume_integral for the
-    gaussian e^(-alpha rho^2).  With s = rho sqrt(alpha) the mass is
-    n omega_n alpha^(-1/2) int_0^S e^(-s^2) sinh^(n-1)(s / sqrt(alpha)) ds,
-    where S solves s^2 - g s = budget for g = (n-1)/sqrt(alpha): the tail
-    bound _truncation_radius uses, without its floors in rho.  Returns
-    (masses, error_estimates, integrand evaluations).
+    gaussian e^(-alpha rho^2), integrated in s = rho sqrt(alpha) up to the
+    tail cut of _sinh_gaussian.  Returns (masses, error_estimates,
+    integrand evaluations).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     alphas = np.asarray(alphas, dtype=float)
     budget = _tail_budget(spec.relative_tolerance)
-    m = n - 1
 
     def integrand(x, alpha):
-        root = np.sqrt(alpha)
-        g = m / root
-        S = (g + np.sqrt(g * g + 4 * budget)) / 2
-        s = S * x
-        t = s / root
-        # log sinh t = t + log(1 - e^(-2t)) - log 2 stays finite where
-        # sinh^(n-1) alone would overflow (small alpha)
-        return S * np.exp(m * (t + np.log(-np.expm1(-2 * t)) - math.log(2)) - s * s)
+        S, _, log_w = _sinh_gaussian(n - 1, alpha, x, budget)
+        return S * np.exp(log_w)
 
     values, errors, evals = gauss_kronrod_batch(integrand, alphas, spec)
     c = n * ball_volume_constant(n) / np.sqrt(alphas)
     return c * values, c * errors, evals
+
+
+def hyperbolic_gaussian_moments(
+    n: int, alphas, betas, spec: QuadratureSpec = QuadratureSpec()
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The uncertainty moments of u = e^(-alpha rho^2 - beta rho) on the curvature -1 model.
+
+    A = int (u')^2, M = int rho^2 u^2 and L = int u^2 against the volume
+    n omega_n sinh^(n-1)(rho) d rho, for every (alpha, beta) of the
+    broadcast of alphas and betas (alpha > 0, beta >= 0).  u^2 is the
+    gaussian e^(-2 alpha rho^2) times e^(-2 beta rho) <= 1, so the three
+    integrals are taken in s = rho sqrt(2 alpha) on the tail cut of
+    _sinh_gaussian for the rate 2 alpha, all on one set of nodes.  Returns
+    (moments, error_estimates, integrand evaluations); moments[0], [1] and
+    [2] are A, M and L, each of the broadcast shape.
+    """
+    alphas, betas = np.broadcast_arrays(
+        np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
+    )
+    if n < 1 or np.any(alphas <= 0) or np.any(betas < 0):
+        raise ValueError("need n >= 1, alpha > 0 and beta >= 0")
+    budget = _tail_budget(spec.relative_tolerance)
+
+    def integrand(x, p):
+        alpha, beta = p[..., 0], p[..., 1]
+        S, rho, log_w = _sinh_gaussian(n - 1, 2 * alpha, x, budget)
+        u2 = S * np.exp(log_w - 2 * beta * rho)
+        return np.stack([(2 * alpha * rho + beta) ** 2 * u2, rho * rho * u2, u2])
+
+    def describe(p):
+        return f"(alpha, beta) = ({p[0]!r}, {p[1]!r}) for n = {n}"
+
+    grid = np.stack([alphas.ravel(), betas.ravel()], axis=1)
+    values, errors, evals = gauss_kronrod_batch(integrand, grid, spec, describe)
+    c = n * ball_volume_constant(n) / np.sqrt(2 * grid[:, 0])
+    shape = (3,) + alphas.shape
+    return (c * values).reshape(shape), (c * errors).reshape(shape), evals
 
 
 def monte_carlo_integral(

@@ -153,6 +153,12 @@ class TestRunSuite:
             tmp_path / "again" / "ko-refute.csv"
         ).read_bytes()
 
+    def test_chpw_bounds_row_carries_error_estimate(self, tmp_path):
+        cfg = RunConfig(suite="chpw-bounds")
+        (row,) = run_suite(cfg, str(tmp_path)).checks
+        assert row.passed
+        assert 0 < row.err <= cfg.tolerance
+
 
 class TestMain:
     def test_exit_zero_on_pass(self, tmp_path, capsys):

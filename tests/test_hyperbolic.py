@@ -18,6 +18,7 @@ from sharpineq import (
     hyp_ball_volume,
     hyp_distance,
     hyp_volume_ratio_check,
+    hyperbolic_gaussian_moments,
     hyperbolic_radial_volume_integral,
     ko_alpha_scan,
     laplace_comparison_check,
@@ -245,3 +246,40 @@ class TestConstantBounds:
         direct = hpw_hyperbolic_report(RadialHypFunction.gaussian(1.0), 4)
         assert out["upper"] == pytest.approx(direct.ratio, rel=1e-12)
         assert out["argmin_alpha"] == 1.0 and out["argmin_beta"] == 0.0
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_catalogue_grids_match_per_point_reports(self, n, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        betas = (0.0, 0.5, 1.0, 2.0, 4.0)
+        for alphas in ((0.25, 0.5, 1.0, 2.0, 4.0, 8.0), (8.0, 64.0, 512.0, 2048.0)):
+            (A, M, L), _, _ = hyperbolic_gaussian_moments(
+                n, np.array(alphas)[:, None], np.array(betas), spec)
+            ratios = np.array([
+                [hpw_hyperbolic_report(RadialHypFunction.gaussian(a, b), n, spec).ratio
+                 for b in betas]
+                for a in alphas
+            ])
+            assert A * M / L**2 == pytest.approx(ratios, rel=10 * tol)
+            out = hpw_constant_bounds(n, alphas, betas, spec)
+            i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
+            assert (out["argmin_alpha"], out["argmin_beta"]) == (alphas[i], betas[j])
+            assert out["upper"] == pytest.approx(ratios[i, j], rel=10 * tol)
+
+    def test_reports_error_estimate_and_evaluations(self):
+        spec = QuadratureSpec(relative_tolerance=1e-9)
+        out = hpw_constant_bounds(3, spec=spec)
+        assert 0 < out["worst_rel_err"] <= spec.relative_tolerance
+        # 30 cells, at least 8 G7/K15 panels each
+        assert out["nodes_used"] >= 30 * 8 * 15
+
+    def test_argmin_sits_on_the_alpha_edge(self):
+        # the grid minimum is an upper bound only: for n = 3 it improves
+        # with every larger alpha
+        out = hpw_constant_bounds(3)
+        assert out["argmin_alpha"] == 8.0
+        assert hpw_constant_bounds(3, alphas=(8.0, 16.0))["upper"] < out["upper"]
+
+    def test_empty_grid_raises(self):
+        with pytest.raises(ValueError):
+            hpw_constant_bounds(3, alphas=())

@@ -11,6 +11,7 @@ from sharpineq import (
     RadialProfile,
     dual_norm_value,
     flat_radial_volume_integral,
+    hyperbolic_gaussian_moments,
     legendre_map,
     norm_value,
     radial_integral,
@@ -111,3 +112,18 @@ def test_algebraic_tail_with_breakpoints_on_both_sides_of_one(below, above, k):
     )
     res = radial_integral(prof, ("power", k))
     assert math.isclose(res.value, math.pi / 4, rel_tol=1e-9)
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 8),
+    a=st.floats(0.1, 500.0),
+    betas=st.lists(st.floats(0.0, 8.0), min_size=2, max_size=6),
+)
+def test_mass_does_not_grow_with_beta(n, a, betas):
+    # u^2 = e^(-2 a rho^2 - 2 beta rho) falls pointwise as beta grows, so
+    # L = int u^2 cannot grow by more than the two error estimates
+    betas = np.sort(betas)
+    (_, _, L), errors, _ = hyperbolic_gaussian_moments(n, a, betas)
+    err = errors[2]
+    assert np.all(L[1:] <= L[:-1] + err[1:] + err[:-1])

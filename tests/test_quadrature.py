@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from sharpineq import (
     flat_radial_volume_integral,
     gauss_kronrod_batch,
     hyperbolic_gaussian_masses,
+    hyperbolic_gaussian_moments,
     hyperbolic_radial_volume_integral,
     monte_carlo_integral,
     radial_integral,
@@ -234,6 +236,83 @@ class TestGaussKronrodBatch:
     def test_masses_need_positive_dimension(self):
         with pytest.raises(ValueError):
             hyperbolic_gaussian_masses(0, [1.0])
+
+    def test_several_integrals_per_parameter_row(self):
+        # (N, 2) parameters, three integrals each; a parameter is refined
+        # until all three meet the tolerance
+        grid = np.array([[1.0, 0.0], [2.0, 1.0], [40.0, 3.0]])
+
+        def integrand(x, p):
+            a, b = p[..., 0], p[..., 1]
+            return np.stack([np.exp(-a * x), x**b, np.cos(a * x)])
+
+        values, errors, _ = gauss_kronrod_batch(integrand, grid)
+        a, b = grid[:, 0], grid[:, 1]
+        assert values.shape == errors.shape == (3, 3)
+        assert values[0] == pytest.approx(-np.expm1(-a) / a, rel=1e-12)
+        assert values[1] == pytest.approx(1 / (b + 1), rel=1e-12)
+        assert values[2] == pytest.approx(np.sin(a) / a, rel=1e-9)
+        assert np.all(errors <= 1e-9 * np.abs(values))
+
+
+class TestGaussianMoments:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_mass_at_beta_zero_is_gaussian_mass_of_twice_the_rate(self, n, tol):
+        # u^2 = e^(-2 alpha rho^2) when beta = 0
+        spec = QuadratureSpec(relative_tolerance=tol)
+        alphas = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 64.0, 512.0, 2048.0])
+        (_, _, L), errors, _ = hyperbolic_gaussian_moments(n, alphas, 0.0, spec)
+        masses, _, _ = hyperbolic_gaussian_masses(n, 2 * alphas, spec)
+        assert L == pytest.approx(masses, rel=10 * tol)
+        assert np.all(errors[2] <= tol * L)
+
+    def test_moments_against_per_point_integrals(self):
+        # A = int (2 alpha rho + beta)^2 u^2, M = int rho^2 u^2, L = int u^2
+        spec = QuadratureSpec(relative_tolerance=1e-11)
+        n, a, b = 5, 0.7, 1.5
+        (A, M, L), _, _ = hyperbolic_gaussian_moments(n, a, b, spec)
+        rate = DecayClass.gaussian(2 * a)
+
+        def moment(weight):
+            prof = RadialProfile(lambda r: weight(r) * math.exp(-2 * a * r * r - 2 * b * r), rate)
+            return hyperbolic_radial_volume_integral(prof, n, spec).value
+
+        assert A == pytest.approx(moment(lambda r: (2 * a * r + b) ** 2), rel=1e-10)
+        assert M == pytest.approx(moment(lambda r: r * r), rel=1e-10)
+        assert L == pytest.approx(moment(lambda r: 1.0), rel=1e-10)
+
+    def test_broadcast_shape(self):
+        moments, errors, evals = hyperbolic_gaussian_moments(
+            4, np.array([1.0, 2.0, 4.0])[:, None], np.array([0.0, 1.0]))
+        assert moments.shape == errors.shape == (3, 3, 2)
+        assert evals >= 6 * 8 * 15
+
+    def test_unattainable_tolerance_names_the_cell(self):
+        spec = QuadratureSpec(relative_tolerance=1e-20)
+        with pytest.raises(QuadratureError) as exc:
+            hyperbolic_gaussian_moments(4, [3.0, 50.0], [0.0, 2.0], spec)
+        assert re.search(
+            r"not met with 512 panels at 2 parameters; worst at "
+            r"\(alpha, beta\) = \((3\.0, 0\.0|50\.0, 2\.0)\) for n = 4: relative error",
+            str(exc.value),
+        )
+
+    def test_moments_beyond_float_range_name_the_cell(self):
+        # at n = 4 and alpha = 0.0005, L is the alpha = 0.001 mass, about e^2250
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError) as exc:
+                hyperbolic_gaussian_moments(4, [0.5, 0.0005], [1.0, 0.5])
+        assert str(exc.value) == (
+            "non-finite integral at 1 of 2 parameters, first at "
+            "(alpha, beta) = (0.0005, 0.5) for n = 4: outside the float range"
+        )
+
+    @pytest.mark.parametrize("n, alpha, beta", [(0, 1.0, 0.0), (3, 0.0, 0.0), (3, 1.0, -0.5)])
+    def test_rejects_invalid_family(self, n, alpha, beta):
+        with pytest.raises(ValueError):
+            hyperbolic_gaussian_moments(n, alpha, beta)
 
 
 class TestMonteCarlo:
