@@ -7,6 +7,7 @@ Busemann-Hausdorff density normalization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -363,16 +364,244 @@ def uniformity_constant(norm: MinkowskiNorm, resolution: int = 64) -> float:
     return float(best)
 
 
+# nodes per axis of each face of the first face grid, by dimension (n >= 4
+# take the default)
+_FACE_NODES = {2: 129, 3: 17}
+_FACE_NODES_DEFAULT = 5
+# a bound settles a sample only this far from F = 1
+_MARGIN = 1e-9
+# rows classified at once: keeps the classifier's temporaries to a few hundred kB
+_CHUNK = 1024
+# lower_bound's halving budget: boxes per face, and the least box side in cells
+_BOXES = 1 << 10
+_MIN_SIZE = 2.0**-6
+
+
+def _lattice(values, d: int) -> np.ndarray:
+    """Every point of values^d, as the rows of an array."""
+    return np.stack(np.meshgrid(*[np.asarray(values, dtype=float)] * d, indexing="ij"), -1).reshape(-1, d)
+
+
+class _FaceGrid:
+    """F on a lattice over the faces of the cube [-1, 1]^n, with bounds of F between the nodes.
+
+    The node with index k in {0, ..., G + 1}^n is the point -1 + (k - 1) h,
+    h = 2 / (G - 1).  The table holds F at every node with some k_i in
+    {1, G}: a grid of G nodes per axis over each face {y_i = +-1} plus one
+    ring outside it (other entries are 0 and only ever get weight 0).  A
+    point y maps to x = y / max |y_i| on a face, and F(y) = max |y_i| F(x).
+    For convex F the Freudenthal piecewise-linear interpolant U of a face
+    table is >= F (Jensen), and L(x) = 2 F(b) - U(2 b - x), b the node
+    nearest x, is <= F (convexity along the line through x and b).
+    """
+
+    def __init__(self, norm: MinkowskiNorm, nodes: int):
+        n = norm.dimension
+        self.n, self.nodes = n, nodes
+        self.per_unit = (nodes - 1) / 2  # lattice position of x: (x + 1) per_unit + 1
+        self.strides = (nodes + 2) ** np.arange(n - 1, -1, -1)
+        rest = _lattice(range(nodes + 2), n - 1)
+        index = np.unique(
+            np.concatenate([np.insert(rest, i, k, axis=1) for i in range(n) for k in (1, nodes)]), axis=0
+        )
+        values = norm_value(norm, -1 + (index - 1) / self.per_unit)
+        self.table = np.zeros((nodes + 2) ** n)
+        self.table[(index @ self.strides).astype(np.intp)] = values
+        # least F over the face grids proper, without the rings
+        self.least = values[((index >= 1) & (index <= nodes)).all(axis=1)].min()
+        self._check_convex()
+
+    def _check_convex(self) -> None:
+        """NormError unless every second difference along an axis or the all-ones diagonal is >= 0."""
+        d = self.n - 1
+        steps = [tuple(int(a == j) for a in range(d)) for j in range(d)]
+        if d > 1:
+            steps.append((1,) * d)
+        scale = np.abs(self.table).max()
+        T = self.table.reshape((self.nodes + 2,) * self.n)
+        for i, k in itertools.product(range(self.n), (1, self.nodes)):
+            F = np.take(T, k, axis=i)  # the face y_i = -1 (k = 1) or +1 (k = G)
+            for step in steps:
+                # F at nodes k, k + step and k + 2 step
+                lo, mid, hi = (
+                    tuple(slice(a, a - 2 or None) if s else slice(None) for s in step) for a in (0, 1, 2)
+                )
+                d2 = F[hi] - 2 * F[mid] + F[lo]
+                j = int(np.argmin(d2))
+                if d2.flat[j] < -1e-12 * scale:
+                    node = np.insert(np.add(np.unravel_index(j, d2.shape), step), i, k)
+                    point = tuple((-1 + (node - 1) / self.per_unit).tolist())
+                    raise NormError(
+                        f"norm is not convex: second difference {d2.flat[j]:.3g} (max |F| "
+                        f"{scale:.3g}) along {step} at node {point} of face "
+                        f"y_{i} = {1 if k == self.nodes else -1:+d}"
+                    )
+
+    def _interpolate(self, pos: np.ndarray) -> np.ndarray:
+        """U at lattice positions pos, an (n, m) array of points on faces."""
+        base = np.minimum(np.floor(pos), self.nodes)
+        t = pos - base
+        start = (self.strides @ base).astype(np.intp)
+        # Freudenthal simplex: from the base corner of the cell, one step along
+        # each axis in order of falling t (ties: lower axis first); after[j] is
+        # the node reached by the step along axis j
+        after = [start + s for s in self.strides]
+        for j in range(self.n):
+            for l in range(j + 1, self.n):
+                first = t[j] >= t[l]
+                after[l] += first * self.strides[j]
+                after[j] += ~first * self.strides[l]
+        val = self.table[start]
+        for j, s in enumerate(self.strides):
+            val += t[j] * (self.table[after[j]] - self.table[after[j] - s])
+        return val
+
+    def bounds(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Upper and lower bounds of F at the rows of y."""
+        y = y.T.copy()  # one contiguous row per axis: reductions over axes stay vectorised
+        scale = np.abs(y).max(axis=0)
+        # a zero row lands on the cube's centre, whose entry 0 is F(0)
+        pos = (y / np.maximum(scale, np.finfo(float).tiny) + 1) * self.per_unit + 1
+        nearest = np.rint(pos)
+        upper = self._interpolate(pos)
+        at_nearest = self.table[(self.strides @ nearest).astype(np.intp)]
+        lower = 2 * at_nearest - self._interpolate(2 * nearest - pos)
+        return scale * upper, scale * lower
+
+    def settle(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the rows of y certified inside the unit ball, and of those left open."""
+        inside = np.empty(len(y), dtype=bool)
+        undecided = np.empty(len(y), dtype=bool)
+        for s in range(0, len(y), _CHUNK):
+            upper, lower = self.bounds(y[s : s + _CHUNK])
+            inside[s : s + _CHUNK] = upper < 1 - _MARGIN
+            undecided[s : s + _CHUNK] = ~inside[s : s + _CHUNK] & ~(lower > 1 + _MARGIN)
+        return inside, undecided
+
+    def _box_bounds(self, lo: np.ndarray, size: float, corners: np.ndarray) -> np.ndarray:
+        """Lower bounds of F on the dyadic boxes lo + size * corners, each inside one cell."""
+        out = np.empty(len(lo))
+        step = max(1, _CHUNK // len(corners) ** 2)
+        for s in range(0, len(lo), step):
+            a = lo[s : s + step]
+            c = np.floor(a)[:, None, :] + corners  # centres: the corners of each box's cell
+            top = 2 * c - a[:, None, :]  # reflected boxes: top - size * corners
+            reflected = (top[:, :, None, :] - size * corners).reshape(-1, self.n)
+            U = self._interpolate(reflected.T.copy()).reshape(len(a), len(corners), -1)
+            at_c = self.table[(c @ self.strides).astype(np.intp)]
+            out[s : s + step] = (2 * at_c - U.max(axis=2)).max(axis=1)
+        return out
+
+    def lower_bound(self, target: float) -> tuple[float, tuple[int, int]]:
+        """A lower bound of F on the faces, and the face (axis, node index) where it is least.
+
+        The bound is taken over dyadic boxes of each face.  On a box P in the
+        cell with corners c, F(x) >= 2 F(c) - U(2 c - x) for every corner c,
+        and U peaks on the reflected box 2 c - P at one of its corners: a
+        dyadic box inside one cell meets the Freudenthal simplices in
+        simplices with vertices among its corners.  Boxes whose bound is
+        below target are halved, while that leaves at most _BOXES boxes and
+        their side stays at least _MIN_SIZE cells.
+        """
+        d = self.n - 1
+        cells, box = _lattice(range(1, self.nodes), d), _lattice((0, 1), d)
+        low, worst = np.inf, (0, 1)
+        for i, k in itertools.product(range(self.n), (1, self.nodes)):
+            corners = np.insert(box, i, 0.0, axis=1)
+            lo, size = np.insert(cells, i, k, axis=1), 1.0
+            while True:
+                bound = self._box_bounds(lo, size, corners)
+                split = bound < target
+                if split.sum() * len(corners) > _BOXES or size <= _MIN_SIZE:
+                    split[:] = False  # every box is final
+                if bound[~split].min(initial=np.inf) < low:
+                    low, worst = bound[~split].min(), (i, k)
+                if not split.any():
+                    break
+                size /= 2
+                lo = (lo[split][:, None, :] + size * corners).reshape(-1, self.n)
+        return low, worst
+
+
+def _sampling_box(norm: MinkowskiNorm, mc_samples: int) -> tuple[float, Optional[_FaceGrid]]:
+    """Half-width of the Monte Carlo cube, and the face grid if one is built.
+
+    The cube starts at 1.05 times the largest support radius over 256
+    lattice directions.  Where a face grid fits in mc_samples / 8 nodes,
+    its lower bound B of F on the faces, a certified bound 1 / B on
+    max |y_i| over the ball, widens the cube to hold the whole ball.  B
+    aims at certifying the sampled cube, or 1.05 / (least node value) if
+    that is smaller; a grid whose B falls short is replaced by one of half
+    the spacing while that fits.
+    """
+    n = norm.dimension
+    half = (1.0 / norm_value(norm, _sphere_lattice(n, 256))).max() * 1.05
+    nodes = _FACE_NODES.get(n, _FACE_NODES_DEFAULT)
+    grid = None
+    while (nodes + 2) ** n - nodes**n <= mc_samples / 8:
+        grid = _FaceGrid(norm, nodes)
+        target = min(1 / half, grid.least / 1.05)
+        low, (i, k) = grid.lower_bound(target)
+        if low >= target:
+            break
+        nodes = 2 * nodes - 1
+    if grid is None:
+        return half, None
+    if not low > 0:
+        raise NormError(
+            f"the face grid cannot bound the unit ball: the convexity lower bound of F "
+            f"on face y_{i} = {1 if k == grid.nodes else -1:+d} reaches {low:.3g} (F "
+            f"vanishes there, or the ball is too eccentric for a {grid.nodes}-node grid)"
+        )
+    return max(half, 1 / low), grid
+
+
 def unit_ball_volume(norm: MinkowskiNorm, mc_samples: int = 1 << 20, mc_seed: int = 0x5EED) -> float:
-    """Euclidean volume of the unit F-ball."""
+    """Euclidean volume of the unit F-ball.
+
+    Closed form for the weighted-euclidean and lp families.  A custom norm
+    is counted by Monte Carlo: ``mc_samples`` (>= 1, else NormError) points
+    uniform in a cube from a Philox stream seeded by ``mc_seed``, in blocks
+    of 2^16 rows, a point counting as inside when F < 1.0.
+
+    Certificate.  F is tabulated, in one row-batched call, on a grid of G
+    nodes per axis over each face {y_i = +-1} of the cube [-1, 1]^n plus
+    one ring outside it (G = 129 for n = 2, 17 for n = 3, 5 above;
+    (G + 2)^n - G^n distinct nodes), when that is at most mc_samples / 8.
+    A point y goes to a face at x = y / max |y_i|, where F(y) = max |y_i|
+    F(x).  For convex F the piecewise-linear (Freudenthal) interpolant U of
+    the face table is >= F (Jensen), and L(x) = 2 F(b) - U(2 b - x), b the
+    nearest node, is <= F (convexity along the line through b).  A point
+    is inside if max |y_i| U < 1 - 1e-9 and outside if max |y_i| L >
+    1 + 1e-9; ``value_fn`` is called only on the rest.  For a ``value_fn``
+    accurate to well below 1e-9 the volume is therefore identical to the
+    count of per-point evaluations.
+
+    Convexity.  The certificate holds only for convex F: NormError, naming
+    the face and the node, is raised when a second difference of a face
+    table along a grid axis or the all-ones diagonal is below
+    -1e-12 max |F|.
+
+    Box.  The cube's half-width is 1.05 times the largest support radius
+    over 256 lattice directions, raised where needed to a certified bound
+    1 / B on max |y_i| over the ball, B a convexity lower bound of F on
+    the faces, so that the cube holds the whole ball.  Where B cannot
+    certify the sampled cube (nor come within 5% of the least node value),
+    the grid is rebuilt at half the spacing while it fits; NormError is
+    raised when B is not positive (F vanishes somewhere, or the ball is
+    too eccentric for the grid).  Without a grid (too few samples) the box
+    is the sampled one and neither check runs.  A count with no sample
+    inside raises NormError: the volume of a unit ball is not 0.
+    """
     n = norm.dimension
     if norm.family == "weighted-euclidean":
         return ball_volume_constant(n) / math.sqrt(np.linalg.det(norm.matrix))
     if norm.family == "lp":
         p = norm.exponent
         return (2 * math.gamma(1 + 1 / p)) ** n / math.gamma(1 + n / p)
-    # Monte Carlo over a bounding box from sampled support radii
-    half = (1.0 / norm_value(norm, _sphere_lattice(n, 256))).max() * 1.05
+    if mc_samples < 1:
+        raise NormError(f"mc_samples must be >= 1, got {mc_samples}")
+    half, grid = _sampling_box(norm, mc_samples)
     rng = np.random.Generator(np.random.Philox(key=mc_seed))
     total = 0
     hits = 0
@@ -380,13 +609,29 @@ def unit_ball_volume(norm: MinkowskiNorm, mc_samples: int = 1 << 20, mc_seed: in
     while total < mc_samples:
         m = min(batch, mc_samples - total)
         pts = rng.uniform(-half, half, size=(m, n))
-        hits += int(np.count_nonzero(norm_value(norm, pts) < 1.0))
+        if grid is None:
+            hits += int(np.count_nonzero(norm_value(norm, pts) < 1.0))
+        else:
+            inside, undecided = grid.settle(pts)
+            hits += int(np.count_nonzero(inside))
+            hits += int(np.count_nonzero(norm_value(norm, pts[undecided]) < 1.0))
         total += m
+    if hits == 0:
+        raise NormError(
+            f"no Monte Carlo sample fell inside the unit ball (cube half-width {half:.3g}); "
+            "its volume is not 0, so more samples are needed"
+        )
     return (2 * half) ** n * hits / total
 
 
 def bh_density(norm: MinkowskiNorm, mc_samples: int = 1 << 20, mc_seed: int = 0x5EED) -> float:
-    """Busemann-Hausdorff density: omega_n over the unit-ball volume."""
+    """Busemann-Hausdorff density: omega_n over the unit-ball volume.
+
+    For a custom norm the volume is the certified Monte Carlo count of
+    ``unit_ball_volume`` (see there: convexity is required and checked on
+    the face grid, the cube holds the whole ball, and mc_samples < 1 raises
+    NormError).
+    """
     return ball_volume_constant(norm.dimension) / unit_ball_volume(
         norm, mc_samples=mc_samples, mc_seed=mc_seed
     )

@@ -14,6 +14,7 @@ from sharpineq import (
     uniformity_constant,
     unit_ball_volume,
 )
+from sharpineq.norms import _sampling_box
 
 
 def euclid(n):
@@ -351,3 +352,61 @@ class TestVolumes:
         closed = (2 * math.gamma(1.25)) ** 2 / math.gamma(1.5)
         vol = unit_ball_volume(custom, mc_samples=1 << 16)
         assert vol == pytest.approx(closed, rel=0.02)
+
+    def test_custom_volume_calls_value_fn_near_the_boundary_only(self):
+        # weighted l3 in n = 3: 256 support radii, 1946 grid nodes and the
+        # samples the face-grid bounds leave open, against 65 792 per point
+        w = np.arange(1.0, 4.0)
+        calls = []
+
+        def value(y):
+            calls.append(1)
+            return float(np.sum(w * np.abs(y) ** 3) ** (1 / 3))
+
+        custom = MinkowskiNorm(3, "custom", value_fn=value)
+        vol = unit_ball_volume(custom, mc_samples=1 << 16)
+        closed = (2 * math.gamma(4 / 3)) ** 3 / math.gamma(2) / 6 ** (1 / 3)
+        assert vol == pytest.approx(closed, rel=0.02)
+        assert len(calls) <= 4000
+
+    @pytest.mark.parametrize("n, eps", [(2, 1e-4), (3, 1e-3)])
+    def test_sampling_box_holds_an_eccentric_ball(self, n, eps):
+        # the ball reaches 1/sqrt(eps) along y_0, far past every sampled
+        # support radius; a box cutting it off would bias the volume low
+        w = np.array([eps] + [1.0] * (n - 1))
+        custom = MinkowskiNorm(n, "custom", value_fn=lambda y: math.sqrt(y @ (w * y)))
+        samples = 1 << 18
+        half, _ = _sampling_box(custom, samples)
+        assert half >= 1 / math.sqrt(eps)
+        exact = ball_volume_constant(n) / math.sqrt(eps)
+        box = (2 * half) ** n
+        se = box * math.sqrt(exact / box * (1 - exact / box) / samples)
+        assert abs(unit_ball_volume(custom, mc_samples=samples) - exact) <= 4 * se
+
+    def test_unbounded_ball_raises(self):
+        # |y_1| + |y_2| vanishes along y_0: no box holds its "unit ball"
+        custom = MinkowskiNorm(3, "custom", value_fn=lambda y: abs(y[1]) + abs(y[2]))
+        with pytest.raises(NormError, match="cannot bound the unit ball"):
+            unit_ball_volume(custom, mc_samples=1 << 16)
+
+    def test_no_sample_inside_raises(self):
+        # the certified box of this needle (half-axis 1e4 along y_0) is so
+        # much larger than the ball that 2^16 samples all miss it
+        w = np.array([1e-8, 1.0, 1.0])
+        custom = MinkowskiNorm(3, "custom", value_fn=lambda y: math.sqrt(y @ (w * y)))
+        with pytest.raises(NormError, match="no Monte Carlo sample"):
+            bh_density(custom, mc_samples=1 << 16)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_nonconvex_custom_norm_raises(self, n):
+        # the l0.5 "norm" is positively homogeneous but its ball is a star body
+        custom = custom_lp(n, 0.5, grad=False)
+        with pytest.raises(NormError, match="not convex.*face y_"):
+            unit_ball_volume(custom, mc_samples=1 << 15)
+
+    @pytest.mark.parametrize("fn", [unit_ball_volume, bh_density])
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_monte_carlo_samples_raises(self, fn, samples):
+        custom = custom_lp(2, 3.0)
+        with pytest.raises(NormError, match="mc_samples"):
+            fn(custom, mc_samples=samples)

@@ -15,7 +15,9 @@ from sharpineq import (
     legendre_map,
     norm_value,
     radial_integral,
+    unit_ball_volume,
 )
+from sharpineq.norms import _sampling_box
 
 # a fixed example budget and derandomized draws keep the file fast and its
 # outcome the same on every run
@@ -127,3 +129,39 @@ def test_mass_does_not_grow_with_beta(n, a, betas):
     (_, _, L), errors, _ = hyperbolic_gaussian_moments(n, a, betas)
     err = errors[2]
     assert np.all(L[1:] <= L[:-1] + err[1:] + err[:-1])
+
+
+@st.composite
+def convex_custom_norm(draw):
+    # sqrt(y^T A y) + c ||y||_p + b.y: convex, and positive while |b| < sqrt(min eig A)
+    n = draw(st.integers(2, 4))
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 1000))).standard_normal((n, n)))
+    eigs = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    A = q @ np.diag(eigs) @ q.T
+    c = draw(st.floats(0.0, 1.0))
+    p = draw(st.floats(1.05, 8.0))
+    b = draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n))
+    rows = A.tolist()
+
+    # plain floats: the reference count below calls this once per sample
+    def value(y):
+        v = y.tolist()
+        quad = sum(a * s * t for row, s in zip(rows, v) for a, t in zip(row, v))
+        lp = sum(abs(t) ** p for t in v) ** (1 / p)
+        return math.sqrt(quad) + c * lp + sum(s * t for s, t in zip(b, v))
+
+    return MinkowskiNorm(n, "custom", value_fn=value)
+
+
+@PROPERTY
+@given(norm=convex_custom_norm())
+def test_certified_ball_volume_equals_the_per_point_count(norm):
+    # the face-grid bounds settle most samples without value_fn; the count
+    # must still be the one value_fn gives point by point on the same stream
+    samples = 1 << 14
+    half, grid = _sampling_box(norm, samples)
+    assert grid is not None
+    rng = np.random.Generator(np.random.Philox(key=0x5EED))
+    pts = rng.uniform(-half, half, size=(samples, norm.dimension))
+    hits = sum(norm.value_fn(y) < 1.0 for y in pts)
+    assert unit_ball_volume(norm, mc_samples=samples) == (2 * half) ** norm.dimension * hits / samples
