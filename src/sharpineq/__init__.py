@@ -38,6 +38,7 @@ from .flat import (
     AdmissibilityError,
     ExponentTriple,
     InequalityReport,
+    RadialFunction,
     TestFunction,
     check_p_ode,
     check_pqr_identity,

@@ -75,32 +75,57 @@ def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
+# section -> key -> parser of its text: the grammar in README.md
+GRAMMAR = {
+    "run": {"suite": str, "n": int, "output_dir": str},
+    "norm": {"family": str, "dimension": int, "p": float, "matrix": lambda s: list(_floats(s))},
+    "triple": {"n": int, "p": float, "q": float},
+    "grids": {"lambda": _floats, "epsilon": _floats, "rho": _floats, "alpha": _floats, "alpha_nodes": int},
+    "quadrature": {"tolerance": float, "seed": lambda s: int(s, 0)},
+}
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate an INI config block; raise ConfigError listing defects."""
-    cp = configparser.ConfigParser()
+    """Parse and validate an INI config block; raise ConfigError listing defects.
+
+    ';' starts an inline comment.  A section or key outside GRAMMAR is an
+    error, and so is a value its parser rejects, named as section.key; a
+    section holding such a value gets no further checks.
+    """
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"syntax error: {exc}"]) from exc
     errors = []
-    run = cp["run"] if cp.has_section("run") else {}
-    suite = run.get("suite", "").strip()
+    values, broken = {}, set()
+    for name in cp.sections():
+        if name not in GRAMMAR:
+            errors.append(f"unknown section [{name}]; expected one of {tuple(GRAMMAR)}")
+            continue
+        sec = values[name] = {}
+        for key, raw in cp[name].items():
+            if key not in GRAMMAR[name]:
+                errors.append(f"unknown key {name}.{key}; expected one of {tuple(GRAMMAR[name])}")
+                continue
+            try:
+                sec[key] = GRAMMAR[name][key](raw)
+            except ValueError:
+                errors.append(f"{name}.{key}: cannot parse {raw!r}")
+                broken.add(name)
+    run = values.get("run", {})
+    suite = run.get("suite", "")
     if suite not in SUITES:
         errors.append(f"unknown or missing suite {suite!r}; expected one of {SUITES}")
     cfg = RunConfig(suite=suite or "all")
     if "n" in run:
-        cfg.n = int(run["n"])
+        cfg.n = run["n"]
     if "output_dir" in run:
         cfg.output_dir = run["output_dir"]
-    if cp.has_section("norm"):
-        sec = cp["norm"]
+    if "norm" in values and "norm" not in broken:
+        sec = values["norm"]
         spec = {"family": sec.get("family", "euclidean")}
-        if "dimension" in sec:
-            spec["dimension"] = int(sec["dimension"])
-        if "p" in sec:
-            spec["p"] = float(sec["p"])
-        if "matrix" in sec:
-            spec["matrix"] = list(_floats(sec["matrix"]))
+        spec.update((k, sec[k]) for k in ("dimension", "p", "matrix") if k in sec)
         cfg.norm_spec = spec
         try:
             build_norm(spec)
@@ -108,43 +133,37 @@ def parse_config(text: str) -> RunConfig:
             errors.extend(exc.errors)
         except Exception as exc:
             errors.append(f"bad norm config: {exc}")
-    if cp.has_section("triple"):
-        sec = cp["triple"]
+    if "triple" in values and "triple" not in broken:
+        sec = values["triple"]
         try:
-            tn, tp, tq = int(sec["n"]), float(sec["p"]), float(sec["q"])
+            tn, tp, tq = sec["n"], sec["p"], sec["q"]
             flat.ExponentTriple(tn, tp, tq)
             cfg.triple = (tn, tp, tq)
         except flat.AdmissibilityError as exc:
             errors.append(f"inadmissible exponent triple: {exc}")
-        except (KeyError, ValueError) as exc:
-            errors.append(f"bad triple section: {exc}")
-    if cp.has_section("grids"):
-        sec = cp["grids"]
-        try:
-            if "lambda" in sec:
-                cfg.lambda_grid = _floats(sec["lambda"])
-            if "epsilon" in sec:
-                cfg.epsilon_grid = _floats(sec["epsilon"])
-            if "rho" in sec:
-                cfg.rho_grid = _floats(sec["rho"])
-            if "alpha" in sec:
-                rng = _floats(sec["alpha"])
-                if len(rng) != 2 or not (0 < rng[0] < rng[1]):
-                    errors.append("grids.alpha must be two increasing positive numbers")
-                else:
-                    cfg.alpha_range = rng
-            if "alpha_nodes" in sec:
-                cfg.alpha_nodes = int(sec["alpha_nodes"])
-        except ValueError as exc:
-            errors.append(f"bad grid value: {exc}")
-    if cp.has_section("quadrature"):
-        sec = cp["quadrature"]
-        if "tolerance" in sec:
-            cfg.tolerance = float(sec["tolerance"])
-            if cfg.tolerance <= 0:
-                errors.append("quadrature.tolerance must be positive")
-        if "seed" in sec:
-            cfg.seed = int(sec["seed"], 0)
+        except KeyError as exc:
+            errors.append(f"bad triple section: missing {exc}")
+    grids = values.get("grids", {})
+    for key in ("lambda", "epsilon", "rho"):
+        if key in grids:
+            setattr(cfg, f"{key}_grid", grids[key])
+    if "alpha" in grids:
+        rng = grids["alpha"]
+        if len(rng) != 2 or not (0 < rng[0] < rng[1]):
+            errors.append("grids.alpha must be two increasing positive numbers")
+        else:
+            cfg.alpha_range = rng
+    if "alpha_nodes" in grids:
+        cfg.alpha_nodes = grids["alpha_nodes"]
+        if cfg.alpha_nodes < 2:
+            errors.append("grids.alpha_nodes must be at least 2: the scan needs two alphas")
+    quadrature = values.get("quadrature", {})
+    if "tolerance" in quadrature:
+        cfg.tolerance = quadrature["tolerance"]
+        if not cfg.tolerance > 0:
+            errors.append("quadrature.tolerance must be positive")
+    if "seed" in quadrature:
+        cfg.seed = quadrature["seed"]
     if cfg.suite in ("identities",) and cfg.triple is None:
         errors.append("suite 'identities' requires a [triple] section")
     for name in ("lambda_grid", "epsilon_grid", "rho_grid"):
@@ -285,14 +304,11 @@ def _run_identities(cfg: RunConfig) -> tuple[list, dict]:
     return rows, {}
 
 
-def _gaussian_test_function(lam: float) -> flat.TestFunction:
-    def u(r):
-        return math.exp(-lam * r * r)
-
-    def du(r):
-        return -2 * lam * r * u(r)
-
-    return flat.TestFunction.radial(RadialProfile(u, DecayClass.gaussian(lam)), du)
+# r e^(-r^2), the Hardy test function of the flat and hyperbolic suites
+HARDY_FUNCTION = flat.RadialFunction(
+    RadialProfile(lambda r: r * math.exp(-r * r), DecayClass.gaussian(1.0)),
+    lambda r: (1 - 2 * r * r) * math.exp(-r * r),
+)
 
 
 def _run_flat_hpw(cfg: RunConfig) -> tuple[list, dict]:
@@ -300,7 +316,7 @@ def _run_flat_hpw(cfg: RunConfig) -> tuple[list, dict]:
     norm = cfg.norm()
     rows = []
     for lam in cfg.lambda_grid:
-        rep = flat.hpw_report(norm, cfg.n, _gaussian_test_function(lam), spec)
+        rep = flat.hpw_report(norm, cfg.n, flat.RadialFunction.gaussian(lam), spec)
         rows.append(
             _row(
                 "flat-hpw",
@@ -321,15 +337,7 @@ def _run_flat_hardy(cfg: RunConfig) -> tuple[list, dict]:
     norm = cfg.norm()
     n = cfg.n
     rows = []
-
-    def u(r):
-        return r * math.exp(-r * r)
-
-    def du(r):
-        return (1 - 2 * r * r) * math.exp(-r * r)
-
-    tf = flat.TestFunction.radial(RadialProfile(u, DecayClass.gaussian(1.0)), du)
-    rows.append(_row("flat-hardy", "hardy-quotient", 0.0, flat.hardy_report(norm, n, tf, 0.0, spec), 0.0))
+    rows.append(_row("flat-hardy", "hardy-quotient", 0.0, flat.hardy_report(norm, n, HARDY_FUNCTION, 0.0, spec), 0.0))
     sweep = flat.hardy_sharpness_sweep(norm, n, 1.0, 2.0, cfg.epsilon_grid, spec)
     mono = all(
         b <= a + 1e-12 for a, b in zip(sweep["quotients"], sweep["quotients"][1:])
@@ -346,7 +354,7 @@ def _run_flat_hardy(cfg: RunConfig) -> tuple[list, dict]:
         )
     )
     psi, dpsi = flat.smoothstep_cutoff(0.5, 1.0)
-    bump = flat.TestFunction.radial(
+    bump = flat.RadialFunction(
         RadialProfile(lambda r: psi(r), DecayClass.compact(1.0), breakpoints=(0.5,)),
         dpsi,
     )
@@ -392,7 +400,7 @@ def _run_hyperbolic(cfg: RunConfig) -> tuple[list, dict]:
                 predicate=lambda r: abs(r.ratio - r.target) / r.target <= 1e-6,
             )
         )
-    rep = hyp.hpw_hyperbolic_report(hyp.RadialHypFunction.gaussian(1.0), n, spec)
+    rep = hyp.hpw_hyperbolic_report(flat.RadialFunction.gaussian(1.0), n, spec)
     rows.append(
         _row(
             "hyperbolic", "hpw-strictness", 1.0, rep, 0.0,
@@ -400,11 +408,7 @@ def _run_hyperbolic(cfg: RunConfig) -> tuple[list, dict]:
         )
     )
     if n >= 3:
-        u = hyp.RadialHypFunction(
-            RadialProfile(lambda r: r * math.exp(-r * r), DecayClass.gaussian(1.0)),
-            lambda r: (1 - 2 * r * r) * math.exp(-r * r),
-        )
-        rep1, rep2 = hyp.hardy_hyperbolic_report(u, n, spec)
+        rep1, rep2 = hyp.hardy_hyperbolic_report(HARDY_FUNCTION, n, spec)
         rows.append(_row("hyperbolic", "hardy-quantitative", 0.0, rep1, 1e-9))
         rows.append(_row("hyperbolic", "hardy-improved", 0.0, rep2, 1e-9))
     series = {"volume_ratio_vs_rho": list(zip(vol["rho"], vol["ratios"]))}
@@ -414,13 +418,14 @@ def _run_hyperbolic(cfg: RunConfig) -> tuple[list, dict]:
 def _run_ko_refute(cfg: RunConfig) -> tuple[list, dict]:
     spec = cfg.quadrature_spec()
     scan = hyp.ko_alpha_scan(cfg.n, cfg.alpha_range, cfg.alpha_nodes, spec)
+    # a scan that examined no alpha refutes nothing
     rows = [
         CheckRow(
             "ko-refute", "no-sign-change", float(cfg.n),
             float(len(scan["brackets"])), 0.0,
             float(len(scan["brackets"])), 0.0,
             -float(len(scan["brackets"])), scan["worst_rel_err"], 0.0,
-            len(scan["brackets"]) == 0,
+            bool(scan["alphas"]) and len(scan["brackets"]) == 0,
         )
     ]
     series = {"phi_vs_alpha": list(zip(scan["alphas"], scan["phi"]))}

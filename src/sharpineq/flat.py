@@ -26,6 +26,7 @@ from .quadrature import (
 
 __all__ = [
     "ExponentTriple",
+    "RadialFunction",
     "TestFunction",
     "InequalityReport",
     "AdmissibilityError",
@@ -88,35 +89,54 @@ class ExponentTriple:
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """Radial profile of the distance, or a general compactly supported function.
+class RadialFunction:
+    """Radial function of the distance, F or hyperbolic, with derivative handle.
 
-    Radial: profile(rho) with derivative handle.  General: evaluator and a
-    gradient-covector evaluator on a support box (gradient by central
-    differences when omitted).
+    On the ball the decay class must dominate the e^((n-1) rho) growth of the
+    volume element; gaussian decay always does.
     """
 
-    kind: str  # 'radial' | 'general'
-    profile: Optional[RadialProfile] = None
-    derivative: Optional[Callable[[float], float]] = None
-    evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    profile: RadialProfile
+    derivative: Callable[[float], float]
+
+    @staticmethod
+    def gaussian(alpha: float, beta: float = 0.0) -> "RadialFunction":
+        """e^(-alpha d^2 - beta d) with alpha > 0, beta >= 0."""
+        if alpha <= 0 or beta < 0:
+            raise ValueError("need alpha > 0 and beta >= 0")
+
+        def u(r):
+            return math.exp(-alpha * r * r - beta * r)
+
+        def du(r):
+            return -(2 * alpha * r + beta) * u(r)
+
+        return RadialFunction(
+            RadialProfile(u, DecayClass.gaussian(alpha)), du
+        )
+
+
+@dataclass(frozen=True)
+class TestFunction:
+    """A compactly supported function on flat space, integrated by Monte Carlo.
+
+    evaluator and a gradient-covector evaluator on a support box (gradient by
+    central differences when omitted); distances are taken from basepoint,
+    the origin when omitted.  TestFunction.radial builds a RadialFunction.
+    """
+
+    evaluator: Callable[[np.ndarray], np.ndarray]
+    support_box: tuple
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    support_box: Optional[tuple] = None
     basepoint: Optional[np.ndarray] = None
 
     @staticmethod
-    def radial(profile: RadialProfile, derivative, basepoint=None) -> "TestFunction":
-        return TestFunction("radial", profile=profile, derivative=derivative, basepoint=basepoint)
+    def radial(profile: RadialProfile, derivative) -> RadialFunction:
+        return RadialFunction(profile, derivative)
 
     @staticmethod
     def general(evaluator, support_box, gradient=None, basepoint=None) -> "TestFunction":
-        return TestFunction(
-            "general",
-            evaluator=evaluator,
-            gradient=gradient,
-            support_box=tuple(tuple(b) for b in support_box),
-            basepoint=basepoint,
-        )
+        return TestFunction(evaluator, tuple(tuple(b) for b in support_box), gradient, basepoint)
 
 
 @dataclass(frozen=True)
@@ -186,10 +206,9 @@ def _relative_errors(*results: IntegralResult) -> tuple:
 def _integrals(u, volume, n: int, spec: QuadratureSpec, *terms) -> list:
     """volume(fn, n, spec) for every (fn, power) term.
 
-    u is a radial test function (profile and derivative); fn decays like
-    |u|^power times a power of rho, so it gets that decay class and u's
-    breakpoints.  volume is flat_radial_volume_integral or
-    hyperbolic_radial_volume_integral.
+    u is a RadialFunction; fn decays like |u|^power times a power of rho, so
+    it gets that decay class and u's breakpoints.  volume is
+    flat_radial_volume_integral or hyperbolic_radial_volume_integral.
     """
     prof = u.profile
     return [
@@ -333,7 +352,7 @@ def _general_triple_integrals(norm, t, u, spec):
 def interpolation_report(
     norm: MinkowskiNorm,
     t: ExponentTriple,
-    u: TestFunction,
+    u: RadialFunction | TestFunction,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> InequalityReport:
     """A * B / C^2 against (n-q)^2/p^2 for one test function.
@@ -341,7 +360,7 @@ def interpolation_report(
     A = int F*(Du)^2, B = int |u|^(2p-2)/rho^(2q-2), C = int |u|^p/rho^q.
     """
     spec = _spec_for(t, spec)
-    if u.kind == "radial":
+    if isinstance(u, RadialFunction):
         n, p, q = t.n, t.p, t.q
         prof, du = u.profile, u.derivative
         A, B, C = _integrals(
@@ -355,7 +374,7 @@ def interpolation_report(
     return InequalityReport.product(A, B, C, t.target)
 
 
-def extremal_profile(t: ExponentTriple, lam: float) -> TestFunction:
+def extremal_profile(t: ExponentTriple, lam: float) -> RadialFunction:
     """The minimizer family (lam + rho^(2-q))^(1/(2-p)) with its derivative."""
     p, q = t.p, t.q
     expo = 1 / (2 - p)
@@ -366,7 +385,7 @@ def extremal_profile(t: ExponentTriple, lam: float) -> TestFunction:
     def dw(r):
         return expo * (2 - q) * r ** (1 - q) * (lam + r ** (2 - q)) ** (expo - 1)
 
-    return TestFunction.radial(
+    return RadialFunction(
         RadialProfile(w, DecayClass.algebraic()), dw
     )
 
@@ -383,8 +402,8 @@ def gaussian_T(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> d
     omega = ball_volume_constant(n)
 
     def T(la):
-        prof = RadialProfile(lambda r: r ** (n + 1), DecayClass.gaussian(2 * la))
-        base = radial_integral(prof, ("gaussian", 2 * la), spec)
+        prof = RadialProfile(lambda r: math.exp(-2 * la * r * r), DecayClass.gaussian(2 * la))
+        base = radial_integral(prof, ("power", n + 1), spec)
         return 4 * la * omega * base.value
 
     value = T(lam)
@@ -398,15 +417,13 @@ def gaussian_T(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> d
     }
 
 
-def hpw_report(
-    norm: MinkowskiNorm, n: int, u: TestFunction, spec: QuadratureSpec = QuadratureSpec()
-) -> InequalityReport:
-    """Uncertainty product over the squared mass, against n^2/4."""
+def _hpw(u: RadialFunction, volume, n: int, spec: QuadratureSpec) -> InequalityReport:
+    """Uncertainty product A M / L^2 of u against n^2/4, on either volume."""
     prof, du = u.profile, u.derivative
     if prof.decay.kind == "algebraic":
-        raise ValueError("gaussian-class decay required for the uncertainty product")
+        raise ValueError("the uncertainty product needs gaussian or compact decay")
     A, M, L = _integrals(
-        u, flat_radial_volume_integral, n, spec,
+        u, volume, n, spec,
         (lambda r: du(r) ** 2, 2),
         (lambda r: r**2 * prof(r) ** 2, 2),
         (lambda r: prof(r) ** 2, 2),
@@ -414,6 +431,13 @@ def hpw_report(
     if L.value == 0:
         raise ValueError("zero test function")
     return InequalityReport.product(A, M, L, n**2 / 4)
+
+
+def hpw_report(
+    norm: MinkowskiNorm, n: int, u: RadialFunction, spec: QuadratureSpec = QuadratureSpec()
+) -> InequalityReport:
+    """Uncertainty product over the squared mass, against n^2/4."""
+    return _hpw(u, flat_radial_volume_integral, n, spec)
 
 
 def gaussian_moment_identity(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -432,7 +456,7 @@ def gaussian_moment_identity(n: int, lam: float, spec: QuadratureSpec = Quadratu
 def hardy_report(
     norm: MinkowskiNorm,
     n: int,
-    u: TestFunction,
+    u: RadialFunction,
     c: float = 0.0,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> InequalityReport:
@@ -515,7 +539,7 @@ def hardy_sharpness_sweep(
                 return 0.0
             return dpsi(rho) * rho ** (-gamma) - gamma * psi(rho) * rho ** (-gamma - 1)
 
-        tf = TestFunction.radial(RadialProfile(u, DecayClass.compact(R), breakpoints=(eps, r)), du)
+        tf = RadialFunction(RadialProfile(u, DecayClass.compact(R), breakpoints=(eps, r)), du)
         quotients.append(hardy_report(norm, n, tf, 0.0, spec).ratio)
     ell = np.array([math.log(1.0 / e) for e in eps_list])
     y = np.array(quotients)
@@ -551,7 +575,7 @@ def hardy_sharpness_sweep(
 def double_hardy_report(
     norm: MinkowskiNorm,
     n: int,
-    u: TestFunction,
+    u: RadialFunction,
     R: float,
     uniformity: float = 1.0,
     spec: QuadratureSpec = QuadratureSpec(),

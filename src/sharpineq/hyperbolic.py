@@ -11,12 +11,11 @@ trial family only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flat import InequalityReport, _integrals
+from .flat import InequalityReport, RadialFunction, _hpw, _integrals
 from .norms import ball_volume_constant
 from .quadrature import (
     DecayClass,
@@ -82,32 +81,8 @@ def hyp_distance(x: np.ndarray) -> float:
     return math.log((1 + r) / (1 - r))
 
 
-@dataclass(frozen=True)
-class RadialHypFunction:
-    """Radial function of hyperbolic distance with derivative handle.
-
-    The decay class must dominate the e^((n-1) rho) growth of the volume
-    element; gaussian decay always does.
-    """
-
-    profile: RadialProfile
-    derivative: Callable[[float], float]
-
-    @staticmethod
-    def gaussian(alpha: float, beta: float = 0.0) -> "RadialHypFunction":
-        """e^(-alpha d^2 - beta d) with alpha > 0, beta >= 0."""
-        if alpha <= 0 or beta < 0:
-            raise ValueError("need alpha > 0 and beta >= 0")
-
-        def u(r):
-            return math.exp(-alpha * r * r - beta * r)
-
-        def du(r):
-            return -(2 * alpha * r + beta) * u(r)
-
-        return RadialHypFunction(
-            RadialProfile(u, DecayClass.gaussian(alpha)), du
-        )
+# the radial test function of hyperbolic distance, under its older name
+RadialHypFunction = RadialFunction
 
 
 def radial_laplacian(u: Callable, du: Callable, d2u: Callable, n: int, rho: float) -> float:
@@ -172,30 +147,19 @@ def hyp_volume_ratio_check(
 
 
 def hpw_hyperbolic_report(
-    u: RadialHypFunction, n: int, spec: QuadratureSpec = QuadratureSpec()
+    u: RadialFunction, n: int, spec: QuadratureSpec = QuadratureSpec()
 ) -> InequalityReport:
     """Plain uncertainty product on the model, against n^2/4.
 
     Strictly above the target for every nonzero input; no extremal exists.
     """
-    prof, du = u.profile, u.derivative
-    if prof.decay.kind == "algebraic":
-        raise ValueError("gaussian decay is mandatory against the volume growth")
-    A, M, L = _integrals(
-        u, hyperbolic_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2),
-        (lambda r: r**2 * prof(r) ** 2, 2),
-        (lambda r: prof(r) ** 2, 2),
-    )
-    if L.value == 0:
-        raise ValueError("zero test function")
-    return InequalityReport.product(A, M, L, n**2 / 4)
+    return _hpw(u, hyperbolic_radial_volume_integral, n, spec)
 
 
 def modified_hpw_report(
     n: int,
     alpha: Optional[float] = None,
-    u: Optional[RadialHypFunction] = None,
+    u: Optional[RadialFunction] = None,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> InequalityReport:
     """Uncertainty product against the curvature-corrected mass, target n^2/4.
@@ -207,7 +171,7 @@ def modified_hpw_report(
     if (alpha is None) == (u is None):
         raise ValueError("pass exactly one of alpha or u")
     if u is None:
-        u = RadialHypFunction.gaussian(alpha)
+        u = RadialFunction.gaussian(alpha)
     prof, du = u.profile, u.derivative
     if prof.decay.kind == "algebraic":
         raise ValueError("gaussian decay is mandatory against the volume growth")
@@ -221,7 +185,7 @@ def modified_hpw_report(
 
 
 def hardy_hyperbolic_report(
-    u: RadialHypFunction, n: int, spec: QuadratureSpec = QuadratureSpec()
+    u: RadialFunction, n: int, spec: QuadratureSpec = QuadratureSpec()
 ) -> tuple[InequalityReport, InequalityReport]:
     """Quantitative and improved Hardy on the model, both with target 1.
 

@@ -128,9 +128,6 @@ def _weight_fn(weight) -> tuple[Callable[[float], float], float]:
     if kind == "power":
         k = weight[1]
         return (lambda r: r**k), 0.0
-    if kind == "gaussian":
-        a = weight[1]
-        return (lambda r: math.exp(-a * r * r)), 0.0
     if kind == "sinh-power":
         m = weight[1]
         return (lambda r: math.sinh(r) ** m), float(m)
@@ -165,7 +162,7 @@ def _truncation_radius(decay: DecayClass, growth: float, tol: float) -> float:
 def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
     """Integral of f(rho) w(rho) over [0, oo).
 
-    weight is ('power', k), ('gaussian', a) or ('sinh-power', m).  The domain
+    weight is ('power', k) or ('sinh-power', m).  The domain
     is split at 1 and at every breakpoint up to its end: the truncation
     radius T, or for algebraic decay the larger of 1 and the last breakpoint.
     Unless the decay is compact, the tail past the end is mapped onto [0, 1)

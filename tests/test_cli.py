@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +73,46 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL + "\n[norm]\nfamily = lp\ndimension = 2\np = 4.0\n")
         assert cfg.norm_spec == {"family": "lp", "dimension": 2, "p": 4.0}
         assert cfg.norm().exponent == 4.0
+
+    def test_alpha_nodes_below_two_rejected(self):
+        # the ko-refute scan of fewer than two alphas examines nothing
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "\n[grids]\nalpha_nodes = 1\n")
+        assert "grids.alpha_nodes" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (MINIMAL.replace("suite = identities", "suite = identities\nn = abc"), "run.n: cannot parse 'abc'"),
+            (MINIMAL + "\n[norm]\ndimension = x\n", "norm.dimension: cannot parse 'x'"),
+            (MINIMAL + "\n[quadrature]\ntolerance = x\n", "quadrature.tolerance: cannot parse 'x'"),
+            (MINIMAL + "\n[quadrature]\nseed = zz\n", "quadrature.seed: cannot parse 'zz'"),
+            (MINIMAL + "\n[grids]\nlambda = 0.5 one\n", "grids.lambda: cannot parse '0.5 one'"),
+        ],
+    )
+    def test_bad_value_named(self, text, error):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert error in exc.value.errors
+
+    @pytest.mark.parametrize(
+        "extra, name",
+        [("[quadrature]\ntolerence = 1e-12\n", "quadrature.tolerence"), ("[grid]\nalpha = 3 100\n", "[grid]")],
+    )
+    def test_unknown_key_or_section_rejected(self, extra, name):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "\n" + extra)
+        assert name in str(exc.value)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(block)
+        assert (cfg.suite, cfg.n, cfg.output_dir) == ("identities", 3, "out")
+        assert cfg.norm_spec == {"family": "lp", "dimension": 3, "p": 4.0}
+        assert cfg.triple == (3, 3.0, 1.0)
+        assert (cfg.alpha_range, cfg.alpha_nodes) == ((3.0, 100.0), 4096)
+        assert (cfg.tolerance, cfg.seed) == (1e-9, 0x5EED)
 
 
 class TestRoundTrip:
@@ -153,6 +194,11 @@ class TestRunSuite:
             tmp_path / "again" / "ko-refute.csv"
         ).read_bytes()
 
+    def test_ko_refute_fails_without_alphas(self, tmp_path):
+        # a RunConfig built in code skips the alpha_nodes check of parse_config
+        result = run_suite(RunConfig(suite="ko-refute", alpha_nodes=1), str(tmp_path))
+        assert not result.passed
+
     def test_chpw_bounds_row_carries_error_estimate(self, tmp_path):
         cfg = RunConfig(suite="chpw-bounds")
         (row,) = run_suite(cfg, str(tmp_path)).checks
@@ -172,6 +218,12 @@ class TestMain:
         code = main(["--config", str(bad)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_exit_two_on_bad_value(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(MINIMAL + "\n[quadrature]\nseed = zz\n")
+        assert main(["--config", str(bad)]) == 2
+        assert "quadrature.seed" in capsys.readouterr().err
 
     def test_exit_two_on_bad_tolerance(self, tmp_path):
         assert main(["--suite", "chpw-bounds", "--out", str(tmp_path), "--tolerance", "-1"]) == 2

@@ -229,15 +229,29 @@ class TestInterpolation:
         rel = 3 * math.sqrt(sum(e ** 2 for e in rep.integral_errors)) + 1e-3
         assert rep.ratio == pytest.approx(control.ratio, rel=4 * rel)
 
-    def test_translation_invariance_radial(self):
+    def test_general_path_reads_basepoint(self):
+        # moving the function, its support box and the basepoint together
+        # leaves the report unchanged; distances are taken from the basepoint
         t = ExponentTriple(3, 3.0, 1.0)
-        at_origin = interpolation_report(EUCLID3, t, gaussian_tf())
-        u = gaussian_tf()
-        shifted = TF.radial(u.profile, u.derivative, basepoint=np.array([1.0, -2.0, 0.5]))
-        moved = interpolation_report(EUCLID3, t, shifted)
-        assert moved.lhs == at_origin.lhs
-        assert moved.rhs == at_origin.rhs
-        assert moved.ratio == at_origin.ratio
+        v = np.array([1.0, -2.0, 0.5])
+
+        def ev(pts):
+            r2 = np.sum(pts * pts, axis=1)
+            return np.exp(-r2 / 2) * np.clip(1 - r2 / 4, 0, None) ** 3
+
+        def grad(pts):
+            r2 = np.sum(pts * pts, axis=1)[:, None]
+            cut = np.clip(1 - r2 / 4, 0, None)
+            return np.exp(-r2 / 2) * (-pts * cut**3 - 1.5 * pts * cut**2)
+
+        spec = QuadratureSpec(mc_samples=1 << 14)
+        at_origin = interpolation_report(LP4_3, t, TF.general(ev, [(-2.0, 2.0)] * 3, gradient=grad), spec)
+        moved = TF.general(
+            lambda x: ev(x - v), [(-2.0 + c, 2.0 + c) for c in v], gradient=lambda x: grad(x - v), basepoint=v
+        )
+        rep = interpolation_report(LP4_3, t, moved, spec)
+        for a, b in ((rep.lhs, at_origin.lhs), (rep.rhs, at_origin.rhs), (rep.ratio, at_origin.ratio)):
+            assert a == pytest.approx(b, rel=1e-9)
 
 
 class TestGaussianT:
