@@ -85,12 +85,21 @@ GRAMMAR = {
 }
 
 
+# the least [run] n each suite holds for; identities reads only the triple's n
+MIN_N = {"flat-hpw": 2, "flat-hardy": 3, "hyperbolic": 2, "ko-refute": 3, "chpw-bounds": 2, "all": 3}
+# suites that evaluate the [norm] in dimension [run] n
+NORM_SUITES = ("flat-hpw", "flat-hardy", "all")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate an INI config block; raise ConfigError listing defects.
 
     ';' starts an inline comment.  A section or key outside GRAMMAR is an
     error, and so is a value its parser rejects, named as section.key; a
-    section holding such a value gets no further checks.
+    section holding such a value gets no further checks.  run.n must reach
+    the suite's MIN_N, norm.dimension defaults to run.n and must equal it
+    for NORM_SUITES, and grids.epsilon needs two values for the sweep's
+    extrapolation.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
@@ -120,12 +129,19 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(suite=suite or "all")
     if "n" in run:
         cfg.n = run["n"]
+    if cfg.n < MIN_N.get(cfg.suite, cfg.n):
+        errors.append(f"run.n = {cfg.n} is below {MIN_N[cfg.suite]}, the least n of suite {cfg.suite!r}")
     if "output_dir" in run:
         cfg.output_dir = run["output_dir"]
+    if cfg.n >= 2:
+        # a norm without a dimension lives in run.n; below 2 there is no norm,
+        # and only identities, which never builds one, accepts such an n
+        cfg.norm_spec = {"family": "euclidean", "dimension": cfg.n}
     if "norm" in values and "norm" not in broken:
         sec = values["norm"]
-        spec = {"family": sec.get("family", "euclidean")}
-        spec.update((k, sec[k]) for k in ("dimension", "p", "matrix") if k in sec)
+        spec = {"family": sec.get("family", "euclidean"),
+                "dimension": sec.get("dimension", cfg.norm_spec["dimension"])}
+        spec.update((k, sec[k]) for k in ("p", "matrix") if k in sec)
         cfg.norm_spec = spec
         try:
             build_norm(spec)
@@ -133,6 +149,11 @@ def parse_config(text: str) -> RunConfig:
             errors.extend(exc.errors)
         except Exception as exc:
             errors.append(f"bad norm config: {exc}")
+    if cfg.suite in NORM_SUITES and cfg.norm_spec["dimension"] != cfg.n:
+        errors.append(
+            f"norm.dimension = {cfg.norm_spec['dimension']} differs from run.n = {cfg.n}: "
+            f"suite {cfg.suite!r} evaluates the norm in dimension run.n"
+        )
     if "triple" in values and "triple" not in broken:
         sec = values["triple"]
         try:
@@ -166,9 +187,11 @@ def parse_config(text: str) -> RunConfig:
         cfg.seed = quadrature["seed"]
     if cfg.suite in ("identities",) and cfg.triple is None:
         errors.append("suite 'identities' requires a [triple] section")
-    for name in ("lambda_grid", "epsilon_grid", "rho_grid"):
+    for name in ("lambda_grid", "rho_grid"):
         if not getattr(cfg, name):
             errors.append(f"{name} must be non-empty")
+    if len(cfg.epsilon_grid) < 2:
+        errors.append("grids.epsilon needs at least two values: the sharpness sweep extrapolates over them")
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -20,6 +20,7 @@ from .quadrature import (
     RadialProfile,
     fd_derivative,
     flat_radial_volume_integral,
+    gauss_kronrod_batch,
     monte_carlo_integral,
     radial_integral,
 )
@@ -480,6 +481,15 @@ def hardy_report(
     return InequalityReport.quotient(A, H, (n - 2) ** 2 / 4)
 
 
+def _smoothstep(s, width):
+    """The quintic 1 - s^3 (10 - 15 s + 6 s^2) and its derivative in rho.
+
+    s = (rho - r) / width on [0, 1], a float or an array; the quintic is 1
+    at s = 0 and 0 at s = 1, and its derivative 0 at both ends.
+    """
+    return 1 - s**3 * (10 - 15 * s + 6 * s**2), -(30 * s**2 - 60 * s**3 + 30 * s**4) / width
+
+
 def smoothstep_cutoff(r: float, R: float) -> tuple[Callable, Callable]:
     """Quintic smoothstep: 1 on [0, r], 0 on [R, oo), C^2 monotone between.
 
@@ -493,14 +503,12 @@ def smoothstep_cutoff(r: float, R: float) -> tuple[Callable, Callable]:
             return 1.0
         if rho >= R:
             return 0.0
-        s = (rho - r) / (R - r)
-        return 1 - s**3 * (10 - 15 * s + 6 * s**2)
+        return _smoothstep((rho - r) / (R - r), R - r)[0]
 
     def dpsi(rho):
         if rho <= r or rho >= R:
             return 0.0
-        s = (rho - r) / (R - r)
-        return -(30 * s**2 - 60 * s**3 + 30 * s**4) / (R - r)
+        return _smoothstep((rho - r) / (R - r), R - r)[1]
 
     return psi, dpsi
 
@@ -515,32 +523,46 @@ def hardy_sharpness_sweep(
 ) -> dict:
     """Hardy quotient of the capped power family against the cutoff.
 
-    u_eps = min(rho, eps)^(-gamma) capped at eps, gamma = (n-2)/2, multiplied
-    by a quintic smoothstep supported in [0, R].  The quotient sequence is
-    non-increasing toward (n-2)^2/4; the extrapolated limit comes from an
-    affine fit in 1/ln(1/eps).
+    u_eps = max(rho, eps)^(-gamma), gamma = (n-2)/2, multiplied by a quintic
+    smoothstep supported in [0, R].  The quotient sequence is non-increasing
+    toward (n-2)^2/4; the extrapolated limit comes from an affine fit in
+    1/ln(1/eps), over at least two eps.
+
+    The quotient is int (u_eps')^2 over int u_eps^2/rho^2, both against
+    rho^(n-1) d rho (n omega_n cancels), for every eps from one
+    gauss_kronrod_batch pass.  [0, eps], [eps, r] and [r, R] are each mapped
+    onto [0, 1], and the integrand on [0, 1] is the sum of the three; on
+    [eps, r], rho = eps (r/eps)^x turns the 1/rho integrand into a constant.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if len(eps_list) < 2:
+        raise ValueError("need at least two eps for the extrapolation")
     if not all(0 < e < r for e in eps_list):
         raise ValueError("need 0 < eps < r for every eps")
     if not (r < R):
         raise ValueError("need r < R")
     gamma = (n - 2) / 2
-    psi, dpsi = smoothstep_cutoff(r, R)
-    quotients = []
-    for eps in eps_list:
 
-        def u(rho, eps=eps):
-            return psi(rho) * (max(eps, rho)) ** (-gamma)
+    def integrand(x, eps):
+        span = np.log(r / eps)
+        inner = eps * np.exp(span * x)
+        pieces = ((eps * x, eps), (inner, inner * span), (r + (R - r) * x, R - r))
+        energy = hardy = 0.0
+        for rho, jac in pieces:
+            psi, dpsi = _smoothstep(np.clip((rho - r) / (R - r), 0.0, 1.0), R - r)
+            u = psi * np.maximum(eps, rho) ** -gamma
+            du = np.where(rho <= eps, 0.0, dpsi * rho**-gamma - gamma * psi * rho ** (-gamma - 1))
+            w = rho ** (n - 1) * jac
+            energy = energy + du**2 * w
+            hardy = hardy + u**2 / rho**2 * w
+        return np.stack([energy, hardy])
 
-        def du(rho, eps=eps):
-            if rho <= eps:
-                return 0.0
-            return dpsi(rho) * rho ** (-gamma) - gamma * psi(rho) * rho ** (-gamma - 1)
+    def describe(eps):
+        return f"eps = {eps!r} for n = {n}"
 
-        tf = RadialFunction(RadialProfile(u, DecayClass.compact(R), breakpoints=(eps, r)), du)
-        quotients.append(hardy_report(norm, n, tf, 0.0, spec).ratio)
+    (energy, hardy), _, _ = gauss_kronrod_batch(integrand, eps_list, spec, describe)
+    quotients = (energy / hardy).tolist()
     ell = np.array([math.log(1.0 / e) for e in eps_list])
     y = np.array(quotients)
     if len(eps_list) >= 3:

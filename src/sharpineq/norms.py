@@ -347,7 +347,7 @@ def uniformity_constant(norm: MinkowskiNorm, resolution: int = 64) -> float:
         return 1.0
     alphas = _sphere_lattice(norm.dimension, resolution)
     betas = _sphere_lattice(norm.dimension, resolution + 1)
-    dual_sq = [dual_norm_value(norm, b) ** 2 for b in betas]
+    dual_sq = np.array([dual_norm_value(norm, b) ** 2 for b in betas])
     best = np.inf
     for a in alphas:
         H = _dual_hessian(norm, a)
@@ -357,10 +357,8 @@ def uniformity_constant(norm: MinkowskiNorm, resolution: int = 64) -> float:
                 "dual Hessian not positive definite at a sample point "
                 "(norm not strongly convex, or FD step too coarse)"
             )
-        for b, d2 in zip(betas, dual_sq):
-            q = (b @ H @ b) / d2
-            if q < best:
-                best = q
+        # b H b / F*(b)^2 for every beta b at once
+        best = min(best, (((betas @ H) * betas).sum(axis=1) / dual_sq).min())
     return float(best)
 
 

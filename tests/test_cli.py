@@ -104,6 +104,43 @@ class TestParseConfig:
             parse_config(MINIMAL + "\n" + extra)
         assert name in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "suite, least",
+        [("flat-hpw", 2), ("flat-hardy", 3), ("hyperbolic", 2), ("ko-refute", 3), ("chpw-bounds", 2), ("all", 3)],
+    )
+    def test_n_below_suite_minimum_named(self, suite, least):
+        text = MINIMAL.replace("suite = identities", f"suite = {suite}\nn = {{}}")
+        assert parse_config(text.format(least)).n == least
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text.format(least - 1))
+        assert f"run.n = {least - 1} is below {least}" in str(exc.value)
+
+    def test_identities_has_no_n_minimum(self):
+        # the identities suite reads only the triple's n; its config still
+        # round-trips, with a norm in the default dimension
+        cfg = parse_config(MINIMAL.replace("suite = identities", "suite = identities\nn = 1"))
+        assert cfg.n == 1
+        assert parse_config(render_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("suite", ["flat-hpw", "flat-hardy", "all"])
+    def test_norm_dimension_must_equal_n(self, suite):
+        text = MINIMAL.replace("suite = identities", f"suite = {suite}\nn = 3")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text + "\n[norm]\nfamily = lp\ndimension = 2\np = 4.0\n")
+        assert "norm.dimension = 2 differs from run.n = 3" in str(exc.value)
+
+    def test_norm_dimension_defaults_to_n(self):
+        text = "[run]\nsuite = flat-hpw\nn = 4\n"
+        assert parse_config(text).norm_spec == {"family": "euclidean", "dimension": 4}
+        cfg = parse_config(text + "\n[norm]\nfamily = lp\np = 4.0\n")
+        assert cfg.norm_spec == {"family": "lp", "dimension": 4, "p": 4.0}
+        assert cfg.norm().dimension == 4
+
+    def test_one_epsilon_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "\n[grids]\nepsilon = 1e-2\n")
+        assert "grids.epsilon needs at least two values" in str(exc.value)
+
     def test_readme_example_parses(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -371,6 +371,55 @@ class TestSharpnessSweep:
         with pytest.raises(ValueError):
             hardy_sharpness_sweep(EUCLID3, 3, 1.0, 2.0, [1e-2, 1.5])
 
+    @pytest.mark.parametrize("eps", [[], [1e-2]])
+    def test_needs_two_epsilons(self, eps):
+        # one eps leaves the extrapolation underdetermined
+        with pytest.raises(ValueError, match="two eps"):
+            hardy_sharpness_sweep(EUCLID3, 3, 1.0, 2.0, eps)
+
+    @staticmethod
+    def capped_power(n, r, R, eps):
+        """u_eps as scalar closures, for the adaptive hardy_report."""
+        gamma = (n - 2) / 2
+        psi, dpsi = smoothstep_cutoff(r, R)
+
+        def u(rho):
+            return psi(rho) * max(eps, rho) ** (-gamma)
+
+        def du(rho):
+            if rho <= eps:
+                return 0.0
+            return dpsi(rho) * rho ** (-gamma) - gamma * psi(rho) * rho ** (-gamma - 1)
+
+        return TF.radial(RadialProfile(u, DecayClass.compact(R), breakpoints=(eps, r)), du)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_matches_adaptive_hardy_report(self, n, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        norm = MinkowskiNorm(n, "weighted-euclidean", matrix=np.eye(n))
+        for r, R, eps_list in ((1.0, 2.0, [10.0**-k for k in range(2, 9)]),
+                               (0.5, 1.5, [10.0**-k for k in range(3, 9)])):
+            out = hardy_sharpness_sweep(norm, n, r, R, eps_list, spec)
+            for eps, q in zip(eps_list, out["quotients"]):
+                want = hardy_report(norm, n, self.capped_power(n, r, R, eps), 0.0, spec).ratio
+                assert q == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_no_scalar_quadrature(self, monkeypatch):
+        def scalar(*args, **kwargs):
+            raise AssertionError("the sweep called a scalar radial integral")
+
+        monkeypatch.setattr(flat, "radial_integral", scalar)
+        monkeypatch.setattr(flat, "flat_radial_volume_integral", scalar)
+        out = hardy_sharpness_sweep(EUCLID3, 3, 1.0, 2.0, [1e-2, 1e-4, 1e-8])
+        assert len(out["quotients"]) == 3
+
+    def test_profile_outside_float_range(self):
+        # u_eps^2 = eps^-6 overflows at n = 8
+        norm = MinkowskiNorm(8, "weighted-euclidean", matrix=np.eye(8))
+        with pytest.raises(QuadratureError, match="float range"):
+            hardy_sharpness_sweep(norm, 8, 1.0, 2.0, [1e-60, 1e-61])
+
 
 class TestDoubleHardy:
     def bump(self):

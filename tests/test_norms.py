@@ -14,7 +14,7 @@ from sharpineq import (
     uniformity_constant,
     unit_ball_volume,
 )
-from sharpineq.norms import _sampling_box
+from sharpineq.norms import _dual_hessian, _sampling_box, _sphere_lattice
 
 
 def euclid(n):
@@ -292,6 +292,20 @@ class TestUniformityConstant:
     def test_lp_gap_strict(self):
         for p in (3.0, 4.0):
             assert uniformity_constant(lp(2, p)) < 1 - 1e-3
+
+    @pytest.mark.parametrize("n, p", [(2, 4.0), (3, 1.5), (3, 4.0), (4, 3.0)])
+    def test_matches_per_pair_loop(self, n, p):
+        # the quotient b H b / F*(b)^2 one (alpha, beta) pair at a time; the
+        # batched form may sum in another order, so allow a few ulps
+        norm = lp(n, p)
+        betas = _sphere_lattice(n, 65)
+        dual_sq = [dual_norm_value(norm, b) ** 2 for b in betas]
+        best = math.inf
+        for a in _sphere_lattice(n, 64):
+            H = _dual_hessian(norm, a)
+            for b, d2 in zip(betas, dual_sq):
+                best = min(best, (b @ H @ b) / d2)
+        assert uniformity_constant(norm) == pytest.approx(best, rel=8 * np.finfo(float).eps, abs=0)
 
     def test_lp4_regression(self):
         assert uniformity_constant(lp(2, 4.0)) == pytest.approx(0.3341787245354644, abs=1e-9)
