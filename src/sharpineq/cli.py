@@ -91,7 +91,7 @@ MIN_N = {"flat-hpw": 2, "flat-hardy": 3, "hyperbolic": 2, "ko-refute": 3, "chpw-
 NORM_SUITES = ("flat-hpw", "flat-hardy", "all")
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, suite: Optional[str] = None) -> RunConfig:
     """Parse and validate an INI config block; raise ConfigError listing defects.
 
     ';' starts an inline comment.  A section or key outside GRAMMAR is an
@@ -99,7 +99,8 @@ def parse_config(text: str) -> RunConfig:
     section holding such a value gets no further checks.  run.n must reach
     the suite's MIN_N, norm.dimension defaults to run.n and must equal it
     for NORM_SUITES, and grids.epsilon needs two values for the sweep's
-    extrapolation.
+    extrapolation.  suite, when given (the --suite flag), replaces run.suite
+    before any check.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
@@ -123,7 +124,7 @@ def parse_config(text: str) -> RunConfig:
                 errors.append(f"{name}.{key}: cannot parse {raw!r}")
                 broken.add(name)
     run = values.get("run", {})
-    suite = run.get("suite", "")
+    suite = suite or run.get("suite", "")
     if suite not in SUITES:
         errors.append(f"unknown or missing suite {suite!r}; expected one of {SUITES}")
     cfg = RunConfig(suite=suite or "all")
@@ -586,7 +587,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.config is not None:
         try:
-            cfg = parse_config(args.config.read_text())
+            cfg = parse_config(args.config.read_text(), suite=args.suite)
         except ConfigError as exc:
             for e in exc.errors:
                 print(f"config error: {e}", file=sys.stderr)
@@ -595,8 +596,6 @@ def main(argv=None) -> int:
         cfg = RunConfig(suite=args.suite or "all")
         if cfg.suite in ("identities", "all"):
             cfg.triple = (3, 3.0, 1.0)
-    if args.suite:
-        cfg.suite = args.suite
     if args.seed is not None:
         cfg.seed = args.seed
     if args.tolerance is not None:

@@ -138,7 +138,9 @@ def _rows_value(norm: MinkowskiNorm, y: np.ndarray, dual: bool) -> np.ndarray:
         p = norm.exponent
         if dual:
             p = p / (p - 1)
-        return np.sum(np.abs(y) ** p, axis=1) ** (1.0 / p)
+        # float_power is libm pow, as in the one-vector np.float64 ** x; the
+        # array ** of numpy's SIMD loop differs from it in the last ulp
+        return np.float_power(np.sum(np.abs(y) ** p, axis=1), 1.0 / p)
     if dual:
         return np.fromiter((_dual_by_maximization(norm, a)[0] for a in y), float, len(y))
     return np.fromiter(map(norm.value_fn, y), float, len(y))
@@ -256,7 +258,10 @@ def dual_norm_value(norm: MinkowskiNorm, alpha: Covector) -> float | np.ndarray:
     """Evaluate the polar norm F*(alpha) = sup_y alpha(y)/F(y).
 
     alpha is one covector of shape (n,), or m of them as the rows of an
-    (m, n) ndarray, which gives an ndarray of m values.
+    (m, n) ndarray, which gives an ndarray of m values.  lp and custom rows
+    equal their one-covector calls bit for bit (the finite-difference
+    Hessian of uniformity_constant relies on it); weighted-euclidean rows
+    are within 4 ulp of them.
     """
     if getattr(alpha, "ndim", 1) == 2:
         return _rows_value(norm, alpha.astype(float, copy=False), dual=True)
@@ -308,31 +313,41 @@ def legendre_map(norm: MinkowskiNorm, alpha: Covector) -> DualityCertificate:
 
 
 def _dual_hessian(norm: MinkowskiNorm, alpha: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
-    """Hessian of (1/2) F*(.)^2 at alpha, central differences."""
-    n = len(alpha)
-    d0 = dual_norm_value(norm, alpha)
+    """Hessian of (1/2) F*(.)^2 at alpha, central differences with step h = rel_step F*(alpha).
+
+    alpha is one covector (n,), giving an (n, n) matrix, or m of them as the
+    rows of an (m, n) array, giving (m, n, n).  The stencil of a covector is
+    1 + 2n^2 points: alpha, alpha +- h e_i and the corners alpha +- h e_i +-
+    h e_j (i < j).  The centres take one dual_norm_value row call and the
+    other 2n^2 m points one more.  Every point, value and square equals the
+    one-point-at-a-time loop's bit for bit: corners are summed as (alpha +-
+    h e_i) +- h e_j, and squares go through float_power (libm pow, like
+    Python's x ** 2, which x * x differs from in the last ulp), because
+    dividing by h^2 ~ 1e-8 F*^2 turns a last-ulp difference in one value
+    into ~1e-8 in H.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    a = np.atleast_2d(alpha)
+    m, n = a.shape
+    i, j = np.triu_indices(n, 1)
+    d0 = dual_norm_value(norm, a)
     h = rel_step * d0
-
-    def f(a):
-        return dual_norm_value(norm, a) ** 2 / 2
-
-    H = np.empty((n, n))
-    f0 = d0**2 / 2
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (f(alpha + ei) - 2 * f0 + f(alpha - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            v = (
-                f(alpha + ei + ej)
-                - f(alpha + ei - ej)
-                - f(alpha - ei + ej)
-                + f(alpha - ei - ej)
-            ) / (4 * h**2)
-            H[i, j] = H[j, i] = v
-    return H
+    e = h[:, None, None] * np.eye(n)  # e[:, i] = h e_i
+    plus, minus = a[:, None, :] + e, a[:, None, :] - e
+    stencil = np.concatenate(
+        [plus, minus, plus[:, i] + e[:, j], plus[:, i] - e[:, j], minus[:, i] + e[:, j], minus[:, i] - e[:, j]],
+        axis=1,
+    )
+    f = np.float_power(dual_norm_value(norm, stencil.reshape(-1, n)), 2).reshape(m, -1) / 2
+    fp, fm, fpp, fpm, fmp, fmm = np.split(f, np.cumsum([n, n, len(i), len(i), len(i)]), axis=1)
+    f0 = np.float_power(d0, 2)[:, None] / 2
+    h2 = np.float_power(h, 2)[:, None]
+    H = np.empty((m, n, n))
+    diag = np.arange(n)
+    H[:, diag, diag] = (fp - 2 * f0 + fm) / h2
+    H[:, i, j] = (fpp - fpm - fmp + fmm) / (4 * h2)
+    H[:, j, i] = H[:, i, j]
+    return H if alpha.ndim == 2 else H[0]
 
 
 def uniformity_constant(norm: MinkowskiNorm, resolution: int = 64) -> float:
@@ -341,25 +356,32 @@ def uniformity_constant(norm: MinkowskiNorm, resolution: int = 64) -> float:
     Infimum over sampled (alpha, beta) pairs of unit-sphere directions of
     g*_alpha(beta, beta) / F*(beta)^2 where g* is the Hessian of half the
     squared dual norm.  Equals 1 exactly for inner-product norms.
+
+    The resolution lattice covectors alpha go to _dual_hessian as one stack
+    (two dual_norm_value row calls over 1 + 2n^2 stencil points each), and
+    F*(beta)^2 of the resolution + 1 betas takes one more.  The values and
+    squares equal the one-vector calls bit for bit (see _dual_hessian): a
+    last-ulp change in one F* value moves the constant by ~1e-8.  NormError
+    names the first lattice covector whose Hessian is not positive definite.
     """
     if norm.family == "weighted-euclidean":
         # the Hessian is the constant matrix A^{-1}: the quotient is identically 1
         return 1.0
     alphas = _sphere_lattice(norm.dimension, resolution)
     betas = _sphere_lattice(norm.dimension, resolution + 1)
-    dual_sq = np.array([dual_norm_value(norm, b) ** 2 for b in betas])
-    best = np.inf
-    for a in alphas:
-        H = _dual_hessian(norm, a)
-        eigs = np.linalg.eigvalsh((H + H.T) / 2)
-        if eigs.min() <= 0:
-            raise NormError(
-                "dual Hessian not positive definite at a sample point "
-                "(norm not strongly convex, or FD step too coarse)"
-            )
-        # b H b / F*(b)^2 for every beta b at once
-        best = min(best, (((betas @ H) * betas).sum(axis=1) / dual_sq).min())
-    return float(best)
+    dual_sq = np.float_power(dual_norm_value(norm, betas), 2)
+    H = _dual_hessian(norm, alphas)
+    least = np.linalg.eigvalsh(H).min(axis=1)
+    bad = np.flatnonzero(least <= 0)
+    if bad.size:
+        k = bad[0]
+        raise NormError(
+            f"dual Hessian not positive definite at lattice covector {k} of {resolution}, "
+            f"alpha = {alphas[k].tolist()}: least eigenvalue {least[k]:.3g} "
+            "(norm not strongly convex, or FD step too coarse)"
+        )
+    # b H b / F*(b)^2 for every alpha and beta b at once
+    return float((((betas @ H) * betas).sum(axis=2) / dual_sq).min())
 
 
 # nodes per axis of each face of the first face grid, by dimension (n >= 4

@@ -265,6 +265,13 @@ class TestMain:
     def test_exit_two_on_bad_tolerance(self, tmp_path):
         assert main(["--suite", "chpw-bounds", "--out", str(tmp_path), "--tolerance", "-1"]) == 2
 
+    def test_suite_flag_validated_like_the_config(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nsuite = hyperbolic\nn = 2\n")
+        assert main(["--config", str(ini), "--suite", "flat-hardy", "--out", str(tmp_path / "out")]) == 2
+        assert "run.n = 2 is below 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_run(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text(MINIMAL)

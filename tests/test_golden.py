@@ -1,12 +1,16 @@
-"""Golden outputs of the default ``sharpineq --suite all`` run.
+"""Golden outputs of two ``sharpineq`` runs.
 
-The files under tests/golden/ hold all.csv, the Hardy and volume-ratio
-series and every PHI_STRIDE-th row of phi_vs_alpha.csv.  A refactor that
-claims to keep the numbers keeps these: names and pass flags exactly, every
-number to GOLDEN_REL x max(1, |golden|), the slack numpy's SIMD exp and log
-may take by one ulp between CPUs.  A golden file changes only together with
-a CHANGES.md line saying why: copy the files of ``sharpineq --suite all``,
-keeping only the header and every PHI_STRIDE-th data row of phi_vs_alpha.csv
+tests/golden/ holds the default ``sharpineq --suite all`` run: all.csv, the
+Hardy and volume-ratio series and every PHI_STRIDE-th row of
+phi_vs_alpha.csv.  tests/golden/lp4/ holds flat-hardy.csv and the Hardy
+series of the LP4_CONFIG run, the one whose double-Hardy row goes through
+the finite-difference dual Hessian of ``uniformity_constant`` (the euclidean
+norm of the default run returns 1 without it).  A refactor that claims to
+keep the numbers keeps these: names and pass flags exactly, every number to
+GOLDEN_REL x max(1, |golden|), the slack numpy's SIMD exp and log may take
+by one ulp between CPUs.  A golden file changes only together with a
+CHANGES.md line saying why: copy the files of the run, keeping only the
+header and every PHI_STRIDE-th data row of phi_vs_alpha.csv
 (``sed -n '1p;2~64p'``).
 """
 
@@ -20,7 +24,12 @@ from sharpineq.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_REL = 1e-12
 PHI_STRIDE = 64
-FILES = ("all.csv", "hardy_quotient_vs_logeps.csv", "volume_ratio_vs_rho.csv", "phi_vs_alpha.csv")
+LP4_CONFIG = "[run]\nsuite = flat-hardy\nn = 4\n\n[norm]\nfamily = lp\np = 4.0\n"
+# run -> (golden directory, files compared)
+RUNS = {
+    "all": (GOLDEN, ("all.csv", "hardy_quotient_vs_logeps.csv", "volume_ratio_vs_rho.csv", "phi_vs_alpha.csv")),
+    "lp4": (GOLDEN / "lp4", ("flat-hardy.csv", "hardy_quotient_vs_logeps.csv")),
+}
 # all.csv columns compared as text; every other column is a number
 TEXT_COLUMNS = ("suite", "name", "passed")
 
@@ -31,16 +40,28 @@ def read_rows(path: Path, stride: int = 1) -> list:
 
 
 @pytest.fixture(scope="module")
-def run_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("suite_all")
-    assert main(["--suite", "all", "--out", str(out)]) == 0
-    return out
+def run_dirs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_runs")
+    (root / "lp4.ini").write_text(LP4_CONFIG)
+    args = {"all": ["--suite", "all"], "lp4": ["--config", str(root / "lp4.ini")]}
+    for run, argv in args.items():
+        assert main([*argv, "--out", str(root / run)]) == 0
+    return root
 
 
-@pytest.mark.parametrize("name", FILES)
-def test_matches_golden(run_dir, name):
+# ids: the file name for the default run, "lp4/<file>" for the other
+CASES = [
+    pytest.param(run, name, id=name if run == "all" else f"{run}/{name}")
+    for run, (_, files) in RUNS.items()
+    for name in files
+]
+
+
+@pytest.mark.parametrize("run, name", CASES)
+def test_matches_golden(run_dirs, run, name):
+    golden = RUNS[run][0]
     stride = PHI_STRIDE if name == "phi_vs_alpha.csv" else 1
-    got, want = read_rows(run_dir / name, stride), read_rows(GOLDEN / name)
+    got, want = read_rows(run_dirs / run / name, stride), read_rows(golden / name)
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert g.keys() == w.keys(), f"{name}: columns differ"
@@ -52,4 +73,3 @@ def test_matches_golden(run_dir, name):
                 assert abs(float(g[col]) - b) <= GOLDEN_REL * max(1.0, abs(b)), (
                     f"{name} row {i}: {col} {g[col]} != {text}"
                 )
-

@@ -279,6 +279,58 @@ class TestLegendreMap:
             legendre_map(euclid(2), np.zeros(2))
 
 
+def dual_hessian_loop(norm, alpha, rel_step=1e-4):
+    """The one-covector, one-point-at-a-time stencil that _dual_hessian batches."""
+    n = len(alpha)
+    d0 = dual_norm_value(norm, alpha)
+    h = rel_step * d0
+
+    def f(a):
+        return dual_norm_value(norm, a) ** 2 / 2
+
+    H = np.empty((n, n))
+    f0 = d0**2 / 2
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        H[i, i] = (f(alpha + ei) - 2 * f0 + f(alpha - ei)) / h**2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h
+            v = (
+                f(alpha + ei + ej)
+                - f(alpha + ei - ej)
+                - f(alpha - ei + ej)
+                + f(alpha - ei - ej)
+            ) / (4 * h**2)
+            H[i, j] = H[j, i] = v
+    return H
+
+
+class TestDualHessian:
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_stack_equals_loop_bit_for_bit(self, n, p):
+        norm = lp(n, p)
+        rng = np.random.Generator(np.random.Philox(key=43))
+        alphas = rng.standard_normal((16, n)) * 10.0 ** rng.uniform(-3, 3, (16, 1))
+        alphas[0, 0] = 0.0
+        H = _dual_hessian(norm, alphas)
+        assert H.shape == (16, n, n)
+        for a, got in zip(alphas, H):
+            want = dual_hessian_loop(norm, a)
+            assert np.array_equal(got, want)
+            assert np.array_equal(_dual_hessian(norm, a), want)
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_custom_stack_equals_loop_bit_for_bit(self, grad):
+        norm = custom_lp(2, 3.0, grad)
+        alphas = np.array([[0.6, -0.8], [1.5, 0.25]])
+        H = _dual_hessian(norm, alphas)
+        for a, got in zip(alphas, H):
+            assert np.array_equal(got, dual_hessian_loop(norm, a))
+
+
 class TestUniformityConstant:
     def test_inner_product_norms_give_one(self):
         assert uniformity_constant(euclid(3)) == pytest.approx(1.0, abs=1e-6)
@@ -302,10 +354,21 @@ class TestUniformityConstant:
         dual_sq = [dual_norm_value(norm, b) ** 2 for b in betas]
         best = math.inf
         for a in _sphere_lattice(n, 64):
-            H = _dual_hessian(norm, a)
+            H = dual_hessian_loop(norm, a)
             for b, d2 in zip(betas, dual_sq):
                 best = min(best, (b @ H @ b) / d2)
         assert uniformity_constant(norm) == pytest.approx(best, rel=8 * np.finfo(float).eps, abs=0)
+
+    def test_not_positive_definite_names_its_cause(self):
+        # lp(3, 1.2): the dual exponent 6 flattens F*^2 along the axes
+        with pytest.raises(NormError) as exc:
+            uniformity_constant(lp(3, 1.2))
+        msg = str(exc.value)
+        k = int(msg.split("lattice covector ")[1].split()[0])
+        alpha = _sphere_lattice(3, 64)[k]
+        assert f"alpha = {alpha.tolist()}" in msg
+        least = np.linalg.eigvalsh(dual_hessian_loop(lp(3, 1.2), alpha)).min()
+        assert least <= 0 and f"least eigenvalue {least:.3g}" in msg
 
     def test_lp4_regression(self):
         assert uniformity_constant(lp(2, 4.0)) == pytest.approx(0.3341787245354644, abs=1e-9)

@@ -70,6 +70,30 @@ def test_pairing_bounded_by_norm_times_dual_norm(case):
     assert float(alpha @ y) <= bound * (1 + 1e-12)
 
 
+# entries of size 1e-3..1e3 with either sign, or exactly zero
+row_entries = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def lp_rows_case(draw):
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 12))
+    rows = np.array(draw(st.lists(st.lists(row_entries, min_size=n, max_size=n), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = 0.0
+    return MinkowskiNorm(n, "lp", exponent=draw(st.floats(1.1, 8.0))), rows
+
+
+@PROPERTY
+@given(case=lp_rows_case())
+def test_lp_rows_equal_one_vector_calls(case):
+    # bit for bit: the stencil of uniformity_constant divides F* differences
+    # by h^2 ~ 1e-8, so a last-ulp difference moves the constant by ~1e-8
+    norm, rows = case
+    for fn in (norm_value, dual_norm_value):
+        assert np.array_equal(fn(norm, rows), [fn(norm, r) for r in rows])
+
+
 # covectors with entries 0 or of size in [0.01, 10]: a map whose entries
 # underflow is outside what the certificate promises
 entries = st.one_of(st.just(0.0), st.floats(0.01, 10.0), st.floats(-10.0, -0.01))
