@@ -1,7 +1,9 @@
 """Command-line front end: config parsing, suite execution, CSV/JSON artifacts.
 
 Config files are INI (``key = value`` sections); see the repository README
-for the grammar.  Identical config and seed produce byte-identical outputs.
+for the grammar.  Identical config gives byte-identical CSVs: no suite
+draws a Monte Carlo sample, so the seed reaches only the JSON's seed and
+config_hash.
 """
 
 from __future__ import annotations
@@ -169,6 +171,10 @@ def parse_config(text: str, suite: Optional[str] = None) -> RunConfig:
     for key in ("lambda", "epsilon", "rho"):
         if key in grids:
             setattr(cfg, f"{key}_grid", grids[key])
+    for key in ("lambda", "rho"):
+        bad = [v for v in grids.get(key, ()) if not v > 0]
+        if bad:
+            errors.append(f"grids.{key} holds {bad[0]!r}: every {key} must be positive")
     if "alpha" in grids:
         rng = grids["alpha"]
         if len(rng) != 2 or not (0 < rng[0] < rng[1]):
@@ -182,8 +188,7 @@ def parse_config(text: str, suite: Optional[str] = None) -> RunConfig:
     quadrature = values.get("quadrature", {})
     if "tolerance" in quadrature:
         cfg.tolerance = quadrature["tolerance"]
-        if not cfg.tolerance > 0:
-            errors.append("quadrature.tolerance must be positive")
+        errors.extend(_tolerance_errors(cfg.tolerance, "quadrature.tolerance"))
     if "seed" in quadrature:
         cfg.seed = quadrature["seed"]
     if cfg.suite in ("identities",) and cfg.triple is None:
@@ -196,6 +201,15 @@ def parse_config(text: str, suite: Optional[str] = None) -> RunConfig:
     if errors:
         raise ConfigError(errors)
     return cfg
+
+
+def _tolerance_errors(tolerance: float, source: str) -> list:
+    """QuadratureSpec's check of a relative tolerance, as config errors naming source."""
+    try:
+        QuadratureSpec(relative_tolerance=tolerance)
+    except ValueError as exc:
+        return [f"{source}: {exc}"]
+    return []
 
 
 def render_config(cfg: RunConfig) -> str:
@@ -585,25 +599,19 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=lambda s: int(s, 0), help="Monte Carlo seed")
     ap.add_argument("--tolerance", type=float, help="quadrature relative tolerance")
     args = ap.parse_args(argv)
-    if args.config is not None:
-        try:
-            cfg = parse_config(args.config.read_text(), suite=args.suite)
-        except ConfigError as exc:
-            for e in exc.errors:
-                print(f"config error: {e}", file=sys.stderr)
-            return 2
-    else:
-        cfg = RunConfig(suite=args.suite or "all")
-        if cfg.suite in ("identities", "all"):
-            cfg.triple = (3, 3.0, 1.0)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.tolerance is not None:
-        if args.tolerance <= 0:
-            print("config error: tolerance must be positive", file=sys.stderr)
-            return 2
-        cfg.tolerance = args.tolerance
     try:
+        if args.config is not None:
+            cfg = parse_config(args.config.read_text(), suite=args.suite)
+        else:
+            cfg = RunConfig(suite=args.suite or "all")
+            if cfg.suite in ("identities", "all"):
+                cfg.triple = (3, 3.0, 1.0)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        if args.tolerance is not None:
+            cfg.tolerance = args.tolerance
+            if errors := _tolerance_errors(cfg.tolerance, "--tolerance"):
+                raise ConfigError(errors)
         result = run_suite(cfg, str(args.out) if args.out else None)
     except ConfigError as exc:
         for e in exc.errors:

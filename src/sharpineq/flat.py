@@ -79,15 +79,6 @@ class ExponentTriple:
         """Exponent of the lambda power law for P."""
         return (self.n - self.q) / (2 - self.q) - self.p / (self.p - 2)
 
-    @property
-    def near_boundary(self) -> bool:
-        """Within 1e-3 of losing integrability; run with a bigger budget."""
-        return (
-            min(self.q, 2 - self.q, self.p - 2) < 1e-3
-            or 2 * (self.p - self.q) / (self.p - 2) - self.n < 1e-3
-            or self.n - 2 < 1e-3
-        )
-
 
 @dataclass(frozen=True)
 class RadialFunction:
@@ -239,12 +230,6 @@ def kernel_g(t: ExponentTriple, lam: float, rho: float) -> float:
     )
 
 
-def _spec_for(t: ExponentTriple, spec: QuadratureSpec) -> QuadratureSpec:
-    if not t.near_boundary:
-        return spec
-    return replace(spec, max_subdivisions=spec.max_subdivisions * 2)
-
-
 def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
     """The integrals P, Q, R of the extremal family at parameter lam.
 
@@ -255,7 +240,6 @@ def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = Quadra
         raise ValueError("lam must be positive")
     if which not in ("P", "Q", "R"):
         raise ValueError("selector must be one of P, Q, R")
-    spec = _spec_for(t, spec)
     if which == "P":
         return _radial(t, lam, kernel_h, spec)
     r = _radial(t, lam, kernel_g, spec)
@@ -279,7 +263,8 @@ def check_pqr_identity(
     t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
 ) -> list[InequalityReport]:
     """Q R / P^2 against (n-q)^2 / p^2 on a lambda grid (an equality)."""
-    spec = _spec_for(t, spec)
+    if any(lam <= 0 for lam in lam_grid):
+        raise ValueError("lam must be positive")
     out = []
     for lam in lam_grid:
         P = _radial(t, lam, kernel_h, spec)
@@ -360,7 +345,6 @@ def interpolation_report(
 
     A = int F*(Du)^2, B = int |u|^(2p-2)/rho^(2q-2), C = int |u|^p/rho^q.
     """
-    spec = _spec_for(t, spec)
     if isinstance(u, RadialFunction):
         n, p, q = t.n, t.p, t.q
         prof, du = u.profile, u.derivative
@@ -525,8 +509,9 @@ def hardy_sharpness_sweep(
 
     u_eps = max(rho, eps)^(-gamma), gamma = (n-2)/2, multiplied by a quintic
     smoothstep supported in [0, R].  The quotient sequence is non-increasing
-    toward (n-2)^2/4; the extrapolated limit comes from an affine fit in
-    1/ln(1/eps), over at least two eps.
+    toward (n-2)^2/4; the extrapolated limit A comes from a linear
+    least-squares fit of A + B/(ln(1/eps) + C) over at least two eps
+    (fit_coefficient is B).
 
     The quotient is int (u_eps')^2 over int u_eps^2/rho^2, both against
     rho^(n-1) d rho (n omega_n cancels), for every eps from one
@@ -562,34 +547,18 @@ def hardy_sharpness_sweep(
         return f"eps = {eps!r} for n = {n}"
 
     (energy, hardy), _, _ = gauss_kronrod_batch(integrand, eps_list, spec, describe)
-    quotients = (energy / hardy).tolist()
+    y = energy / hardy
     ell = np.array([math.log(1.0 / e) for e in eps_list])
-    y = np.array(quotients)
-    if len(eps_list) >= 3:
-        # the quotient is exactly A + B/(ln(1/eps) + C); fit the offset form.
-        # The residuals reach machine precision, which makes the covariance
-        # estimate singular -- expected here, so keep that warning quiet.
-        import warnings
-
-        from scipy.optimize import curve_fit, OptimizeWarning
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            (A, B, C), _ = curve_fit(
-                lambda l, A, B, C: A + B / (l + C),
-                ell,
-                y,
-                p0=(gamma**2, 1.0, 0.0),
-                maxfev=10000,
-            )
-        limit, coeff = float(A), float(B)
-    else:
-        coeff, limit = (float(v) for v in np.polyfit(1.0 / ell, y, 1))
+    # y is exactly A + B/(ell + C); times ell + C it is linear in (A, D, C),
+    # y ell = A ell + D - C y with D = A C + B.  Two eps fit C = 0.
+    columns = [ell, np.ones_like(ell), -y][: min(len(eps_list), 3)]
+    fit = np.linalg.lstsq(np.stack(columns, axis=1), y * ell, rcond=None)[0]
+    A, D, C = fit if len(fit) == 3 else (*fit, 0.0)
     return {
         "eps": list(eps_list),
-        "quotients": quotients,
-        "extrapolated_limit": limit,
-        "fit_coefficient": coeff,
+        "quotients": y.tolist(),
+        "extrapolated_limit": float(A),
+        "fit_coefficient": float(D - A * C),
         "target": gamma**2,
     }
 

@@ -92,12 +92,19 @@ def radial_laplacian(u: Callable, du: Callable, d2u: Callable, n: int, rho: floa
     return d2u(rho) + (n - 1) / math.tanh(rho) * du(rho)
 
 
+def _check_radii(rho_grid: Sequence[float]) -> None:
+    for rho in rho_grid:
+        if not rho > 0:
+            raise ValueError(f"need rho > 0 for every rho, got rho = {rho!r}")
+
+
 def laplace_comparison_check(n: int, c_list: Sequence[float], rho_grid: Sequence[float]) -> dict:
     """Distance-Laplacian lower bound (n-1) ct_c on the model space.
 
     Equality for c = -1 (the model curvature); strict inequality for the
     weaker bound c = 0.
     """
+    _check_radii(rho_grid)
     rows = []
     for c in c_list:
         if c not in (0.0, -1.0):
@@ -135,6 +142,7 @@ def hyp_volume_ratio_check(
     n: int, rho_grid: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
 ) -> dict:
     """Ball-volume over rho^n: non-decreasing, >= omega_n, -> omega_n at 0."""
+    _check_radii(rho_grid)
     omega = ball_volume_constant(n)
     ratios = [hyp_ball_volume(n, rho, spec) / rho**n for rho in rho_grid]
     return {

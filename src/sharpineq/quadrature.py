@@ -95,13 +95,14 @@ class QuadratureSpec:
     """
 
     relative_tolerance: float = 1e-9
-    max_subdivisions: int = 60
     mc_samples: int = 1 << 20
     mc_seed: int = 0x5EED
 
     def __post_init__(self):
-        if self.relative_tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.relative_tolerance) and self.relative_tolerance > 0):
+            raise ValueError(
+                f"relative tolerance must be finite and positive, got {self.relative_tolerance!r}"
+            )
         if self.mc_samples < (1 << 10):
             raise ValueError("mc_samples must be >= 2^10")
 
@@ -117,6 +118,10 @@ class IntegralResult:
 # radial_integral accepts a summed QUADPACK error estimate up to this multiple
 # of relative_tolerance * |value| before it raises "tolerance not met"
 ACCEPTANCE_FACTOR = 100
+
+# subintervals QUADPACK may use per panel of radial_integral, and the panel
+# cap of gauss_kronrod_batch
+_MAX_SUBINTERVALS = 600
 
 # e^(-x) underflows to 0.0 once x passes about 745
 _LOG_UNDERFLOW = 745.0
@@ -234,7 +239,7 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
             *((g, lo, hi) if hi < math.inf else (tail, 0.0, 1.0)),
             epsabs=1e-300,
             epsrel=spec.relative_tolerance,
-            limit=spec.max_subdivisions * 10,
+            limit=_MAX_SUBINTERVALS,
             full_output=True,
         )[:3]
         total += val
@@ -319,7 +324,7 @@ def gauss_kronrod_batch(
     the same nodes.  The rule is composite G7/K15 on equal panels.  Every
     integral carries its own error estimate, the sum over panels of |K - G|;
     the panel count is doubled only for the parameters with an estimate
-    above relative_tolerance * |value|, up to the 10 * max_subdivisions
+    above relative_tolerance * |value|, up to the _MAX_SUBINTERVALS
     subintervals radial_integral allows QUADPACK.  A value depends only on
     its parameter, never on the rest of the grid.  A QuadratureError names
     a parameter by describe(params[i].tolist()).  Returns (values,
@@ -364,7 +369,7 @@ def gauss_kronrod_batch(
         missed = (err > tol * np.abs(val)).any(axis=0)
         if not missed.any():
             return values, errors, evals
-        if 2 * panels > 10 * spec.max_subdivisions:
+        if 2 * panels > _MAX_SUBINTERVALS:
             with np.errstate(divide="ignore"):
                 rel = (err[:, missed] / np.abs(val[:, missed])).max(axis=0)
             worst = int(np.argmax(rel))

@@ -63,6 +63,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\n[quadrature]\ntolerance = -1e-9\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_rejected(self, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"\n[quadrature]\ntolerance = {value}\n")
+        assert exc.value.errors == [
+            f"quadrature.tolerance: relative tolerance must be finite and positive, got {float(value)!r}"
+        ]
+
+    @pytest.mark.parametrize("key, values, bad", [
+        ("lambda", "-1 1", "-1.0"), ("lambda", "0.5 0", "0.0"), ("lambda", "nan", "nan"),
+        ("rho", "0 1 2", "0.0"), ("rho", "1 -2", "-2.0"),
+    ])
+    def test_nonpositive_grid_value_rejected(self, key, values, bad):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"\n[grids]\n{key} = {values}\n")
+        assert exc.value.errors == [f"grids.{key} holds {bad}: every {key} must be positive"]
+
     def test_all_errors_collected(self):
         bad = "[run]\nsuite = nope\n\n[triple]\nn = 5\np = 3.0\nq = 1.0\n"
         with pytest.raises(ConfigError) as exc:
@@ -264,6 +281,24 @@ class TestMain:
 
     def test_exit_two_on_bad_tolerance(self, tmp_path):
         assert main(["--suite", "chpw-bounds", "--out", str(tmp_path), "--tolerance", "-1"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_exit_two_on_non_finite_tolerance(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert main(["--suite", "all", "--out", str(out), "--tolerance", value]) == 2
+        assert "config error: --tolerance: relative tolerance must be finite and positive" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grids, suite", [("rho = 0 1 2", "hyperbolic"), ("lambda = -1 1", "identities")])
+    def test_exit_two_on_grid_that_can_only_fail(self, tmp_path, capsys, grids, suite):
+        ini = tmp_path / "run.ini"
+        ini.write_text(MINIMAL + f"\n[grids]\n{grids}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--suite", suite, "--out", str(out)]) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_suite_flag_validated_like_the_config(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"

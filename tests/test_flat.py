@@ -148,6 +148,11 @@ class TestExtremalIntegrals:
         with pytest.raises(ValueError):
             pqr(ExponentTriple(3, 3.0, 1.0), 0.0, "P")
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_identity_rejects_nonpositive_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            check_pqr_identity(ExponentTriple(3, 3.0, 1.0), [1.0, lam])
+
     def test_empty_grids(self):
         t = ExponentTriple(3, 3.0, 1.0)
         assert check_pqr_identity(t, []) == []
@@ -157,23 +162,22 @@ class TestExtremalIntegrals:
         res = check_p_ode(ExponentTriple(3, 2.5, 0.5), [2.0])
         assert abs(res[0]) <= 1e-5
 
-    def test_each_integral_once_with_one_widening(self, monkeypatch):
-        # near the boundary (q < 1e-3) the subdivision budget doubles once;
-        # the identity needs P and R once per lambda, the ODE P and its FD
-        budgets = []
+    def test_each_integral_once(self, monkeypatch):
+        # near the boundary (q < 1e-3) as anywhere: the identity needs P and
+        # R once per lambda, the ODE P and its FD
+        calls = []
 
         def fake(prof, weight, spec):
-            budgets.append(spec.max_subdivisions)
+            calls.append(spec)
             return IntegralResult(1.0, 0.0, 1)
 
         monkeypatch.setattr(flat, "radial_integral", fake)
         t = ExponentTriple(3, 3.0, 0.0005)
-        assert t.near_boundary
         check_pqr_identity(t, [1.0])
-        assert budgets == [120, 120]
-        budgets.clear()
+        assert len(calls) == 2
+        calls.clear()
         check_p_ode(t, [1.0])
-        assert budgets == [120] * 5
+        assert len(calls) == 5
 
     def test_overflow_named(self):
         # P of (3, 2.002, 1) is about 1e600 at lam = 0.5; at lam = 0.25 the
@@ -404,6 +408,28 @@ class TestSharpnessSweep:
             for eps, q in zip(eps_list, out["quotients"]):
                 want = hardy_report(norm, n, self.capped_power(n, r, R, eps), 0.0, spec).ratio
                 assert q == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_limit_is_the_sharp_constant(self, n, tol):
+        # the quotient is exactly A + B/(ln(1/eps) + C), so the fit recovers
+        # A = (n-2)^2/4 to rounding
+        spec = QuadratureSpec(relative_tolerance=tol)
+        norm = MinkowskiNorm(n, "weighted-euclidean", matrix=np.eye(n))
+        for r, R, eps_list in ((1.0, 2.0, [10.0**-k for k in range(2, 9)]),
+                               (0.5, 1.5, [10.0**-k for k in range(3, 9)])):
+            out = hardy_sharpness_sweep(norm, n, r, R, eps_list, spec)
+            assert abs(out["extrapolated_limit"] - (n - 2) ** 2 / 4) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_two_epsilons_interpolate(self, n):
+        # two eps fix A and B of A + B/ln(1/eps): the line meets both points
+        norm = MinkowskiNorm(n, "weighted-euclidean", matrix=np.eye(n))
+        eps = [1e-3, 1e-6]
+        out = hardy_sharpness_sweep(norm, n, 1.0, 2.0, eps)
+        A, B = out["extrapolated_limit"], out["fit_coefficient"]
+        for e, q in zip(eps, out["quotients"]):
+            assert A + B / math.log(1 / e) == pytest.approx(q, rel=1e-14, abs=0)
 
     def test_no_scalar_quadrature(self, monkeypatch):
         def scalar(*args, **kwargs):

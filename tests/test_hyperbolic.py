@@ -109,6 +109,11 @@ class TestLaplacian:
         with pytest.raises(ValueError):
             laplace_comparison_check(3, [-0.5], [1.0])
 
+    def test_zero_radius_named(self):
+        # coth 0 is a division by zero
+        with pytest.raises(ValueError, match="rho = 0.0"):
+            laplace_comparison_check(3, [-1.0, 0.0], [0.0, 1.0, 2.0])
+
 
 class TestVolumes:
     def test_disk_volume(self):
@@ -121,6 +126,11 @@ class TestVolumes:
         assert out["non_decreasing"] and out["all_above_omega"]
         assert all(b > a for a, b in zip(out["ratios"], out["ratios"][1:]))
         assert min(out["ratios"]) >= ball_volume_constant(3)
+
+    def test_zero_radius_named(self):
+        # the ratio divides by rho^n
+        with pytest.raises(ValueError, match="rho = 0.0"):
+            hyp_volume_ratio_check(3, [0.0, 1.0, 2.0])
 
     def test_small_radius_flat_limit(self):
         ratio = hyp_ball_volume(3, 1e-3) / 1e-9

@@ -14,6 +14,7 @@ from sharpineq import (
     uniformity_constant,
     unit_ball_volume,
 )
+from sharpineq import norms
 from sharpineq.norms import _dual_hessian, _sampling_box, _sphere_lattice
 
 
@@ -277,6 +278,45 @@ class TestLegendreMap:
     def test_zero_covector_rejected(self):
         with pytest.raises(NormError):
             legendre_map(euclid(2), np.zeros(2))
+
+
+def legendre_loop(norm, alpha):
+    """The one-covector-at-a-time central difference that legendre_map batches
+    for a custom norm."""
+    h = 1e-6 * dual_norm_value(norm, alpha)
+    y = np.empty_like(alpha)
+    for i in range(len(alpha)):
+        e = np.zeros_like(alpha)
+        e[i] = h
+        fp = dual_norm_value(norm, alpha + e) ** 2 / 2
+        fm = dual_norm_value(norm, alpha - e) ** 2 / 2
+        y[i] = (fp - fm) / (2 * h)
+    return y
+
+
+class TestCustomLegendre:
+    ALPHAS = [np.array([0.6, -0.8]), np.array([1.5, 0.25]), np.array([0.3, -1.1, 0.7]),
+              np.array([-2.0, 0.05, 1.0])]
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=lambda a: f"n{len(a)}")
+    def test_equals_loop_bit_for_bit(self, alpha, grad):
+        norm = custom_lp(len(alpha), 3.0, grad)
+        cert = legendre_map(norm, alpha)
+        assert np.array_equal(cert.maximizer, legendre_loop(norm, alpha))
+        assert cert.dual_value == dual_norm_value(norm, alpha)
+
+    def test_two_dual_norm_calls(self, monkeypatch):
+        # one for the covector, one for the 2n stencil rows
+        calls = []
+
+        def counted(norm, alpha):
+            calls.append(np.shape(alpha))
+            return dual_norm_value(norm, alpha)
+
+        monkeypatch.setattr(norms, "dual_norm_value", counted)
+        legendre_map(custom_lp(3, 3.0), np.array([0.3, -1.1, 0.7]))
+        assert calls == [(3,), (6, 3)]
 
 
 def dual_hessian_loop(norm, alpha, rel_step=1e-4):

@@ -1,6 +1,9 @@
-"""Property tests: scaling laws, the dual-norm bound, Legendre certificates and algebraic tails."""
+"""Property tests: scaling laws, the dual-norm bound, Legendre certificates,
+algebraic tails and seed-free CSVs."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -17,6 +20,7 @@ from sharpineq import (
     radial_integral,
     unit_ball_volume,
 )
+from sharpineq.cli import RunConfig, run_suite
 from sharpineq.norms import _sampling_box
 
 # a fixed example budget and derandomized draws keep the file fast and its
@@ -189,3 +193,23 @@ def test_certified_ball_volume_equals_the_per_point_count(norm):
     pts = rng.uniform(-half, half, size=(samples, norm.dimension))
     hits = sum(norm.value_fn(y) < 1.0 for y in pts)
     assert unit_ball_volume(norm, mc_samples=samples) == (2 * half) ** norm.dimension * hits / samples
+
+
+# each example runs suite all twice
+@settings(deadline=None, max_examples=10, derandomize=True)
+@given(
+    n=st.integers(3, 5),
+    p=st.one_of(st.none(), st.floats(1.5, 6.0)),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
+)
+def test_csv_does_not_depend_on_the_seed(n, p, seeds):
+    # no suite draws a Monte Carlo sample: the seed reaches only the JSON
+    norm = {"family": "euclidean", "dimension": n} if p is None else {"family": "lp", "dimension": n, "p": p}
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        for seed in seeds:
+            cfg = RunConfig(suite="all", n=n, norm_spec=norm, triple=(3, 3.0, 1.0), alpha_nodes=64, seed=seed)
+            run_suite(cfg, str(Path(tmp) / str(seed)))
+            outs.append({f.name: f.read_bytes() for f in sorted((Path(tmp) / str(seed)).glob("*.csv"))})
+        assert "all.csv" in outs[0]
+        assert outs[0] == outs[1]

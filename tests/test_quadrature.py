@@ -395,6 +395,11 @@ class TestSpecAndProfiles:
         with pytest.raises(ValueError):
             QuadratureSpec(mc_samples=100)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuadratureSpec(relative_tolerance=tol)
+
     def test_scaled_decay(self):
         # decay of |f|^power times a power of rho
         assert DecayClass.gaussian(1.5).scaled(2) == DecayClass.gaussian(3.0)
