@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from typing import Optional
 
@@ -100,9 +100,9 @@ def parse_config(text: str, suite: Optional[str] = None) -> RunConfig:
     error, and so is a value its parser rejects, named as section.key; a
     section holding such a value gets no further checks.  run.n must reach
     the suite's MIN_N, norm.dimension defaults to run.n and must equal it
-    for NORM_SUITES, and grids.epsilon needs two values for the sweep's
-    extrapolation.  suite, when given (the --suite flag), replaces run.suite
-    before any check.
+    for NORM_SUITES, identities and all need a [triple], and grids.epsilon
+    needs two distinct values in (0, 1) for the sweep's extrapolation.
+    suite, when given (the --suite flag), replaces run.suite before any check.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
@@ -191,13 +191,19 @@ def parse_config(text: str, suite: Optional[str] = None) -> RunConfig:
         errors.extend(_tolerance_errors(cfg.tolerance, "quadrature.tolerance"))
     if "seed" in quadrature:
         cfg.seed = quadrature["seed"]
-    if cfg.suite in ("identities",) and cfg.triple is None:
-        errors.append("suite 'identities' requires a [triple] section")
+    if cfg.suite in ("identities", "all") and cfg.triple is None:
+        errors.append(f"suite {cfg.suite!r} requires a [triple] section")
     for name in ("lambda_grid", "rho_grid"):
         if not getattr(cfg, name):
             errors.append(f"{name} must be non-empty")
-    if len(cfg.epsilon_grid) < 2:
+    eps = cfg.epsilon_grid
+    if len(eps) < 2:
         errors.append("grids.epsilon needs at least two values: the sharpness sweep extrapolates over them")
+    if len(set(eps)) < len(eps):
+        errors.append("grids.epsilon repeats a value: the sharpness sweep fits over distinct values")
+    bad = [v for v in eps if not 0 < v < 1]
+    if bad:
+        errors.append(f"grids.epsilon holds {bad[0]!r}: every epsilon must lie in (0, 1), below the sweep's r = 1")
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -306,9 +312,16 @@ def _scalar_row(suite, name, param, value, target, tolerance) -> CheckRow:
     )
 
 
+def _bound_row(suite, name, param, value, target, err, tolerance, passed) -> CheckRow:
+    """value against target: ratio value / target, slack value - target."""
+    return CheckRow(
+        suite, name, param, value, target, value / target, target, value - target, err, tolerance, bool(passed)
+    )
+
+
 def _run_identities(cfg: RunConfig) -> tuple[list, dict]:
     if cfg.triple is None:
-        raise ConfigError(["suite 'identities' requires a [triple] section"])
+        raise ConfigError([f"suite {cfg.suite!r} requires a [triple] section"])
     spec = cfg.quadrature_spec()
     t = flat.ExponentTriple(*cfg.triple)
     rows = []
@@ -383,12 +396,9 @@ def _run_flat_hardy(cfg: RunConfig) -> tuple[list, dict]:
     above = all(q >= sweep["target"] - 1e-10 for q in sweep["quotients"])
     limit_ok = abs(sweep["extrapolated_limit"] - sweep["target"]) <= 0.01
     rows.append(
-        CheckRow(
-            "flat-hardy", "sharpness-sweep", 0.0,
-            sweep["extrapolated_limit"], sweep["target"],
-            sweep["extrapolated_limit"] / sweep["target"], sweep["target"],
-            sweep["extrapolated_limit"] - sweep["target"], 0.0, 0.01,
-            bool(mono and above and limit_ok),
+        _bound_row(
+            "flat-hardy", "sharpness-sweep", 0.0, sweep["extrapolated_limit"], sweep["target"],
+            0.0, 0.01, mono and above and limit_ok,
         )
     )
     psi, dpsi = flat.smoothstep_cutoff(0.5, 1.0)
@@ -422,12 +432,9 @@ def _run_hyperbolic(cfg: RunConfig) -> tuple[list, dict]:
     )
     vol = hyp.hyp_volume_ratio_check(n, cfg.rho_grid, spec)
     rows.append(
-        CheckRow(
-            "hyperbolic", "volume-ratio-monotone", 0.0,
-            min(vol["ratios"]), vol["omega_n"],
-            min(vol["ratios"]) / vol["omega_n"], vol["omega_n"],
-            min(vol["ratios"]) - vol["omega_n"], 0.0, 1e-10,
-            bool(vol["non_decreasing"] and vol["all_above_omega"]),
+        _bound_row(
+            "hyperbolic", "volume-ratio-monotone", 0.0, min(vol["ratios"]), vol["omega_n"],
+            0.0, 1e-10, vol["non_decreasing"] and vol["all_above_omega"],
         )
     )
     for alpha in (0.25, 1.0, 4.0):
@@ -474,11 +481,9 @@ def _run_chpw_bounds(cfg: RunConfig) -> tuple[list, dict]:
     spec = cfg.quadrature_spec()
     b = hyp.hpw_constant_bounds(cfg.n, spec=spec)
     return [
-        CheckRow(
-            "chpw-bounds", "upper-above-lower", float(cfg.n),
-            b["upper"], b["lower"], b["upper"] / b["lower"], b["lower"],
-            b["upper"] - b["lower"], b["worst_rel_err"], 0.0,
-            bool(b["upper"] >= b["lower"]),
+        _bound_row(
+            "chpw-bounds", "upper-above-lower", float(cfg.n), b["upper"], b["lower"],
+            b["worst_rel_err"], 0.0, b["upper"] >= b["lower"],
         )
     ], {}
 
@@ -519,32 +524,22 @@ def run_suite(cfg: RunConfig, out_dir: Optional[str] = None) -> SuiteResult:
     result = SuiteResult(cfg.suite, checks, wall, cfg_hash, cfg.seed, series)
     target = Path(out_dir or cfg.output_dir)
     target.mkdir(parents=True, exist_ok=True)
-    _write_artifacts(result, cfg, target)
+    _write_artifacts(result, target)
     return result
 
 
-def _write_artifacts(result: SuiteResult, cfg: RunConfig, out: Path) -> None:
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return value if isinstance(value, str) else _fmt(value)
+
+
+def _write_artifacts(result: SuiteResult, out: Path) -> None:
     name = result.suite
-    header = "suite,name,param,lhs,rhs,ratio,target,slack,err,tolerance,passed"
-    lines = [header]
-    for c in result.checks:
-        lines.append(
-            ",".join(
-                [
-                    c.suite,
-                    c.name,
-                    _fmt(c.param),
-                    _fmt(c.lhs),
-                    _fmt(c.rhs),
-                    _fmt(c.ratio),
-                    _fmt(c.target),
-                    _fmt(c.slack),
-                    _fmt(c.err),
-                    _fmt(c.tolerance),
-                    "1" if c.passed else "0",
-                ]
-            )
-        )
+    # every CheckRow field but error, which only the JSON and summary carry
+    columns = [f.name for f in fields(CheckRow) if f.name != "error"]
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(getattr(c, k)) for k in columns) for c in result.checks]
     (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
     payload = {
         "suite": result.suite,
@@ -580,7 +575,7 @@ def emit_plot_data(result: SuiteResult, out: Path) -> list:
             print(f"warning: empty series {trace}", file=sys.stderr)
             continue
         path = Path(out) / f"{trace}.csv"
-        lines = [columns.get(trace, "x,y")]
+        lines = [columns[trace]]
         lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in xy]
         path.write_text("\n".join(lines) + "\n")
         written.append(path)

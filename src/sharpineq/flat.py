@@ -37,8 +37,10 @@ __all__ = [
     "check_pqr_identity",
     "check_p_ode",
     "interpolation_report",
+    "extremal_profile",
     "gaussian_T",
     "hpw_report",
+    "gaussian_moment_identity",
     "hardy_report",
     "hardy_sharpness_sweep",
     "double_hardy_report",
@@ -293,7 +295,11 @@ def check_p_ode(
 
 
 def _general_triple_integrals(norm, t, u, spec):
-    """Monte Carlo path: dual norm of the gradient covector, pointwise."""
+    """Monte Carlo path: dual norm of the gradient covector, pointwise.
+
+    A, B and C come from one pass, which takes u, the distance and the
+    gradient once per batch of points.
+    """
     n = t.n
     density = bh_density(norm, mc_samples=spec.mc_samples, mc_seed=spec.mc_seed)
     x0 = u.basepoint if u.basepoint is not None else np.zeros(n)
@@ -310,29 +316,18 @@ def _general_triple_integrals(norm, t, u, spec):
             g[:, i] = (u.evaluator(pts + e) - u.evaluator(pts - e)) / (2 * h)
         return g
 
-    def fA(pts):
+    def integrands(pts):
         gs = grad(pts)
-        return dual_norm_value(norm, gs) ** 2 * density
+        dist = norm_value(norm, pts - x0)
+        absu = np.abs(u.evaluator(pts))
+        return np.stack([
+            dual_norm_value(norm, gs) ** 2 * density,
+            absu ** (2 * t.p - 2) / dist ** (2 * t.q - 2) * density,
+            absu ** t.p / dist ** t.q * density,
+        ])
 
-    def dist(pts):
-        return norm_value(norm, pts - x0)
-
-    def fB(pts):
-        return (
-            np.abs(u.evaluator(pts)) ** (2 * t.p - 2)
-            / dist(pts) ** (2 * t.q - 2)
-            * density
-        )
-
-    def fC(pts):
-        return np.abs(u.evaluator(pts)) ** t.p / dist(pts) ** t.q * density
-
-    box = u.support_box
-    return (
-        monte_carlo_integral(fA, box, spec),
-        monte_carlo_integral(fB, box, spec),
-        monte_carlo_integral(fC, box, spec),
-    )
+    r = monte_carlo_integral(integrands, u.support_box, spec)
+    return [IntegralResult(float(v), float(e), r.nodes_used) for v, e in zip(r.value, r.error_estimate)]
 
 
 def interpolation_report(

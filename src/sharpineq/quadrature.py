@@ -469,8 +469,10 @@ def monte_carlo_integral(
 ) -> IntegralResult:
     """Box-volume times sample mean, with a standard-error estimate.
 
-    integrand maps an (m, n) array of points to m values.  Philox is
-    counter-based, so the stream depends only on the seed and sample index.
+    integrand maps an (m, n) array of points to m values, or to a (q, m)
+    array holding q integrands on the same points; value and error_estimate
+    are then arrays of q.  Philox is counter-based, so the stream depends
+    only on the seed and sample index.
     """
     box = [(float(a), float(b)) for a, b in box]
     n = len(box)
@@ -488,13 +490,16 @@ def monte_carlo_integral(
         vals = np.asarray(integrand(pts), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("non-finite integrand sample in Monte Carlo")
-        s += float(vals.sum())
-        s2 += float((vals**2).sum())
+        s += vals.sum(axis=-1)
+        s2 += (vals**2).sum(axis=-1)
         done += m
     mean = s / total
-    var = max(s2 / total - mean**2, 0.0)
-    stderr = vol * math.sqrt(var / total)
-    return IntegralResult(vol * mean, stderr, total)
+    # float_power is libm pow, as mean**2 of a float; numpy squares arrays by x*x
+    var = np.maximum(s2 / total - np.float_power(mean, 2), 0.0)
+    value, stderr = vol * mean, vol * np.sqrt(var / total)
+    if np.ndim(value) == 0:
+        value, stderr = float(value), float(stderr)
+    return IntegralResult(value, stderr, total)
 
 
 def fd_derivative(f: Callable[[float], float], lam: float, rel_step: float = 1e-5) -> float:

@@ -158,6 +158,28 @@ class TestParseConfig:
             parse_config(MINIMAL + "\n[grids]\nepsilon = 1e-2\n")
         assert "grids.epsilon needs at least two values" in str(exc.value)
 
+    @pytest.mark.parametrize("suite", ["all", "identities"])
+    def test_missing_triple_names_the_suite(self, suite):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[run]\nsuite = {suite}\nn = 3\n")
+        assert f"suite {suite!r} requires a [triple] section" in str(exc.value)
+
+    def test_suite_flag_all_needs_the_triple(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[run]\nsuite = flat-hpw\nn = 3\n", suite="all")
+        assert "suite 'all' requires a [triple] section" in str(exc.value)
+
+    @pytest.mark.parametrize("grid, message", [
+        ("1e-2 1e-2 1e-3", "grids.epsilon repeats a value"),
+        ("1e-2 1.5", "grids.epsilon holds 1.5"),
+        ("1e-2 1", "grids.epsilon holds 1.0"),
+        ("0 1e-2", "grids.epsilon holds 0.0"),
+    ])
+    def test_epsilon_that_gives_no_sharpness_row_rejected(self, grid, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"\n[grids]\nepsilon = {grid}\n")
+        assert message in str(exc.value)
+
     def test_readme_example_parses(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -298,6 +320,23 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["--config", str(ini), "--suite", suite, "--out", str(out)]) == 2
         assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1e-2 1e-2 1e-3", "1e-2 1.5"])
+    def test_exit_two_on_epsilon_grid(self, tmp_path, capsys, grid):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nsuite = flat-hardy\nn = 3\n\n[grids]\n" + f"epsilon = {grid}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--out", str(out)]) == 2
+        assert "config error: grids.epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exit_two_on_suite_all_without_triple(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nsuite = all\nn = 3\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--out", str(out)]) == 2
+        assert "config error: suite 'all' requires a [triple] section" in capsys.readouterr().err
         assert not out.exists()
 
     def test_suite_flag_validated_like_the_config(self, tmp_path, capsys):

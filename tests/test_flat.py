@@ -15,9 +15,11 @@ from sharpineq import (
     QuadratureSpec,
     RadialProfile,
     TestFunction as TF,
+    bh_density,
     check_p_ode,
     check_pqr_identity,
     double_hardy_report,
+    dual_norm_value,
     extremal_profile,
     gaussian_T,
     gaussian_moment_identity,
@@ -27,6 +29,7 @@ from sharpineq import (
     interpolation_report,
     kernel_g,
     kernel_h,
+    norm_value,
     pqr,
     smoothstep_cutoff,
     uniformity_constant,
@@ -256,6 +259,88 @@ class TestInterpolation:
         rep = interpolation_report(LP4_3, t, moved, spec)
         for a, b in ((rep.lhs, at_origin.lhs), (rep.rhs, at_origin.rhs), (rep.ratio, at_origin.ratio)):
             assert a == pytest.approx(b, rel=1e-9)
+
+
+def three_pass_integrals(norm, t, u, spec):
+    """A, B and C as three separate Monte Carlo passes over the same points,
+    summed in Python floats: the reference for the one-pass general path."""
+    n = t.n
+    density = bh_density(norm, mc_samples=spec.mc_samples, mc_seed=spec.mc_seed)
+    x0 = u.basepoint if u.basepoint is not None else np.zeros(n)
+
+    def mc(integrand, box):
+        vol = math.prod(b - a for a, b in box)
+        rng = np.random.Generator(np.random.Philox(key=spec.mc_seed))
+        lo = np.array([a for a, _ in box])
+        span = np.array([b - a for a, b in box])
+        s, s2, done = 0.0, 0.0, 0
+        while done < spec.mc_samples:
+            m = min(1 << 16, spec.mc_samples - done)
+            vals = np.asarray(integrand(lo + span * rng.random((m, n))), dtype=float)
+            s += float(vals.sum())
+            s2 += float((vals**2).sum())
+            done += m
+        mean = s / spec.mc_samples
+        var = max(s2 / spec.mc_samples - mean**2, 0.0)
+        return IntegralResult(vol * mean, vol * math.sqrt(var / spec.mc_samples), spec.mc_samples)
+
+    def grad(pts):
+        if u.gradient is not None:
+            return u.gradient(pts)
+        h = 1e-5 * max(b - a for a, b in u.support_box)
+        g = np.empty_like(pts)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            g[:, i] = (u.evaluator(pts + e) - u.evaluator(pts - e)) / (2 * h)
+        return g
+
+    def dist(pts):
+        return norm_value(norm, pts - x0)
+
+    return (
+        mc(lambda pts: dual_norm_value(norm, grad(pts)) ** 2 * density, u.support_box),
+        mc(lambda pts: np.abs(u.evaluator(pts)) ** (2 * t.p - 2) / dist(pts) ** (2 * t.q - 2) * density,
+           u.support_box),
+        mc(lambda pts: np.abs(u.evaluator(pts)) ** t.p / dist(pts) ** t.q * density, u.support_box),
+    )
+
+
+def bump(pts):
+    r2 = np.sum(pts * pts, axis=1)
+    return np.exp(-r2 / 2) * np.clip(1 - r2 / 4, 0, None) ** 3
+
+
+def bump_gradient(pts):
+    r2 = np.sum(pts * pts, axis=1)[:, None]
+    cut = np.clip(1 - r2 / 4, 0, None)
+    return np.exp(-r2 / 2) * (-pts * cut**3 - 1.5 * pts * cut**2)
+
+
+class TestGeneralInterpolationOnePass:
+    # two batches of 2^16 points, the second one partial
+    SPEC = QuadratureSpec(mc_samples=(1 << 16) + 3000, mc_seed=11)
+
+    @pytest.mark.parametrize("gradient", [bump_gradient, None], ids=["gradient", "central-differences"])
+    @pytest.mark.parametrize("norm", [LP4_3, EUCLID3], ids=["lp4", "euclidean"])
+    def test_equals_three_passes_bit_for_bit(self, norm, gradient):
+        t = ExponentTriple(3, 3.0, 1.0)
+        u = TF.general(bump, [(-2.0, 2.0), (-2.0, 2.0), (-1.5, 2.5)], gradient=gradient,
+                       basepoint=np.array([0.0, 0.0, 0.5]))
+        rep = interpolation_report(norm, t, u, self.SPEC)
+        assert rep == InequalityReport.product(*three_pass_integrals(norm, t, u, self.SPEC), t.target)
+        assert all(type(v) is float for v in (rep.lhs, rep.rhs, rep.ratio, *rep.integral_errors))
+
+    def test_evaluator_called_once_per_batch_with_a_gradient(self):
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return bump(pts)
+
+        u = TF.general(counted, [(-2.0, 2.0)] * 3, gradient=bump_gradient)
+        interpolation_report(LP4_3, ExponentTriple(3, 3.0, 1.0), u, self.SPEC)
+        assert calls == [1 << 16, 3000]
 
 
 class TestGaussianT:

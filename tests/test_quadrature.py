@@ -357,6 +357,33 @@ class TestMonteCarlo:
                 QuadratureSpec(mc_samples=1 << 10),
             )
 
+    # three batches, the last one partial; and seed 200, whose third mean has
+    # a libm square (a float's mean**2) one ulp away from mean * mean
+    @pytest.mark.parametrize("samples, seed", [((1 << 17) + 4099, 7), (1 << 10, 200)])
+    def test_rows_equal_one_integral_calls_bit_for_bit(self, samples, seed):
+        spec = QuadratureSpec(mc_samples=samples, mc_seed=seed)
+        box = [(-2, 3), (-1, 1), (0, 4)]
+        fns = (
+            lambda pts: np.exp(-(pts ** 2).sum(axis=1)),
+            lambda pts: np.sin(3 * pts[:, 0]) * pts[:, 2],
+            lambda pts: 1e6 * np.abs(pts[:, 1]) ** 1.5 + 2.0,
+        )
+        rows = monte_carlo_integral(lambda pts: np.stack([f(pts) for f in fns]), box, spec)
+        assert rows.value.shape == rows.error_estimate.shape == (3,)
+        for i, f in enumerate(fns):
+            one = monte_carlo_integral(f, box, spec)
+            assert type(one.value) is float and type(one.error_estimate) is float
+            assert (rows.value[i], rows.error_estimate[i]) == (one.value, one.error_estimate)
+            assert rows.nodes_used == one.nodes_used
+
+    def test_non_finite_row_rejected(self):
+        with pytest.raises(QuadratureError, match="non-finite integrand sample"):
+            monte_carlo_integral(
+                lambda pts: np.stack([np.ones(len(pts)), np.full(len(pts), np.inf)]),
+                [(0, 1), (0, 1)],
+                QuadratureSpec(mc_samples=1 << 10),
+            )
+
 
 class TestNormIndependence:
     def test_five_norms_match_radial(self):
