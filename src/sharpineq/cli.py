@@ -12,6 +12,7 @@ import argparse
 import configparser
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -100,7 +101,8 @@ def parse_config(text: str, suite: Optional[str] = None) -> RunConfig:
     error, and so is a value its parser rejects, named as section.key; a
     section holding such a value gets no further checks.  run.n must reach
     the suite's MIN_N, norm.dimension defaults to run.n and must equal it
-    for NORM_SUITES, identities and all need a [triple], and grids.epsilon
+    for NORM_SUITES, identities and all need a [triple], grids.lambda,
+    grids.rho and grids.alpha hold positive finite values, and grids.epsilon
     needs two distinct values in (0, 1) for the sweep's extrapolation.
     suite, when given (the --suite flag), replaces run.suite before any check.
     """
@@ -172,13 +174,14 @@ def parse_config(text: str, suite: Optional[str] = None) -> RunConfig:
         if key in grids:
             setattr(cfg, f"{key}_grid", grids[key])
     for key in ("lambda", "rho"):
-        bad = [v for v in grids.get(key, ()) if not v > 0]
+        bad = [v for v in grids.get(key, ()) if not 0 < v < math.inf]
         if bad:
-            errors.append(f"grids.{key} holds {bad[0]!r}: every {key} must be positive")
+            need = "positive" if not bad[0] > 0 else "finite"
+            errors.append(f"grids.{key} holds {bad[0]!r}: every {key} must be {need}")
     if "alpha" in grids:
         rng = grids["alpha"]
-        if len(rng) != 2 or not (0 < rng[0] < rng[1]):
-            errors.append("grids.alpha must be two increasing positive numbers")
+        if len(rng) != 2 or not (0 < rng[0] < rng[1] < math.inf):
+            errors.append("grids.alpha must be two increasing positive finite numbers")
         else:
             cfg.alpha_range = rng
     if "alpha_nodes" in grids:
@@ -575,9 +578,9 @@ def emit_plot_data(result: SuiteResult, out: Path) -> list:
             print(f"warning: empty series {trace}", file=sys.stderr)
             continue
         path = Path(out) / f"{trace}.csv"
-        lines = [columns[trace]]
-        lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in xy]
-        path.write_text("\n".join(lines) + "\n")
+        # one %-format pass over the flat series, in _fmt's format
+        rows = ("%.16e,%.16e\n" * len(xy)) % tuple(itertools.chain.from_iterable(xy))
+        path.write_text(columns[trace] + "\n" + rows)
         written.append(path)
     return written
 

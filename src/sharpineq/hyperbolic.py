@@ -222,6 +222,13 @@ def hardy_hyperbolic_report(
     )
 
 
+def _sign_change_brackets(alphas: np.ndarray, phi: np.ndarray) -> list:
+    """(alphas[i], alphas[i + 1]) for every i with phi[i] == 0 or a sign change after it."""
+    positive = phi > 0
+    hits = np.flatnonzero((phi[:-1] == 0.0) | (positive[:-1] != positive[1:]))
+    return [(float(alphas[i]), float(alphas[i + 1])) for i in hits]
+
+
 def ko_alpha_scan(
     n: int,
     alpha_range: tuple[float, float],
@@ -247,16 +254,11 @@ def ko_alpha_scan(
     alphas = np.linspace(lo, hi, grid_size)
     c_small, err_small, evals_small = hyperbolic_gaussian_masses(n - 2, alphas, spec)
     c_big, err_big, evals_big = hyperbolic_gaussian_masses(n, alphas, spec)
-    values = ((n - 1) / (n - 2) * (n - 1 + 2 * math.pi * c_small / c_big) - alphas).tolist()
-    brackets = [
-        (float(alphas[i]), float(alphas[i + 1]))
-        for i in range(len(alphas) - 1)
-        if values[i] == 0.0 or (values[i] > 0) != (values[i + 1] > 0)
-    ]
+    phi = (n - 1) / (n - 2) * (n - 1 + 2 * math.pi * c_small / c_big) - alphas
     return {
         "alphas": alphas.tolist(),
-        "phi": values,
-        "brackets": brackets,
+        "phi": phi.tolist(),
+        "brackets": _sign_change_brackets(alphas, phi),
         "worst_rel_err": float(max(np.max(err_small / c_small), np.max(err_big / c_big))),
         "nodes_used": evals_small + evals_big,
     }

@@ -302,6 +302,9 @@ _WG = np.array([
 _GK15_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _GK15_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GK15_GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
+# columns K and K - G: one product of a panel's 15 values gives its Kronrod
+# sum and its Kronrod-minus-Gauss difference
+_GK15_WEIGHTS = np.stack([_GK15_KRONROD, _GK15_KRONROD - _GK15_GAUSS], axis=1)
 
 _FIRST_PANELS = 8
 # integrand values per evaluation block: a few hundred parameters at the
@@ -321,9 +324,12 @@ def gauss_kronrod_batch(
     or (N, k) for k numbers per parameter.  integrand maps the node positions
     x, shape (m,), and a column of parameters, shape (r, 1) or (r, 1, k), to
     an (r, m) array, or to a (q, r, m) array for q integrals per parameter on
-    the same nodes.  The rule is composite G7/K15 on equal panels.  Every
-    integral carries its own error estimate, the sum over panels of |K - G|;
-    the panel count is doubled only for the parameters with an estimate
+    the same nodes.  The rule is composite G7/K15 on equal panels; a
+    panel's Kronrod sum K and its difference K - G from the embedded Gauss
+    rule come from one product of its 15 values with the (15, 2) matrix of
+    Kronrod and Kronrod-minus-Gauss weights.  Every integral carries its own
+    error estimate, the sum over panels of |K - G|; the panel count is
+    doubled only for the parameters with an estimate
     above relative_tolerance * |value|, up to the _MAX_SUBINTERVALS
     subintervals radial_integral allows QUADPACK.  A value depends only on
     its parameter, never on the rest of the grid.  A QuadratureError names
@@ -340,8 +346,7 @@ def gauss_kronrod_batch(
     while True:
         half = 0.5 / panels
         x = ((np.arange(panels)[:, None] + 0.5) / panels + half * _GK15_NODES).ravel()
-        wk = half * _GK15_KRONROD
-        wd = half * (_GK15_KRONROD - _GK15_GAUSS)
+        weights = half * _GK15_WEIGHTS
         rows = max(1, _BLOCK_VALUES // x.size)
         # values outside the float range are caught below, with their parameter
         with np.errstate(over="ignore", invalid="ignore"):
@@ -351,9 +356,11 @@ def gauss_kronrod_batch(
                 if values is None:
                     values = np.empty(f.shape[:-2] + (count,))
                     errors = np.empty(values.shape)
-                f = f.reshape(f.shape[:-2] + (idx.size, panels, _GK15_NODES.size))
-                values[..., idx] = (f * wk).sum(axis=-1).sum(axis=-1)
-                errors[..., idx] = np.abs((f * wd).sum(axis=-1)).sum(axis=-1)
+                # K and K - G of every panel of the block in one product
+                kd = (f.reshape(-1, _GK15_NODES.size) @ weights).reshape(
+                    f.shape[:-2] + (idx.size, panels, 2))
+                values[..., idx] = kd[..., 0].sum(axis=-1)
+                errors[..., idx] = np.abs(kd[..., 1]).sum(axis=-1)
         if values is None:
             return np.empty(0), np.empty(0), 0
         evals += todo.size * x.size
@@ -390,15 +397,25 @@ def _sinh_gaussian(m: int, rate, x: np.ndarray, budget: float):
     g = m / sqrt(rate): the tail bound _truncation_radius uses, without its
     floors in rho.  Returns (S, rho, log(e^(-s^2) sinh^m(rho))) at the nodes
     x; the log stays finite where sinh^m alone would overflow (small rates).
-    The integral in rho is int_0^1 S e^(log) dx / sqrt(rate).
+    The integral in rho is int_0^1 S e^(log) dx / sqrt(rate).  The node
+    arrays are fresh, so callers may overwrite them.
     """
     root = np.sqrt(rate)
     g = m / root
     S = (g + np.sqrt(g * g + 4 * budget)) / 2
     s = S * x
     t = s / root
-    # log sinh t = t + log(1 - e^(-2t)) - log 2
-    return S, t, m * (t + np.log(-np.expm1(-2 * t)) - math.log(2)) - s * s
+    # log sinh t = t + log(1 - e^(-2t)) - log 2: the operations of
+    # m (t + log(-expm1(-2t)) - log 2) - s s, in order, in one buffer
+    log_w = np.multiply(-2, t)
+    np.expm1(log_w, out=log_w)
+    np.negative(log_w, out=log_w)
+    np.log(log_w, out=log_w)
+    np.add(t, log_w, out=log_w)
+    np.subtract(log_w, math.log(2), out=log_w)
+    np.multiply(m, log_w, out=log_w)
+    np.subtract(log_w, np.multiply(s, s, out=s), out=log_w)
+    return S, t, log_w
 
 
 def hyperbolic_gaussian_masses(
@@ -417,8 +434,9 @@ def hyperbolic_gaussian_masses(
     budget = _tail_budget(spec.relative_tolerance)
 
     def integrand(x, alpha):
-        S, _, log_w = _sinh_gaussian(n - 1, alpha, x, budget)
-        return S * np.exp(log_w)
+        S, _, w = _sinh_gaussian(n - 1, alpha, x, budget)
+        np.exp(w, out=w)
+        return np.multiply(S, w, out=w)
 
     values, errors, evals = gauss_kronrod_batch(integrand, alphas, spec)
     c = n * ball_volume_constant(n) / np.sqrt(alphas)
@@ -448,9 +466,19 @@ def hyperbolic_gaussian_moments(
 
     def integrand(x, p):
         alpha, beta = p[..., 0], p[..., 1]
-        S, rho, log_w = _sinh_gaussian(n - 1, 2 * alpha, x, budget)
-        u2 = S * np.exp(log_w - 2 * beta * rho)
-        return np.stack([(2 * alpha * rho + beta) ** 2 * u2, rho * rho * u2, u2])
+        S, rho, w = _sinh_gaussian(n - 1, 2 * alpha, x, budget)
+        out = np.empty((3,) + w.shape)
+        # u^2 = S e^(log_w - 2 beta rho), rho^2 u^2 and (2 alpha rho + beta)^2 u^2,
+        # operation by operation, in the rows of out
+        np.subtract(w, np.multiply(2 * beta, rho, out=out[0]), out=w)
+        np.exp(w, out=w)
+        u2 = np.multiply(S, w, out=out[2])
+        np.multiply(np.multiply(rho, rho, out=out[1]), u2, out=out[1])
+        A = np.multiply(2 * alpha, rho, out=out[0])
+        np.add(A, beta, out=A)
+        np.multiply(A, A, out=A)
+        np.multiply(A, u2, out=A)
+        return out
 
     def describe(p):
         return f"(alpha, beta) = ({p[0]!r}, {p[1]!r}) for n = {n}"

@@ -1,12 +1,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sharpineq.cli import (
     ConfigError,
     RunConfig,
+    SuiteResult,
     _fmt,
+    emit_plot_data,
     main,
     parse_config,
     render_config,
@@ -79,6 +82,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + f"\n[grids]\n{key} = {values}\n")
         assert exc.value.errors == [f"grids.{key} holds {bad}: every {key} must be positive"]
+
+    @pytest.mark.parametrize("key, values, error", [
+        ("alpha", "3.0 inf", "grids.alpha must be two increasing positive finite numbers"),
+        ("rho", "0.5 inf", "grids.rho holds inf: every rho must be finite"),
+        ("lambda", "1.0 inf", "grids.lambda holds inf: every lambda must be finite"),
+    ])
+    def test_infinite_grid_value_rejected(self, key, values, error):
+        # unchecked, each fails only at run time: a nan quadrature error for
+        # alpha and lambda, a volume-ratio-monotone FAIL row for rho
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"\n[grids]\n{key} = {values}\n")
+        assert exc.value.errors == [error]
 
     def test_all_errors_collected(self):
         bad = "[run]\nsuite = nope\n\n[triple]\nn = 5\np = 3.0\nq = 1.0\n"
@@ -206,6 +221,14 @@ class TestRoundTrip:
         for x in (1.0, 1 / 3, 2.25, 1e-9, 0.3341787245354644):
             assert float(_fmt(x)) == x
         assert _fmt(1.0) == "1.0000000000000000e+00"
+
+    def test_series_written_as_fmt_would(self, tmp_path):
+        xy = [(1.0, -0.0), (np.float64(1 / 3), 2.5e-300), (3, float("inf")), (1e308, float("nan"))]
+        xy += list(zip(np.linspace(3.0, 100.0, 4096).tolist(), np.geomspace(1e-9, 1e9, 4096)))
+        result = SuiteResult("ko-refute", [], 0.0, "", 0, {"phi_vs_alpha": xy})
+        (path,) = emit_plot_data(result, tmp_path)
+        want = "alpha,phi\n" + "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in xy)
+        assert path.read_text() == want
 
 
 class TestRunSuite:

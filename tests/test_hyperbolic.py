@@ -25,7 +25,7 @@ from sharpineq import (
     modified_hpw_report,
     radial_laplacian,
 )
-from sharpineq.hyperbolic import conformal_factor
+from sharpineq.hyperbolic import _sign_change_brackets, conformal_factor
 
 
 def d_gauss():
@@ -203,6 +203,15 @@ class TestHardyHyperbolic:
             hardy_hyperbolic_report(d_gauss(), 2)
 
 
+def brackets_loop(alphas, values):
+    """The per-alpha comprehension that _sign_change_brackets vectorises."""
+    return [
+        (float(alphas[i]), float(alphas[i + 1]))
+        for i in range(len(alphas) - 1)
+        if values[i] == 0.0 or (values[i] > 0) != (values[i + 1] > 0)
+    ]
+
+
 class TestAlphaScan:
     def test_gaussian_mass_vs_trapezoid(self):
         rho = np.linspace(0.0, 40.0, 1_000_001)
@@ -235,6 +244,20 @@ class TestAlphaScan:
         full = np.array(ko_alpha_scan(n, (3.0, 100.0), 4096, spec)["phi"])[[0, -1]]
         ends = np.array(ko_alpha_scan(n, (3.0, 100.0), 2, spec)["phi"])
         assert np.all(np.abs(ends - full) <= 4 * np.spacing(np.abs(full)))
+
+    def test_brackets_of_a_synthetic_phi(self):
+        # an exact zero at alpha = 3 and sign changes after alpha = 2 (to
+        # zero, which counts as non-positive) and after alpha = 5
+        alphas = np.arange(1.0, 8.0)
+        phi = np.array([2.0, 1.0, 0.0, -1.0, -2.0, 3.0, 4.0])
+        want = [(2.0, 3.0), (3.0, 4.0), (5.0, 6.0)]
+        assert _sign_change_brackets(alphas, phi) == brackets_loop(alphas, phi.tolist()) == want
+
+    def test_brackets_equal_the_loop(self):
+        rng = np.random.default_rng(7)
+        alphas = np.linspace(3.0, 100.0, 4096)
+        phi = rng.choice([-2.0, -0.0, 0.0, 1.5, math.nan], size=4096)
+        assert _sign_change_brackets(alphas, phi) == brackets_loop(alphas, phi.tolist())
 
     def test_unattainable_tolerance_raises(self):
         with pytest.raises(QuadratureError, match="not met"):

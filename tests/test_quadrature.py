@@ -22,6 +22,15 @@ from sharpineq import (
     monte_carlo_integral,
     radial_integral,
 )
+from sharpineq import quadrature
+from sharpineq.quadrature import (
+    _BLOCK_VALUES,
+    _FIRST_PANELS,
+    _GK15_GAUSS,
+    _GK15_KRONROD,
+    _GK15_NODES,
+    _MAX_SUBINTERVALS,
+)
 
 
 def gauss_profile(rate=1.0):
@@ -253,6 +262,120 @@ class TestGaussKronrodBatch:
         assert values[1] == pytest.approx(1 / (b + 1), rel=1e-12)
         assert values[2] == pytest.approx(np.sin(a) / a, rel=1e-9)
         assert np.all(errors <= 1e-9 * np.abs(values))
+
+
+def gauss_kronrod_batch_summed(integrand, params, spec=QuadratureSpec()):
+    """gauss_kronrod_batch with its sums as elementwise products and .sum reductions."""
+    params = np.asarray(params, dtype=float)
+    count = len(params)
+    values = errors = None
+    tol = spec.relative_tolerance
+    todo = np.arange(count)
+    panels, evals = _FIRST_PANELS, 0
+    while True:
+        half = 0.5 / panels
+        x = ((np.arange(panels)[:, None] + 0.5) / panels + half * _GK15_NODES).ravel()
+        wk = half * _GK15_KRONROD
+        wd = half * (_GK15_KRONROD - _GK15_GAUSS)
+        rows = max(1, _BLOCK_VALUES // x.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, todo.size, rows):
+                idx = todo[start:start + rows]
+                f = integrand(x, params[idx, None])
+                if values is None:
+                    values = np.empty(f.shape[:-2] + (count,))
+                    errors = np.empty(values.shape)
+                f = f.reshape(f.shape[:-2] + (idx.size, panels, _GK15_NODES.size))
+                values[..., idx] = (f * wk).sum(axis=-1).sum(axis=-1)
+                errors[..., idx] = np.abs((f * wd).sum(axis=-1)).sum(axis=-1)
+        evals += todo.size * x.size
+        val = values[..., todo].reshape(-1, todo.size)
+        err = errors[..., todo].reshape(-1, todo.size)
+        assert np.isfinite(val).all()
+        missed = (err > tol * np.abs(val)).any(axis=0)
+        if not missed.any():
+            return values, errors, evals
+        assert 2 * panels <= _MAX_SUBINTERVALS
+        todo = todo[missed]
+        panels *= 2
+
+
+def batch_outputs(batch, compute):
+    """compute() with quadrature.gauss_kronrod_batch replaced by batch; its (values, evals) per call."""
+    seen = []
+
+    def recording(integrand, params, spec=QuadratureSpec(), describe=repr):
+        values, errors, evals = batch(integrand, params, spec)
+        seen.append((values, evals))
+        return values, errors, evals
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "gauss_kronrod_batch", recording)
+        compute()
+    return seen
+
+
+# the alpha range of each suite-all band in perfbench/workloads.py
+SCAN_RANGES = [(0.5, 20.0), (3.0, 100.0), (50.0, 400.0), (2.0, 80.0)]
+# a dimension to integrate in over each range
+SCAN_BANDS = list(zip((1, 2, 4, 6), SCAN_RANGES))
+
+
+class TestBatchSums:
+    """The (15, 2) weight product against the summed oracle, and its row independence."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("band", SCAN_RANGES)
+    def test_masses_within_4_ulp_of_summed_oracle(self, band, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        alphas = np.linspace(*band, 4096)
+        for dim in range(1, 7):
+            runs = [batch_outputs(b, lambda: hyperbolic_gaussian_masses(dim, alphas, spec))
+                    for b in (gauss_kronrod_batch, gauss_kronrod_batch_summed)]
+            (got, got_evals), (want, want_evals) = runs[0][0], runs[1][0]
+            assert got_evals == want_evals
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("band", SCAN_RANGES)
+    def test_moments_within_4_ulp_of_summed_oracle(self, band, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        alphas = np.linspace(*band, 512)[:, None]
+        betas = np.array([0.0, 0.5, 2.0])
+        for n in range(3, 9):
+            runs = [batch_outputs(b, lambda: hyperbolic_gaussian_moments(n, alphas, betas, spec))
+                    for b in (gauss_kronrod_batch, gauss_kronrod_batch_summed)]
+            (got, got_evals), (want, want_evals) = runs[0][0], runs[1][0]
+            assert got_evals == want_evals
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("k, band", SCAN_BANDS)
+    def test_mass_alone_equals_grid_value(self, k, band, tol):
+        # a shift by one grid point moves every alpha across its block's
+        # boundary, to the last row of one block or the first of the next
+        spec = QuadratureSpec(relative_tolerance=tol)
+        alphas = np.linspace(*band, 4096)
+        grid = np.stack(hyperbolic_gaussian_masses(k, alphas, spec)[:2])
+        alone = np.array([hyperbolic_gaussian_masses(k, [a], spec)[:2] for a in alphas])
+        assert np.array_equal(alone[..., 0].T, grid)
+        shifted = np.stack(hyperbolic_gaussian_masses(k, alphas[1:], spec)[:2])
+        assert np.array_equal(shifted, grid[:, 1:])
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("k, band", SCAN_BANDS)
+    def test_moments_alone_equal_grid_value(self, k, band, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        alphas, beta, n = np.linspace(*band, 4096), 0.5, k + 2
+        grid = np.stack(hyperbolic_gaussian_moments(n, alphas, beta, spec)[:2])
+        alone = np.array([hyperbolic_gaussian_moments(n, a, beta, spec)[:2] for a in alphas])
+        assert np.array_equal(np.moveaxis(alone, 0, -1), grid)
+        shifted = np.stack(hyperbolic_gaussian_moments(n, alphas[1:], beta, spec)[:2])
+        assert np.array_equal(shifted, grid[..., 1:])
+
+    def test_block_boundary_falls_inside_the_grid(self):
+        # the first pass of a 4096-alpha grid spans several blocks
+        assert 1 < _BLOCK_VALUES // (_FIRST_PANELS * _GK15_NODES.size) < 4096
 
 
 class TestGaussianMoments:
