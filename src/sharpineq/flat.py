@@ -211,25 +211,39 @@ def _integrals(u, volume, n: int, spec: QuadratureSpec, *terms) -> list:
     ]
 
 
+def _kernel_h(t: ExponentTriple, lam: float) -> Callable[[float], float]:
+    """rho -> h(lam, rho), with every power of p, q and lam taken once."""
+    p, q = t.p, t.q
+    a, e, b, pq, p2, ql = 2 - q, (2 * p - 2) / (2 - p), -(q + 1), p - q, p - 2, q * lam
+
+    def h(rho: float) -> float:
+        s = rho**a
+        return (lam + s) ** e * rho**b * (2 * s * pq / p2 + ql)
+
+    return h
+
+
+def _kernel_g(t: ExponentTriple, lam: float) -> Callable[[float], float]:
+    """rho -> g(lam, rho), with every power of p, q and lam taken once."""
+    p, q = t.p, t.q
+    coeff = (2 * p - 2) / (p - 2) * (2 - q) + 2 * (q - 1)
+    a, e, b, c = 2 - q, (3 * p - 4) / (2 - p), -(2 * q - 1), 2 * (q - 1) * lam
+
+    def g(rho: float) -> float:
+        s = rho**a
+        return (lam + s) ** e * rho**b * (s * coeff + c)
+
+    return g
+
+
 def kernel_h(t: ExponentTriple, lam: float, rho: float) -> float:
     """Layer-cake kernel of the extremal-family integral P."""
-    p, q = t.p, t.q
-    return (
-        (lam + rho ** (2 - q)) ** ((2 * p - 2) / (2 - p))
-        * rho ** (-(q + 1))
-        * (2 * rho ** (2 - q) * (p - q) / (p - 2) + q * lam)
-    )
+    return _kernel_h(t, lam)(rho)
 
 
 def kernel_g(t: ExponentTriple, lam: float, rho: float) -> float:
     """Layer-cake kernel of the extremal-family integral R."""
-    p, q = t.p, t.q
-    coeff = (2 * p - 2) / (p - 2) * (2 - q) + 2 * (q - 1)
-    return (
-        (lam + rho ** (2 - q)) ** ((3 * p - 4) / (2 - p))
-        * rho ** (-(2 * q - 1))
-        * (rho ** (2 - q) * coeff + 2 * (q - 1) * lam)
-    )
+    return _kernel_g(t, lam)(rho)
 
 
 def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
@@ -243,15 +257,15 @@ def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = Quadra
     if which not in ("P", "Q", "R"):
         raise ValueError("selector must be one of P, Q, R")
     if which == "P":
-        return _radial(t, lam, kernel_h, spec)
-    r = _radial(t, lam, kernel_g, spec)
+        return _radial(t, lam, _kernel_h, spec)
+    r = _radial(t, lam, _kernel_g, spec)
     return r if which == "R" else _q_from_r(t, r)
 
 
 def _radial(t: ExponentTriple, lam: float, kernel, spec: QuadratureSpec) -> IntegralResult:
-    """omega_n int rho^n kernel(lam, rho) d rho."""
-    prof = RadialProfile(lambda r: r**t.n * kernel(t, lam, r), DecayClass.algebraic())
-    base = radial_integral(prof, ("power", 0), spec)
+    """omega_n int rho^n kernel(t, lam)(rho) d rho."""
+    prof = RadialProfile(kernel(t, lam), DecayClass.algebraic())
+    base = radial_integral(prof, ("power", t.n), spec)
     omega = ball_volume_constant(t.n)
     return IntegralResult(omega * base.value, omega * base.error_estimate, base.nodes_used)
 
@@ -269,8 +283,8 @@ def check_pqr_identity(
         raise ValueError("lam must be positive")
     out = []
     for lam in lam_grid:
-        P = _radial(t, lam, kernel_h, spec)
-        R = _radial(t, lam, kernel_g, spec)
+        P = _radial(t, lam, _kernel_h, spec)
+        R = _radial(t, lam, _kernel_g, spec)
         Q = _q_from_r(t, R)
         rep = InequalityReport.product(Q, R, P, t.target)
         # errors in (P, Q, R) order: the err column is their float sum

@@ -68,6 +68,8 @@ class MinkowskiNorm:
             A = np.asarray(self.matrix, dtype=float)
             if A.shape != (self.dimension, self.dimension):
                 raise NormError("matrix shape mismatch")
+            if not np.isfinite(A).all():
+                raise NormError("matrix entries must be finite")
             if not np.allclose(A, A.T, atol=1e-12):
                 raise NormError("matrix must be symmetric")
             eigs = np.linalg.eigvalsh(A)
@@ -76,8 +78,8 @@ class MinkowskiNorm:
             object.__setattr__(self, "matrix", A)
             object.__setattr__(self, "_matrix_inv", np.linalg.inv(A))
         elif self.family == "lp":
-            if self.exponent is None or self.exponent <= 1:
-                raise NormError("lp exponent must be > 1")
+            if self.exponent is None or not 1 < self.exponent < math.inf:
+                raise NormError(f"lp exponent must be finite and > 1, got {self.exponent!r}")
         elif self.family == "custom":
             if self.value_fn is None:
                 raise NormError("custom norm needs a value function")

@@ -8,12 +8,13 @@ counter-based generator, and Richardson-extrapolated finite differences.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .norms import ball_volume_constant
 
@@ -89,9 +90,8 @@ class RadialProfile:
 class QuadratureSpec:
     """Accuracy, truncation and seeding parameters shared by all integrals.
 
-    radial_integral accepts a summed error estimate of up to
-    ACCEPTANCE_FACTOR x relative_tolerance x |value|; gauss_kronrod_batch
-    holds every value to relative_tolerance itself.
+    radial_integral and gauss_kronrod_batch both accept a value only when its
+    summed G7/K15 estimate sum |K - G| is at most relative_tolerance x |value|.
     """
 
     relative_tolerance: float = 1e-9
@@ -115,28 +115,50 @@ class IntegralResult:
     truncation: float = math.inf
 
 
-# radial_integral accepts a summed QUADPACK error estimate up to this multiple
-# of relative_tolerance * |value| before it raises "tolerance not met"
-ACCEPTANCE_FACTOR = 100
-
-# subintervals QUADPACK may use per panel of radial_integral, and the panel
-# cap of gauss_kronrod_batch
+# the panel cap of radial_integral and of gauss_kronrod_batch
 _MAX_SUBINTERVALS = 600
 
 # e^(-x) underflows to 0.0 once x passes about 745
 _LOG_UNDERFLOW = 745.0
 
 
-def _weight_fn(weight) -> tuple[Callable[[float], float], float]:
-    """Return (w(rho), growth-exponent) with e^{g rho} dominating w at infinity."""
-    kind = weight[0]
-    if kind == "power":
-        k = weight[1]
-        return (lambda r: r**k), 0.0
-    if kind == "sinh-power":
-        m = weight[1]
-        return (lambda r: math.sinh(r) ** m), float(m)
-    raise ValueError(f"unknown weight {weight!r}")
+# QUADPACK qk15 on [-1, 1]: Kronrod nodes from 1 down to the centre, their
+# weights, and the weights of the embedded 7-point Gauss rule, which uses
+# every second node.
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+])
+_GK15_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_GK15_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GK15_GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
+# the same rule as Python floats, for the scalar integrands of radial_integral,
+# in the order QUADPACK's qk15 evaluates it (the centre, the Gauss pairs, the
+# Kronrod pairs): a profile that overflows is named at the first node it
+# overflows at in that order
+_ORDER = [7, 1, 13, 3, 11, 5, 9, 0, 14, 2, 12, 4, 10, 6, 8]
+_NODE_LIST = _GK15_NODES[_ORDER].tolist()
+_NODE_COUNT = len(_NODE_LIST)
+_OUTER_NODE = float(_XGK[0])
+_KRONROD_LIST = _GK15_KRONROD[_ORDER].tolist()
+_DIFF_LIST = (_GK15_KRONROD - _GK15_GAUSS)[_ORDER].tolist()
+# columns K and K - G: one product of a panel's 15 values gives its Kronrod
+# sum and its Kronrod-minus-Gauss difference
+_GK15_WEIGHTS = np.stack([_GK15_KRONROD, _GK15_KRONROD - _GK15_GAUSS], axis=1)
 
 
 def _tail_budget(tol: float) -> float:
@@ -167,29 +189,36 @@ def _truncation_radius(decay: DecayClass, growth: float, tol: float) -> float:
 def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
     """Integral of f(rho) w(rho) over [0, oo).
 
-    weight is ('power', k) or ('sinh-power', m).  The domain
+    weight is ('power', k) or ('sinh-power', k).  The domain
     is split at 1 and at every breakpoint up to its end: the truncation
     radius T, or for algebraic decay the larger of 1 and the last breakpoint.
     Unless the decay is compact, the tail past the end is mapped onto [0, 1)
-    by rho = end + t/(1 - t).  The summed error estimate may reach
-    ACCEPTANCE_FACTOR x relative_tolerance x |value| before QuadratureError
-    is raised.  Against ('sinh-power', m), a gaussian profile of rate a
-    underflows to 0.0 at rho_u = sqrt(745/a) while f sinh^m may still hold
-    mass there; QuadratureError is raised when e^(-a rho^2 + m rho) at rho_u,
-    relative to its peak at rho = m/(2a), exceeds relative_tolerance.  A
+    by rho = end + t/(1 - t).  The rule is G7/K15, globally adaptive over all
+    pieces (_adaptive_gk15); error_estimate is the summed |K - G| of every
+    panel, at most relative_tolerance x |value|, and nodes_used counts
+    integrand evaluations.  QuadratureError names its cause: the
+    _MAX_SUBINTERVALS cap, a panel too narrow to bisect in floating point, a
+    tail node that rounds to t = 1.0, or a piece whose integral leaves the
+    float range.  Against ('sinh-power', k), a gaussian profile of rate a
+    underflows to 0.0 at rho_u = sqrt(745/a) while f sinh^k may still hold
+    mass there; QuadratureError is raised when e^(-a rho^2 + k rho) at rho_u,
+    relative to its peak at rho = k/(2a), exceeds relative_tolerance.  A
     compact profile of support radius R is evaluated at R (1 + 2^-20), 1.5 R
     and 2 R, and QuadratureError is raised if it is nonzero at any of them.
     """
-    w, growth = _weight_fn(weight)
-    T = _truncation_radius(f.decay, growth, spec.relative_tolerance)
-    m = weight[1] if weight[0] == "sinh-power" else None
-    if m is not None and f.decay.kind == "gaussian":
+    kind, k = weight
+    if kind not in ("power", "sinh-power"):
+        raise ValueError(f"unknown weight {weight!r}")
+    sinh = kind == "sinh-power"
+    # e^(k rho) dominates sinh^k at infinity; a power grows slower than any e^(g rho)
+    T = _truncation_radius(f.decay, float(k) if sinh else 0.0, spec.relative_tolerance)
+    if sinh and f.decay.kind == "gaussian":
         a = f.decay.rate
         rho_u = math.sqrt(_LOG_UNDERFLOW / a)
-        if -a * rho_u**2 + m * rho_u - m * m / (4 * a) > math.log(spec.relative_tolerance):
+        if -a * rho_u**2 + k * rho_u - k * k / (4 * a) > math.log(spec.relative_tolerance):
             raise QuadratureError(
                 f"gaussian profile of rate {a!r} underflows to 0 at rho={rho_u!r}, "
-                f"where f sinh^{m} still carries mass above the tolerance"
+                f"where f sinh^{k} still carries mass above the tolerance"
             )
     if f.decay.kind == "compact":
         R = f.decay.support_radius
@@ -200,24 +229,26 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
                     f"profile declared compact on [0, {R!r}] is {v!r} at rho={r!r}"
                 )
 
+    ev = f.evaluator
+
     def g(r: float) -> float:
         try:
-            v = f.evaluator(r)
+            v = ev(r)
         except OverflowError:
             raise QuadratureError(f"profile exceeds the float range at rho={r!r}") from None
         try:
-            return v * w(r)
+            return v * (math.sinh(r) ** k if sinh else r**k)
         except OverflowError:
-            if m is None:
+            if not sinh:
                 # a power weight overflows only far out in the mapped tail,
                 # where the true product has underflowed
                 return 0.0
-        # sinh^m alone overflows while f sinh^m may still be large (small
+        # sinh^k alone overflows while f sinh^k may still be large (small
         # gaussian rates), so form the product in log space:
         # log sinh rho = rho + log(1 - e^(-2 rho)) - log 2
         if v == 0.0:
             return 0.0
-        log_w = m * (r + math.log1p(-math.exp(-2 * r)) - math.log(2))
+        log_w = k * (r + math.log1p(-math.exp(-2 * r)) - math.log(2))
         try:
             return math.copysign(math.exp(math.log(abs(v)) + log_w), v)
         except OverflowError:
@@ -226,34 +257,87 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
     interior = {b for b in f.breakpoints if 0 < b < T}
     end = T if math.isfinite(T) else max({1.0} | interior)
     cuts = sorted({0.0, min(1.0, end), end} | interior)
-    panels = list(zip(cuts, cuts[1:]))
-    if f.decay.kind != "compact":
-        panels.append((end, math.inf))
-
-    def tail(t: float) -> float:
-        return g(end + t / (1 - t)) / (1 - t) ** 2
-
-    total, err, nodes = 0.0, 0.0, 0
-    for lo, hi in panels:
-        val, abserr, info = integrate.quad(
-            *((g, lo, hi) if hi < math.inf else (tail, 0.0, 1.0)),
-            epsabs=1e-300,
-            epsrel=spec.relative_tolerance,
-            limit=_MAX_SUBINTERVALS,
-            full_output=True,
-        )[:3]
-        total += val
-        err += abserr
-        nodes += int(info["neval"])
-        if not math.isfinite(val):
-            raise QuadratureError(
-                f"integral over rho in [{lo!r}, {hi!r}] is {val!r}: outside the float range"
-            )
-    if abs(total) > 0 and err > ACCEPTANCE_FACTOR * spec.relative_tolerance * abs(total) + 1e-280:
-        raise QuadratureError(
-            f"requested tolerance not met: value={total!r}, error={err!r}"
-        )
+    tail = f.decay.kind != "compact"
+    total, err, nodes = _adaptive_gk15(g, cuts, tail, spec.relative_tolerance)
     return IntegralResult(total, err, nodes, truncation=T)
+
+
+def _adaptive_gk15(g: Callable[[float], float], cuts: list, tail: bool, tol: float):
+    """Globally adaptive G7/K15 for radial_integral: g over [cuts[0], cuts[-1]].
+
+    The pieces are the intervals between cuts and, if tail, the tail past
+    end = cuts[-1] mapped onto t in [0, 1) by rho = end + t/(1 - t),
+    d rho = dt/(1 - t)^2.  Every piece starts as its two halves; while the
+    summed |K - G| of all panels exceeds tol x |sum of K|, the panel with the
+    largest |K - G| is bisected.  Returns (value, error estimate, integrand
+    evaluations).
+    """
+    pieces = list(zip(cuts, cuts[1:]))
+    if tail:
+        pieces.append((0.0, 1.0))
+    end, last = cuts[-1], len(cuts) - 1 if tail else -1
+    panels = []  # a heap of (-|K - G|, piece, a, b, K)
+    value = error = 0.0
+    evals = 0
+
+    def where(i: int, a: float, b: float) -> str:
+        if i == last:  # the tail, in rho
+            a, b = end + a / (1.0 - a), (end + b / (1.0 - b) if b < 1.0 else math.inf)
+        return f"rho in [{a!r}, {b!r}]"
+
+    def add(i: int, a: float, b: float) -> None:
+        nonlocal value, error, evals
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        if i == last:
+            v = [g(end + t / (1.0 - t)) / (1.0 - t) ** 2 for t in [c + h * x for x in _NODE_LIST]]
+        else:
+            v = [g(c + h * x) for x in _NODE_LIST]
+        k, e = h * sum(map(mul, _KRONROD_LIST, v)), abs(h * sum(map(mul, _DIFF_LIST, v)))
+        evals += _NODE_COUNT
+        if not math.isfinite(k):
+            total = math.fsum([p[4] for p in panels if p[1] == i] + [k])
+            raise QuadratureError(
+                f"integral over {where(i, *pieces[i])} is {total!r}: outside the float range"
+            )
+        heapq.heappush(panels, (-e, i, a, b, k))
+        value += k
+        error += e
+
+    for i, (lo, hi) in enumerate(pieces):
+        add(i, lo, 0.5 * (lo + hi))
+        add(i, 0.5 * (lo + hi), hi)
+    while True:
+        if error <= tol * abs(value):
+            # the running sums drift; accept on the exact ones
+            value = math.fsum(p[4] for p in panels)
+            error = math.fsum(-p[0] for p in panels)
+            if error <= tol * abs(value):
+                return value, error, evals
+        minus_e, i, a, b, k = panels[0]
+        mid = 0.5 * (a + b)
+        if len(panels) >= _MAX_SUBINTERVALS:
+            cause = f"with {len(panels)} panels, the worst at {where(i, a, b)}"
+        elif not a < mid < b:
+            cause = f"at {where(i, a, b)}: the panel cannot be bisected in floating point"
+        elif i == last and 0.5 * (mid + b) + 0.5 * (b - mid) * _OUTER_NODE >= 1.0:
+            cause = f"at {where(i, a, b)}: a node of its right half rounds to t = 1.0"
+        else:
+            heapq.heappop(panels)
+            value -= k
+            error += minus_e
+            add(i, a, mid)
+            add(i, mid, b)
+            continue
+        raise QuadratureError(
+            f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}"
+        )
+
+
+def _volume_integral(f: RadialProfile, weight, n: int, spec: QuadratureSpec) -> IntegralResult:
+    """n omega_n times radial_integral(f, weight, spec)."""
+    base = radial_integral(f, weight, spec)
+    c = n * ball_volume_constant(n)
+    return IntegralResult(c * base.value, c * base.error_estimate, base.nodes_used, base.truncation)
 
 
 def flat_radial_volume_integral(
@@ -264,47 +348,15 @@ def flat_radial_volume_integral(
     Equals n omega_n * int f(rho) rho^(n-1) d rho for every reversible norm;
     norm-independence is the contract.
     """
-    base = radial_integral(f, ("power", n - 1), spec)
-    c = n * ball_volume_constant(n)
-    return IntegralResult(c * base.value, c * base.error_estimate, base.nodes_used, base.truncation)
+    return _volume_integral(f, ("power", n - 1), n, spec)
 
 
 def hyperbolic_radial_volume_integral(
     f: RadialProfile, n: int, spec: QuadratureSpec = QuadratureSpec()
 ) -> IntegralResult:
     """Integral over the curvature -1 ball model: n omega_n * int f sinh^(n-1)."""
-    base = radial_integral(f, ("sinh-power", n - 1), spec)
-    c = n * ball_volume_constant(n)
-    return IntegralResult(c * base.value, c * base.error_estimate, base.nodes_used, base.truncation)
+    return _volume_integral(f, ("sinh-power", n - 1), n, spec)
 
-
-# QUADPACK qk15 on [-1, 1]: Kronrod nodes from 1 down to the centre, their
-# weights, and the weights of the embedded 7-point Gauss rule, which uses
-# every second node.
-_XGK = np.array([
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.0, 0.129484966168869693270611432679082,
-    0.0, 0.279705391489276667901467771423780,
-    0.0, 0.381830050505118944950369775488975,
-    0.0, 0.417959183673469387755102040816327,
-])
-_GK15_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_GK15_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_GK15_GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
-# columns K and K - G: one product of a panel's 15 values gives its Kronrod
-# sum and its Kronrod-minus-Gauss difference
-_GK15_WEIGHTS = np.stack([_GK15_KRONROD, _GK15_KRONROD - _GK15_GAUSS], axis=1)
 
 _FIRST_PANELS = 8
 # integrand values per evaluation block: a few hundred parameters at the
@@ -330,8 +382,8 @@ def gauss_kronrod_batch(
     Kronrod and Kronrod-minus-Gauss weights.  Every integral carries its own
     error estimate, the sum over panels of |K - G|; the panel count is
     doubled only for the parameters with an estimate
-    above relative_tolerance * |value|, up to the _MAX_SUBINTERVALS
-    subintervals radial_integral allows QUADPACK.  A value depends only on
+    above relative_tolerance * |value|, up to _MAX_SUBINTERVALS panels, the
+    cap radial_integral has too.  A value depends only on
     its parameter, never on the rest of the grid.  A QuadratureError names
     a parameter by describe(params[i].tolist()).  Returns (values,
     error_estimates, integrand evaluations), values and estimates of shape

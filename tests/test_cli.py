@@ -354,6 +354,23 @@ class TestMain:
         assert "config error: grids.epsilon" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "norm, cause",
+        [
+            ("family = lp\np = nan", "lp exponent must be finite and > 1, got nan"),
+            ("family = lp\np = inf", "lp exponent must be finite and > 1, got inf"),
+            ("family = weighted-euclidean\nmatrix = 1 0 0 inf", "matrix entries must be finite"),
+        ],
+    )
+    def test_exit_two_on_non_finite_norm(self, tmp_path, capsys, norm, cause):
+        # the flat-hpw checks never evaluate the norm, so such a run used to pass
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nsuite = flat-hpw\nn = 2\n\n[norm]\n{norm}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--out", str(out)]) == 2
+        assert f"config error: bad norm config: {cause}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exit_two_on_suite_all_without_triple(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text("[run]\nsuite = all\nn = 3\n")

@@ -87,6 +87,16 @@ class TestConstruction:
         with pytest.raises(NormError):
             lp(2, 1.0)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_lp_exponent_finite(self, p):
+        with pytest.raises(NormError, match="lp exponent must be finite and > 1"):
+            lp(2, p)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_matrix_finite(self, bad):
+        with pytest.raises(NormError, match="matrix entries must be finite"):
+            MinkowskiNorm(2, "weighted-euclidean", matrix=np.array([[1.0, 0.0], [0.0, bad]]))
+
     def test_unknown_family(self):
         with pytest.raises(NormError):
             MinkowskiNorm(2, "taxicab")

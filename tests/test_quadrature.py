@@ -127,6 +127,109 @@ class TestRadialIntegral:
         assert got == pytest.approx(mass, rel=10 * spec.relative_tolerance)
 
 
+def closed_form_cases():
+    """(id, profile, weight, exact integral) with closed forms."""
+    cases = []
+    for a in (0.25, 1.0, 4.0):
+        for k in (0, 1, 2, 3, 5, 7):
+            # int r^k e^(-a r^2) = Gamma((k+1)/2) / (2 a^((k+1)/2))
+            exact = math.gamma((k + 1) / 2) / (2 * a ** ((k + 1) / 2))
+            cases.append((f"power{k}-a{a}", gauss_profile(a), ("power", k), exact))
+        # int e^(-a r^2) sinh r and int e^(-a r^2) sinh^2 r
+        exact = 0.5 * math.sqrt(math.pi / a) * math.exp(1 / (4 * a)) * math.erf(1 / (2 * math.sqrt(a)))
+        cases.append((f"sinh1-a{a}", gauss_profile(a), ("sinh-power", 1), exact))
+        exact = 0.25 * math.sqrt(math.pi / a) * math.expm1(1 / a)
+        cases.append((f"sinh2-a{a}", gauss_profile(a), ("sinh-power", 2), exact))
+    # int r^2 / (1 + r^2)^2 = pi/4, algebraic decay through the mapped tail
+    algebraic = RadialProfile(lambda r: (1 + r * r) ** -2, DecayClass.algebraic())
+    cases.append(("algebraic", algebraic, ("power", 2), math.pi / 4))
+    # r^2 on [0, 1/2] and (1 - r)/2 on [1/2, 1], against r: 1/64 + 1/24
+    piecewise = RadialProfile(
+        lambda r: r * r if r < 0.5 else (0.5 * (1 - r) if r < 1 else 0.0),
+        DecayClass.compact(1.0),
+        breakpoints=(0.5,),
+    )
+    cases.append(("compact-polynomial", piecewise, ("power", 1), 1 / 64 + 1 / 24))
+    return cases
+
+
+class TestRadialIntegralAccuracy:
+    """Closed forms at both catalogue tolerances, with no slack on either."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("prof, weight, exact", [pytest.param(*c[1:], id=c[0]) for c in closed_form_cases()])
+    def test_closed_form(self, tol, prof, weight, exact):
+        res = radial_integral(prof, weight, QuadratureSpec(relative_tolerance=tol))
+        assert abs(res.value - exact) <= tol * abs(exact)
+        assert res.error_estimate <= tol * abs(res.value)
+
+    def test_nodes_used_counts_evaluations(self):
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return (1 + r * r) ** -2
+
+        res = radial_integral(RadialProfile(f, DecayClass.algebraic()), ("power", 2))
+        assert res.nodes_used == len(calls) > 0
+        assert res.nodes_used % 15 == 0
+
+
+class TestRadialIntegralFailures:
+    """Each way the adaptive rule can give up names its cause and the panel."""
+
+    def test_panel_cap(self):
+        # a fast oscillation needs more than _MAX_SUBINTERVALS panels at 1e-12
+        prof = RadialProfile(lambda r: math.cos(2e4 * r) if r <= 1 else 0.0, DecayClass.compact(1.0))
+        with pytest.raises(QuadratureError) as exc:
+            radial_integral(prof, ("power", 0), QuadratureSpec(relative_tolerance=1e-12))
+        assert re.fullmatch(
+            rf"requested tolerance 1e-12 not met with {_MAX_SUBINTERVALS} panels, the worst at "
+            r"rho in \[\S+, \S+\]: value=\S+, error=\S+",
+            str(exc.value),
+        )
+
+    def test_panel_too_narrow_to_bisect(self):
+        # |r - 1/2|^-0.9 is integrable, but the estimate of the panels next
+        # to 1/2 falls only like their width^0.1: bisection runs out of floats
+        prof = RadialProfile(
+            lambda r: abs(r - 0.5) ** -0.9 if r != 0.5 and r <= 1 else 0.0,
+            DecayClass.compact(1.0),
+            breakpoints=(0.5,),
+        )
+        with pytest.raises(QuadratureError) as exc:
+            radial_integral(prof, ("power", 0))
+        assert re.fullmatch(
+            r"requested tolerance 1e-09 not met at rho in \[0\.5, 0\.5000000000000001\]: "
+            r"the panel cannot be bisected in floating point: value=\S+, error=\S+",
+            str(exc.value),
+        )
+
+    def test_tail_node_at_one(self):
+        # P of (3, 3, 1.49975) decays like rho^(-1.0005) times a constant:
+        # bisection toward t = 1 must stop before a node rounds to 1.0, where
+        # the tail map would divide by zero
+        from sharpineq.flat import ExponentTriple, pqr
+
+        t = ExponentTriple(3, 3.0, 1.49975)
+        for tol in (1e-9, 1e-12):
+            with pytest.raises(QuadratureError) as exc:
+                pqr(t, 1.0, "P", QuadratureSpec(relative_tolerance=tol))
+            assert re.fullmatch(
+                rf"requested tolerance {tol!r} not met at rho in \[\S+, inf\]: "
+                r"a node of its right half rounds to t = 1\.0: value=\S+, error=\S+",
+                str(exc.value),
+            )
+
+    def test_non_finite_piece(self):
+        # every value is finite, but a Kronrod sum of 1e308 overflows; the
+        # message names the piece [0, 1], not the panel
+        prof = RadialProfile(lambda r: 1e308 if r < 8 else 0.0, DecayClass.compact(8.0))
+        with pytest.raises(QuadratureError) as exc:
+            radial_integral(prof, ("power", 0))
+        assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
+
+
 class TestVolumeIntegrals:
     def test_flat_gaussian(self):
         # int_{R^2} e^{-|x|^2} dx = pi
