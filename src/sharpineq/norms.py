@@ -158,12 +158,14 @@ def norm_value(norm: MinkowskiNorm, y: np.ndarray) -> float | np.ndarray:
     if getattr(y, "ndim", 1) == 2:
         return _rows_value(norm, y.astype(float, copy=False), dual=False)
     y = _check_dim(norm, y)
-    if not np.any(y):
+    # the ndarray methods and math.sqrt skip numpy's dispatch of np.any, np.sum
+    # and np.sqrt on every per-point call, with the same values
+    if not y.any():
         return 0.0
     if norm.family == "weighted-euclidean":
-        return float(np.sqrt(y @ norm.matrix @ y))
+        return math.sqrt(y @ norm.matrix @ y)
     if norm.family == "lp":
-        return float(np.sum(np.abs(y) ** norm.exponent) ** (1.0 / norm.exponent))
+        return float((np.abs(y) ** norm.exponent).sum() ** (1.0 / norm.exponent))
     return float(norm.value_fn(y))
 
 
@@ -268,14 +270,14 @@ def dual_norm_value(norm: MinkowskiNorm, alpha: Covector) -> float | np.ndarray:
     if getattr(alpha, "ndim", 1) == 2:
         return _rows_value(norm, alpha.astype(float, copy=False), dual=True)
     alpha = _check_dim(norm, alpha)
-    if not np.any(alpha):
+    if not alpha.any():
         return 0.0
     if norm.family == "weighted-euclidean":
-        return float(np.sqrt(alpha @ norm._matrix_inv @ alpha))
+        return math.sqrt(alpha @ norm._matrix_inv @ alpha)
     if norm.family == "lp":
         p = norm.exponent
         s = p / (p - 1)
-        return float(np.sum(np.abs(alpha) ** s) ** (1.0 / s))
+        return float((np.abs(alpha) ** s).sum() ** (1.0 / s))
     val, _ = _dual_by_maximization(norm, alpha)
     return val
 

@@ -90,8 +90,9 @@ class RadialProfile:
 class QuadratureSpec:
     """Accuracy, truncation and seeding parameters shared by all integrals.
 
-    radial_integral and gauss_kronrod_batch both accept a value only when its
-    summed G7/K15 estimate sum |K - G| is at most relative_tolerance x |value|.
+    radial_integral (G7/K15) and gauss_kronrod_batch (G10/K21) run two
+    Gauss-Kronrod tables under one acceptance rule: a value is accepted only
+    when its summed estimate sum |K - G| is at most relative_tolerance x |value|.
     """
 
     relative_tolerance: float = 1e-9
@@ -122,43 +123,68 @@ _MAX_SUBINTERVALS = 600
 _LOG_UNDERFLOW = 745.0
 
 
-# QUADPACK qk15 on [-1, 1]: Kronrod nodes from 1 down to the centre, their
-# weights, and the weights of the embedded 7-point Gauss rule, which uses
-# every second node.
-_XGK = np.array([
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.0, 0.129484966168869693270611432679082,
-    0.0, 0.279705391489276667901467771423780,
-    0.0, 0.381830050505118944950369775488975,
-    0.0, 0.417959183673469387755102040816327,
-])
-_GK15_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_GK15_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_GK15_GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
-# the same rule as Python floats, for the scalar integrands of radial_integral,
-# in the order QUADPACK's qk15 evaluates it (the centre, the Gauss pairs, the
+def _gauss_kronrod_table(xgk, wgk, wg):
+    """A QUADPACK Gauss-Kronrod rule on [-1, 1] from its half-tables.
+
+    xgk holds the Kronrod nodes from 1 down to the centre, wgk their weights
+    and wg the weights of the embedded Gauss rule, whose nodes are every
+    second one, xgk[1], xgk[3], ...  Returns the nodes in ascending order,
+    their Kronrod weights and their Gauss weights (0 where Gauss has no node).
+    """
+    gauss = np.zeros(len(xgk))
+    gauss[1::2] = wg
+
+    def mirror(half, sign=1.0):
+        half = np.asarray(half, dtype=float)
+        return np.concatenate([sign * half[:-1], half[::-1]])
+
+    return mirror(xgk, -1.0), mirror(wgk), mirror(gauss)
+
+
+# QUADPACK qk15 (G7/K15), the rule of radial_integral
+_GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = _gauss_kronrod_table(
+    [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+     0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+     0.207784955007898467600689403773245, 0.0],
+    [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+     0.204432940075298892414161999234649, 0.209482141084727828012999174891714],
+    [0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+     0.381830050505118944950369775488975, 0.417959183673469387755102040816327],
+)
+# QUADPACK qk21 (G10/K21), the rule of gauss_kronrod_batch, whose integrands
+# are smooth on [0, 1]; the centre is a Kronrod node only
+_GK21_NODES, _GK21_KRONROD, _GK21_GAUSS = _gauss_kronrod_table(
+    [0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+     0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0],
+    [0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+     0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+     0.149445554002916905664936468389821],
+    [0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+     0.295524224714752870173892994651338],
+)
+# columns K and K - G: one product of a panel's 21 values gives its Kronrod
+# sum and its Kronrod-minus-Gauss difference
+_GK21_WEIGHTS = np.stack([_GK21_KRONROD, _GK21_KRONROD - _GK21_GAUSS], axis=1)
+# G7/K15 as Python floats, for the scalar integrands of radial_integral, in
+# the order QUADPACK's qk15 evaluates it (the centre, the Gauss pairs, the
 # Kronrod pairs): a profile that overflows is named at the first node it
 # overflows at in that order
 _ORDER = [7, 1, 13, 3, 11, 5, 9, 0, 14, 2, 12, 4, 10, 6, 8]
 _NODE_LIST = _GK15_NODES[_ORDER].tolist()
 _NODE_COUNT = len(_NODE_LIST)
-_OUTER_NODE = float(_XGK[0])
+_OUTER_NODE = float(_GK15_NODES[-1])
 _KRONROD_LIST = _GK15_KRONROD[_ORDER].tolist()
 _DIFF_LIST = (_GK15_KRONROD - _GK15_GAUSS)[_ORDER].tolist()
-# columns K and K - G: one product of a panel's 15 values gives its Kronrod
-# sum and its Kronrod-minus-Gauss difference
-_GK15_WEIGHTS = np.stack([_GK15_KRONROD, _GK15_KRONROD - _GK15_GAUSS], axis=1)
 
 
 def _tail_budget(tol: float) -> float:
@@ -358,7 +384,7 @@ def hyperbolic_radial_volume_integral(
     return _volume_integral(f, ("sinh-power", n - 1), n, spec)
 
 
-_FIRST_PANELS = 8
+_FIRST_PANELS = 4
 # integrand values per evaluation block: a few hundred parameters at the
 # first panel count, so peak memory does not grow with the grid
 _BLOCK_VALUES = 1 << 15
@@ -376,14 +402,17 @@ def gauss_kronrod_batch(
     or (N, k) for k numbers per parameter.  integrand maps the node positions
     x, shape (m,), and a column of parameters, shape (r, 1) or (r, 1, k), to
     an (r, m) array, or to a (q, r, m) array for q integrals per parameter on
-    the same nodes.  The rule is composite G7/K15 on equal panels; a
-    panel's Kronrod sum K and its difference K - G from the embedded Gauss
-    rule come from one product of its 15 values with the (15, 2) matrix of
-    Kronrod and Kronrod-minus-Gauss weights.  Every integral carries its own
-    error estimate, the sum over panels of |K - G|; the panel count is
-    doubled only for the parameters with an estimate
-    above relative_tolerance * |value|, up to _MAX_SUBINTERVALS panels, the
-    cap radial_integral has too.  A value depends only on
+    the same nodes.  The rule is composite G10/K21 (QUADPACK qk21) on
+    _FIRST_PANELS equal panels: every integrand the package batches is
+    smooth on [0, 1], where this rule meets the tolerance on fewer nodes than
+    G7/K15.  A panel's
+    Kronrod sum K and its difference K - G from the embedded Gauss rule come
+    from one product of its 21 values with the (21, 2) matrix of Kronrod and
+    Kronrod-minus-Gauss weights.  Every integral carries its own error
+    estimate, the sum over panels of |K - G|, under radial_integral's
+    acceptance rule; the panel count is doubled only for the parameters with
+    an estimate above relative_tolerance * |value|, up to _MAX_SUBINTERVALS
+    panels, the cap radial_integral has too.  A value depends only on
     its parameter, never on the rest of the grid.  A QuadratureError names
     a parameter by describe(params[i].tolist()).  Returns (values,
     error_estimates, integrand evaluations), values and estimates of shape
@@ -397,8 +426,8 @@ def gauss_kronrod_batch(
     panels, evals = _FIRST_PANELS, 0
     while True:
         half = 0.5 / panels
-        x = ((np.arange(panels)[:, None] + 0.5) / panels + half * _GK15_NODES).ravel()
-        weights = half * _GK15_WEIGHTS
+        x = ((np.arange(panels)[:, None] + 0.5) / panels + half * _GK21_NODES).ravel()
+        weights = half * _GK21_WEIGHTS
         rows = max(1, _BLOCK_VALUES // x.size)
         # values outside the float range are caught below, with their parameter
         with np.errstate(over="ignore", invalid="ignore"):
@@ -409,7 +438,7 @@ def gauss_kronrod_batch(
                     values = np.empty(f.shape[:-2] + (count,))
                     errors = np.empty(values.shape)
                 # K and K - G of every panel of the block in one product
-                kd = (f.reshape(-1, _GK15_NODES.size) @ weights).reshape(
+                kd = (f.reshape(-1, _GK21_NODES.size) @ weights).reshape(
                     f.shape[:-2] + (idx.size, panels, 2))
                 values[..., idx] = kd[..., 0].sum(axis=-1)
                 errors[..., idx] = np.abs(kd[..., 1]).sum(axis=-1)
@@ -477,8 +506,9 @@ def hyperbolic_gaussian_masses(
 
     The batched counterpart of hyperbolic_radial_volume_integral for the
     gaussian e^(-alpha rho^2), integrated in s = rho sqrt(alpha) up to the
-    tail cut of _sinh_gaussian.  Returns (masses, error_estimates,
-    integrand evaluations).
+    tail cut of _sinh_gaussian, on gauss_kronrod_batch's G10/K21 rule and
+    under the acceptance rule of radial_integral's G7/K15.  Returns (masses,
+    error_estimates, integrand evaluations).
     """
     if n < 1:
         raise ValueError("need n >= 1")

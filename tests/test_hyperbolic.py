@@ -26,6 +26,7 @@ from sharpineq import (
     radial_laplacian,
 )
 from sharpineq.hyperbolic import _sign_change_brackets, conformal_factor
+from sharpineq.quadrature import _FIRST_PANELS, _GK21_NODES
 
 
 def d_gauss():
@@ -234,8 +235,8 @@ class TestAlphaScan:
         spec = QuadratureSpec(relative_tolerance=1e-9)
         scan = ko_alpha_scan(4, (3.0, 100.0), grid_size=64, spec=spec)
         assert 0 < scan["worst_rel_err"] <= spec.relative_tolerance
-        # two masses, at least 8 panels of 15 nodes per alpha each
-        assert scan["nodes_used"] >= 2 * 64 * 8 * 15
+        # two masses, at least the batch's first pass per alpha each
+        assert scan["nodes_used"] >= 2 * 64 * _FIRST_PANELS * _GK21_NODES.size
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -303,8 +304,8 @@ class TestConstantBounds:
         spec = QuadratureSpec(relative_tolerance=1e-9)
         out = hpw_constant_bounds(3, spec=spec)
         assert 0 < out["worst_rel_err"] <= spec.relative_tolerance
-        # 30 cells, at least 8 G7/K15 panels each
-        assert out["nodes_used"] >= 30 * 8 * 15
+        # 30 cells, at least the batch's first pass each
+        assert out["nodes_used"] >= 30 * _FIRST_PANELS * _GK21_NODES.size
 
     def test_argmin_sits_on_the_alpha_edge(self):
         # the grid minimum is an upper bound only: for n = 3 it improves

@@ -258,6 +258,38 @@ class TestRowInput:
                 fn(euclid(3), np.ones(shape))
 
 
+def closed_form_value(norm, y, dual):
+    """The per-point closed forms in numpy's free functions: the reference expressions."""
+    y = np.asarray(y, dtype=float)
+    if not np.any(y):
+        return 0.0
+    if norm.family == "weighted-euclidean":
+        return float(np.sqrt(y @ (norm._matrix_inv if dual else norm.matrix) @ y))
+    s = norm.exponent / (norm.exponent - 1) if dual else norm.exponent
+    return float(np.sum(np.abs(y) ** s) ** (1.0 / s))
+
+
+class TestPerPointClosedForms:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equal_to_reference_expressions(self, n):
+        rng = np.random.Generator(np.random.Philox(key=43 + n))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # condition numbers 1, 10 and 100, rotated off the axes
+        closed = [lp(n, 1.5), lp(n, 3.0), lp(n, 4.0)] + [
+            MinkowskiNorm(n, "weighted-euclidean", matrix=(q * np.geomspace(1, c, n)) @ q.T)
+            for c in (1.0, 10.0, 100.0)
+        ]
+        points = rng.standard_normal((400, n)) * np.geomspace(1e-3, 1e3, 400)[:, None]
+        for norm in closed:
+            for fn, dual in ((norm_value, False), (dual_norm_value, True)):
+                for y in [np.zeros(n), *points]:
+                    got = fn(norm, y)
+                    assert type(got) is float and got == closed_form_value(norm, y, dual)
+                for shape in [(), (n + 1,), (1, 1, n)]:
+                    with pytest.raises(NormError):
+                        fn(norm, np.ones(shape))
+
+
 class TestLegendreMap:
     def test_euclidean_identity(self):
         cert = legendre_map(euclid(2), np.array([1.0, 0.0]))

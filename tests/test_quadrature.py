@@ -26,10 +26,11 @@ from sharpineq import quadrature
 from sharpineq.quadrature import (
     _BLOCK_VALUES,
     _FIRST_PANELS,
-    _GK15_GAUSS,
-    _GK15_KRONROD,
-    _GK15_NODES,
+    _GK21_GAUSS,
+    _GK21_KRONROD,
+    _GK21_NODES,
     _MAX_SUBINTERVALS,
+    _adaptive_gk15,
 )
 
 
@@ -174,6 +175,16 @@ class TestRadialIntegralAccuracy:
         assert res.nodes_used == len(calls) > 0
         assert res.nodes_used % 15 == 0
 
+    def test_rule_exact_on_polynomials(self):
+        # K15 is exact to degree 22 and G7 to degree 13 on each of the two
+        # first halves, which pins every entry of the scalar G7/K15 table;
+        # at 1e-6 no degree needs a bisection
+        for j in range(23):
+            value, error, evals = _adaptive_gk15(lambda x: x**j, [0.0, 1.0], False, 1e-6)
+            assert value == pytest.approx(1 / (j + 1), rel=1e-14)
+            assert error <= 1e-15 or j > 13
+            assert evals == 30
+
 
 class TestRadialIntegralFailures:
     """Each way the adaptive rule can give up names its cause and the panel."""
@@ -281,13 +292,13 @@ def gaussian_mass_closed_form(k, alpha):
 
 class TestGaussKronrodBatch:
     def test_rule_exact_on_polynomials(self):
-        # K15 is exact to degree 22 and G7 to degree 13 on every panel, which
+        # K21 is exact to degree 31 and G10 to degree 19 on every panel, which
         # pins every entry of the hard-coded node and weight table
-        degrees = np.arange(23)
+        degrees = np.arange(32)
         values, errors, evals = gauss_kronrod_batch(lambda x, j: x ** j, degrees)
         assert values == pytest.approx(1 / (degrees + 1), rel=1e-14)
-        assert np.all(errors[:14] <= 1e-15)
-        assert evals == degrees.size * 8 * 15
+        assert np.all(errors[:20] <= 1e-15)
+        assert evals == degrees.size * 4 * 21
 
     def test_blocks_bound_memory(self):
         from sharpineq.quadrature import _BLOCK_VALUES
@@ -377,9 +388,9 @@ def gauss_kronrod_batch_summed(integrand, params, spec=QuadratureSpec()):
     panels, evals = _FIRST_PANELS, 0
     while True:
         half = 0.5 / panels
-        x = ((np.arange(panels)[:, None] + 0.5) / panels + half * _GK15_NODES).ravel()
-        wk = half * _GK15_KRONROD
-        wd = half * (_GK15_KRONROD - _GK15_GAUSS)
+        x = ((np.arange(panels)[:, None] + 0.5) / panels + half * _GK21_NODES).ravel()
+        wk = half * _GK21_KRONROD
+        wd = half * (_GK21_KRONROD - _GK21_GAUSS)
         rows = max(1, _BLOCK_VALUES // x.size)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, todo.size, rows):
@@ -388,7 +399,7 @@ def gauss_kronrod_batch_summed(integrand, params, spec=QuadratureSpec()):
                 if values is None:
                     values = np.empty(f.shape[:-2] + (count,))
                     errors = np.empty(values.shape)
-                f = f.reshape(f.shape[:-2] + (idx.size, panels, _GK15_NODES.size))
+                f = f.reshape(f.shape[:-2] + (idx.size, panels, _GK21_NODES.size))
                 values[..., idx] = (f * wk).sum(axis=-1).sum(axis=-1)
                 errors[..., idx] = np.abs((f * wd).sum(axis=-1)).sum(axis=-1)
         evals += todo.size * x.size
@@ -425,7 +436,7 @@ SCAN_BANDS = list(zip((1, 2, 4, 6), SCAN_RANGES))
 
 
 class TestBatchSums:
-    """The (15, 2) weight product against the summed oracle, and its row independence."""
+    """The (21, 2) weight product against the summed oracle, and its row independence."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("band", SCAN_RANGES)
@@ -478,7 +489,7 @@ class TestBatchSums:
 
     def test_block_boundary_falls_inside_the_grid(self):
         # the first pass of a 4096-alpha grid spans several blocks
-        assert 1 < _BLOCK_VALUES // (_FIRST_PANELS * _GK15_NODES.size) < 4096
+        assert 1 < _BLOCK_VALUES // (_FIRST_PANELS * _GK21_NODES.size) < 4096
 
 
 class TestGaussianMoments:
@@ -512,7 +523,7 @@ class TestGaussianMoments:
         moments, errors, evals = hyperbolic_gaussian_moments(
             4, np.array([1.0, 2.0, 4.0])[:, None], np.array([0.0, 1.0]))
         assert moments.shape == errors.shape == (3, 3, 2)
-        assert evals >= 6 * 8 * 15
+        assert evals >= 6 * _FIRST_PANELS * _GK21_NODES.size
 
     def test_unattainable_tolerance_names_the_cell(self):
         spec = QuadratureSpec(relative_tolerance=1e-20)
