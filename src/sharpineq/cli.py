@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -367,10 +367,10 @@ HARDY_FUNCTION = flat.RadialFunction(
 
 def _run_flat_hpw(cfg: RunConfig) -> tuple[list, dict]:
     spec = cfg.quadrature_spec()
-    norm = cfg.norm()
     rows = []
-    for lam in cfg.lambda_grid:
-        rep = flat.hpw_report(norm, cfg.n, flat.RadialFunction.gaussian(lam), spec)
+    # radial integrals are norm-independent, so the rows read only n
+    reports = flat.gaussian_hpw_reports(cfg.n, cfg.lambda_grid, spec)
+    for lam, (rep, res) in zip(cfg.lambda_grid, reports):
         rows.append(
             _row(
                 "flat-hpw",
@@ -381,7 +381,6 @@ def _run_flat_hpw(cfg: RunConfig) -> tuple[list, dict]:
                 predicate=lambda r: abs(r.ratio - r.target) <= 1e-6,
             )
         )
-        res = flat.gaussian_moment_identity(cfg.n, lam, spec)
         rows.append(_scalar_row("flat-hpw", "moment-identity", lam, res, 0.0, 1e-8))
     return rows, {}
 
@@ -440,15 +439,16 @@ def _run_hyperbolic(cfg: RunConfig) -> tuple[list, dict]:
             0.0, 1e-10, vol["non_decreasing"] and vol["all_above_omega"],
         )
     )
-    for alpha in (0.25, 1.0, 4.0):
-        rep = hyp.modified_hpw_report(n, alpha=alpha, spec=spec)
+    # alpha = 1 serves the equality and the strictness row
+    reports = hyp.modified_hpw_reports(n, (0.25, 1.0, 4.0), spec)
+    for alpha, (rep, _) in zip((0.25, 1.0, 4.0), reports):
         rows.append(
             _row(
                 "hyperbolic", "modified-hpw-equality", alpha, rep, 1e-6,
                 predicate=lambda r: abs(r.ratio - r.target) / r.target <= 1e-6,
             )
         )
-    rep = hyp.hpw_hyperbolic_report(flat.RadialFunction.gaussian(1.0), n, spec)
+    rep = reports[1][1]
     rows.append(
         _row(
             "hyperbolic", "hpw-strictness", 1.0, rep, 0.0,
@@ -539,8 +539,9 @@ def _cell(value) -> str:
 
 def _write_artifacts(result: SuiteResult, out: Path) -> None:
     name = result.suite
+    names = [f.name for f in fields(CheckRow)]
     # every CheckRow field but error, which only the JSON and summary carry
-    columns = [f.name for f in fields(CheckRow) if f.name != "error"]
+    columns = [k for k in names if k != "error"]
     lines = [",".join(columns)]
     lines += [",".join(_cell(getattr(c, k)) for k in columns) for c in result.checks]
     (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
@@ -549,7 +550,8 @@ def _write_artifacts(result: SuiteResult, out: Path) -> None:
         "passed": result.passed,
         "config_hash": result.config_hash,
         "seed": result.seed,
-        "checks": [asdict(c) for c in result.checks],
+        # CheckRow holds no containers, so a shallow dict is what asdict's deep copy gives
+        "checks": [{k: getattr(c, k) for k in names} for c in result.checks],
     }
     (out / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     summary = [f"suite: {result.suite}"]

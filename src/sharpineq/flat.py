@@ -21,6 +21,7 @@ from .quadrature import (
     fd_derivative,
     flat_radial_volume_integral,
     gauss_kronrod_batch,
+    gaussian_integrals,
     monte_carlo_integral,
     radial_integral,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "extremal_profile",
     "gaussian_T",
     "hpw_report",
+    "gaussian_hpw_reports",
     "gaussian_moment_identity",
     "hardy_report",
     "hardy_sharpness_sweep",
@@ -265,13 +267,15 @@ def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = Quadra
 def _radial(t: ExponentTriple, lam: float, kernel, spec: QuadratureSpec) -> IntegralResult:
     """omega_n int rho^n kernel(t, lam)(rho) d rho."""
     prof = RadialProfile(kernel(t, lam), DecayClass.algebraic())
-    base = radial_integral(prof, ("power", t.n), spec)
-    omega = ball_volume_constant(t.n)
-    return IntegralResult(omega * base.value, omega * base.error_estimate, base.nodes_used)
+    return _scaled(radial_integral(prof, ("power", t.n), spec), ball_volume_constant(t.n))
 
 
 def _q_from_r(t: ExponentTriple, r: IntegralResult) -> IntegralResult:
-    c = (2 - t.q) ** 2 / (t.p - 2) ** 2
+    return _scaled(r, (2 - t.q) ** 2 / (t.p - 2) ** 2)
+
+
+def _scaled(r: IntegralResult, c: float) -> IntegralResult:
+    """c times the integral r, with its error estimate."""
     return IntegralResult(c * r.value, c * r.error_estimate, r.nodes_used)
 
 
@@ -356,12 +360,12 @@ def interpolation_report(
     """
     if isinstance(u, RadialFunction):
         n, p, q = t.n, t.p, t.q
-        prof, du = u.profile, u.derivative
+        f, du = u.profile.evaluator, u.derivative
         A, B, C = _integrals(
             u, flat_radial_volume_integral, n, spec,
             (lambda r: du(r) ** 2, 2),
-            (lambda r: abs(prof(r)) ** (2 * p - 2) / r ** (2 * q - 2), 2 * p - 2),
-            (lambda r: abs(prof(r)) ** p / r**q, p),
+            (lambda r: abs(f(r)) ** (2 * p - 2) / r ** (2 * q - 2), 2 * p - 2),
+            (lambda r: abs(f(r)) ** p / r**q, p),
         )
     else:
         A, B, C = _general_triple_integrals(norm, t, u, spec)
@@ -384,30 +388,38 @@ def extremal_profile(t: ExponentTriple, lam: float) -> RadialFunction:
     )
 
 
+def _gaussian_moments(ks: Sequence[int], spec: QuadratureSpec) -> list[IntegralResult]:
+    """I_k = int_0^oo s^k e^(-s^2) ds for every k of ks, from one gaussian_integrals pass.
+
+    A flat gaussian row reduces to these lambda-free moments: in
+    s = rho sqrt(2 lam), int rho^k e^(-2 lam rho^2) d rho = (2 lam)^(-(k+1)/2) I_k,
+    so lam enters only through exact prefactors.
+    """
+    values, errors, evals = gaussian_integrals("power", [(k, None) for k in ks], [1.0], spec)
+    return [IntegralResult(float(v), float(e), evals) for v, e in zip(values[:, 0], errors[:, 0])]
+
+
 def gaussian_T(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> dict:
     """Gaussian moment integral, its closed form, and the scaling ODE residual.
 
     T(lam) = 4 lam omega_n int rho^(n+1) e^(-2 lam rho^2) d rho, which must
     equal 2 (2 lam)^(-n/2) omega_n int t^(n+1) e^(-t^2) dt and satisfy
-    -lam T' = (n/2) T.
+    -lam T' = (n/2) T.  T' = T/lam - 8 lam omega_n int rho^(n+3) e^(-2 lam rho^2)
+    is analytic: T and its higher moment are the lambda-free I_(n+1) and
+    I_(n+3) of one batched pass (_gaussian_moments) times powers of 2 lam.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     omega = ball_volume_constant(n)
-
-    def T(la):
-        prof = RadialProfile(lambda r: math.exp(-2 * la * r * r), DecayClass.gaussian(2 * la))
-        base = radial_integral(prof, ("power", n + 1), spec)
-        return 4 * la * omega * base.value
-
-    value = T(lam)
+    low, high = _gaussian_moments((n + 1, n + 3), spec)
+    value = 4 * lam * omega * (2 * lam) ** (-(n + 2) / 2) * low.value
+    derivative = value / lam - 8 * lam * omega * (2 * lam) ** (-(n + 4) / 2) * high.value
     closed = 2 * (2 * lam) ** (-n / 2) * omega * math.gamma(n / 2 + 1) / 2
-    ode_res = (-lam * fd_derivative(T, lam) - (n / 2) * value) / value
     return {
         "value": value,
         "closed_form": closed,
         "closed_form_relative_error": abs(value - closed) / closed,
-        "ode_relative_residual": ode_res,
+        "ode_relative_residual": (-lam * derivative - (n / 2) * value) / value,
     }
 
 
@@ -416,11 +428,12 @@ def _hpw(u: RadialFunction, volume, n: int, spec: QuadratureSpec) -> InequalityR
     prof, du = u.profile, u.derivative
     if prof.decay.kind == "algebraic":
         raise ValueError("the uncertainty product needs gaussian or compact decay")
+    f = prof.evaluator
     A, M, L = _integrals(
         u, volume, n, spec,
         (lambda r: du(r) ** 2, 2),
-        (lambda r: r**2 * prof(r) ** 2, 2),
-        (lambda r: prof(r) ** 2, 2),
+        (lambda r: r**2 * f(r) ** 2, 2),
+        (lambda r: f(r) ** 2, 2),
     )
     if L.value == 0:
         raise ValueError("zero test function")
@@ -434,17 +447,38 @@ def hpw_report(
     return _hpw(u, flat_radial_volume_integral, n, spec)
 
 
+def gaussian_hpw_reports(
+    n: int, lams: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
+) -> list[tuple[InequalityReport, float]]:
+    """hpw_report of e^(-lam F^2) and gaussian_moment_identity, for every lam.
+
+    For u = e^(-lam F^2), L = int u^2 = n omega_n (2 lam)^(-n/2) I_(n-1),
+    M = int F^2 u^2 = n omega_n (2 lam)^(-(n+2)/2) I_(n+1) and
+    A = int F*(Du)^2 = 4 lam^2 M, with the lambda-free moments I_k of one
+    batched pass (_gaussian_moments) for the whole grid.  Returns one
+    (A M / L^2 against n^2/4, relative defect of 2 lam M = (n/2) L) pair per lam.
+    """
+    if any(lam <= 0 for lam in lams):
+        raise ValueError("lam must be positive")
+    low, high = _gaussian_moments((n - 1, n + 1), spec)
+    c = n * ball_volume_constant(n)
+    out = []
+    for lam in lams:
+        L = _scaled(low, c * (2 * lam) ** (-n / 2))
+        M = _scaled(high, c * (2 * lam) ** (-(n + 2) / 2))
+        A = _scaled(M, 4 * lam * lam)
+        defect = abs(2 * lam * M.value - (n / 2) * L.value) / ((n / 2) * L.value)
+        out.append((InequalityReport.product(A, M, L, n**2 / 4), defect))
+    return out
+
+
 def gaussian_moment_identity(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Relative defect of 2 lam int F^2 e^(-2 lam F^2) = (n/2) int e^(-2 lam F^2)."""
-    left = flat_radial_volume_integral(
-        RadialProfile(lambda r: r**2 * math.exp(-2 * lam * r * r), DecayClass.gaussian(2 * lam)),
-        n,
-        spec,
-    )
-    right = flat_radial_volume_integral(
-        RadialProfile(lambda r: math.exp(-2 * lam * r * r), DecayClass.gaussian(2 * lam)), n, spec
-    )
-    return abs(2 * lam * left.value - (n / 2) * right.value) / ((n / 2) * right.value)
+    """Relative defect of 2 lam int F^2 e^(-2 lam F^2) = (n/2) int e^(-2 lam F^2).
+
+    Both sides are lambda-free moments times exact powers of 2 lam
+    (gaussian_hpw_reports).
+    """
+    return gaussian_hpw_reports(n, [lam], spec)[0][1]
 
 
 def hardy_report(
@@ -463,11 +497,11 @@ def hardy_report(
         raise ValueError("Hardy needs n >= 3")
     if c > 0:
         raise ValueError("curvature bound must be <= 0")
-    prof, du = u.profile, u.derivative
+    f, du = u.profile.evaluator, u.derivative
     A, H = _integrals(
         u, flat_radial_volume_integral, n, spec,
         (lambda r: du(r) ** 2, 2),
-        (lambda r: prof(r) ** 2 / r**2, 2),
+        (lambda r: f(r) ** 2 / r**2, 2),
     )
     if H.value == 0:
         raise ValueError("zero test function")
@@ -592,11 +626,12 @@ def double_hardy_report(
         raise ValueError("R must exceed the support radius")
     if n < 3:
         raise ValueError("need n >= 3")
+    f = prof.evaluator
     A, H, Rem = _integrals(
         u, flat_radial_volume_integral, n, spec,
         (lambda r: du(r) ** 2, 2),
-        (lambda r: prof(r) ** 2 / r**2, 2),
-        (lambda r: prof(r) ** 2 / (r * math.log(math.e * R / r)) ** 2, 2),
+        (lambda r: f(r) ** 2 / r**2, 2),
+        (lambda r: f(r) ** 2 / (r * math.log(math.e * R / r)) ** 2, 2),
     )
     if H.value == 0:
         raise ValueError("zero test function")

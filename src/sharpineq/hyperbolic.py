@@ -19,6 +19,7 @@ from .flat import InequalityReport, RadialFunction, _hpw, _integrals
 from .norms import ball_volume_constant
 from .quadrature import (
     DecayClass,
+    IntegralResult,
     QuadratureSpec,
     RadialProfile,
     hyperbolic_gaussian_masses,
@@ -38,6 +39,7 @@ __all__ = [
     "hyp_ball_volume",
     "hpw_hyperbolic_report",
     "modified_hpw_report",
+    "modified_hpw_reports",
     "hardy_hyperbolic_report",
     "ko_alpha_scan",
     "hpw_constant_bounds",
@@ -172,24 +174,49 @@ def modified_hpw_report(
 ) -> InequalityReport:
     """Uncertainty product against the curvature-corrected mass, target n^2/4.
 
-    The corrected mass weights u^2 by 1 + ((n-1)/n)(d coth d - 1).  For the
+    The corrected mass W weights u^2 by 1 + ((n-1)/n)(d coth d - 1).  For the
     gaussian family e^(-alpha d^2) this is an equality; any other admissible
-    u stays above the target.
+    u stays above the target.  Given alpha, the report comes from
+    modified_hpw_reports' batched pass; given u, from one scalar
+    radial_integral per integral.
     """
     if (alpha is None) == (u is None):
         raise ValueError("pass exactly one of alpha or u")
     if u is None:
-        u = RadialFunction.gaussian(alpha)
+        return modified_hpw_reports(n, [alpha], spec)[0][0]
     prof, du = u.profile, u.derivative
     if prof.decay.kind == "algebraic":
         raise ValueError("gaussian decay is mandatory against the volume growth")
+    f = prof.evaluator
     A, M, W = _integrals(
         u, hyperbolic_radial_volume_integral, n, spec,
         (lambda r: du(r) ** 2, 2),
-        (lambda r: r**2 * prof(r) ** 2, 2),
-        (lambda r: (1 + (n - 1) / n * curvature_defect(-1.0, r)) * prof(r) ** 2, 2),
+        (lambda r: r**2 * f(r) ** 2, 2),
+        (lambda r: (1 + (n - 1) / n * curvature_defect(-1.0, r)) * f(r) ** 2, 2),
     )
     return InequalityReport.product(A, M, W, n**2 / 4)
+
+
+def modified_hpw_reports(
+    n: int, alphas: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
+) -> list[tuple[InequalityReport, InequalityReport]]:
+    """The modified and the plain uncertainty reports of e^(-alpha d^2), for every alpha.
+
+    A, M, the mass L and the curvature-corrected mass W of modified_hpw_report
+    come from one hyperbolic_gaussian_moments pass over the alphas.  Returns
+    one (A M / W^2, A M / L^2) pair of reports per alpha, both against n^2/4:
+    the equality of modified_hpw_report and the strict inequality of
+    hpw_hyperbolic_report.
+    """
+    c = (n - 1) / n
+    moments, errors, evals = hyperbolic_gaussian_moments(
+        n, alphas, 0.0, spec, [lambda rho: 1 + c * (rho / np.tanh(rho) - 1)]
+    )
+    reports = []
+    for values, estimates in zip(moments.T, errors.T):
+        A, M, L, W = (IntegralResult(float(v), float(e), evals) for v, e in zip(values, estimates))
+        reports.append(tuple(InequalityReport.product(A, M, mass, n**2 / 4) for mass in (W, L)))
+    return reports
 
 
 def hardy_hyperbolic_report(
@@ -206,12 +233,13 @@ def hardy_hyperbolic_report(
     prof, du = u.profile, u.derivative
     if prof.decay.kind == "algebraic":
         raise ValueError("gaussian decay is mandatory against the volume growth")
+    f = prof.evaluator
     A, H1, H2, H3 = _integrals(
         u, hyperbolic_radial_volume_integral, n, spec,
         (lambda r: du(r) ** 2, 2),
-        (lambda r: (1 + 2 * (n - 1) / (n - 2) * curvature_defect(-1.0, r)) * prof(r) ** 2 / r**2, 2),
-        (lambda r: prof(r) ** 2 / r**2, 2),
-        (lambda r: prof(r) ** 2 / (math.pi**2 + r**2), 2),
+        (lambda r: (1 + 2 * (n - 1) / (n - 2) * curvature_defect(-1.0, r)) * f(r) ** 2 / r**2, 2),
+        (lambda r: f(r) ** 2 / r**2, 2),
+        (lambda r: f(r) ** 2 / (math.pi**2 + r**2), 2),
     )
     if H1.value == 0:
         raise ValueError("zero test function")
@@ -239,10 +267,12 @@ def ko_alpha_scan(
 
     Phi(alpha) = ((n-1)/(n-2)) (n-1 + 2 pi C_{n-2}(alpha)/C_n(alpha)) - alpha
     where C_k is the gaussian mass on the k-dimensional model, computed for
-    the whole grid at once by hyperbolic_gaussian_masses.  Returns every
+    the whole grid at once: both masses come from one
+    hyperbolic_gaussian_masses pass on the node set of C_n.  Returns every
     bracketing interval with a sign change (an empty list means the equation
     has no root on the range), the worst relative error estimate of the
-    masses and the integrand evaluations spent on them.
+    masses and the integrand evaluations spent on them, one per mass and
+    node.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -252,15 +282,15 @@ def ko_alpha_scan(
     if grid_size < 2:
         return {"alphas": [], "phi": [], "brackets": [], "worst_rel_err": 0.0, "nodes_used": 0}
     alphas = np.linspace(lo, hi, grid_size)
-    c_small, err_small, evals_small = hyperbolic_gaussian_masses(n - 2, alphas, spec)
-    c_big, err_big, evals_big = hyperbolic_gaussian_masses(n, alphas, spec)
+    masses, errors, evals = hyperbolic_gaussian_masses((n - 2, n), alphas, spec)
+    c_small, c_big = masses
     phi = (n - 1) / (n - 2) * (n - 1 + 2 * math.pi * c_small / c_big) - alphas
     return {
         "alphas": alphas.tolist(),
         "phi": phi.tolist(),
         "brackets": _sign_change_brackets(alphas, phi),
-        "worst_rel_err": float(max(np.max(err_small / c_small), np.max(err_big / c_big))),
-        "nodes_used": evals_small + evals_big,
+        "worst_rel_err": float(np.max(errors / masses)),
+        "nodes_used": evals,
     }
 
 
@@ -279,7 +309,7 @@ def hpw_constant_bounds(
     The minimum is only an upper bound for the grid: on the default grid its
     argmin sits on the edge alpha = 8 for every n from 3 to 8.  Also returns
     the worst relative error estimate of the moments and the integrand
-    evaluations spent on them.
+    evaluations spent on them, one per moment and node.
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)

@@ -28,6 +28,7 @@ __all__ = [
     "flat_radial_volume_integral",
     "hyperbolic_radial_volume_integral",
     "gauss_kronrod_batch",
+    "gaussian_integrals",
     "hyperbolic_gaussian_masses",
     "hyperbolic_gaussian_moments",
     "monte_carlo_integral",
@@ -385,8 +386,9 @@ def hyperbolic_radial_volume_integral(
 
 
 _FIRST_PANELS = 4
-# integrand values per evaluation block: a few hundred parameters at the
-# first panel count, so peak memory does not grow with the grid
+# integrand values per evaluation block, every integral of a parameter
+# counted: a few hundred parameters at the first panel count, so peak memory
+# does not grow with the grid and a block stays in cache
 _BLOCK_VALUES = 1 << 15
 
 
@@ -423,23 +425,28 @@ def gauss_kronrod_batch(
     values = errors = None
     tol = spec.relative_tolerance
     todo = np.arange(count)
-    panels, evals = _FIRST_PANELS, 0
+    panels, evals, per = _FIRST_PANELS, 0, 1
     while True:
         half = 0.5 / panels
         x = ((np.arange(panels)[:, None] + 0.5) / panels + half * _GK21_NODES).ravel()
         weights = half * _GK21_WEIGHTS
-        rows = max(1, _BLOCK_VALUES // x.size)
+        start = 0
         # values outside the float range are caught below, with their parameter
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, todo.size, rows):
-                idx = todo[start:start + rows]
+            while start < todo.size:
+                # until the first block tells, one integral per parameter
+                idx = todo[start:start + max(1, _BLOCK_VALUES // (per * x.size))]
+                start += idx.size
                 f = integrand(x, params[idx, None])
                 if values is None:
                     values = np.empty(f.shape[:-2] + (count,))
                     errors = np.empty(values.shape)
-                # K and K - G of every panel of the block in one product
+                    per = values.size // count
+                # K and K - G of every panel of the block in one product; the
+                # block's values are dropped before the next block is evaluated
                 kd = (f.reshape(-1, _GK21_NODES.size) @ weights).reshape(
                     f.shape[:-2] + (idx.size, panels, 2))
+                del f
                 values[..., idx] = kd[..., 0].sum(axis=-1)
                 errors[..., idx] = np.abs(kd[..., 1]).sum(axis=-1)
         if values is None:
@@ -471,104 +478,144 @@ def gauss_kronrod_batch(
         panels *= 2
 
 
-def _sinh_gaussian(m: int, rate, x: np.ndarray, budget: float):
-    """The substitution s = rho sqrt(rate) for e^(-rate rho^2) sinh^m(rho) on [0, oo).
+def gaussian_integrals(
+    weight: str,
+    rows: Sequence[tuple],
+    params,
+    spec: QuadratureSpec = QuadratureSpec(),
+    describe: Callable[[object], str] = repr,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Gaussian integrals over [0, oo), q rows on one set of nodes, for every parameter.
 
-    s runs over [0, S] as S x, where S solves s^2 - g s = budget for
-    g = m / sqrt(rate): the tail bound _truncation_radius uses, without its
-    floors in rho.  Returns (S, rho, log(e^(-s^2) sinh^m(rho))) at the nodes
-    x; the log stays finite where sinh^m alone would overflow (small rates).
-    The integral in rho is int_0^1 S e^(log) dx / sqrt(rate).  The node
-    arrays are fresh, so callers may overwrite them.
+    Row (k, f) integrates f(rho) w(rho)^k e^(-rate rho^2 - 2 beta rho), where
+    w is sinh (weight 'sinh', the ball) or rho (weight 'power', flat space)
+    and f is None for 1 or a function of the node radii rho and the
+    parameter column p (see gauss_kronrod_batch).  params holds the rates,
+    shape (N,), or (rate, beta) pairs with beta >= 0, shape (N, 2).  Every
+    row is taken in s = rho sqrt(rate) over [0, S], S solving
+    s^2 - g s = budget for g = K / sqrt(rate) and K the largest k of rows:
+    the tail bound _truncation_radius puts on a sinh^K weight, without its
+    floors in rho, which holds for rho^K <= e^(K rho) too.  The integrand
+    S e^(k log w - s^2 - 2 beta rho) is formed in log space, so it stays
+    finite where w^k alone would overflow (small rates); rows of one k
+    share one exp.  On
+    gauss_kronrod_batch's G10/K21 rule, a parameter is refined until every
+    row meets the tolerance.  Returns (values, error_estimates,
+    evaluations): values and estimates of shape (q, N), in s, so that row i
+    at parameter j is values[i, j] / sqrt(rate_j) in rho; evaluations count
+    every value of every row, q per node.
     """
-    root = np.sqrt(rate)
-    g = m / root
-    S = (g + np.sqrt(g * g + 4 * budget)) / 2
-    s = S * x
-    t = s / root
-    # log sinh t = t + log(1 - e^(-2t)) - log 2: the operations of
-    # m (t + log(-expm1(-2t)) - log 2) - s s, in order, in one buffer
-    log_w = np.multiply(-2, t)
-    np.expm1(log_w, out=log_w)
-    np.negative(log_w, out=log_w)
-    np.log(log_w, out=log_w)
-    np.add(t, log_w, out=log_w)
-    np.subtract(log_w, math.log(2), out=log_w)
-    np.multiply(m, log_w, out=log_w)
-    np.subtract(log_w, np.multiply(s, s, out=s), out=log_w)
-    return S, t, log_w
+    if weight not in ("sinh", "power"):
+        raise ValueError(f"unknown weight {weight!r}")
+    sinh = weight == "sinh"
+    top = max(k for k, _ in rows)
+    final = list(dict.fromkeys(k for k, _ in rows))[-1]
+    budget = _tail_budget(spec.relative_tolerance)
+
+    def integrand(x, p):
+        rate, beta = (p[..., 0], p[..., 1]) if p.ndim == 3 else (p, None)
+        root = np.sqrt(rate)
+        g = top / root
+        S = (g + np.sqrt(g * g + 4 * budget)) / 2
+        s = S * x
+        rho = s / root
+        s2 = np.multiply(s, s, out=s)
+        out = np.empty((len(rows),) + rho.shape)
+        # log w lives in the last row, which is written last, and the base of
+        # the last new k is formed over it: beside the rows only s^2 and rho
+        # take a buffer
+        log_w = out[-1]
+        if sinh:
+            # log sinh rho = rho + log(1 - e^(-2 rho)) - log 2, operation by operation
+            np.multiply(-2, rho, out=log_w)
+            np.expm1(log_w, out=log_w)
+            np.negative(log_w, out=log_w)
+            np.log(log_w, out=log_w)
+            np.add(rho, log_w, out=log_w)
+            np.subtract(log_w, math.log(2), out=log_w)
+        else:
+            np.log(rho, out=log_w)
+        bases = {}
+        for row, (k, f) in zip(out, rows):
+            base = bases.get(k)
+            if base is None:
+                # S e^(k log w - s s - 2 beta rho)
+                target = log_w if k == final else row if f is None else None
+                base = bases[k] = np.multiply(k, log_w, out=target)
+                np.subtract(base, s2, out=base)
+                if beta is not None:
+                    np.subtract(base, np.multiply(2 * beta, rho), out=base)
+                np.exp(base, out=base)
+                np.multiply(S, base, out=base)
+            if f is not None:
+                np.multiply(f(rho, p), base, out=row)
+            elif base is not row:
+                row[...] = base
+        return out
+
+    values, errors, evals = gauss_kronrod_batch(integrand, params, spec, describe)
+    return values, errors, len(rows) * evals
 
 
 def hyperbolic_gaussian_masses(
-    n: int, alphas: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
+    dims, alphas: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """n omega_n int e^(-alpha rho^2) sinh^(n-1)(rho) d rho for every alpha.
 
     The batched counterpart of hyperbolic_radial_volume_integral for the
-    gaussian e^(-alpha rho^2), integrated in s = rho sqrt(alpha) up to the
-    tail cut of _sinh_gaussian, on gauss_kronrod_batch's G10/K21 rule and
-    under the acceptance rule of radial_integral's G7/K15.  Returns (masses,
-    error_estimates, integrand evaluations).
+    gaussian e^(-alpha rho^2), from gaussian_integrals.  dims is one n, or
+    a sequence of them, whose masses come from one pass on the node set of
+    the largest n, log sinh taken once per node.  Returns (masses,
+    error_estimates, evaluations), masses of shape (N,) for one n and
+    (len(dims), N) for a sequence; evaluations count one per mass and node.
     """
-    if n < 1:
+    ns = np.atleast_1d(dims).tolist()
+    if min(ns) < 1:
         raise ValueError("need n >= 1")
     alphas = np.asarray(alphas, dtype=float)
-    budget = _tail_budget(spec.relative_tolerance)
-
-    def integrand(x, alpha):
-        S, _, w = _sinh_gaussian(n - 1, alpha, x, budget)
-        np.exp(w, out=w)
-        return np.multiply(S, w, out=w)
-
-    values, errors, evals = gauss_kronrod_batch(integrand, alphas, spec)
-    c = n * ball_volume_constant(n) / np.sqrt(alphas)
+    values, errors, evals = gaussian_integrals("sinh", [(n - 1, None) for n in ns], alphas, spec)
+    c = np.array([n * ball_volume_constant(n) for n in ns])[:, None] / np.sqrt(alphas)
+    if np.ndim(dims) == 0:
+        return c[0] * values[0], c[0] * errors[0], evals
     return c * values, c * errors, evals
 
 
 def hyperbolic_gaussian_moments(
-    n: int, alphas, betas, spec: QuadratureSpec = QuadratureSpec()
+    n: int, alphas, betas, spec: QuadratureSpec = QuadratureSpec(), weights: Sequence[Callable] = ()
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The uncertainty moments of u = e^(-alpha rho^2 - beta rho) on the curvature -1 model.
 
     A = int (u')^2, M = int rho^2 u^2 and L = int u^2 against the volume
-    n omega_n sinh^(n-1)(rho) d rho, for every (alpha, beta) of the
+    n omega_n sinh^(n-1)(rho) d rho, then int f u^2 for every f of weights
+    (a function of an array of radii), for every (alpha, beta) of the
     broadcast of alphas and betas (alpha > 0, beta >= 0).  u^2 is the
-    gaussian e^(-2 alpha rho^2) times e^(-2 beta rho) <= 1, so the three
-    integrals are taken in s = rho sqrt(2 alpha) on the tail cut of
-    _sinh_gaussian for the rate 2 alpha, all on one set of nodes.  Returns
-    (moments, error_estimates, integrand evaluations); moments[0], [1] and
-    [2] are A, M and L, each of the broadcast shape.
+    gaussian e^(-2 alpha rho^2) times e^(-2 beta rho) <= 1, so the integrals
+    come from one gaussian_integrals pass at the rate 2 alpha.  Returns
+    (moments, error_estimates, evaluations); moments[0], [1] and [2] are A,
+    M and L, moments[3 + i] the integral of weights[i], each of the
+    broadcast shape.
     """
     alphas, betas = np.broadcast_arrays(
         np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
     )
     if n < 1 or np.any(alphas <= 0) or np.any(betas < 0):
         raise ValueError("need n >= 1, alpha > 0 and beta >= 0")
-    budget = _tail_budget(spec.relative_tolerance)
-
-    def integrand(x, p):
-        alpha, beta = p[..., 0], p[..., 1]
-        S, rho, w = _sinh_gaussian(n - 1, 2 * alpha, x, budget)
-        out = np.empty((3,) + w.shape)
-        # u^2 = S e^(log_w - 2 beta rho), rho^2 u^2 and (2 alpha rho + beta)^2 u^2,
-        # operation by operation, in the rows of out
-        np.subtract(w, np.multiply(2 * beta, rho, out=out[0]), out=w)
-        np.exp(w, out=w)
-        u2 = np.multiply(S, w, out=out[2])
-        np.multiply(np.multiply(rho, rho, out=out[1]), u2, out=out[1])
-        A = np.multiply(2 * alpha, rho, out=out[0])
-        np.add(A, beta, out=A)
-        np.multiply(A, A, out=A)
-        np.multiply(A, u2, out=A)
-        return out
+    m = n - 1
+    # u' = -(2 alpha rho + beta) u, and p holds (2 alpha, beta)
+    rows = [
+        (m, lambda rho, p: (p[..., 0] * rho + p[..., 1]) ** 2),
+        (m, lambda rho, p: rho * rho),
+        (m, None),
+    ]
+    rows += [(m, lambda rho, p, f=f: f(rho)) for f in weights]
 
     def describe(p):
-        return f"(alpha, beta) = ({p[0]!r}, {p[1]!r}) for n = {n}"
+        return f"(alpha, beta) = ({p[0] / 2!r}, {p[1]!r}) for n = {n}"
 
-    grid = np.stack([alphas.ravel(), betas.ravel()], axis=1)
-    values, errors, evals = gauss_kronrod_batch(integrand, grid, spec, describe)
-    c = n * ball_volume_constant(n) / np.sqrt(2 * grid[:, 0])
-    shape = (3,) + alphas.shape
+    grid = np.stack([2 * alphas.ravel(), betas.ravel()], axis=1)
+    values, errors, evals = gaussian_integrals("sinh", rows, grid, spec, describe)
+    c = n * ball_volume_constant(n) / np.sqrt(grid[:, 0])
+    shape = (len(rows),) + alphas.shape
     return (c * values).reshape(shape), (c * errors).reshape(shape), evals
 
 

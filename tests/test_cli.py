@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,22 @@ class TestRunSuite:
         # a RunConfig built in code skips the alpha_nodes check of parse_config
         result = run_suite(RunConfig(suite="ko-refute", alpha_nodes=1), str(tmp_path))
         assert not result.passed
+
+    def test_json_rows_are_those_of_asdict(self, tmp_path):
+        # an all run with an error row (flat-hardy at n = 2), and one without
+        for suite, n in (("all", 2), ("all", 3)):
+            cfg = RunConfig(suite=suite, n=n, triple=(3, 3.0, 1.0), alpha_nodes=64)
+            result = run_suite(cfg, str(tmp_path / str(n)))
+            payload = {
+                "suite": result.suite,
+                "passed": result.passed,
+                "config_hash": result.config_hash,
+                "seed": result.seed,
+                "checks": [asdict(c) for c in result.checks],
+            }
+            want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert (tmp_path / str(n) / "all.json").read_text() == want
+            assert any(c.error for c in result.checks) == (n == 2)
 
     def test_chpw_bounds_row_carries_error_estimate(self, tmp_path):
         cfg = RunConfig(suite="chpw-bounds")

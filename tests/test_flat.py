@@ -21,7 +21,9 @@ from sharpineq import (
     double_hardy_report,
     dual_norm_value,
     extremal_profile,
+    fd_derivative,
     gaussian_T,
+    gaussian_hpw_reports,
     gaussian_moment_identity,
     hardy_report,
     hardy_sharpness_sweep,
@@ -361,6 +363,29 @@ class TestGaussianT:
         with pytest.raises(ValueError):
             gaussian_T(3, -1.0)
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_analytic_derivative(self, n, tol):
+        # T' from T and its next moment: the ODE residual is at rounding level,
+        # and agrees with the residual of the Richardson difference of T
+        spec = QuadratureSpec(relative_tolerance=tol)
+        for lam in (0.5, 1.0, 2.0):
+            out = gaussian_T(n, lam, spec)
+            assert abs(out["ode_relative_residual"]) <= 1e-10
+            fd = fd_derivative(lambda la: gaussian_T(n, la, spec)["value"], lam)
+            fd_residual = (-lam * fd - (n / 2) * out["value"]) / out["value"]
+            assert abs(out["ode_relative_residual"] - fd_residual) <= 1e-6
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_value_matches_scalar_integral(self, n, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        omega = flat.ball_volume_constant(n)
+        for lam in (0.5, 1.0, 2.0):
+            prof = RadialProfile(lambda r: math.exp(-2 * lam * r * r), DecayClass.gaussian(2 * lam))
+            scalar = 4 * lam * omega * flat.radial_integral(prof, ("power", n + 1), spec).value
+            assert gaussian_T(n, lam, spec)["value"] == pytest.approx(scalar, rel=1e-12)
+
 
 class TestHpw:
     def test_gaussian_equality_family(self):
@@ -389,6 +414,24 @@ class TestHpw:
     def test_moment_identity(self):
         for lam in (0.5, 1.0, 2.0):
             assert gaussian_moment_identity(3, lam) <= 1e-8
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_gaussian_reports_match_scalar_reports(self, n, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        norm = MinkowskiNorm(n, "weighted-euclidean", matrix=np.eye(n))
+        lams = (0.25, 0.5, 1.0, 2.0, 4.0)
+        for lam, (rep, defect) in zip(lams, gaussian_hpw_reports(n, lams, spec)):
+            scalar = hpw_report(norm, n, flat.RadialFunction.gaussian(lam), spec)
+            for field in ("lhs", "rhs", "ratio"):
+                assert getattr(rep, field) == pytest.approx(getattr(scalar, field), rel=1e-12)
+            assert rep.target == scalar.target
+            assert all(0 <= e <= tol for e in rep.integral_errors)
+            assert defect == gaussian_moment_identity(n, lam, spec) <= 1e-14
+
+    def test_gaussian_reports_reject_nonpositive_lambda(self):
+        with pytest.raises(ValueError):
+            gaussian_hpw_reports(3, (1.0, 0.0))
 
     def test_slack_never_below_numerics(self):
         for lam in (0.5, 1.0, 2.0):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from sharpineq import (
     ko_alpha_scan,
     laplace_comparison_check,
     modified_hpw_report,
+    modified_hpw_reports,
     radial_laplacian,
 )
+from sharpineq.flat import RadialFunction
 from sharpineq.hyperbolic import _sign_change_brackets, conformal_factor
 from sharpineq.quadrature import _FIRST_PANELS, _GK21_NODES
 
@@ -176,6 +179,30 @@ class TestModifiedHpw:
         with pytest.raises(ValueError):
             modified_hpw_report(3, alpha=1.0, u=d_gauss())
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_batched_reports_match_scalar_reports(self, n, tol):
+        # the alphas of the hyperbolic suite; the modified report and the
+        # plain one against the scalar reports of the same gaussian
+        spec = QuadratureSpec(relative_tolerance=tol)
+        alphas = (0.25, 1.0, 4.0)
+        for alpha, (modified, plain) in zip(alphas, modified_hpw_reports(n, alphas, spec)):
+            u = RadialFunction.gaussian(alpha)
+            pairs = [
+                (modified, modified_hpw_report(n, u=u, spec=spec)),
+                (modified_hpw_report(n, alpha=alpha, spec=spec), modified_hpw_report(n, u=u, spec=spec)),
+                (plain, hpw_hyperbolic_report(u, n, spec)),
+            ]
+            for got, want in pairs:
+                for field in ("lhs", "rhs", "ratio"):
+                    assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+                assert got.target == want.target == n**2 / 4
+                assert all(0 <= e <= tol for e in got.integral_errors)
+
+    def test_alpha_must_be_positive(self):
+        with pytest.raises(ValueError):
+            modified_hpw_report(3, alpha=0.0)
+
 
 class TestHardyHyperbolic:
     def test_both_slacks_nonnegative(self):
@@ -267,6 +294,16 @@ class TestAlphaScan:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             ko_alpha_scan(4, (5.0, 3.0))
+
+    def test_mass_beyond_float_range_named_without_warning(self):
+        # at n = 4, alpha = 0.001 the mass C_4 is about e^2250
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError) as exc:
+                ko_alpha_scan(4, (0.001, 0.5), 2)
+        assert str(exc.value) == (
+            "non-finite integral at 1 of 2 parameters, first at 0.001: outside the float range"
+        )
 
 
 class TestConstantBounds:

@@ -16,6 +16,7 @@ from sharpineq import (
     fd_derivative,
     flat_radial_volume_integral,
     gauss_kronrod_batch,
+    gaussian_integrals,
     hyperbolic_gaussian_masses,
     hyperbolic_gaussian_moments,
     hyperbolic_radial_volume_integral,
@@ -314,6 +315,24 @@ class TestGaussKronrodBatch:
         assert max(sizes) <= _BLOCK_VALUES and len(sizes) > 1
         assert values == pytest.approx(-np.expm1(-params) / params, rel=1e-12)
 
+    def test_blocks_count_every_integral(self):
+        # after the first block, which tells how many integrals a parameter
+        # has, a block holds at most _BLOCK_VALUES values of all of them
+        from sharpineq.quadrature import _BLOCK_VALUES
+
+        sizes = []
+
+        def integrand(x, p):
+            f = np.stack([np.exp(-p * x), x * np.exp(-p * x), np.ones_like(p * x)])
+            sizes.append(f.size)
+            return f
+
+        params = np.linspace(0.1, 5.0, 2000)
+        values, _, _ = gauss_kronrod_batch(integrand, params)
+        assert max(sizes[1:]) <= _BLOCK_VALUES < sizes[0]
+        assert values[0] == pytest.approx(-np.expm1(-params) / params, rel=1e-12)
+        assert values[2] == pytest.approx(1.0, rel=1e-14)
+
     def test_non_finite_raises(self):
         with pytest.raises(QuadratureError, match="non-finite"), np.errstate(all="ignore"):
             gauss_kronrod_batch(lambda x, p: np.exp(p * 1e3 * x), [1.0])
@@ -359,6 +378,38 @@ class TestGaussKronrodBatch:
     def test_masses_need_positive_dimension(self):
         with pytest.raises(ValueError):
             hyperbolic_gaussian_masses(0, [1.0])
+        with pytest.raises(ValueError):
+            hyperbolic_gaussian_masses((0, 2), [1.0])
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_mass_pair_matches_single_masses(self, n, tol):
+        # on the node set of C_n, both masses stay within rounding (16 ulp) of
+        # their own passes, and the evaluations count one per mass and node
+        spec = QuadratureSpec(relative_tolerance=tol)
+        alphas = np.linspace(3.0, 100.0, 256)
+        pair, errors, evals = hyperbolic_gaussian_masses((n - 2, n), alphas, spec)
+        assert pair.shape == errors.shape == (2, alphas.size)
+        assert np.all(errors <= tol * pair)
+        assert evals >= 2 * alphas.size * _FIRST_PANELS * _GK21_NODES.size
+        for row, k in zip(pair, (n - 2, n)):
+            single = hyperbolic_gaussian_masses(k, alphas, spec)[0]
+            assert np.all(np.abs(row - single) <= 16 * np.spacing(single))
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("k", range(0, 12))
+    def test_flat_moments_closed_form(self, k, tol):
+        # int_0^oo s^k e^(-s^2) ds = Gamma((k+1)/2) / 2, on the power weight
+        values, errors, evals = gaussian_integrals(
+            "power", [(k, None), (k + 2, None)], [1.0], QuadratureSpec(relative_tolerance=tol))
+        want = [math.gamma((j + 1) / 2) / 2 for j in (k, k + 2)]
+        assert values[:, 0] == pytest.approx(want, rel=1e-12)
+        assert np.all(errors <= tol * values)
+        assert evals % (2 * _GK21_NODES.size) == 0
+
+    def test_unknown_weight_rejected(self):
+        with pytest.raises(ValueError):
+            gaussian_integrals("cosh", [(1, None)], [1.0])
 
     def test_several_integrals_per_parameter_row(self):
         # (N, 2) parameters, three integrals each; a parameter is refined
@@ -487,6 +538,18 @@ class TestBatchSums:
         shifted = np.stack(hyperbolic_gaussian_moments(n, alphas[1:], beta, spec)[:2])
         assert np.array_equal(shifted, grid[..., 1:])
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n, band", list(zip((3, 4, 5, 6), SCAN_RANGES)))
+    def test_mass_pair_alone_equals_grid_value(self, n, band, tol):
+        # the two masses of a ko-refute scan share one node set and refine together
+        spec = QuadratureSpec(relative_tolerance=tol)
+        alphas = np.linspace(*band, 4096)
+        grid = np.stack(hyperbolic_gaussian_masses((n - 2, n), alphas, spec)[:2])
+        alone = np.stack([hyperbolic_gaussian_masses((n - 2, n), [a], spec)[:2] for a in alphas], axis=-1)
+        assert np.array_equal(alone[..., 0, :], grid)
+        shifted = np.stack(hyperbolic_gaussian_masses((n - 2, n), alphas[1:], spec)[:2])
+        assert np.array_equal(shifted, grid[..., 1:])
+
     def test_block_boundary_falls_inside_the_grid(self):
         # the first pass of a 4096-alpha grid spans several blocks
         assert 1 < _BLOCK_VALUES // (_FIRST_PANELS * _GK21_NODES.size) < 4096
@@ -518,6 +581,16 @@ class TestGaussianMoments:
         assert A == pytest.approx(moment(lambda r: (2 * a * r + b) ** 2), rel=1e-10)
         assert M == pytest.approx(moment(lambda r: r * r), rel=1e-10)
         assert L == pytest.approx(moment(lambda r: 1.0), rel=1e-10)
+
+    def test_weight_rows_on_the_same_nodes(self):
+        # a weight of 1 repeats L bit for bit; rho^2 repeats M
+        alphas, betas = np.array([0.5, 3.0, 40.0]), np.array([0.0, 1.0, 0.5])
+        moments, errors, evals = hyperbolic_gaussian_moments(
+            5, alphas, betas, weights=[np.ones_like, lambda rho: rho * rho])
+        plain, _, plain_evals = hyperbolic_gaussian_moments(5, alphas, betas)
+        assert moments.shape == errors.shape == (5, 3)
+        assert np.array_equal(moments[3], moments[2]) and np.array_equal(moments[4], moments[1])
+        assert evals == 5 * plain_evals // 3
 
     def test_broadcast_shape(self):
         moments, errors, evals = hyperbolic_gaussian_moments(
