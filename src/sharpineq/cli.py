@@ -327,8 +327,9 @@ def _run_identities(cfg: RunConfig) -> tuple[list, dict]:
         raise ConfigError([f"suite {cfg.suite!r} requires a [triple] section"])
     spec = cfg.quadrature_spec()
     t = flat.ExponentTriple(*cfg.triple)
+    pairs = flat.pqr_reports(t, cfg.lambda_grid, spec)
     rows = []
-    for lam, rep in zip(cfg.lambda_grid, flat.check_pqr_identity(t, cfg.lambda_grid, spec)):
+    for lam, (rep, _) in zip(cfg.lambda_grid, pairs):
         rows.append(
             _row(
                 "identities",
@@ -339,10 +340,9 @@ def _run_identities(cfg: RunConfig) -> tuple[list, dict]:
                 predicate=lambda r: abs(r.ratio - r.target) <= 1e-6,
             )
         )
-    for lam, res in zip(cfg.lambda_grid, flat.check_p_ode(t, cfg.lambda_grid, spec)):
+    for lam, (_, res) in zip(cfg.lambda_grid, pairs):
         rows.append(_scalar_row("identities", "p-ode-residual", lam, res, 0.0, 1e-5))
-    for lam in cfg.lambda_grid:
-        gt = flat.gaussian_T(t.n, lam, spec)
+    for lam, gt in zip(cfg.lambda_grid, flat.gaussian_T_grid(t.n, cfg.lambda_grid, spec)):
         rows.append(
             _scalar_row(
                 "identities", "gaussian-T-closed-form", lam,

@@ -24,6 +24,7 @@ from .quadrature import (
     gaussian_integrals,
     monte_carlo_integral,
     radial_integral,
+    radial_integral_rows,
 )
 
 __all__ = [
@@ -37,9 +38,11 @@ __all__ = [
     "pqr",
     "check_pqr_identity",
     "check_p_ode",
+    "pqr_reports",
     "interpolation_report",
     "extremal_profile",
     "gaussian_T",
+    "gaussian_T_grid",
     "hpw_report",
     "gaussian_hpw_reports",
     "gaussian_moment_identity",
@@ -213,25 +216,29 @@ def _integrals(u, volume, n: int, spec: QuadratureSpec, *terms) -> list:
     ]
 
 
-def _kernel_h(t: ExponentTriple, lam: float) -> Callable[[float], float]:
-    """rho -> h(lam, rho), with every power of p, q and lam taken once."""
+def _kernel_h(t: ExponentTriple, lam) -> Callable:
+    """rho -> h(lam, rho), with every power of p, q and lam taken once.
+
+    lam is a float against a float rho, or a column of q of them, shape
+    (q, 1), against an array of rho, for q rows of values.
+    """
     p, q = t.p, t.q
     a, e, b, pq, p2, ql = 2 - q, (2 * p - 2) / (2 - p), -(q + 1), p - q, p - 2, q * lam
 
-    def h(rho: float) -> float:
+    def h(rho):
         s = rho**a
         return (lam + s) ** e * rho**b * (2 * s * pq / p2 + ql)
 
     return h
 
 
-def _kernel_g(t: ExponentTriple, lam: float) -> Callable[[float], float]:
-    """rho -> g(lam, rho), with every power of p, q and lam taken once."""
+def _kernel_g(t: ExponentTriple, lam) -> Callable:
+    """rho -> g(lam, rho), with every power of p, q and lam taken once; lam as in _kernel_h."""
     p, q = t.p, t.q
     coeff = (2 * p - 2) / (p - 2) * (2 - q) + 2 * (q - 1)
     a, e, b, c = 2 - q, (3 * p - 4) / (2 - p), -(2 * q - 1), 2 * (q - 1) * lam
 
-    def g(rho: float) -> float:
+    def g(rho):
         s = rho**a
         return (lam + s) ** e * rho**b * (s * coeff + c)
 
@@ -252,7 +259,10 @@ def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = Quadra
     """The integrals P, Q, R of the extremal family at parameter lam.
 
     P = omega_n int rho^n h, R = omega_n int rho^n g,
-    Q = ((2-q)/(p-2))^2 * R.
+    Q = ((2-q)/(p-2))^2 * R, each one radial_integral.  The identity checks
+    take P and R from one pass per lam instead (pqr_reports), on a mesh
+    refined for every row, so their values agree with these within the
+    error estimates, not bit for bit.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -279,37 +289,65 @@ def _scaled(r: IntegralResult, c: float) -> IntegralResult:
     return IntegralResult(c * r.value, c * r.error_estimate, r.nodes_used)
 
 
+def _extremal_pass(t: ExponentTriple, lam: float, spec: QuadratureSpec) -> tuple[list, list, IntegralResult]:
+    """P at lam and at fd_derivative's four points around it, and R at lam, from one pass.
+
+    The points are lam + h, lam - h, lam + h/2 and lam - h/2 with
+    h = 1e-5 lam, as fd_derivative forms them.  The six integrals are the
+    rows of one radial_integral_rows pass.  Returns (the five points, lam
+    first; P at each; R).
+    """
+    h = 1e-5 * lam
+    lams = [lam, lam + h, lam - h, lam + h / 2, lam - h / 2]
+    kh, kg, n = _kernel_h(t, np.array(lams)[:, None]), _kernel_g(t, lam), t.n
+
+    def rows(rho):
+        return np.concatenate([kh(rho), kg(rho)[None]]) * rho**n
+
+    values, errors, evals = radial_integral_rows(rows, spec)
+    omega = ball_volume_constant(n)
+    results = [IntegralResult(omega * v, omega * e, evals) for v, e in zip(values.tolist(), errors.tolist())]
+    return lams, results[:-1], results[-1]
+
+
+def pqr_reports(
+    t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
+) -> list[tuple[InequalityReport, float]]:
+    """check_pqr_identity and check_p_ode, one pass per lam.
+
+    Q R / P^2 against (n-q)^2 / p^2 (an equality), and the relative residual
+    of the first-order ODE of P, coeff P + lam P' = 0, with P' from
+    fd_derivative.  P, R and the four finite-difference points of P come
+    from one radial_integral_rows pass per lam (_extremal_pass), so a value
+    depends only on its lam.  Returns one (report, residual) pair per lam.
+    """
+    if any(lam <= 0 for lam in lam_grid):
+        raise ValueError("lam must be positive")
+    coeff = (1 / (2 - t.q)) * (-t.n + 2 * (t.p - t.q) / (t.p - 2))
+    out = []
+    for lam in lam_grid:
+        lams, Ps, R = _extremal_pass(t, lam, spec)
+        P, Q = Ps[0], _q_from_r(t, R)
+        rep = InequalityReport.product(Q, R, P, t.target)
+        # errors in (P, Q, R) order: the err column is their float sum
+        rep = replace(rep, integral_errors=_relative_errors(P, Q, R))
+        derivative = fd_derivative(dict(zip(lams, (x.value for x in Ps))).__getitem__, lam)
+        out.append((rep, (coeff * P.value + lam * derivative) / P.value))
+    return out
+
+
 def check_pqr_identity(
     t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
 ) -> list[InequalityReport]:
-    """Q R / P^2 against (n-q)^2 / p^2 on a lambda grid (an equality)."""
-    if any(lam <= 0 for lam in lam_grid):
-        raise ValueError("lam must be positive")
-    out = []
-    for lam in lam_grid:
-        P = _radial(t, lam, _kernel_h, spec)
-        R = _radial(t, lam, _kernel_g, spec)
-        Q = _q_from_r(t, R)
-        rep = InequalityReport.product(Q, R, P, t.target)
-        # errors in (P, Q, R) order: the err column is their float sum
-        out.append(replace(rep, integral_errors=_relative_errors(P, Q, R)))
-    return out
+    """Q R / P^2 against (n-q)^2 / p^2 on a lambda grid (an equality): pqr_reports' reports."""
+    return [rep for rep, _ in pqr_reports(t, lam_grid, spec)]
 
 
 def check_p_ode(
     t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
 ) -> list[float]:
-    """Relative residual of the first-order ODE satisfied by P."""
-    coeff = (1 / (2 - t.q)) * (-t.n + 2 * (t.p - t.q) / (t.p - 2))
-
-    def P(lam):
-        return pqr(t, lam, "P", spec).value
-
-    out = []
-    for lam in lam_grid:
-        p = P(lam)
-        out.append((coeff * p + lam * fd_derivative(P, lam)) / p)
-    return out
+    """Relative residual of the first-order ODE satisfied by P: pqr_reports' residuals."""
+    return [res for _, res in pqr_reports(t, lam_grid, spec)]
 
 
 def _general_triple_integrals(norm, t, u, spec):
@@ -399,28 +437,37 @@ def _gaussian_moments(ks: Sequence[int], spec: QuadratureSpec) -> list[IntegralR
     return [IntegralResult(float(v), float(e), evals) for v, e in zip(values[:, 0], errors[:, 0])]
 
 
-def gaussian_T(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> dict:
-    """Gaussian moment integral, its closed form, and the scaling ODE residual.
+def gaussian_T_grid(n: int, lams: Sequence[float], spec: QuadratureSpec = QuadratureSpec()) -> list[dict]:
+    """Gaussian moment integral, its closed form, and the scaling ODE residual, for every lam.
 
     T(lam) = 4 lam omega_n int rho^(n+1) e^(-2 lam rho^2) d rho, which must
     equal 2 (2 lam)^(-n/2) omega_n int t^(n+1) e^(-t^2) dt and satisfy
     -lam T' = (n/2) T.  T' = T/lam - 8 lam omega_n int rho^(n+3) e^(-2 lam rho^2)
     is analytic: T and its higher moment are the lambda-free I_(n+1) and
-    I_(n+3) of one batched pass (_gaussian_moments) times powers of 2 lam.
+    I_(n+3) of one batched pass for the whole grid (_gaussian_moments) times
+    powers of 2 lam.  Returns one dict per lam.
     """
-    if lam <= 0:
+    if any(lam <= 0 for lam in lams):
         raise ValueError("lam must be positive")
     omega = ball_volume_constant(n)
     low, high = _gaussian_moments((n + 1, n + 3), spec)
-    value = 4 * lam * omega * (2 * lam) ** (-(n + 2) / 2) * low.value
-    derivative = value / lam - 8 * lam * omega * (2 * lam) ** (-(n + 4) / 2) * high.value
-    closed = 2 * (2 * lam) ** (-n / 2) * omega * math.gamma(n / 2 + 1) / 2
-    return {
-        "value": value,
-        "closed_form": closed,
-        "closed_form_relative_error": abs(value - closed) / closed,
-        "ode_relative_residual": (-lam * derivative - (n / 2) * value) / value,
-    }
+    out = []
+    for lam in lams:
+        value = 4 * lam * omega * (2 * lam) ** (-(n + 2) / 2) * low.value
+        derivative = value / lam - 8 * lam * omega * (2 * lam) ** (-(n + 4) / 2) * high.value
+        closed = 2 * (2 * lam) ** (-n / 2) * omega * math.gamma(n / 2 + 1) / 2
+        out.append({
+            "value": value,
+            "closed_form": closed,
+            "closed_form_relative_error": abs(value - closed) / closed,
+            "ode_relative_residual": (-lam * derivative - (n / 2) * value) / value,
+        })
+    return out
+
+
+def gaussian_T(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> dict:
+    """gaussian_T_grid at one lam."""
+    return gaussian_T_grid(n, [lam], spec)[0]
 
 
 def _hpw(u: RadialFunction, volume, n: int, spec: QuadratureSpec) -> InequalityReport:

@@ -1,9 +1,10 @@
 """Deterministic integration of radial profiles on [0, oo).
 
 Adaptive Gauss-Kronrod panels on a split domain with a rational tail
-transform, a vectorised composite Gauss-Kronrod rule over a whole parameter
-grid at once, n-dimensional Monte Carlo cross-validation with a
-counter-based generator, and Richardson-extrapolated finite differences.
+transform, for one integrand or for q rows on one mesh, a vectorised
+composite Gauss-Kronrod rule over a whole parameter grid at once,
+n-dimensional Monte Carlo cross-validation with a counter-based generator,
+and Richardson-extrapolated finite differences.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "IntegralResult",
     "QuadratureError",
     "radial_integral",
+    "radial_integral_rows",
     "flat_radial_volume_integral",
     "hyperbolic_radial_volume_integral",
     "gauss_kronrod_batch",
@@ -186,6 +188,11 @@ _NODE_COUNT = len(_NODE_LIST)
 _OUTER_NODE = float(_GK15_NODES[-1])
 _KRONROD_LIST = _GK15_KRONROD[_ORDER].tolist()
 _DIFF_LIST = (_GK15_KRONROD - _GK15_GAUSS)[_ORDER].tolist()
+# the same for the row integrands of radial_integral_rows: the nodes in that
+# order, and the (15, 2) matrix of Kronrod and Kronrod-minus-Gauss weights
+# that gives both sums of a panel in one product
+_NODES = np.array(_NODE_LIST)
+_GK15_WEIGHTS = np.stack([_KRONROD_LIST, _DIFF_LIST], axis=1)
 
 
 def _tail_budget(tol: float) -> float:
@@ -289,23 +296,49 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
     return IntegralResult(total, err, nodes, truncation=T)
 
 
-def _adaptive_gk15(g: Callable[[float], float], cuts: list, tail: bool, tol: float):
-    """Globally adaptive G7/K15 for radial_integral: g over [cuts[0], cuts[-1]].
+def radial_integral_rows(
+    rows: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec = QuadratureSpec()
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integrals over [0, oo) of q algebraically decaying integrands on one adaptive mesh.
+
+    rows maps an array of radii to a (q, m) array, the q integrands (weight
+    included) at those radii.  The pieces are radial_integral's for an
+    algebraic profile without breakpoints, [0, 1] and the tail past 1 mapped
+    onto [0, 1), on the same G7/K15 engine (_adaptive_gk15), which refines
+    until every row meets the acceptance rule.  A value outside the float
+    range at a node, or an integral outside it over a piece, raises
+    QuadratureError naming the node or the piece.  Returns (values,
+    error_estimates, evaluations): arrays of q, and q evaluations per node.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, errors, evals = _adaptive_gk15(rows, [0.0, 1.0], True, spec.relative_tolerance, batch=True)
+    return values, errors, len(values) * evals
+
+
+def _adaptive_gk15(g: Callable, cuts: list, tail: bool, tol: float, batch: bool = False):
+    """Globally adaptive G7/K15: g over [cuts[0], cuts[-1]], and past it if tail.
 
     The pieces are the intervals between cuts and, if tail, the tail past
     end = cuts[-1] mapped onto t in [0, 1) by rho = end + t/(1 - t),
     d rho = dt/(1 - t)^2.  Every piece starts as its two halves; while the
-    summed |K - G| of all panels exceeds tol x |sum of K|, the panel with the
-    largest |K - G| is bisected.  Returns (value, error estimate, integrand
-    evaluations).
+    summed |K - G| of all panels exceeds tol x |sum of K|, the worst panel
+    is bisected, up to _MAX_SUBINTERVALS panels.  g maps a float rho to a
+    float, evaluated node by node, and the worst panel has the largest
+    |K - G| (radial_integral).  With batch, g maps the 30 nodes of a
+    bisection's two halves to a (q, 30) array of q integrands in one call
+    (radial_integral_rows); every row must meet the rule on its own, and
+    the worst panel has the largest row error relative to that row's value
+    after the first sweep.  Returns (value, error estimate, evaluations of
+    g's nodes), value and estimate arrays of q with batch.
     """
     pieces = list(zip(cuts, cuts[1:]))
     if tail:
         pieces.append((0.0, 1.0))
     end, last = cuts[-1], len(cuts) - 1 if tail else -1
-    panels = []  # a heap of (-|K - G|, piece, a, b, K)
+    panels = []  # a heap of (-worst error, piece, a, b, K, |K - G|)
     value = error = 0.0
     evals = 0
+    scale = 1.0  # with batch: 1 / |value| of every row, once the first sweep has one
 
     def where(i: int, a: float, b: float) -> str:
         if i == last:  # the tail, in rho
@@ -313,6 +346,7 @@ def _adaptive_gk15(g: Callable[[float], float], cuts: list, tail: bool, tol: flo
         return f"rho in [{a!r}, {b!r}]"
 
     def add(i: int, a: float, b: float) -> None:
+        """Add the panel [a, b] of piece i, g node by node."""
         nonlocal value, error, evals
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         if i == last:
@@ -326,21 +360,76 @@ def _adaptive_gk15(g: Callable[[float], float], cuts: list, tail: bool, tol: flo
             raise QuadratureError(
                 f"integral over {where(i, *pieces[i])} is {total!r}: outside the float range"
             )
-        heapq.heappush(panels, (-e, i, a, b, k))
+        heapq.heappush(panels, (-e, i, a, b, k, e))
         value += k
         error += e
 
+    def add_rows(i: int, a: float, mid: float, b: float) -> None:
+        """Add the panels [a, mid] and [mid, b] of piece i, every row from one call of g."""
+        nonlocal value, error, evals
+        c = np.array([[0.5 * (a + mid)], [0.5 * (mid + b)]])
+        h = np.array([[0.5 * (mid - a)], [0.5 * (b - mid)]])
+        t = (c + h * _NODES).ravel()
+        if i == last:
+            u = 1.0 - t
+            rho = end + t / u
+            v = g(rho) / (u * u)
+        else:
+            rho = t
+            v = g(rho)
+        # K and K - G of both halves and every row, (half, row) each
+        kd = (v.reshape(-1, 2, _NODE_COUNT) @ _GK15_WEIGHTS).transpose(2, 1, 0) * h
+        k, e = kd[0], np.abs(kd[1])
+        # the Kronrod weights are positive: a value outside the float range
+        # leaves its K outside it too
+        if not np.isfinite(k).all():
+            if not np.isfinite(v).all():
+                bad = int((~np.isfinite(v)).any(axis=0).argmax())  # the first node, in the scalar order
+                raise QuadratureError(f"profile exceeds the float range at rho={float(rho[bad])!r}")
+            r = int((~np.isfinite(k)).any(axis=0).argmax())  # the first row outside the float range
+            total = math.fsum([p[4][r] for p in panels if p[1] == i] + k[:, r].tolist())
+            raise QuadratureError(
+                f"integral over {where(i, *pieces[i])} is {total!r}: outside the float range"
+            )
+        left, right = (e * scale).max(axis=1).tolist()
+        heapq.heappush(panels, (-left, i, a, mid, k[0], e[0]))
+        heapq.heappush(panels, (-right, i, mid, b, k[1], e[1]))
+        value += k.sum(axis=0)
+        error += e.sum(axis=0)
+        evals += 2 * _NODE_COUNT
+
+    def split(i: int, a: float, mid: float, b: float) -> None:
+        if batch:
+            add_rows(i, a, mid, b)
+        else:
+            add(i, a, mid)
+            add(i, mid, b)
+
+    def met() -> bool:
+        ok = error <= tol * abs(value)
+        return bool(ok.all()) if batch else ok
+
     for i, (lo, hi) in enumerate(pieces):
-        add(i, lo, 0.5 * (lo + hi))
-        add(i, 0.5 * (lo + hi), hi)
+        split(i, lo, 0.5 * (lo + hi), hi)
+    if batch:
+        scale = 1.0 / np.maximum(np.abs(value), np.finfo(float).tiny)
+        keys = (np.array([p[5] for p in panels]) * scale).max(axis=1).tolist()
+        panels[:] = [(-key, *p[1:]) for key, p in zip(keys, panels)]
+        heapq.heapify(panels)
     while True:
-        if error <= tol * abs(value):
+        if met():
             # the running sums drift; accept on the exact ones
-            value = math.fsum(p[4] for p in panels)
-            error = math.fsum(-p[0] for p in panels)
-            if error <= tol * abs(value):
+            if batch:
+                value, error = (
+                    np.array([math.fsum(row) for row in np.array([p[j] for p in panels]).T.tolist()])
+                    for j in (4, 5)
+                )
+            else:
+                value = math.fsum(p[4] for p in panels)
+                error = math.fsum(p[5] for p in panels)
+            if met():
                 return value, error, evals
-        minus_e, i, a, b, k = panels[0]
+        _, i, a, b, k, e = panels[0]
         mid = 0.5 * (a + b)
         if len(panels) >= _MAX_SUBINTERVALS:
             cause = f"with {len(panels)} panels, the worst at {where(i, a, b)}"
@@ -351,10 +440,11 @@ def _adaptive_gk15(g: Callable[[float], float], cuts: list, tail: bool, tol: flo
         else:
             heapq.heappop(panels)
             value -= k
-            error += minus_e
-            add(i, a, mid)
-            add(i, mid, b)
+            error -= e
+            split(i, a, mid, b)
             continue
+        if batch:
+            value, error = value.tolist(), error.tolist()
         raise QuadratureError(
             f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}"
         )

@@ -244,6 +244,23 @@ class TestRunSuite:
         names = {c["name"] for c in payload["checks"]}
         assert "pqr-identity" in names and "p-ode-residual" in names
 
+    def test_identities_one_pass_per_lambda(self, tmp_path, monkeypatch):
+        # P(lam) is integrated once per lam, for both the identity and the
+        # ODE rows, and the gaussian-T rows take one moments pass for the grid
+        from sharpineq import flat
+
+        passes, moments = [], []
+        rows_pass, moments_pass = flat.radial_integral_rows, flat._gaussian_moments
+        monkeypatch.setattr(flat, "radial_integral_rows", lambda *a: passes.append(1) or rows_pass(*a))
+        monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: moments.append(1) or moments_pass(*a))
+        cfg = parse_config(MINIMAL)
+        assert run_suite(cfg, str(tmp_path)).passed
+        assert (len(passes), len(moments)) == (len(cfg.lambda_grid), 1)
+        names = [c["name"] for c in json.loads((tmp_path / "identities.json").read_text())["checks"]]
+        k = len(cfg.lambda_grid)
+        assert names == ["pqr-identity"] * k + ["p-ode-residual"] * k + [
+            "gaussian-T-closed-form", "gaussian-T-ode"] * k
+
     def test_csv_determinism(self, tmp_path):
         cfg = parse_config(MINIMAL)
         run_suite(cfg, str(tmp_path / "a"))

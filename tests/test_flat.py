@@ -23,6 +23,7 @@ from sharpineq import (
     extremal_profile,
     fd_derivative,
     gaussian_T,
+    gaussian_T_grid,
     gaussian_hpw_reports,
     gaussian_moment_identity,
     hardy_report,
@@ -168,21 +169,22 @@ class TestExtremalIntegrals:
         assert abs(res[0]) <= 1e-5
 
     def test_each_integral_once(self, monkeypatch):
-        # near the boundary (q < 1e-3) as anywhere: the identity needs P and
-        # R once per lambda, the ODE P and its FD
+        # near the boundary (q < 1e-3) as anywhere: each check takes P, R and
+        # the four finite-difference points of P from one pass per lambda,
+        # six rows, and no scalar integral
         calls = []
 
-        def fake(prof, weight, spec):
-            calls.append(spec)
-            return IntegralResult(1.0, 0.0, 1)
+        def fake(rows, spec):
+            calls.append(rows(np.array([0.5, 2.0])).shape)
+            return np.ones(6), np.zeros(6), 1
 
-        monkeypatch.setattr(flat, "radial_integral", fake)
+        monkeypatch.setattr(flat, "radial_integral_rows", fake)
+        monkeypatch.setattr(flat, "radial_integral", None)
         t = ExponentTriple(3, 3.0, 0.0005)
-        check_pqr_identity(t, [1.0])
-        assert len(calls) == 2
-        calls.clear()
-        check_p_ode(t, [1.0])
-        assert len(calls) == 5
+        for check in (check_pqr_identity, check_p_ode):
+            calls.clear()
+            check(t, [0.5, 1.0, 2.0])
+            assert calls == [(6, 2)] * 3
 
     def test_overflow_named(self):
         # P of (3, 2.002, 1) is about 1e600 at lam = 0.5; at lam = 0.25 the
@@ -193,6 +195,110 @@ class TestExtremalIntegrals:
         assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
         with pytest.raises(QuadratureError, match=r"profile exceeds the float range at rho=0\.01"):
             pqr(t, 0.25, "P")
+
+    @pytest.mark.parametrize("check", [check_pqr_identity, check_p_ode])
+    def test_overflow_named_on_the_pass(self, check):
+        # the pass names the first node where a row leaves the float range,
+        # in the scalar node order; at lam = 0.25 it is pqr's node, at
+        # lam = 0.5 the kernel is inf (pqr reports the sum it makes); no
+        # numpy warning escapes
+        t = ExponentTriple(3, 2.002, 1.0)
+        for lam, rho in ((0.5, "0.0002670196524746059"), (0.25, "0.012723021914310378")):
+            with pytest.raises(QuadratureError) as exc:
+                check(t, [lam])
+            assert str(exc.value) == f"profile exceeds the float range at rho={rho}"
+
+
+def beta_form(t, lam, m, e, c1, c0):
+    """(omega_n/(2-q)) lam^(m+e+1) [c1 B(m+1, -e-m-1) + c0 B(m, -e-m)], and a bound on its rounding.
+
+    B(x, y) = exp(lgamma(x) + lgamma(y) - lgamma(x+y)): a few ulp of each
+    lgamma become that many ulp of the sum in the exponent.
+    """
+    value = slack = 0.0
+    for c, x, y in ((c1, m + 1, -e - m - 1), (c0, m, -e - m)):
+        logs = (math.lgamma(x), math.lgamma(y), -math.lgamma(x + y))
+        term = c * math.exp(sum(logs))
+        value += term
+        slack += abs(term) * 4 * EPS * (1 + sum(map(abs, logs)))
+    scale = flat.ball_volume_constant(t.n) / (2 - t.q) * lam ** (m + e + 1)
+    return scale * value, abs(scale) * slack + 4 * EPS * abs(scale * value)
+
+
+def closed_p(t, lam):
+    """P(lam) in closed form: s = rho^(2-q) turns it into two Beta integrals."""
+    n, p, q = t.n, t.p, t.q
+    return beta_form(t, lam, (n - q) / (2 - q), (2 * p - 2) / (2 - p), 2 * (p - q) / (p - 2), q)
+
+
+def closed_r(t, lam):
+    """R(lam) in closed form, as P with m + 1, (3p-4)/(2-p) and g's coefficients."""
+    n, p, q = t.n, t.p, t.q
+    coeff = (2 * p - 2) * (2 - q) / (p - 2) + 2 * (q - 1)
+    return beta_form(t, lam, (n - q) / (2 - q) + 1, (3 * p - 4) / (2 - p), coeff, 2 * (q - 1))
+
+
+EPS = 2.0**-52
+PASS_TRIPLES = [(3, 3.0, 1.0), (4, 3.0, 0.5), (3, 2.5, 1.5), (5, 2.4, 0.2), (7, 2.2, 0.1), (3, 3.0, 0.0005)]
+
+
+class TestExtremalPass:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("triple", PASS_TRIPLES)
+    def test_rows_within_their_estimates_of_the_closed_form(self, triple, tol):
+        # every row, P at the five points and R, lies within its own error
+        # estimate of the Beta form (plus its rounding): for these integrands,
+        # endpoint singularities included, |K - G| bounds the error
+        t = ExponentTriple(*triple)
+        for lam in (0.5, 1.0, 2.0):
+            lams, P, R = flat._extremal_pass(t, lam, QuadratureSpec(relative_tolerance=tol))
+            h = 1e-5 * lam
+            assert lams == [lam, lam + h, lam - h, lam + h / 2, lam - h / 2]
+            rows = [(closed_p(t, la), got) for la, got in zip(lams, P)] + [(closed_r(t, lam), R)]
+            for (exact, slack), got in rows:
+                assert got.error_estimate <= tol * abs(got.value)
+                assert abs(got.value - exact) <= got.error_estimate + slack
+
+    def test_pass_matches_scalar_integrals(self):
+        t = ExponentTriple(4, 3.0, 0.5)
+        spec = QuadratureSpec(relative_tolerance=1e-12)
+        lams, P, R = flat._extremal_pass(t, 1.0, spec)
+        for got, ref in ((P[0], pqr(t, 1.0, "P", spec)), (R, pqr(t, 1.0, "R", spec))):
+            assert got.value == pytest.approx(ref.value, rel=2e-12)
+
+    def test_pass_follows_kernel_g(self, monkeypatch):
+        # R comes from flat._kernel_g, the expression kernel_g evaluates:
+        # scaling it scales the R row, and Q R / P^2 by its square
+        t = ExponentTriple(3, 3.0, 1.0)
+        factor = 1 + 3e-7
+        R0 = flat._extremal_pass(t, 1.0, QuadratureSpec())[2].value
+        ratio0 = check_pqr_identity(t, [1.0])[0].ratio
+        original = flat._kernel_g
+
+        def scaled(t, lam):
+            g = original(t, lam)
+            return lambda rho: g(rho) * factor
+
+        monkeypatch.setattr(flat, "_kernel_g", scaled)
+        assert kernel_g(t, 1.0, 0.7) == original(t, 1.0)(0.7) * factor
+        assert flat._extremal_pass(t, 1.0, QuadratureSpec())[2].value / R0 == pytest.approx(factor, rel=1e-13)
+        assert check_pqr_identity(t, [1.0])[0].ratio / ratio0 == pytest.approx(factor**2, rel=1e-13)
+
+    def test_value_depends_only_on_its_lambda(self):
+        t = ExponentTriple(3, 2.5, 1.5)
+        alone = flat.pqr_reports(t, [1.0])
+        assert flat.pqr_reports(t, [0.5, 1.0, 2.0])[1] == alone[0]
+        assert check_pqr_identity(t, [1.0]) == [alone[0][0]]
+        assert check_p_ode(t, [1.0]) == [alone[0][1]]
+
+    def test_p_ode_residual_from_the_pass_points(self):
+        # fd_derivative's Richardson quotient of the pass's five P values
+        t = ExponentTriple(5, 2.4, 0.2)
+        lams, P, _ = flat._extremal_pass(t, 2.0, QuadratureSpec())
+        values = dict(zip(lams, (x.value for x in P)))
+        coeff = (-t.n + 2 * (t.p - t.q) / (t.p - 2)) / (2 - t.q)
+        expected = (coeff * P[0].value + 2.0 * fd_derivative(values.__getitem__, 2.0)) / P[0].value
+        assert check_p_ode(t, [2.0]) == [expected]
 
 
 class TestInterpolation:
@@ -375,6 +481,20 @@ class TestGaussianT:
             fd = fd_derivative(lambda la: gaussian_T(n, la, spec)["value"], lam)
             fd_residual = (-lam * fd - (n / 2) * out["value"]) / out["value"]
             assert abs(out["ode_relative_residual"] - fd_residual) <= 1e-6
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_grid_from_one_moments_pass(self, tol, monkeypatch):
+        # the grid form equals gaussian_T at each lam, bit for bit, from one pass
+        spec = QuadratureSpec(relative_tolerance=tol)
+        lams = [0.5, 1.0, 2.0]
+        singles = [gaussian_T(4, lam, spec) for lam in lams]
+        calls = []
+        moments = flat._gaussian_moments
+        monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: calls.append(a) or moments(*a))
+        assert gaussian_T_grid(4, lams, spec) == singles
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            gaussian_T_grid(4, [1.0, 0.0])
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("n", range(3, 9))

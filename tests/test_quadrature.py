@@ -22,6 +22,7 @@ from sharpineq import (
     hyperbolic_radial_volume_integral,
     monte_carlo_integral,
     radial_integral,
+    radial_integral_rows,
 )
 from sharpineq import quadrature
 from sharpineq.quadrature import (
@@ -240,6 +241,77 @@ class TestRadialIntegralFailures:
         with pytest.raises(QuadratureError) as exc:
             radial_integral(prof, ("power", 0))
         assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
+
+
+def algebraic_rows(rho):
+    """Three algebraic integrands on [0, oo), one singular at 0, far apart in size."""
+    return np.stack([rho * rho / (1 + rho * rho) ** 2, 1e-8 / (1 + rho) ** 3, 1e6 / (np.sqrt(rho) * (1 + rho) ** 2)])
+
+
+ALGEBRAIC_EXACT = [math.pi / 4, 0.5e-8, 1e6 * math.pi / 2]
+
+
+class TestRadialIntegralRows:
+    """q integrands on one adaptive mesh, under the scalar rule, cap and messages."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_closed_forms(self, tol):
+        # every row meets the tolerance on its own, whatever its size
+        values, errors, evals = radial_integral_rows(algebraic_rows, QuadratureSpec(relative_tolerance=tol))
+        assert values.shape == errors.shape == (3,)
+        for value, error, exact in zip(values, errors, ALGEBRAIC_EXACT):
+            assert abs(value - exact) <= tol * abs(exact)
+            assert error <= tol * abs(value)
+        assert evals % 45 == 0
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_rows_agree_with_scalar_integrals(self, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        values, errors, _ = radial_integral_rows(algebraic_rows, spec)
+        for i, (value, error) in enumerate(zip(values, errors)):
+            prof = RadialProfile(lambda r, i=i: float(algebraic_rows(np.array([r]))[i, 0]), DecayClass.algebraic())
+            scalar = radial_integral(prof, ("power", 0), spec)
+            assert abs(value - scalar.value) <= error + scalar.error_estimate
+
+    def test_rule_exact_on_polynomials(self):
+        # the batch engine on the same table: x^j for j <= 22 on the two
+        # first halves, every row from one call
+        values, errors, evals = _adaptive_gk15(
+            lambda x: np.stack([x**j for j in range(23)]), [0.0, 1.0], False, 1e-6, batch=True
+        )
+        assert values == pytest.approx([1 / (j + 1) for j in range(23)], rel=1e-14)
+        assert (errors[:14] <= 1e-15).all()
+        assert evals == 30
+
+    def test_non_finite_row_named(self):
+        # every value is finite, but the Kronrod sum of the second row
+        # overflows; the message names the piece and that row's sum
+        with pytest.raises(QuadratureError) as exc:
+            radial_integral_rows(lambda rho: np.stack([1 / (1 + rho) ** 3, np.full(rho.shape, 1e308)]))
+        assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
+
+    def test_node_outside_float_range_named(self):
+        # the first node outside the float range in the scalar order: the
+        # left half's centre 0.25, then its outer Gauss node
+        def rows(rho):
+            return np.stack([1 / (1 + rho) ** 3, np.where(rho < 0.25, np.inf, 1 / (1 + rho) ** 3)])
+
+        with pytest.raises(QuadratureError) as exc:
+            radial_integral_rows(rows)
+        assert str(exc.value) == "profile exceeds the float range at rho=0.012723021914310378"
+
+    def test_tolerance_failure_lists_every_row(self):
+        # P of (3, 3, 1.49975) on the pass: the tail stops as in
+        # test_tail_node_at_one, and the message holds the six rows
+        from sharpineq.flat import ExponentTriple, check_pqr_identity
+
+        with pytest.raises(QuadratureError) as exc:
+            check_pqr_identity(ExponentTriple(3, 3.0, 1.49975), [1.0])
+        assert re.fullmatch(
+            r"requested tolerance 1e-09 not met at rho in \[\S+, inf\]: a node of its right half "
+            r"rounds to t = 1\.0: value=\[(\S+, ){5}\S+\], error=\[(\S+, ){5}\S+\]",
+            str(exc.value),
+        )
 
 
 class TestVolumeIntegrals:
