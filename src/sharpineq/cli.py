@@ -12,14 +12,13 @@ import argparse
 import configparser
 import hashlib
 import io
-import itertools
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -264,6 +263,13 @@ class CheckRow:
     error: str = ""  # "Type: message" of the exception behind an error row
 
 
+class Series(NamedTuple):
+    """An xy plot series as two columns of equal length."""
+
+    x: list
+    y: list
+
+
 @dataclass
 class SuiteResult:
     suite: str
@@ -271,7 +277,8 @@ class SuiteResult:
     wall_time: float
     config_hash: str
     seed: int
-    series: dict = field(default_factory=dict)  # xy plot data per trace name
+    # xy plot data per trace name: a Series, or a sequence of (x, y) pairs
+    series: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -358,13 +365,6 @@ def _run_identities(cfg: RunConfig) -> tuple[list, dict]:
     return rows, {}
 
 
-# r e^(-r^2), the Hardy test function of the flat and hyperbolic suites
-HARDY_FUNCTION = flat.RadialFunction(
-    RadialProfile(lambda r: r * math.exp(-r * r), DecayClass.gaussian(1.0)),
-    lambda r: (1 - 2 * r * r) * math.exp(-r * r),
-)
-
-
 def _run_flat_hpw(cfg: RunConfig) -> tuple[list, dict]:
     spec = cfg.quadrature_spec()
     rows = []
@@ -390,7 +390,8 @@ def _run_flat_hardy(cfg: RunConfig) -> tuple[list, dict]:
     norm = cfg.norm()
     n = cfg.n
     rows = []
-    rows.append(_row("flat-hardy", "hardy-quotient", 0.0, flat.hardy_report(norm, n, HARDY_FUNCTION, 0.0, spec), 0.0))
+    # the Hardy test function of the flat and hyperbolic suites is r e^(-r^2)
+    rows.append(_row("flat-hardy", "hardy-quotient", 0.0, flat.gaussian_hardy_reports(n, [1.0], spec)[0], 0.0))
     sweep = flat.hardy_sharpness_sweep(norm, n, 1.0, 2.0, cfg.epsilon_grid, spec)
     mono = all(
         b <= a + 1e-12 for a, b in zip(sweep["quotients"], sweep["quotients"][1:])
@@ -415,11 +416,7 @@ def _run_flat_hardy(cfg: RunConfig) -> tuple[list, dict]:
             flat.double_hardy_report(norm, n, bump, 2.0, l_star, spec), 1e-9,
         )
     )
-    series = {
-        "hardy_quotient_vs_logeps": [
-            (math.log(1.0 / e), q) for e, q in zip(sweep["eps"], sweep["quotients"])
-        ]
-    }
+    series = {"hardy_quotient_vs_logeps": Series([math.log(1.0 / e) for e in sweep["eps"]], sweep["quotients"])}
     return rows, series
 
 
@@ -456,10 +453,10 @@ def _run_hyperbolic(cfg: RunConfig) -> tuple[list, dict]:
         )
     )
     if n >= 3:
-        rep1, rep2 = hyp.hardy_hyperbolic_report(HARDY_FUNCTION, n, spec)
+        ((rep1, rep2),) = hyp.gaussian_hardy_hyperbolic_reports(n, [1.0], spec)
         rows.append(_row("hyperbolic", "hardy-quantitative", 0.0, rep1, 1e-9))
         rows.append(_row("hyperbolic", "hardy-improved", 0.0, rep2, 1e-9))
-    series = {"volume_ratio_vs_rho": list(zip(vol["rho"], vol["ratios"]))}
+    series = {"volume_ratio_vs_rho": Series(vol["rho"], vol["ratios"])}
     return rows, series
 
 
@@ -476,7 +473,7 @@ def _run_ko_refute(cfg: RunConfig) -> tuple[list, dict]:
             bool(scan["alphas"]) and len(scan["brackets"]) == 0,
         )
     ]
-    series = {"phi_vs_alpha": list(zip(scan["alphas"], scan["phi"]))}
+    series = {"phi_vs_alpha": Series(scan["alphas"], scan["phi"])}
     return rows, series
 
 
@@ -576,12 +573,17 @@ def emit_plot_data(result: SuiteResult, out: Path) -> list:
         "volume_ratio_vs_rho": "rho,ratio",
     }
     for trace, xy in result.series.items():
-        if not xy:
+        if not isinstance(xy, Series):
+            xy = Series([x for x, _ in xy], [y for _, y in xy])
+        if not xy.x:
             print(f"warning: empty series {trace}", file=sys.stderr)
             continue
         path = Path(out) / f"{trace}.csv"
-        # one %-format pass over the flat series, in _fmt's format
-        rows = ("%.16e,%.16e\n" * len(xy)) % tuple(itertools.chain.from_iterable(xy))
+        # x0, y0, x1, y1, ... interleaved by slices, for one %-format pass in
+        # _fmt's format
+        values = [None] * (2 * len(xy.x))
+        values[::2], values[1::2] = xy
+        rows = ("%.16e,%.16e\n" * len(xy.x)) % tuple(values)
         path.write_text(columns[trace] + "\n" + rows)
         written.append(path)
     return written

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "gaussian_hpw_reports",
     "gaussian_moment_identity",
     "hardy_report",
+    "gaussian_hardy_reports",
     "hardy_sharpness_sweep",
     "double_hardy_report",
     "smoothstep_cutoff",
@@ -260,7 +261,7 @@ def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = Quadra
 
     P = omega_n int rho^n h, R = omega_n int rho^n g,
     Q = ((2-q)/(p-2))^2 * R, each one radial_integral.  The identity checks
-    take P and R from one pass per lam instead (pqr_reports), on a mesh
+    take P and R from one row pass per lam instead (pqr_reports), on a mesh
     refined for every row, so their values agree with these within the
     error estimates, not bit for bit.
     """
@@ -289,25 +290,33 @@ def _scaled(r: IntegralResult, c: float) -> IntegralResult:
     return IntegralResult(c * r.value, c * r.error_estimate, r.nodes_used)
 
 
-def _extremal_pass(t: ExponentTriple, lam: float, spec: QuadratureSpec) -> tuple[list, list, IntegralResult]:
-    """P at lam and at fd_derivative's four points around it, and R at lam, from one pass.
+def _extremal_passes(t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec) -> Iterator[tuple]:
+    """P at lam and at fd_derivative's four points around it, and R at lam, for every lam of lam_grid.
 
     The points are lam + h, lam - h, lam + h/2 and lam - h/2 with
-    h = 1e-5 lam, as fd_derivative forms them.  The six integrals are the
-    rows of one radial_integral_rows pass.  Returns (the five points, lam
-    first; P at each; R).
+    h = 1e-5 lam, as fd_derivative forms them.  The six integrals of a lam
+    are the rows of one radial_integral_rows pass, and the passes of the
+    grid run in lockstep, each on its own mesh.  Yields one (the five
+    points, lam first; P at each; R) per lam, in grid order; a failed pass
+    raises its error when its turn comes.
     """
+    lam = np.array(lam_grid, dtype=float)[:, None]
     h = 1e-5 * lam
-    lams = [lam, lam + h, lam - h, lam + h / 2, lam - h / 2]
-    kh, kg, n = _kernel_h(t, np.array(lams)[:, None]), _kernel_g(t, lam), t.n
+    lams, n = np.concatenate([lam, lam + h, lam - h, lam + h / 2, lam - h / 2], axis=1), t.n
+    kernels = {}  # the P and R kernels of a set of passes, built once per set
 
-    def rows(rho):
-        return np.concatenate([kh(rho), kg(rho)[None]]) * rho**n
+    def rows(rho, which):
+        key = tuple(which.tolist())
+        if key not in kernels:
+            kernels[key] = _kernel_h(t, lams[which, :, None]), _kernel_g(t, lam[which, :, None])
+        kh, kg = kernels[key]
+        rho = rho[:, None]
+        return np.concatenate([kh(rho), kg(rho)], axis=1) * rho**n
 
-    values, errors, evals = radial_integral_rows(rows, spec)
     omega = ball_volume_constant(n)
-    results = [IntegralResult(omega * v, omega * e, evals) for v, e in zip(values.tolist(), errors.tolist())]
-    return lams, results[:-1], results[-1]
+    for points, (values, errors, evals) in zip(lams.tolist(), radial_integral_rows(rows, spec, len(lam))):
+        results = [IntegralResult(omega * v, omega * e, evals) for v, e in zip(values.tolist(), errors.tolist())]
+        yield points, results[:-1], results[-1]
 
 
 def pqr_reports(
@@ -318,15 +327,16 @@ def pqr_reports(
     Q R / P^2 against (n-q)^2 / p^2 (an equality), and the relative residual
     of the first-order ODE of P, coeff P + lam P' = 0, with P' from
     fd_derivative.  P, R and the four finite-difference points of P come
-    from one radial_integral_rows pass per lam (_extremal_pass), so a value
-    depends only on its lam.  Returns one (report, residual) pair per lam.
+    from one radial_integral_rows pass per lam, the passes of the grid in
+    lockstep (_extremal_passes), so a value depends only on its lam; of
+    several failing lam, the first raises.  Returns one (report, residual)
+    pair per lam.
     """
     if any(lam <= 0 for lam in lam_grid):
         raise ValueError("lam must be positive")
     coeff = (1 / (2 - t.q)) * (-t.n + 2 * (t.p - t.q) / (t.p - 2))
     out = []
-    for lam in lam_grid:
-        lams, Ps, R = _extremal_pass(t, lam, spec)
+    for lam, (lams, Ps, R) in zip(lam_grid, _extremal_passes(t, lam_grid, spec)):
         P, Q = Ps[0], _q_from_r(t, R)
         rep = InequalityReport.product(Q, R, P, t.target)
         # errors in (P, Q, R) order: the err column is their float sum
@@ -538,7 +548,8 @@ def hardy_report(
     """Dirichlet energy over the Hardy integral, against (n-2)^2/4.
 
     Flat space has no curvature defect, so c enters only as a guard that the
-    caller is on the flat instance (c = 0).
+    caller is on the flat instance (c = 0).  For u = rho e^(-a rho^2),
+    gaussian_hardy_reports takes A and H from one batched pass.
     """
     if n < 3:
         raise ValueError("Hardy needs n >= 3")
@@ -553,6 +564,56 @@ def hardy_report(
     if H.value == 0:
         raise ValueError("zero test function")
     return InequalityReport.quotient(A, H, (n - 2) ** 2 / 4)
+
+
+def _hardy_gaussian_integrals(
+    weight: str, n: int, rates: Sequence[float], rows: Sequence, spec: QuadratureSpec
+) -> list[list[IntegralResult]]:
+    """Hardy integrals of u = rho e^(-a rho^2) for every a of rates, from one gaussian_integrals pass.
+
+    u^2/rho^2 = e^(-2 a rho^2) and (u')^2 = (1 - 2 a rho^2)^2 e^(-2 a rho^2),
+    so each integral is n omega_n int f(rho) e^(-2 a rho^2) w^(n-1) d rho
+    for one f of rows (a function of the radii and the rate column p = 2a,
+    or None for 1), against w = rho ('power') or sinh ('sinh').  Returns the
+    integrals of rows, in order, per a.
+    """
+    rates = np.asarray(rates, dtype=float)
+    if not np.all(rates > 0):
+        raise ValueError("a must be positive")
+
+    def describe(p):
+        return f"a = {p / 2!r} for n = {n}"
+
+    grid = 2 * rates
+    values, errors, evals = gaussian_integrals(weight, [(n - 1, f) for f in rows], grid, spec, describe)
+    c = n * ball_volume_constant(n) / np.sqrt(grid)
+    return [
+        [IntegralResult(v, e, evals) for v, e in zip(vs, es)]
+        for vs, es in zip((c * values).T.tolist(), (c * errors).T.tolist())
+    ]
+
+
+def _energy_row(rho, p):
+    """(u')^2 e^(2 a rho^2) of u = rho e^(-a rho^2), p = 2a: (1 - 2 a rho^2)^2."""
+    return (1 - p * rho * rho) ** 2
+
+
+def gaussian_hardy_reports(
+    n: int, rates: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
+) -> list[InequalityReport]:
+    """hardy_report of u = rho e^(-a F^2) for every a of rates.
+
+    A = int F*(Du)^2 and H = int u^2/F^2 are the rows (1 - 2 a rho^2)^2 and 1
+    of one 'power' gaussian_integrals pass at the rates 2a
+    (_hardy_gaussian_integrals); A / H = n^2/4 - n/2 + 1 for every a.
+    Returns one report, A / H against (n-2)^2/4, per a.
+    """
+    if n < 3:
+        raise ValueError("Hardy needs n >= 3")
+    return [
+        InequalityReport.quotient(A, H, (n - 2) ** 2 / 4)
+        for A, H in _hardy_gaussian_integrals("power", n, rates, [_energy_row, None], spec)
+    ]
 
 
 def _smoothstep(s, width):

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flat import InequalityReport, RadialFunction, _hpw, _integrals
+from .flat import InequalityReport, RadialFunction, _energy_row, _hardy_gaussian_integrals, _hpw, _integrals
 from .norms import ball_volume_constant
 from .quadrature import (
     DecayClass,
@@ -41,6 +41,7 @@ __all__ = [
     "modified_hpw_report",
     "modified_hpw_reports",
     "hardy_hyperbolic_report",
+    "gaussian_hardy_hyperbolic_reports",
     "ko_alpha_scan",
     "hpw_constant_bounds",
 ]
@@ -226,7 +227,9 @@ def hardy_hyperbolic_report(
 
     Report 1: Dirichlet energy against the defect-weighted Hardy integral with
     constant (n-2)^2/4.  Report 2: the continued-fraction relaxation, with the
-    remainder weight 1/(pi^2 + d^2).
+    remainder weight 1/(pi^2 + d^2).  For u = d e^(-a d^2),
+    gaussian_hardy_hyperbolic_reports takes the four integrals from one
+    batched pass.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -243,11 +246,39 @@ def hardy_hyperbolic_report(
     )
     if H1.value == 0:
         raise ValueError("zero test function")
+    return _hardy_pair(n, A, H1, H2, H3)
+
+
+def _hardy_pair(n: int, A: IntegralResult, H1: IntegralResult, H2: IntegralResult, H3: IntegralResult) -> tuple:
+    """The quantitative and the improved Hardy report from the energy A and the Hardy integrals H1, H2, H3."""
     hardy = (n - 2) ** 2 / 4
     return (
         InequalityReport.normalised(A, (hardy, H1)),
         InequalityReport.normalised(A, (hardy, H2), (3 * (n - 1) * (n - 2) / 2, H3)),
     )
+
+
+def gaussian_hardy_hyperbolic_reports(
+    n: int, rates: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
+) -> list[tuple[InequalityReport, InequalityReport]]:
+    """hardy_hyperbolic_report of u = d e^(-a d^2) for every a of rates.
+
+    The energy and the three Hardy integrals are the rows
+    (1 - 2 a rho^2)^2, 1 + 2(n-1)/(n-2) (rho coth rho - 1), 1 and
+    rho^2/(pi^2 + rho^2) of one 'sinh' gaussian_integrals pass at the rates
+    2a (flat._hardy_gaussian_integrals).  Returns one (quantitative,
+    improved) pair of reports per a, both with target 1.
+    """
+    if n < 3:
+        raise ValueError("need n >= 3")
+    c = 2 * (n - 1) / (n - 2)
+    rows = [
+        _energy_row,
+        lambda rho, p: 1 + c * (rho / np.tanh(rho) - 1),
+        None,
+        lambda rho, p: rho * rho / (math.pi**2 + rho * rho),
+    ]
+    return [_hardy_pair(n, *integrals) for integrals in _hardy_gaussian_integrals("sinh", n, rates, rows, spec)]
 
 
 def _sign_change_brackets(alphas: np.ndarray, phi: np.ndarray) -> list:

@@ -1,10 +1,11 @@
 """Deterministic integration of radial profiles on [0, oo).
 
 Adaptive Gauss-Kronrod panels on a split domain with a rational tail
-transform, for one integrand or for q rows on one mesh, a vectorised
-composite Gauss-Kronrod rule over a whole parameter grid at once,
-n-dimensional Monte Carlo cross-validation with a counter-based generator,
-and Richardson-extrapolated finite differences.
+transform, for one integrand, for q rows on one mesh, or for several such
+row passes in lockstep, a vectorised composite Gauss-Kronrod rule over a
+whole parameter grid at once, n-dimensional Monte Carlo cross-validation
+with a counter-based generator, and Richardson-extrapolated finite
+differences.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -297,11 +298,11 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
 
 
 def radial_integral_rows(
-    rows: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec = QuadratureSpec()
-) -> tuple[np.ndarray, np.ndarray, int]:
+    rows: Callable, spec: QuadratureSpec = QuadratureSpec(), passes: Optional[int] = None
+):
     """Integrals over [0, oo) of q algebraically decaying integrands on one adaptive mesh.
 
-    rows maps an array of radii to a (q, m) array, the q integrands (weight
+    rows maps an array of radii to a (q, k) array, the q integrands (weight
     included) at those radii.  The pieces are radial_integral's for an
     algebraic profile without breakpoints, [0, 1] and the tail past 1 mapped
     onto [0, 1), on the same G7/K15 engine (_adaptive_gk15), which refines
@@ -309,145 +310,213 @@ def radial_integral_rows(
     range at a node, or an integral outside it over a piece, raises
     QuadratureError naming the node or the piece.  Returns (values,
     error_estimates, evaluations): arrays of q, and q evaluations per node.
+
+    With passes = m, m independent sets of rows run in lockstep:
+    rows(rho, which) maps radii of shape (m', k), row j for the pass
+    which[j], to an (m', q, k) array, and one call per round serves every
+    pass still refining.  Each pass keeps its own mesh, so its results are
+    those it gives alone.  Returns an iterator over the m (values,
+    error_estimates, evaluations) in pass order, which raises the error of
+    the first failing pass after the results of the passes before it, as a
+    loop of one pass at a time would.
     """
+    if passes is None:
+        (result,) = radial_integral_rows(lambda rho, which: rows(rho[0])[None], spec, 1)
+        return result
     with np.errstate(over="ignore", invalid="ignore"):
-        values, errors, evals = _adaptive_gk15(rows, [0.0, 1.0], True, spec.relative_tolerance, batch=True)
-    return values, errors, len(values) * evals
+        results = _adaptive_gk15(rows, [0.0, 1.0], True, spec.relative_tolerance, passes)
+    return ((values, errors, len(values) * evals) for values, errors, evals in results)
 
 
-def _adaptive_gk15(g: Callable, cuts: list, tail: bool, tol: float, batch: bool = False):
+def _adaptive_gk15(g: Callable, cuts: list, tail: bool, tol: float, passes: Optional[int] = None):
     """Globally adaptive G7/K15: g over [cuts[0], cuts[-1]], and past it if tail.
 
     The pieces are the intervals between cuts and, if tail, the tail past
     end = cuts[-1] mapped onto t in [0, 1) by rho = end + t/(1 - t),
     d rho = dt/(1 - t)^2.  Every piece starts as its two halves; while the
     summed |K - G| of all panels exceeds tol x |sum of K|, the worst panel
-    is bisected, up to _MAX_SUBINTERVALS panels.  g maps a float rho to a
-    float, evaluated node by node, and the worst panel has the largest
-    |K - G| (radial_integral).  With batch, g maps the 30 nodes of a
-    bisection's two halves to a (q, 30) array of q integrands in one call
-    (radial_integral_rows); every row must meet the rule on its own, and
-    the worst panel has the largest row error relative to that row's value
-    after the first sweep.  Returns (value, error estimate, evaluations of
-    g's nodes), value and estimate arrays of q with batch.
+    is bisected, up to _MAX_SUBINTERVALS panels.  Without passes, g maps a
+    float rho to a float, evaluated node by node, and the worst panel has
+    the largest |K - G| (radial_integral).  With passes = m, m independent
+    passes of q row integrands run in lockstep (radial_integral_rows): each
+    round, g(rho, which) maps the radii of every pass still refining, one
+    row of rho per pass listed in the index array which, to an (m', q, 30 k)
+    array, the 30 nodes of the two halves of each of its k bisections (in
+    the first round, of every piece).  Every row must meet the rule on its
+    own, and the worst panel has the largest row error relative to that
+    row's value after the first sweep.  A pass leaves once it meets the
+    rule; one that fails drops the passes after it.  Returns (value, error
+    estimate, evaluations of g's nodes); with passes, an iterator over them
+    in pass order, value and estimate arrays of q, that raises the error of
+    the first failing pass after the results of the passes before it.
     """
     pieces = list(zip(cuts, cuts[1:]))
     if tail:
         pieces.append((0.0, 1.0))
     end, last = cuts[-1], len(cuts) - 1 if tail else -1
-    panels = []  # a heap of (-worst error, piece, a, b, K, |K - G|)
-    value = error = 0.0
-    evals = 0
-    scale = 1.0  # with batch: 1 / |value| of every row, once the first sweep has one
+    batch = passes is not None
+    m = passes if batch else 1
+    # per pass: a heap of (-worst error, piece, a, b, K, |K - G|), the running
+    # sums and the evaluations; with passes, once the first sweep has them,
+    # scale holds 1 / |value| of every row of every pass
+    panels = [[] for _ in range(m)]
+    value, error, evals, scale = [0.0] * m, [0.0] * m, [0] * m, None
+    results = [None] * m
+    stop, failure = m, None  # the passes from stop on are dropped; failure is pass stop's error
 
     def where(i: int, a: float, b: float) -> str:
         if i == last:  # the tail, in rho
             a, b = end + a / (1.0 - a), (end + b / (1.0 - b) if b < 1.0 else math.inf)
         return f"rho in [{a!r}, {b!r}]"
 
+    def fail(j: int, exc: QuadratureError) -> None:
+        nonlocal stop, failure
+        stop, failure = j, exc
+
     def add(i: int, a: float, b: float) -> None:
         """Add the panel [a, b] of piece i, g node by node."""
-        nonlocal value, error, evals
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         if i == last:
             v = [g(end + t / (1.0 - t)) / (1.0 - t) ** 2 for t in [c + h * x for x in _NODE_LIST]]
         else:
             v = [g(c + h * x) for x in _NODE_LIST]
         k, e = h * sum(map(mul, _KRONROD_LIST, v)), abs(h * sum(map(mul, _DIFF_LIST, v)))
-        evals += _NODE_COUNT
+        evals[0] += _NODE_COUNT
         if not math.isfinite(k):
-            total = math.fsum([p[4] for p in panels if p[1] == i] + [k])
+            total = math.fsum([p[4] for p in panels[0] if p[1] == i] + [k])
             raise QuadratureError(
                 f"integral over {where(i, *pieces[i])} is {total!r}: outside the float range"
             )
-        heapq.heappush(panels, (-e, i, a, b, k, e))
-        value += k
-        error += e
+        heapq.heappush(panels[0], (-e, i, a, b, k, e))
+        value[0] += k
+        error[0] += e
 
-    def add_rows(i: int, a: float, mid: float, b: float) -> None:
-        """Add the panels [a, mid] and [mid, b] of piece i, every row from one call of g."""
-        nonlocal value, error, evals
-        c = np.array([[0.5 * (a + mid)], [0.5 * (mid + b)]])
-        h = np.array([[0.5 * (mid - a)], [0.5 * (b - mid)]])
-        t = (c + h * _NODES).ravel()
-        if i == last:
+    def add_rows(todo: list, per: int) -> None:
+        """Add both halves of every (pass, piece, a, mid, b) of todo, per of them a pass, from one call of g."""
+        # (pass, bisection, centre and half-width of either half)
+        ch = np.array([
+            (0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)) for *_, a, mid, b in todo
+        ]).reshape(-1, per, 4)
+        # (pass, bisection, half, node)
+        t = ch[:, :, :2, None] + ch[:, :, 2:, None] * _NODES
+        rho, tails = t, [r[1] == last for r in todo]
+        tailed = any(tails)
+        if tailed:
+            # the tail's nodes in rho, and dt / d rho = (1 - t)^2 to divide
+            # by (by 1.0, exactly, on the other pieces)
             u = 1.0 - t
-            rho = end + t / u
-            v = g(rho) / (u * u)
+            rho, jac = end + t / u, u * u
+            if not all(tails):
+                tail = np.array(tails).reshape(-1, per, 1, 1)
+                rho, jac = np.where(tail, rho, t), np.where(tail, jac, 1.0)
+        # (pass, row, bisection, half, node)
+        which = np.array([r[0] for r in todo[::per]])
+        v = g(rho.reshape(len(rho), -1), which)
+        v = v.reshape(v.shape[:2] + t.shape[1:])
+        if tailed:
+            v /= jac[:, None]
+        # K and K - G of both halves of every bisection and every row
+        kd = (v @ _GK15_WEIGHTS) * ch[:, None, :, 2:, None]
+        ks, es = kd[..., 0], np.abs(kd[..., 1])
+        if scale is None:  # the first sweep, whose keys are replaced after it
+            keys = [(0.0, 0.0)] * len(todo)
         else:
-            rho = t
-            v = g(rho)
-        # K and K - G of both halves and every row, (half, row) each
-        kd = (v.reshape(-1, 2, _NODE_COUNT) @ _GK15_WEIGHTS).transpose(2, 1, 0) * h
-        k, e = kd[0], np.abs(kd[1])
+            keys = np.maximum.reduce(es * scale[which][:, :, None, None], axis=1).reshape(-1, 2).tolist()
         # the Kronrod weights are positive: a value outside the float range
         # leaves its K outside it too
-        if not np.isfinite(k).all():
-            if not np.isfinite(v).all():
-                bad = int((~np.isfinite(v)).any(axis=0).argmax())  # the first node, in the scalar order
-                raise QuadratureError(f"profile exceeds the float range at rho={float(rho[bad])!r}")
-            r = int((~np.isfinite(k)).any(axis=0).argmax())  # the first row outside the float range
-            total = math.fsum([p[4][r] for p in panels if p[1] == i] + k[:, r].tolist())
-            raise QuadratureError(
-                f"integral over {where(i, *pieces[i])} is {total!r}: outside the float range"
-            )
-        left, right = (e * scale).max(axis=1).tolist()
-        heapq.heappush(panels, (-left, i, a, mid, k[0], e[0]))
-        heapq.heappush(panels, (-right, i, mid, b, k[1], e[1]))
-        value += k.sum(axis=0)
-        error += e.sum(axis=0)
-        evals += 2 * _NODE_COUNT
+        finite = np.isfinite(ks)
+        finite = [True] * len(todo) if finite.all() else finite.all(axis=(1, 3)).ravel().tolist()
+        ksum, esum = ks.sum(axis=3), es.sum(axis=3)
+        for r, (j, i, a, mid, b) in enumerate(todo):
+            if j >= stop:
+                break
+            p, n = divmod(r, per)
+            kr, er = ks[p, :, n], es[p, :, n]
+            if not finite[r]:
+                block, nodes = v[p, :, n].reshape(len(kr), -1), rho[p, n].ravel()
+                fail(j, QuadratureError(_overflow(block, nodes, kr.T, i, panels[j], where(i, *pieces[i]))))
+                break
+            heapq.heappush(panels[j], (-keys[r][0], i, a, mid, kr[:, 0], er[:, 0]))
+            heapq.heappush(panels[j], (-keys[r][1], i, mid, b, kr[:, 1], er[:, 1]))
+            value[j] += ksum[p, :, n]
+            error[j] += esum[p, :, n]
+            evals[j] += 2 * _NODE_COUNT
 
-    def split(i: int, a: float, mid: float, b: float) -> None:
-        if batch:
-            add_rows(i, a, mid, b)
-        else:
-            add(i, a, mid)
-            add(i, mid, b)
-
-    def met() -> bool:
-        ok = error <= tol * abs(value)
+    def met(j: int) -> bool:
+        ok = error[j] <= tol * abs(value[j])
         return bool(ok.all()) if batch else ok
 
-    for i, (lo, hi) in enumerate(pieces):
-        split(i, lo, 0.5 * (lo + hi), hi)
-    if batch:
-        scale = 1.0 / np.maximum(np.abs(value), np.finfo(float).tiny)
-        keys = (np.array([p[5] for p in panels]) * scale).max(axis=1).tolist()
-        panels[:] = [(-key, *p[1:]) for key, p in zip(keys, panels)]
-        heapq.heapify(panels)
-    while True:
-        if met():
-            # the running sums drift; accept on the exact ones
-            if batch:
-                value, error = (
-                    np.array([math.fsum(row) for row in np.array([p[j] for p in panels]).T.tolist()])
-                    for j in (4, 5)
-                )
-            else:
-                value = math.fsum(p[4] for p in panels)
-                error = math.fsum(p[5] for p in panels)
-            if met():
-                return value, error, evals
-        _, i, a, b, k, e = panels[0]
-        mid = 0.5 * (a + b)
-        if len(panels) >= _MAX_SUBINTERVALS:
-            cause = f"with {len(panels)} panels, the worst at {where(i, a, b)}"
-        elif not a < mid < b:
-            cause = f"at {where(i, a, b)}: the panel cannot be bisected in floating point"
-        elif i == last and 0.5 * (mid + b) + 0.5 * (b - mid) * _OUTER_NODE >= 1.0:
-            cause = f"at {where(i, a, b)}: a node of its right half rounds to t = 1.0"
-        else:
-            heapq.heappop(panels)
-            value -= k
-            error -= e
-            split(i, a, mid, b)
-            continue
+    todo = [(j, i, lo, 0.5 * (lo + hi), hi) for j in range(m) for i, (lo, hi) in enumerate(pieces)]
+    per = len(pieces)
+    while todo:
         if batch:
-            value, error = value.tolist(), error.tolist()
-        raise QuadratureError(
-            f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}"
-        )
+            add_rows(todo, per)
+        else:
+            for _, i, a, mid, b in todo:
+                add(i, a, mid)
+                add(i, mid, b)
+        if batch and scale is None:  # after the first sweep
+            scale = 1.0 / np.maximum(np.abs(np.array(value[:stop])), np.finfo(float).tiny)
+            for j in range(stop):
+                keys = (np.array([p[5] for p in panels[j]]) * scale[j]).max(axis=1).tolist()
+                panels[j][:] = [(-key, *p[1:]) for key, p in zip(keys, panels[j])]
+                heapq.heapify(panels[j])
+        live, todo, per = [r[0] for r in todo[::per]], [], 1
+        for j in live:
+            if j >= stop:
+                break
+            if met(j):
+                # the running sums drift; accept on the exact ones
+                if batch:
+                    value[j], error[j] = (
+                        np.array([math.fsum(row) for row in np.array([p[col] for p in panels[j]]).T.tolist()])
+                        for col in (4, 5)
+                    )
+                else:
+                    value[j] = math.fsum(p[4] for p in panels[j])
+                    error[j] = math.fsum(p[5] for p in panels[j])
+                if met(j):
+                    results[j] = (value[j], error[j], evals[j])
+                    continue
+            heap = panels[j]
+            _, i, a, b, k, e = heap[0]
+            mid = 0.5 * (a + b)
+            if len(heap) >= _MAX_SUBINTERVALS:
+                cause = f"with {len(heap)} panels, the worst at {where(i, a, b)}"
+            elif not a < mid < b:
+                cause = f"at {where(i, a, b)}: the panel cannot be bisected in floating point"
+            elif i == last and 0.5 * (mid + b) + 0.5 * (b - mid) * _OUTER_NODE >= 1.0:
+                cause = f"at {where(i, a, b)}: a node of its right half rounds to t = 1.0"
+            else:
+                heapq.heappop(heap)
+                value[j] -= k
+                error[j] -= e
+                todo.append((j, i, a, mid, b))
+                continue
+            v, er = (value[j].tolist(), error[j].tolist()) if batch else (value[j], error[j])
+            fail(j, QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={v!r}, error={er!r}"))
+            break
+    done = _in_order(results[:stop], failure)
+    return done if batch else next(done)
+
+
+def _in_order(results: list, failure: Optional[QuadratureError]):
+    """The results, then failure raised if there is one: what a loop of one pass at a time meets."""
+    yield from results
+    if failure is not None:
+        raise failure
+
+
+def _overflow(v, rho, k, i: int, panels: list, piece: str) -> str:
+    """Why a bisection's K left the float range: the first node, in the scalar
+    order, where a row value is outside it (v and rho of the bisection's 30
+    nodes), or else the first row whose sum over piece i is."""
+    if not np.isfinite(v).all():
+        bad = int((~np.isfinite(v)).any(axis=0).argmax())
+        return f"profile exceeds the float range at rho={float(rho[bad])!r}"
+    r = int((~np.isfinite(k)).any(axis=0).argmax())
+    total = math.fsum([p[4][r] for p in panels if p[1] == i] + k[:, r].tolist())
+    return f"integral over {piece} is {total!r}: outside the float range"
 
 
 def _volume_integral(f: RadialProfile, weight, n: int, spec: QuadratureSpec) -> IntegralResult:
@@ -583,9 +652,10 @@ def gaussian_integrals(
     parameter column p (see gauss_kronrod_batch).  params holds the rates,
     shape (N,), or (rate, beta) pairs with beta >= 0, shape (N, 2).  Every
     row is taken in s = rho sqrt(rate) over [0, S], S solving
-    s^2 - g s = budget for g = K / sqrt(rate) and K the largest k of rows:
-    the tail bound _truncation_radius puts on a sinh^K weight, without its
-    floors in rho, which holds for rho^K <= e^(K rho) too.  The integrand
+    s^2 - g s = budget for g = (K - 2 beta) / sqrt(rate) and K the largest k
+    of rows: the tail bound _truncation_radius puts on a sinh^K weight,
+    without its floors in rho, which holds for rho^K <= e^(K rho) too, with
+    e^(-2 beta rho) taken into the exponent.  The integrand
     S e^(k log w - s^2 - 2 beta rho) is formed in log space, so it stays
     finite where w^k alone would overflow (small rates); rows of one k
     share one exp.  On
@@ -605,7 +675,7 @@ def gaussian_integrals(
     def integrand(x, p):
         rate, beta = (p[..., 0], p[..., 1]) if p.ndim == 3 else (p, None)
         root = np.sqrt(rate)
-        g = top / root
+        g = top / root if beta is None else (top - 2 * beta) / root
         S = (g + np.sqrt(g * g + 4 * budget)) / 2
         s = S * x
         rho = s / root

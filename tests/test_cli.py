@@ -246,16 +246,17 @@ class TestRunSuite:
 
     def test_identities_one_pass_per_lambda(self, tmp_path, monkeypatch):
         # P(lam) is integrated once per lam, for both the identity and the
-        # ODE rows, and the gaussian-T rows take one moments pass for the grid
+        # ODE rows, the passes of every lam in one lockstep call, and the
+        # gaussian-T rows take one moments pass for the grid
         from sharpineq import flat
 
         passes, moments = [], []
         rows_pass, moments_pass = flat.radial_integral_rows, flat._gaussian_moments
-        monkeypatch.setattr(flat, "radial_integral_rows", lambda *a: passes.append(1) or rows_pass(*a))
+        monkeypatch.setattr(flat, "radial_integral_rows", lambda *a: passes.append(a[2]) or rows_pass(*a))
         monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: moments.append(1) or moments_pass(*a))
         cfg = parse_config(MINIMAL)
         assert run_suite(cfg, str(tmp_path)).passed
-        assert (len(passes), len(moments)) == (len(cfg.lambda_grid), 1)
+        assert (passes, len(moments)) == ([len(cfg.lambda_grid)], 1)
         names = [c["name"] for c in json.loads((tmp_path / "identities.json").read_text())["checks"]]
         k = len(cfg.lambda_grid)
         assert names == ["pqr-identity"] * k + ["p-ode-residual"] * k + [
@@ -284,6 +285,22 @@ class TestRunSuite:
         assert lines[0] == "log_inv_eps,quotient"
         ys = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(b <= a + 1e-12 for a, b in zip(ys, ys[1:]))
+
+    def test_hardy_rows_from_the_batched_reports(self, tmp_path, monkeypatch):
+        # the hardy-quotient, hardy-quantitative and hardy-improved rows of
+        # r e^(-r^2) come from one batched report call each, not from the
+        # adaptive reports for arbitrary u
+        from sharpineq import flat, hyperbolic
+
+        calls = []
+        for module, name in ((flat, "gaussian_hardy_reports"), (hyperbolic, "gaussian_hardy_hyperbolic_reports")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append((name, a[1])) or real(*a))
+        monkeypatch.setattr(flat, "hardy_report", None)
+        monkeypatch.setattr(hyperbolic, "hardy_hyperbolic_report", None)
+        for suite in ("flat-hardy", "hyperbolic"):
+            assert run_suite(RunConfig(suite=suite, n=4), str(tmp_path / suite)).passed
+        assert calls == [("gaussian_hardy_reports", [1.0]), ("gaussian_hardy_hyperbolic_reports", [1.0])]
 
     def test_failure_recorded_not_raised(self, tmp_path):
         # the flat Hardy quotient needs n >= 3; the error must land in a

@@ -24,6 +24,7 @@ from sharpineq import (
     fd_derivative,
     gaussian_T,
     gaussian_T_grid,
+    gaussian_hardy_reports,
     gaussian_hpw_reports,
     gaussian_moment_identity,
     hardy_report,
@@ -171,12 +172,14 @@ class TestExtremalIntegrals:
     def test_each_integral_once(self, monkeypatch):
         # near the boundary (q < 1e-3) as anywhere: each check takes P, R and
         # the four finite-difference points of P from one pass per lambda,
-        # six rows, and no scalar integral
+        # six rows, the passes of the grid in one lockstep call, and no
+        # scalar integral
         calls = []
 
-        def fake(rows, spec):
-            calls.append(rows(np.array([0.5, 2.0])).shape)
-            return np.ones(6), np.zeros(6), 1
+        def fake(rows, spec, passes):
+            which = np.arange(passes)
+            calls.append((passes, rows(np.array([[0.5, 2.0]] * passes), which).shape))
+            return [(np.ones(6), np.zeros(6), 1)] * passes
 
         monkeypatch.setattr(flat, "radial_integral_rows", fake)
         monkeypatch.setattr(flat, "radial_integral", None)
@@ -184,7 +187,7 @@ class TestExtremalIntegrals:
         for check in (check_pqr_identity, check_p_ode):
             calls.clear()
             check(t, [0.5, 1.0, 2.0])
-            assert calls == [(6, 2)] * 3
+            assert calls == [(3, (3, 6, 2))]
 
     def test_overflow_named(self):
         # P of (3, 2.002, 1) is about 1e600 at lam = 0.5; at lam = 0.25 the
@@ -238,6 +241,11 @@ def closed_r(t, lam):
     return beta_form(t, lam, (n - q) / (2 - q) + 1, (3 * p - 4) / (2 - p), coeff, 2 * (q - 1))
 
 
+def one_lambda_at_a_time(t, grid, spec=QuadratureSpec()):
+    """pqr_reports as a loop of one-lambda calls: the reference of the lockstep passes."""
+    return [pair for lam in grid for pair in flat.pqr_reports(t, [lam], spec)]
+
+
 EPS = 2.0**-52
 PASS_TRIPLES = [(3, 3.0, 1.0), (4, 3.0, 0.5), (3, 2.5, 1.5), (5, 2.4, 0.2), (7, 2.2, 0.1), (3, 3.0, 0.0005)]
 
@@ -251,7 +259,7 @@ class TestExtremalPass:
         # endpoint singularities included, |K - G| bounds the error
         t = ExponentTriple(*triple)
         for lam in (0.5, 1.0, 2.0):
-            lams, P, R = flat._extremal_pass(t, lam, QuadratureSpec(relative_tolerance=tol))
+            lams, P, R = next(flat._extremal_passes(t, [lam], QuadratureSpec(relative_tolerance=tol)))
             h = 1e-5 * lam
             assert lams == [lam, lam + h, lam - h, lam + h / 2, lam - h / 2]
             rows = [(closed_p(t, la), got) for la, got in zip(lams, P)] + [(closed_r(t, lam), R)]
@@ -262,7 +270,7 @@ class TestExtremalPass:
     def test_pass_matches_scalar_integrals(self):
         t = ExponentTriple(4, 3.0, 0.5)
         spec = QuadratureSpec(relative_tolerance=1e-12)
-        lams, P, R = flat._extremal_pass(t, 1.0, spec)
+        lams, P, R = next(flat._extremal_passes(t, [1.0], spec))
         for got, ref in ((P[0], pqr(t, 1.0, "P", spec)), (R, pqr(t, 1.0, "R", spec))):
             assert got.value == pytest.approx(ref.value, rel=2e-12)
 
@@ -271,7 +279,7 @@ class TestExtremalPass:
         # scaling it scales the R row, and Q R / P^2 by its square
         t = ExponentTriple(3, 3.0, 1.0)
         factor = 1 + 3e-7
-        R0 = flat._extremal_pass(t, 1.0, QuadratureSpec())[2].value
+        R0 = next(flat._extremal_passes(t, [1.0], QuadratureSpec()))[2].value
         ratio0 = check_pqr_identity(t, [1.0])[0].ratio
         original = flat._kernel_g
 
@@ -281,7 +289,7 @@ class TestExtremalPass:
 
         monkeypatch.setattr(flat, "_kernel_g", scaled)
         assert kernel_g(t, 1.0, 0.7) == original(t, 1.0)(0.7) * factor
-        assert flat._extremal_pass(t, 1.0, QuadratureSpec())[2].value / R0 == pytest.approx(factor, rel=1e-13)
+        assert next(flat._extremal_passes(t, [1.0], QuadratureSpec()))[2].value / R0 == pytest.approx(factor, rel=1e-13)
         assert check_pqr_identity(t, [1.0])[0].ratio / ratio0 == pytest.approx(factor**2, rel=1e-13)
 
     def test_value_depends_only_on_its_lambda(self):
@@ -291,10 +299,38 @@ class TestExtremalPass:
         assert check_pqr_identity(t, [1.0]) == [alone[0][0]]
         assert check_p_ode(t, [1.0]) == [alone[0][1]]
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("triple", PASS_TRIPLES)
+    def test_lockstep_equals_one_lambda_at_a_time(self, triple, tol):
+        # the passes of a grid run in lockstep, each on its own mesh: every
+        # report and residual is == to that of its lambda alone
+        t, spec = ExponentTriple(*triple), QuadratureSpec(relative_tolerance=tol)
+        grid = [0.25, 0.5, 1.0, 2.0, 4.0, 1.0]
+        assert flat.pqr_reports(t, grid, spec) == one_lambda_at_a_time(t, grid, spec)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.5, 0.25], [1.0, 0.5], [1.0, 0.25, 0.5], [2.0, 0.5], [1.0, 2.0, 0.25], [1.0, 1.0]],
+    )
+    def test_lockstep_raises_as_one_lambda_at_a_time(self, grid):
+        # (3, 2.002, 1): lam = 0.25 and 0.5 overflow in the first round, so
+        # a later lam fails before an earlier one has finished; lam = 2
+        # underflows to P = 0 and its report divides by zero.  The grid
+        # raises what a loop over its lambdas raises first
+        t = ExponentTriple(3, 2.002, 1.0)
+
+        def outcome(f):
+            try:
+                return f()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: flat.pqr_reports(t, grid)) == outcome(lambda: one_lambda_at_a_time(t, grid))
+
     def test_p_ode_residual_from_the_pass_points(self):
         # fd_derivative's Richardson quotient of the pass's five P values
         t = ExponentTriple(5, 2.4, 0.2)
-        lams, P, _ = flat._extremal_pass(t, 2.0, QuadratureSpec())
+        lams, P, _ = next(flat._extremal_passes(t, [2.0], QuadratureSpec()))
         values = dict(zip(lams, (x.value for x in P)))
         coeff = (-t.n + 2 * (t.p - t.q) / (t.p - 2)) / (2 - t.q)
         expected = (coeff * P[0].value + 2.0 * fd_derivative(values.__getitem__, 2.0)) / P[0].value
@@ -588,6 +624,68 @@ class TestHardy:
     def test_positive_curvature_rejected(self):
         with pytest.raises(ValueError):
             hardy_report(EUCLID3, 3, self.bump(), c=1.0)
+
+
+def hardy_tf(a):
+    """u = r e^(-a r^2) as scalar closures, for the adaptive Hardy reports."""
+    return TF.radial(
+        RadialProfile(lambda r: r * math.exp(-a * r * r), DecayClass.gaussian(a)),
+        lambda r: (1 - 2 * a * r * r) * math.exp(-a * r * r),
+    )
+
+
+def within_combined_estimates(got, want):
+    """lhs, rhs and ratio of two reports of one inequality within the sum of
+    their estimates (plus rounding); the same target."""
+    assert got.target == want.target
+    slack = got.combined_error + want.combined_error + 16 * EPS
+    for field in ("lhs", "rhs", "ratio"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert abs(g - w) <= slack * abs(w), (field, g, w)
+
+
+class TestGaussianHardy:
+    """hardy_report of r e^(-a r^2) from one batched pass for every a."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_scalar_report(self, n, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        rates = (0.5, 1.0, 2.0)
+        for a, got in zip(rates, gaussian_hardy_reports(n, rates, spec)):
+            assert all(0 <= e <= tol for e in got.integral_errors)
+            within_combined_estimates(got, hardy_report(EUCLID3, n, hardy_tf(a), 0.0, spec))
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_closed_form(self, n, tol):
+        # A / H = n^2/4 - n/2 + 1, and H = n omega_n (2a)^(-n/2) Gamma(n/2) / 2
+        spec = QuadratureSpec(relative_tolerance=tol)
+        rates = (0.5, 1.0, 2.0)
+        for a, rep in zip(rates, gaussian_hardy_reports(n, rates, spec)):
+            err_a, err_h = rep.integral_errors
+            assert rep.target == (n - 2) ** 2 / 4
+            assert rep.ratio == pytest.approx(n * n / 4 - n / 2 + 1, rel=err_a + err_h + 16 * EPS)
+            H = rep.rhs / rep.target
+            closed = n * flat.ball_volume_constant(n) * (2 * a) ** (-n / 2) * math.gamma(n / 2) / 2
+            assert H == pytest.approx(closed, rel=err_h + 16 * EPS)
+
+    def test_one_batch_pass_no_scalar_integral(self, monkeypatch):
+        from sharpineq import quadrature
+
+        passes = []
+        batch = flat.gaussian_integrals
+        monkeypatch.setattr(flat, "gaussian_integrals", lambda *a: passes.append(a[0]) or batch(*a))
+        monkeypatch.setattr(quadrature, "radial_integral", None)
+        assert len(gaussian_hardy_reports(4, (0.5, 1.0, 2.0))) == 3
+        assert passes == ["power"]
+
+    def test_rejects_low_dimension_and_rates(self):
+        with pytest.raises(ValueError, match="Hardy needs n >= 3"):
+            gaussian_hardy_reports(2, (1.0,))
+        for rates in ((1.0, 0.0), (-1.0,), (math.nan,)):
+            with pytest.raises(ValueError, match="a must be positive"):
+                gaussian_hardy_reports(3, rates)
 
 
 class TestSmoothstep:

@@ -13,6 +13,7 @@ from sharpineq import (
     ball_volume_constant,
     ct,
     curvature_defect,
+    gaussian_hardy_hyperbolic_reports,
     hardy_hyperbolic_report,
     hpw_constant_bounds,
     hpw_hyperbolic_report,
@@ -229,6 +230,40 @@ class TestHardyHyperbolic:
     def test_low_dimension_rejected(self):
         with pytest.raises(ValueError):
             hardy_hyperbolic_report(d_gauss(), 2)
+        with pytest.raises(ValueError, match="need n >= 3"):
+            gaussian_hardy_hyperbolic_reports(2, (1.0,))
+        with pytest.raises(ValueError, match="a must be positive"):
+            gaussian_hardy_hyperbolic_reports(3, (1.0, 0.0))
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_batched_matches_scalar_reports(self, n, tol):
+        # r e^(-a r^2) for every a from one pass, against the adaptive
+        # reports within the sum of both reports' estimates
+        spec = QuadratureSpec(relative_tolerance=tol)
+        rates = (0.5, 1.0, 2.0)
+        for a, pair in zip(rates, gaussian_hardy_hyperbolic_reports(n, rates, spec)):
+            u = RadialHypFunction(
+                RadialProfile(lambda r: r * math.exp(-a * r * r), DecayClass.gaussian(a)),
+                lambda r: (1 - 2 * a * r * r) * math.exp(-a * r * r),
+            )
+            for got, want in zip(pair, hardy_hyperbolic_report(u, n, spec)):
+                assert got.target == want.target == 1.0
+                assert all(0 <= e <= tol for e in got.integral_errors)
+                slack = got.combined_error + want.combined_error + 16 * 2.0**-52
+                for field in ("lhs", "rhs", "ratio"):
+                    g, w = getattr(got, field), getattr(want, field)
+                    assert abs(g - w) <= slack * abs(w), (field, g, w)
+
+    def test_batched_one_pass_no_scalar_integral(self, monkeypatch):
+        from sharpineq import flat, quadrature
+
+        passes = []
+        batch = flat.gaussian_integrals
+        monkeypatch.setattr(flat, "gaussian_integrals", lambda *a: passes.append(a[0]) or batch(*a))
+        monkeypatch.setattr(quadrature, "radial_integral", None)
+        assert len(gaussian_hardy_hyperbolic_reports(5, (0.5, 1.0, 2.0))) == 3
+        assert passes == ["sinh"]
 
 
 def brackets_loop(alphas, values):

@@ -276,8 +276,8 @@ class TestRadialIntegralRows:
     def test_rule_exact_on_polynomials(self):
         # the batch engine on the same table: x^j for j <= 22 on the two
         # first halves, every row from one call
-        values, errors, evals = _adaptive_gk15(
-            lambda x: np.stack([x**j for j in range(23)]), [0.0, 1.0], False, 1e-6, batch=True
+        ((values, errors, evals),) = _adaptive_gk15(
+            lambda x, which: np.stack([x**j for j in range(23)], axis=1), [0.0, 1.0], False, 1e-6, passes=1
         )
         assert values == pytest.approx([1 / (j + 1) for j in range(23)], rel=1e-14)
         assert (errors[:14] <= 1e-15).all()
@@ -312,6 +312,95 @@ class TestRadialIntegralRows:
             r"rounds to t = 1\.0: value=\[(\S+, ){5}\S+\], error=\[(\S+, ){5}\S+\]",
             str(exc.value),
         )
+
+
+# the two rows of a pass: "ok" and "cubic" meet the rule, "late" stops at a
+# tail node that rounds to t = 1.0 after many rounds, "early" leaves the
+# float range in the first round
+PASS_ROWS = {
+    "ok": lambda rho: np.stack([rho * rho / (1 + rho * rho) ** 2, 1e6 / (np.sqrt(rho) * (1 + rho) ** 2)]),
+    "late": lambda rho: np.stack([1 / (1 + rho) ** 1.0005, 1 / (1 + rho) ** 3]),
+    "early": lambda rho: np.stack([1 / (1 + rho) ** 3, np.where(rho < 0.25, np.inf, 1 / (1 + rho) ** 3)]),
+    "cubic": lambda rho: np.stack([1 / (1 + rho) ** 3, rho / (1 + rho) ** 4]),
+}
+
+
+class TestLockstepPasses:
+    """m passes in lockstep give what each gives alone, and fail as a loop over them would."""
+
+    @staticmethod
+    def lockstep(names, spec=QuadratureSpec()):
+        calls = []
+
+        def rows(rho, which):
+            calls.append(which.tolist())
+            return np.stack([PASS_ROWS[names[j]](r) for r, j in zip(rho, which.tolist())])
+
+        return radial_integral_rows(rows, spec, len(names)), calls
+
+    @staticmethod
+    def alone(names, spec=QuadratureSpec()):
+        """The loop of one pass at a time: its results, then the text of the first error."""
+        out = []
+        for name in names:
+            try:
+                out.append(radial_integral_rows(PASS_ROWS[name], spec))
+            except QuadratureError as exc:
+                return out, str(exc)
+        return out, None
+
+    @staticmethod
+    def run(results):
+        out = []
+        try:
+            for r in results:
+                out.append(r)
+        except QuadratureError as exc:
+            return out, str(exc)
+        return out, None
+
+    @staticmethod
+    def same(got, want):
+        assert len(got) == len(want)
+        for (v, e, n), (v0, e0, n0) in zip(got, want):
+            assert np.array_equal(v, v0) and np.array_equal(e, e0) and n == n0
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_equal_to_each_pass_alone(self, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        names = ["ok", "cubic", "ok", "cubic"]
+        results, calls = self.lockstep(names, spec)
+        got, failure = self.run(results)
+        want, _ = self.alone(names, spec)
+        assert failure is None
+        self.same(got, want)
+        # one call per round for every pass still refining, the first for
+        # both halves of both pieces of all: a pass of r rounds evaluates
+        # 60 + 30 (r - 1) nodes of its two rows
+        rounds = [(n // 2 - 60) // 30 + 1 for *_, n in want]
+        assert calls[0] == [0, 1, 2, 3] and len(calls) == max(rounds)
+        assert [sum(j in c for c in calls) for j in range(4)] == rounds
+
+    @pytest.mark.parametrize(
+        "names",
+        [["late", "early", "ok"], ["ok", "early", "late"], ["ok", "late", "early"], ["early", "late"], ["cubic", "late"]],
+    )
+    def test_first_failing_pass_raises_after_the_passes_before_it(self, names):
+        # "early" overflows in the first round, "late" stops at t = 1.0 after
+        # many rounds: whichever comes first in order is raised, after the
+        # results of the passes before it, as a loop over the passes raises
+        results, calls = self.lockstep(names)
+        got, failure = self.run(results)
+        want, want_failure = self.alone(names)
+        assert failure == want_failure is not None
+        self.same(got, want)
+        # a pass that fails drops the passes after it
+        first = names.index("early") if "early" in names else len(names)
+        assert all(max(c) < first for c in calls[1:])
+
+    def test_no_passes(self):
+        results, calls = self.lockstep([])
+        assert list(results) == [] and calls == []
 
 
 class TestVolumeIntegrals:
