@@ -303,10 +303,10 @@ def _extremal_passes(t: ExponentTriple, lam_grid: Sequence[float], spec: Quadrat
     lam = np.array(lam_grid, dtype=float)[:, None]
     h = 1e-5 * lam
     lams, n = np.concatenate([lam, lam + h, lam - h, lam + h / 2, lam - h / 2], axis=1), t.n
-    kernels = {}  # the P and R kernels of a set of passes, built once per set
+    kernels = {}  # the P and R kernels of every set of passes a round serves
 
     def rows(rho, which):
-        key = tuple(which.tolist())
+        key = which.tobytes()
         if key not in kernels:
             kernels[key] = _kernel_h(t, lams[which, :, None]), _kernel_g(t, lam[which, :, None])
         kh, kg = kernels[key]
@@ -314,7 +314,7 @@ def _extremal_passes(t: ExponentTriple, lam_grid: Sequence[float], spec: Quadrat
         return np.concatenate([kh(rho), kg(rho)], axis=1) * rho**n
 
     omega = ball_volume_constant(n)
-    for points, (values, errors, evals) in zip(lams.tolist(), radial_integral_rows(rows, spec, len(lam))):
+    for points, (values, errors, evals) in zip(lams.tolist(), radial_integral_rows(rows, len(lam), spec)):
         results = [IntegralResult(omega * v, omega * e, evals) for v, e in zip(values.tolist(), errors.tolist())]
         yield points, results[:-1], results[-1]
 

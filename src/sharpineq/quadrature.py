@@ -297,32 +297,23 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
     return IntegralResult(total, err, nodes, truncation=T)
 
 
-def radial_integral_rows(
-    rows: Callable, spec: QuadratureSpec = QuadratureSpec(), passes: Optional[int] = None
-):
-    """Integrals over [0, oo) of q algebraically decaying integrands on one adaptive mesh.
+def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = QuadratureSpec()):
+    """Integrals over [0, oo) of algebraically decaying row integrands, passes sets of them in lockstep.
 
-    rows maps an array of radii to a (q, k) array, the q integrands (weight
-    included) at those radii.  The pieces are radial_integral's for an
+    rows(rho, which) maps radii of shape (m', k), row j for the pass which[j],
+    to an (m', q, k) array: the q integrands (weight included) of each pass
+    at its radii.  Every pass integrates over radial_integral's pieces for an
     algebraic profile without breakpoints, [0, 1] and the tail past 1 mapped
-    onto [0, 1), on the same G7/K15 engine (_adaptive_gk15), which refines
-    until every row meets the acceptance rule.  A value outside the float
-    range at a node, or an integral outside it over a piece, raises
-    QuadratureError naming the node or the piece.  Returns (values,
-    error_estimates, evaluations): arrays of q, and q evaluations per node.
-
-    With passes = m, m independent sets of rows run in lockstep:
-    rows(rho, which) maps radii of shape (m', k), row j for the pass
-    which[j], to an (m', q, k) array, and one call per round serves every
-    pass still refining.  Each pass keeps its own mesh, so its results are
-    those it gives alone.  Returns an iterator over the m (values,
-    error_estimates, evaluations) in pass order, which raises the error of
-    the first failing pass after the results of the passes before it, as a
-    loop of one pass at a time would.
+    onto [0, 1), on its own mesh of the same G7/K15 engine (_adaptive_gk15),
+    which refines until every row meets the acceptance rule; one call of
+    rows per round serves every pass still refining, so each pass gives what
+    it gives alone.  A value outside the float range at a node, or an
+    integral outside it over a piece, raises QuadratureError naming the node
+    or the piece.  Returns an iterator over the (values, error_estimates,
+    evaluations) of the passes in order, arrays of q and q evaluations per
+    node, which raises the error of the first failing pass after the results
+    of the passes before it, as a loop of one pass at a time would.
     """
-    if passes is None:
-        (result,) = radial_integral_rows(lambda rho, which: rows(rho[0])[None], spec, 1)
-        return result
     with np.errstate(over="ignore", invalid="ignore"):
         results = _adaptive_gk15(rows, [0.0, 1.0], True, spec.relative_tolerance, passes)
     return ((values, errors, len(values) * evals) for values, errors, evals in results)
@@ -345,10 +336,12 @@ def _adaptive_gk15(g: Callable, cuts: list, tail: bool, tol: float, passes: Opti
     the first round, of every piece).  Every row must meet the rule on its
     own, and the worst panel has the largest row error relative to that
     row's value after the first sweep.  A pass leaves once it meets the
-    rule; one that fails drops the passes after it.  Returns (value, error
-    estimate, evaluations of g's nodes); with passes, an iterator over them
-    in pass order, value and estimate arrays of q, that raises the error of
-    the first failing pass after the results of the passes before it.
+    rule; one that fails drops the passes after it.  Each pass keeps its
+    own heap, sums, checks and messages, so it gives what it gives alone.
+    Returns (value, error estimate, evaluations of g's nodes); with passes,
+    an iterator over them in pass order, value and estimate arrays of q,
+    that raises the error of the first failing pass after the results of
+    the passes before it.
     """
     pieces = list(zip(cuts, cuts[1:]))
     if tail:
@@ -393,12 +386,13 @@ def _adaptive_gk15(g: Callable, cuts: list, tail: bool, tol: float, passes: Opti
 
     def add_rows(todo: list, per: int) -> None:
         """Add both halves of every (pass, piece, a, mid, b) of todo, per of them a pass, from one call of g."""
-        # (pass, bisection, centre and half-width of either half)
+        # centres and half-widths of both halves of every bisection, and
+        # their nodes, (bisection, half, node)
         ch = np.array([
             (0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)) for *_, a, mid, b in todo
-        ]).reshape(-1, per, 4)
-        # (pass, bisection, half, node)
-        t = ch[:, :, :2, None] + ch[:, :, 2:, None] * _NODES
+        ])
+        c, h = ch[:, :2, None], ch[:, 2:, None]
+        t = c + h * _NODES
         rho, tails = t, [r[1] == last for r in todo]
         tailed = any(tails)
         if tailed:
@@ -407,39 +401,43 @@ def _adaptive_gk15(g: Callable, cuts: list, tail: bool, tol: float, passes: Opti
             u = 1.0 - t
             rho, jac = end + t / u, u * u
             if not all(tails):
-                tail = np.array(tails).reshape(-1, per, 1, 1)
+                tail = np.array(tails)[:, None, None]
                 rho, jac = np.where(tail, rho, t), np.where(tail, jac, 1.0)
-        # (pass, row, bisection, half, node)
+        # g's (pass, row, node) as (bisection, row, half, node)
         which = np.array([r[0] for r in todo[::per]])
-        v = g(rho.reshape(len(rho), -1), which)
-        v = v.reshape(v.shape[:2] + t.shape[1:])
+        v = g(rho.reshape(len(which), -1), which)
+        q = v.shape[1]
+        if per > 1:
+            v = v.reshape(len(which), q, per, -1).transpose(0, 2, 1, 3)
+        v = v.reshape(-1, q, 2, _NODE_COUNT)
         if tailed:
             v /= jac[:, None]
-        # K and K - G of both halves of every bisection and every row
-        kd = (v @ _GK15_WEIGHTS) * ch[:, None, :, 2:, None]
-        ks, es = kd[..., 0], np.abs(kd[..., 1])
+        # K and |K - G| of both halves of every row, (bisection, K or
+        # |K - G|, half, row)
+        kd = (v.reshape(-1, 2, _NODE_COUNT) @ _GK15_WEIGHTS).reshape(-1, q, 2, 2)
+        kd = kd.transpose(0, 3, 2, 1) * h[:, None]
+        ks, es = kd[:, 0], np.abs(kd[:, 1], out=kd[:, 1])
         if scale is None:  # the first sweep, whose keys are replaced after it
             keys = [(0.0, 0.0)] * len(todo)
-        else:
-            keys = np.maximum.reduce(es * scale[which][:, :, None, None], axis=1).reshape(-1, 2).tolist()
+        else:  # a bisection per pass
+            keys = (es * scale[which][:, None]).max(axis=2).tolist()
+        sums = kd.sum(axis=2)
         # the Kronrod weights are positive: a value outside the float range
         # leaves its K outside it too
         finite = np.isfinite(ks)
-        finite = [True] * len(todo) if finite.all() else finite.all(axis=(1, 3)).ravel().tolist()
-        ksum, esum = ks.sum(axis=3), es.sum(axis=3)
+        finite = [True] * len(todo) if finite.all() else finite.all(axis=(1, 2)).tolist()
         for r, (j, i, a, mid, b) in enumerate(todo):
             if j >= stop:
                 break
-            p, n = divmod(r, per)
-            kr, er = ks[p, :, n], es[p, :, n]
             if not finite[r]:
-                block, nodes = v[p, :, n].reshape(len(kr), -1), rho[p, n].ravel()
-                fail(j, QuadratureError(_overflow(block, nodes, kr.T, i, panels[j], where(i, *pieces[i]))))
+                block, nodes = v[r].reshape(q, -1), rho[r].ravel()
+                fail(j, QuadratureError(_overflow(block, nodes, ks[r], i, panels[j], where(i, *pieces[i]))))
                 break
-            heapq.heappush(panels[j], (-keys[r][0], i, a, mid, kr[:, 0], er[:, 0]))
-            heapq.heappush(panels[j], (-keys[r][1], i, mid, b, kr[:, 1], er[:, 1]))
-            value[j] += ksum[p, :, n]
-            error[j] += esum[p, :, n]
+            (kl, kr), (el, er), (ksum, esum), (left, right) = ks[r], es[r], sums[r], keys[r]
+            heapq.heappush(panels[j], (-left, i, a, mid, kl, el))
+            heapq.heappush(panels[j], (-right, i, mid, b, kr, er))
+            value[j] += ksum
+            error[j] += esum
             evals[j] += 2 * _NODE_COUNT
 
     def met(j: int) -> bool:
@@ -461,43 +459,53 @@ def _adaptive_gk15(g: Callable, cuts: list, tail: bool, tol: float, passes: Opti
                 keys = (np.array([p[5] for p in panels[j]]) * scale[j]).max(axis=1).tolist()
                 panels[j][:] = [(-key, *p[1:]) for key, p in zip(keys, panels[j])]
                 heapq.heapify(panels[j])
-        live, todo, per = [r[0] for r in todo[::per]], [], 1
-        for j in live:
+        live, todo, per = todo[::per], [], 1
+        for j, *_ in live:
             if j >= stop:
                 break
-            if met(j):
-                # the running sums drift; accept on the exact ones
-                if batch:
-                    value[j], error[j] = (
-                        np.array([math.fsum(row) for row in np.array([p[col] for p in panels[j]]).T.tolist()])
-                        for col in (4, 5)
-                    )
-                else:
-                    value[j] = math.fsum(p[4] for p in panels[j])
-                    error[j] = math.fsum(p[5] for p in panels[j])
-                if met(j):
-                    results[j] = (value[j], error[j], evals[j])
-                    continue
             heap = panels[j]
-            _, i, a, b, k, e = heap[0]
-            mid = 0.5 * (a + b)
-            if len(heap) >= _MAX_SUBINTERVALS:
-                cause = f"with {len(heap)} panels, the worst at {where(i, a, b)}"
-            elif not a < mid < b:
-                cause = f"at {where(i, a, b)}: the panel cannot be bisected in floating point"
-            elif i == last and 0.5 * (mid + b) + 0.5 * (b - mid) * _OUTER_NODE >= 1.0:
-                cause = f"at {where(i, a, b)}: a node of its right half rounds to t = 1.0"
-            else:
-                heapq.heappop(heap)
-                value[j] -= k
-                error[j] -= e
-                todo.append((j, i, a, mid, b))
-                continue
-            v, er = (value[j].tolist(), error[j].tolist()) if batch else (value[j], error[j])
-            fail(j, QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={v!r}, error={er!r}"))
-            break
-    done = _in_order(results[:stop], failure)
-    return done if batch else next(done)
+            # a scalar pass bisects at once; a row pass leaves its bisection
+            # to the next round's call of g
+            while True:
+                if met(j):
+                    # the running sums drift; accept on the exact ones
+                    if batch:
+                        value[j], error[j] = (
+                            np.array([math.fsum(row) for row in np.array([p[col] for p in heap]).T.tolist()])
+                            for col in (4, 5)
+                        )
+                    else:
+                        value[j] = math.fsum(p[4] for p in heap)
+                        error[j] = math.fsum(p[5] for p in heap)
+                    if met(j):
+                        results[j] = (value[j], error[j], evals[j])
+                        break
+                _, i, a, b, k, e = heap[0]
+                mid = 0.5 * (a + b)
+                if len(heap) >= _MAX_SUBINTERVALS:
+                    cause = f"with {len(heap)} panels, the worst at {where(i, a, b)}"
+                elif not a < mid < b:
+                    cause = f"at {where(i, a, b)}: the panel cannot be bisected in floating point"
+                elif i == last and 0.5 * (mid + b) + 0.5 * (b - mid) * _OUTER_NODE >= 1.0:
+                    cause = f"at {where(i, a, b)}: a node of its right half rounds to t = 1.0"
+                else:
+                    heapq.heappop(heap)
+                    value[j] -= k
+                    error[j] -= e
+                    if batch:
+                        todo.append((j, i, a, mid, b))
+                        break
+                    add(i, a, mid)
+                    add(i, mid, b)
+                    continue
+                v, er = (value[j].tolist(), error[j].tolist()) if batch else (value[j], error[j])
+                fail(j, QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={v!r}, error={er!r}"))
+                break
+    if batch:
+        return _in_order(results[:stop], failure)
+    if failure is not None:
+        raise failure
+    return results[0]
 
 
 def _in_order(results: list, failure: Optional[QuadratureError]):
@@ -652,10 +660,13 @@ def gaussian_integrals(
     parameter column p (see gauss_kronrod_batch).  params holds the rates,
     shape (N,), or (rate, beta) pairs with beta >= 0, shape (N, 2).  Every
     row is taken in s = rho sqrt(rate) over [0, S], S solving
-    s^2 - g s = budget for g = (K - 2 beta) / sqrt(rate) and K the largest k
-    of rows: the tail bound _truncation_radius puts on a sinh^K weight,
-    without its floors in rho, which holds for rho^K <= e^(K rho) too, with
-    e^(-2 beta rho) taken into the exponent.  The integrand
+    s^2 - g s = budget for g = max(K - 2 beta, 0) / sqrt(rate) and K the
+    largest k of rows: the tail bound _truncation_radius puts on a sinh^K
+    weight, without its floors in rho, which holds for rho^K <= e^(K rho)
+    too, with e^(-2 beta rho) taken into the exponent.  The bound is
+    absolute; past beta = K/2 the integrand is small, and g = 0 keeps
+    S >= sqrt(budget), where e^((K - 2 beta) rho) is smaller still, so the
+    tail stays small against it.  The integrand
     S e^(k log w - s^2 - 2 beta rho) is formed in log space, so it stays
     finite where w^k alone would overflow (small rates); rows of one k
     share one exp.  On
@@ -675,7 +686,7 @@ def gaussian_integrals(
     def integrand(x, p):
         rate, beta = (p[..., 0], p[..., 1]) if p.ndim == 3 else (p, None)
         root = np.sqrt(rate)
-        g = top / root if beta is None else (top - 2 * beta) / root
+        g = top / root if beta is None else np.maximum(top - 2 * beta, 0) / root
         S = (g + np.sqrt(g * g + 4 * budget)) / 2
         s = S * x
         rho = s / root

@@ -252,7 +252,7 @@ class TestRunSuite:
 
         passes, moments = [], []
         rows_pass, moments_pass = flat.radial_integral_rows, flat._gaussian_moments
-        monkeypatch.setattr(flat, "radial_integral_rows", lambda *a: passes.append(a[2]) or rows_pass(*a))
+        monkeypatch.setattr(flat, "radial_integral_rows", lambda *a: passes.append(a[1]) or rows_pass(*a))
         monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: moments.append(1) or moments_pass(*a))
         cfg = parse_config(MINIMAL)
         assert run_suite(cfg, str(tmp_path)).passed

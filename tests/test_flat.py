@@ -176,7 +176,7 @@ class TestExtremalIntegrals:
         # scalar integral
         calls = []
 
-        def fake(rows, spec, passes):
+        def fake(rows, passes, spec):
             which = np.arange(passes)
             calls.append((passes, rows(np.array([[0.5, 2.0]] * passes), which).shape))
             return [(np.ones(6), np.zeros(6), 1)] * passes

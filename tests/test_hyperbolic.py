@@ -372,6 +372,22 @@ class TestConstantBounds:
             assert (out["argmin_alpha"], out["argmin_beta"]) == (alphas[i], betas[j])
             assert out["upper"] == pytest.approx(ratios[i, j], rel=10 * tol)
 
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_large_beta_tail_cut_is_relative(self, n):
+        # for beta > K/2 the trial function is tiny (about 6e-13 at n = 10,
+        # beta = 30), so a tail cut that only bounds e^(-budget) absolutely
+        # would drop a relative 1e-11 or more
+        spec = QuadratureSpec(relative_tolerance=1e-12)
+        alphas, betas = (0.25, 1.0), (30.0, 100.0)
+        (A, M, L), _, _ = hyperbolic_gaussian_moments(n, np.array(alphas)[:, None], np.array(betas), spec)
+        ratios = np.array([
+            [hpw_hyperbolic_report(RadialHypFunction.gaussian(a, b), n, spec).ratio for b in betas]
+            for a in alphas
+        ])
+        assert A * M / L**2 == pytest.approx(ratios, rel=10 * spec.relative_tolerance)
+        out = hpw_constant_bounds(n, alphas, betas, spec)
+        assert out["upper"] == pytest.approx(ratios.min(), rel=10 * spec.relative_tolerance)
+
     def test_reports_error_estimate_and_evaluations(self):
         spec = QuadratureSpec(relative_tolerance=1e-9)
         out = hpw_constant_bounds(3, spec=spec)

@@ -251,13 +251,19 @@ def algebraic_rows(rho):
 ALGEBRAIC_EXACT = [math.pi / 4, 0.5e-8, 1e6 * math.pi / 2]
 
 
+def one_pass(rows, spec=QuadratureSpec()):
+    """radial_integral_rows of one pass whose rows map a 1-D array of radii: its one result."""
+    ((values, errors, evals),) = radial_integral_rows(lambda rho, which: rows(rho[0])[None], 1, spec)
+    return values, errors, evals
+
+
 class TestRadialIntegralRows:
     """q integrands on one adaptive mesh, under the scalar rule, cap and messages."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_closed_forms(self, tol):
         # every row meets the tolerance on its own, whatever its size
-        values, errors, evals = radial_integral_rows(algebraic_rows, QuadratureSpec(relative_tolerance=tol))
+        values, errors, evals = one_pass(algebraic_rows, QuadratureSpec(relative_tolerance=tol))
         assert values.shape == errors.shape == (3,)
         for value, error, exact in zip(values, errors, ALGEBRAIC_EXACT):
             assert abs(value - exact) <= tol * abs(exact)
@@ -267,7 +273,7 @@ class TestRadialIntegralRows:
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_rows_agree_with_scalar_integrals(self, tol):
         spec = QuadratureSpec(relative_tolerance=tol)
-        values, errors, _ = radial_integral_rows(algebraic_rows, spec)
+        values, errors, _ = one_pass(algebraic_rows, spec)
         for i, (value, error) in enumerate(zip(values, errors)):
             prof = RadialProfile(lambda r, i=i: float(algebraic_rows(np.array([r]))[i, 0]), DecayClass.algebraic())
             scalar = radial_integral(prof, ("power", 0), spec)
@@ -287,7 +293,7 @@ class TestRadialIntegralRows:
         # every value is finite, but the Kronrod sum of the second row
         # overflows; the message names the piece and that row's sum
         with pytest.raises(QuadratureError) as exc:
-            radial_integral_rows(lambda rho: np.stack([1 / (1 + rho) ** 3, np.full(rho.shape, 1e308)]))
+            one_pass(lambda rho: np.stack([1 / (1 + rho) ** 3, np.full(rho.shape, 1e308)]))
         assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
 
     def test_node_outside_float_range_named(self):
@@ -297,7 +303,7 @@ class TestRadialIntegralRows:
             return np.stack([1 / (1 + rho) ** 3, np.where(rho < 0.25, np.inf, 1 / (1 + rho) ** 3)])
 
         with pytest.raises(QuadratureError) as exc:
-            radial_integral_rows(rows)
+            one_pass(rows)
         assert str(exc.value) == "profile exceeds the float range at rho=0.012723021914310378"
 
     def test_tolerance_failure_lists_every_row(self):
@@ -336,7 +342,7 @@ class TestLockstepPasses:
             calls.append(which.tolist())
             return np.stack([PASS_ROWS[names[j]](r) for r, j in zip(rho, which.tolist())])
 
-        return radial_integral_rows(rows, spec, len(names)), calls
+        return radial_integral_rows(rows, len(names), spec), calls
 
     @staticmethod
     def alone(names, spec=QuadratureSpec()):
@@ -344,7 +350,7 @@ class TestLockstepPasses:
         out = []
         for name in names:
             try:
-                out.append(radial_integral_rows(PASS_ROWS[name], spec))
+                out.append(one_pass(PASS_ROWS[name], spec))
             except QuadratureError as exc:
                 return out, str(exc)
         return out, None
