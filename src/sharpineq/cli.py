@@ -277,7 +277,7 @@ class SuiteResult:
     wall_time: float
     config_hash: str
     seed: int
-    # xy plot data per trace name: a Series, or a sequence of (x, y) pairs
+    # xy plot data per trace name
     series: dict = field(default_factory=dict)
 
     @property
@@ -573,8 +573,6 @@ def emit_plot_data(result: SuiteResult, out: Path) -> list:
         "volume_ratio_vs_rho": "rho,ratio",
     }
     for trace, xy in result.series.items():
-        if not isinstance(xy, Series):
-            xy = Series([x for x, _ in xy], [y for _, y in xy])
         if not xy.x:
             print(f"warning: empty series {trace}", file=sys.stderr)
             continue

@@ -8,6 +8,7 @@ import pytest
 from sharpineq.cli import (
     ConfigError,
     RunConfig,
+    Series,
     SuiteResult,
     _fmt,
     emit_plot_data,
@@ -226,7 +227,8 @@ class TestRoundTrip:
     def test_series_written_as_fmt_would(self, tmp_path):
         xy = [(1.0, -0.0), (np.float64(1 / 3), 2.5e-300), (3, float("inf")), (1e308, float("nan"))]
         xy += list(zip(np.linspace(3.0, 100.0, 4096).tolist(), np.geomspace(1e-9, 1e9, 4096)))
-        result = SuiteResult("ko-refute", [], 0.0, "", 0, {"phi_vs_alpha": xy})
+        series = Series([x for x, _ in xy], [y for _, y in xy])
+        result = SuiteResult("ko-refute", [], 0.0, "", 0, {"phi_vs_alpha": series})
         (path,) = emit_plot_data(result, tmp_path)
         want = "alpha,phi\n" + "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in xy)
         assert path.read_text() == want
