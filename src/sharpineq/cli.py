@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import io
 import json
@@ -26,7 +27,7 @@ from . import flat, hyperbolic as hyp
 # dual_norm_value is not called here; perfbench/tracer.py lists this import
 # site and refuses to install without it
 from .norms import MinkowskiNorm, dual_norm_value, uniformity_constant
-from .quadrature import DecayClass, QuadratureSpec, RadialProfile
+from .quadrature import _BLOCK_VALUES, DecayClass, QuadratureSpec, RadialProfile
 
 
 class ConfigError(ValueError):
@@ -279,6 +280,8 @@ class SuiteResult:
     seed: int
     # xy plot data per trace name
     series: dict = field(default_factory=dict)
+    # wall seconds per runner, for summary.txt only
+    runner_s: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -506,7 +509,9 @@ def run_suite(cfg: RunConfig, out_dir: Optional[str] = None) -> SuiteResult:
     suites = tuple(RUNNERS) if cfg.suite == "all" else (cfg.suite,)
     checks: list = []
     series: dict = {}
+    runner_s: dict = {}
     for s in suites:
+        t0 = time.perf_counter()
         try:
             rows, ser = RUNNERS[s](cfg)
             checks.extend(rows)
@@ -519,9 +524,10 @@ def run_suite(cfg: RunConfig, out_dir: Optional[str] = None) -> SuiteResult:
                          math.nan, math.nan, math.nan, math.nan, 0.0, False,
                          error=f"{type(exc).__name__}: {exc}")
             )
+        runner_s[s] = time.perf_counter() - t0
     wall = time.perf_counter() - start
     cfg_hash = hashlib.sha256(render_config(cfg).encode()).hexdigest()[:16]
-    result = SuiteResult(cfg.suite, checks, wall, cfg_hash, cfg.seed, series)
+    result = SuiteResult(cfg.suite, checks, wall, cfg_hash, cfg.seed, series, runner_s)
     target = Path(out_dir or cfg.output_dir)
     target.mkdir(parents=True, exist_ok=True)
     _write_artifacts(result, target)
@@ -535,6 +541,7 @@ def _cell(value) -> str:
 
 
 def _write_artifacts(result: SuiteResult, out: Path) -> None:
+    start = time.perf_counter()
     name = result.suite
     names = [f.name for f in fields(CheckRow)]
     # every CheckRow field but error, which only the JSON and summary carry
@@ -551,6 +558,7 @@ def _write_artifacts(result: SuiteResult, out: Path) -> None:
         "checks": [{k: getattr(c, k) for k in names} for c in result.checks],
     }
     (out / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    emit_plot_data(result, out)
     summary = [f"suite: {result.suite}"]
     summary.append(f"config: {result.config_hash}  seed: {result.seed}")
     for c in result.checks:
@@ -559,13 +567,19 @@ def _write_artifacts(result: SuiteResult, out: Path) -> None:
             f"slack={c.slack:.3e} tolerance={c.tolerance:.3e}"
             + (f" error={c.error}" if c.error else "")
         )
+    # timings stay out of the CSV and JSON, which are byte-identical between runs
+    for s, t in result.runner_s.items():
+        summary.append(f"time: {s} {t * 1e3:.2f} ms")
+    summary.append(f"time: artifacts {(time.perf_counter() - start) * 1e3:.2f} ms")
     summary.append(f"overall: {'PASS' if result.passed else 'FAIL'} ({result.wall_time:.2f}s)")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
-    emit_plot_data(result, out)
 
 
 def emit_plot_data(result: SuiteResult, out: Path) -> list:
-    """Write xy-series CSVs for external plotting; returns the paths written."""
+    """Write xy-series CSVs for external plotting; returns the paths written.
+
+    Every value is written as ``"%.16e"`` would write it.
+    """
     written = []
     columns = {
         "hardy_quotient_vs_logeps": "log_inv_eps,quotient",
@@ -573,18 +587,127 @@ def emit_plot_data(result: SuiteResult, out: Path) -> list:
         "volume_ratio_vs_rho": "rho,ratio",
     }
     for trace, xy in result.series.items():
-        if not xy.x:
+        if len(xy.x) != len(xy.y):
+            raise ValueError(
+                f"series {trace}: x has {len(xy.x)} values, y has {len(xy.y)}"
+            )
+        if len(xy.x) == 0:
             print(f"warning: empty series {trace}", file=sys.stderr)
             continue
         path = Path(out) / f"{trace}.csv"
-        # x0, y0, x1, y1, ... interleaved by slices, for one %-format pass in
-        # _fmt's format
-        values = [None] * (2 * len(xy.x))
-        values[::2], values[1::2] = xy
-        rows = ("%.16e,%.16e\n" * len(xy.x)) % tuple(values)
-        path.write_text(columns[trace] + "\n" + rows)
+        path.write_bytes(f"{columns[trace]}\n".encode() + _series_bytes(xy))
         written.append(path)
     return written
+
+
+# One value of a series row: sign slot, d.dddddddddddddddd, 'e', exponent sign
+# and two digits, separator (',' after x, '\n' after y).  A block of rows keeps
+# its byte buffer within _BLOCK_VALUES bytes.
+_FIELD = np.frombuffer(b"-0.0000000000000000e+00,", np.uint8)
+_BLOCK_ROWS = _BLOCK_VALUES // (2 * _FIELD.size)
+_DIGIT_PLACES = 10.0 ** np.arange(7, -1, -1)[:, None]
+_SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
+
+
+@functools.cache  # k stays within [-84, 117]
+def _pow10(k: int) -> tuple:
+    """10^k as hi + lo: hi the nearest double, lo the nearest double to the rest."""
+    if k >= 0:
+        hi = float(10**k)
+        return hi, float(10**k - int(hi))
+    m = 10**-k
+    hi = 1 / m  # int true division rounds correctly
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * m) / (den * m)
+
+
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(a, k):
+    """floor(x) as int64 and x − floor(x) for x = a·10^k below 2^57.
+
+    10^k is hi + rest (_pow10). a·hi is p + err exactly by Dekker's product,
+    since numpy has no fma; p is an integer once x ≥ 2^53, and err + a·rest
+    is off by about 1e-14 at most.
+    """
+    lo = int(k.min())
+    hi, rest = np.array([_pow10(j) for j in range(lo, int(k.max()) + 1)])[k - lo].T
+    p = a * hi
+    ah, al = _split(a)
+    bh, bl = _split(hi)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * rest
+    whole = np.floor(e)
+    return p.astype(np.int64) + whole.astype(np.int64), e - whole
+
+
+def _format_block(v):
+    """Bytes of "%.16e,%.16e\\n" rows of the interleaved values v, or None.
+
+    None where a value cannot be proven: ±0, subnormal, inf, nan, a final
+    exponent of 100 or more, or a rounding within 1e-6 of a tie, which %
+    breaks half-even.
+    """
+    a = np.abs(v)
+    if not ((a >= 1e-100) & (a < 1e100)).all():
+        return None
+    # 17 digits: round(a·10^(16 − exp)) in [10^16, 10^17], exp = ⌊log10 a⌋
+    exp = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, 16 - exp)
+    off = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
+    if off.any():  # log10 missed by one next to a power of ten
+        exp += off
+        whole, frac = _scaled(a, 16 - exp)
+        if ((whole < 10**16) | (whole >= 10**17)).any():
+            return None
+    if (np.abs(frac - 0.5) < 1e-6).any():
+        return None
+    digits = whole + (frac > 0.5)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    exp += carry
+    abs_exp = np.abs(exp)
+    if (abs_exp > 99).any():
+        return None
+    # bytes by position, one value per column; transposed once at the end
+    buf = np.empty((_FIELD.size, v.size), np.uint8)
+    buf[:] = _FIELD[:, None]
+    buf[1] += (digits // 10**16).astype(np.uint8)
+    # the other 16 digits as two 8-digit blocks, spread by exact float division
+    blocks = np.empty((2, 1, v.size))
+    blocks[0, 0] = digits // 10**8 % 10**8
+    blocks[1, 0] = digits % 10**8
+    place = np.floor(blocks / _DIGIT_PLACES)
+    place[:, 1:] -= 10.0 * place[:, :-1]
+    buf[3:19] += place.reshape(16, v.size).astype(np.uint8)
+    buf[20, exp < 0] = ord("-")
+    buf[21] += (abs_exp // 10).astype(np.uint8)
+    buf[22] += (abs_exp % 10).astype(np.uint8)
+    buf[23, 1::2] = ord("\n")
+    neg = v < 0
+    if not neg.any():
+        return buf[1:].T.tobytes()
+    keep = np.ones(buf.shape, bool)
+    keep[0] = neg
+    return buf.T[keep.T].tobytes()
+
+
+def _series_bytes(xy: Series) -> bytes:
+    """The rows of xy as "%.16e,%.16e\\n" writes them; a block of rows that
+    _format_block cannot prove goes through that % pass."""
+    values = np.empty(2 * len(xy.x))
+    values[::2], values[1::2] = xy
+    chunks = []
+    for start in range(0, values.size, 2 * _BLOCK_ROWS):
+        block = values[start:start + 2 * _BLOCK_ROWS]
+        text = _format_block(block)
+        if text is None:
+            text = (("%.16e,%.16e\n" * (block.size // 2)) % tuple(block.tolist())).encode()
+        chunks.append(text)
+    return b"".join(chunks)
 
 
 def main(argv=None) -> int:

@@ -4,13 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sharpineq import cli
 from sharpineq.cli import (
+    _BLOCK_ROWS,
     ConfigError,
     RunConfig,
     Series,
     SuiteResult,
     _fmt,
+    _series_bytes,
     emit_plot_data,
     main,
     parse_config,
@@ -234,6 +238,108 @@ class TestRoundTrip:
         assert path.read_text() == want
 
 
+def percent_pass(x, y) -> bytes:
+    """The series rows as one "%.16e,%.16e\\n" pass writes them."""
+    values = [None] * (2 * len(x))
+    values[::2], values[1::2] = list(x), list(y)
+    return (("%.16e,%.16e\n" * len(x)) % tuple(values)).encode()
+
+
+def assert_written_as_percent_would(values):
+    values = [float(v) for v in values]
+    x, y = values, values[::-1]
+    assert _series_bytes(Series(x, y)) == percent_pass(x, y)
+
+
+class TestSeriesFormat:
+    """The vectorised series formatter writes what the % pass writes."""
+
+    def test_dyadic_ties(self):
+        # 2^-25 = 2.98023223876953125e-08 has 18 digits and ends in 5, so the
+        # 17-digit rounding is a tie that % breaks half-even
+        assert _series_bytes(Series([2.0**-25], [1.0])) == b"2.9802322387695312e-08,1.0000000000000000e+00\n"
+        powers = [2.0**-j for j in range(1, 120)] + [2.0**j for j in range(1, 120)]
+        base = [1e15 + 7, 2**50 + 3, 123456789012345.0, 3e14 + 1]
+        fractions = [k + f / 8 for k in base for f in range(8)]
+        assert_written_as_percent_would(powers + fractions)
+        assert_written_as_percent_would([-v for v in fractions])
+
+    def test_both_sides_of_powers_of_ten(self):
+        tens = np.array([10.0**k for k in range(-99, 100)])
+        below = np.nextafter(tens, 0.0)
+        assert_written_as_percent_would(np.concatenate(
+            [tens, below, np.nextafter(tens, np.inf), -np.nextafter(tens, np.inf)]
+        ))
+        # log10 of a value just below 10^k may land on k; the exponent is
+        # corrected and the value stays on the fast path, all but the tie
+        # 999999999999999.875 (18 digits, the last a 5)
+        refused = [k for k, v in zip(range(-98, 100), below[1:]) if cli._format_block(np.array([v])) is None]
+        assert refused == [15]
+
+    def test_values_the_fast_path_refuses(self):
+        special = [-1.5, 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                   float("inf"), float("-inf"), float("nan")]
+        assert_written_as_percent_would(special)
+        for v in special[1:]:
+            assert cli._format_block(np.array([1.0, v])) is None
+        assert cli._format_block(np.array([1.0, -1.5])) is not None
+
+    @pytest.mark.parametrize("value, fast", [
+        (1e99, True), (9.99e99, True), (np.nextafter(1e100, 0.0), True), (1e100, False),
+        (1.5e100, False), (1e-99, True), (1.5e-99, True), (np.nextafter(1e-99, 0.0), False),
+        (1e-100, False), (9.99e-101, False),
+    ])
+    def test_exponents_99_and_100(self, value, fast):
+        for v in (value, -value):
+            assert_written_as_percent_would([v])
+            assert (cli._format_block(np.array([v])) is not None) == fast
+
+    @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+    def test_rows_not_a_multiple_of_the_block(self, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        y = np.geomspace(1e-9, 1e9, rows)
+        # one value per block that only the % pass writes
+        y[::_BLOCK_ROWS] = 0.0
+        assert _series_bytes(Series(x, y)) == percent_pass(x.tolist(), y.tolist())
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16))
+    def test_finite_doubles(self, values):
+        # one value the fast path refuses sends its whole block to %, so
+        # each value is also checked alone
+        assert_written_as_percent_would(values)
+        for v in values:
+            assert_written_as_percent_would([v])
+
+    @pytest.mark.parametrize("n, tolerance", [(3, 1e-9), (6, 1e-12)])
+    def test_whole_phi_series_as_percent_writes_it(self, tmp_path, monkeypatch, n, tolerance):
+        # every row of a real scan, and none of it through the % pass
+        blocks = []
+        fast = cli._format_block
+        monkeypatch.setattr(cli, "_format_block", lambda v: blocks.append(fast(v)) or blocks[-1])
+        run_suite(RunConfig(suite="ko-refute", n=n, tolerance=tolerance), str(tmp_path))
+        text = (tmp_path / "phi_vs_alpha.csv").read_text()
+        header, *rows = text.splitlines()
+        pairs = [tuple(map(float, r.split(","))) for r in rows]
+        assert header == "alpha,phi" and len(pairs) == 4096
+        assert text == "alpha,phi\n" + "".join("%.16e,%.16e\n" % xy for xy in pairs)
+        assert len(blocks) == -(-4096 // _BLOCK_ROWS) and None not in blocks
+
+    def test_unequal_columns_name_the_trace(self, tmp_path):
+        result = SuiteResult("ko-refute", [], 0.0, "", 0, {"phi_vs_alpha": Series([1.0, 2.0], [3.0])})
+        with pytest.raises(ValueError, match="series phi_vs_alpha: x has 2 values, y has 1"):
+            emit_plot_data(result, tmp_path)
+
+    def test_ndarray_columns(self, tmp_path):
+        x, y = np.linspace(0.5, 2.0, 7), -np.arange(7.0)
+        result = SuiteResult("ko-refute", [], 0.0, "", 0, {
+            "phi_vs_alpha": Series(x, y), "volume_ratio_vs_rho": Series(np.array([]), np.array([])),
+        })
+        (path,) = emit_plot_data(result, tmp_path)
+        assert path.read_bytes() == b"alpha,phi\n" + percent_pass(x.tolist(), y.tolist())
+
+
 class TestRunSuite:
     def test_identities_artifacts(self, tmp_path):
         cfg = parse_config(MINIMAL)
@@ -245,6 +351,20 @@ class TestRunSuite:
         assert payload["passed"] is True
         names = {c["name"] for c in payload["checks"]}
         assert "pqr-identity" in names and "p-ode-residual" in names
+
+    def test_summary_times_runners_and_artifacts(self, tmp_path, monkeypatch):
+        # summary.txt is written after the series, so it times their writing too
+        seen = []
+        emit = cli.emit_plot_data
+        monkeypatch.setattr(cli, "emit_plot_data",
+                            lambda r, out: seen.append((out / "summary.txt").exists()) or emit(r, out))
+        cfg = RunConfig(suite="all", triple=(3, 3.0, 1.0), alpha_nodes=64)
+        result = run_suite(cfg, str(tmp_path))
+        assert seen == [False]
+        assert list(result.runner_s) == list(cli.RUNNERS)
+        times = [line.split()[1] for line in (tmp_path / "summary.txt").read_text().splitlines()
+                 if line.startswith("time: ")]
+        assert times == [*cli.RUNNERS, "artifacts"]
 
     def test_identities_one_pass_per_lambda(self, tmp_path, monkeypatch):
         # P(lam) is integrated once per lam, for both the identity and the
