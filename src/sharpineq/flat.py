@@ -308,7 +308,7 @@ def _extremal_passes(t: ExponentTriple, lam_grid: Sequence[float], spec: Quadrat
     def rows(rho, which):
         key = which.tobytes()
         if key not in kernels:
-            kernels[key] = _kernel_h(t, lams[which, :, None]), _kernel_g(t, lam[which, :, None])
+            kernels[key] = _kernel_h(t, lams[which, :, None, None]), _kernel_g(t, lam[which, :, None, None])
         kh, kg = kernels[key]
         rho = rho[:, None]
         return np.concatenate([kh(rho), kg(rho)], axis=1) * rho**n

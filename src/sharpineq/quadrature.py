@@ -1,8 +1,10 @@
 """Deterministic integration of radial profiles on [0, oo).
 
-Adaptive Gauss-Kronrod panels on a split domain with a rational tail
-transform, for one integrand, for q rows on one mesh, or for several such
-row passes in lockstep, a vectorised composite Gauss-Kronrod rule over a
+Two globally adaptive G7/K15 loops on a split domain with a rational tail
+transform, which share one panel guard: one integrand evaluated node by node
+(radial_integral), and passes of q row integrands in lockstep, each round one
+call for the nodes of one bisection of every pass still refining
+(radial_integral_rows); a vectorised composite Gauss-Kronrod rule over a
 whole parameter grid at once, n-dimensional Monte Carlo cross-validation
 with a counter-based generator, and Richardson-extrapolated finite
 differences.
@@ -297,215 +299,192 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
     return IntegralResult(total, err, nodes, truncation=T)
 
 
-def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = QuadratureSpec()):
-    """Integrals over [0, oo) of algebraically decaying row integrands, passes sets of them in lockstep.
-
-    rows(rho, which) maps radii of shape (m', k), row j for the pass which[j],
-    to an (m', q, k) array: the q integrands (weight included) of each pass
-    at its radii.  Every pass integrates over radial_integral's pieces for an
-    algebraic profile without breakpoints, [0, 1] and the tail past 1 mapped
-    onto [0, 1), on its own mesh of the same G7/K15 engine (_adaptive_gk15),
-    which refines until every row meets the acceptance rule; one call of
-    rows per round serves every pass still refining, so each pass gives what
-    it gives alone.  A value outside the float range at a node, or an
-    integral outside it over a piece, raises QuadratureError naming the node
-    or the piece.  Returns an iterator over the (values, error_estimates,
-    evaluations) of the passes in order, arrays of q and q evaluations per
-    node, which raises the error of the first failing pass after the results
-    of the passes before it, as a loop of one pass at a time would.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = _adaptive_gk15(rows, [0.0, 1.0], True, spec.relative_tolerance, passes)
-    return ((values, errors, len(values) * evals) for values, errors, evals in results)
+def _in_rho(a: float, b: float, end: Optional[float]) -> str:
+    """The panel [a, b] as text in rho: a panel of the tail past end is mapped back (end None off the tail)."""
+    if end is not None:
+        a, b = end + a / (1.0 - a), (end + b / (1.0 - b) if b < 1.0 else math.inf)
+    return f"rho in [{a!r}, {b!r}]"
 
 
-def _adaptive_gk15(g: Callable, cuts: list, tail: bool, tol: float, passes: Optional[int] = None):
+def _stuck(panels: int, a: float, b: float, end: Optional[float]) -> Optional[str]:
+    """Why the worst of panels panels, [a, b] (end as for _in_rho), cannot be bisected, or None."""
+    mid = 0.5 * (a + b)
+    if panels >= _MAX_SUBINTERVALS:
+        return f"with {panels} panels, the worst at {_in_rho(a, b, end)}"
+    if not a < mid < b:
+        return f"at {_in_rho(a, b, end)}: the panel cannot be bisected in floating point"
+    if end is not None and 0.5 * (mid + b) + 0.5 * (b - mid) * _OUTER_NODE >= 1.0:
+        return f"at {_in_rho(a, b, end)}: a node of its right half rounds to t = 1.0"
+    return None
+
+
+def _adaptive_gk15(g: Callable[[float], float], cuts: list, tail: bool, tol: float) -> tuple[float, float, int]:
     """Globally adaptive G7/K15: g over [cuts[0], cuts[-1]], and past it if tail.
 
     The pieces are the intervals between cuts and, if tail, the tail past
     end = cuts[-1] mapped onto t in [0, 1) by rho = end + t/(1 - t),
     d rho = dt/(1 - t)^2.  Every piece starts as its two halves; while the
-    summed |K - G| of all panels exceeds tol x |sum of K|, the worst panel
-    is bisected, up to _MAX_SUBINTERVALS panels.  Without passes, g maps a
-    float rho to a float, evaluated node by node, and the worst panel has
-    the largest |K - G| (radial_integral).  With passes = m, m independent
-    passes of q row integrands run in lockstep (radial_integral_rows): each
-    round, g(rho, which) maps the radii of every pass still refining, one
-    row of rho per pass listed in the index array which, to an (m', q, 30 k)
-    array, the 30 nodes of the two halves of each of its k bisections (in
-    the first round, of every piece).  Every row must meet the rule on its
-    own, and the worst panel has the largest row error relative to that
-    row's value after the first sweep.  A pass leaves once it meets the
-    rule; one that fails drops the passes after it.  Each pass keeps its
-    own heap, sums, checks and messages, so it gives what it gives alone.
-    Returns (value, error estimate, evaluations of g's nodes); with passes,
-    an iterator over them in pass order, value and estimate arrays of q,
-    that raises the error of the first failing pass after the results of
-    the passes before it.
+    summed |K - G| of all panels exceeds tol x |sum of K|, the panel with
+    the largest |K - G| is bisected, g evaluated node by node in QUADPACK's
+    order, until _stuck names a cause.  Returns (value, error estimate,
+    evaluations of g).
     """
     pieces = list(zip(cuts, cuts[1:]))
     if tail:
         pieces.append((0.0, 1.0))
     end, last = cuts[-1], len(cuts) - 1 if tail else -1
-    batch = passes is not None
-    m = passes if batch else 1
-    # per pass: a heap of (-worst error, piece, a, b, K, |K - G|), the running
-    # sums and the evaluations; with passes, once the first sweep has them,
-    # scale holds 1 / |value| of every row of every pass
-    panels = [[] for _ in range(m)]
-    value, error, evals, scale = [0.0] * m, [0.0] * m, [0] * m, None
-    results = [None] * m
-    stop, failure = m, None  # the passes from stop on are dropped; failure is pass stop's error
-
-    def where(i: int, a: float, b: float) -> str:
-        if i == last:  # the tail, in rho
-            a, b = end + a / (1.0 - a), (end + b / (1.0 - b) if b < 1.0 else math.inf)
-        return f"rho in [{a!r}, {b!r}]"
-
-    def fail(j: int, exc: QuadratureError) -> None:
-        nonlocal stop, failure
-        stop, failure = j, exc
+    heap = []  # (-|K - G|, piece, a, b, K, |K - G|)
+    value = error = 0.0
+    evals = 0
 
     def add(i: int, a: float, b: float) -> None:
-        """Add the panel [a, b] of piece i, g node by node."""
+        """Add the panel [a, b] of piece i."""
+        nonlocal value, error, evals
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         if i == last:
             v = [g(end + t / (1.0 - t)) / (1.0 - t) ** 2 for t in [c + h * x for x in _NODE_LIST]]
         else:
             v = [g(c + h * x) for x in _NODE_LIST]
         k, e = h * sum(map(mul, _KRONROD_LIST, v)), abs(h * sum(map(mul, _DIFF_LIST, v)))
-        evals[0] += _NODE_COUNT
+        evals += _NODE_COUNT
         if not math.isfinite(k):
-            total = math.fsum([p[4] for p in panels[0] if p[1] == i] + [k])
-            raise QuadratureError(
-                f"integral over {where(i, *pieces[i])} is {total!r}: outside the float range"
-            )
-        heapq.heappush(panels[0], (-e, i, a, b, k, e))
-        value[0] += k
-        error[0] += e
+            total = math.fsum([p[4] for p in heap if p[1] == i] + [k])
+            piece = _in_rho(*pieces[i], end if i == last else None)
+            raise QuadratureError(f"integral over {piece} is {total!r}: outside the float range")
+        heapq.heappush(heap, (-e, i, a, b, k, e))
+        value += k
+        error += e
 
-    def add_rows(todo: list, per: int) -> None:
-        """Add both halves of every (pass, piece, a, mid, b) of todo, per of them a pass, from one call of g."""
-        # centres and half-widths of both halves of every bisection, and
-        # their nodes, (bisection, half, node)
-        ch = np.array([
-            (0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)) for *_, a, mid, b in todo
-        ])
-        c, h = ch[:, :2, None], ch[:, 2:, None]
-        t = c + h * _NODES
-        rho, tails = t, [r[1] == last for r in todo]
-        tailed = any(tails)
-        if tailed:
-            # the tail's nodes in rho, and dt / d rho = (1 - t)^2 to divide
-            # by (by 1.0, exactly, on the other pieces)
-            u = 1.0 - t
-            rho, jac = end + t / u, u * u
-            if not all(tails):
-                tail = np.array(tails)[:, None, None]
-                rho, jac = np.where(tail, rho, t), np.where(tail, jac, 1.0)
-        # g's (pass, row, node) as (bisection, row, half, node)
-        which = np.array([r[0] for r in todo[::per]])
-        v = g(rho.reshape(len(which), -1), which)
-        q = v.shape[1]
-        if per > 1:
-            v = v.reshape(len(which), q, per, -1).transpose(0, 2, 1, 3)
-        v = v.reshape(-1, q, 2, _NODE_COUNT)
-        if tailed:
-            v /= jac[:, None]
-        # K and |K - G| of both halves of every row, (bisection, K or
-        # |K - G|, half, row)
-        kd = (v.reshape(-1, 2, _NODE_COUNT) @ _GK15_WEIGHTS).reshape(-1, q, 2, 2)
-        kd = kd.transpose(0, 3, 2, 1) * h[:, None]
-        ks, es = kd[:, 0], np.abs(kd[:, 1], out=kd[:, 1])
-        if scale is None:  # the first sweep, whose keys are replaced after it
-            keys = [(0.0, 0.0)] * len(todo)
-        else:  # a bisection per pass
+    for i, (a, b) in enumerate(pieces):
+        add(i, a, 0.5 * (a + b))
+        add(i, 0.5 * (a + b), b)
+    while True:
+        if error <= tol * abs(value):
+            # the running sums drift; accept on the exact ones
+            value, error = math.fsum(p[4] for p in heap), math.fsum(p[5] for p in heap)
+            if error <= tol * abs(value):
+                return value, error, evals
+        _, i, a, b, k, e = heap[0]
+        cause = _stuck(len(heap), a, b, end if i == last else None)
+        if cause is not None:
+            raise QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}")
+        heapq.heappop(heap)
+        value -= k
+        error -= e
+        add(i, a, 0.5 * (a + b))
+        add(i, 0.5 * (a + b), b)
+
+
+def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = QuadratureSpec()):
+    """Integrals over [0, oo) of algebraically decaying row integrands, passes sets of them in lockstep.
+
+    Every pass integrates q row integrands (weight included) over
+    radial_integral's pieces for an algebraic profile without breakpoints,
+    [0, 1] and the tail past 1 mapped onto [0, 1), on its own G7/K15 mesh
+    under the same rule, guard and error texts as radial_integral: every row
+    must meet the rule on its own, and the panel bisected next has the
+    largest row error relative to that row's value after the first sweep.
+    Each round evaluates one bisection of every pass still refining (in the
+    first, both pieces of every pass) from one call of rows(rho, which):
+    rho of shape (k, 2, 15) holds the nodes of both halves of k bisections,
+    which of shape (k,) the pass of each, and rows returns the (k, q, 2, 15)
+    integrand values.  A pass keeps its own heap, sums and checks, so it
+    gives what it gives alone; it leaves once it meets the rule, and one
+    that fails drops the passes after it.  A value outside the float range
+    at a node, or an integral outside it over a piece, raises
+    QuadratureError naming the node or the piece.  Returns an iterator over
+    the (values, error_estimates, evaluations) of the passes in order,
+    arrays of q and q evaluations per node, which raises the error of the
+    first failing pass after the results of the passes before it, as a loop
+    of one pass at a time would.
+    """
+    tol = spec.relative_tolerance
+    # per pass: a heap of (-key, piece, a, b, K, |K - G|), piece 1 the tail,
+    # the running sums and the evaluations; scale holds 1 / |value| of every
+    # row of every pass after the first sweep
+    heaps = [[] for _ in range(passes)]
+    value, error, evals, scale = [0.0] * passes, [0.0] * passes, [0] * passes, None
+    results, stop, failure = [None] * passes, passes, None  # the passes from stop on are dropped
+    live = range(passes)
+    todo = [(j, i, 0.0, 0.5, 1.0) for j in live for i in (0, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while todo:
+            # centres and half-widths of both halves of every bisection, and
+            # their nodes, (bisection, half, node)
+            ch = np.array([
+                (0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)) for *_, a, mid, b in todo
+            ])
+            c, h = ch[:, :2, None], ch[:, 2:, None]
+            rho = t = c + h * _NODES
+            tails = [i for _, i, *_ in todo]
+            tailed = any(tails)
+            if tailed:
+                # the tail's nodes in rho, and dt / d rho = (1 - t)^2 to
+                # divide by (by 1.0, exactly, on [0, 1])
+                u = 1.0 - t
+                rho, jac = 1.0 + t / u, u * u
+                if not all(tails):
+                    tail = np.array(tails, dtype=bool)[:, None, None]
+                    rho, jac = np.where(tail, rho, t), np.where(tail, jac, 1.0)
+            which = np.array([j for j, *_ in todo])
+            v = rows(rho, which)
+            q = v.shape[1]
+            if tailed:
+                v /= jac[:, None]
+            # K and |K - G| of both halves of every row, (bisection, K or
+            # |K - G|, half, row), and both summed over the halves
+            kd = (v.reshape(-1, 2, _NODE_COUNT) @ _GK15_WEIGHTS).reshape(-1, q, 2, 2)
+            kd = kd.transpose(0, 3, 2, 1) * h[:, None]
+            ks, es = kd[:, 0], np.abs(kd[:, 1], out=kd[:, 1])
+            sums = kd.sum(axis=2)
+            if scale is None:  # the first sweep: both pieces of every pass
+                scale = 1.0 / np.maximum(np.abs(sums[0::2, 0] + sums[1::2, 0]), np.finfo(float).tiny)
             keys = (es * scale[which][:, None]).max(axis=2).tolist()
-        sums = kd.sum(axis=2)
-        # the Kronrod weights are positive: a value outside the float range
-        # leaves its K outside it too
-        finite = np.isfinite(ks)
-        finite = [True] * len(todo) if finite.all() else finite.all(axis=(1, 2)).tolist()
-        for r, (j, i, a, mid, b) in enumerate(todo):
-            if j >= stop:
-                break
-            if not finite[r]:
-                block, nodes = v[r].reshape(q, -1), rho[r].ravel()
-                fail(j, QuadratureError(_overflow(block, nodes, ks[r], i, panels[j], where(i, *pieces[i]))))
-                break
-            (kl, kr), (el, er), (ksum, esum), (left, right) = ks[r], es[r], sums[r], keys[r]
-            heapq.heappush(panels[j], (-left, i, a, mid, kl, el))
-            heapq.heappush(panels[j], (-right, i, mid, b, kr, er))
-            value[j] += ksum
-            error[j] += esum
-            evals[j] += 2 * _NODE_COUNT
-
-    def met(j: int) -> bool:
-        ok = error[j] <= tol * abs(value[j])
-        return bool(ok.all()) if batch else ok
-
-    todo = [(j, i, lo, 0.5 * (lo + hi), hi) for j in range(m) for i, (lo, hi) in enumerate(pieces)]
-    per = len(pieces)
-    while todo:
-        if batch:
-            add_rows(todo, per)
-        else:
-            for _, i, a, mid, b in todo:
-                add(i, a, mid)
-                add(i, mid, b)
-        if batch and scale is None:  # after the first sweep
-            scale = 1.0 / np.maximum(np.abs(np.array(value[:stop])), np.finfo(float).tiny)
-            for j in range(stop):
-                keys = (np.array([p[5] for p in panels[j]]) * scale[j]).max(axis=1).tolist()
-                panels[j][:] = [(-key, *p[1:]) for key, p in zip(keys, panels[j])]
-                heapq.heapify(panels[j])
-        live, todo, per = todo[::per], [], 1
-        for j, *_ in live:
-            if j >= stop:
-                break
-            heap = panels[j]
-            # a scalar pass bisects at once; a row pass leaves its bisection
-            # to the next round's call of g
-            while True:
-                if met(j):
+            # the Kronrod weights are positive: a value outside the float
+            # range leaves its K outside it too
+            finite = np.isfinite(ks)
+            finite = [True] * len(todo) if finite.all() else finite.all(axis=(1, 2)).tolist()
+            for r, (j, i, a, mid, b) in enumerate(todo):
+                if not finite[r]:
+                    piece = _in_rho(0.0, 1.0, 1.0 if i else None)
+                    stop, failure = j, QuadratureError(
+                        _overflow(v[r].reshape(q, -1), rho[r].ravel(), ks[r], i, heaps[j], piece)
+                    )
+                    break
+                (kl, kr), (el, er), (ksum, esum), (left, right) = ks[r], es[r], sums[r], keys[r]
+                heapq.heappush(heaps[j], (-left, i, a, mid, kl, el))
+                heapq.heappush(heaps[j], (-right, i, mid, b, kr, er))
+                value[j] += ksum
+                error[j] += esum
+                evals[j] += 2 * _NODE_COUNT
+            todo = []
+            for j in live:
+                if j >= stop:
+                    break
+                heap = heaps[j]
+                if (error[j] <= tol * np.abs(value[j])).all():
                     # the running sums drift; accept on the exact ones
-                    if batch:
-                        value[j], error[j] = (
-                            np.array([math.fsum(row) for row in np.array([p[col] for p in heap]).T.tolist()])
-                            for col in (4, 5)
-                        )
-                    else:
-                        value[j] = math.fsum(p[4] for p in heap)
-                        error[j] = math.fsum(p[5] for p in heap)
-                    if met(j):
-                        results[j] = (value[j], error[j], evals[j])
-                        break
+                    value[j], error[j] = (
+                        np.array([math.fsum(row) for row in np.array([p[col] for p in heap]).T.tolist()])
+                        for col in (4, 5)
+                    )
+                    if (error[j] <= tol * np.abs(value[j])).all():
+                        results[j] = (value[j], error[j], q * evals[j])
+                        continue
                 _, i, a, b, k, e = heap[0]
-                mid = 0.5 * (a + b)
-                if len(heap) >= _MAX_SUBINTERVALS:
-                    cause = f"with {len(heap)} panels, the worst at {where(i, a, b)}"
-                elif not a < mid < b:
-                    cause = f"at {where(i, a, b)}: the panel cannot be bisected in floating point"
-                elif i == last and 0.5 * (mid + b) + 0.5 * (b - mid) * _OUTER_NODE >= 1.0:
-                    cause = f"at {where(i, a, b)}: a node of its right half rounds to t = 1.0"
-                else:
-                    heapq.heappop(heap)
-                    value[j] -= k
-                    error[j] -= e
-                    if batch:
-                        todo.append((j, i, a, mid, b))
-                        break
-                    add(i, a, mid)
-                    add(i, mid, b)
-                    continue
-                v, er = (value[j].tolist(), error[j].tolist()) if batch else (value[j], error[j])
-                fail(j, QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={v!r}, error={er!r}"))
-                break
-    if batch:
-        return _in_order(results[:stop], failure)
-    if failure is not None:
-        raise failure
-    return results[0]
+                cause = _stuck(len(heap), a, b, 1.0 if i else None)
+                if cause is not None:
+                    stop, failure = j, QuadratureError(
+                        f"requested tolerance {tol!r} not met {cause}: "
+                        f"value={value[j].tolist()!r}, error={error[j].tolist()!r}"
+                    )
+                    break
+                heapq.heappop(heap)
+                value[j] -= k
+                error[j] -= e
+                todo.append((j, i, a, 0.5 * (a + b), b))
+            live = [j for j, *_ in todo]
+    return _in_order(results[:stop], failure)
 
 
 def _in_order(results: list, failure: Optional[QuadratureError]):
@@ -600,7 +579,8 @@ def gauss_kronrod_batch(
         start = 0
         # values outside the float range are caught below, with their parameter
         with np.errstate(over="ignore", invalid="ignore"):
-            while start < todo.size:
+            # one block at least: the block of an empty grid still tells q
+            while True:
                 # until the first block tells, one integral per parameter
                 idx = todo[start:start + max(1, _BLOCK_VALUES // (per * x.size))]
                 start += idx.size
@@ -608,7 +588,7 @@ def gauss_kronrod_batch(
                 if values is None:
                     values = np.empty(f.shape[:-2] + (count,))
                     errors = np.empty(values.shape)
-                    per = values.size // count
+                    per = math.prod(f.shape[:-2])
                 # K and K - G of every panel of the block in one product; the
                 # block's values are dropped before the next block is evaluated
                 kd = (f.reshape(-1, _GK21_NODES.size) @ weights).reshape(
@@ -616,12 +596,12 @@ def gauss_kronrod_batch(
                 del f
                 values[..., idx] = kd[..., 0].sum(axis=-1)
                 errors[..., idx] = np.abs(kd[..., 1]).sum(axis=-1)
-        if values is None:
-            return np.empty(0), np.empty(0), 0
+                if start >= todo.size:
+                    break
         evals += todo.size * x.size
         # one row per integral of a parameter, one column per parameter
-        val = values[..., todo].reshape(-1, todo.size)
-        err = errors[..., todo].reshape(-1, todo.size)
+        val = values[..., todo].reshape(per, todo.size)
+        err = errors[..., todo].reshape(per, todo.size)
         bad = todo[~np.isfinite(val).all(axis=0)]
         if bad.size:
             raise QuadratureError(

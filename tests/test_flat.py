@@ -178,7 +178,7 @@ class TestExtremalIntegrals:
 
         def fake(rows, passes, spec):
             which = np.arange(passes)
-            calls.append((passes, rows(np.array([[0.5, 2.0]] * passes), which).shape))
+            calls.append((passes, rows(np.full((passes, 2, 15), 0.5), which).shape))
             return [(np.ones(6), np.zeros(6), 1)] * passes
 
         monkeypatch.setattr(flat, "radial_integral_rows", fake)
@@ -187,7 +187,7 @@ class TestExtremalIntegrals:
         for check in (check_pqr_identity, check_p_ode):
             calls.clear()
             check(t, [0.5, 1.0, 2.0])
-            assert calls == [(3, (3, 6, 2))]
+            assert calls == [(3, (3, 6, 2, 15))]
 
     def test_overflow_named(self):
         # P of (3, 2.002, 1) is about 1e600 at lam = 0.5; at lam = 0.25 the

@@ -252,8 +252,8 @@ ALGEBRAIC_EXACT = [math.pi / 4, 0.5e-8, 1e6 * math.pi / 2]
 
 
 def one_pass(rows, spec=QuadratureSpec()):
-    """radial_integral_rows of one pass whose rows map a 1-D array of radii: its one result."""
-    ((values, errors, evals),) = radial_integral_rows(lambda rho, which: rows(rho[0])[None], 1, spec)
+    """radial_integral_rows of one pass whose rows map an array of radii to (q,) + its shape: its one result."""
+    ((values, errors, evals),) = radial_integral_rows(lambda rho, which: np.moveaxis(rows(rho), 0, 1), 1, spec)
     return values, errors, evals
 
 
@@ -280,14 +280,14 @@ class TestRadialIntegralRows:
             assert abs(value - scalar.value) <= error + scalar.error_estimate
 
     def test_rule_exact_on_polynomials(self):
-        # the batch engine on the same table: x^j for j <= 22 on the two
-        # first halves, every row from one call
-        ((values, errors, evals),) = _adaptive_gk15(
-            lambda x, which: np.stack([x**j for j in range(23)], axis=1), [0.0, 1.0], False, 1e-6, passes=1
-        )
+        # the row loop on the same table: x^j for j <= 22 on the two first
+        # halves of [0, 1], every row from one call; every tail node lies
+        # past rho = 1, where the rows are 0
+        values, errors, evals = one_pass(lambda x: np.stack([np.where(x < 1.0, x**j, 0.0) for j in range(23)]),
+                                         QuadratureSpec(relative_tolerance=1e-6))
         assert values == pytest.approx([1 / (j + 1) for j in range(23)], rel=1e-14)
         assert (errors[:14] <= 1e-15).all()
-        assert evals == 30
+        assert evals == 23 * 60
 
     def test_non_finite_row_named(self):
         # every value is finite, but the Kronrod sum of the second row
@@ -305,6 +305,34 @@ class TestRadialIntegralRows:
         with pytest.raises(QuadratureError) as exc:
             one_pass(rows)
         assert str(exc.value) == "profile exceeds the float range at rho=0.012723021914310378"
+
+    def test_panel_cap(self):
+        # test_panel_cap of the scalar loop on a row, 0 on the tail: the
+        # text lists the row's value and estimate
+        with pytest.raises(QuadratureError) as exc:
+            one_pass(lambda rho: np.where(rho <= 1, np.cos(2e4 * rho), 0.0)[None],
+                     QuadratureSpec(relative_tolerance=1e-12))
+        assert re.fullmatch(
+            rf"requested tolerance 1e-12 not met with {_MAX_SUBINTERVALS} panels, the worst at "
+            r"rho in \[\S+, \S+\]: value=\[\S+\], error=\[\S+\]",
+            str(exc.value),
+        )
+
+    def test_panel_too_narrow_to_bisect(self):
+        # test_panel_too_narrow_to_bisect of the scalar loop on a row: 1/2
+        # is where [0, 1] is first bisected, and the node rho = 1/2 of the
+        # narrowest panels is guarded as the scalar profile guards it
+        def rows(rho):
+            d = np.abs(rho - 0.5)
+            return np.where((d > 0) & (rho <= 1), np.where(d > 0, d, 1.0) ** -0.9, 0.0)[None]
+
+        with pytest.raises(QuadratureError) as exc:
+            one_pass(rows)
+        assert re.fullmatch(
+            r"requested tolerance 1e-09 not met at rho in \[0\.5, 0\.5000000000000001\]: "
+            r"the panel cannot be bisected in floating point: value=\[\S+\], error=\[\S+\]",
+            str(exc.value),
+        )
 
     def test_tolerance_failure_lists_every_row(self):
         # P of (3, 3, 1.49975) on the pass: the tail stops as in
@@ -384,7 +412,7 @@ class TestLockstepPasses:
         # both halves of both pieces of all: a pass of r rounds evaluates
         # 60 + 30 (r - 1) nodes of its two rows
         rounds = [(n // 2 - 60) // 30 + 1 for *_, n in want]
-        assert calls[0] == [0, 1, 2, 3] and len(calls) == max(rounds)
+        assert calls[0] == [0, 0, 1, 1, 2, 2, 3, 3] and len(calls) == max(rounds)
         assert [sum(j in c for c in calls) for j in range(4)] == rounds
 
     @pytest.mark.parametrize(
@@ -403,6 +431,22 @@ class TestLockstepPasses:
         # a pass that fails drops the passes after it
         first = names.index("early") if "early" in names else len(names)
         assert all(max(c) < first for c in calls[1:])
+
+    def test_caller_error_state_between_results(self):
+        # the rows run with overflow and invalid values ignored, but no
+        # result reaches its consumer in that state, and a row function
+        # that raises leaves the caller in its own
+        with np.errstate(over="raise", invalid="raise"):
+            state = np.geterr()
+            results, _ = self.lockstep(["ok", "cubic"])
+            assert [np.geterr() for _ in results] == [state, state]
+
+            def rows(rho, which):
+                raise ValueError("a row function failed")
+
+            with pytest.raises(ValueError):
+                radial_integral_rows(rows, 2)
+            assert np.geterr() == state
 
     def test_no_passes(self):
         results, calls = self.lockstep([])
@@ -499,6 +543,18 @@ class TestGaussKronrodBatch:
         assert max(sizes[1:]) <= _BLOCK_VALUES < sizes[0]
         assert values[0] == pytest.approx(-np.expm1(-params) / params, rel=1e-12)
         assert values[2] == pytest.approx(1.0, rel=1e-14)
+
+    def test_empty_grid(self):
+        # the integrand on the empty block tells q: (q, 0) values and
+        # estimates, (0,) for one integral per parameter, and no evaluation
+        values, errors, evals = gauss_kronrod_batch(lambda x, p: np.stack([x * p, x + p, np.exp(-p * x)]), [])
+        assert values.shape == errors.shape == (3, 0) and evals == 0
+        values, errors, evals = gauss_kronrod_batch(lambda x, p: x * p, [])
+        assert values.shape == errors.shape == (0,) and evals == 0
+        masses, errors, evals = hyperbolic_gaussian_masses(3, [])
+        assert masses.shape == errors.shape == (0,) and evals == 0
+        masses, errors, evals = hyperbolic_gaussian_masses([3, 4], [])
+        assert masses.shape == errors.shape == (2, 0) and evals == 0
 
     def test_non_finite_raises(self):
         with pytest.raises(QuadratureError, match="non-finite"), np.errstate(all="ignore"):
