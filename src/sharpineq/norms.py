@@ -128,11 +128,6 @@ def _rows_value(norm: MinkowskiNorm, y: np.ndarray, dual: bool) -> np.ndarray:
         raise NormError(
             f"rows of shape {y.shape} incompatible with dimension {norm.dimension}"
         )
-    nonzero = np.any(y, axis=1)
-    if not nonzero.all():
-        out = np.zeros(len(y))
-        out[nonzero] = _rows_value(norm, y[nonzero], dual)
-        return out
     if norm.family == "weighted-euclidean":
         A = norm._matrix_inv if dual else norm.matrix
         return np.sqrt(np.einsum("ij,ij->i", y @ A, y))
@@ -143,6 +138,11 @@ def _rows_value(norm: MinkowskiNorm, y: np.ndarray, dual: bool) -> np.ndarray:
         # float_power is libm pow, as in the one-vector np.float64 ** x; the
         # array ** of numpy's SIMD loop differs from it in the last ulp
         return np.float_power(np.sum(np.abs(y) ** p, axis=1), 1.0 / p)
+    nonzero = np.any(y, axis=1)
+    if not nonzero.all():
+        out = np.zeros(len(y))
+        out[nonzero] = _rows_value(norm, y[nonzero], dual)
+        return out
     if dual:
         return np.fromiter((_dual_by_maximization(norm, a)[0] for a in y), float, len(y))
     return np.fromiter(map(norm.value_fn, y), float, len(y))
@@ -158,14 +158,17 @@ def norm_value(norm: MinkowskiNorm, y: np.ndarray) -> float | np.ndarray:
     if getattr(y, "ndim", 1) == 2:
         return _rows_value(norm, y.astype(float, copy=False), dual=False)
     y = _check_dim(norm, y)
-    # the ndarray methods and math.sqrt skip numpy's dispatch of np.any, np.sum
-    # and np.sqrt on every per-point call, with the same values
-    if not y.any():
-        return 0.0
+    # the closed forms give +0.0 at the origin without a zero test (the
+    # products sum from +0.0); the ndarray methods and math.sqrt skip numpy's
+    # dispatch of np.sum and np.sqrt on every per-point call, with the same values
     if norm.family == "weighted-euclidean":
         return math.sqrt(y @ norm.matrix @ y)
     if norm.family == "lp":
         return float((np.abs(y) ** norm.exponent).sum() ** (1.0 / norm.exponent))
+    # value_fn is never called at the origin; the Python floats of tolist
+    # test that several times faster than ndarray.any
+    if not any(y.tolist()):
+        return 0.0
     return float(norm.value_fn(y))
 
 
@@ -283,14 +286,15 @@ def dual_norm_value(norm: MinkowskiNorm, alpha: Covector) -> float | np.ndarray:
     if getattr(alpha, "ndim", 1) == 2:
         return _rows_value(norm, alpha.astype(float, copy=False), dual=True)
     alpha = _check_dim(norm, alpha)
-    if not alpha.any():
-        return 0.0
+    # zero tests as in norm_value
     if norm.family == "weighted-euclidean":
         return math.sqrt(alpha @ norm._matrix_inv @ alpha)
     if norm.family == "lp":
         p = norm.exponent
         s = p / (p - 1)
         return float((np.abs(alpha) ** s).sum() ** (1.0 / s))
+    if not any(alpha.tolist()):
+        return 0.0
     val, _ = _dual_by_maximization(norm, alpha)
     return val
 
@@ -398,10 +402,14 @@ def uniformity_constant(norm: MinkowskiNorm, resolution: int = 64) -> float:
     return float((((betas @ H) * betas).sum(axis=2) / dual_sq).min())
 
 
-# nodes per axis of each face of the first face grid, by dimension (n >= 4
-# take the default)
-_FACE_NODES = {2: 129, 3: 17}
-_FACE_NODES_DEFAULT = 5
+# The first face grid has G = 2^j + 1 >= _LEAST_NODES nodes per axis, the G
+# of least cost (G + 2)^n - G^n + m / (G - 1)^2 among the grids of at most
+# m / 8 nodes, m the sample count: value_fn calls on the grid plus on the
+# samples its bounds leave open.  The bounds' gap is O(h^2), h = 2 / (G - 1);
+# on the weighted-l3 and euclidean-plus-l4 norms of perfbench's norms-mc
+# catalogue (n = 2, 3) the open share measured 0.7-1.3 / (G - 1)^2 for every
+# G from 9 to 65 at 2^18 samples.
+_LEAST_NODES = 5
 # a bound settles a sample only this far from F = 1
 _MARGIN = 1e-9
 # rows classified at once: keeps the classifier's temporaries to a few hundred kB
@@ -429,7 +437,8 @@ class _FaceGrid:
     nearest x, is <= F (convexity along the line through x and b).
     """
 
-    def __init__(self, norm: MinkowskiNorm, nodes: int):
+    def __init__(self, norm: MinkowskiNorm, nodes: int, coarser: Optional[_FaceGrid] = None):
+        """Tabulate F in one row call, taking the nodes of a coarser grid of (nodes + 1) / 2 from its table."""
         n = norm.dimension
         self.n, self.nodes = n, nodes
         self.per_unit = (nodes - 1) / 2  # lattice position of x: (x + 1) per_unit + 1
@@ -438,11 +447,18 @@ class _FaceGrid:
         index = np.unique(
             np.concatenate([np.insert(rest, i, k, axis=1) for i in range(n) for k in (1, nodes)]), axis=0
         )
-        values = norm_value(norm, -1 + (index - 1) / self.per_unit)
+        at = (index @ self.strides).astype(np.intp)
+        face = ((index >= 1) & (index <= nodes)).all(axis=1)  # the face grids proper, without the rings
         self.table = np.zeros((nodes + 2) ** n)
-        self.table[(index @ self.strides).astype(np.intp)] = values
-        # least F over the face grids proper, without the rings
-        self.least = values[((index >= 1) & (index <= nodes)).all(axis=1)].min()
+        new = np.ones(len(index), dtype=bool)
+        if coarser is not None:
+            # the coarser grid's face node k is node 2k - 1 here, at the same
+            # point: (k - 1) / ((G - 1) / 2) and (2k - 2) / (G - 1) are one
+            # correctly rounded quotient of integers
+            new = ~(face & (index % 2 == 1).all(axis=1))
+            self.table[at[~new]] = coarser.table[(((index[~new] + 1) // 2) @ coarser.strides).astype(np.intp)]
+        self.table[at[new]] = norm_value(norm, -1 + (index[new] - 1) / self.per_unit)
+        self.least = self.table[at[face]].min()
         self._check_convex()
 
     def _check_convex(self) -> None:
@@ -557,6 +573,24 @@ class _FaceGrid:
         return low, worst
 
 
+def _grid_size(nodes: int, n: int) -> int:
+    """Distinct nodes of a face grid of G nodes per axis with its ring: (G + 2)^n - G^n."""
+    return (nodes + 2) ** n - nodes**n
+
+
+def _first_nodes(n: int, mc_samples: int) -> int:
+    """G of the first face grid, by the cost rule stated at _LEAST_NODES.
+
+    When no grid fits in mc_samples / 8 nodes this is _LEAST_NODES, which
+    does not fit either.
+    """
+    fits, nodes = [], _LEAST_NODES
+    while _grid_size(nodes, n) <= mc_samples / 8:
+        fits.append(nodes)
+        nodes = 2 * nodes - 1
+    return min(fits, key=lambda g: _grid_size(g, n) + mc_samples / (g - 1) ** 2, default=_LEAST_NODES)
+
+
 def _sampling_box(norm: MinkowskiNorm, mc_samples: int) -> tuple[float, Optional[_FaceGrid]]:
     """Half-width of the Monte Carlo cube, and the face grid if one is built.
 
@@ -566,14 +600,15 @@ def _sampling_box(norm: MinkowskiNorm, mc_samples: int) -> tuple[float, Optional
     max |y_i| over the ball, widens the cube to hold the whole ball.  B
     aims at certifying the sampled cube, or 1.05 / (least node value) if
     that is smaller; a grid whose B falls short is replaced by one of half
-    the spacing while that fits.
+    the spacing, which takes the shared nodes from its table, while that
+    fits; _first_nodes sets the first grid's size.
     """
     n = norm.dimension
     half = (1.0 / norm_value(norm, _sphere_lattice(n, 256))).max() * 1.05
-    nodes = _FACE_NODES.get(n, _FACE_NODES_DEFAULT)
+    nodes = _first_nodes(n, mc_samples)
     grid = None
-    while (nodes + 2) ** n - nodes**n <= mc_samples / 8:
-        grid = _FaceGrid(norm, nodes)
+    while _grid_size(nodes, n) <= mc_samples / 8:
+        grid = _FaceGrid(norm, nodes, grid)
         target = min(1 / half, grid.least / 1.05)
         low, (i, k) = grid.lower_bound(target)
         if low >= target:
@@ -600,16 +635,25 @@ def unit_ball_volume(norm: MinkowskiNorm, mc_samples: int = 1 << 20, mc_seed: in
 
     Certificate.  F is tabulated, in one row-batched call, on a grid of G
     nodes per axis over each face {y_i = +-1} of the cube [-1, 1]^n plus
-    one ring outside it (G = 129 for n = 2, 17 for n = 3, 5 above;
-    (G + 2)^n - G^n distinct nodes), when that is at most mc_samples / 8.
-    A point y goes to a face at x = y / max |y_i|, where F(y) = max |y_i|
-    F(x).  For convex F the piecewise-linear (Freudenthal) interpolant U of
-    the face table is >= F (Jensen), and L(x) = 2 F(b) - U(2 b - x), b the
-    nearest node, is <= F (convexity along the line through b).  A point
-    is inside if max |y_i| U < 1 - 1e-9 and outside if max |y_i| L >
-    1 + 1e-9; ``value_fn`` is called only on the rest.  For a ``value_fn``
-    accurate to well below 1e-9 the volume is therefore identical to the
-    count of per-point evaluations.
+    one ring outside it, (G + 2)^n - G^n distinct nodes, when that is at
+    most mc_samples / 8.  A point y goes to a face at x = y / max |y_i|,
+    where F(y) = max |y_i| F(x).  For convex F the piecewise-linear
+    (Freudenthal) interpolant U of the face table is >= F (Jensen), and
+    L(x) = 2 F(b) - U(2 b - x), b the nearest node, is <= F (convexity
+    along the line through b).  A point is inside if max |y_i| U < 1 - 1e-9
+    and outside if max |y_i| L > 1 + 1e-9; ``value_fn`` is called only on
+    the rest.  For a ``value_fn`` accurate to well below 1e-9 the volume is
+    therefore identical to the count of per-point evaluations, whatever G.
+
+    Grid size.  G is a cost choice: G = 2^j + 1 >= 5 with the least
+    (G + 2)^n - G^n + mc_samples / (G - 1)^2, grid nodes plus the samples
+    the bounds leave open, among the grids that fit.  The gap between U and
+    L is O(h^2), h = 2 / (G - 1); on the weighted-l3 and euclidean-plus-l4
+    norms of perfbench's norms-mc catalogue (n = 2, 3) about
+    0.7-1.3 mc_samples / (G - 1)^2 samples stayed open for G = 9 to 65.
+    At 2^14, 2^15 and 2^16 samples the rule takes G = 17, 33, 33 in n = 2
+    and 9 in n = 3; at the default 2^20 it takes 65 in n = 2, 17 in n = 3,
+    9 in n = 4 and 5 in n = 5 and 6.
 
     Convexity.  The certificate holds only for convex F: NormError, naming
     the face and the node, is raised when a second difference of a face
@@ -621,7 +665,8 @@ def unit_ball_volume(norm: MinkowskiNorm, mc_samples: int = 1 << 20, mc_seed: in
     1 / B on max |y_i| over the ball, B a convexity lower bound of F on
     the faces, so that the cube holds the whole ball.  Where B cannot
     certify the sampled cube (nor come within 5% of the least node value),
-    the grid is rebuilt at half the spacing while it fits; NormError is
+    the grid is refined to half the spacing while it fits, evaluating only
+    the nodes the coarser grid does not share; NormError is
     raised when B is not positive (F vanishes somewhere, or the ball is
     too eccentric for the grid).  Without a grid (too few samples) the box
     is the sampled one and neither check runs.  A count with no sample

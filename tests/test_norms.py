@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -54,6 +55,47 @@ class TestNormValue:
     def test_zero_vector(self):
         assert norm_value(lp(3, 4.0), np.zeros(3)) == 0.0
         assert norm_value(euclid(3), np.zeros(3)) == 0.0
+
+    @pytest.mark.parametrize(
+        "norm",
+        [
+            euclid(3),
+            # off-diagonal entries of both signs: signed zeros meet in y A y
+            MinkowskiNorm(
+                3,
+                "weighted-euclidean",
+                matrix=np.array([[2.0, -0.5, 0.3], [-0.5, 1.0, -0.2], [0.3, -0.2, 1.5]]),
+            ),
+            lp(3, 1.5),
+            lp(3, 4.0),
+        ],
+    )
+    @pytest.mark.parametrize("fn", [norm_value, dual_norm_value])
+    def test_closed_forms_give_positive_zero_at_the_origin(self, norm, fn):
+        # no zero test: the closed forms themselves must give +0.0, from
+        # every signed zero vector, alone and as rows
+        zeros = np.array(list(itertools.product([0.0, -0.0], repeat=3)))
+        for z in zeros:
+            v = fn(norm, z)
+            assert type(v) is float and v == 0.0 and math.copysign(1.0, v) == 1.0
+        rows = fn(norm, np.concatenate([zeros, np.ones((1, 3))]))
+        assert np.all(rows[:-1] == 0.0) and np.all(np.copysign(1.0, rows[:-1]) == 1.0)
+        assert rows[-1] == fn(norm, np.ones(3))
+
+    @pytest.mark.parametrize("fn", [norm_value, dual_norm_value])
+    def test_custom_value_fn_is_never_called_at_the_origin(self, fn):
+        calls = []
+
+        def value(y):
+            calls.append(y)
+            return float(np.linalg.norm(y))
+
+        custom = MinkowskiNorm(2, "custom", value_fn=value)
+        for z in ([0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]):
+            v = fn(custom, np.array(z))
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
+            assert np.all(fn(custom, np.array([z, z])) == 0.0)
+        assert calls == []
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(NormError):
@@ -538,8 +580,11 @@ class TestVolumes:
         assert vol == pytest.approx(closed, rel=0.02)
 
     def test_custom_volume_calls_value_fn_near_the_boundary_only(self):
-        # weighted l3 in n = 3: 256 support radii, 1946 grid nodes and the
-        # samples the face-grid bounds leave open, against 65 792 per point
+        # weighted l3 in n = 3 at 2^16 samples: 256 support radii, the 602
+        # nodes of the 9-node face grid and the 1081 samples its bounds leave
+        # open (about 2^16 / (9 - 1)^2 = 1024), 1939 calls against 65 792 per
+        # point; the margin of 100 calls leaves room for a value_fn that
+        # rounds differently, while the 17-node grid's 1946 nodes would not fit
         w = np.arange(1.0, 4.0)
         calls = []
 
@@ -551,7 +596,7 @@ class TestVolumes:
         vol = unit_ball_volume(custom, mc_samples=1 << 16)
         closed = (2 * math.gamma(4 / 3)) ** 3 / math.gamma(2) / 6 ** (1 / 3)
         assert vol == pytest.approx(closed, rel=0.02)
-        assert len(calls) <= 4000
+        assert len(calls) <= 1939 + 100
 
     @pytest.mark.parametrize("n, eps", [(2, 1e-4), (3, 1e-3)])
     def test_sampling_box_holds_an_eccentric_ball(self, n, eps):
@@ -566,6 +611,60 @@ class TestVolumes:
         box = (2 * half) ** n
         se = box * math.sqrt(exact / box * (1 - exact / box) / samples)
         assert abs(unit_ball_volume(custom, mc_samples=samples) - exact) <= 4 * se
+
+    @pytest.mark.parametrize("n, eps, sizes", [(2, 1e-4, [65, 129, 257, 513]), (3, 1e-3, [17, 33, 65])])
+    def test_refined_grids_evaluate_only_their_new_nodes(self, n, eps, sizes, monkeypatch):
+        # the ellipse of the test above at 2^18 samples: no grid before the
+        # last certifies the sampled cube, and each finer grid takes the
+        # coarser grid's face nodes, G^n - (G - 2)^n of them, from its table
+        w = np.array([eps] + [1.0] * (n - 1))
+        calls = []
+
+        def value(y):
+            calls.append(1)
+            return math.sqrt(y @ (w * y))
+
+        built = []
+        init = norms._FaceGrid.__init__
+
+        def record(self, norm, nodes, coarser=None):
+            built.append(nodes)
+            init(self, norm, nodes, coarser)
+
+        monkeypatch.setattr(norms._FaceGrid, "__init__", record)
+        _sampling_box(MinkowskiNorm(n, "custom", value_fn=value), 1 << 18)
+        assert built == sizes
+        fresh = [(g + 2) ** n - g**n - (c**n - (c - 2) ** n) for c, g in zip(sizes, sizes[1:])]
+        assert len(calls) == 256 + (sizes[0] + 2) ** n - sizes[0] ** n + sum(fresh)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_refined_table_equals_a_table_built_from_scratch(self, n):
+        custom = custom_lp(n, 3.0)
+        coarse = norms._FaceGrid(custom, 5)
+        assert np.array_equal(norms._FaceGrid(custom, 9, coarse).table, norms._FaceGrid(custom, 9).table)
+
+    @pytest.mark.parametrize("shape", ["lp3w", "mix"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("samples", [1 << 14, 1 << 16])
+    def test_face_grid_size_is_only_a_cost_choice(self, shape, n, samples, monkeypatch):
+        # the custom norms of perfbench's norms-mc catalogue; the rule's grid,
+        # the former fixed grid (129 nodes per axis for n = 2, 17 for n = 3,
+        # 5 above) and value_fn point by point count the same samples
+        w = np.arange(1.0, n + 1)
+        if shape == "lp3w":
+            def value(y):
+                return float(np.sum(w * np.abs(y) ** 3) ** (1 / 3))
+        else:
+            def value(y):
+                return float(math.sqrt(y @ (w * y)) + np.sum(y**4) ** 0.25)
+        custom = MinkowskiNorm(n, "custom", value_fn=value)
+        vol = unit_ball_volume(custom, mc_samples=samples)
+        half, _ = _sampling_box(custom, samples)
+        pts = np.random.Generator(np.random.Philox(key=0x5EED)).uniform(-half, half, size=(samples, n))
+        hits = sum(value(y) < 1.0 for y in pts)
+        assert vol == (2 * half) ** n * hits / samples
+        monkeypatch.setattr(norms, "_first_nodes", lambda n, m: {2: 129, 3: 17}.get(n, 5))
+        assert unit_ball_volume(custom, mc_samples=samples) == vol
 
     def test_unbounded_ball_raises(self):
         # |y_1| + |y_2| vanishes along y_0: no box holds its "unit ball"
