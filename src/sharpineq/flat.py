@@ -302,16 +302,24 @@ def _extremal_passes(t: ExponentTriple, lam_grid: Sequence[float], spec: Quadrat
     """
     lam = np.array(lam_grid, dtype=float)[:, None]
     h = 1e-5 * lam
-    lams, n = np.concatenate([lam, lam + h, lam - h, lam + h / 2, lam - h / 2], axis=1), t.n
-    kernels = {}  # the P and R kernels of every set of passes a round serves
+    lams, n, m = np.concatenate([lam, lam + h, lam - h, lam + h / 2, lam - h / 2], axis=1), t.n, len(lam)
+    # the P and R kernels of every pass, built once: (pass, 1, row, 1, 1)
+    kh, kg = _kernel_h(t, lams[:, None, :, None, None]), _kernel_g(t, lam[:, None, :, None, None])
 
     def rows(rho, which):
-        key = which.tobytes()
-        if key not in kernels:
-            kernels[key] = _kernel_h(t, lams[which, :, None, None]), _kernel_g(t, lam[which, :, None, None])
-        kh, kg = kernels[key]
-        rho = rho[:, None]
-        return np.concatenate([kh(rho), kg(rho)], axis=1) * rho**n
+        # the round's nodes by pass, (pass, bisection, 1, half, node): the
+        # first round holds both pieces of every pass, pass by pass, a later
+        # one a bisection of every pass still refining, and the passes that
+        # left take rho = 1
+        if len(which) == 2 * m:
+            at = rho.reshape(m, 2, 1, 2, -1)
+        elif len(which) == m:
+            at = rho.reshape(m, 1, 1, 2, -1)
+        else:
+            at = np.ones((m, 1, 1) + rho.shape[1:])
+            at[which, 0, 0] = rho
+        v = (np.concatenate([kh(at), kg(at)], axis=2) * at**n).reshape((-1, 6) + rho.shape[1:])
+        return v if len(which) >= m else v[which]
 
     omega = ball_volume_constant(n)
     for points, (values, errors, evals) in zip(lams.tolist(), radial_integral_rows(rows, len(lam), spec)):

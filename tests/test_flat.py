@@ -202,11 +202,12 @@ class TestExtremalIntegrals:
     @pytest.mark.parametrize("check", [check_pqr_identity, check_p_ode])
     def test_overflow_named_on_the_pass(self, check):
         # the pass names the first node where a row leaves the float range,
-        # in the scalar node order; at lam = 0.25 it is pqr's node, at
-        # lam = 0.5 the kernel is inf (pqr reports the sum it makes); no
-        # numpy warning escapes
+        # in the scalar node order of the head's variable x = sqrt(rho): at
+        # lam = 0.25 the left half's centre x = 0.25, at lam = 0.5 its outer
+        # Gauss node x = 0.0127..., where the kernel is inf (pqr reports the
+        # sum it makes); no numpy warning escapes
         t = ExponentTriple(3, 2.002, 1.0)
-        for lam, rho in ((0.5, "0.0002670196524746059"), (0.25, "0.012723021914310378")):
+        for lam, rho in ((0.5, "0.00016187528663202212"), (0.25, "0.0625")):
             with pytest.raises(QuadratureError) as exc:
                 check(t, [lam])
             assert str(exc.value) == f"profile exceeds the float range at rho={rho}"
@@ -326,6 +327,21 @@ class TestExtremalPass:
                 return type(exc), str(exc)
 
         assert outcome(lambda: flat.pqr_reports(t, grid)) == outcome(lambda: one_lambda_at_a_time(t, grid))
+
+    @pytest.mark.parametrize("triple, rounds", [((3, 2.5, 1.5), 4), ((4, 3.0, 0.5), 5)])
+    def test_rounds_of_one_pass(self, monkeypatch, triple, rounds):
+        # the lam = 1 pass at 1e-12 meets the rule in this many rounds, one
+        # call of its rows each: the graded maps take the algebraic endpoint
+        # powers of these integrands in a few bisections
+        calls = []
+        original = flat.radial_integral_rows
+
+        def counted(rows, passes, spec):
+            return original(lambda rho, which: calls.append(which) or rows(rho, which), passes, spec)
+
+        monkeypatch.setattr(flat, "radial_integral_rows", counted)
+        flat.pqr_reports(ExponentTriple(*triple), [1.0], QuadratureSpec(relative_tolerance=1e-12))
+        assert len(calls) == rounds
 
     def test_p_ode_residual_from_the_pass_points(self):
         # fd_derivative's Richardson quotient of the pass's five P values

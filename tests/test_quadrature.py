@@ -279,32 +279,60 @@ class TestRadialIntegralRows:
             scalar = radial_integral(prof, ("power", 0), spec)
             assert abs(value - scalar.value) <= error + scalar.error_estimate
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_slow_algebraic_tail(self, tol):
+        # int rho^-1/2 / (1 + rho) = pi: rho^-1/2 at 0 and rho^-3/2 at
+        # infinity are constants in the graded variables, so the first sweep
+        # meets the rule
+        values, errors, evals = one_pass(lambda rho: (1 / (np.sqrt(rho) * (1 + rho)))[None],
+                                         QuadratureSpec(relative_tolerance=tol))
+        assert abs(values[0] - math.pi) <= errors[0] <= tol * math.pi
+        assert evals == 60
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_beta_rows(self, tol):
+        # int rho^(a-1) (1 + rho)^-(a+b) = B(a, b): half-integer powers at 0
+        # and at infinity, every row within its estimate of the Beta function
+        # (plus a few ulp of its lgamma form)
+        ab = [(0.5, 0.5), (1.5, 0.5), (0.5, 1.5)]
+        values, errors, _ = one_pass(lambda rho: np.stack([rho ** (a - 1) * (1 + rho) ** -(a + b) for a, b in ab]),
+                                     QuadratureSpec(relative_tolerance=tol))
+        for value, error, (a, b) in zip(values, errors, ab):
+            exact = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+            assert abs(value - exact) <= error + 2.0**-50 * exact
+            assert error <= tol * abs(value)
+
     def test_rule_exact_on_polynomials(self):
-        # the row loop on the same table: x^j for j <= 22 on the two first
-        # halves of [0, 1], every row from one call; every tail node lies
-        # past rho = 1, where the rows are 0
-        values, errors, evals = one_pass(lambda x: np.stack([np.where(x < 1.0, x**j, 0.0) for j in range(23)]),
-                                         QuadratureSpec(relative_tolerance=1e-6))
+        # the row loop on the same table: x^j for j <= 22 in the head's
+        # variable x = sqrt(rho) on the two first halves of [0, 1], every
+        # row from one call, so the row in rho is x^j / (d rho / dx) =
+        # x^(j-1) / 2; every tail node lies past rho = 1, where the rows are 0
+        def rows(rho):
+            x = np.sqrt(rho)
+            return np.stack([np.where(rho < 1.0, x ** (j - 1) / 2, 0.0) for j in range(23)])
+
+        values, errors, evals = one_pass(rows, QuadratureSpec(relative_tolerance=1e-6))
         assert values == pytest.approx([1 / (j + 1) for j in range(23)], rel=1e-14)
         assert (errors[:14] <= 1e-15).all()
         assert evals == 23 * 60
 
     def test_non_finite_row_named(self):
         # every value is finite, but the Kronrod sum of the second row
-        # overflows; the message names the piece and that row's sum
+        # overflows, and so do its values times d rho / dx = 2x near x = 1;
+        # the message names the piece and that row's sum
         with pytest.raises(QuadratureError) as exc:
             one_pass(lambda rho: np.stack([1 / (1 + rho) ** 3, np.full(rho.shape, 1e308)]))
         assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
 
     def test_node_outside_float_range_named(self):
         # the first node outside the float range in the scalar order: the
-        # left half's centre 0.25, then its outer Gauss node
+        # left half's centre x = 0.25, rho = x^2 = 0.0625
         def rows(rho):
             return np.stack([1 / (1 + rho) ** 3, np.where(rho < 0.25, np.inf, 1 / (1 + rho) ** 3)])
 
         with pytest.raises(QuadratureError) as exc:
             one_pass(rows)
-        assert str(exc.value) == "profile exceeds the float range at rho=0.012723021914310378"
+        assert str(exc.value) == "profile exceeds the float range at rho=0.0625"
 
     def test_panel_cap(self):
         # test_panel_cap of the scalar loop on a row, 0 on the tail: the
@@ -319,17 +347,18 @@ class TestRadialIntegralRows:
         )
 
     def test_panel_too_narrow_to_bisect(self):
-        # test_panel_too_narrow_to_bisect of the scalar loop on a row: 1/2
-        # is where [0, 1] is first bisected, and the node rho = 1/2 of the
-        # narrowest panels is guarded as the scalar profile guards it
+        # test_panel_too_narrow_to_bisect of the scalar loop on a row: x = 1/2
+        # is where [0, 1] is first bisected, rho = x^2 = 1/4 there, and the
+        # node rho = 1/4 of the narrowest panels is guarded as the scalar
+        # profile guards rho = 1/2
         def rows(rho):
-            d = np.abs(rho - 0.5)
+            d = np.abs(rho - 0.25)
             return np.where((d > 0) & (rho <= 1), np.where(d > 0, d, 1.0) ** -0.9, 0.0)[None]
 
         with pytest.raises(QuadratureError) as exc:
             one_pass(rows)
         assert re.fullmatch(
-            r"requested tolerance 1e-09 not met at rho in \[0\.5, 0\.5000000000000001\]: "
+            r"requested tolerance 1e-09 not met at rho in \[0\.25, 0\.2500000000000001\]: "
             r"the panel cannot be bisected in floating point: value=\[\S+\], error=\[\S+\]",
             str(exc.value),
         )
