@@ -19,12 +19,13 @@ from .quadrature import (
     QuadratureSpec,
     RadialProfile,
     fd_derivative,
-    flat_radial_volume_integral,
+    flat_radial_volume_integral,  # unused here; perfbench/tracer.py wraps it at this import site
     gauss_kronrod_batch,
     gaussian_integrals,
     monte_carlo_integral,
     radial_integral,
     radial_integral_rows,
+    radial_integrals,
 )
 
 __all__ = [
@@ -203,18 +204,49 @@ def _relative_errors(*results: IntegralResult) -> tuple:
     return tuple(r.error_estimate / max(abs(r.value), 1e-300) for r in results)
 
 
-def _integrals(u, volume, n: int, spec: QuadratureSpec, *terms) -> list:
-    """volume(fn, n, spec) for every (fn, power) term.
+def _integrals(u: RadialFunction, weight: str, n: int, spec: QuadratureSpec, *terms) -> list:
+    """n omega_n int row(rho) w(rho)^(n-1) d rho for every (row, power) term, on one adaptive mesh.
 
-    u is a RadialFunction; fn decays like |u|^power times a power of rho, so
-    it gets that decay class and u's breakpoints.  volume is
-    flat_radial_volume_integral or hyperbolic_radial_volume_integral.
+    weight is 'power' (w = rho, flat space) or 'sinh-power' (w = sinh, the
+    curvature -1 model).  A row maps the columns of one bisection's radii
+    rs, u and u' there (us, ds) and the weights ws to its values times ws;
+    it decays like |u|^power times a power of rho, so it gets that decay
+    class.  All rows share one radial_integrals pass over u's breakpoints,
+    cut at the largest truncation radius of their decay classes; u and u'
+    are evaluated once per radius for every row.
     """
-    prof = u.profile
-    return [
-        volume(RadialProfile(fn, prof.decay.scaled(power), breakpoints=prof.breakpoints), n, spec)
-        for fn, power in terms
-    ]
+    prof, du = u.profile, u.derivative
+    f = prof.evaluator
+    rows = [row for row, _ in terms]
+
+    def columns(rs, ws):
+        us, ds = list(map(f, rs)), list(map(du, rs))
+        return [row(rs, us, ds, ws) for row in rows]
+
+    decays = [prof.decay.scaled(power) for _, power in terms]
+    c = n * ball_volume_constant(n)
+    return [_scaled(r, c) for r in radial_integrals(columns, decays, (weight, n - 1), spec, prof.breakpoints)]
+
+
+# rows of _integrals shared by several reports
+def _energy_col(rs, us, ds, ws):
+    """(u')^2 w."""
+    return [d * d * w for d, w in zip(ds, ws)]
+
+
+def _mass_col(rs, us, ds, ws):
+    """u^2 w."""
+    return [v * v * w for v, w in zip(us, ws)]
+
+
+def _moment_col(rs, us, ds, ws):
+    """rho^2 u^2 w."""
+    return [r * r * v * v * w for r, v, w in zip(rs, us, ws)]
+
+
+def _hardy_col(rs, us, ds, ws):
+    """u^2 / rho^2 w."""
+    return [v * v / (r * r) * w for r, v, w in zip(rs, us, ws)]
 
 
 def _kernel_h(t: ExponentTriple, lam) -> Callable:
@@ -261,9 +293,9 @@ def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = Quadra
 
     P = omega_n int rho^n h, R = omega_n int rho^n g,
     Q = ((2-q)/(p-2))^2 * R, each one radial_integral.  The identity checks
-    take P and R from one row pass per lam instead (pqr_reports), on a mesh
-    refined for every row, so their values agree with these within the
-    error estimates, not bit for bit.
+    take P and R from one row pass per lam instead (check_pqr_identity,
+    pqr_reports), on a mesh refined for every row, so their values agree
+    with these within the error estimates, not bit for bit.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -290,19 +322,24 @@ def _scaled(r: IntegralResult, c: float) -> IntegralResult:
     return IntegralResult(c * r.value, c * r.error_estimate, r.nodes_used)
 
 
-def _extremal_passes(t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec) -> Iterator[tuple]:
-    """P at lam and at fd_derivative's four points around it, and R at lam, for every lam of lam_grid.
+def _extremal_passes(
+    t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec, fd: bool = True
+) -> Iterator[tuple]:
+    """P at lam and, if fd, at fd_derivative's four points around it, and R at lam, for every lam of lam_grid.
 
     The points are lam + h, lam - h, lam + h/2 and lam - h/2 with
-    h = 1e-5 lam, as fd_derivative forms them.  The six integrals of a lam
-    are the rows of one radial_integral_rows pass, and the passes of the
-    grid run in lockstep, each on its own mesh.  Yields one (the five
-    points, lam first; P at each; R) per lam, in grid order; a failed pass
-    raises its error when its turn comes.
+    h = 1e-5 lam, as fd_derivative forms them.  The integrals of a lam (six,
+    or P and R without fd) are the rows of one radial_integral_rows pass,
+    and the passes of the grid run in lockstep, each on its own mesh.
+    Yields one (the points, lam first; P at each; R) per lam, in grid order;
+    a failed pass raises its error when its turn comes.
     """
+    if any(lam <= 0 for lam in lam_grid):
+        raise ValueError("lam must be positive")
     lam = np.array(lam_grid, dtype=float)[:, None]
     h = 1e-5 * lam
-    lams, n, m = np.concatenate([lam, lam + h, lam - h, lam + h / 2, lam - h / 2], axis=1), t.n, len(lam)
+    lams = np.concatenate([lam, lam + h, lam - h, lam + h / 2, lam - h / 2], axis=1) if fd else lam
+    n, m, q = t.n, len(lam), lams.shape[1] + 1
     # the P and R kernels of every pass, built once: (pass, 1, row, 1, 1)
     kh, kg = _kernel_h(t, lams[:, None, :, None, None]), _kernel_g(t, lam[:, None, :, None, None])
 
@@ -318,13 +355,19 @@ def _extremal_passes(t: ExponentTriple, lam_grid: Sequence[float], spec: Quadrat
         else:
             at = np.ones((m, 1, 1) + rho.shape[1:])
             at[which, 0, 0] = rho
-        v = (np.concatenate([kh(at), kg(at)], axis=2) * at**n).reshape((-1, 6) + rho.shape[1:])
+        v = (np.concatenate([kh(at), kg(at)], axis=2) * at**n).reshape((-1, q) + rho.shape[1:])
         return v if len(which) >= m else v[which]
 
     omega = ball_volume_constant(n)
-    for points, (values, errors, evals) in zip(lams.tolist(), radial_integral_rows(rows, len(lam), spec)):
+    for points, (values, errors, evals) in zip(lams.tolist(), radial_integral_rows(rows, m, spec)):
         results = [IntegralResult(omega * v, omega * e, evals) for v, e in zip(values.tolist(), errors.tolist())]
         yield points, results[:-1], results[-1]
+
+
+def _identity_report(t: ExponentTriple, P: IntegralResult, R: IntegralResult) -> InequalityReport:
+    """Q R / P^2 against (n-q)^2 / p^2, its errors in (P, Q, R) order: the err column is their float sum."""
+    Q = _q_from_r(t, R)
+    return replace(InequalityReport.product(Q, R, P, t.target), integral_errors=_relative_errors(P, Q, R))
 
 
 def pqr_reports(
@@ -340,25 +383,25 @@ def pqr_reports(
     several failing lam, the first raises.  Returns one (report, residual)
     pair per lam.
     """
-    if any(lam <= 0 for lam in lam_grid):
-        raise ValueError("lam must be positive")
     coeff = (1 / (2 - t.q)) * (-t.n + 2 * (t.p - t.q) / (t.p - 2))
     out = []
     for lam, (lams, Ps, R) in zip(lam_grid, _extremal_passes(t, lam_grid, spec)):
-        P, Q = Ps[0], _q_from_r(t, R)
-        rep = InequalityReport.product(Q, R, P, t.target)
-        # errors in (P, Q, R) order: the err column is their float sum
-        rep = replace(rep, integral_errors=_relative_errors(P, Q, R))
+        P = Ps[0]
         derivative = fd_derivative(dict(zip(lams, (x.value for x in Ps))).__getitem__, lam)
-        out.append((rep, (coeff * P.value + lam * derivative) / P.value))
+        out.append((_identity_report(t, P, R), (coeff * P.value + lam * derivative) / P.value))
     return out
 
 
 def check_pqr_identity(
     t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
 ) -> list[InequalityReport]:
-    """Q R / P^2 against (n-q)^2 / p^2 on a lambda grid (an equality): pqr_reports' reports."""
-    return [rep for rep, _ in pqr_reports(t, lam_grid, spec)]
+    """Q R / P^2 against (n-q)^2 / p^2 on a lambda grid (an equality).
+
+    P and R of every lam are the two rows of one radial_integral_rows pass,
+    the passes in lockstep (_extremal_passes without the finite-difference
+    points, which only check_p_ode reads).
+    """
+    return [_identity_report(t, Ps[0], R) for _, Ps, R in _extremal_passes(t, lam_grid, spec, fd=False)]
 
 
 def check_p_ode(
@@ -416,12 +459,12 @@ def interpolation_report(
     """
     if isinstance(u, RadialFunction):
         n, p, q = t.n, t.p, t.q
-        f, du = u.profile.evaluator, u.derivative
+        b, c = 2 * p - 2, 2 * q - 2
         A, B, C = _integrals(
-            u, flat_radial_volume_integral, n, spec,
-            (lambda r: du(r) ** 2, 2),
-            (lambda r: abs(f(r)) ** (2 * p - 2) / r ** (2 * q - 2), 2 * p - 2),
-            (lambda r: abs(f(r)) ** p / r**q, p),
+            u, "power", n, spec,
+            (_energy_col, 2),
+            (lambda rs, us, ds, ws: [abs(v) ** b / r**c * w for r, v, w in zip(rs, us, ws)], b),
+            (lambda rs, us, ds, ws: [abs(v) ** p / r**q * w for r, v, w in zip(rs, us, ws)], p),
         )
     else:
         A, B, C = _general_triple_integrals(norm, t, u, spec)
@@ -488,18 +531,11 @@ def gaussian_T(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> d
     return gaussian_T_grid(n, [lam], spec)[0]
 
 
-def _hpw(u: RadialFunction, volume, n: int, spec: QuadratureSpec) -> InequalityReport:
-    """Uncertainty product A M / L^2 of u against n^2/4, on either volume."""
-    prof, du = u.profile, u.derivative
-    if prof.decay.kind == "algebraic":
+def _hpw(u: RadialFunction, weight: str, n: int, spec: QuadratureSpec) -> InequalityReport:
+    """Uncertainty product A M / L^2 of u against n^2/4, on either volume (weight as for _integrals)."""
+    if u.profile.decay.kind == "algebraic":
         raise ValueError("the uncertainty product needs gaussian or compact decay")
-    f = prof.evaluator
-    A, M, L = _integrals(
-        u, volume, n, spec,
-        (lambda r: du(r) ** 2, 2),
-        (lambda r: r**2 * f(r) ** 2, 2),
-        (lambda r: f(r) ** 2, 2),
-    )
+    A, M, L = _integrals(u, weight, n, spec, (_energy_col, 2), (_moment_col, 2), (_mass_col, 2))
     if L.value == 0:
         raise ValueError("zero test function")
     return InequalityReport.product(A, M, L, n**2 / 4)
@@ -509,7 +545,7 @@ def hpw_report(
     norm: MinkowskiNorm, n: int, u: RadialFunction, spec: QuadratureSpec = QuadratureSpec()
 ) -> InequalityReport:
     """Uncertainty product over the squared mass, against n^2/4."""
-    return _hpw(u, flat_radial_volume_integral, n, spec)
+    return _hpw(u, "power", n, spec)
 
 
 def gaussian_hpw_reports(
@@ -563,12 +599,7 @@ def hardy_report(
         raise ValueError("Hardy needs n >= 3")
     if c > 0:
         raise ValueError("curvature bound must be <= 0")
-    f, du = u.profile.evaluator, u.derivative
-    A, H = _integrals(
-        u, flat_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2),
-        (lambda r: f(r) ** 2 / r**2, 2),
-    )
+    A, H = _integrals(u, "power", n, spec, (_energy_col, 2), (_hardy_col, 2))
     if H.value == 0:
         raise ValueError("zero test function")
     return InequalityReport.quotient(A, H, (n - 2) ** 2 / 4)
@@ -735,19 +766,19 @@ def double_hardy_report(
     Requires the support radius of u strictly inside R; flat instance, so the
     curvature defect vanishes and the remainder is (l/4) int u^2/(rho ln(eR/rho))^2.
     """
-    prof, du = u.profile, u.derivative
+    prof = u.profile
     if prof.decay.kind != "compact":
         raise ValueError("double Hardy needs compact support")
     if R <= prof.decay.support_radius:
         raise ValueError("R must exceed the support radius")
     if n < 3:
         raise ValueError("need n >= 3")
-    f = prof.evaluator
+    eR = math.e * R
     A, H, Rem = _integrals(
-        u, flat_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2),
-        (lambda r: f(r) ** 2 / r**2, 2),
-        (lambda r: f(r) ** 2 / (r * math.log(math.e * R / r)) ** 2, 2),
+        u, "power", n, spec,
+        (_energy_col, 2),
+        (_hardy_col, 2),
+        (lambda rs, us, ds, ws: [v * v / (r * math.log(eR / r)) ** 2 * w for r, v, w in zip(rs, us, ws)], 2),
     )
     if H.value == 0:
         raise ValueError("zero test function")

@@ -15,7 +15,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flat import InequalityReport, RadialFunction, _energy_row, _hardy_gaussian_integrals, _hpw, _integrals
+from .flat import (
+    InequalityReport,
+    RadialFunction,
+    _energy_col,
+    _energy_row,
+    _hardy_col,
+    _hardy_gaussian_integrals,
+    _hpw,
+    _integrals,
+    _moment_col,
+)
 from .norms import ball_volume_constant
 from .quadrature import (
     DecayClass,
@@ -164,7 +174,7 @@ def hpw_hyperbolic_report(
 
     Strictly above the target for every nonzero input; no extremal exists.
     """
-    return _hpw(u, hyperbolic_radial_volume_integral, n, spec)
+    return _hpw(u, "sinh-power", n, spec)
 
 
 def modified_hpw_report(
@@ -178,22 +188,22 @@ def modified_hpw_report(
     The corrected mass W weights u^2 by 1 + ((n-1)/n)(d coth d - 1).  For the
     gaussian family e^(-alpha d^2) this is an equality; any other admissible
     u stays above the target.  Given alpha, the report comes from
-    modified_hpw_reports' batched pass; given u, from one scalar
-    radial_integral per integral.
+    modified_hpw_reports' batched pass; given u, from one radial_integrals
+    pass over the three integrals.
     """
     if (alpha is None) == (u is None):
         raise ValueError("pass exactly one of alpha or u")
     if u is None:
         return modified_hpw_reports(n, [alpha], spec)[0][0]
-    prof, du = u.profile, u.derivative
-    if prof.decay.kind == "algebraic":
+    if u.profile.decay.kind == "algebraic":
         raise ValueError("gaussian decay is mandatory against the volume growth")
-    f = prof.evaluator
+    c = (n - 1) / n
+    # 1 + c x the curvature defect rho coth rho - 1
     A, M, W = _integrals(
-        u, hyperbolic_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2),
-        (lambda r: r**2 * f(r) ** 2, 2),
-        (lambda r: (1 + (n - 1) / n * curvature_defect(-1.0, r)) * f(r) ** 2, 2),
+        u, "sinh-power", n, spec,
+        (_energy_col, 2),
+        (_moment_col, 2),
+        (lambda rs, us, ds, ws: [(1 + c * (r / math.tanh(r) - 1)) * v * v * w for r, v, w in zip(rs, us, ws)], 2),
     )
     return InequalityReport.product(A, M, W, n**2 / 4)
 
@@ -233,16 +243,18 @@ def hardy_hyperbolic_report(
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    prof, du = u.profile, u.derivative
-    if prof.decay.kind == "algebraic":
+    if u.profile.decay.kind == "algebraic":
         raise ValueError("gaussian decay is mandatory against the volume growth")
-    f = prof.evaluator
+    c, pi2 = 2 * (n - 1) / (n - 2), math.pi**2
+    # 1 + c x the curvature defect rho coth rho - 1
     A, H1, H2, H3 = _integrals(
-        u, hyperbolic_radial_volume_integral, n, spec,
-        (lambda r: du(r) ** 2, 2),
-        (lambda r: (1 + 2 * (n - 1) / (n - 2) * curvature_defect(-1.0, r)) * f(r) ** 2 / r**2, 2),
-        (lambda r: f(r) ** 2 / r**2, 2),
-        (lambda r: f(r) ** 2 / (math.pi**2 + r**2), 2),
+        u, "sinh-power", n, spec,
+        (_energy_col, 2),
+        (lambda rs, us, ds, ws: [
+            (1 + c * (r / math.tanh(r) - 1)) * v * v / (r * r) * w for r, v, w in zip(rs, us, ws)
+        ], 2),
+        (_hardy_col, 2),
+        (lambda rs, us, ds, ws: [v * v / (pi2 + r * r) * w for r, v, w in zip(rs, us, ws)], 2),
     )
     if H1.value == 0:
         raise ValueError("zero test function")

@@ -1,14 +1,16 @@
 """Deterministic integration of radial profiles on [0, oo).
 
 Two globally adaptive G7/K15 loops on a split domain, which share one panel
-guard: one integrand evaluated node by node, its tail mapped by the rational
-transform rho = end + t/(1 - t) (radial_integral), and passes of q row
-integrands in lockstep, [0, 1] and the tail past 1 taken in graded variables,
-rho = x^2 and rho = (1 - x)^-2, each round one call for the nodes of one
-bisection of every pass still refining (radial_integral_rows); a vectorised
-composite Gauss-Kronrod rule over a whole parameter grid at once,
-n-dimensional Monte Carlo cross-validation with a counter-based generator,
-and Richardson-extrapolated finite differences.
+guard: q integrands of one report on one mesh in Python floats, one call per
+bisection for the columns of its 30 radii, the tail mapped by the rational
+transform rho = end + t/(1 - t) (radial_integrals, and radial_integral, its
+one-row case), and passes of q numpy row integrands in lockstep, [0, 1] and
+the tail past 1 taken in graded variables, rho = x^2 and rho = (1 - x)^-2,
+each round one call for the nodes of one bisection of every pass still
+refining (radial_integral_rows); a vectorised composite Gauss-Kronrod rule
+over a whole parameter grid at once, n-dimensional Monte Carlo
+cross-validation with a counter-based generator, and Richardson-extrapolated
+finite differences.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "IntegralResult",
     "QuadratureError",
     "radial_integral",
+    "radial_integrals",
     "radial_integral_rows",
     "flat_radial_volume_integral",
     "hyperbolic_radial_volume_integral",
@@ -128,6 +131,8 @@ _MAX_SUBINTERVALS = 600
 
 # e^(-x) underflows to 0.0 once x passes about 745
 _LOG_UNDERFLOW = 745.0
+# the least positive normal float, the floor of a row's |value| in a key
+_TINY = float(np.finfo(float).tiny)
 
 
 def _gauss_kronrod_table(xgk, wgk, wg):
@@ -182,10 +187,10 @@ _GK21_NODES, _GK21_KRONROD, _GK21_GAUSS = _gauss_kronrod_table(
 # columns K and K - G: one product of a panel's 21 values gives its Kronrod
 # sum and its Kronrod-minus-Gauss difference
 _GK21_WEIGHTS = np.stack([_GK21_KRONROD, _GK21_KRONROD - _GK21_GAUSS], axis=1)
-# G7/K15 as Python floats, for the scalar integrands of radial_integral, in
-# the order QUADPACK's qk15 evaluates it (the centre, the Gauss pairs, the
-# Kronrod pairs): a profile that overflows is named at the first node it
-# overflows at in that order
+# G7/K15 as Python floats, for the columns of radial_integrals, in the order
+# QUADPACK's qk15 evaluates it (the centre, the Gauss pairs, the Kronrod
+# pairs): a profile that overflows is named at the first node it overflows
+# at in that order
 _ORDER = [7, 1, 13, 3, 11, 5, 9, 0, 14, 2, 12, 4, 10, 6, 8]
 _NODE_LIST = _GK15_NODES[_ORDER].tolist()
 _NODE_COUNT = len(_NODE_LIST)
@@ -205,7 +210,12 @@ def _tail_budget(tol: float) -> float:
 
 
 def _truncation_radius(decay: DecayClass, growth: float, tol: float) -> float:
-    """Radius past which the integrand tail is negligible at the requested tolerance."""
+    """Radius past which the integrand tail is negligible at the requested tolerance.
+
+    For gaussian decay, the T with a T^2 - growth T = budget, where
+    e^(-a rho^2 + growth rho) has fallen by e^(-budget); the mapped tail past
+    T is still integrated, so T only places a cut.
+    """
     budget = _tail_budget(tol)
     if decay.kind == "compact":
         return decay.support_radius
@@ -213,9 +223,7 @@ def _truncation_radius(decay: DecayClass, growth: float, tol: float) -> float:
         a = decay.rate
         if a <= 0:
             raise QuadratureError("gaussian decay needs a positive rate")
-        # solve a T^2 - growth T = budget
-        T = (growth + math.sqrt(growth**2 + 4 * a * budget)) / (2 * a)
-        return max(T, 8.0 / math.sqrt(a), 10.0)
+        return (growth + math.sqrt(growth**2 + 4 * a * budget)) / (2 * a)
     if growth > 0:
         raise QuadratureError(
             "algebraic decay cannot beat exponential volume growth; "
@@ -225,66 +233,99 @@ def _truncation_radius(decay: DecayClass, growth: float, tol: float) -> float:
 
 
 def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
-    """Integral of f(rho) w(rho) over [0, oo).
+    """Integral of f(rho) w(rho) over [0, oo): radial_integrals with the one row f."""
+    ev = f.evaluator
 
-    weight is ('power', k) or ('sinh-power', k).  The domain
-    is split at 1 and at every breakpoint up to its end: the truncation
-    radius T, or for algebraic decay the larger of 1 and the last breakpoint.
-    Unless the decay is compact, the tail past the end is mapped onto [0, 1)
-    by rho = end + t/(1 - t).  The rule is G7/K15, globally adaptive over all
-    pieces (_adaptive_gk15); error_estimate is the summed |K - G| of every
-    panel, at most relative_tolerance x |value|, and nodes_used counts
-    integrand evaluations.  QuadratureError names its cause: the
-    _MAX_SUBINTERVALS cap, a panel too narrow to bisect in floating point, a
-    tail node that rounds to t = 1.0, or a piece whose integral leaves the
-    float range.  Against ('sinh-power', k), a gaussian profile of rate a
-    underflows to 0.0 at rho_u = sqrt(745/a) while f sinh^k may still hold
-    mass there; QuadratureError is raised when e^(-a rho^2 + k rho) at rho_u,
+    def column(rs, ws):
+        return [[ev(r) * w for r, w in zip(rs, ws)]]
+
+    return radial_integrals(column, [f.decay], weight, spec, f.breakpoints)[0]
+
+
+def radial_integrals(
+    columns: Callable,
+    decays: Sequence[DecayClass],
+    weight,
+    spec: QuadratureSpec = QuadratureSpec(),
+    breakpoints: Sequence[float] = (),
+) -> list[IntegralResult]:
+    """Integrals of q rows times w(rho) over [0, oo), on one adaptive mesh.
+
+    columns(rs, ws) maps a list of radii and the weights w(rho) there to q
+    lists: the values of the rows at rs, each times ws.  decays holds the
+    decay class of every row, and weight is ('power', k) or
+    ('sinh-power', k).  The domain is split at 1 and at every breakpoint up
+    to its end: the largest truncation radius T of the rows, or for
+    algebraic decay the larger of 1 and the last breakpoint.  Unless the
+    decay is compact, the tail past the end is mapped onto [0, 1) by
+    rho = end + t/(1 - t).  The rule is G7/K15, globally adaptive over all
+    pieces (_adaptive_gk15), one call of columns per bisection.  A row's
+    error_estimate is its summed |K - G| over every panel, at most
+    relative_tolerance x |value|; nodes_used counts the radii evaluated.
+    The weights are taken once per radius.  Where sinh^k overflows, a row
+    value times it is formed in log space, since it may still be large (small
+    gaussian rates); where rho^k overflows (far out in the mapped tail, where
+    the true product has underflowed) it is 0.0.
+
+    QuadratureError names its cause: the _MAX_SUBINTERVALS cap, a panel too
+    narrow to bisect in floating point, a tail node that rounds to t = 1.0,
+    a row whose integral over a piece leaves the float range, or the first
+    node, one radius at a time in evaluation order, where columns raises
+    OverflowError or a log-space product overflows.  Against
+    ('sinh-power', k), a gaussian row of rate a underflows to 0.0 at
+    rho_u = sqrt(745/a) while its product with sinh^k may still hold mass
+    there; QuadratureError is raised when e^(-a rho^2 + k rho) at rho_u,
     relative to its peak at rho = k/(2a), exceeds relative_tolerance.  A
-    compact profile of support radius R is evaluated at R (1 + 2^-20), 1.5 R
-    and 2 R, and QuadratureError is raised if it is nonzero at any of them.
+    compact row of support radius R is evaluated at R (1 + 2^-20), 1.5 R and
+    2 R, and QuadratureError is raised if it is nonzero at any of them.
+    Returns one IntegralResult per row.
     """
     kind, k = weight
     if kind not in ("power", "sinh-power"):
         raise ValueError(f"unknown weight {weight!r}")
     sinh = kind == "sinh-power"
+    tol = spec.relative_tolerance
     # e^(k rho) dominates sinh^k at infinity; a power grows slower than any e^(g rho)
-    T = _truncation_radius(f.decay, float(k) if sinh else 0.0, spec.relative_tolerance)
-    if sinh and f.decay.kind == "gaussian":
-        a = f.decay.rate
-        rho_u = math.sqrt(_LOG_UNDERFLOW / a)
-        if -a * rho_u**2 + k * rho_u - k * k / (4 * a) > math.log(spec.relative_tolerance):
-            raise QuadratureError(
-                f"gaussian profile of rate {a!r} underflows to 0 at rho={rho_u!r}, "
-                f"where f sinh^{k} still carries mass above the tolerance"
-            )
-    if f.decay.kind == "compact":
-        R = f.decay.support_radius
-        for r in (R * (1 + 2.0**-20), 1.5 * R, 2 * R):
-            v = f.evaluator(r)
-            if v != 0.0:
+    growth = float(k) if sinh else 0.0
+    T, tail, probed = 0.0, False, {}
+    for j, d in enumerate(decays):
+        T = max(T, _truncation_radius(d, growth, tol))
+        tail = tail or d.kind != "compact"
+        if sinh and d.kind == "gaussian":
+            a = d.rate
+            rho_u = math.sqrt(_LOG_UNDERFLOW / a)
+            if -a * rho_u**2 + k * rho_u - k * k / (4 * a) > math.log(tol):
                 raise QuadratureError(
-                    f"profile declared compact on [0, {R!r}] is {v!r} at rho={r!r}"
+                    f"gaussian profile of rate {a!r} underflows to 0 at rho={rho_u!r}, "
+                    f"where f sinh^{k} still carries mass above the tolerance"
                 )
+        if d.kind == "compact":
+            R = d.support_radius
+            rs = [R * (1 + 2.0**-20), 1.5 * R, 2 * R]
+            if R not in probed:
+                probed[R] = columns(rs, [1.0] * 3)
+            for r, v in zip(rs, probed[R][j]):
+                if v != 0.0:
+                    raise QuadratureError(f"profile declared compact on [0, {R!r}] is {v!r} at rho={r!r}")
 
-    ev = f.evaluator
+    def weights(rs: list) -> tuple:
+        """w(rho) at every radius, and the indices where it overflows (1.0 there)."""
+        try:
+            return [math.sinh(r) ** k for r in rs] if sinh else [r**k for r in rs], ()
+        except OverflowError:
+            pass
+        ws, big = [], []
+        for i, r in enumerate(rs):
+            try:
+                ws.append(math.sinh(r) ** k if sinh else r**k)
+            except OverflowError:
+                ws.append(1.0)
+                big.append(i)
+        return ws, big
 
-    def g(r: float) -> float:
-        try:
-            v = ev(r)
-        except OverflowError:
-            raise QuadratureError(f"profile exceeds the float range at rho={r!r}") from None
-        try:
-            return v * (math.sinh(r) ** k if sinh else r**k)
-        except OverflowError:
-            if not sinh:
-                # a power weight overflows only far out in the mapped tail,
-                # where the true product has underflowed
-                return 0.0
-        # sinh^k alone overflows while f sinh^k may still be large (small
-        # gaussian rates), so form the product in log space:
-        # log sinh rho = rho + log(1 - e^(-2 rho)) - log 2
-        if v == 0.0:
+    def beyond(v: float, r: float) -> float:
+        """v w(rho) where w(rho) overflows: log sinh rho = rho + log(1 - e^(-2 rho)) - log 2."""
+        if not sinh or v == 0.0:
             return 0.0
         log_w = k * (r + math.log1p(-math.exp(-2 * r)) - math.log(2))
         try:
@@ -292,12 +333,32 @@ def radial_integral(f: RadialProfile, weight, spec: QuadratureSpec = QuadratureS
         except OverflowError:
             raise QuadratureError(f"integrand exceeds the float range at rho={r!r}") from None
 
-    interior = {b for b in f.breakpoints if 0 < b < T}
+    def node(r: float) -> list:
+        """The rows at r alone, or QuadratureError if columns overflows there."""
+        ws, big = weights([r])
+        try:
+            rows = columns([r], ws)
+        except OverflowError:
+            raise QuadratureError(f"profile exceeds the float range at rho={r!r}") from None
+        return [beyond(v, r) if big else v for (v,) in rows]
+
+    def cols(rs: list) -> list:
+        ws, big = weights(rs)
+        try:
+            rows = columns(rs, ws)
+        except OverflowError:
+            # one radius at a time, to name the first that overflows
+            return [list(row) for row in zip(*map(node, rs))]
+        for i in big:
+            for row in rows:
+                row[i] = beyond(row[i], rs[i])
+        return rows
+
+    interior = {b for b in breakpoints if 0 < b < T}
     end = T if math.isfinite(T) else max({1.0} | interior)
     cuts = sorted({0.0, min(1.0, end), end} | interior)
-    tail = f.decay.kind != "compact"
-    total, err, nodes = _adaptive_gk15(g, cuts, tail, spec.relative_tolerance)
-    return IntegralResult(total, err, nodes, truncation=T)
+    values, errors, nodes = _adaptive_gk15(cols, cuts, tail, tol)
+    return [IntegralResult(v, e, nodes, truncation=T) for v, e in zip(values, errors)]
 
 
 def _in_rho(a: float, b: float, rho: Optional[Callable[[float], float]]) -> str:
@@ -320,16 +381,19 @@ def _stuck(panels: int, a: float, b: float, rho: Optional[Callable[[float], floa
     return None
 
 
-def _adaptive_gk15(g: Callable[[float], float], cuts: list, tail: bool, tol: float) -> tuple[float, float, int]:
-    """Globally adaptive G7/K15: g over [cuts[0], cuts[-1]], and past it if tail.
+def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[list, list, int]:
+    """Globally adaptive G7/K15 for q rows on one mesh: over [cuts[0], cuts[-1]], and past it if tail.
 
     The pieces are the intervals between cuts and, if tail, the tail past
     end = cuts[-1] mapped onto t in [0, 1) by rho = end + t/(1 - t),
-    d rho = dt/(1 - t)^2.  Every piece starts as its two halves; while the
-    summed |K - G| of all panels exceeds tol x |sum of K|, the panel with
-    the largest |K - G| is bisected, g evaluated node by node in QUADPACK's
-    order, until _stuck names a cause.  Returns (value, error estimate,
-    evaluations of g).
+    d rho = dt/(1 - t)^2.  Every piece starts as its two halves.  While a
+    row's summed |K - G| exceeds tol x |its sum of K|, the panel of largest
+    key is bisected, until _stuck names a cause.  The key is the panel's
+    |K - G| for one row, and for q rows the largest row |K - G| relative to
+    that row's |value| after the first sweep.  A bisection is one call
+    cols(rs) on the radii of both halves, the left first, each in QUADPACK's
+    node order, which returns q lists of values.  Returns (values, error
+    estimates, radii evaluated), the first two lists of q.
     """
     pieces = list(zip(cuts, cuts[1:]))
     if tail:
@@ -340,46 +404,76 @@ def _adaptive_gk15(g: Callable[[float], float], cuts: list, tail: bool, tol: flo
         """rho of the tail's t."""
         return end + t / (1.0 - t) if t < 1.0 else math.inf
 
-    heap = []  # (-|K - G|, piece, a, b, K, |K - G|)
-    value = error = 0.0
-    evals = 0
+    heap = []  # (-key, piece, a, b, K of every row, |K - G| of every row)
 
-    def add(i: int, a: float, b: float) -> None:
-        """Add the panel [a, b] of piece i."""
-        nonlocal value, error, evals
-        c, h = 0.5 * (a + b), 0.5 * (b - a)
+    def bisect(i: int, a: float, b: float) -> tuple:
+        """(mid, Ks and |K - G|s of [a, mid], Ks and |K - G|s of [mid, b]) of the panel [a, b] of piece i."""
+        mid = 0.5 * (a + b)
+        cl, cr, hl, hr = 0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)
+        xs = [c + h * x for c, h in ((cl, hl), (cr, hr)) for x in _NODE_LIST]
         if i == last:
-            v = [g(end + t / (1.0 - t)) / (1.0 - t) ** 2 for t in [c + h * x for x in _NODE_LIST]]
+            rows = [[v / (1.0 - t) ** 2 for v, t in zip(row, xs)] for row in cols([end + t / (1.0 - t) for t in xs])]
         else:
-            v = [g(c + h * x) for x in _NODE_LIST]
-        k, e = h * sum(map(mul, _KRONROD_LIST, v)), abs(h * sum(map(mul, _DIFF_LIST, v)))
-        evals += _NODE_COUNT
-        if not math.isfinite(k):
-            total = math.fsum([p[4] for p in heap if p[1] == i] + [k])
-            piece = _in_rho(*pieces[i], past_end if i == last else None)
-            raise QuadratureError(f"integral over {piece} is {total!r}: outside the float range")
-        heapq.heappush(heap, (-e, i, a, b, k, e))
-        value += k
-        error += e
+            rows = cols(xs)
+        kl, el, kr, er = [], [], [], []
+        for v in rows:
+            # map stops at the 15 weights, so v gives the left half
+            w = v[_NODE_COUNT:]
+            kl.append(hl * sum(map(mul, _KRONROD_LIST, v)))
+            el.append(abs(hl * sum(map(mul, _DIFF_LIST, v))))
+            kr.append(hr * sum(map(mul, _KRONROD_LIST, w)))
+            er.append(abs(hr * sum(map(mul, _DIFF_LIST, w))))
+        # a sum of finite Ks may overflow too; the loop finds a K that does not
+        if not math.isfinite(sum(kl) + sum(kr)):
+            for half, ks in enumerate((kl, kr)):
+                for j, k in enumerate(ks):
+                    if not math.isfinite(k):
+                        # the row's K over the panels of piece i, the left half first
+                        total = math.fsum([p[4][j] for p in heap if p[1] == i] + [kl[j], k][: half + 1])
+                        piece = _in_rho(*pieces[i], past_end if i == last else None)
+                        raise QuadratureError(f"integral over {piece} is {total!r}: outside the float range")
+        return mid, kl, el, kr, er
 
-    for i, (a, b) in enumerate(pieces):
-        add(i, a, 0.5 * (a + b))
-        add(i, 0.5 * (a + b), b)
+    def push(i: int, a: float, b: float, ks: list, es: list, halves: tuple) -> None:
+        """The halves of the panel [a, b] of piece i in the heap, and in the running sums for its ks and es."""
+        mid, kl, el, kr, er = halves
+        heapq.heappush(heap, (-(el[0] if one else max(map(mul, el, scale))), i, a, mid, kl, el))
+        heapq.heappush(heap, (-(er[0] if one else max(map(mul, er, scale))), i, mid, b, kr, er))
+        # the panel out, then its left and right half in: one row's sums stay those of a one-integral loop
+        for r in rows:
+            value[r] = value[r] - ks[r] + kl[r] + kr[r]
+            error[r] = error[r] - es[r] + el[r] + er[r]
+
+    first = [bisect(i, a, b) for i, (a, b) in enumerate(pieces)]
+    q = len(first[0][1])
+    rows, zero = range(q), [0.0] * q
+    value, error = [0.0] * q, [0.0] * q
+    # one row keys on its plain |K - G|, q rows relative to their values
+    one, scale = q == 1, None
+    if not one:
+        scale = [1.0 / max(abs(math.fsum(ks)), _TINY) for ks in zip(*(k for _, kl, _, kr, _ in first for k in (kl, kr)))]
+    for (i, (a, b)), halves in zip(enumerate(pieces), first):
+        push(i, a, b, zero, zero, halves)
+    evals = 2 * _NODE_COUNT * len(pieces)
+
     while True:
-        if error <= tol * abs(value):
+        for v, e in zip(value, error):
+            if e > tol * abs(v):
+                break
+        else:
             # the running sums drift; accept on the exact ones
-            value, error = math.fsum(p[4] for p in heap), math.fsum(p[5] for p in heap)
-            if error <= tol * abs(value):
+            value = [math.fsum(ks) for ks in zip(*[p[4] for p in heap])]
+            error = [math.fsum(es) for es in zip(*[p[5] for p in heap])]
+            if all(e <= tol * abs(v) for v, e in zip(value, error)):
                 return value, error, evals
-        _, i, a, b, k, e = heap[0]
+        _, i, a, b, ks, es = heap[0]
         cause = _stuck(len(heap), a, b, past_end if i == last else None)
         if cause is not None:
-            raise QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}")
+            shown = (value[0], error[0]) if one else (value, error)
+            raise QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={shown[0]!r}, error={shown[1]!r}")
         heapq.heappop(heap)
-        value -= k
-        error -= e
-        add(i, a, 0.5 * (a + b))
-        add(i, 0.5 * (a + b), b)
+        push(i, a, b, ks, es, bisect(i, a, b))
+        evals += 2 * _NODE_COUNT
 
 
 # the exponent k of radial_integral_rows' graded maps, rho = x^k on [0, 1]
@@ -470,7 +564,7 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
             ks, es = kd[:, 0], np.abs(kd[:, 1], out=kd[:, 1])
             sums = kd.sum(axis=2)
             if scale is None:  # the first sweep: both pieces of every pass
-                scale = 1.0 / np.maximum(np.abs(sums[0::2, 0] + sums[1::2, 0]), np.finfo(float).tiny)
+                scale = 1.0 / np.maximum(np.abs(sums[0::2, 0] + sums[1::2, 0]), _TINY)
             keys = (es * scale[which][:, None]).max(axis=2).tolist()
             # the Kronrod weights are positive: a value outside the float
             # range leaves its K outside it too
@@ -674,8 +768,8 @@ def gaussian_integrals(
     row is taken in s = rho sqrt(rate) over [0, S], S solving
     s^2 - g s = budget for g = max(K - 2 beta, 0) / sqrt(rate) and K the
     largest k of rows: the tail bound _truncation_radius puts on a sinh^K
-    weight, without its floors in rho, which holds for rho^K <= e^(K rho)
-    too, with e^(-2 beta rho) taken into the exponent.  The bound is
+    weight, which holds for rho^K <= e^(K rho) too, with e^(-2 beta rho)
+    taken into the exponent.  The bound is
     absolute; past beta = K/2 the integrand is small, and g = 0 keeps
     S >= sqrt(budget), where e^((K - 2 beta) rho) is smaller still, so the
     tail stays small against it.  The integrand

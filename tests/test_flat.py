@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sharpineq import flat
+from sharpineq import flat, hyperbolic, quadrature
 from sharpineq import (
     AdmissibilityError,
     DecayClass,
@@ -35,6 +35,7 @@ from sharpineq import (
     kernel_h,
     norm_value,
     pqr,
+    radial_integral,
     smoothstep_cutoff,
     uniformity_constant,
 )
@@ -170,24 +171,27 @@ class TestExtremalIntegrals:
         assert abs(res[0]) <= 1e-5
 
     def test_each_integral_once(self, monkeypatch):
-        # near the boundary (q < 1e-3) as anywhere: each check takes P, R and
-        # the four finite-difference points of P from one pass per lambda,
-        # six rows, the passes of the grid in one lockstep call, and no
-        # scalar integral
+        # near the boundary (q < 1e-3) as anywhere: each check takes its
+        # integrals from one pass per lambda, the passes of the grid in one
+        # lockstep call, and no scalar integral; the identity reads P and R,
+        # two rows, the ODE check P, R and the four finite-difference points
+        # of P, six rows
         calls = []
 
         def fake(rows, passes, spec):
             which = np.arange(passes)
-            calls.append((passes, rows(np.full((passes, 2, 15), 0.5), which).shape))
-            return [(np.ones(6), np.zeros(6), 1)] * passes
+            shape = rows(np.full((passes, 2, 15), 0.5), which).shape
+            calls.append((passes, shape))
+            return [(np.ones(shape[1]), np.zeros(shape[1]), 1)] * passes
 
         monkeypatch.setattr(flat, "radial_integral_rows", fake)
         monkeypatch.setattr(flat, "radial_integral", None)
+        monkeypatch.setattr(flat, "radial_integrals", None)
         t = ExponentTriple(3, 3.0, 0.0005)
-        for check in (check_pqr_identity, check_p_ode):
+        for check, q in ((check_pqr_identity, 2), (check_p_ode, 6)):
             calls.clear()
             check(t, [0.5, 1.0, 2.0])
-            assert calls == [(3, (3, 6, 2, 15))]
+            assert calls == [(3, (3, q, 2, 15))]
 
     def test_overflow_named(self):
         # P of (3, 2.002, 1) is about 1e600 at lam = 0.5; at lam = 0.25 the
@@ -692,7 +696,7 @@ class TestGaussianHardy:
         passes = []
         batch = flat.gaussian_integrals
         monkeypatch.setattr(flat, "gaussian_integrals", lambda *a: passes.append(a[0]) or batch(*a))
-        monkeypatch.setattr(quadrature, "radial_integral", None)
+        monkeypatch.setattr(quadrature, "_adaptive_gk15", None)
         assert len(gaussian_hardy_reports(4, (0.5, 1.0, 2.0))) == 3
         assert passes == ["power"]
 
@@ -798,7 +802,7 @@ class TestSharpnessSweep:
             raise AssertionError("the sweep called a scalar radial integral")
 
         monkeypatch.setattr(flat, "radial_integral", scalar)
-        monkeypatch.setattr(flat, "flat_radial_volume_integral", scalar)
+        monkeypatch.setattr(flat, "radial_integrals", scalar)
         out = hardy_sharpness_sweep(EUCLID3, 3, 1.0, 2.0, [1e-2, 1e-4, 1e-8])
         assert len(out["quotients"]) == 3
 
@@ -835,3 +839,108 @@ class TestDoubleHardy:
     def test_outer_radius_must_exceed_support(self):
         with pytest.raises(ValueError):
             double_hardy_report(EUCLID3, 3, self.bump(), 0.5)
+
+
+def rho_gauss(a):
+    """u = rho e^(-a rho^2) and its derivative."""
+    return flat.RadialFunction(
+        RadialProfile(lambda r: r * math.exp(-a * r * r), DecayClass.gaussian(a)),
+        lambda r: (1 - 2 * a * r * r) * math.exp(-a * r * r),
+    )
+
+
+def smoothstep_bump():
+    """The compact u of the double-Hardy row: the quintic cutoff, 1 on [0, 1/2], 0 past 1."""
+    psi, dpsi = smoothstep_cutoff(0.5, 1.0)
+    return flat.RadialFunction(RadialProfile(psi, DecayClass.compact(1.0), breakpoints=(0.5,)), dpsi)
+
+
+# every report that integrates an arbitrary radial u, on flat space (the
+# weight rho^(n-1)) and on the ball (sinh^(n-1))
+SCALAR_REPORTS = {
+    "hpw": lambda spec: hpw_report(EUCLID3, 3, gaussian_tf(0.5), spec),
+    "hpw-beta": lambda spec: hpw_report(EUCLID3, 5, flat.RadialFunction.gaussian(1.0, 0.5), spec),
+    "hardy": lambda spec: hardy_report(EUCLID3, 4, rho_gauss(2.0), 0.0, spec),
+    "double-hardy": lambda spec: double_hardy_report(EUCLID3, 5, smoothstep_bump(), 2.0, 0.5, spec),
+    "interpolation-extremal": lambda spec: interpolation_report(
+        EUCLID3, ExponentTriple(3, 3.0, 1.0), extremal_profile(ExponentTriple(3, 3.0, 1.0), 1.0), spec
+    ),
+    "interpolation-gaussian": lambda spec: interpolation_report(
+        EUCLID3, ExponentTriple(4, 3.0, 0.5), gaussian_tf(1.0), spec
+    ),
+    "hpw-hyperbolic": lambda spec: hyperbolic.hpw_hyperbolic_report(flat.RadialFunction.gaussian(1.0, 0.5), 4, spec),
+    "modified-hpw": lambda spec: hyperbolic.modified_hpw_report(5, u=flat.RadialFunction.gaussian(0.5), spec=spec),
+    "hardy-hyperbolic": lambda spec: hyperbolic.hardy_hyperbolic_report(rho_gauss(1.0), 6, spec),
+}
+
+
+class TestSharedMesh:
+    """The integrals of a report share one adaptive mesh and agree with one pass per integral."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("report", SCALAR_REPORTS)
+    def test_rows_within_the_estimates_of_one_row_integrals(self, monkeypatch, report, tol):
+        # every row of the shared pass lies within the sum of its estimate
+        # and that of radial_integral of the row alone, with its own decay
+        # class and u's breakpoints
+        shared, passes = flat.radial_integrals, []
+
+        def spy(columns, decays, weight, spec, breakpoints=()):
+            results = shared(columns, decays, weight, spec, breakpoints)
+            passes.append(len(results))
+            for j, (decay, res) in enumerate(zip(decays, results)):
+                row = RadialProfile(lambda r, j=j: columns([r], [1.0])[j][0], decay, breakpoints)
+                one = radial_integral(row, weight, spec)
+                assert abs(res.value - one.value) <= res.error_estimate + one.error_estimate, (j, res, one)
+                assert res.error_estimate <= tol * abs(res.value)
+            return results
+
+        monkeypatch.setattr(flat, "radial_integrals", spy)
+        SCALAR_REPORTS[report](QuadratureSpec(relative_tolerance=tol))
+        assert len(passes) == 1 and passes[0] >= 2
+
+    def test_u_and_derivative_once_per_node(self):
+        # one evaluation of u and of u' per node for all three hpw rows
+        calls = {"u": 0, "du": 0}
+        base = flat.RadialFunction.gaussian(1.0)
+
+        def u(r):
+            calls["u"] += 1
+            return base.profile(r)
+
+        def du(r):
+            calls["du"] += 1
+            return base.derivative(r)
+
+        f = flat.RadialFunction(RadialProfile(u, base.profile.decay), du)
+        spec = QuadratureSpec()
+        shared, nodes = flat.radial_integrals, []
+
+        def spy(*args):
+            results = shared(*args)
+            nodes.extend(r.nodes_used for r in results)
+            return results
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flat, "radial_integrals", spy)
+            hpw_report(EUCLID3, 3, f, spec)
+        assert len(set(nodes)) == 1
+        assert calls == {"u": nodes[0], "du": nodes[0]}
+
+    def test_one_cut_at_the_largest_truncation_radius(self):
+        # the interpolation rows decay like |u|^2, |u|^(2p-2) and |u|^p: the
+        # slowest, rate 2a at p = 3, sets the cut for all three
+        t, a = ExponentTriple(4, 3.0, 0.5), 1.0
+        shared, cuts = flat.radial_integrals, []
+
+        def spy(columns, decays, weight, spec, breakpoints=()):
+            results = shared(columns, decays, weight, spec, breakpoints)
+            cuts.append(([d.rate for d in decays], {r.truncation for r in results}))
+            return results
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flat, "radial_integrals", spy)
+            interpolation_report(EUCLID3, t, gaussian_tf(a))
+        ((rates, (T,)),) = cuts
+        assert rates == [2 * a, 4 * a, 3 * a]
+        assert T == quadrature._truncation_radius(DecayClass.gaussian(2 * a), 0.0, 1e-9)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -261,9 +262,29 @@ class TestHardyHyperbolic:
         passes = []
         batch = flat.gaussian_integrals
         monkeypatch.setattr(flat, "gaussian_integrals", lambda *a: passes.append(a[0]) or batch(*a))
-        monkeypatch.setattr(quadrature, "radial_integral", None)
+        monkeypatch.setattr(quadrature, "_adaptive_gk15", None)
         assert len(gaussian_hardy_hyperbolic_reports(5, (0.5, 1.0, 2.0))) == 3
         assert passes == ["sinh"]
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_overflow_named_as_the_scalar_path(self, n):
+        # u and u' pass through e^(71/rho), which overflows below rho ~ 0.1:
+        # the shared pass names the node that one pass of the energy row
+        # (u')^2 alone names
+        def u(r):
+            return r * math.exp(-r * r) * math.exp(71 / r) / math.exp(71 / r)
+
+        def du(r):
+            return (1 - 2 * r * r) * math.exp(-r * r) * math.exp(71 / r) / math.exp(71 / r)
+
+        f = RadialFunction(RadialProfile(u, DecayClass.gaussian(1.0)), du)
+        with pytest.raises(QuadratureError) as shared:
+            hardy_hyperbolic_report(f, n)
+        energy = RadialProfile(lambda r: du(r) ** 2, DecayClass.gaussian(2.0))
+        with pytest.raises(QuadratureError) as scalar:
+            hyperbolic_radial_volume_integral(energy, n)
+        assert str(shared.value) == str(scalar.value)
+        assert re.fullmatch(r"profile exceeds the float range at rho=0\.0\d+", str(shared.value))
 
 
 def brackets_loop(alphas, values):

@@ -182,10 +182,66 @@ class TestRadialIntegralAccuracy:
         # first halves, which pins every entry of the scalar G7/K15 table;
         # at 1e-6 no degree needs a bisection
         for j in range(23):
-            value, error, evals = _adaptive_gk15(lambda x: x**j, [0.0, 1.0], False, 1e-6)
+            (value,), (error,), evals = _adaptive_gk15(lambda rs: [[x**j for x in rs]], [0.0, 1.0], False, 1e-6)
             assert value == pytest.approx(1 / (j + 1), rel=1e-14)
             assert error <= 1e-15 or j > 13
             assert evals == 30
+
+
+# radial_integral's value, error estimate and nodes_used for algebraic and
+# compact profiles, as the node-by-node loop gave them before the loop took
+# rows: the one-row case keeps the plain |K - G| key, the node order and the
+# order of the running sums, so every bit stays
+PINNED = [
+    ("algebraic", 1e-09, 0.7853981633974483, 1.0632701316626303e-12, 60),
+    ("algebraic-breakpoint", 1e-09, 0.06786800974595249, 5.3763235928328946e-11, 720),
+    ("compact-polynomial", 1e-09, 0.05729166666666667, 2.6020852139652106e-18, 60),
+    ("compact-ball", 1e-09, 14.654656241891933, 2.6144451187315454e-15, 60),
+    ("algebraic", 1e-12, 0.7853981633974483, 5.168842784342154e-13, 90),
+    ("algebraic-breakpoint", 1e-12, 0.0678680097433544, 6.540782452269556e-14, 1260),
+    ("compact-polynomial", 1e-12, 0.05729166666666667, 2.6020852139652106e-18, 60),
+    ("compact-ball", 1e-12, 14.654656241891933, 2.6144451187315454e-15, 60),
+]
+PINNED_PROFILES = {
+    "algebraic": (lambda: RadialProfile(lambda r: (1 + r * r) ** -2, DecayClass.algebraic()), ("power", 2)),
+    "algebraic-breakpoint": (
+        lambda: RadialProfile(
+            lambda r: abs(r - 2.5) ** 0.5 / (1 + r) ** 6, DecayClass.algebraic(), breakpoints=(2.5,)
+        ),
+        ("power", 1),
+    ),
+    "compact-polynomial": (
+        lambda: RadialProfile(
+            lambda r: r * r if r < 0.5 else (0.5 * (1 - r) if r < 1 else 0.0),
+            DecayClass.compact(1.0),
+            breakpoints=(0.5,),
+        ),
+        ("power", 1),
+    ),
+    "compact-ball": (lambda: RadialProfile(lambda r: 1.0 if r < 2.0 else 0.0, DecayClass.compact(2.0)), ("sinh-power", 3)),
+}
+# the scalar P and R of pqr, as above: (triple, selector, tol, value, error, nodes)
+PINNED_PQR = [
+    ((3, 3.0, 1.0), "P", 1e-09, 6.283185307179586, 5.3344565300235044e-11, 60),
+    ((5, 2.4, 0.2), "R", 1e-09, 0.22636183565616955, 1.5636809744228642e-10, 90),
+    ((3, 3.0, 1.0), "P", 1e-12, 6.283185307179586, 1.1258003876410881e-13, 120),
+    ((5, 2.4, 0.2), "R", 1e-12, 0.22636183565617046, 1.478323610889447e-13, 210),
+]
+
+
+class TestRadialIntegralPinned:
+    @pytest.mark.parametrize("name, tol, value, error, nodes", PINNED)
+    def test_bit_for_bit(self, name, tol, value, error, nodes):
+        prof, weight = PINNED_PROFILES[name]
+        res = radial_integral(prof(), weight, QuadratureSpec(relative_tolerance=tol))
+        assert (res.value, res.error_estimate, res.nodes_used) == (value, error, nodes)
+
+    @pytest.mark.parametrize("triple, which, tol, value, error, nodes", PINNED_PQR)
+    def test_scalar_pqr_bit_for_bit(self, triple, which, tol, value, error, nodes):
+        from sharpineq.flat import ExponentTriple, pqr
+
+        res = pqr(ExponentTriple(*triple), 1.0, which, QuadratureSpec(relative_tolerance=tol))
+        assert (res.value, res.error_estimate, res.nodes_used) == (value, error, nodes)
 
 
 class TestRadialIntegralFailures:
@@ -365,14 +421,27 @@ class TestRadialIntegralRows:
 
     def test_tolerance_failure_lists_every_row(self):
         # P of (3, 3, 1.49975) on the pass: the tail stops as in
-        # test_tail_node_at_one, and the message holds the six rows
+        # test_tail_node_at_one, and the message holds the six rows of the
+        # ODE check's pass, P and R and the four finite-difference points of P
+        from sharpineq.flat import ExponentTriple, check_p_ode
+
+        with pytest.raises(QuadratureError) as exc:
+            check_p_ode(ExponentTriple(3, 3.0, 1.49975), [1.0])
+        assert re.fullmatch(
+            r"requested tolerance 1e-09 not met at rho in \[\S+, inf\]: a node of its right half "
+            r"rounds to t = 1\.0: value=\[(\S+, ){5}\S+\], error=\[(\S+, ){5}\S+\]",
+            str(exc.value),
+        )
+
+    def test_identity_failure_lists_p_and_r(self):
+        # the identity's pass holds P and R only
         from sharpineq.flat import ExponentTriple, check_pqr_identity
 
         with pytest.raises(QuadratureError) as exc:
             check_pqr_identity(ExponentTriple(3, 3.0, 1.49975), [1.0])
         assert re.fullmatch(
             r"requested tolerance 1e-09 not met at rho in \[\S+, inf\]: a node of its right half "
-            r"rounds to t = 1\.0: value=\[(\S+, ){5}\S+\], error=\[(\S+, ){5}\S+\]",
+            r"rounds to t = 1\.0: value=\[\S+, \S+\], error=\[\S+, \S+\]",
             str(exc.value),
         )
 
