@@ -310,12 +310,15 @@ def ko_alpha_scan(
 
     Phi(alpha) = ((n-1)/(n-2)) (n-1 + 2 pi C_{n-2}(alpha)/C_n(alpha)) - alpha
     where C_k is the gaussian mass on the k-dimensional model, computed for
-    the whole grid at once: both masses come from one
-    hyperbolic_gaussian_masses pass on the node set of C_n.  Returns every
-    bracketing interval with a sign change (an empty list means the equation
-    has no root on the range), the worst relative error estimate of the
-    masses and the integrand evaluations spent on them, one per mass and
-    node.
+    the whole grid at once by hyperbolic_gaussian_masses: each mass a
+    positive series in 1/alpha, summed until its tail bound is below a unit
+    roundoff of the sum, except at an alpha too small for the series' term
+    cap, whose two masses come from one Gauss-Kronrod pass on the node set
+    of C_n.  Returns every bracketing interval with a sign change (an empty
+    list means the equation has no root on the range), the worst relative
+    error estimate of the masses and the work spent on them: the series
+    terms, and one integrand evaluation per mass and node of the
+    Gauss-Kronrod pass.
     """
     if n < 3:
         raise ValueError("need n >= 3")

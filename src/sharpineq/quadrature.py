@@ -8,13 +8,15 @@ one-row case), and passes of q numpy row integrands in lockstep, [0, 1] and
 the tail past 1 taken in graded variables, rho = x^2 and rho = (1 - x)^-2,
 each round one call for the nodes of one bisection of every pass still
 refining (radial_integral_rows); a vectorised composite Gauss-Kronrod rule
-over a whole parameter grid at once, n-dimensional Monte Carlo
+over a whole parameter grid at once, the gaussian masses on the ball as a
+positive series in 1/alpha, n-dimensional Monte Carlo
 cross-validation with a counter-based generator, and Richardson-extrapolated
 finite differences.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -693,10 +695,18 @@ def gauss_kronrod_batch(
     (N,), or (q, N) for q integrals per parameter.
     """
     params = np.asarray(params, dtype=float)
+    return _gauss_kronrod_batch(integrand, params, spec, describe, np.arange(len(params)))
+
+
+def _gauss_kronrod_batch(integrand, params: np.ndarray, spec: QuadratureSpec, describe, todo: np.ndarray):
+    """gauss_kronrod_batch over the parameters params[todo] alone.
+
+    The values and estimates of the other parameters are left unset; a
+    QuadratureError counts the parameters of the whole of params.
+    """
     count = len(params)
     values = errors = None
     tol = spec.relative_tolerance
-    todo = np.arange(count)
     panels, evals, per = _FIRST_PANELS, 0, 1
     while True:
         half = 0.5 / panels
@@ -782,6 +792,12 @@ def gaussian_integrals(
     at parameter j is values[i, j] / sqrt(rate_j) in rho; evaluations count
     every value of every row, q per node.
     """
+    values, errors, evals = gauss_kronrod_batch(_gaussian_integrand(weight, rows, spec), params, spec, describe)
+    return values, errors, len(rows) * evals
+
+
+def _gaussian_integrand(weight: str, rows: Sequence[tuple], spec: QuadratureSpec) -> Callable:
+    """The integrand gaussian_integrals hands to gauss_kronrod_batch."""
     if weight not in ("sinh", "power"):
         raise ValueError(f"unknown weight {weight!r}")
     sinh = weight == "sinh"
@@ -830,8 +846,142 @@ def gaussian_integrals(
                 row[...] = base
         return out
 
-    values, errors, evals = gauss_kronrod_batch(integrand, params, spec, describe)
-    return values, errors, len(rows) * evals
+    return integrand
+
+
+# the most terms a series mass takes; a small alpha, which needs more (a sum
+# of sinh^k takes about k^2 / (4 alpha)), goes through gaussian_integrals
+_SERIES_TERMS = 96
+# the unit roundoff of a double
+_UNIT = 2.0**-53
+
+
+@functools.lru_cache(maxsize=None)
+def _mass_series(k: int) -> tuple:
+    """The series of M_k(alpha) = int_0^oo sinh^k(rho) e^(-alpha rho^2) d rho in x = 1/alpha.
+
+    sinh^k(rho) = rho^k sum_j c_j rho^(2j), where the Taylor coefficients
+    c_j of (sinh y / y)^k, a k-fold convolution of 1/(2i + 1)!, are
+    positive: c_j = sum_i (-1)^i C(k, i) (k - 2i)^(k+2j) / (2^k (k + 2j)!).
+    Term by term, M_k(alpha) = x^((k+1)/2) sum_j b_j x^j with
+    b_j = c_j Gamma((k + 2j + 1)/2) / 2, a sum that cannot cancel.  Since
+    c_j <= k^(2j) / (2j)! (coefficient by coefficient, sinh y / y is at
+    most cosh y, and cosh^k y at most cosh ky), the terms from j = J on are
+    at most those of the majorant T_j = m_j x^j,
+    m_j = k^(2j) Gamma((k + 2j + 1)/2) / (2 (2j)!), whose ratio
+    T_(j+1) / T_j = rho_j x, rho_j = k^2 (k + 2j + 1) / (2 (2j + 1)(2j + 2)),
+    falls with j: the tail from J on is at most T_J / (1 - rho_J x) once
+    rho_J x < 1.  b_j and m_j are exact rationals
+    (times sqrt(pi) for even k); each is its rational rounded to the nearest
+    float (times the rounded sqrt(pi) for even k), within 3 unit roundoffs.
+    The alpha at which J terms first serve is th[J - 1]: there
+    rho_J x <= 1/2 and 2 T_J <= _UNIT b_i x^i for an i < J, so the tail
+    bound is at most _UNIT times the partial sum.  Both conditions, once
+    met, hold for every larger alpha and J, so th falls with J.  Returns
+    (b, m, rho, th): b_j for j < cap, m_J and rho_J at index J <= cap, and
+    th of cap values, where cap is _SERIES_TERMS or fewer if the floats do
+    not hold the coefficients of a large k.
+    """
+    scale = 1.0 if k % 2 else math.sqrt(math.pi)
+    b, m = [], []
+    for j in range(_SERIES_TERMS + 1):
+        top = sum((-1) ** i * math.comb(k, i) * (k - 2 * i) ** (k + 2 * j) for i in range(k + 1))
+        if k % 2:
+            # Gamma((k + 2j + 1)/2) = h!
+            h = (k - 1) // 2 + j
+            ratios = ((top * math.factorial(h), 2 ** (k + 1) * math.factorial(k + 2 * j)),
+                      (k ** (2 * j) * math.factorial(h), 2 * math.factorial(2 * j)))
+        else:
+            # Gamma(h + 1/2) = (2h)! sqrt(pi) / (4^h h!), 2h = k + 2j
+            h = k // 2 + j
+            ratios = ((top, 2 ** (k + 1) * 4**h * math.factorial(h)),
+                      (k ** (2 * j) * math.factorial(2 * h), 2 * math.factorial(2 * j) * 4**h * math.factorial(h)))
+        try:
+            bj, mj = (num / den * scale for num, den in ratios)
+        except OverflowError:
+            break
+        # past here the floats overflow or lose digits to underflow
+        if not (bj < math.inf and mj < math.inf) or 0 < bj < _TINY or 0 < mj < _TINY:
+            break
+        b.append(bj)
+        m.append(mj)
+    b, m = np.array(b), np.array(m)
+    cap = max(len(b) - 1, 0)
+    J = np.arange(1, cap + 1)
+    rho = np.zeros(cap + 1)
+    rho[1:] = k * k * (k + 2 * J + 1) / (2 * (2 * J + 1) * (2 * J + 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log alpha at which 2 T_J = _UNIT b_i x^i (at k = 0, m_J and b_i for i > 0 are 0)
+        logs = (np.log(2 * m[1:, None]) - np.log(_UNIT * b[:cap])) / (J[:, None] - np.arange(cap))
+    logs[(np.arange(cap) >= J[:, None]) | (b[:cap] == 0)] = np.inf
+    # the running minimum mends the rounding of the logs only: the conditions fall with J
+    th = np.minimum.accumulate(np.maximum(2 * rho[1:], np.exp(logs.min(axis=1, initial=np.inf))))
+    tables = b[:cap], m, rho, th
+    # the cache hands the same arrays to every caller
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _series_masses(ns: list, alphas: np.ndarray) -> tuple:
+    """The masses of hyperbolic_gaussian_masses from the series of _mass_series.
+
+    For n in ns, the mass is c_n M_(n-1)(alpha) = c_n S / alpha^(n/2), with
+    c_n = n omega_n and S = sum_(j<J) b_j alpha^-j; J is the least number of
+    terms whose th reaches alpha, so it depends on alpha and n alone.  An
+    alpha is served when it is positive and finite and none of its masses
+    needs more terms than the cap.  J falls as alpha grows, so over the
+    served alphas in increasing order the masses that take a term of degree
+    j are a prefix: each row is one masked Horner pass, p = p / alpha + b_j
+    over that prefix for j from the largest J - 1 down to 0, from p = 0, and
+    a mass is the same float alone and inside any grid.  Its error estimate
+    is the tail bound c_n T_J / ((1 - rho_J / alpha) alpha^(n/2)) plus a
+    rounding bound: b_j carry 3 unit roundoffs u, the Horner sum of positive
+    terms 2 (J - 1), alpha^(n/2) (a square root and products) (n + 1) // 2
+    and c_n S / alpha^(n/2) 2 (c_n taken as exact, as gaussian_integrals'
+    path takes it), so the mass is within gamma_(N+1) = (N + 1) u /
+    (1 - (N + 1) u) of its computed value, N = 2 J + 3 + (n + 1) // 2.
+    Returns (masses, error_estimates, terms, served), the first three of
+    shape (len(ns), len(alphas)) and set where served, of len(alphas).
+    """
+    served = (alphas > 0) & (alphas < math.inf)
+    terms = []
+    for n in ns:
+        th = _mass_series(n - 1)[3]
+        J = len(th) + 1 - np.searchsorted(th[::-1], alphas, side="right")
+        served &= J <= len(th)
+        terms.append(J)
+    order = np.flatnonzero(served)
+    order = order[np.argsort(alphas[order], kind="stable")]
+    a = alphas[order]
+    masses, errors = np.zeros((2, len(ns), alphas.size))
+    counts = np.zeros((len(ns), alphas.size), dtype=int)
+    for row, (n, J) in enumerate(zip(ns, terms)):
+        b, m, rho, _ = _mass_series(n - 1)
+        J = J[order]
+        top = int(J[0]) if J.size else 0
+        # the number of alphas taking a term of degree j, for every j < top
+        heads = np.searchsorted(-J, -np.arange(top), side="left").tolist()
+        s = np.zeros(a.size)
+        for j in range(top - 1, -1, -1):
+            v = s[: heads[j]]
+            np.divide(v, a[: heads[j]], out=v)
+            np.add(v, b[j], out=v)
+        c = n * ball_volume_constant(n)
+        # alpha^(n/2) overflows only where the mass leaves the normal floats,
+        # which the caller's acceptance turns away
+        with np.errstate(over="ignore"):
+            power = np.sqrt(a) if n % 2 else a
+            for _ in range((n - 1) // 2):
+                power = power * a
+            mass = c * s / power
+            tail = c * m[J] * a ** -J.astype(float) / ((1 - rho[J] / a) * power)
+        # N + 1 rounding steps
+        steps = 2 * J + 4 + (n + 1) // 2
+        masses[row, order] = mass
+        errors[row, order] = tail + steps * _UNIT / (1 - steps * _UNIT) * mass
+        counts[row, order] = J
+    return masses, errors, counts, served
 
 
 def hyperbolic_gaussian_masses(
@@ -840,21 +990,41 @@ def hyperbolic_gaussian_masses(
     """n omega_n int e^(-alpha rho^2) sinh^(n-1)(rho) d rho for every alpha.
 
     The batched counterpart of hyperbolic_radial_volume_integral for the
-    gaussian e^(-alpha rho^2), from gaussian_integrals.  dims is one n, or
-    a sequence of them, whose masses come from one pass on the node set of
-    the largest n, log sinh taken once per node.  Returns (masses,
+    gaussian e^(-alpha rho^2).  dims is one n, or a sequence of them.  Each
+    mass is a positive series in 1/alpha (_mass_series), summed by one
+    masked Horner pass per n until its tail bound is below a unit roundoff
+    of the sum (_series_masses); its error estimate is that tail bound plus
+    the rounding bound of the coefficients, the sum and alpha^(n/2), held to
+    relative_tolerance x mass.  An alpha whose series needs more than
+    _SERIES_TERMS terms (small alphas: about (n-1)^2 / (4 alpha) are
+    needed), or whose estimate misses the tolerance, takes all of its masses
+    from one gaussian_integrals pass on the node set of the largest n, log
+    sinh taken once per node, as a grid of such alphas alone would; its
+    QuadratureError counts the parameters of the whole grid.  Every mass is
+    the same float alone and inside any grid.  Returns (masses,
     error_estimates, evaluations), masses of shape (N,) for one n and
-    (len(dims), N) for a sequence; evaluations count one per mass and node.
+    (len(dims), N) for a sequence; evaluations count the series terms and
+    one Gauss-Kronrod evaluation per mass and node.
     """
     ns = np.atleast_1d(dims).tolist()
     if min(ns) < 1:
         raise ValueError("need n >= 1")
     alphas = np.asarray(alphas, dtype=float)
-    values, errors, evals = gaussian_integrals("sinh", [(n - 1, None) for n in ns], alphas, spec)
-    c = np.array([n * ball_volume_constant(n) for n in ns])[:, None] / np.sqrt(alphas)
+    tol = spec.relative_tolerance
+    masses, errors, terms, served = _series_masses(ns, alphas)
+    evals = int(terms.sum())
+    met = served & ((errors <= tol * masses) & (masses >= _TINY) & (masses < math.inf)).all(axis=0)
+    rest = np.flatnonzero(~met)
+    if rest.size:
+        rows = [(n - 1, None) for n in ns]
+        values, errs, gk = _gauss_kronrod_batch(_gaussian_integrand("sinh", rows, spec), alphas, spec, repr, rest)
+        c = np.array([n * ball_volume_constant(n) for n in ns])[:, None] / np.sqrt(alphas[rest])
+        masses[:, rest] = c * values[:, rest]
+        errors[:, rest] = c * errs[:, rest]
+        evals += len(rows) * gk
     if np.ndim(dims) == 0:
-        return c[0] * values[0], c[0] * errors[0], evals
-    return c * values, c * errors, evals
+        return masses[0], errors[0], evals
+    return masses, errors, evals
 
 
 def hyperbolic_gaussian_moments(

@@ -32,7 +32,10 @@ from sharpineq.quadrature import (
     _GK21_KRONROD,
     _GK21_NODES,
     _MAX_SUBINTERVALS,
+    _UNIT,
     _adaptive_gk15,
+    _mass_series,
+    _series_masses,
 )
 
 
@@ -705,14 +708,15 @@ class TestGaussKronrodBatch:
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_mass_pair_matches_single_masses(self, n, tol):
-        # on the node set of C_n, both masses stay within rounding (16 ulp) of
-        # their own passes, and the evaluations count one per mass and node
+        # both masses stay within rounding (16 ulp) of their own passes, and
+        # the evaluations count the series terms of both; the terms serve the
+        # unit roundoff, so they do not depend on the tolerance
         spec = QuadratureSpec(relative_tolerance=tol)
         alphas = np.linspace(3.0, 100.0, 256)
         pair, errors, evals = hyperbolic_gaussian_masses((n - 2, n), alphas, spec)
         assert pair.shape == errors.shape == (2, alphas.size)
         assert np.all(errors <= tol * pair)
-        assert evals >= 2 * alphas.size * _FIRST_PANELS * _GK21_NODES.size
+        assert evals == {3: 2481, 4: 4376, 5: 5244, 6: 6041}[n]
         for row, k in zip(pair, (n - 2, n)):
             single = hyperbolic_gaussian_masses(k, alphas, spec)[0]
             assert np.all(np.abs(row - single) <= 16 * np.spacing(single))
@@ -813,10 +817,11 @@ class TestBatchSums:
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("band", SCAN_RANGES)
     def test_masses_within_4_ulp_of_summed_oracle(self, band, tol):
+        # the gaussian masses' integrals in s, one row of weight sinh^(dim - 1)
         spec = QuadratureSpec(relative_tolerance=tol)
         alphas = np.linspace(*band, 4096)
         for dim in range(1, 7):
-            runs = [batch_outputs(b, lambda: hyperbolic_gaussian_masses(dim, alphas, spec))
+            runs = [batch_outputs(b, lambda: gaussian_integrals("sinh", [(dim - 1, None)], alphas, spec))
                     for b in (gauss_kronrod_batch, gauss_kronrod_batch_summed)]
             (got, got_evals), (want, want_evals) = runs[0][0], runs[1][0]
             assert got_evals == want_evals
@@ -874,6 +879,136 @@ class TestBatchSums:
     def test_block_boundary_falls_inside_the_grid(self):
         # the first pass of a 4096-alpha grid spans several blocks
         assert 1 < _BLOCK_VALUES // (_FIRST_PANELS * _GK21_NODES.size) < 4096
+
+
+def series_against_quadrature(n, band, tol):
+    """The pair of masses of a 4096-alpha ko-refute scan in dimension n where
+    the series serves it: (series masses, their estimates, gaussian_integrals
+    masses, their estimates)."""
+    spec = QuadratureSpec(relative_tolerance=tol)
+    alphas = np.linspace(*band, 4096)
+    ns = [n - 2, n]
+    masses, errors, _, served = _series_masses(ns, alphas)
+    values, estimates, _ = gaussian_integrals("sinh", [(k - 1, None) for k in ns], alphas, spec)
+    c = np.array([k * ball_volume_constant(k) for k in ns])[:, None] / np.sqrt(alphas)
+    return masses[:, served], errors[:, served], (c * values)[:, served], (c * estimates)[:, served]
+
+
+class TestMassSeries:
+    """The gaussian masses as a positive series in 1/alpha."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("band", SCAN_RANGES)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_series_agrees_with_quadrature(self, n, band, tol):
+        masses, errors, values, estimates = series_against_quadrature(n, band, tol)
+        assert masses.shape[1] > 0
+        assert np.all(np.abs(masses - values) <= errors + estimates)
+
+    @pytest.mark.parametrize("k, j", [(3, 1), (5, 0), (5, 4)])
+    def test_a_wrong_coefficient_is_caught(self, monkeypatch, k, j):
+        # one b_(k, j) off by 1e-6 moves the masses of n = k + 1 by up to
+        # 1e-6 of that term's share, far outside both estimates
+        table = quadrature._mass_series
+
+        def scaled(kk):
+            b, m, rho, th = table(kk)
+            if kk == k:
+                b = b.copy()
+                b[j] *= 1 + 1e-6
+            return b, m, rho, th
+
+        monkeypatch.setattr(quadrature, "_mass_series", scaled)
+        masses, errors, values, estimates = series_against_quadrature(k + 1, (3.0, 100.0), 1e-9)
+        assert not np.all(np.abs(masses - values) <= errors + estimates)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_alone_equals_grid_across_the_cap(self, n, tol):
+        # the small alphas of the grid need more terms than the cap and take
+        # the Gauss-Kronrod pass; every alpha gives its alone value, in any
+        # order of the grid
+        spec = QuadratureSpec(relative_tolerance=tol)
+        alphas = np.geomspace(0.02, 400.0, 64)
+        served = _series_masses([n - 2, n], alphas)[3]
+        assert served.any() and not served.all()
+        grid = np.stack(hyperbolic_gaussian_masses((n - 2, n), alphas, spec)[:2])
+        alone = np.stack([hyperbolic_gaussian_masses((n - 2, n), [a], spec)[:2] for a in alphas], axis=-1)
+        assert np.array_equal(alone[..., 0, :], grid)
+        backwards = np.stack(hyperbolic_gaussian_masses((n - 2, n), alphas[::-1], spec)[:2])
+        assert np.array_equal(backwards, grid[..., ::-1])
+
+    @pytest.mark.parametrize("k", range(0, 8))
+    def test_coefficients_against_a_convolution(self, k):
+        # c_j of (sinh y / y)^k as the k-fold convolution of 1/(2i + 1)!, in
+        # integers scaled by L = (2 cap + 1)! per factor, then
+        # b_j = c_j Gamma((k + 2j + 1)/2) / 2 with Gamma of a half-integer
+        # h + 1/2 as (2h)! sqrt(pi) / (4^h h!); the majorant's m_J and ratio
+        # rho_J from their formulas
+        b, m, rho, _ = _mass_series(k)
+        cap = len(b)
+        L = math.factorial(2 * cap + 1)
+        a = [L // math.factorial(2 * i + 1) for i in range(cap)]
+        c = [1] + [0] * (cap - 1)
+        for _ in range(k):
+            c = [sum(c[j - i] * a[i] for i in range(j + 1)) for j in range(cap)]
+        want = []
+        for j, cj in enumerate(c):
+            if k % 2:
+                want.append(cj * math.factorial((k - 1) // 2 + j) / (2 * L**k))
+            else:
+                h = k // 2 + j
+                want.append(cj * math.factorial(2 * h) / (2 * L**k * 4**h * math.factorial(h)) * math.sqrt(math.pi))
+        assert b.tolist() == pytest.approx(want, rel=4 * _UNIT, abs=0)
+        J = np.arange(1, cap + 1)
+        want = [math.exp(2 * j * math.log(k) + math.lgamma((k + 2 * j + 1) / 2) - math.lgamma(2 * j + 1)) / 2
+                if k else 0.0 for j in J]
+        assert m[1:].tolist() == pytest.approx(want, rel=1e-12, abs=0)
+        assert np.array_equal(rho[1:], k * k * (k + 2 * J + 1) / (2 * (2 * J + 1) * (2 * J + 2)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_estimate_covers_tail_and_rounding(self, n):
+        # a series mass's estimate is its tail bound plus the rounding bound
+        # of 2J + 4 + ceil(n/2) unit roundoffs
+        b, m, rho, th = _mass_series(n - 1)
+        alphas = np.geomspace(max(th[-1], 0.01), 1e4, 50)
+        masses, errors, terms, served = _series_masses([n], alphas)
+        assert served.all()
+        c = n * ball_volume_constant(n)
+        for alpha, mass, err, J in zip(alphas, masses[0], errors[0], terms[0].tolist()):
+            x = 1 / alpha
+            tail = c * m[J] * x**J * x ** (n / 2) / (1 - rho[J] * x)
+            rounding = (2 * J + 4 + (n + 1) // 2) * _UNIT * mass
+            assert err >= (tail + rounding) * (1 - 1e-12)
+
+    @pytest.mark.parametrize("k", range(0, 8))
+    def test_tail_bound_holds(self, k):
+        # the sum to 2J terms exceeds the sum to J by at most the tail bound
+        # m_J x^J / (1 - rho_J x), and the coefficients lie under the majorant
+        b, m, rho, th = _mass_series(k)
+        assert np.all(b <= m[:-1])
+        for alpha in np.geomspace(0.5, 400.0, 12):
+            x = 1 / alpha
+            terms = [bj * x**j for j, bj in enumerate(b)]
+            for J in range(1, len(b) // 2 + 1):
+                if rho[J] * x < 1:
+                    bound = m[J] * x**J / (1 - rho[J] * x)
+                    assert math.fsum(terms[:J]) + bound >= math.fsum(terms[: 2 * J])
+                    assert math.fsum(terms[J : 2 * J]) <= bound
+
+    @pytest.mark.parametrize("k", range(0, 8))
+    def test_terms_fall_with_alpha_and_serve_the_unit_roundoff(self, k):
+        # the number of terms of a mass falls as alpha grows, and at it the
+        # tail bound is at most a unit roundoff of the sum
+        b, m, rho, th = _mass_series(k)
+        assert np.all(np.diff(th) <= 0)
+        alphas = np.geomspace(max(th[-1], 0.01), 1e6, 200)
+        _, _, terms, served = _series_masses([k + 1], alphas)
+        assert served.all() and np.all(np.diff(terms[0]) <= 0)
+        for alpha, J in zip(alphas, terms[0].tolist()):
+            x = 1 / alpha
+            total = math.fsum(bj * x**j for j, bj in enumerate(b[:J]))
+            assert rho[J] * x <= 0.5 and m[J] * x**J / (1 - rho[J] * x) <= _UNIT * total
 
 
 class TestGaussianMoments:
