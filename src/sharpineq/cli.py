@@ -27,7 +27,7 @@ from . import flat, hyperbolic as hyp
 # dual_norm_value is not called here; perfbench/tracer.py lists this import
 # site and refuses to install without it
 from .norms import MinkowskiNorm, dual_norm_value, uniformity_constant
-from .quadrature import _BLOCK_VALUES, DecayClass, QuadratureSpec, RadialProfile
+from .quadrature import DecayClass, QuadratureSpec, RadialProfile
 
 
 class ConfigError(ValueError):
@@ -602,9 +602,10 @@ def emit_plot_data(result: SuiteResult, out: Path) -> list:
 
 # One value of a series row: sign slot, d.dddddddddddddddd, 'e', exponent sign
 # and two digits, separator (',' after x, '\n' after y).  A block of rows keeps
-# its byte buffer within _BLOCK_VALUES bytes.
+# its byte buffer within _BLOCK_BYTES, 32 kB.
 _FIELD = np.frombuffer(b"-0.0000000000000000e+00,", np.uint8)
-_BLOCK_ROWS = _BLOCK_VALUES // (2 * _FIELD.size)
+_BLOCK_BYTES = 1 << 15
+_BLOCK_ROWS = _BLOCK_BYTES // (2 * _FIELD.size)
 _DIGIT_PLACES = 10.0 ** np.arange(7, -1, -1)[:, None]
 _SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
 

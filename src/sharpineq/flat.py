@@ -23,7 +23,6 @@ from .quadrature import (
     gauss_kronrod_batch,
     gaussian_integrals,
     monte_carlo_integral,
-    radial_integral,
     radial_integral_rows,
     radial_integrals,
 )
@@ -291,26 +290,17 @@ def kernel_g(t: ExponentTriple, lam: float, rho: float) -> float:
 def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
     """The integrals P, Q, R of the extremal family at parameter lam.
 
-    P = omega_n int rho^n h, R = omega_n int rho^n g,
-    Q = ((2-q)/(p-2))^2 * R, each one radial_integral.  The identity checks
-    take P and R from one row pass per lam instead (check_pqr_identity,
-    pqr_reports), on a mesh refined for every row, so their values agree
-    with these within the error estimates, not bit for bit.
+    P = omega_n int rho^n h, R = omega_n int rho^n g and
+    Q = ((2-q)/(p-2))^2 * R.  P and R are the two rows of the one
+    radial_integral_rows pass check_pqr_identity reads at lam
+    (_extremal_passes without the finite-difference points), so Q R / P^2
+    from these is its ratio, bit for bit; nodes_used counts the pass's
+    evaluations of both rows.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     if which not in ("P", "Q", "R"):
         raise ValueError("selector must be one of P, Q, R")
-    if which == "P":
-        return _radial(t, lam, _kernel_h, spec)
-    r = _radial(t, lam, _kernel_g, spec)
-    return r if which == "R" else _q_from_r(t, r)
-
-
-def _radial(t: ExponentTriple, lam: float, kernel, spec: QuadratureSpec) -> IntegralResult:
-    """omega_n int rho^n kernel(t, lam)(rho) d rho."""
-    prof = RadialProfile(kernel(t, lam), DecayClass.algebraic())
-    return _scaled(radial_integral(prof, ("power", t.n), spec), ball_volume_constant(t.n))
+    ((_, (P,), R),) = _extremal_passes(t, [lam], spec, fd=False)
+    return P if which == "P" else R if which == "R" else _q_from_r(t, R)
 
 
 def _q_from_r(t: ExponentTriple, r: IntegralResult) -> IntegralResult:
@@ -330,9 +320,12 @@ def _extremal_passes(
     The points are lam + h, lam - h, lam + h/2 and lam - h/2 with
     h = 1e-5 lam, as fd_derivative forms them.  The integrals of a lam (six,
     or P and R without fd) are the rows of one radial_integral_rows pass,
-    and the passes of the grid run in lockstep, each on its own mesh.
-    Yields one (the points, lam first; P at each; R) per lam, in grid order;
-    a failed pass raises its error when its turn comes.
+    and the passes of the grid run in lockstep, each on its own mesh: P and
+    R of pqr and check_pqr_identity are the same floats, and pqr_reports'
+    P and R are the same integrals on a mesh that also refines the
+    finite-difference rows.  Yields one (the points, lam first; P at each;
+    R) per lam, in grid order; a failed pass raises its error when its turn
+    comes.
     """
     if any(lam <= 0 for lam in lam_grid):
         raise ValueError("lam must be positive")

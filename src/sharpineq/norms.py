@@ -43,7 +43,7 @@ Covector = np.ndarray  # linear functional acting by the dot pairing
 
 @dataclass(frozen=True)
 class MinkowskiNorm:
-    """A reversible Minkowski norm on R^n.
+    """A Minkowski norm on R^n: positive off the origin, positively homogeneous, convex.
 
     Families:
       * ``weighted-euclidean``: F(y) = sqrt(y^T A y) for A symmetric
@@ -51,6 +51,14 @@ class MinkowskiNorm:
       * ``lp``: F(y) = ||y||_p for p > 1;
       * ``custom``: user-supplied value and gradient handles (must be
         smooth off the origin).
+
+    The closed families are reversible, F(-y) = F(y); a custom norm need not
+    be.  The norm layer does not use reversibility: values, dual norms and
+    the unit-ball volume hold for a non-reversible norm such as the Funk
+    indicatrix, the unit ball translated off its centre.  The flat reports of
+    a radial u = phi(F) use it: they take F*(Du) = |phi'(F)|, which is
+    F*(-DF) = 1 for a decreasing phi, true for every F only when it is
+    reversible (F*(DF) = 1 always holds).
     """
 
     dimension: int

@@ -8,7 +8,9 @@ one-row case), and passes of q numpy row integrands in lockstep, [0, 1] and
 the tail past 1 taken in graded variables, rho = x^2 and rho = (1 - x)^-2,
 each round one call for the nodes of one bisection of every pass still
 refining (radial_integral_rows); a vectorised composite Gauss-Kronrod rule
-over a whole parameter grid at once, the gaussian masses on the ball as a
+over a whole parameter grid at once, which takes the gaussian rows of both
+geometries in s = rho sqrt(rate), each parameter on its own cut
+(gaussian_integrals); the gaussian masses on the ball as a
 positive series in 1/alpha, n-dimensional Monte Carlo
 cross-validation with a counter-based generator, and Richardson-extrapolated
 finite differences.
@@ -662,7 +664,9 @@ def hyperbolic_radial_volume_integral(
 _FIRST_PANELS = 4
 # integrand values per evaluation block, every integral of a parameter
 # counted: a few hundred parameters at the first panel count, so peak memory
-# does not grow with the grid and a block stays in cache
+# does not grow with the grid; the batched reports hold at most 30
+# parameters, and only the masses' fallback for a low-alpha ko-refute grid
+# fills several blocks (alpha = 0.02 0.5 at n = 6 sends 1 857 alphas there)
 _BLOCK_VALUES = 1 << 15
 
 
@@ -775,17 +779,32 @@ def gaussian_integrals(
     and f is None for 1 or a function of the node radii rho and the
     parameter column p (see gauss_kronrod_batch).  params holds the rates,
     shape (N,), or (rate, beta) pairs with beta >= 0, shape (N, 2).  Every
-    row is taken in s = rho sqrt(rate) over [0, S], S solving
-    s^2 - g s = budget for g = max(K - 2 beta, 0) / sqrt(rate) and K the
-    largest k of rows: the tail bound _truncation_radius puts on a sinh^K
-    weight, which holds for rho^K <= e^(K rho) too, with e^(-2 beta rho)
-    taken into the exponent.  The bound is
-    absolute; past beta = K/2 the integrand is small, and g = 0 keeps
-    S >= sqrt(budget), where e^((K - 2 beta) rho) is smaller still, so the
-    tail stays small against it.  The integrand
-    S e^(k log w - s^2 - 2 beta rho) is formed in log space, so it stays
-    finite where w^k alone would overflow (small rates); rows of one k
-    share one exp.  On
+    row is taken in s = rho sqrt(rate) over [0, S], with K the largest k of
+    rows and S of each parameter:
+      * the root of s^2 - g s = budget, g = max(K - 2 beta, 0) / sqrt(rate):
+        the tail bound _truncation_radius puts on a sinh^K weight, which
+        holds for rho^K <= e^(K rho) too, with e^(-2 beta rho) taken into
+        the exponent.  The bound is absolute.  For sinh rows at
+        rate <= 2K/3 it is relative as well: with beta = 0 the bound
+        2^-K e^(K rho - rate rho^2) at S is at most e^-budget times the
+        integrand at rho = K / (2 rate) >= 3/4.  At large rates, where the
+        integral is of order rate^(-K/2), it is not;
+      * raised where the peak needs it.  With b = 2 beta / sqrt(rate),
+        s^K e^(-a s^2 - b s) bounds the integrand times rate^(K/2) from
+        above (a = 1 for power, a = 1 - K / (6 rate) for sinh, by
+        sinh rho <= rho e^(rho^2 / 6)), and t^K e^(-t^2 - b t),
+        t = sqrt(K/2), bounds its peak from below (sinh rho >= rho).  S is
+        at least the s past the first one's peak where it has fallen to
+        tol times the second: for power rows the root at b = 0, one number,
+        and for sinh rows at rate > 2K/3 (a > _PEAK_GATE) the root of each
+        parameter (_peak_cut), checked only for the K that _peak_free does
+        not clear (K >= 10 at 1e-12, K >= 15 at 1e-9).  s^K e^(-s^2) peaks
+        at sqrt(K/2), so this moves S for large K at large rates only,
+        leaving a tail of about tol / 14 that the error estimates do not
+        count; no row of perfbench's catalogues or of tests/golden moves.
+    The integrand S e^(k log w - s^2 - 2 beta rho) is formed in log space,
+    so it stays finite where w^k alone would overflow (small rates); rows of
+    one k share one exp.  On
     gauss_kronrod_batch's G10/K21 rule, a parameter is refined until every
     row meets the tolerance.  Returns (values, error_estimates,
     evaluations): values and estimates of shape (q, N), in s, so that row i
@@ -802,51 +821,133 @@ def _gaussian_integrand(weight: str, rows: Sequence[tuple], spec: QuadratureSpec
         raise ValueError(f"unknown weight {weight!r}")
     sinh = weight == "sinh"
     top = max(k for k, _ in rows)
-    final = list(dict.fromkeys(k for k, _ in rows))[-1]
     budget = _tail_budget(spec.relative_tolerance)
+    log_tol = math.log(spec.relative_tolerance)
+    # power rows: b >= 0 only lowers the root, so the one of b = 0 is their
+    # cut.  sinh rows: none moves where _peak_free says so, and an S at or
+    # past the loose bound stands at every a > _PEAK_GATE and b (_peak_cut)
+    least, loose = _peak_bound(top, log_tol, 1.0), _peak_bound(top, log_tol, _PEAK_GATE)
+    check = sinh and not _peak_free(top, spec.relative_tolerance)
 
     def integrand(x, p):
         rate, beta = (p[..., 0], p[..., 1]) if p.ndim == 3 else (p, None)
         root = np.sqrt(rate)
         g = top / root if beta is None else np.maximum(top - 2 * beta, 0) / root
         S = (g + np.sqrt(g * g + 4 * budget)) / 2
+        if not sinh:
+            S = np.maximum(S, least)
+        elif check and S.min(initial=math.inf) < loose:
+            b = 0.0 if beta is None else 2 * beta / root
+            S = _peak_cut(S, top, spec.relative_tolerance, 1 - top / (6 * rate), b)
         s = S * x
         rho = s / root
-        s2 = np.multiply(s, s, out=s)
-        out = np.empty((len(rows),) + rho.shape)
-        # log w lives in the last row, which is written last, and the base of
-        # the last new k is formed over it: beside the rows only s^2 and rho
-        # take a buffer
-        log_w = out[-1]
-        if sinh:
-            # log sinh rho = rho + log(1 - e^(-2 rho)) - log 2, operation by operation
-            np.multiply(-2, rho, out=log_w)
-            np.expm1(log_w, out=log_w)
-            np.negative(log_w, out=log_w)
-            np.log(log_w, out=log_w)
-            np.add(rho, log_w, out=log_w)
-            np.subtract(log_w, math.log(2), out=log_w)
-        else:
-            np.log(rho, out=log_w)
+        s2 = s * s
+        # log sinh rho = rho + log(1 - e^(-2 rho)) - log 2
+        log_w = rho + np.log(-np.expm1(-2 * rho)) - math.log(2) if sinh else np.log(rho)
         bases = {}
+        for k in dict.fromkeys(k for k, _ in rows):
+            # S e^(k log w - s s - 2 beta rho)
+            e = k * log_w - s2
+            if beta is not None:
+                e -= 2 * beta * rho
+            bases[k] = S * np.exp(e)
+        out = np.empty((len(rows),) + rho.shape)
         for row, (k, f) in zip(out, rows):
-            base = bases.get(k)
-            if base is None:
-                # S e^(k log w - s s - 2 beta rho)
-                target = log_w if k == final else row if f is None else None
-                base = bases[k] = np.multiply(k, log_w, out=target)
-                np.subtract(base, s2, out=base)
-                if beta is not None:
-                    np.subtract(base, np.multiply(2 * beta, rho), out=base)
-                np.exp(base, out=base)
-                np.multiply(S, base, out=base)
-            if f is not None:
-                np.multiply(f(rho, p), base, out=row)
-            elif base is not row:
-                row[...] = base
+            row[...] = bases[k] if f is None else f(rho, p) * bases[k]
         return out
 
     return integrand
+
+
+# Newton steps of the peak cut: from its start they reach the root within
+# 1e-14 in at most 9 steps for K up to 5000, and every step is a cut that holds
+_PEAK_STEPS = 8
+# sinh rows take the peak cut where a = 1 - K / (6 rate) exceeds this, rate >
+# 2K/3; below, the budget cut's bound 2^-K e^(K rho - rate rho^2) at S is at
+# most e^-budget times the integrand at rho = K / (2 rate) >= 3/4, for beta = 0
+_PEAK_GATE = 0.75
+
+
+def _peak_psi(K: int, log_tol: float, a, b) -> tuple:
+    """psi of _peak_cut and its derivative in s."""
+    t = math.sqrt(K / 2)
+    c = K * math.log(t) - t * t + log_tol
+    return (lambda s: K * np.log(s) - s * (a * s + b) + b * t - c), (lambda s: K / s - 2 * a * s - b)
+
+
+def _peak_root(K: int, log_tol: float, a, b=0.0):
+    """The root of psi past the peak of s^K e^(-a s^2 - b s), a > 0.
+
+    psi is concave with psi'' <= -2a, so psi <= 0 at peak + sqrt(psi(peak) / a);
+    Newton from there stays at or right of the root, since a tangent of a
+    concave function lies above it.
+    """
+    psi, slope = _peak_psi(K, log_tol, a, b)
+    peak = (np.sqrt(b * b + 8 * K * a) - b) / (4 * a)
+    s = peak + np.sqrt(psi(peak) / a)
+    for _ in range(_PEAK_STEPS):
+        s = s - psi(s) / slope(s)
+    return s
+
+
+@functools.lru_cache(maxsize=None)
+def _peak_bound(K: int, log_tol: float, a: float) -> float:
+    """_peak_root at b = 0, 0.0 for K = 0: the cut of power rows at a = 1, and
+    at a = _PEAK_GATE an S that no a past the gate and b >= 0 moves."""
+    return float(_peak_root(K, log_tol, a)) if K else 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _peak_free(K: int, tol: float) -> bool:
+    """Whether psi (_peak_cut) is below 0 at the budget cut of every sinh parameter past the gate.
+
+    With q = rate^(-1/2) and beta <= K/2, g = (K - 2 beta) q, the budget
+    cut S depends on g alone and b = K q - g; for a fixed g, psi is convex
+    in q, so over the live q in [g/K, q_g), q_g the gate's, its supremum is
+    at q = g/K (beta = 0) or at q_g.  Past beta = K/2, g = 0 and a larger b
+    only lowers psi (S >= sqrt(budget) > t).  Both ends are taken on a grid
+    of g in [0, K q_g], and the largest is raised by half a step times a
+    bound on their slopes.
+    """
+    budget, log_tol = _tail_budget(tol), math.log(tol)
+    if K == 0 or K >= 2 * budget:
+        return K == 0
+    t, qg = math.sqrt(K / 2), math.sqrt(6 * (1 - _PEAK_GATE) / K)
+    c = K * math.log(t) - t * t + log_tol
+    g = np.linspace(0.0, K * qg, 4097)
+    S = (g + np.sqrt(g * g + 4 * budget)) / 2
+    ends = (
+        K * np.log(S) - S * S * (1 - g * g / (6 * K)) - c,
+        K * np.log(S) - _PEAK_GATE * S * S - (K * qg - g) * (S - t) - c,
+    )
+    # dS/dg lies in (0, 1]; |d/dg| of either end is at most this
+    G, top = g[-1], S[-1]
+    slope = K / math.sqrt(budget) + 3 * top + K * qg + G * top * (G + top) / (3 * K)
+    return max(e.max() for e in ends) + slope * G / 4096 / 2 < 0
+
+
+def _peak_cut(S, K: int, tol: float, a, b=0.0):
+    """S raised where a > _PEAK_GATE and the peak needs it: the cut of gaussian_integrals.
+
+    psi(s) = ln(s^K e^(-a s^2 - b s) / (t^K e^(-t^2 - b t))) - ln tol, with
+    t = sqrt(K/2), falls past the peak of s^K e^(-a s^2 - b s).  S stands
+    where it lies past that peak with psi(S) <= 0, and elsewhere becomes the
+    root of psi (_peak_root).  psi falls as a and b grow (S > t), so an S
+    at or past _peak_bound(K, ln tol, _PEAK_GATE) stands at every a past
+    the gate and every b.  Every S here is at least sqrt(_tail_budget(tol)).
+    """
+    log_tol = math.log(tol)
+    psi, _ = _peak_psi(K, log_tol, a, b)
+    ok = psi(S) <= 0
+    # past the gate the peak lies before sqrt(K), so before S for K < budget
+    if K >= _tail_budget(tol):
+        ok &= K < S * (2 * a * S + b)
+    ok |= a <= _PEAK_GATE
+    if ok.all():
+        return S
+    # where S stands, a = 1 keeps the steps finite; the maximum keeps an S
+    # that rounding put on the wrong side of psi = 0
+    return np.where(ok, S, np.maximum(S, _peak_root(K, log_tol, np.where(ok, 1.0, a), b)))
 
 
 # the most terms a series mass takes; a small alpha, which needs more (a sum

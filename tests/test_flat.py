@@ -148,6 +148,26 @@ class TestExtremalIntegrals:
         R = pqr(t, 1.0, "R").value
         assert Q == pytest.approx((2 - t.q) ** 2 / (t.p - 2) ** 2 * R, rel=1e-12)
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("triple", [
+        (3, 3.0, 1.0), (4, 3.0, 0.5), (3, 2.5, 1.5), (5, 2.4, 0.2), (6, 2.3, 0.5), (7, 2.2, 0.1), (8, 2.2, 0.1),
+        (3, 3.0, 0.0005),
+    ])
+    def test_pqr_is_the_identity_pass(self, triple, tol, monkeypatch):
+        # the report triples whose passes meet the tolerance: P, Q and R are
+        # the rows check_pqr_identity reads, so Q R / P^2 is its ratio bit for
+        # bit, and no scalar integral runs
+        monkeypatch.setattr(quadrature, "_adaptive_gk15", None)
+        t, spec = ExponentTriple(*triple), QuadratureSpec(relative_tolerance=tol)
+        for lam in (0.5, 1.0, 2.0):
+            P, Q, R = (pqr(t, lam, which, spec) for which in "PQR")
+            assert Q.value * R.value / P.value**2 == check_pqr_identity(t, [lam], spec)[0].ratio
+
+    def test_pqr_raises_as_the_pass(self):
+        t = ExponentTriple(3, 2.002, 1.0)
+        with pytest.raises(QuadratureError, match=r"profile exceeds the float range at rho=0\.0625$"):
+            pqr(t, 0.25, "P")
+
     def test_bad_selector(self):
         with pytest.raises(ValueError):
             pqr(ExponentTriple(3, 3.0, 1.0), 1.0, "S")
@@ -185,8 +205,7 @@ class TestExtremalIntegrals:
             return [(np.ones(shape[1]), np.zeros(shape[1]), 1)] * passes
 
         monkeypatch.setattr(flat, "radial_integral_rows", fake)
-        monkeypatch.setattr(flat, "radial_integral", None)
-        monkeypatch.setattr(flat, "radial_integrals", None)
+        monkeypatch.setattr(quadrature, "_adaptive_gk15", None)
         t = ExponentTriple(3, 3.0, 0.0005)
         for check, q in ((check_pqr_identity, 2), (check_p_ode, 6)):
             calls.clear()
@@ -195,13 +214,19 @@ class TestExtremalIntegrals:
 
     def test_overflow_named(self):
         # P of (3, 2.002, 1) is about 1e600 at lam = 0.5; at lam = 0.25 the
-        # kernel itself overflows near the origin
+        # kernel itself overflows near the origin: the scalar loop names the
+        # piece, then the node
         t = ExponentTriple(3, 2.002, 1.0)
+
+        def scalar_p(lam):
+            prof = RadialProfile(flat._kernel_h(t, lam), DecayClass.algebraic())
+            return flat.ball_volume_constant(3) * radial_integral(prof, ("power", 3)).value
+
         with pytest.raises(QuadratureError) as exc:
-            pqr(t, 0.5, "P")
+            scalar_p(0.5)
         assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
         with pytest.raises(QuadratureError, match=r"profile exceeds the float range at rho=0\.01"):
-            pqr(t, 0.25, "P")
+            scalar_p(0.25)
 
     @pytest.mark.parametrize("check", [check_pqr_identity, check_p_ode])
     def test_overflow_named_on_the_pass(self, check):
@@ -276,8 +301,10 @@ class TestExtremalPass:
         t = ExponentTriple(4, 3.0, 0.5)
         spec = QuadratureSpec(relative_tolerance=1e-12)
         lams, P, R = next(flat._extremal_passes(t, [1.0], spec))
-        for got, ref in ((P[0], pqr(t, 1.0, "P", spec)), (R, pqr(t, 1.0, "R", spec))):
-            assert got.value == pytest.approx(ref.value, rel=2e-12)
+        omega = flat.ball_volume_constant(t.n)
+        for got, kernel in ((P[0], flat._kernel_h), (R, flat._kernel_g)):
+            ref = radial_integral(RadialProfile(kernel(t, 1.0), DecayClass.algebraic()), ("power", t.n), spec)
+            assert got.value == pytest.approx(omega * ref.value, rel=2e-12)
 
     def test_pass_follows_kernel_g(self, monkeypatch):
         # R comes from flat._kernel_g, the expression kernel_g evaluates:
@@ -559,7 +586,7 @@ class TestGaussianT:
         omega = flat.ball_volume_constant(n)
         for lam in (0.5, 1.0, 2.0):
             prof = RadialProfile(lambda r: math.exp(-2 * lam * r * r), DecayClass.gaussian(2 * lam))
-            scalar = 4 * lam * omega * flat.radial_integral(prof, ("power", n + 1), spec).value
+            scalar = 4 * lam * omega * radial_integral(prof, ("power", n + 1), spec).value
             assert gaussian_T(n, lam, spec)["value"] == pytest.approx(scalar, rel=1e-12)
 
 
@@ -801,8 +828,7 @@ class TestSharpnessSweep:
         def scalar(*args, **kwargs):
             raise AssertionError("the sweep called a scalar radial integral")
 
-        monkeypatch.setattr(flat, "radial_integral", scalar)
-        monkeypatch.setattr(flat, "radial_integrals", scalar)
+        monkeypatch.setattr(quadrature, "_adaptive_gk15", scalar)
         out = hardy_sharpness_sweep(EUCLID3, 3, 1.0, 2.0, [1e-2, 1e-4, 1e-8])
         assert len(out["quotients"]) == 3
 

@@ -693,3 +693,48 @@ class TestVolumes:
         custom = custom_lp(2, 3.0)
         with pytest.raises(NormError, match="mc_samples"):
             fn(custom, mc_samples=samples)
+
+
+def funk_norm(x):
+    """The indicatrix of the Funk metric at x, |x| < 1: the unit ball translated by -x.
+
+    F(y) = (sqrt(|y|^2 - (|x|^2 |y|^2 - <x, y>^2)) + <x, y>) / (1 - |x|^2),
+    a norm that is not reversible; its dual is F*(xi) = |xi| - <xi, x>.
+    """
+    xx = x @ x
+
+    def value(y):
+        xy, yy = x @ y, y @ y
+        return (math.sqrt(yy - (xx * yy - xy * xy)) + xy) / (1 - xx)
+
+    return MinkowskiNorm(len(x), "custom", value_fn=value)
+
+
+class TestNonReversibleNorm:
+    """The norm layer takes a custom norm with F(-y) != F(y)."""
+
+    X = np.array([0.5, 0.2, 0.0])
+
+    def test_not_reversible(self):
+        norm = funk_norm(self.X)
+        e = np.array([1.0, 0.0, 0.0])
+        # |x|^2 = 0.29 and <x, e> = 0.5
+        assert norm_value(norm, e) == pytest.approx((math.sqrt(0.96) + 0.5) / 0.71, rel=1e-15)
+        assert norm_value(norm, -e) == pytest.approx((math.sqrt(0.96) - 0.5) / 0.71, rel=1e-15)
+
+    def test_dual_is_the_translated_ball_support(self):
+        norm = funk_norm(self.X)
+        xi = np.random.Generator(np.random.Philox(key=16)).standard_normal((30, 3))
+        exact = np.linalg.norm(xi, axis=1) - xi @ self.X
+        assert np.all(np.abs(dual_norm_value(norm, xi) - exact) <= 1e-12 * np.abs(xi).sum(axis=1))
+
+    def test_unit_ball_volume_is_omega_3(self):
+        # the translated ball keeps the volume of the unit ball; the count of
+        # 2^18 samples in the cube is binomial
+        norm = funk_norm(self.X)
+        samples = 1 << 18
+        vol = unit_ball_volume(norm, mc_samples=samples)
+        box = (2 * _sampling_box(norm, samples)[0]) ** 3
+        share = ball_volume_constant(3) / box
+        stderr = box * math.sqrt(share * (1 - share) / samples)
+        assert abs(vol - ball_volume_constant(3)) <= 4 * stderr

@@ -223,7 +223,9 @@ PINNED_PROFILES = {
     ),
     "compact-ball": (lambda: RadialProfile(lambda r: 1.0 if r < 2.0 else 0.0, DecayClass.compact(2.0)), ("sinh-power", 3)),
 }
-# the scalar P and R of pqr, as above: (triple, selector, tol, value, error, nodes)
+# P and R of the extremal family, omega_n radial_integral of rho^n h and
+# rho^n g (flat._kernel_h, _kernel_g), as above: (triple, selector, tol,
+# value, error, nodes)
 PINNED_PQR = [
     ((3, 3.0, 1.0), "P", 1e-09, 6.283185307179586, 5.3344565300235044e-11, 60),
     ((5, 2.4, 0.2), "R", 1e-09, 0.22636183565616955, 1.5636809744228642e-10, 90),
@@ -241,10 +243,14 @@ class TestRadialIntegralPinned:
 
     @pytest.mark.parametrize("triple, which, tol, value, error, nodes", PINNED_PQR)
     def test_scalar_pqr_bit_for_bit(self, triple, which, tol, value, error, nodes):
-        from sharpineq.flat import ExponentTriple, pqr
+        from sharpineq import flat
 
-        res = pqr(ExponentTriple(*triple), 1.0, which, QuadratureSpec(relative_tolerance=tol))
-        assert (res.value, res.error_estimate, res.nodes_used) == (value, error, nodes)
+        t = flat.ExponentTriple(*triple)
+        kernel = flat._kernel_h if which == "P" else flat._kernel_g
+        prof = RadialProfile(kernel(t, 1.0), DecayClass.algebraic())
+        res = radial_integral(prof, ("power", t.n), QuadratureSpec(relative_tolerance=tol))
+        omega = ball_volume_constant(t.n)
+        assert (omega * res.value, omega * res.error_estimate, res.nodes_used) == (value, error, nodes)
 
 
 class TestRadialIntegralFailures:
@@ -281,12 +287,12 @@ class TestRadialIntegralFailures:
         # P of (3, 3, 1.49975) decays like rho^(-1.0005) times a constant:
         # bisection toward t = 1 must stop before a node rounds to 1.0, where
         # the tail map would divide by zero
-        from sharpineq.flat import ExponentTriple, pqr
+        from sharpineq import flat
 
-        t = ExponentTriple(3, 3.0, 1.49975)
+        prof = RadialProfile(flat._kernel_h(flat.ExponentTriple(3, 3.0, 1.49975), 1.0), DecayClass.algebraic())
         for tol in (1e-9, 1e-12):
             with pytest.raises(QuadratureError) as exc:
-                pqr(t, 1.0, "P", QuadratureSpec(relative_tolerance=tol))
+                radial_integral(prof, ("power", 3), QuadratureSpec(relative_tolerance=tol))
             assert re.fullmatch(
                 rf"requested tolerance {tol!r} not met at rho in \[\S+, inf\]: "
                 r"a node of its right half rounds to t = 1\.0: value=\S+, error=\S+",
@@ -1079,6 +1085,100 @@ class TestGaussianMoments:
     def test_rejects_invalid_family(self, n, alpha, beta):
         with pytest.raises(ValueError):
             hyperbolic_gaussian_moments(n, alpha, beta)
+
+
+# gaussian_integrals' values, estimates and evaluation counts as the
+# in-place integrand gave them before the integrand became plain numpy
+# expressions: sinh over a (rate, beta) grid, power with two distinct k, and
+# rows with an f, which reads the parameter column
+GAUSSIAN_ROWS = {
+    "sinh-beta": (
+        "sinh",
+        [(4, None), (4, lambda rho, p: rho * rho), (4, lambda rho, p: (p[..., 0] * rho + p[..., 1]) ** 2)],
+        [(1.0, 0.0), (2.0, 1.5), (16.0, 4.0)],
+    ),
+    "power-two-k": ("power", [(2, None), (5, lambda rho, p: 1 / (1 + rho)), (2, lambda rho, p: p * rho)], [0.5, 3.0, 40.0]),
+}
+GAUSSIAN_PINNED = [
+    ('sinh-beta', 1e-09, [[5.17612165328033, 0.017808520633893536, 0.00020687586168816944], [25.576728872606388, 0.015356804121400497, 1.8540713068052944e-05], [25.576728872606388, 0.19457738411176426, 0.01550566891491031]], [[4.098795194714426e-12, 4.261765363028743e-15, 1.8394709262287583e-17], [5.867837786651164e-11, 2.1761699282800756e-14, 7.904919349215975e-18], [5.867837786651164e-11, 1.1138085108469628e-13, 4.5244509753344047e-14]], 756),
+    ('sinh-beta', 1e-12, [[5.1761216532803305, 0.017808520633893536, 0.0002068758616881694], [25.576728872606388, 0.015356804121400499, 1.854071306805295e-05], [25.576728872606388, 0.19457738411176426, 0.01550566891491031]], [[1.1627003598372042e-15, 2.868174211484205e-18, 4.959946008516931e-20], [7.577838501570963e-15, 1.830347214291081e-18, 4.755517033814771e-21], [7.577838501570963e-15, 2.689254170339994e-17, 3.530805544041384e-18]], 2268),
+    ('power-two-k', 1e-09, [[0.886226925452758, 0.1477044875754597, 0.011077836568159473], [1.764899455899398, 0.03342835309141585, 7.855022481850925e-05], [0.7071067811865475, 0.288675134594813, 0.07905694150420944]], [[9.949064067020196e-16, 8.488835047562245e-13, 2.1307235612567897e-15], [1.4303967016809012e-12, 1.9577463258003026e-12, 4.188241033801365e-17], [6.318891684788706e-15, 1.719140616390318e-12, 3.060661087273992e-14]], 1260),
+    ('power-two-k', 1e-12, [[0.8862269254527578, 0.1477044875754597, 0.011077836568159473], [1.7648994558993973, 0.03342835309141584, 7.855022481850925e-05], [0.7071067811865474, 0.2886751345948129, 0.07905694150420947]], [[9.862453401544955e-16, 9.79297412911916e-18, 8.71644020017708e-19], [1.7468113605650223e-12, 8.73492429555848e-18, 4.322976871896035e-21], [8.782858396476336e-15, 3.530121214089444e-17, 6.109458309543111e-18]], 2268),
+]
+
+
+class TestGaussianIntegralsPinned:
+    @pytest.mark.parametrize("name, tol, values, errors, evals", GAUSSIAN_PINNED)
+    def test_bit_for_bit(self, name, tol, values, errors, evals):
+        weight, rows, params = GAUSSIAN_ROWS[name]
+        got = gaussian_integrals(weight, rows, params, QuadratureSpec(relative_tolerance=tol))
+        assert (got[0].tolist(), got[1].tolist(), got[2]) == (values, errors, evals)
+
+
+def peak_cut_cases(tol):
+    """(relative error, estimate) of large-K gaussian integrals at large rates.
+
+    The L of hyperbolic_gaussian_moments(n, 5e3, 0) against the series mass
+    at rate 1e4 (its estimate added), and 'power' rows rho^k at rate 1e6
+    against Gamma((k + 1)/2) / (2 rate^(k/2)) in s.
+    """
+    spec = QuadratureSpec(relative_tolerance=tol)
+    out = {}
+    for n in (13, 21, 31):
+        moments, errors, _ = hyperbolic_gaussian_moments(n, 5e3, 0.0, spec)
+        masses, estimates, _ = hyperbolic_gaussian_masses(n, [1e4], spec)
+        L, mass = float(moments[2]), float(masses[0])
+        out[f"L, n = {n}"] = ((mass - L) / mass, float(errors[2]) / L + float(estimates[0]) / mass)
+    for k in (20, 30, 40):
+        values, errors, _ = gaussian_integrals("power", [(k, None)], [1e6], spec)
+        exact = math.gamma((k + 1) / 2) / 2 * 1e6 ** (-k / 2)
+        out[f"power, k = {k}"] = ((exact - values[0, 0]) / exact, errors[0, 0] / values[0, 0])
+    return out
+
+
+class TestGaussianPeakCut:
+    """The cut S must leave room for the peak of s^K e^(-s^2) at sqrt(K/2)."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_large_k_within_the_tolerance(self, tol):
+        # the truncation is about tol / 14 where the cut was raised; the
+        # estimates do not count it, and it is up to 60 times their sum
+        for case, (error, estimate) in peak_cut_cases(tol).items():
+            assert abs(error) <= 0.1 * tol, (case, error, estimate)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_large_k_lose_mass_without_the_cut(self, tol, monkeypatch):
+        # the budget cut alone, s^2 - g s = budget, puts S near sqrt(budget);
+        # there n = 13 (K = 12) loses 5.7e-12 and 5.7e-13, within the tolerance
+        monkeypatch.setattr(quadrature, "_peak_cut", lambda S, *args: S)
+        monkeypatch.setattr(quadrature, "_peak_bound", lambda K, log_tol, a: 0.0)
+        for case, (error, estimate) in peak_cut_cases(tol).items():
+            if case != "L, n = 13":
+                assert error > tol, (case, error, estimate)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_free_dimensions_move_no_parameter(self, tol):
+        # where _peak_free clears K, the per-parameter check moves no sinh
+        # parameter of a dense rate x beta grid; where it does not, some
+        # parameter moves (K >= 10 at 1e-12 and K >= 15 at 1e-9)
+        budget = quadrature._tail_budget(tol)
+        beta = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 200)])[None, :]
+        for K in range(1, 17):
+            rate = np.geomspace(2 * K / 3, 1e9, 400)[1:, None]
+            root = np.sqrt(rate)
+            g = np.maximum(K - 2 * beta, 0) / root
+            S = (g + np.sqrt(g * g + 4 * budget)) / 2
+            cut = quadrature._peak_cut(S, K, tol, 1 - K / (6 * rate), 2 * beta / root)
+            assert np.array_equal(cut, S) == quadrature._peak_free(K, tol), K
+        assert not quadrature._peak_free(10, 1e-12) and quadrature._peak_free(14, 1e-9)
+
+    def test_small_k_keeps_the_budget_cut(self):
+        # K <= 9: for power rows without beta the budget cut already lies
+        # past the peak's root, at every rate
+        for tol in (1e-9, 1e-12):
+            budget = quadrature._tail_budget(tol)
+            for K in range(10):
+                assert quadrature._peak_bound(K, math.log(tol), 1.0) <= math.sqrt(budget)
 
 
 class TestMonteCarlo:
