@@ -1,0 +1,87 @@
+"""Digest the outputs of every perfbench catalogue entry, to check that a change keeps the same numbers.
+
+    python3 scripts/catalogue_outputs.py OUT.json [--root CHECKOUT]
+    python3 scripts/catalogue_outputs.py --diff A.json B.json
+
+Runs every entry of the suite-all, reports and norms-mc catalogues once,
+with sharpineq imported from CHECKOUT/src (default: the checkout holding
+this script) and the catalogues from CHECKOUT/perfbench, and writes one
+digest per entry key to OUT.json:
+  * suite-all: the SHA-256 of every artifact but summary.txt, by path;
+  * the other kinds: the repr of the raw result, floats and arrays printed
+    as their shortest unique decimals;
+  * an entry that raises: "Type: message".
+Artifacts go to a temporary directory, no bytecode is written, and BLAS
+pools are pinned to one thread, as perfbench/run.py pins them.  --diff
+lists the keys whose digests differ between two such files (or that only
+one holds) and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+sys.dont_write_bytecode = True
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+WORKLOADS = ("suite-all", "reports", "norms-mc")
+
+
+def digests(root: Path) -> dict:
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import numpy as np
+    import workloads as wl
+
+    out, raised = {}, 0
+    with tempfile.TemporaryDirectory() as scratch, np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        for entry in (e for w in WORKLOADS for e in wl.catalogue(w)):
+            kind = wl.KINDS[entry.kind]
+            try:
+                raw = kind.call(kind.build(entry.params), scratch)
+            except Exception as exc:
+                out[entry.key] = f"{type(exc).__name__}: {exc}"
+                raised += 1
+                continue
+            if entry.kind == "suite-all":
+                out[entry.key] = {
+                    str(f.relative_to(raw)): hashlib.sha256(f.read_bytes()).hexdigest()
+                    for f in sorted(raw.rglob("*")) if f.is_file() and f.name != "summary.txt"
+                }
+            else:
+                out[entry.key] = repr(raw)
+    print(f"{len(out)} entries, {raised} raised", file=sys.stderr)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", nargs="?", help="where to write the digests (JSON)")
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                    help="the source checkout to run (default: this one)")
+    ap.add_argument("--diff", nargs=2, metavar=("A", "B"), help="list the keys whose digests differ")
+    args = ap.parse_args(argv)
+    if args.diff:
+        a, b = (json.loads(Path(p).read_text()) for p in args.diff)
+        moved = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        print("\n".join(moved + [f"{len(moved)} of {len(a.keys() | b.keys())} keys moved"]))
+        return 1 if moved else 0
+    if args.out is None:
+        ap.error("give OUT.json or --diff A B")
+    found = digests(args.root.resolve())
+    Path(args.out).write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
+    print(f"{len(found)} entries written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -248,43 +248,43 @@ def _hardy_col(rs, us, ds, ws):
     return [v * v / (r * r) * w for r, v, w in zip(rs, us, ws)]
 
 
-def _kernel_h(t: ExponentTriple, lam) -> Callable:
-    """rho -> h(lam, rho), with every power of p, q and lam taken once.
+def _kernel_h(t: ExponentTriple) -> Callable:
+    """(rho, lam) -> h(lam, rho), with every power of p and q taken once.
 
-    lam is a float against a float rho, or a column of q of them, shape
-    (q, 1), against an array of rho, for q rows of values.
+    rho and lam are floats, or arrays that broadcast together, for rows of
+    values: q lam is formed at every call.
     """
     p, q = t.p, t.q
-    a, e, b, pq, p2, ql = 2 - q, (2 * p - 2) / (2 - p), -(q + 1), p - q, p - 2, q * lam
+    a, e, b, pq, p2 = 2 - q, (2 * p - 2) / (2 - p), -(q + 1), p - q, p - 2
 
-    def h(rho):
+    def h(rho, lam):
         s = rho**a
-        return (lam + s) ** e * rho**b * (2 * s * pq / p2 + ql)
+        return (lam + s) ** e * rho**b * (2 * s * pq / p2 + q * lam)
 
     return h
 
 
-def _kernel_g(t: ExponentTriple, lam) -> Callable:
-    """rho -> g(lam, rho), with every power of p, q and lam taken once; lam as in _kernel_h."""
+def _kernel_g(t: ExponentTriple) -> Callable:
+    """(rho, lam) -> g(lam, rho), rho and lam as in _kernel_h: 2 (q - 1) lam is formed at every call."""
     p, q = t.p, t.q
     coeff = (2 * p - 2) / (p - 2) * (2 - q) + 2 * (q - 1)
-    a, e, b, c = 2 - q, (3 * p - 4) / (2 - p), -(2 * q - 1), 2 * (q - 1) * lam
+    a, e, b = 2 - q, (3 * p - 4) / (2 - p), -(2 * q - 1)
 
-    def g(rho):
+    def g(rho, lam):
         s = rho**a
-        return (lam + s) ** e * rho**b * (s * coeff + c)
+        return (lam + s) ** e * rho**b * (s * coeff + 2 * (q - 1) * lam)
 
     return g
 
 
 def kernel_h(t: ExponentTriple, lam: float, rho: float) -> float:
     """Layer-cake kernel of the extremal-family integral P."""
-    return _kernel_h(t, lam)(rho)
+    return _kernel_h(t)(rho, lam)
 
 
 def kernel_g(t: ExponentTriple, lam: float, rho: float) -> float:
     """Layer-cake kernel of the extremal-family integral R."""
-    return _kernel_g(t, lam)(rho)
+    return _kernel_g(t)(rho, lam)
 
 
 def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
@@ -323,36 +323,29 @@ def _extremal_passes(
     and the passes of the grid run in lockstep, each on its own mesh: P and
     R of pqr and check_pqr_identity are the same floats, and pqr_reports'
     P and R are the same integrals on a mesh that also refines the
-    finite-difference rows.  Yields one (the points, lam first; P at each;
-    R) per lam, in grid order; a failed pass raises its error when its turn
-    comes.
+    finite-difference rows.  A round's rows are h(rho, lam) and
+    g(rho, lam) at its nodes against the lams of the passes it names, so
+    only the passes still refining are evaluated.  Yields one (the points,
+    lam first; P at each; R) per lam, in grid order; a failed pass raises
+    its error when its turn comes.
     """
     if any(lam <= 0 for lam in lam_grid):
         raise ValueError("lam must be positive")
     lam = np.array(lam_grid, dtype=float)[:, None]
     h = 1e-5 * lam
     lams = np.concatenate([lam, lam + h, lam - h, lam + h / 2, lam - h / 2], axis=1) if fd else lam
-    n, m, q = t.n, len(lam), lams.shape[1] + 1
-    # the P and R kernels of every pass, built once: (pass, 1, row, 1, 1)
-    kh, kg = _kernel_h(t, lams[:, None, :, None, None]), _kernel_g(t, lam[:, None, :, None, None])
+    n, kh, kg = t.n, _kernel_h(t), _kernel_g(t)
+    # the lam of every P row and of the R row of every pass, (pass, row, 1, 1)
+    lp, lr = lams[:, :, None, None], lam[:, :, None, None]
 
     def rows(rho, which):
-        # the round's nodes by pass, (pass, bisection, 1, half, node): the
-        # first round holds both pieces of every pass, pass by pass, a later
-        # one a bisection of every pass still refining, and the passes that
-        # left take rho = 1
-        if len(which) == 2 * m:
-            at = rho.reshape(m, 2, 1, 2, -1)
-        elif len(which) == m:
-            at = rho.reshape(m, 1, 1, 2, -1)
-        else:
-            at = np.ones((m, 1, 1) + rho.shape[1:])
-            at[which, 0, 0] = rho
-        v = (np.concatenate([kh(at), kg(at)], axis=2) * at**n).reshape((-1, q) + rho.shape[1:])
-        return v if len(which) >= m else v[which]
+        # the round's nodes, (bisection, 1, half, node), against the lams of
+        # their passes (take costs half of lp[which] on these small arrays)
+        at, P, R = rho[:, None], lp.take(which, axis=0), lr.take(which, axis=0)
+        return np.concatenate([kh(at, P), kg(at, R)], axis=1) * at**n
 
     omega = ball_volume_constant(n)
-    for points, (values, errors, evals) in zip(lams.tolist(), radial_integral_rows(rows, m, spec)):
+    for points, (values, errors, evals) in zip(lams.tolist(), radial_integral_rows(rows, len(lam), spec)):
         results = [IntegralResult(omega * v, omega * e, evals) for v, e in zip(values.tolist(), errors.tolist())]
         yield points, results[:-1], results[-1]
 

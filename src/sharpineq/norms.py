@@ -33,8 +33,14 @@ class NormError(ValueError):
     """Bad norm construction or evaluation input."""
 
 
+# Gamma(n/2 + 1) leaves the float range from this n on (omega_341 is about 6e-224)
+_BALL_VOLUME_LIMIT = 342
+
+
 def ball_volume_constant(n: int) -> float:
-    """Volume of the Euclidean unit ball in dimension n."""
+    """Volume of the Euclidean unit ball in dimension n < 342; ValueError from n = 342 on."""
+    if n >= _BALL_VOLUME_LIMIT:
+        raise ValueError(f"the unit ball volume needs n < {_BALL_VOLUME_LIMIT}, got n = {n}: Gamma(n/2 + 1) overflows")
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
 
 

@@ -263,7 +263,9 @@ def radial_integrals(
     algebraic decay the larger of 1 and the last breakpoint.  Unless the
     decay is compact, the tail past the end is mapped onto [0, 1) by
     rho = end + t/(1 - t).  The rule is G7/K15, globally adaptive over all
-    pieces (_adaptive_gk15), one call of columns per bisection.  A row's
+    pieces (_adaptive_gk15), one call of columns per bisection, the panel
+    bisected next the one of largest row |K - G| relative to that row's
+    value, for one row as for q.  A row's
     error_estimate is its summed |K - G| over every panel, at most
     relative_tolerance x |value|; nodes_used counts the radii evaluated.
     The weights are taken once per radius.  Where sinh^k overflows, a row
@@ -392,12 +394,15 @@ def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[
     end = cuts[-1] mapped onto t in [0, 1) by rho = end + t/(1 - t),
     d rho = dt/(1 - t)^2.  Every piece starts as its two halves.  While a
     row's summed |K - G| exceeds tol x |its sum of K|, the panel of largest
-    key is bisected, until _stuck names a cause.  The key is the panel's
-    |K - G| for one row, and for q rows the largest row |K - G| relative to
-    that row's |value| after the first sweep.  A bisection is one call
-    cols(rs) on the radii of both halves, the left first, each in QUADPACK's
-    node order, which returns q lists of values.  Returns (values, error
-    estimates, radii evaluated), the first two lists of q.
+    key is bisected, until _stuck names a cause, whose text prints the
+    values and estimates as lists of q.  The key is the panel's largest row
+    |K - G| relative to that row's |value| after the first sweep; for one
+    row that is its |K - G| times one positive number, so its panels are
+    bisected in the order of the plain |K - G| (ties of rounding aside).
+    A bisection is one call cols(rs) on the radii of both halves, the left
+    first, each in QUADPACK's node order, which returns q lists of values.
+    Returns (values, error estimates, radii evaluated), the first two lists
+    of q.
     """
     pieces = list(zip(cuts, cuts[1:]))
     if tail:
@@ -441,8 +446,8 @@ def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[
     def push(i: int, a: float, b: float, ks: list, es: list, halves: tuple) -> None:
         """The halves of the panel [a, b] of piece i in the heap, and in the running sums for its ks and es."""
         mid, kl, el, kr, er = halves
-        heapq.heappush(heap, (-(el[0] if one else max(map(mul, el, scale))), i, a, mid, kl, el))
-        heapq.heappush(heap, (-(er[0] if one else max(map(mul, er, scale))), i, mid, b, kr, er))
+        heapq.heappush(heap, (-max(map(mul, el, scale)), i, a, mid, kl, el))
+        heapq.heappush(heap, (-max(map(mul, er, scale)), i, mid, b, kr, er))
         # the panel out, then its left and right half in: one row's sums stay those of a one-integral loop
         for r in rows:
             value[r] = value[r] - ks[r] + kl[r] + kr[r]
@@ -452,10 +457,8 @@ def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[
     q = len(first[0][1])
     rows, zero = range(q), [0.0] * q
     value, error = [0.0] * q, [0.0] * q
-    # one row keys on its plain |K - G|, q rows relative to their values
-    one, scale = q == 1, None
-    if not one:
-        scale = [1.0 / max(abs(math.fsum(ks)), _TINY) for ks in zip(*(k for _, kl, _, kr, _ in first for k in (kl, kr)))]
+    # a panel keys on its largest row |K - G| relative to that row's value after the first sweep
+    scale = [1.0 / max(abs(math.fsum(ks)), _TINY) for ks in zip(*(k for _, kl, _, kr, _ in first for k in (kl, kr)))]
     for (i, (a, b)), halves in zip(enumerate(pieces), first):
         push(i, a, b, zero, zero, halves)
     evals = 2 * _NODE_COUNT * len(pieces)
@@ -473,8 +476,7 @@ def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[
         _, i, a, b, ks, es = heap[0]
         cause = _stuck(len(heap), a, b, past_end if i == last else None)
         if cause is not None:
-            shown = (value[0], error[0]) if one else (value, error)
-            raise QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={shown[0]!r}, error={shown[1]!r}")
+            raise QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}")
         heapq.heappop(heap)
         push(i, a, b, ks, es, bisect(i, a, b))
         evals += 2 * _NODE_COUNT
@@ -693,22 +695,15 @@ def gauss_kronrod_batch(
     acceptance rule; the panel count is doubled only for the parameters with
     an estimate above relative_tolerance * |value|, up to _MAX_SUBINTERVALS
     panels, the cap radial_integral has too.  A value depends only on
-    its parameter, never on the rest of the grid.  A QuadratureError names
-    a parameter by describe(params[i].tolist()).  Returns (values,
+    its parameter, never on the rest of the grid.  A QuadratureError counts
+    the parameters of params and names one by describe(params[i].tolist()).
+    Returns (values,
     error_estimates, integrand evaluations), values and estimates of shape
     (N,), or (q, N) for q integrals per parameter.
     """
     params = np.asarray(params, dtype=float)
-    return _gauss_kronrod_batch(integrand, params, spec, describe, np.arange(len(params)))
-
-
-def _gauss_kronrod_batch(integrand, params: np.ndarray, spec: QuadratureSpec, describe, todo: np.ndarray):
-    """gauss_kronrod_batch over the parameters params[todo] alone.
-
-    The values and estimates of the other parameters are left unset; a
-    QuadratureError counts the parameters of the whole of params.
-    """
     count = len(params)
+    todo = np.arange(count)
     values = errors = None
     tol = spec.relative_tolerance
     panels, evals, per = _FIRST_PANELS, 0, 1
@@ -804,19 +799,14 @@ def gaussian_integrals(
         count; no row of perfbench's catalogues or of tests/golden moves.
     The integrand S e^(k log w - s^2 - 2 beta rho) is formed in log space,
     so it stays finite where w^k alone would overflow (small rates); rows of
-    one k share one exp.  On
+    one k share one exp, taken in place in the exponent's array, and a row
+    with an f is written by one product into the output.  On
     gauss_kronrod_batch's G10/K21 rule, a parameter is refined until every
     row meets the tolerance.  Returns (values, error_estimates,
     evaluations): values and estimates of shape (q, N), in s, so that row i
     at parameter j is values[i, j] / sqrt(rate_j) in rho; evaluations count
     every value of every row, q per node.
     """
-    values, errors, evals = gauss_kronrod_batch(_gaussian_integrand(weight, rows, spec), params, spec, describe)
-    return values, errors, len(rows) * evals
-
-
-def _gaussian_integrand(weight: str, rows: Sequence[tuple], spec: QuadratureSpec) -> Callable:
-    """The integrand gaussian_integrals hands to gauss_kronrod_batch."""
     if weight not in ("sinh", "power"):
         raise ValueError(f"unknown weight {weight!r}")
     sinh = weight == "sinh"
@@ -846,17 +836,21 @@ def _gaussian_integrand(weight: str, rows: Sequence[tuple], spec: QuadratureSpec
         log_w = rho + np.log(-np.expm1(-2 * rho)) - math.log(2) if sinh else np.log(rho)
         bases = {}
         for k in dict.fromkeys(k for k, _ in rows):
-            # S e^(k log w - s s - 2 beta rho)
+            # S e^(k log w - s s - 2 beta rho), in place in the exponent's array
             e = k * log_w - s2
             if beta is not None:
                 e -= 2 * beta * rho
-            bases[k] = S * np.exp(e)
+            bases[k] = np.multiply(S, np.exp(e, out=e), out=e)
         out = np.empty((len(rows),) + rho.shape)
         for row, (k, f) in zip(out, rows):
-            row[...] = bases[k] if f is None else f(rho, p) * bases[k]
+            if f is None:
+                row[...] = bases[k]
+            else:
+                np.multiply(f(rho, p), bases[k], out=row)
         return out
 
-    return integrand
+    values, errors, evals = gauss_kronrod_batch(integrand, params, spec, describe)
+    return values, errors, len(rows) * evals
 
 
 # Newton steps of the peak cut: from its start they reach the root within
@@ -1099,9 +1093,9 @@ def hyperbolic_gaussian_masses(
     relative_tolerance x mass.  An alpha whose series needs more than
     _SERIES_TERMS terms (small alphas: about (n-1)^2 / (4 alpha) are
     needed), or whose estimate misses the tolerance, takes all of its masses
-    from one gaussian_integrals pass on the node set of the largest n, log
-    sinh taken once per node, as a grid of such alphas alone would; its
-    QuadratureError counts the parameters of the whole grid.  Every mass is
+    from one gaussian_integrals('sinh', ...) call on such alphas alone, on
+    the node set of the largest n, log sinh taken once per node; its
+    QuadratureError counts the alphas of that call.  Every mass is
     the same float alone and inside any grid.  Returns (masses,
     error_estimates, evaluations), masses of shape (N,) for one n and
     (len(dims), N) for a sequence; evaluations count the series terms and
@@ -1117,12 +1111,11 @@ def hyperbolic_gaussian_masses(
     met = served & ((errors <= tol * masses) & (masses >= _TINY) & (masses < math.inf)).all(axis=0)
     rest = np.flatnonzero(~met)
     if rest.size:
-        rows = [(n - 1, None) for n in ns]
-        values, errs, gk = _gauss_kronrod_batch(_gaussian_integrand("sinh", rows, spec), alphas, spec, repr, rest)
+        values, errs, gk = gaussian_integrals("sinh", [(n - 1, None) for n in ns], alphas[rest], spec)
         c = np.array([n * ball_volume_constant(n) for n in ns])[:, None] / np.sqrt(alphas[rest])
-        masses[:, rest] = c * values[:, rest]
-        errors[:, rest] = c * errs[:, rest]
-        evals += len(rows) * gk
+        masses[:, rest] = c * values
+        errors[:, rest] = c * errs
+        evals += gk
     if np.ndim(dims) == 0:
         return masses[0], errors[0], evals
     return masses, errors, evals

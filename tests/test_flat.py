@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -219,7 +220,7 @@ class TestExtremalIntegrals:
         t = ExponentTriple(3, 2.002, 1.0)
 
         def scalar_p(lam):
-            prof = RadialProfile(flat._kernel_h(t, lam), DecayClass.algebraic())
+            prof = RadialProfile(functools.partial(kernel_h, t, lam), DecayClass.algebraic())
             return flat.ball_volume_constant(3) * radial_integral(prof, ("power", 3)).value
 
         with pytest.raises(QuadratureError) as exc:
@@ -302,8 +303,9 @@ class TestExtremalPass:
         spec = QuadratureSpec(relative_tolerance=1e-12)
         lams, P, R = next(flat._extremal_passes(t, [1.0], spec))
         omega = flat.ball_volume_constant(t.n)
-        for got, kernel in ((P[0], flat._kernel_h), (R, flat._kernel_g)):
-            ref = radial_integral(RadialProfile(kernel(t, 1.0), DecayClass.algebraic()), ("power", t.n), spec)
+        for got, kernel in ((P[0], kernel_h), (R, kernel_g)):
+            prof = RadialProfile(functools.partial(kernel, t, 1.0), DecayClass.algebraic())
+            ref = radial_integral(prof, ("power", t.n), spec)
             assert got.value == pytest.approx(omega * ref.value, rel=2e-12)
 
     def test_pass_follows_kernel_g(self, monkeypatch):
@@ -315,14 +317,36 @@ class TestExtremalPass:
         ratio0 = check_pqr_identity(t, [1.0])[0].ratio
         original = flat._kernel_g
 
-        def scaled(t, lam):
-            g = original(t, lam)
-            return lambda rho: g(rho) * factor
+        def scaled(t):
+            g = original(t)
+            return lambda rho, lam: g(rho, lam) * factor
 
         monkeypatch.setattr(flat, "_kernel_g", scaled)
-        assert kernel_g(t, 1.0, 0.7) == original(t, 1.0)(0.7) * factor
+        assert kernel_g(t, 1.0, 0.7) == original(t)(0.7, 1.0) * factor
         assert next(flat._extremal_passes(t, [1.0], QuadratureSpec()))[2].value / R0 == pytest.approx(factor, rel=1e-13)
         assert check_pqr_identity(t, [1.0])[0].ratio / ratio0 == pytest.approx(factor**2, rel=1e-13)
+
+    def test_kernels_evaluate_only_the_counted_nodes(self, monkeypatch):
+        # at 1e-12 the passes of this grid finish in different rounds; the
+        # kernels see the nodes of the passes still refining and no others,
+        # so the radii they take are the passes' evaluations over q = 6 rows
+        t = ExponentTriple(3, 2.5, 1.5)
+        original, seen = flat._kernel_h, []
+
+        def counted(t):
+            h = original(t)
+
+            def wrapped(rho, lam):
+                seen.append(rho.size)
+                return h(rho, lam)
+
+            return wrapped
+
+        monkeypatch.setattr(flat, "_kernel_h", counted)
+        passes = list(flat._extremal_passes(t, [0.25, 0.5, 4.0], QuadratureSpec(relative_tolerance=1e-12)))
+        evals = [R.nodes_used for _, _, R in passes]
+        assert len(set(evals)) == 3
+        assert sum(seen) == sum(evals) // 6
 
     def test_value_depends_only_on_its_lambda(self):
         t = ExponentTriple(3, 2.5, 1.5)

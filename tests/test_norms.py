@@ -10,6 +10,7 @@ from sharpineq import (
     ball_volume_constant,
     bh_density,
     dual_norm_value,
+    hyperbolic_gaussian_masses,
     legendre_map,
     norm_value,
     uniformity_constant,
@@ -555,6 +556,16 @@ class TestVolumes:
     def test_ball_volume_constant(self):
         assert ball_volume_constant(2) == pytest.approx(math.pi)
         assert ball_volume_constant(3) == pytest.approx(4 * math.pi / 3)
+
+    def test_ball_volume_constant_range(self):
+        # pi^(n/2) / Gamma(n/2 + 1) up to n = 341, where Gamma is about 1e308;
+        # from n = 342 on Gamma overflows, and every caller gets the ValueError
+        assert ball_volume_constant(341) == 6.124783060200237e-224
+        message = r"the unit ball volume needs n < 342, got n = {}: Gamma\(n/2 \+ 1\) overflows"
+        with pytest.raises(ValueError, match=message.format(342)):
+            ball_volume_constant(342)
+        with pytest.raises(ValueError, match=message.format(401)):
+            hyperbolic_gaussian_masses(401, [1e5])
 
     def test_euclidean_density_one(self):
         assert bh_density(euclid(3)) == pytest.approx(1.0)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -193,8 +194,9 @@ class TestRadialIntegralAccuracy:
 
 # radial_integral's value, error estimate and nodes_used for algebraic and
 # compact profiles, as the node-by-node loop gave them before the loop took
-# rows: the one-row case keeps the plain |K - G| key, the node order and the
-# order of the running sums, so every bit stays
+# rows: the one-row case keys on |K - G| over its value, which orders its
+# panels as the plain |K - G| did, and keeps the node order and the order of
+# the running sums, so every bit stays
 PINNED = [
     ("algebraic", 1e-09, 0.7853981633974483, 1.0632701316626303e-12, 60),
     ("algebraic-breakpoint", 1e-09, 0.06786800974595249, 5.3763235928328946e-11, 720),
@@ -224,7 +226,7 @@ PINNED_PROFILES = {
     "compact-ball": (lambda: RadialProfile(lambda r: 1.0 if r < 2.0 else 0.0, DecayClass.compact(2.0)), ("sinh-power", 3)),
 }
 # P and R of the extremal family, omega_n radial_integral of rho^n h and
-# rho^n g (flat._kernel_h, _kernel_g), as above: (triple, selector, tol,
+# rho^n g (flat.kernel_h, kernel_g), as above: (triple, selector, tol,
 # value, error, nodes)
 PINNED_PQR = [
     ((3, 3.0, 1.0), "P", 1e-09, 6.283185307179586, 5.3344565300235044e-11, 60),
@@ -246,8 +248,8 @@ class TestRadialIntegralPinned:
         from sharpineq import flat
 
         t = flat.ExponentTriple(*triple)
-        kernel = flat._kernel_h if which == "P" else flat._kernel_g
-        prof = RadialProfile(kernel(t, 1.0), DecayClass.algebraic())
+        kernel = flat.kernel_h if which == "P" else flat.kernel_g
+        prof = RadialProfile(functools.partial(kernel, t, 1.0), DecayClass.algebraic())
         res = radial_integral(prof, ("power", t.n), QuadratureSpec(relative_tolerance=tol))
         omega = ball_volume_constant(t.n)
         assert (omega * res.value, omega * res.error_estimate, res.nodes_used) == (value, error, nodes)
@@ -277,10 +279,11 @@ class TestRadialIntegralFailures:
         )
         with pytest.raises(QuadratureError) as exc:
             radial_integral(prof, ("power", 0))
-        assert re.fullmatch(
-            r"requested tolerance 1e-09 not met at rho in \[0\.5, 0\.5000000000000001\]: "
-            r"the panel cannot be bisected in floating point: value=\S+, error=\S+",
-            str(exc.value),
+        # one row prints its value and estimate as lists, as q rows do
+        assert str(exc.value) == (
+            "requested tolerance 1e-09 not met at rho in [0.5, 0.5000000000000001]: "
+            "the panel cannot be bisected in floating point: "
+            "value=[18.19390961420758], error=[0.0025846519113374195]"
         )
 
     def test_tail_node_at_one(self):
@@ -289,7 +292,8 @@ class TestRadialIntegralFailures:
         # the tail map would divide by zero
         from sharpineq import flat
 
-        prof = RadialProfile(flat._kernel_h(flat.ExponentTriple(3, 3.0, 1.49975), 1.0), DecayClass.algebraic())
+        t = flat.ExponentTriple(3, 3.0, 1.49975)
+        prof = RadialProfile(functools.partial(flat.kernel_h, t, 1.0), DecayClass.algebraic())
         for tol in (1e-9, 1e-12):
             with pytest.raises(QuadratureError) as exc:
                 radial_integral(prof, ("power", 3), QuadratureSpec(relative_tolerance=tol))
@@ -668,14 +672,36 @@ class TestGaussKronrodBatch:
             gauss_kronrod_batch(lambda x, p: np.exp(p * 1e3 * x), [1.0])
 
     def test_mass_beyond_float_range_named_without_warning(self):
-        # at n = 4, alpha = 0.001 the mass is about e^2250
+        # at n = 4, alpha = 0.001 the mass is about e^2250; alpha = 0.5 is a
+        # series mass, so the count is of the one alpha the fallback took
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError) as exc:
                 hyperbolic_gaussian_masses(4, [0.5, 0.001])
         assert str(exc.value) == (
-            "non-finite integral at 1 of 2 parameters, first at 0.001: outside the float range"
+            "non-finite integral at 1 of 1 parameters, first at 0.001: outside the float range"
         )
+
+    def test_fallback_masses_are_gaussian_integrals_of_their_alpha(self):
+        # a ko-refute grid at n = 6 (masses of n - 2 and n): below about
+        # alpha = 0.24 the series needs more terms than its cap, and those
+        # masses are gaussian_integrals of their alpha alone times
+        # n omega_n / sqrt(alpha), bit for bit; the rest are series sums
+        spec = QuadratureSpec(relative_tolerance=1e-12)
+        ns = [4, 6]
+        alphas = np.concatenate([np.linspace(0.02, 0.5, 49), [3.0, 50.0]])
+        masses, errors, _ = hyperbolic_gaussian_masses(ns, alphas, spec)
+        series, series_errors, _, served = _series_masses(ns, alphas)
+        met = served & ((series_errors <= 1e-12 * series) & (series >= quadrature._TINY)).all(axis=0)
+        assert 0 < met.sum() < alphas.size
+        c = np.array([n * ball_volume_constant(n) for n in ns])[:, None]
+        for j in np.flatnonzero(~met):
+            values, errs, _ = gaussian_integrals("sinh", [(n - 1, None) for n in ns], alphas[[j]], spec)
+            scale = c / np.sqrt(alphas[[j]])
+            assert masses[:, j].tolist() == (scale * values)[:, 0].tolist()
+            assert errors[:, j].tolist() == (scale * errs)[:, 0].tolist()
+        assert masses[:, met].tolist() == series[:, met].tolist()
+        assert errors[:, met].tolist() == series_errors[:, met].tolist()
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
