@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -534,30 +535,48 @@ def run_suite(cfg: RunConfig, out_dir: Optional[str] = None) -> SuiteResult:
     return result
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return value if isinstance(value, str) else _fmt(value)
+# the CSV columns are every CheckRow field but error, which only the JSON and
+# summary carry; one % template writes a row
+_CSV_FIELDS = [f for f in fields(CheckRow) if f.name != "error"]
+_CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS) + "\n"
+_CSV_ROW = ",".join({"str": "%s", "float": "%.16e", "bool": "%d"}[f.type] for f in _CSV_FIELDS) + "\n"
+_csv_values = attrgetter(*(f.name for f in _CSV_FIELDS))
+# indent=2's separators inside a check row, and between the top-level keys
+_json_rows = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+_json_top = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": ")).encode
+
+
+def _json_text(result: SuiteResult) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) of the run's payload, and a newline.
+
+    indent makes json.dumps take the pure-Python encoder.  Here the C
+    encoder writes the check rows in one call and the top-level scalars in
+    another, with indent=2's separators inside a row and between the keys;
+    the braces and brackets then go where indent=2 puts them.  Rows meet at
+    the only "},\\n      {" of the text, since a string holds its newlines
+    escaped.  CheckRow holds no containers, so a row's __dict__ is what
+    asdict's deep copy gives.
+    """
+    checks = "[]"
+    if result.checks:
+        rows = _json_rows([vars(c) for c in result.checks])[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        checks = f"[\n    {{\n      {rows}\n    }}\n  ]"
+    top = _json_top({
+        "suite": result.suite,
+        "passed": result.passed,
+        "config_hash": result.config_hash,
+        "seed": result.seed,
+    })
+    # "checks" sorts before every other key
+    return f'{{\n  "checks": {checks},\n  {top[1:-1]}\n}}\n'
 
 
 def _write_artifacts(result: SuiteResult, out: Path) -> None:
     start = time.perf_counter()
     name = result.suite
-    names = [f.name for f in fields(CheckRow)]
-    # every CheckRow field but error, which only the JSON and summary carry
-    columns = [k for k in names if k != "error"]
-    lines = [",".join(columns)]
-    lines += [",".join(_cell(getattr(c, k)) for k in columns) for c in result.checks]
-    (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
-    payload = {
-        "suite": result.suite,
-        "passed": result.passed,
-        "config_hash": result.config_hash,
-        "seed": result.seed,
-        # CheckRow holds no containers, so a shallow dict is what asdict's deep copy gives
-        "checks": [{k: getattr(c, k) for k in names} for c in result.checks],
-    }
-    (out / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    rows = "".join(_CSV_ROW % _csv_values(c) for c in result.checks)
+    (out / f"{name}.csv").write_text(_CSV_HEADER + rows)
+    (out / f"{name}.json").write_text(_json_text(result))
     emit_plot_data(result, out)
     summary = [f"suite: {result.suite}"]
     summary.append(f"config: {result.config_hash}  seed: {result.seed}")
@@ -600,26 +619,19 @@ def emit_plot_data(result: SuiteResult, out: Path) -> list:
     return written
 
 
-# One value of a series row: sign slot, d.dddddddddddddddd, 'e', exponent sign
-# and two digits, separator (',' after x, '\n' after y).  A block of rows keeps
-# its byte buffer within _BLOCK_BYTES, 32 kB.
-_FIELD = np.frombuffer(b"-0.0000000000000000e+00,", np.uint8)
-_BLOCK_BYTES = 1 << 15
-_BLOCK_ROWS = _BLOCK_BYTES // (2 * _FIELD.size)
-_DIGIT_PLACES = 10.0 ** np.arange(7, -1, -1)[:, None]
+# A series row is two 24-byte records, one per value: six little-endian
+# words "-d.d", "dddd", "dddd", "dddd", "ddde", "+dd," of the 17 significant
+# digits, exponent and separator (',' after x, '\n' after y).  A non-negative
+# value drops the sign slot, byte 0.  A block of rows keeps its records within
+# _BLOCK_BYTES, 128 kB: each block pays some 40 numpy calls, so the 4 096-row
+# phi series takes two.  A series of fewer than _SHORT_ROWS rows goes to the
+# % pass whole, which writes it faster than one block's calls.
+_RECORD = 24
+_BLOCK_BYTES = 1 << 17
+_BLOCK_ROWS = _BLOCK_BYTES // (2 * _RECORD)
+_SHORT_ROWS = 40
 _SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
-
-
-@functools.cache  # k stays within [-84, 117]
-def _pow10(k: int) -> tuple:
-    """10^k as hi + lo: hi the nearest double, lo the nearest double to the rest."""
-    if k >= 0:
-        hi = float(10**k)
-        return hi, float(10**k - int(hi))
-    m = 10**-k
-    hi = 1 / m  # int true division rounds correctly
-    num, den = hi.as_integer_ratio()
-    return hi, (den - num * m) / (den * m)
+_POW10_MIN, _POW10_MAX = -84, 117  # the k of 10^k that _format_block scales by
 
 
 def _split(a):
@@ -628,18 +640,52 @@ def _split(a):
     return hi, a - hi
 
 
-def _scaled(a, k):
+def _words(*columns) -> np.ndarray:
+    """The little-endian words whose four bytes are the given columns of byte values."""
+    return np.stack(columns, 1).astype(np.uint8).view("<u4").ravel()
+
+
+@functools.cache
+def _tables() -> tuple:
+    """_format_block's tables, built on its first call.
+
+    pow10 holds 10^k for k in [_POW10_MIN, _POW10_MAX], column k −
+    _POW10_MIN, as rows hi, rest and hi's Dekker halves: hi the nearest
+    double, rest the nearest double to 10^k − hi.  The others map an index
+    to a record's word: lead 10·d0 + d1 to "-d0.d1", group 0..9999 to four
+    digits, last 0..999 to three digits and 'e', exponent e + 99 to its
+    sign, two digits and ','.
+    """
+    pow10 = []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        if k >= 0:
+            hi = float(10**k)
+            rest = float(10**k - int(hi))
+        else:
+            m = 10**-k
+            hi = 1 / m  # int true division rounds correctly
+            num, den = hi.as_integer_ratio()
+            rest = (den - num * m) / (den * m)
+        pow10.append((hi, rest, *_split(hi)))
+    zero, i = ord("0"), np.arange(10_000)
+    e = np.abs(np.arange(-99, 100))
+    lead = _words(np.full(100, ord("-")), i[:100] // 10 + zero, np.full(100, ord(".")), i[:100] % 10 + zero)
+    group = _words(i // 1000 + zero, i // 100 % 10 + zero, i // 10 % 10 + zero, i % 10 + zero)
+    last = _words(i[:1000] // 100 + zero, i[:1000] // 10 % 10 + zero, i[:1000] % 10 + zero, np.full(1000, ord("e")))
+    exponent = _words(np.repeat([ord("-"), ord("+")], [99, 100]), e // 10 + zero, e % 10 + zero, np.full(199, ord(",")))
+    return np.array(pow10).T.copy(), lead, group, last, exponent
+
+
+def _scaled(a, k, pow10):
     """floor(x) as int64 and x − floor(x) for x = a·10^k below 2^57.
 
-    10^k is hi + rest (_pow10). a·hi is p + err exactly by Dekker's product,
-    since numpy has no fma; p is an integer once x ≥ 2^53, and err + a·rest
-    is off by about 1e-14 at most.
+    10^k is hi + rest (_tables' pow10). a·hi is p + err exactly by Dekker's
+    product, since numpy has no fma; p is an integer once x ≥ 2^53, and
+    err + a·rest is off by about 1e-14 at most.
     """
-    lo = int(k.min())
-    hi, rest = np.array([_pow10(j) for j in range(lo, int(k.max()) + 1)])[k - lo].T
+    hi, rest, bh, bl = np.take(pow10, k - _POW10_MIN, axis=1)
     p = a * hi
     ah, al = _split(a)
-    bh, bl = _split(hi)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * rest
     whole = np.floor(e)
     return p.astype(np.int64) + whole.astype(np.int64), e - whole
@@ -650,65 +696,76 @@ def _format_block(v):
 
     None where a value cannot be proven: ±0, subnormal, inf, nan, a final
     exponent of 100 or more, or a rounding within 1e-6 of a tie, which %
-    breaks half-even.
+    breaks half-even.  Otherwise the 17 digits are split by int64 division
+    into the two leading digits, three groups of four and a last three, each
+    looked up as a word of ASCII, and so is the exponent; the block is its
+    records, row-major, in one tobytes.
     """
     a = np.abs(v)
-    if not ((a >= 1e-100) & (a < 1e100)).all():
+    if not (a.min() >= 1e-100 and a.max() < 1e100):
         return None
+    pow10, lead, group, last, exponent = _tables()
     # 17 digits: round(a·10^(16 − exp)) in [10^16, 10^17], exp = ⌊log10 a⌋
     exp = np.floor(np.log10(a)).astype(np.int64)
-    whole, frac = _scaled(a, 16 - exp)
-    off = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
-    if off.any():  # log10 missed by one next to a power of ten
-        exp += off
-        whole, frac = _scaled(a, 16 - exp)
-        if ((whole < 10**16) | (whole >= 10**17)).any():
+    whole, frac = _scaled(a, 16 - exp, pow10)
+    if whole.min() < 10**16 or whole.max() >= 10**17:
+        # log10 missed by one next to a power of ten
+        exp += (whole >= 10**17).astype(np.int64) - (whole < 10**16)
+        whole, frac = _scaled(a, 16 - exp, pow10)
+        if whole.min() < 10**16 or whole.max() >= 10**17:
             return None
-    if (np.abs(frac - 0.5) < 1e-6).any():
+    if np.abs(frac - 0.5).min() < 1e-6:
         return None
     digits = whole + (frac > 0.5)
     carry = digits == 10**17
     digits[carry] = 10**16
     exp += carry
-    abs_exp = np.abs(exp)
-    if (abs_exp > 99).any():
+    if exp.min() < -99 or exp.max() > 99:
         return None
-    # bytes by position, one value per column; transposed once at the end
-    buf = np.empty((_FIELD.size, v.size), np.uint8)
-    buf[:] = _FIELD[:, None]
-    buf[1] += (digits // 10**16).astype(np.uint8)
-    # the other 16 digits as two 8-digit blocks, spread by exact float division
-    blocks = np.empty((2, 1, v.size))
-    blocks[0, 0] = digits // 10**8 % 10**8
-    blocks[1, 0] = digits % 10**8
-    place = np.floor(blocks / _DIGIT_PLACES)
-    place[:, 1:] -= 10.0 * place[:, :-1]
-    buf[3:19] += place.reshape(16, v.size).astype(np.uint8)
-    buf[20, exp < 0] = ord("-")
-    buf[21] += (abs_exp // 10).astype(np.uint8)
-    buf[22] += (abs_exp % 10).astype(np.uint8)
-    buf[23, 1::2] = ord("\n")
+    words = np.empty((v.size, _RECORD // 4), "<u4")
+    head = digits // 10**15
+    words[:, 0] = lead[head]
+    digits -= head * 10**15
+    for col, place in enumerate((10**11, 10**7, 10**3), 1):
+        four = digits // place
+        words[:, col] = group[four]
+        digits -= four * place
+    words[:, 4] = last[digits]
+    words[:, 5] = exponent[exp + 99]
+    records = words.view(np.uint8)
+    records[1::2, -1] = ord("\n")
     neg = v < 0
     if not neg.any():
-        return buf[1:].T.tobytes()
-    keep = np.ones(buf.shape, bool)
-    keep[0] = neg
-    return buf.T[keep.T].tobytes()
+        return records[:, 1:].tobytes()
+    keep = np.ones(records.shape, bool)
+    keep[:, 0] = neg
+    return records[keep].tobytes()
 
 
 def _series_bytes(xy: Series) -> bytes:
-    """The rows of xy as "%.16e,%.16e\\n" writes them; a block of rows that
-    _format_block cannot prove goes through that % pass."""
-    values = np.empty(2 * len(xy.x))
-    values[::2], values[1::2] = xy
+    """The rows of xy as "%.16e,%.16e\\n" writes them.
+
+    A series of fewer than _SHORT_ROWS rows, and a block of rows that
+    _format_block cannot prove, goes through that % pass.
+    """
+    rows = len(xy.x)
+    values = np.empty(2 * rows)
+    # fromiter reads a list of floats faster than a strided assignment
+    values[::2] = np.fromiter(xy.x, float, rows)
+    values[1::2] = np.fromiter(xy.y, float, rows)
+    if rows < _SHORT_ROWS:
+        return _percent(values)
     chunks = []
     for start in range(0, values.size, 2 * _BLOCK_ROWS):
         block = values[start:start + 2 * _BLOCK_ROWS]
         text = _format_block(block)
-        if text is None:
-            text = (("%.16e,%.16e\n" * (block.size // 2)) % tuple(block.tolist())).encode()
-        chunks.append(text)
+        chunks.append(_percent(block) if text is None else text)
     return b"".join(chunks)
+
+
+def _percent(values) -> bytes:
+    """The interleaved values as rows of one "%.16e,%.16e\\n" pass."""
+    return (("%.16e,%.16e\n" * (values.size // 2)) % tuple(values.tolist())).encode()
 
 
 def main(argv=None) -> int:

@@ -398,7 +398,8 @@ def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[
     values and estimates as lists of q.  The key is the panel's largest row
     |K - G| relative to that row's |value| after the first sweep; for one
     row that is its |K - G| times one positive number, so its panels are
-    bisected in the order of the plain |K - G| (ties of rounding aside).
+    bisected in the order of the plain |K - G| (ties of rounding aside).  A
+    call whose first sweep meets the rule returns before any panel is keyed.
     A bisection is one call cols(rs) on the radii of both halves, the left
     first, each in QUADPACK's node order, which returns q lists of values.
     Returns (values, error estimates, radii evaluated), the first two lists
@@ -443,24 +444,26 @@ def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[
                         raise QuadratureError(f"integral over {piece} is {total!r}: outside the float range")
         return mid, kl, el, kr, er
 
-    def push(i: int, a: float, b: float, ks: list, es: list, halves: tuple) -> None:
-        """The halves of the panel [a, b] of piece i in the heap, and in the running sums for its ks and es."""
-        mid, kl, el, kr, er = halves
-        heapq.heappush(heap, (-max(map(mul, el, scale)), i, a, mid, kl, el))
-        heapq.heappush(heap, (-max(map(mul, er, scale)), i, mid, b, kr, er))
-        # the panel out, then its left and right half in: one row's sums stay those of a one-integral loop
+    def tally(ks: list, es: list, halves: tuple) -> None:
+        """The running sums with a panel's ks and es out, and its halves' in."""
+        _, kl, el, kr, er = halves
+        # one row's sums stay those of a one-integral loop
         for r in rows:
             value[r] = value[r] - ks[r] + kl[r] + kr[r]
             error[r] = error[r] - es[r] + el[r] + er[r]
+
+    def push(i: int, a: float, b: float, halves: tuple) -> None:
+        """The halves of the panel [a, b] of piece i in the heap."""
+        mid, kl, el, kr, er = halves
+        heapq.heappush(heap, (-max(map(mul, el, scale)), i, a, mid, kl, el))
+        heapq.heappush(heap, (-max(map(mul, er, scale)), i, mid, b, kr, er))
 
     first = [bisect(i, a, b) for i, (a, b) in enumerate(pieces)]
     q = len(first[0][1])
     rows, zero = range(q), [0.0] * q
     value, error = [0.0] * q, [0.0] * q
-    # a panel keys on its largest row |K - G| relative to that row's value after the first sweep
-    scale = [1.0 / max(abs(math.fsum(ks)), _TINY) for ks in zip(*(k for _, kl, _, kr, _ in first for k in (kl, kr)))]
-    for (i, (a, b)), halves in zip(enumerate(pieces), first):
-        push(i, a, b, zero, zero, halves)
+    for halves in first:
+        tally(zero, zero, halves)
     evals = 2 * _NODE_COUNT * len(pieces)
 
     while True:
@@ -468,17 +471,27 @@ def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[
             if e > tol * abs(v):
                 break
         else:
-            # the running sums drift; accept on the exact ones
-            value = [math.fsum(ks) for ks in zip(*[p[4] for p in heap])]
-            error = [math.fsum(es) for es in zip(*[p[5] for p in heap])]
+            # the running sums drift; accept on the exact ones, over the
+            # first sweep's halves until a bisection puts them in the heap
+            ks, es = zip(*([p[4:] for p in heap] or [h for _, kl, el, kr, er in first for h in ((kl, el), (kr, er))]))
+            value = [math.fsum(k) for k in zip(*ks)]
+            error = [math.fsum(e) for e in zip(*es)]
             if all(e <= tol * abs(v) for v, e in zip(value, error)):
                 return value, error, evals
+        if not heap:
+            # most calls meet the rule on the first sweep and never key a panel; a
+            # panel keys on its largest row |K - G| relative to that row's value after it
+            scale = [1.0 / max(abs(math.fsum(ks)), _TINY) for ks in zip(*(k for _, kl, _, kr, _ in first for k in (kl, kr)))]
+            for (i, (a, b)), halves in zip(enumerate(pieces), first):
+                push(i, a, b, halves)
         _, i, a, b, ks, es = heap[0]
         cause = _stuck(len(heap), a, b, past_end if i == last else None)
         if cause is not None:
             raise QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}")
         heapq.heappop(heap)
-        push(i, a, b, ks, es, bisect(i, a, b))
+        halves = bisect(i, a, b)
+        push(i, a, b, halves)
+        tally(ks, es, halves)
         evals += 2 * _NODE_COUNT
 
 

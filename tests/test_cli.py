@@ -1,5 +1,7 @@
 import json
+import math
 from dataclasses import asdict
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from sharpineq import cli
 from sharpineq.cli import (
     _BLOCK_ROWS,
+    _SHORT_ROWS,
+    CheckRow,
     ConfigError,
     RunConfig,
     Series,
@@ -248,7 +252,27 @@ def percent_pass(x, y) -> bytes:
 def assert_written_as_percent_would(values):
     values = [float(v) for v in values]
     x, y = values, values[::-1]
-    assert _series_bytes(Series(x, y)) == percent_pass(x, y)
+    want = percent_pass(x, y)
+    assert _series_bytes(Series(x, y)) == want
+    # a series of fewer than _SHORT_ROWS rows skips _format_block, so its
+    # rows are also formatted as one block
+    assert cli._format_block(np.array([v for xy in zip(x, y) for v in xy])) in (None, want)
+
+
+def fast_block(values) -> bytes:
+    """_format_block of the interleaved values, which must be what % writes."""
+    v = np.array(values, float)
+    text = cli._format_block(v)
+    assert text == percent_pass(v[::2].tolist(), v[1::2].tolist())
+    return text
+
+
+def counting_blocks(monkeypatch) -> list:
+    """The results of every _format_block call from now on, None for a block sent to %."""
+    blocks = []
+    fast = cli._format_block
+    monkeypatch.setattr(cli, "_format_block", lambda v: blocks.append(fast(v)) or blocks[-1])
+    return blocks
 
 
 class TestSeriesFormat:
@@ -315,9 +339,7 @@ class TestSeriesFormat:
     @pytest.mark.parametrize("n, tolerance", [(3, 1e-9), (6, 1e-12)])
     def test_whole_phi_series_as_percent_writes_it(self, tmp_path, monkeypatch, n, tolerance):
         # every row of a real scan, and none of it through the % pass
-        blocks = []
-        fast = cli._format_block
-        monkeypatch.setattr(cli, "_format_block", lambda v: blocks.append(fast(v)) or blocks[-1])
+        blocks = counting_blocks(monkeypatch)
         run_suite(RunConfig(suite="ko-refute", n=n, tolerance=tolerance), str(tmp_path))
         text = (tmp_path / "phi_vs_alpha.csv").read_text()
         header, *rows = text.splitlines()
@@ -325,6 +347,72 @@ class TestSeriesFormat:
         assert header == "alpha,phi" and len(pairs) == 4096
         assert text == "alpha,phi\n" + "".join("%.16e,%.16e\n" % xy for xy in pairs)
         assert len(blocks) == -(-4096 // _BLOCK_ROWS) and None not in blocks
+
+    def test_digit_groups_0000_and_9999(self):
+        # every word of a record at its all-zero and all-nine entries: the
+        # leading "d.d" as 1.0 and 9.9, the three groups of four digits after
+        # it, and the last three digits before the 'e'
+        texts = [
+            "1.0712417141357325e+05", "9.9324622148768865e-15",
+            "3.6000086624248464e+00", "3.7999987233313838e+12",
+            "3.6247200004523635e+26", "3.5314299993513455e+03",
+            "3.8445812850000725e-10", "3.1485182229999852e+24",
+            "3.8574422356352000e+15", "3.5475411585648999e+03",
+        ]
+        values = [float(t) for t in texts]
+        assert ["%.16e" % v for v in values] == texts
+        fast_block(values)
+        fast_block([-v for v in values])
+
+    def test_carries_to_the_next_power_of_ten(self):
+        # a double just below 10^k that rounds to 17 digits as 10^k: the
+        # digits carry into an 18th, and the exponent grows by one
+        carried = []
+        for k in range(-99, 100):
+            near = float(f"1e{k}")
+            for v in (near, float(np.nextafter(near, 0.0))):
+                if Decimal(v) < Decimal(10) ** k and "%.16e" % v == f"1.0000000000000000e{k:+03d}":
+                    carried.append(v)
+        assert len(carried) == 6
+        fast_block(carried + [-v for v in carried])
+
+    def test_every_exponent_through_the_table(self):
+        values = [1.5 * 10.0**e for e in range(-99, 100)]
+        assert [int(("%.16e" % v)[-3:]) for v in values] == list(range(-99, 100))
+        fast_block([w for v in values for w in (v, -v)])
+        fast_block([w for v in values for w in (-v, v)])
+
+    def test_mixed_sign_blocks(self, monkeypatch):
+        blocks = counting_blocks(monkeypatch)
+        rng = np.random.default_rng(7)
+        rows = 2 * _BLOCK_ROWS + 5
+        # from 1e13 to 1e16 a random double is often a tie, which only % writes
+        x, y = (rng.standard_normal(rows) * 10.0 ** rng.integers(-40, 12, rows) for _ in range(2))
+        assert _series_bytes(Series(x, y)) == percent_pass(x.tolist(), y.tolist())
+        assert len(blocks) == 3 and None not in blocks
+
+    @pytest.mark.parametrize("rows", [_SHORT_ROWS - 1, _SHORT_ROWS, _SHORT_ROWS + 1])
+    def test_series_about_the_short_cutoff(self, monkeypatch, rows):
+        # a series shorter than _SHORT_ROWS goes to % whole; from there on
+        # _format_block writes it
+        blocks = counting_blocks(monkeypatch)
+        x = np.geomspace(0.5, 20.0, rows)
+        y = -np.sqrt(x)
+        assert _series_bytes(Series(x.tolist(), y.tolist())) == percent_pass(x.tolist(), y.tolist())
+        assert len(blocks) == (rows >= _SHORT_ROWS) and None not in blocks
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_phi_series_of_every_band_on_the_fast_path(self, monkeypatch, n):
+        # the alpha ranges and tolerances of the benchmark's four bands
+        from sharpineq import hyperbolic
+        from sharpineq.quadrature import QuadratureSpec
+
+        blocks = counting_blocks(monkeypatch)
+        for alpha, tolerance in (((0.5, 20.0), 1e-9), ((3.0, 100.0), 1e-9), ((50.0, 400.0), 1e-9), ((2.0, 80.0), 1e-12)):
+            scan = hyperbolic.ko_alpha_scan(n, alpha, 4096, QuadratureSpec(relative_tolerance=tolerance))
+            xy = Series(scan["alphas"], scan["phi"])
+            assert _series_bytes(xy) == percent_pass(*xy)
+        assert len(blocks) == 4 * -(-4096 // _BLOCK_ROWS) and None not in blocks
 
     def test_unequal_columns_name_the_trace(self, tmp_path):
         result = SuiteResult("ko-refute", [], 0.0, "", 0, {"phi_vs_alpha": Series([1.0, 2.0], [3.0])})
@@ -470,6 +558,35 @@ class TestRunSuite:
             want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
             assert (tmp_path / str(n) / "all.json").read_text() == want
             assert any(c.error for c in result.checks) == (n == 2)
+        # an error row whose message needs escapes, non-finite values, and no rows at all
+        error = 'OSError: "quoted" C:\\dir\\file\nsecond line, ε ≤ 1 — ü'
+        rows = [
+            CheckRow("flat-hardy", "error:OSError", 0.0, math.nan, math.inf, -math.inf, math.nan,
+                     math.nan, math.nan, 0.0, False, error=error),
+            CheckRow("ko-refute", "no-sign-change", 3.0, 0.0, 0.0, 0.0, 0.0, -0.0, 1e-300, 0.0, True),
+        ]
+        for checks in (rows, rows[:1], []):
+            result = SuiteResult("all", checks, 0.0, "0123456789abcdef", 0x5EED)
+            cli._write_artifacts(result, tmp_path)
+            payload = {
+                "suite": "all", "passed": result.passed, "config_hash": "0123456789abcdef", "seed": 0x5EED,
+                "checks": [asdict(c) for c in checks],
+            }
+            assert (tmp_path / "all.json").read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_csv_rows_as_fmt_writes_them(self, tmp_path):
+        # every CheckRow field but error: floats as _fmt writes them, passed
+        # as 1 or 0, the texts as they are
+        rows = [
+            CheckRow("flat-hardy", "error:ValueError", 0.0, math.nan, math.inf, -math.inf, math.nan,
+                     math.nan, math.nan, 0.0, False, error="ValueError: Hardy needs n >= 3"),
+            CheckRow("ko-refute", "no-sign-change", 3, 0.0, 0.0, 0.0, 0.0, -0.0, 1e-300, 0.0, True),
+        ]
+        cli._write_artifacts(SuiteResult("all", rows, 0.0, "", 0), tmp_path)
+        cells = [[c.suite, c.name, *map(_fmt, (c.param, c.lhs, c.rhs, c.ratio, c.target, c.slack, c.err, c.tolerance)),
+                  "1" if c.passed else "0"] for c in rows]
+        header = "suite,name,param,lhs,rhs,ratio,target,slack,err,tolerance,passed"
+        assert (tmp_path / "all.csv").read_text() == "\n".join([header] + [",".join(r) for r in cells]) + "\n"
 
     def test_chpw_bounds_row_carries_error_estimate(self, tmp_path):
         cfg = RunConfig(suite="chpw-bounds")

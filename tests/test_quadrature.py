@@ -191,6 +191,19 @@ class TestRadialIntegralAccuracy:
             assert error <= 1e-15 or j > 13
             assert evals == 30
 
+    def test_first_sweep_accepts_before_any_key(self, monkeypatch):
+        # a call that meets the rule on its first sweep keys and pushes no
+        # panel; a call that bisects pushes both halves of each of its 30-node
+        # evaluations, the first sweep's too
+        pushed = []
+        push = quadrature.heapq.heappush
+        monkeypatch.setattr(quadrature.heapq, "heappush", lambda heap, item: pushed.append(item) or push(heap, item))
+        (value,), (error,), evals = _adaptive_gk15(lambda rs: [[x**5 for x in rs]], [0.0, 1.0], False, 1e-6)
+        assert value == pytest.approx(1 / 6, rel=1e-14) and error <= 1e-15
+        assert (evals, pushed) == (30, [])
+        _, _, evals = _adaptive_gk15(lambda rs: [[abs(x - 0.3) ** 0.5 for x in rs]], [0.0, 1.0], False, 1e-9)
+        assert evals > 30 and len(pushed) == 2 * evals // 30
+
 
 # radial_integral's value, error estimate and nodes_used for algebraic and
 # compact profiles, as the node-by-node loop gave them before the loop took
