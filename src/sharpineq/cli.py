@@ -268,8 +268,8 @@ class CheckRow:
 class Series(NamedTuple):
     """An xy plot series as two columns of equal length."""
 
-    x: list
-    y: list
+    x: list | np.ndarray
+    y: list | np.ndarray
 
 
 @dataclass
@@ -474,7 +474,7 @@ def _run_ko_refute(cfg: RunConfig) -> tuple[list, dict]:
             float(len(scan["brackets"])), 0.0,
             float(len(scan["brackets"])), 0.0,
             -float(len(scan["brackets"])), scan["worst_rel_err"], 0.0,
-            bool(scan["alphas"]) and len(scan["brackets"]) == 0,
+            len(scan["alphas"]) > 0 and len(scan["brackets"]) == 0,
         )
     ]
     series = {"phi_vs_alpha": Series(scan["alphas"], scan["phi"])}
@@ -750,9 +750,8 @@ def _series_bytes(xy: Series) -> bytes:
     """
     rows = len(xy.x)
     values = np.empty(2 * rows)
-    # fromiter reads a list of floats faster than a strided assignment
-    values[::2] = np.fromiter(xy.x, float, rows)
-    values[1::2] = np.fromiter(xy.y, float, rows)
+    values[::2] = xy.x
+    values[1::2] = xy.y
     if rows < _SHORT_ROWS:
         return _percent(values)
     chunks = []

@@ -18,10 +18,11 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     RadialProfile,
+    _checked_parameters,
     fd_derivative,
+    flat_gaussian_moments,
     flat_radial_volume_integral,  # unused here; perfbench/tracer.py wraps it at this import site
     gauss_kronrod_batch,
-    gaussian_integrals,
     monte_carlo_integral,
     radial_integral_rows,
     radial_integrals,
@@ -101,9 +102,9 @@ class RadialFunction:
 
     @staticmethod
     def gaussian(alpha: float, beta: float = 0.0) -> "RadialFunction":
-        """e^(-alpha d^2 - beta d) with alpha > 0, beta >= 0."""
-        if alpha <= 0 or beta < 0:
-            raise ValueError("need alpha > 0 and beta >= 0")
+        """e^(-alpha d^2 - beta d) with alpha > 0 and beta >= 0, both finite."""
+        _checked_parameters("alpha", alpha)
+        _checked_parameters("beta", beta, zero=True)
 
         def u(r):
             return math.exp(-alpha * r * r - beta * r)
@@ -329,9 +330,7 @@ def _extremal_passes(
     lam first; P at each; R) per lam, in grid order; a failed pass raises
     its error when its turn comes.
     """
-    if any(lam <= 0 for lam in lam_grid):
-        raise ValueError("lam must be positive")
-    lam = np.array(lam_grid, dtype=float)[:, None]
+    lam = _checked_parameters("lam", lam_grid)[:, None]
     h = 1e-5 * lam
     lams = np.concatenate([lam, lam + h, lam - h, lam + h / 2, lam - h / 2], axis=1) if fd else lam
     n, kh, kg = t.n, _kernel_h(t), _kernel_g(t)
@@ -458,7 +457,8 @@ def interpolation_report(
 
 
 def extremal_profile(t: ExponentTriple, lam: float) -> RadialFunction:
-    """The minimizer family (lam + rho^(2-q))^(1/(2-p)) with its derivative."""
+    """The minimizer family (lam + rho^(2-q))^(1/(2-p)) with its derivative, lam > 0 finite."""
+    _checked_parameters("lam", lam)
     p, q = t.p, t.q
     expo = 1 / (2 - p)
 
@@ -473,31 +473,20 @@ def extremal_profile(t: ExponentTriple, lam: float) -> RadialFunction:
     )
 
 
-def _gaussian_moments(ks: Sequence[int], spec: QuadratureSpec) -> list[IntegralResult]:
-    """I_k = int_0^oo s^k e^(-s^2) ds for every k of ks, from one gaussian_integrals pass.
-
-    A flat gaussian row reduces to these lambda-free moments: in
-    s = rho sqrt(2 lam), int rho^k e^(-2 lam rho^2) d rho = (2 lam)^(-(k+1)/2) I_k,
-    so lam enters only through exact prefactors.
-    """
-    values, errors, evals = gaussian_integrals("power", [(k, None) for k in ks], [1.0], spec)
-    return [IntegralResult(float(v), float(e), evals) for v, e in zip(values[:, 0], errors[:, 0])]
-
-
 def gaussian_T_grid(n: int, lams: Sequence[float], spec: QuadratureSpec = QuadratureSpec()) -> list[dict]:
     """Gaussian moment integral, its closed form, and the scaling ODE residual, for every lam.
 
     T(lam) = 4 lam omega_n int rho^(n+1) e^(-2 lam rho^2) d rho, which must
     equal 2 (2 lam)^(-n/2) omega_n int t^(n+1) e^(-t^2) dt and satisfy
     -lam T' = (n/2) T.  T' = T/lam - 8 lam omega_n int rho^(n+3) e^(-2 lam rho^2)
-    is analytic: T and its higher moment are the lambda-free I_(n+1) and
-    I_(n+3) of one batched pass for the whole grid (_gaussian_moments) times
-    powers of 2 lam.  Returns one dict per lam.
+    is analytic: in t = rho sqrt(2 lam), T and its higher moment are the
+    rate-free I_k = int t^k e^(-t^2) dt, k = n + 1 and n + 3, of one
+    flat_gaussian_moments pass for the whole grid times powers of 2 lam.
+    Every lam must be positive and finite.  Returns one dict per lam.
     """
-    if any(lam <= 0 for lam in lams):
-        raise ValueError("lam must be positive")
+    _checked_parameters("lam", lams)
     omega = ball_volume_constant(n)
-    low, high = _gaussian_moments((n + 1, n + 3), spec)
+    low, high = flat_gaussian_moments([(n + 1, None), (n + 3, None)], spec)
     out = []
     for lam in lams:
         value = 4 * lam * omega * (2 * lam) ** (-(n + 2) / 2) * low.value
@@ -541,13 +530,13 @@ def gaussian_hpw_reports(
 
     For u = e^(-lam F^2), L = int u^2 = n omega_n (2 lam)^(-n/2) I_(n-1),
     M = int F^2 u^2 = n omega_n (2 lam)^(-(n+2)/2) I_(n+1) and
-    A = int F*(Du)^2 = 4 lam^2 M, with the lambda-free moments I_k of one
-    batched pass (_gaussian_moments) for the whole grid.  Returns one
+    A = int F*(Du)^2 = 4 lam^2 M, with the rate-free moments
+    I_k = int s^k e^(-s^2) ds of one flat_gaussian_moments pass for the
+    whole grid.  Every lam must be positive and finite.  Returns one
     (A M / L^2 against n^2/4, relative defect of 2 lam M = (n/2) L) pair per lam.
     """
-    if any(lam <= 0 for lam in lams):
-        raise ValueError("lam must be positive")
-    low, high = _gaussian_moments((n - 1, n + 1), spec)
+    _checked_parameters("lam", lams)
+    low, high = flat_gaussian_moments([(n - 1, None), (n + 1, None)], spec)
     c = n * ball_volume_constant(n)
     out = []
     for lam in lams:
@@ -562,7 +551,7 @@ def gaussian_hpw_reports(
 def gaussian_moment_identity(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Relative defect of 2 lam int F^2 e^(-2 lam F^2) = (n/2) int e^(-2 lam F^2).
 
-    Both sides are lambda-free moments times exact powers of 2 lam
+    Both sides are rate-free moments times exact powers of 2 lam
     (gaussian_hpw_reports).
     """
     return gaussian_hpw_reports(n, [lam], spec)[0][1]
@@ -591,53 +580,26 @@ def hardy_report(
     return InequalityReport.quotient(A, H, (n - 2) ** 2 / 4)
 
 
-def _hardy_gaussian_integrals(
-    weight: str, n: int, rates: Sequence[float], rows: Sequence, spec: QuadratureSpec
-) -> list[list[IntegralResult]]:
-    """Hardy integrals of u = rho e^(-a rho^2) for every a of rates, from one gaussian_integrals pass.
-
-    u^2/rho^2 = e^(-2 a rho^2) and (u')^2 = (1 - 2 a rho^2)^2 e^(-2 a rho^2),
-    so each integral is n omega_n int f(rho) e^(-2 a rho^2) w^(n-1) d rho
-    for one f of rows (a function of the radii and the rate column p = 2a,
-    or None for 1), against w = rho ('power') or sinh ('sinh').  Returns the
-    integrals of rows, in order, per a.
-    """
-    rates = np.asarray(rates, dtype=float)
-    if not np.all(rates > 0):
-        raise ValueError("a must be positive")
-
-    def describe(p):
-        return f"a = {p / 2!r} for n = {n}"
-
-    grid = 2 * rates
-    values, errors, evals = gaussian_integrals(weight, [(n - 1, f) for f in rows], grid, spec, describe)
-    c = n * ball_volume_constant(n) / np.sqrt(grid)
-    return [
-        [IntegralResult(v, e, evals) for v, e in zip(vs, es)]
-        for vs, es in zip((c * values).T.tolist(), (c * errors).T.tolist())
-    ]
-
-
-def _energy_row(rho, p):
-    """(u')^2 e^(2 a rho^2) of u = rho e^(-a rho^2), p = 2a: (1 - 2 a rho^2)^2."""
-    return (1 - p * rho * rho) ** 2
-
-
 def gaussian_hardy_reports(
     n: int, rates: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
 ) -> list[InequalityReport]:
     """hardy_report of u = rho e^(-a F^2) for every a of rates.
 
-    A = int F*(Du)^2 and H = int u^2/F^2 are the rows (1 - 2 a rho^2)^2 and 1
-    of one 'power' gaussian_integrals pass at the rates 2a
-    (_hardy_gaussian_integrals); A / H = n^2/4 - n/2 + 1 for every a.
+    In s = rho sqrt(2a), (u')^2 = (1 - s^2)^2 e^(-s^2) and
+    u^2/rho^2 = e^(-s^2), so A = int F*(Du)^2 and H = int u^2/F^2 are
+    n omega_n (2a)^(-n/2) times the rate-free rows (n - 1, (1 - s^2)^2) and
+    (n - 1, None) of one flat_gaussian_moments pass for every a; A / H =
+    n^2/4 - n/2 + 1 for every a.  Every a must be positive and finite.
     Returns one report, A / H against (n-2)^2/4, per a.
     """
     if n < 3:
         raise ValueError("Hardy needs n >= 3")
+    _checked_parameters("a", rates)
+    moments = flat_gaussian_moments([(n - 1, lambda s: (1 - s * s) ** 2), (n - 1, None)], spec)
+    c = n * ball_volume_constant(n)
     return [
-        InequalityReport.quotient(A, H, (n - 2) ** 2 / 4)
-        for A, H in _hardy_gaussian_integrals("power", n, rates, [_energy_row, None], spec)
+        InequalityReport.quotient(*(_scaled(r, c * (2 * a) ** (-n / 2)) for r in moments), (n - 2) ** 2 / 4)
+        for a in rates
     ]
 
 

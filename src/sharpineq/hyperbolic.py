@@ -19,9 +19,7 @@ from .flat import (
     InequalityReport,
     RadialFunction,
     _energy_col,
-    _energy_row,
     _hardy_col,
-    _hardy_gaussian_integrals,
     _hpw,
     _integrals,
     _moment_col,
@@ -32,6 +30,8 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     RadialProfile,
+    _checked_parameters,
+    gaussian_integrals,
     hyperbolic_gaussian_masses,
     hyperbolic_gaussian_moments,
     hyperbolic_radial_volume_integral,
@@ -275,22 +275,31 @@ def gaussian_hardy_hyperbolic_reports(
 ) -> list[tuple[InequalityReport, InequalityReport]]:
     """hardy_hyperbolic_report of u = d e^(-a d^2) for every a of rates.
 
-    The energy and the three Hardy integrals are the rows
+    u^2/rho^2 = e^(-2 a rho^2) and (u')^2 = (1 - 2 a rho^2)^2 e^(-2 a rho^2),
+    so the energy and the three Hardy integrals are the rows
     (1 - 2 a rho^2)^2, 1 + 2(n-1)/(n-2) (rho coth rho - 1), 1 and
-    rho^2/(pi^2 + rho^2) of one 'sinh' gaussian_integrals pass at the rates
-    2a (flat._hardy_gaussian_integrals).  Returns one (quantitative,
-    improved) pair of reports per a, both with target 1.
+    rho^2/(pi^2 + rho^2) of one gaussian_integrals pass at (2a, 0).  Every
+    a must be positive and finite.  Returns one (quantitative, improved)
+    pair of reports per a, both with target 1.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    rates = _checked_parameters("a", rates)
     c = 2 * (n - 1) / (n - 2)
+    # p holds (2a, 0)
     rows = [
-        _energy_row,
+        lambda rho, p: (1 - p[..., 0] * rho * rho) ** 2,
         lambda rho, p: 1 + c * (rho / np.tanh(rho) - 1),
         None,
         lambda rho, p: rho * rho / (math.pi**2 + rho * rho),
     ]
-    return [_hardy_pair(n, *integrals) for integrals in _hardy_gaussian_integrals("sinh", n, rates, rows, spec)]
+    grid = np.stack([2 * rates, np.zeros(rates.size)], axis=1)
+    values, errors, evals = gaussian_integrals(
+        [(n - 1, f) for f in rows], grid, spec, lambda p: f"a = {p[0] / 2!r} for n = {n}")
+    return [
+        _hardy_pair(n, *(IntegralResult(v, e, evals) for v, e in zip(vs, es)))
+        for vs, es in zip(values.T.tolist(), errors.T.tolist())
+    ]
 
 
 def _sign_change_brackets(alphas: np.ndarray, phi: np.ndarray) -> list:
@@ -314,26 +323,27 @@ def ko_alpha_scan(
     positive series in 1/alpha, summed until its tail bound is below a unit
     roundoff of the sum, except at an alpha too small for the series' term
     cap, whose two masses come from one Gauss-Kronrod pass on the node set
-    of C_n.  Returns every bracketing interval with a sign change (an empty
-    list means the equation has no root on the range), the worst relative
-    error estimate of the masses and the work spent on them: the series
-    terms, and one integrand evaluation per mass and node of the
-    Gauss-Kronrod pass.
+    of C_n.  Returns the alphas and Phi as arrays (empty for a grid_size
+    below 2), every bracketing interval with a sign change (an empty list
+    means the equation has no root on the range), the worst relative error
+    estimate of the masses and the work spent on them: the series terms,
+    and one integrand evaluation per mass and node of the Gauss-Kronrod
+    pass.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     lo, hi = alpha_range
-    if not (0 < lo < hi):
-        raise ValueError("alpha range must be positive and increasing")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError(f"alpha range must be positive, finite and increasing, got {alpha_range!r}")
     if grid_size < 2:
-        return {"alphas": [], "phi": [], "brackets": [], "worst_rel_err": 0.0, "nodes_used": 0}
+        return {"alphas": np.empty(0), "phi": np.empty(0), "brackets": [], "worst_rel_err": 0.0, "nodes_used": 0}
     alphas = np.linspace(lo, hi, grid_size)
     masses, errors, evals = hyperbolic_gaussian_masses((n - 2, n), alphas, spec)
     c_small, c_big = masses
     phi = (n - 1) / (n - 2) * (n - 1 + 2 * math.pi * c_small / c_big) - alphas
     return {
-        "alphas": alphas.tolist(),
-        "phi": phi.tolist(),
+        "alphas": alphas,
+        "phi": phi,
         "brackets": _sign_change_brackets(alphas, phi),
         "worst_rel_err": float(np.max(errors / masses)),
         "nodes_used": evals,

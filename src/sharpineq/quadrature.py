@@ -8,9 +8,10 @@ one-row case), and passes of q numpy row integrands in lockstep, [0, 1] and
 the tail past 1 taken in graded variables, rho = x^2 and rho = (1 - x)^-2,
 each round one call for the nodes of one bisection of every pass still
 refining (radial_integral_rows); a vectorised composite Gauss-Kronrod rule
-over a whole parameter grid at once, which takes the gaussian rows of both
-geometries in s = rho sqrt(rate), each parameter on its own cut
-(gaussian_integrals); the gaussian masses on the ball as a
+over a whole parameter grid at once, which takes the gaussian rows of the
+ball in s = rho sqrt(rate), each parameter on its own cut
+(gaussian_integrals), and the rate-free gaussian moments of flat space at
+rate 1 (flat_gaussian_moments); the gaussian masses on the ball as a
 positive series in 1/alpha, n-dimensional Monte Carlo
 cross-validation with a counter-based generator, and Richardson-extrapolated
 finite differences.
@@ -41,6 +42,7 @@ __all__ = [
     "flat_radial_volume_integral",
     "hyperbolic_radial_volume_integral",
     "gauss_kronrod_batch",
+    "flat_gaussian_moments",
     "gaussian_integrals",
     "hyperbolic_gaussian_masses",
     "hyperbolic_gaussian_moments",
@@ -51,6 +53,17 @@ __all__ = [
 
 class QuadratureError(RuntimeError):
     """Tolerance not met, or an integrand or integral outside the float range."""
+
+
+def _checked_parameters(name: str, values, zero: bool = False) -> np.ndarray:
+    """values as a float array, each positive (with zero, at least 0) and finite,
+    or else a ValueError naming the parameter and its first bad value."""
+    values = np.asarray(values, dtype=float)
+    ok = (values >= 0 if zero else values > 0) & (values < math.inf)
+    if not ok.all():
+        rule = "finite and >= 0" if zero else "positive and finite"
+        raise ValueError(f"{name} must be {rule}, got {name} = {float(values[~ok].flat[0])!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -773,86 +786,104 @@ def gauss_kronrod_batch(
         panels *= 2
 
 
+def flat_gaussian_moments(rows: Sequence[tuple], spec: QuadratureSpec = QuadratureSpec()) -> list[IntegralResult]:
+    """int_0^oo f(s) s^k e^(-s^2) ds for every row (k, f), from one gauss_kronrod_batch pass.
+
+    Every gaussian row of flat space is one of these rate-free moments times
+    an exact power of its rate, in s = rho sqrt(rate).  f is None for 1 or
+    a function of the node positions s.  The rows share one node set on
+    [0, S], S the root of s^2 - K s = budget, K the largest k of rows: the
+    tail bound _truncation_radius puts on rho^K at rate 1, absolute, and
+    relative too for f = None, since every such moment is at least
+    Gamma(1.4616) / 2 > 0.44.  At rate 1 the peak of s^K e^(-s^2) needs no
+    more room (_peak_root at a = 1 lies before S for K = 1..199 at 1e-6 to
+    1e-14).  Returns one IntegralResult per row, each counting every
+    evaluation of the pass.
+    """
+    top = max(k for k, _ in rows)
+    S = (top + math.sqrt(top * top + 4 * _tail_budget(spec.relative_tolerance))) / 2
+
+    def integrand(x, p):
+        # one parameter, which no row reads; rows of one k share one exp
+        s = S * x[None]
+        log_s, s2 = np.log(s), s * s
+        bases = {k: S * np.exp(k * log_s - s2) for k in {k for k, _ in rows}}
+        return np.stack([bases[k] if f is None else f(s) * bases[k] for k, f in rows])
+
+    values, errors, evals = gauss_kronrod_batch(integrand, np.zeros(1), spec)
+    return [IntegralResult(v, e, len(rows) * evals) for v, e in zip(values[:, 0].tolist(), errors[:, 0].tolist())]
+
+
 def gaussian_integrals(
-    weight: str,
     rows: Sequence[tuple],
     params,
     spec: QuadratureSpec = QuadratureSpec(),
     describe: Callable[[object], str] = repr,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Gaussian integrals over [0, oo), q rows on one set of nodes, for every parameter.
+    """Gaussian volume integrals on the ball, q rows on one set of nodes, for every parameter.
 
-    Row (k, f) integrates f(rho) w(rho)^k e^(-rate rho^2 - 2 beta rho), where
-    w is sinh (weight 'sinh', the ball) or rho (weight 'power', flat space)
-    and f is None for 1 or a function of the node radii rho and the
-    parameter column p (see gauss_kronrod_batch).  params holds the rates,
-    shape (N,), or (rate, beta) pairs with beta >= 0, shape (N, 2).  Every
-    row is taken in s = rho sqrt(rate) over [0, S], with K the largest k of
-    rows and S of each parameter:
+    Row (k, f) is n omega_n int_0^oo f(rho) sinh^k(rho) e^(-rate rho^2 - 2 beta rho) d rho,
+    n = k + 1, f None for 1 or a function of the node radii rho and the
+    parameter column p (see gauss_kronrod_batch); params holds (rate, beta)
+    pairs, rate > 0 and beta >= 0, shape (N, 2).  Every row is taken in
+    s = rho sqrt(rate) over [0, S], with K the largest k of rows and S of
+    each parameter:
       * the root of s^2 - g s = budget, g = max(K - 2 beta, 0) / sqrt(rate):
-        the tail bound _truncation_radius puts on a sinh^K weight, which
-        holds for rho^K <= e^(K rho) too, with e^(-2 beta rho) taken into
-        the exponent.  The bound is absolute.  For sinh rows at
-        rate <= 2K/3 it is relative as well: with beta = 0 the bound
+        the tail bound _truncation_radius puts on a sinh^K weight, with
+        e^(-2 beta rho) taken into the exponent.  The bound is absolute.
+        At rate <= 2K/3 it is relative as well: with beta = 0 the bound
         2^-K e^(K rho - rate rho^2) at S is at most e^-budget times the
         integrand at rho = K / (2 rate) >= 3/4.  At large rates, where the
         integral is of order rate^(-K/2), it is not;
-      * raised where the peak needs it.  With b = 2 beta / sqrt(rate),
-        s^K e^(-a s^2 - b s) bounds the integrand times rate^(K/2) from
-        above (a = 1 for power, a = 1 - K / (6 rate) for sinh, by
-        sinh rho <= rho e^(rho^2 / 6)), and t^K e^(-t^2 - b t),
-        t = sqrt(K/2), bounds its peak from below (sinh rho >= rho).  S is
-        at least the s past the first one's peak where it has fallen to
-        tol times the second: for power rows the root at b = 0, one number,
-        and for sinh rows at rate > 2K/3 (a > _PEAK_GATE) the root of each
-        parameter (_peak_cut), checked only for the K that _peak_free does
-        not clear (K >= 10 at 1e-12, K >= 15 at 1e-9).  s^K e^(-s^2) peaks
-        at sqrt(K/2), so this moves S for large K at large rates only,
-        leaving a tail of about tol / 14 that the error estimates do not
-        count; no row of perfbench's catalogues or of tests/golden moves.
-    The integrand S e^(k log w - s^2 - 2 beta rho) is formed in log space,
-    so it stays finite where w^k alone would overflow (small rates); rows of
-    one k share one exp, taken in place in the exponent's array, and a row
-    with an f is written by one product into the output.  On
-    gauss_kronrod_batch's G10/K21 rule, a parameter is refined until every
-    row meets the tolerance.  Returns (values, error_estimates,
-    evaluations): values and estimates of shape (q, N), in s, so that row i
-    at parameter j is values[i, j] / sqrt(rate_j) in rho; evaluations count
-    every value of every row, q per node.
+      * raised where the peak needs it.  With b = 2 beta / sqrt(rate) and
+        a = 1 - K / (6 rate), s^K e^(-a s^2 - b s) bounds the integrand
+        times rate^(K/2) from above (sinh rho <= rho e^(rho^2 / 6)), and
+        t^K e^(-t^2 - b t), t = sqrt(K/2), bounds its peak from below
+        (sinh rho >= rho).  At rate > 2K/3 (a > _PEAK_GATE) S is at least
+        the s past the first one's peak where it has fallen to tol times
+        the second, the root of each parameter (_peak_cut), checked only
+        for the K that _peak_free does not clear (K >= 10 at 1e-12,
+        K >= 15 at 1e-9).  s^K e^(-s^2) peaks at sqrt(K/2), so this moves
+        S for large K at large rates only, leaving a tail of about tol / 14
+        that the error estimates do not count; no row of perfbench's
+        catalogues or of tests/golden moves.
+    The integrand S e^(k log sinh rho - s^2 - 2 beta rho) is formed in log
+    space, so it stays finite where sinh^k alone would overflow (small
+    rates); rows of one k share one exp, taken in place in the exponent's
+    array, and a row with an f is written by one product into the output.
+    On gauss_kronrod_batch's G10/K21 rule, a parameter is refined until
+    every row meets the tolerance.  Returns (values, error_estimates,
+    evaluations): values and estimates of shape (q, N), each
+    n omega_n / sqrt(rate) times its integral in s; evaluations count every
+    value of every row, q per node.
     """
-    if weight not in ("sinh", "power"):
-        raise ValueError(f"unknown weight {weight!r}")
-    sinh = weight == "sinh"
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2 or params.shape[1] != 2:
+        raise ValueError(f"params must be (rate, beta) pairs of shape (N, 2), got shape {params.shape}")
     top = max(k for k, _ in rows)
     budget = _tail_budget(spec.relative_tolerance)
-    log_tol = math.log(spec.relative_tolerance)
-    # power rows: b >= 0 only lowers the root, so the one of b = 0 is their
-    # cut.  sinh rows: none moves where _peak_free says so, and an S at or
-    # past the loose bound stands at every a > _PEAK_GATE and b (_peak_cut)
-    least, loose = _peak_bound(top, log_tol, 1.0), _peak_bound(top, log_tol, _PEAK_GATE)
-    check = sinh and not _peak_free(top, spec.relative_tolerance)
+    # none moves where _peak_free says so, and an S at or past this bound
+    # stands at every a > _PEAK_GATE and b (_peak_cut)
+    loose = _peak_bound(top, math.log(spec.relative_tolerance))
+    check = not _peak_free(top, spec.relative_tolerance)
 
     def integrand(x, p):
-        rate, beta = (p[..., 0], p[..., 1]) if p.ndim == 3 else (p, None)
+        rate, beta = p[..., 0], p[..., 1]
         root = np.sqrt(rate)
-        g = top / root if beta is None else np.maximum(top - 2 * beta, 0) / root
+        g = np.maximum(top - 2 * beta, 0) / root
         S = (g + np.sqrt(g * g + 4 * budget)) / 2
-        if not sinh:
-            S = np.maximum(S, least)
-        elif check and S.min(initial=math.inf) < loose:
-            b = 0.0 if beta is None else 2 * beta / root
-            S = _peak_cut(S, top, spec.relative_tolerance, 1 - top / (6 * rate), b)
+        if check and S.min(initial=math.inf) < loose:
+            S = _peak_cut(S, top, spec.relative_tolerance, 1 - top / (6 * rate), 2 * beta / root)
         s = S * x
         rho = s / root
         s2 = s * s
         # log sinh rho = rho + log(1 - e^(-2 rho)) - log 2
-        log_w = rho + np.log(-np.expm1(-2 * rho)) - math.log(2) if sinh else np.log(rho)
+        log_w = rho + np.log(-np.expm1(-2 * rho)) - math.log(2)
         bases = {}
         for k in dict.fromkeys(k for k, _ in rows):
             # S e^(k log w - s s - 2 beta rho), in place in the exponent's array
             e = k * log_w - s2
-            if beta is not None:
-                e -= 2 * beta * rho
+            e -= 2 * beta * rho
             bases[k] = np.multiply(S, np.exp(e, out=e), out=e)
         out = np.empty((len(rows),) + rho.shape)
         for row, (k, f) in zip(out, rows):
@@ -863,7 +894,8 @@ def gaussian_integrals(
         return out
 
     values, errors, evals = gauss_kronrod_batch(integrand, params, spec, describe)
-    return values, errors, len(rows) * evals
+    c = np.array([(k + 1) * ball_volume_constant(k + 1) for k, _ in rows])[:, None] / np.sqrt(params[:, 0])
+    return c * values, c * errors, len(rows) * evals
 
 
 # Newton steps of the peak cut: from its start they reach the root within
@@ -898,10 +930,10 @@ def _peak_root(K: int, log_tol: float, a, b=0.0):
 
 
 @functools.lru_cache(maxsize=None)
-def _peak_bound(K: int, log_tol: float, a: float) -> float:
-    """_peak_root at b = 0, 0.0 for K = 0: the cut of power rows at a = 1, and
-    at a = _PEAK_GATE an S that no a past the gate and b >= 0 moves."""
-    return float(_peak_root(K, log_tol, a)) if K else 0.0
+def _peak_bound(K: int, log_tol: float) -> float:
+    """_peak_root at a = _PEAK_GATE and b = 0, 0.0 for K = 0: an S that no
+    a past the gate and b >= 0 moves."""
+    return float(_peak_root(K, log_tol, _PEAK_GATE)) if K else 0.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -940,7 +972,7 @@ def _peak_cut(S, K: int, tol: float, a, b=0.0):
     t = sqrt(K/2), falls past the peak of s^K e^(-a s^2 - b s).  S stands
     where it lies past that peak with psi(S) <= 0, and elsewhere becomes the
     root of psi (_peak_root).  psi falls as a and b grow (S > t), so an S
-    at or past _peak_bound(K, ln tol, _PEAK_GATE) stands at every a past
+    at or past _peak_bound(K, ln tol) stands at every a past
     the gate and every b.  Every S here is at least sqrt(_tail_budget(tol)).
     """
     log_tol = math.log(tol)
@@ -1106,9 +1138,10 @@ def hyperbolic_gaussian_masses(
     relative_tolerance x mass.  An alpha whose series needs more than
     _SERIES_TERMS terms (small alphas: about (n-1)^2 / (4 alpha) are
     needed), or whose estimate misses the tolerance, takes all of its masses
-    from one gaussian_integrals('sinh', ...) call on such alphas alone, on
+    from one gaussian_integrals call at (alpha, 0) on such alphas alone, on
     the node set of the largest n, log sinh taken once per node; its
-    QuadratureError counts the alphas of that call.  Every mass is
+    QuadratureError counts the alphas of that call and names one by its
+    alpha.  Every alpha must be positive and finite.  Every mass is
     the same float alone and inside any grid.  Returns (masses,
     error_estimates, evaluations), masses of shape (N,) for one n and
     (len(dims), N) for a sequence; evaluations count the series terms and
@@ -1117,17 +1150,16 @@ def hyperbolic_gaussian_masses(
     ns = np.atleast_1d(dims).tolist()
     if min(ns) < 1:
         raise ValueError("need n >= 1")
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = _checked_parameters("alpha", alphas)
     tol = spec.relative_tolerance
     masses, errors, terms, served = _series_masses(ns, alphas)
     evals = int(terms.sum())
     met = served & ((errors <= tol * masses) & (masses >= _TINY) & (masses < math.inf)).all(axis=0)
     rest = np.flatnonzero(~met)
     if rest.size:
-        values, errs, gk = gaussian_integrals("sinh", [(n - 1, None) for n in ns], alphas[rest], spec)
-        c = np.array([n * ball_volume_constant(n) for n in ns])[:, None] / np.sqrt(alphas[rest])
-        masses[:, rest] = c * values
-        errors[:, rest] = c * errs
+        grid = np.stack([alphas[rest], np.zeros(rest.size)], axis=1)
+        masses[:, rest], errors[:, rest], gk = gaussian_integrals(
+            [(n - 1, None) for n in ns], grid, spec, lambda p: repr(p[0]))
         evals += gk
     if np.ndim(dims) == 0:
         return masses[0], errors[0], evals
@@ -1142,18 +1174,19 @@ def hyperbolic_gaussian_moments(
     A = int (u')^2, M = int rho^2 u^2 and L = int u^2 against the volume
     n omega_n sinh^(n-1)(rho) d rho, then int f u^2 for every f of weights
     (a function of an array of radii), for every (alpha, beta) of the
-    broadcast of alphas and betas (alpha > 0, beta >= 0).  u^2 is the
+    broadcast of alphas and betas (alpha positive and beta >= 0, both
+    finite, _checked_parameters).  u^2 is the
     gaussian e^(-2 alpha rho^2) times e^(-2 beta rho) <= 1, so the integrals
     come from one gaussian_integrals pass at the rate 2 alpha.  Returns
     (moments, error_estimates, evaluations); moments[0], [1] and [2] are A,
     M and L, moments[3 + i] the integral of weights[i], each of the
     broadcast shape.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     alphas, betas = np.broadcast_arrays(
-        np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
+        _checked_parameters("alpha", alphas), _checked_parameters("beta", betas, zero=True)
     )
-    if n < 1 or np.any(alphas <= 0) or np.any(betas < 0):
-        raise ValueError("need n >= 1, alpha > 0 and beta >= 0")
     m = n - 1
     # u' = -(2 alpha rho + beta) u, and p holds (2 alpha, beta)
     rows = [
@@ -1167,10 +1200,9 @@ def hyperbolic_gaussian_moments(
         return f"(alpha, beta) = ({p[0] / 2!r}, {p[1]!r}) for n = {n}"
 
     grid = np.stack([2 * alphas.ravel(), betas.ravel()], axis=1)
-    values, errors, evals = gaussian_integrals("sinh", rows, grid, spec, describe)
-    c = n * ball_volume_constant(n) / np.sqrt(grid[:, 0])
+    values, errors, evals = gaussian_integrals(rows, grid, spec, describe)
     shape = (len(rows),) + alphas.shape
-    return (c * values).reshape(shape), (c * errors).reshape(shape), evals
+    return values.reshape(shape), errors.reshape(shape), evals
 
 
 def monte_carlo_integral(

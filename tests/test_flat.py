@@ -596,8 +596,8 @@ class TestGaussianT:
         lams = [0.5, 1.0, 2.0]
         singles = [gaussian_T(4, lam, spec) for lam in lams]
         calls = []
-        moments = flat._gaussian_moments
-        monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: calls.append(a) or moments(*a))
+        moments = flat.flat_gaussian_moments
+        monkeypatch.setattr(flat, "flat_gaussian_moments", lambda *a: calls.append(a) or moments(*a))
         assert gaussian_T_grid(4, lams, spec) == singles
         assert len(calls) == 1
         with pytest.raises(ValueError):
@@ -659,6 +659,15 @@ class TestHpw:
     def test_gaussian_reports_reject_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             gaussian_hpw_reports(3, (1.0, 0.0))
+
+    def test_gaussian_reports_one_moments_pass(self, monkeypatch):
+        # L and M of every lam are the rate-free moments I_(n-1) and I_(n+1)
+        # of one pass, and A is 4 lam^2 M
+        passes = []
+        moments = flat.flat_gaussian_moments
+        monkeypatch.setattr(flat, "flat_gaussian_moments", lambda *a: passes.append(a[0]) or moments(*a))
+        assert len(gaussian_hpw_reports(5, (0.5, 1.0, 2.0))) == 3
+        assert [[k for k, _ in rows] for rows in passes] == [[4, 6]]
 
     def test_slack_never_below_numerics(self):
         for lam in (0.5, 1.0, 2.0):
@@ -745,11 +754,11 @@ class TestGaussianHardy:
         from sharpineq import quadrature
 
         passes = []
-        batch = flat.gaussian_integrals
-        monkeypatch.setattr(flat, "gaussian_integrals", lambda *a: passes.append(a[0]) or batch(*a))
+        moments = flat.flat_gaussian_moments
+        monkeypatch.setattr(flat, "flat_gaussian_moments", lambda *a: passes.append(a[0]) or moments(*a))
         monkeypatch.setattr(quadrature, "_adaptive_gk15", None)
         assert len(gaussian_hardy_reports(4, (0.5, 1.0, 2.0))) == 3
-        assert passes == ["power"]
+        assert [[k for k, _ in rows] for rows in passes] == [[3, 3]]
 
     def test_rejects_low_dimension_and_rates(self):
         with pytest.raises(ValueError, match="Hardy needs n >= 3"):

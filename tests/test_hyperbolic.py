@@ -236,6 +236,18 @@ class TestHardyHyperbolic:
         with pytest.raises(ValueError, match="a must be positive"):
             gaussian_hardy_hyperbolic_reports(3, (1.0, 0.0))
 
+    def test_batched_pass_names_its_rate(self):
+        # at a = 1e-4 the n = 5 integrals are about e^20000; at 1e-20 no
+        # panel count serves either rate
+        with pytest.raises(QuadratureError) as exc:
+            gaussian_hardy_hyperbolic_reports(5, (1.0, 1e-4))
+        assert str(exc.value) == (
+            "non-finite integral at 1 of 2 parameters, first at a = 0.0001 for n = 5: outside the float range"
+        )
+        worst = r"not met with 512 panels at 2 parameters; worst at a = 0\.5 for n = 5:"
+        with pytest.raises(QuadratureError, match=worst):
+            gaussian_hardy_hyperbolic_reports(5, (0.5, 2.0), QuadratureSpec(relative_tolerance=1e-20))
+
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("n", range(3, 9))
     def test_batched_matches_scalar_reports(self, n, tol):
@@ -257,14 +269,16 @@ class TestHardyHyperbolic:
                     assert abs(g - w) <= slack * abs(w), (field, g, w)
 
     def test_batched_one_pass_no_scalar_integral(self, monkeypatch):
-        from sharpineq import flat, quadrature
+        from sharpineq import hyperbolic, quadrature
 
         passes = []
-        batch = flat.gaussian_integrals
-        monkeypatch.setattr(flat, "gaussian_integrals", lambda *a: passes.append(a[0]) or batch(*a))
+        batch = hyperbolic.gaussian_integrals
+        monkeypatch.setattr(hyperbolic, "gaussian_integrals", lambda *a: passes.append(a[:2]) or batch(*a))
         monkeypatch.setattr(quadrature, "_adaptive_gk15", None)
         assert len(gaussian_hardy_hyperbolic_reports(5, (0.5, 1.0, 2.0))) == 3
-        assert passes == ["sinh"]
+        ((rows, grid),) = passes
+        assert [k for k, _ in rows] == [4] * 4
+        assert grid.tolist() == [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]]
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_overflow_named_as_the_scalar_path(self, n):
@@ -311,7 +325,7 @@ class TestAlphaScan:
 
     def test_degenerate_grid(self):
         scan = ko_alpha_scan(4, (3.0, 100.0), grid_size=0)
-        assert scan["alphas"] == [] and scan["brackets"] == []
+        assert scan["alphas"].shape == scan["phi"].shape == (0,) and scan["brackets"] == []
         assert scan["worst_rel_err"] == 0.0 and scan["nodes_used"] == 0
 
     def test_scan_reports_error_and_evaluations(self):

@@ -15,6 +15,7 @@ from sharpineq import (
     bh_density,
     ball_volume_constant,
     fd_derivative,
+    flat_gaussian_moments,
     flat_radial_volume_integral,
     gauss_kronrod_batch,
     gaussian_integrals,
@@ -698,8 +699,8 @@ class TestGaussKronrodBatch:
     def test_fallback_masses_are_gaussian_integrals_of_their_alpha(self):
         # a ko-refute grid at n = 6 (masses of n - 2 and n): below about
         # alpha = 0.24 the series needs more terms than its cap, and those
-        # masses are gaussian_integrals of their alpha alone times
-        # n omega_n / sqrt(alpha), bit for bit; the rest are series sums
+        # masses are gaussian_integrals of their (alpha, 0) alone, bit for
+        # bit; the rest are series sums
         spec = QuadratureSpec(relative_tolerance=1e-12)
         ns = [4, 6]
         alphas = np.concatenate([np.linspace(0.02, 0.5, 49), [3.0, 50.0]])
@@ -707,12 +708,10 @@ class TestGaussKronrodBatch:
         series, series_errors, _, served = _series_masses(ns, alphas)
         met = served & ((series_errors <= 1e-12 * series) & (series >= quadrature._TINY)).all(axis=0)
         assert 0 < met.sum() < alphas.size
-        c = np.array([n * ball_volume_constant(n) for n in ns])[:, None]
         for j in np.flatnonzero(~met):
-            values, errs, _ = gaussian_integrals("sinh", [(n - 1, None) for n in ns], alphas[[j]], spec)
-            scale = c / np.sqrt(alphas[[j]])
-            assert masses[:, j].tolist() == (scale * values)[:, 0].tolist()
-            assert errors[:, j].tolist() == (scale * errs)[:, 0].tolist()
+            values, errs, _ = gaussian_integrals([(n - 1, None) for n in ns], [(alphas[j], 0.0)], spec)
+            assert masses[:, j].tolist() == values[:, 0].tolist()
+            assert errors[:, j].tolist() == errs[:, 0].tolist()
         assert masses[:, met].tolist() == series[:, met].tolist()
         assert errors[:, met].tolist() == series_errors[:, met].tolist()
 
@@ -769,17 +768,18 @@ class TestGaussKronrodBatch:
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("k", range(0, 12))
     def test_flat_moments_closed_form(self, k, tol):
-        # int_0^oo s^k e^(-s^2) ds = Gamma((k+1)/2) / 2, on the power weight
-        values, errors, evals = gaussian_integrals(
-            "power", [(k, None), (k + 2, None)], [1.0], QuadratureSpec(relative_tolerance=tol))
+        # int_0^oo s^k e^(-s^2) ds = Gamma((k+1)/2) / 2
+        moments = flat_gaussian_moments([(k, None), (k + 2, None)], QuadratureSpec(relative_tolerance=tol))
         want = [math.gamma((j + 1) / 2) / 2 for j in (k, k + 2)]
-        assert values[:, 0] == pytest.approx(want, rel=1e-12)
-        assert np.all(errors <= tol * values)
-        assert evals % (2 * _GK21_NODES.size) == 0
+        assert [r.value for r in moments] == pytest.approx(want, rel=1e-12)
+        assert all(r.error_estimate <= tol * r.value for r in moments)
+        evals = {r.nodes_used for r in moments}
+        assert len(evals) == 1 and evals.pop() % (2 * _GK21_NODES.size) == 0
 
-    def test_unknown_weight_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_integrals("cosh", [(1, None)], [1.0])
+    @pytest.mark.parametrize("params", [[1.0, 2.0], [[1.0, 0.0, 0.0]], [[[1.0, 0.0]]], 1.0])
+    def test_params_must_be_rate_beta_pairs(self, params):
+        with pytest.raises(ValueError, match=r"params must be \(rate, beta\) pairs of shape \(N, 2\)"):
+            gaussian_integrals([(1, None)], params)
 
     def test_several_integrals_per_parameter_row(self):
         # (N, 2) parameters, three integrals each; a parameter is refined
@@ -866,7 +866,8 @@ class TestBatchSums:
         spec = QuadratureSpec(relative_tolerance=tol)
         alphas = np.linspace(*band, 4096)
         for dim in range(1, 7):
-            runs = [batch_outputs(b, lambda: gaussian_integrals("sinh", [(dim - 1, None)], alphas, spec))
+            grid = np.stack([alphas, np.zeros(alphas.size)], axis=1)
+            runs = [batch_outputs(b, lambda: gaussian_integrals([(dim - 1, None)], grid, spec))
                     for b in (gauss_kronrod_batch, gauss_kronrod_batch_summed)]
             (got, got_evals), (want, want_evals) = runs[0][0], runs[1][0]
             assert got_evals == want_evals
@@ -934,9 +935,9 @@ def series_against_quadrature(n, band, tol):
     alphas = np.linspace(*band, 4096)
     ns = [n - 2, n]
     masses, errors, _, served = _series_masses(ns, alphas)
-    values, estimates, _ = gaussian_integrals("sinh", [(k - 1, None) for k in ns], alphas, spec)
-    c = np.array([k * ball_volume_constant(k) for k in ns])[:, None] / np.sqrt(alphas)
-    return masses[:, served], errors[:, served], (c * values)[:, served], (c * estimates)[:, served]
+    grid = np.stack([alphas, np.zeros(alphas.size)], axis=1)
+    values, estimates, _ = gaussian_integrals([(k - 1, None) for k in ns], grid, spec)
+    return masses[:, served], errors[:, served], values[:, served], estimates[:, served]
 
 
 class TestMassSeries:
@@ -1126,40 +1127,62 @@ class TestGaussianMoments:
             hyperbolic_gaussian_moments(n, alpha, beta)
 
 
-# gaussian_integrals' values, estimates and evaluation counts as the
+# gaussian_integrals' values, estimates and evaluation counts in s, as the
 # in-place integrand gave them before the integrand became plain numpy
-# expressions: sinh over a (rate, beta) grid, power with two distinct k, and
-# rows with an f, which reads the parameter column
-GAUSSIAN_ROWS = {
-    "sinh-beta": (
-        "sinh",
-        [(4, None), (4, lambda rho, p: rho * rho), (4, lambda rho, p: (p[..., 0] * rho + p[..., 1]) ** 2)],
-        [(1.0, 0.0), (2.0, 1.5), (16.0, 4.0)],
-    ),
-    "power-two-k": ("power", [(2, None), (5, lambda rho, p: 1 / (1 + rho)), (2, lambda rho, p: p * rho)], [0.5, 3.0, 40.0]),
-}
+# expressions: sinh^4 over a (rate, beta) grid, with rows with an f, which
+# reads the parameter column; the integrals are n omega_n / sqrt(rate) times
+# these, n = 5
+GAUSSIAN_ROWS = [(4, None), (4, lambda rho, p: rho * rho), (4, lambda rho, p: (p[..., 0] * rho + p[..., 1]) ** 2)]
+GAUSSIAN_PARAMS = [(1.0, 0.0), (2.0, 1.5), (16.0, 4.0)]
 GAUSSIAN_PINNED = [
-    ('sinh-beta', 1e-09, [[5.17612165328033, 0.017808520633893536, 0.00020687586168816944], [25.576728872606388, 0.015356804121400497, 1.8540713068052944e-05], [25.576728872606388, 0.19457738411176426, 0.01550566891491031]], [[4.098795194714426e-12, 4.261765363028743e-15, 1.8394709262287583e-17], [5.867837786651164e-11, 2.1761699282800756e-14, 7.904919349215975e-18], [5.867837786651164e-11, 1.1138085108469628e-13, 4.5244509753344047e-14]], 756),
-    ('sinh-beta', 1e-12, [[5.1761216532803305, 0.017808520633893536, 0.0002068758616881694], [25.576728872606388, 0.015356804121400499, 1.854071306805295e-05], [25.576728872606388, 0.19457738411176426, 0.01550566891491031]], [[1.1627003598372042e-15, 2.868174211484205e-18, 4.959946008516931e-20], [7.577838501570963e-15, 1.830347214291081e-18, 4.755517033814771e-21], [7.577838501570963e-15, 2.689254170339994e-17, 3.530805544041384e-18]], 2268),
-    ('power-two-k', 1e-09, [[0.886226925452758, 0.1477044875754597, 0.011077836568159473], [1.764899455899398, 0.03342835309141585, 7.855022481850925e-05], [0.7071067811865475, 0.288675134594813, 0.07905694150420944]], [[9.949064067020196e-16, 8.488835047562245e-13, 2.1307235612567897e-15], [1.4303967016809012e-12, 1.9577463258003026e-12, 4.188241033801365e-17], [6.318891684788706e-15, 1.719140616390318e-12, 3.060661087273992e-14]], 1260),
-    ('power-two-k', 1e-12, [[0.8862269254527578, 0.1477044875754597, 0.011077836568159473], [1.7648994558993973, 0.03342835309141584, 7.855022481850925e-05], [0.7071067811865474, 0.2886751345948129, 0.07905694150420947]], [[9.862453401544955e-16, 9.79297412911916e-18, 8.71644020017708e-19], [1.7468113605650223e-12, 8.73492429555848e-18, 4.322976871896035e-21], [8.782858396476336e-15, 3.530121214089444e-17, 6.109458309543111e-18]], 2268),
+    (1e-09, [[5.17612165328033, 0.017808520633893536, 0.00020687586168816944], [25.576728872606388, 0.015356804121400497, 1.8540713068052944e-05], [25.576728872606388, 0.19457738411176426, 0.01550566891491031]], [[4.098795194714426e-12, 4.261765363028743e-15, 1.8394709262287583e-17], [5.867837786651164e-11, 2.1761699282800756e-14, 7.904919349215975e-18], [5.867837786651164e-11, 1.1138085108469628e-13, 4.5244509753344047e-14]], 756),
+    (1e-12, [[5.1761216532803305, 0.017808520633893536, 0.0002068758616881694], [25.576728872606388, 0.015356804121400499, 1.854071306805295e-05], [25.576728872606388, 0.19457738411176426, 0.01550566891491031]], [[1.1627003598372042e-15, 2.868174211484205e-18, 4.959946008516931e-20], [7.577838501570963e-15, 1.830347214291081e-18, 4.755517033814771e-21], [7.577838501570963e-15, 2.689254170339994e-17, 3.530805544041384e-18]], 2268),
+]
+# the rate-free flat moments of the suites' row sets, (n - 1, n + 1) and
+# (n + 1, n + 3) for n = 2..8, as gaussian_integrals gave them on flat
+# space's rho^k weight at rate 1: (ks, tol, values, estimates, evaluations)
+FLAT_PINNED = [
+    ((1, 3), 1e-09, [0.5, 0.49999999999999994], [1.0863976737604897e-13, 3.986444306258665e-12], 168),
+    ((2, 4), 1e-09, [0.443113462726379, 0.6646701940895685], [9.24516777290175e-12, 4.5581217675547385e-11], 168),
+    ((3, 5), 1e-09, [0.49999999999999994, 1.0], [1.6897528075872297e-16, 1.57736179335144e-15], 504),
+    ((4, 6), 1e-09, [0.6646701940895685, 1.6616754852239215], [1.3552020735039214e-15, 2.449613629821773e-15], 504),
+    ((5, 7), 1e-09, [1.0, 3.0000000000000004], [3.474779894327018e-14, 2.1765937066310242e-13], 504),
+    ((6, 8), 1e-09, [1.6616754852239213, 5.815864198283723], [2.394249655176735e-13, 2.0881512283407895e-12], 504),
+    ((7, 9), 1e-09, [2.9999999999999996, 12.0], [1.6365843290854513e-12, 3.125678531239496e-12], 504),
+    ((8, 10), 1e-09, [5.815864198283726, 26.171388892276756], [3.085560264569291e-11, 1.3689490184250595e-10], 504),
+    ((9, 11), 1e-09, [12.0, 60.000000000000014], [2.0314617421122739e-10, 1.3620382845577982e-09], 504),
+    ((1, 3), 1e-12, [0.5, 0.5], [1.0539219716116185e-17, 2.179926631681219e-17], 504),
+    ((2, 4), 1e-12, [0.443113462726379, 0.6646701940895684], [3.0478388734413894e-17, 1.8254056320563416e-16], 504),
+    ((3, 5), 1e-12, [0.5, 1.0], [2.6658238714688594e-16, 2.3697312435066766e-15], 504),
+    ((4, 6), 1e-12, [0.6646701940895685, 1.6616754852239208], [1.5255452206733458e-15, 1.963564785016481e-15], 504),
+    ((5, 7), 1e-12, [1.0, 2.9999999999999996], [4.7028496801564584e-14, 2.740060551480729e-13], 504),
+    ((6, 8), 1e-12, [1.6616754852239213, 5.815864198283725], [3.4222733152899273e-13, 2.799713022508154e-12], 504),
+    ((7, 9), 1e-12, [3.0000000000000004, 11.999999999999998], [1.7974847791594176e-12, 5.10027177499792e-12], 504),
+    ((8, 10), 1e-12, [5.815864198283724, 26.171388892276763], [4.4289678095674367e-16, 8.568297352113539e-15], 1176),
+    ((9, 11), 1e-12, [12.000000000000002, 60.00000000000001], [1.6881878006237116e-15, 1.3590915775717846e-14], 1176),
 ]
 
 
 class TestGaussianIntegralsPinned:
-    @pytest.mark.parametrize("name, tol, values, errors, evals", GAUSSIAN_PINNED)
-    def test_bit_for_bit(self, name, tol, values, errors, evals):
-        weight, rows, params = GAUSSIAN_ROWS[name]
-        got = gaussian_integrals(weight, rows, params, QuadratureSpec(relative_tolerance=tol))
-        assert (got[0].tolist(), got[1].tolist(), got[2]) == (values, errors, evals)
+    @pytest.mark.parametrize("tol, values, errors, evals", GAUSSIAN_PINNED)
+    def test_bit_for_bit(self, tol, values, errors, evals):
+        got = gaussian_integrals(GAUSSIAN_ROWS, GAUSSIAN_PARAMS, QuadratureSpec(relative_tolerance=tol))
+        c = 5 * ball_volume_constant(5) / np.sqrt(np.array(GAUSSIAN_PARAMS)[:, 0])
+        want = (c * np.array(values)).tolist(), (c * np.array(errors)).tolist(), evals
+        assert (got[0].tolist(), got[1].tolist(), got[2]) == want
+
+    @pytest.mark.parametrize("ks, tol, values, errors, evals", FLAT_PINNED)
+    def test_flat_moments_bit_for_bit(self, ks, tol, values, errors, evals):
+        got = flat_gaussian_moments([(k, None) for k in ks], QuadratureSpec(relative_tolerance=tol))
+        assert [(r.value, r.error_estimate, r.nodes_used) for r in got] == [
+            (v, e, evals) for v, e in zip(values, errors)]
 
 
 def peak_cut_cases(tol):
     """(relative error, estimate) of large-K gaussian integrals at large rates.
 
     The L of hyperbolic_gaussian_moments(n, 5e3, 0) against the series mass
-    at rate 1e4 (its estimate added), and 'power' rows rho^k at rate 1e6
-    against Gamma((k + 1)/2) / (2 rate^(k/2)) in s.
+    at rate 1e4 (its estimate added).
     """
     spec = QuadratureSpec(relative_tolerance=tol)
     out = {}
@@ -1168,10 +1191,6 @@ def peak_cut_cases(tol):
         masses, estimates, _ = hyperbolic_gaussian_masses(n, [1e4], spec)
         L, mass = float(moments[2]), float(masses[0])
         out[f"L, n = {n}"] = ((mass - L) / mass, float(errors[2]) / L + float(estimates[0]) / mass)
-    for k in (20, 30, 40):
-        values, errors, _ = gaussian_integrals("power", [(k, None)], [1e6], spec)
-        exact = math.gamma((k + 1) / 2) / 2 * 1e6 ** (-k / 2)
-        out[f"power, k = {k}"] = ((exact - values[0, 0]) / exact, errors[0, 0] / values[0, 0])
     return out
 
 
@@ -1190,7 +1209,7 @@ class TestGaussianPeakCut:
         # the budget cut alone, s^2 - g s = budget, puts S near sqrt(budget);
         # there n = 13 (K = 12) loses 5.7e-12 and 5.7e-13, within the tolerance
         monkeypatch.setattr(quadrature, "_peak_cut", lambda S, *args: S)
-        monkeypatch.setattr(quadrature, "_peak_bound", lambda K, log_tol, a: 0.0)
+        monkeypatch.setattr(quadrature, "_peak_bound", lambda K, log_tol: 0.0)
         for case, (error, estimate) in peak_cut_cases(tol).items():
             if case != "L, n = 13":
                 assert error > tol, (case, error, estimate)
@@ -1211,13 +1230,14 @@ class TestGaussianPeakCut:
             assert np.array_equal(cut, S) == quadrature._peak_free(K, tol), K
         assert not quadrature._peak_free(10, 1e-12) and quadrature._peak_free(14, 1e-9)
 
-    def test_small_k_keeps_the_budget_cut(self):
-        # K <= 9: for power rows without beta the budget cut already lies
-        # past the peak's root, at every rate
-        for tol in (1e-9, 1e-12):
+    def test_flat_moments_keep_the_budget_cut(self):
+        # at rate 1 the root of the peak cut at a = 1 lies before the budget
+        # cut of flat_gaussian_moments, s^2 - K s = budget
+        for tol in (1e-6, 1e-9, 1e-12, 1e-14):
             budget = quadrature._tail_budget(tol)
-            for K in range(10):
-                assert quadrature._peak_bound(K, math.log(tol), 1.0) <= math.sqrt(budget)
+            for K in range(1, 200):
+                cut = (K + math.sqrt(K * K + 4 * budget)) / 2
+                assert quadrature._peak_root(K, math.log(tol), 1.0) <= cut, (tol, K)
 
 
 class TestMonteCarlo:
