@@ -19,6 +19,7 @@ from .quadrature import (
     QuadratureSpec,
     RadialProfile,
     _checked_parameters,
+    _normal_floats,
     fd_derivative,
     flat_gaussian_moments,
     flat_radial_volume_integral,  # unused here; perfbench/tracer.py wraps it at this import site
@@ -482,14 +483,16 @@ def gaussian_T_grid(n: int, lams: Sequence[float], spec: QuadratureSpec = Quadra
     is analytic: in t = rho sqrt(2 lam), T and its higher moment are the
     rate-free I_k = int t^k e^(-t^2) dt, k = n + 1 and n + 3, of one
     flat_gaussian_moments pass for the whole grid times powers of 2 lam.
-    Every lam must be positive and finite.  Returns one dict per lam.
+    Every lam must be positive and finite, and a T outside the normal
+    floats is a QuadratureError that names its lam.  Returns one dict per lam.
     """
     _checked_parameters("lam", lams)
     omega = ball_volume_constant(n)
     low, high = flat_gaussian_moments([(n + 1, None), (n + 3, None)], spec)
+    values = [4 * lam * omega * (2 * lam) ** (-(n + 2) / 2) * low.value for lam in lams]
+    _normal_floats(values, lams, lambda lam: f"lam = {lam!r} for n = {n}")
     out = []
-    for lam in lams:
-        value = 4 * lam * omega * (2 * lam) ** (-(n + 2) / 2) * low.value
+    for lam, value in zip(lams, values):
         derivative = value / lam - 8 * lam * omega * (2 * lam) ** (-(n + 4) / 2) * high.value
         closed = 2 * (2 * lam) ** (-n / 2) * omega * math.gamma(n / 2 + 1) / 2
         out.append({
@@ -532,17 +535,22 @@ def gaussian_hpw_reports(
     M = int F^2 u^2 = n omega_n (2 lam)^(-(n+2)/2) I_(n+1) and
     A = int F*(Du)^2 = 4 lam^2 M, with the rate-free moments
     I_k = int s^k e^(-s^2) ds of one flat_gaussian_moments pass for the
-    whole grid.  Every lam must be positive and finite.  Returns one
-    (A M / L^2 against n^2/4, relative defect of 2 lam M = (n/2) L) pair per lam.
+    whole grid.  Every lam must be positive and finite, and an A, M or L
+    outside the normal floats is a QuadratureError that names its lam.
+    Returns one (A M / L^2 against n^2/4, relative defect of
+    2 lam M = (n/2) L) pair per lam.
     """
     _checked_parameters("lam", lams)
     low, high = flat_gaussian_moments([(n - 1, None), (n + 1, None)], spec)
     c = n * ball_volume_constant(n)
-    out = []
+    triples = []
     for lam in lams:
         L = _scaled(low, c * (2 * lam) ** (-n / 2))
         M = _scaled(high, c * (2 * lam) ** (-(n + 2) / 2))
-        A = _scaled(M, 4 * lam * lam)
+        triples.append((L, M, _scaled(M, 4 * lam * lam)))
+    _normal_floats([[r.value for r in t] for t in triples], lams, lambda lam: f"lam = {lam!r} for n = {n}")
+    out = []
+    for lam, (L, M, A) in zip(lams, triples):
         defect = abs(2 * lam * M.value - (n / 2) * L.value) / ((n / 2) * L.value)
         out.append((InequalityReport.product(A, M, L, n**2 / 4), defect))
     return out
@@ -589,7 +597,8 @@ def gaussian_hardy_reports(
     u^2/rho^2 = e^(-s^2), so A = int F*(Du)^2 and H = int u^2/F^2 are
     n omega_n (2a)^(-n/2) times the rate-free rows (n - 1, (1 - s^2)^2) and
     (n - 1, None) of one flat_gaussian_moments pass for every a; A / H =
-    n^2/4 - n/2 + 1 for every a.  Every a must be positive and finite.
+    n^2/4 - n/2 + 1 for every a.  Every a must be positive and finite, and
+    an A or H outside the normal floats is a QuadratureError that names its a.
     Returns one report, A / H against (n-2)^2/4, per a.
     """
     if n < 3:
@@ -597,10 +606,9 @@ def gaussian_hardy_reports(
     _checked_parameters("a", rates)
     moments = flat_gaussian_moments([(n - 1, lambda s: (1 - s * s) ** 2), (n - 1, None)], spec)
     c = n * ball_volume_constant(n)
-    return [
-        InequalityReport.quotient(*(_scaled(r, c * (2 * a) ** (-n / 2)) for r in moments), (n - 2) ** 2 / 4)
-        for a in rates
-    ]
+    pairs = [[_scaled(r, c * (2 * a) ** (-n / 2)) for r in moments] for a in rates]
+    _normal_floats([[r.value for r in p] for p in pairs], rates, lambda a: f"a = {a!r} for n = {n}")
+    return [InequalityReport.quotient(A, H, (n - 2) ** 2 / 4) for A, H in pairs]
 
 
 def _smoothstep(s, width):

@@ -30,7 +30,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     RadialProfile,
-    _checked_parameters,
+    _gaussian_rates,
     gaussian_integrals,
     hyperbolic_gaussian_masses,
     hyperbolic_gaussian_moments,
@@ -279,12 +279,13 @@ def gaussian_hardy_hyperbolic_reports(
     so the energy and the three Hardy integrals are the rows
     (1 - 2 a rho^2)^2, 1 + 2(n-1)/(n-2) (rho coth rho - 1), 1 and
     rho^2/(pi^2 + rho^2) of one gaussian_integrals pass at (2a, 0).  Every
-    a must be positive and finite.  Returns one (quantitative, improved)
-    pair of reports per a, both with target 1.
+    a must be positive and finite with 2a finite, and an integral outside
+    the normal floats is a QuadratureError that names its a.  Returns one
+    (quantitative, improved) pair of reports per a, both with target 1.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    rates = _checked_parameters("a", rates)
+    rates = _gaussian_rates("a", rates)
     c = 2 * (n - 1) / (n - 2)
     # p holds (2a, 0)
     rows = [
@@ -293,7 +294,7 @@ def gaussian_hardy_hyperbolic_reports(
         None,
         lambda rho, p: rho * rho / (math.pi**2 + rho * rho),
     ]
-    grid = np.stack([2 * rates, np.zeros(rates.size)], axis=1)
+    grid = np.stack([rates, np.zeros(rates.size)], axis=1)
     values, errors, evals = gaussian_integrals(
         [(n - 1, f) for f in rows], grid, spec, lambda p: f"a = {p[0] / 2!r} for n = {n}")
     return [

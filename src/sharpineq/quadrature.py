@@ -66,6 +66,37 @@ def _checked_parameters(name: str, values, zero: bool = False) -> np.ndarray:
     return values
 
 
+def _gaussian_rates(name: str, values) -> np.ndarray:
+    """2 values, the rate of u^2 for u = e^(-value rho^2), each value checked
+    by _checked_parameters, or else a ValueError naming the first value whose
+    rate overflows."""
+    values = _checked_parameters(name, values)
+    with np.errstate(over="ignore"):
+        rates = 2 * values
+    if not (rates < math.inf).all():
+        bad = float(values[rates == math.inf].flat[0])
+        raise ValueError(f"{name} = {bad!r} is too large: the rate 2 {name} overflows")
+    return rates
+
+
+def _normal_floats(values, params, describe: Callable[[object], str]) -> None:
+    """A QuadratureError unless every integral of values is a normal float.
+
+    values holds one entry per parameter of params, an integral or a
+    sequence of them (shape (N,) or (N, q)); the error counts the
+    parameters with an integral that is zero, subnormal or not finite, and
+    names the first by describe(params[i]), a float or a list.
+    """
+    size = np.abs(np.asarray(values, dtype=float))
+    ok = (size >= _TINY) & (size < math.inf)
+    bad = np.flatnonzero(~ok.all(axis=tuple(range(1, ok.ndim))))
+    if bad.size:
+        raise QuadratureError(
+            f"integral outside the normal floats at {bad.size} of {len(ok)} parameters, "
+            f"first at {describe(np.asarray(params, dtype=float)[bad[0]].tolist())}"
+        )
+
+
 @dataclass(frozen=True)
 class DecayClass:
     """Behavior of a profile at infinity, which decides where its domain ends.
@@ -796,8 +827,9 @@ def flat_gaussian_moments(rows: Sequence[tuple], spec: QuadratureSpec = Quadratu
     tail bound _truncation_radius puts on rho^K at rate 1, absolute, and
     relative too for f = None, since every such moment is at least
     Gamma(1.4616) / 2 > 0.44.  At rate 1 the peak of s^K e^(-s^2) needs no
-    more room (_peak_root at a = 1 lies before S for K = 1..199 at 1e-6 to
-    1e-14).  Returns one IntegralResult per row, each counting every
+    more room: the cut _peak_cut would raise it to at a = 1,
+    sqrt(K/2) + sqrt(-ln tol), lies before S for K = 1..199 at 1e-6 to
+    1e-14.  Returns one IntegralResult per row, each counting every
     evaluation of the pass.
     """
     top = max(k for k, _ in rows)
@@ -824,10 +856,11 @@ def gaussian_integrals(
 
     Row (k, f) is n omega_n int_0^oo f(rho) sinh^k(rho) e^(-rate rho^2 - 2 beta rho) d rho,
     n = k + 1, f None for 1 or a function of the node radii rho and the
-    parameter column p (see gauss_kronrod_batch); params holds (rate, beta)
-    pairs, rate > 0 and beta >= 0, shape (N, 2).  Every row is taken in
-    s = rho sqrt(rate) over [0, S], with K the largest k of rows and S of
-    each parameter:
+    parameter column p (see gauss_kronrod_batch; p[..., 0] is the rate and
+    p[..., 1] beta); params holds (rate, beta) pairs, rate > 0 and
+    beta >= 0, shape (N, 2).  Every row is taken in s = rho sqrt(rate) over
+    [0, S], with K the largest k of rows and S of each parameter, set once
+    before the pass:
       * the root of s^2 - g s = budget, g = max(K - 2 beta, 0) / sqrt(rate):
         the tail bound _truncation_radius puts on a sinh^K weight, with
         e^(-2 beta rho) taken into the exponent.  The bound is absolute.
@@ -835,24 +868,23 @@ def gaussian_integrals(
         2^-K e^(K rho - rate rho^2) at S is at most e^-budget times the
         integrand at rho = K / (2 rate) >= 3/4.  At large rates, where the
         integral is of order rate^(-K/2), it is not;
-      * raised where the peak needs it.  With b = 2 beta / sqrt(rate) and
-        a = 1 - K / (6 rate), s^K e^(-a s^2 - b s) bounds the integrand
+      * raised where the peak needs it (_peak_cut).  With b = 2 beta / sqrt(rate)
+        and a = 1 - K / (6 rate), s^K e^(-a s^2 - b s) bounds the integrand
         times rate^(K/2) from above (sinh rho <= rho e^(rho^2 / 6)), and
         t^K e^(-t^2 - b t), t = sqrt(K/2), bounds its peak from below
         (sinh rho >= rho).  At rate > 2K/3 (a > _PEAK_GATE) S is at least
-        the s past the first one's peak where it has fallen to tol times
-        the second, the root of each parameter (_peak_cut), checked only
-        for the K that _peak_free does not clear (K >= 10 at 1e-12,
-        K >= 15 at 1e-9).  s^K e^(-s^2) peaks at sqrt(K/2), so this moves
-        S for large K at large rates only, leaving a tail of about tol / 14
-        that the error estimates do not count; no row of perfbench's
-        catalogues or of tests/golden moves.
+        an s past the first one's peak where it has fallen to tol times
+        the second.  s^K e^(-s^2) peaks at sqrt(K/2), so this moves S for
+        large K at large rates only (K >= 10 at 1e-12, K >= 15 at 1e-9);
+        no row of perfbench's catalogues or of tests/golden moves.
     The integrand S e^(k log sinh rho - s^2 - 2 beta rho) is formed in log
     space, so it stays finite where sinh^k alone would overflow (small
     rates); rows of one k share one exp, taken in place in the exponent's
     array, and a row with an f is written by one product into the output.
     On gauss_kronrod_batch's G10/K21 rule, a parameter is refined until
-    every row meets the tolerance.  Returns (values, error_estimates,
+    every row meets the tolerance; a QuadratureError names a parameter by
+    describe((rate, beta)), and one is raised for an integral outside the
+    normal floats (_normal_floats).  Returns (values, error_estimates,
     evaluations): values and estimates of shape (q, N), each
     n omega_n / sqrt(rate) times its integral in s; evaluations count every
     value of every row, q per node.
@@ -861,21 +893,21 @@ def gaussian_integrals(
     if params.ndim != 2 or params.shape[1] != 2:
         raise ValueError(f"params must be (rate, beta) pairs of shape (N, 2), got shape {params.shape}")
     top = max(k for k, _ in rows)
-    budget = _tail_budget(spec.relative_tolerance)
-    # none moves where _peak_free says so, and an S at or past this bound
-    # stands at every a > _PEAK_GATE and b (_peak_cut)
-    loose = _peak_bound(top, math.log(spec.relative_tolerance))
-    check = not _peak_free(top, spec.relative_tolerance)
+    tol = spec.relative_tolerance
+    rate, beta = params.T
+    root = np.sqrt(rate)
+    # a small rate overflows g, and with it S, into a non-finite integral
+    # that gauss_kronrod_batch names; with a large beta it also overflows b
+    # into a psi of nan, where a <= _PEAK_GATE keeps S
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.maximum(top - 2 * beta, 0) / root
+        S = (g + np.sqrt(g * g + 4 * _tail_budget(tol))) / 2
+        S = _peak_cut(S, top, tol, 1 - top / (6 * rate), 2 * beta / root)
 
     def integrand(x, p):
-        rate, beta = p[..., 0], p[..., 1]
-        root = np.sqrt(rate)
-        g = np.maximum(top - 2 * beta, 0) / root
-        S = (g + np.sqrt(g * g + 4 * budget)) / 2
-        if check and S.min(initial=math.inf) < loose:
-            S = _peak_cut(S, top, spec.relative_tolerance, 1 - top / (6 * rate), 2 * beta / root)
+        beta, S = p[..., 1], p[..., 2]
         s = S * x
-        rho = s / root
+        rho = s / np.sqrt(p[..., 0])
         s2 = s * s
         # log sinh rho = rho + log(1 - e^(-2 rho)) - log 2
         log_w = rho + np.log(-np.expm1(-2 * rho)) - math.log(2)
@@ -893,100 +925,51 @@ def gaussian_integrals(
                 np.multiply(f(rho, p), bases[k], out=row)
         return out
 
-    values, errors, evals = gauss_kronrod_batch(integrand, params, spec, describe)
-    c = np.array([(k + 1) * ball_volume_constant(k + 1) for k, _ in rows])[:, None] / np.sqrt(params[:, 0])
-    return c * values, c * errors, len(rows) * evals
+    values, errors, evals = gauss_kronrod_batch(
+        integrand, np.column_stack([params, S]), spec, lambda p: describe(p[:2]))
+    c = np.array([(k + 1) * ball_volume_constant(k + 1) for k, _ in rows])[:, None] / root
+    with np.errstate(over="ignore"):
+        values, errors = c * values, c * errors
+    _normal_floats(values.T, params, describe)
+    return values, errors, len(rows) * evals
 
 
-# Newton steps of the peak cut: from its start they reach the root within
-# 1e-14 in at most 9 steps for K up to 5000, and every step is a cut that holds
-_PEAK_STEPS = 8
 # sinh rows take the peak cut where a = 1 - K / (6 rate) exceeds this, rate >
 # 2K/3; below, the budget cut's bound 2^-K e^(K rho - rate rho^2) at S is at
 # most e^-budget times the integrand at rho = K / (2 rate) >= 3/4, for beta = 0
 _PEAK_GATE = 0.75
 
 
-def _peak_psi(K: int, log_tol: float, a, b) -> tuple:
-    """psi of _peak_cut and its derivative in s."""
-    t = math.sqrt(K / 2)
-    c = K * math.log(t) - t * t + log_tol
-    return (lambda s: K * np.log(s) - s * (a * s + b) + b * t - c), (lambda s: K / s - 2 * a * s - b)
-
-
-def _peak_root(K: int, log_tol: float, a, b=0.0):
-    """The root of psi past the peak of s^K e^(-a s^2 - b s), a > 0.
-
-    psi is concave with psi'' <= -2a, so psi <= 0 at peak + sqrt(psi(peak) / a);
-    Newton from there stays at or right of the root, since a tangent of a
-    concave function lies above it.
-    """
-    psi, slope = _peak_psi(K, log_tol, a, b)
-    peak = (np.sqrt(b * b + 8 * K * a) - b) / (4 * a)
-    s = peak + np.sqrt(psi(peak) / a)
-    for _ in range(_PEAK_STEPS):
-        s = s - psi(s) / slope(s)
-    return s
-
-
-@functools.lru_cache(maxsize=None)
-def _peak_bound(K: int, log_tol: float) -> float:
-    """_peak_root at a = _PEAK_GATE and b = 0, 0.0 for K = 0: an S that no
-    a past the gate and b >= 0 moves."""
-    return float(_peak_root(K, log_tol, _PEAK_GATE)) if K else 0.0
-
-
-@functools.lru_cache(maxsize=None)
-def _peak_free(K: int, tol: float) -> bool:
-    """Whether psi (_peak_cut) is below 0 at the budget cut of every sinh parameter past the gate.
-
-    With q = rate^(-1/2) and beta <= K/2, g = (K - 2 beta) q, the budget
-    cut S depends on g alone and b = K q - g; for a fixed g, psi is convex
-    in q, so over the live q in [g/K, q_g), q_g the gate's, its supremum is
-    at q = g/K (beta = 0) or at q_g.  Past beta = K/2, g = 0 and a larger b
-    only lowers psi (S >= sqrt(budget) > t).  Both ends are taken on a grid
-    of g in [0, K q_g], and the largest is raised by half a step times a
-    bound on their slopes.
-    """
-    budget, log_tol = _tail_budget(tol), math.log(tol)
-    if K == 0 or K >= 2 * budget:
-        return K == 0
-    t, qg = math.sqrt(K / 2), math.sqrt(6 * (1 - _PEAK_GATE) / K)
-    c = K * math.log(t) - t * t + log_tol
-    g = np.linspace(0.0, K * qg, 4097)
-    S = (g + np.sqrt(g * g + 4 * budget)) / 2
-    ends = (
-        K * np.log(S) - S * S * (1 - g * g / (6 * K)) - c,
-        K * np.log(S) - _PEAK_GATE * S * S - (K * qg - g) * (S - t) - c,
-    )
-    # dS/dg lies in (0, 1]; |d/dg| of either end is at most this
-    G, top = g[-1], S[-1]
-    slope = K / math.sqrt(budget) + 3 * top + K * qg + G * top * (G + top) / (3 * K)
-    return max(e.max() for e in ends) + slope * G / 4096 / 2 < 0
-
-
 def _peak_cut(S, K: int, tol: float, a, b=0.0):
     """S raised where a > _PEAK_GATE and the peak needs it: the cut of gaussian_integrals.
 
     psi(s) = ln(s^K e^(-a s^2 - b s) / (t^K e^(-t^2 - b t))) - ln tol, with
-    t = sqrt(K/2), falls past the peak of s^K e^(-a s^2 - b s).  S stands
-    where it lies past that peak with psi(S) <= 0, and elsewhere becomes the
-    root of psi (_peak_root).  psi falls as a and b grow (S > t), so an S
-    at or past _peak_bound(K, ln tol) stands at every a past
-    the gate and every b.  Every S here is at least sqrt(_tail_budget(tol)).
+    t = sqrt(K/2), falls past the peak p of s^K e^(-a s^2 - b s).  S stands
+    where it lies past p with psi(S) <= 0, and elsewhere becomes
+    max(S, p + sqrt(psi(p) / a)): psi'' = -K / s^2 - 2a <= -2a, so
+    psi(s) <= psi(p) - a (s - p)^2, which is <= 0 from there on, and
+    psi(p) >= psi(t) = (1 - a) t^2 - ln tol > 0.  At K = 0 (n = 1) S stands.
+    Every S here is at least sqrt(_tail_budget(tol)).
     """
-    log_tol = math.log(tol)
-    psi, _ = _peak_psi(K, log_tol, a, b)
-    ok = psi(S) <= 0
+    if K == 0:
+        return S
+    t = math.sqrt(K / 2)
+    c = K * math.log(t) - t * t + math.log(tol)
+
+    def psi(s, a):
+        return K * np.log(s) - s * (a * s + b) + b * t - c
+
+    ok = psi(S, a) <= 0
     # past the gate the peak lies before sqrt(K), so before S for K < budget
     if K >= _tail_budget(tol):
         ok &= K < S * (2 * a * S + b)
     ok |= a <= _PEAK_GATE
     if ok.all():
         return S
-    # where S stands, a = 1 keeps the steps finite; the maximum keeps an S
-    # that rounding put on the wrong side of psi = 0
-    return np.where(ok, S, np.maximum(S, _peak_root(K, log_tol, np.where(ok, 1.0, a), b)))
+    # where S stands, a = 1 keeps the peak finite
+    a = np.where(ok, 1.0, a)
+    peak = (np.sqrt(b * b + 8 * K * a) - b) / (4 * a)
+    return np.where(ok, S, np.maximum(S, peak + np.sqrt(psi(peak, a) / a)))
 
 
 # the most terms a series mass takes; a small alpha, which needs more (a sum
@@ -1141,7 +1124,8 @@ def hyperbolic_gaussian_masses(
     from one gaussian_integrals call at (alpha, 0) on such alphas alone, on
     the node set of the largest n, log sinh taken once per node; its
     QuadratureError counts the alphas of that call and names one by its
-    alpha.  Every alpha must be positive and finite.  Every mass is
+    alpha, a mass outside the normal floats too.  Every alpha must be
+    positive and finite.  Every mass is
     the same float alone and inside any grid.  Returns (masses,
     error_estimates, evaluations), masses of shape (N,) for one n and
     (len(dims), N) for a sequence; evaluations count the series terms and
@@ -1175,7 +1159,9 @@ def hyperbolic_gaussian_moments(
     n omega_n sinh^(n-1)(rho) d rho, then int f u^2 for every f of weights
     (a function of an array of radii), for every (alpha, beta) of the
     broadcast of alphas and betas (alpha positive and beta >= 0, both
-    finite, _checked_parameters).  u^2 is the
+    finite, _checked_parameters, and 2 alpha finite, _gaussian_rates); an
+    integral outside the normal floats is a QuadratureError that names its
+    (alpha, beta).  u^2 is the
     gaussian e^(-2 alpha rho^2) times e^(-2 beta rho) <= 1, so the integrals
     come from one gaussian_integrals pass at the rate 2 alpha.  Returns
     (moments, error_estimates, evaluations); moments[0], [1] and [2] are A,
@@ -1184,8 +1170,8 @@ def hyperbolic_gaussian_moments(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    alphas, betas = np.broadcast_arrays(
-        _checked_parameters("alpha", alphas), _checked_parameters("beta", betas, zero=True)
+    rates, betas = np.broadcast_arrays(
+        _gaussian_rates("alpha", alphas), _checked_parameters("beta", betas, zero=True)
     )
     m = n - 1
     # u' = -(2 alpha rho + beta) u, and p holds (2 alpha, beta)
@@ -1199,9 +1185,9 @@ def hyperbolic_gaussian_moments(
     def describe(p):
         return f"(alpha, beta) = ({p[0] / 2!r}, {p[1]!r}) for n = {n}"
 
-    grid = np.stack([2 * alphas.ravel(), betas.ravel()], axis=1)
+    grid = np.stack([rates.ravel(), betas.ravel()], axis=1)
     values, errors, evals = gaussian_integrals(rows, grid, spec, describe)
-    shape = (len(rows),) + alphas.shape
+    shape = (len(rows),) + rates.shape
     return values.reshape(shape), errors.reshape(shape), evals
 
 

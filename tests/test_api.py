@@ -96,3 +96,36 @@ def test_bad_parameter_named_before_any_integral(index, bad, monkeypatch):
     with pytest.raises(ValueError, match=f"^{name} must be ") as exc:
         call(bad)
     assert repr(bad) in str(exc.value)
+
+
+# finite parameters whose rate overflows, or whose integrals fall below the
+# least normal float, are named too, instead of a ZeroDivisionError, an
+# overflow warning or a mass of 0.0
+FLOAT_RANGE_CASES = [
+    ("hyperbolic_gaussian_moments", lambda: quadrature.hyperbolic_gaussian_moments(3, [1.0, 1e308], 0.0),
+     ValueError, "alpha = 1e+308 is too large: the rate 2 alpha overflows"),
+    ("gaussian_hardy_hyperbolic_reports", lambda: hyperbolic.gaussian_hardy_hyperbolic_reports(3, [1.0, 1e308]),
+     ValueError, "a = 1e+308 is too large: the rate 2 a overflows"),
+    ("gaussian_hpw_reports", lambda: flat.gaussian_hpw_reports(3, [1.0, 1e308]),
+     quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+308 for n = 3"),
+    ("gaussian_T_grid", lambda: flat.gaussian_T_grid(3, [1.0, 1e308]),
+     quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+308 for n = 3"),
+    ("gaussian_hardy_reports", lambda: flat.gaussian_hardy_reports(3, [1.0, 1e308]),
+     quadrature.QuadratureError, "at 1 of 2 parameters, first at a = 1e+308 for n = 3"),
+    ("modified_hpw_reports", lambda: hyperbolic.modified_hpw_reports(3, [1.0, 1e200]),
+     quadrature.QuadratureError, "at 1 of 2 parameters, first at (alpha, beta) = (1e+200, 0.0) for n = 3"),
+    # the series serves 1.0; the fallback call holds 1e300 alone
+    ("hyperbolic_gaussian_masses", lambda: quadrature.hyperbolic_gaussian_masses(3, [1.0, 1e300]),
+     quadrature.QuadratureError, "at 1 of 1 parameters, first at 1e+300"),
+    ("ko_alpha_scan", lambda: hyperbolic.ko_alpha_scan(3, (1e300, 1e305), 4),
+     quadrature.QuadratureError, "at 4 of 4 parameters, first at 1e+300"),
+]
+
+
+@pytest.mark.parametrize("name, call, error, text", FLOAT_RANGE_CASES, ids=[c[0] for c in FLOAT_RANGE_CASES])
+def test_parameter_outside_the_float_range_named(name, call, error, text):
+    with pytest.raises(error) as exc:
+        call()
+    if error is quadrature.QuadratureError:
+        text = "integral outside the normal floats " + text
+    assert str(exc.value) == text

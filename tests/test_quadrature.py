@@ -1209,16 +1209,25 @@ class TestGaussianPeakCut:
         # the budget cut alone, s^2 - g s = budget, puts S near sqrt(budget);
         # there n = 13 (K = 12) loses 5.7e-12 and 5.7e-13, within the tolerance
         monkeypatch.setattr(quadrature, "_peak_cut", lambda S, *args: S)
-        monkeypatch.setattr(quadrature, "_peak_bound", lambda K, log_tol: 0.0)
         for case, (error, estimate) in peak_cut_cases(tol).items():
             if case != "L, n = 13":
                 assert error > tol, (case, error, estimate)
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    def test_free_dimensions_move_no_parameter(self, tol):
-        # where _peak_free clears K, the per-parameter check moves no sinh
-        # parameter of a dense rate x beta grid; where it does not, some
-        # parameter moves (K >= 10 at 1e-12 and K >= 15 at 1e-9)
+    def test_raised_cut_estimates_cover_the_error(self, tol):
+        # where the cut is raised, the tail it leaves out is within the
+        # estimates of L and of the series mass (n = 13 at 1e-9 is not
+        # raised, and its cut still leaves out 5.7e-12 against 2.1e-12)
+        spec = QuadratureSpec(relative_tolerance=tol)
+        for n in (21, 31, 61):
+            moments, errors, _ = hyperbolic_gaussian_moments(n, 5e3, 0.0, spec)
+            masses, estimates, _ = hyperbolic_gaussian_masses(n, [1e4], spec)
+            assert abs(masses[0] - moments[2]) <= errors[2] + estimates[0], n
+
+    @pytest.mark.parametrize("tol, free", [(1e-9, 14), (1e-12, 9)])
+    def test_free_dimensions_move_no_parameter(self, tol, free):
+        # up to K = free the per-parameter test moves no sinh parameter of a
+        # dense rate x beta grid; past it some parameter moves
         budget = quadrature._tail_budget(tol)
         beta = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 200)])[None, :]
         for K in range(1, 17):
@@ -1227,17 +1236,45 @@ class TestGaussianPeakCut:
             g = np.maximum(K - 2 * beta, 0) / root
             S = (g + np.sqrt(g * g + 4 * budget)) / 2
             cut = quadrature._peak_cut(S, K, tol, 1 - K / (6 * rate), 2 * beta / root)
-            assert np.array_equal(cut, S) == quadrature._peak_free(K, tol), K
-        assert not quadrature._peak_free(10, 1e-12) and quadrature._peak_free(14, 1e-9)
+            assert np.array_equal(cut, S) == (K <= free), K
+            assert (cut >= S).all(), K
+
+    def test_mixed_grid_gives_each_parameter_its_own_floats(self):
+        # at n = 21 (K = 20) rates 1e4 and 2e3 raise the cut, and rates 1
+        # and 100 or a large beta do not; each column is its parameter's
+        # alone, bit for bit
+        rows = [(20, None), (20, lambda rho, p: rho * rho)]
+        params = [(1e4, 0.0), (1.0, 0.5), (1e4, 500.0), (2e3, 0.0), (100.0, 0.0)]
+        spec = QuadratureSpec(relative_tolerance=1e-12)
+        rate, beta = np.array(params).T
+        root = np.sqrt(rate)
+        g = np.maximum(20 - 2 * beta, 0) / root
+        S = (g + np.sqrt(g * g + 4 * quadrature._tail_budget(1e-12))) / 2
+        raised = quadrature._peak_cut(S, 20, 1e-12, 1 - 20 / (6 * rate), 2 * beta / root) > S
+        assert raised.tolist() == [True, False, False, True, False]
+        values, errors, _ = gaussian_integrals(rows, params, spec)
+        for i, p in enumerate(params):
+            alone, alone_errors, _ = gaussian_integrals(rows, [p], spec)
+            assert values[:, i].tolist() == alone[:, 0].tolist(), p
+            assert errors[:, i].tolist() == alone_errors[:, 0].tolist(), p
+
+    def test_one_dimension_has_no_peak(self):
+        # K = 0 (n = 1): L = 2 int e^(-rate rho^2) = sqrt(pi / rate), rate 2e4
+        moments, errors, _ = hyperbolic_gaussian_moments(1, [1e4], 0.0)
+        L = math.sqrt(math.pi / 2e4)
+        assert abs(moments[2, 0] - L) <= 1e-9 * L
+        assert np.isfinite(moments).all() and np.isfinite(errors).all()
 
     def test_flat_moments_keep_the_budget_cut(self):
-        # at rate 1 the root of the peak cut at a = 1 lies before the budget
-        # cut of flat_gaussian_moments, s^2 - K s = budget
+        # at a = 1 and b = 0 the peak is t = sqrt(K/2) and psi(t) = -ln tol,
+        # so the raised cut t + sqrt(-ln tol) lies before the budget cut of
+        # flat_gaussian_moments, s^2 - K s = budget, which _peak_cut keeps
         for tol in (1e-6, 1e-9, 1e-12, 1e-14):
             budget = quadrature._tail_budget(tol)
             for K in range(1, 200):
                 cut = (K + math.sqrt(K * K + 4 * budget)) / 2
-                assert quadrature._peak_root(K, math.log(tol), 1.0) <= cut, (tol, K)
+                assert math.sqrt(K / 2) + math.sqrt(-math.log(tol)) <= cut, (tol, K)
+                assert quadrature._peak_cut(np.array([cut]), K, tol, np.array([1.0]))[0] == cut, (tol, K)
 
 
 class TestMonteCarlo:
