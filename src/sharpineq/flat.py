@@ -20,6 +20,7 @@ from .quadrature import (
     RadialProfile,
     _checked_parameters,
     _normal_floats,
+    _ratio_terms,
     fd_derivative,
     flat_gaussian_moments,
     flat_radial_volume_integral,  # unused here; perfbench/tracer.py wraps it at this import site
@@ -314,6 +315,14 @@ def _scaled(r: IntegralResult, c: float) -> IntegralResult:
     return IntegralResult(c * r.value, c * r.error_estimate, r.nodes_used)
 
 
+def _rate_power(rate: float, exponent: float) -> float:
+    """rate ** exponent, or inf where it overflows, for _normal_floats to name the parameter."""
+    try:
+        return rate**exponent
+    except OverflowError:
+        return math.inf
+
+
 def _extremal_passes(
     t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec, fd: bool = True
 ) -> Iterator[tuple]:
@@ -536,19 +545,26 @@ def gaussian_hpw_reports(
     A = int F*(Du)^2 = 4 lam^2 M, with the rate-free moments
     I_k = int s^k e^(-s^2) ds of one flat_gaussian_moments pass for the
     whole grid.  Every lam must be positive and finite, and an A, M or L
-    outside the normal floats is a QuadratureError that names its lam.
-    Returns one (A M / L^2 against n^2/4, relative defect of
-    2 lam M = (n/2) L) pair per lam.
+    outside the normal floats, or an A M or L^2 that is 0 or overflows, is
+    a QuadratureError that names its lam.  Returns one (A M / L^2 against
+    n^2/4, relative defect of 2 lam M = (n/2) L) pair per lam.
     """
     _checked_parameters("lam", lams)
     low, high = flat_gaussian_moments([(n - 1, None), (n + 1, None)], spec)
     c = n * ball_volume_constant(n)
     triples = []
     for lam in lams:
-        L = _scaled(low, c * (2 * lam) ** (-n / 2))
-        M = _scaled(high, c * (2 * lam) ** (-(n + 2) / 2))
+        L = _scaled(low, c * _rate_power(2 * lam, -n / 2))
+        M = _scaled(high, c * _rate_power(2 * lam, -(n + 2) / 2))
         triples.append((L, M, _scaled(M, 4 * lam * lam)))
-    _normal_floats([[r.value for r in t] for t in triples], lams, lambda lam: f"lam = {lam!r} for n = {n}")
+    values = [[r.value for r in t] for t in triples]
+
+    def describe(lam):
+        return f"lam = {lam!r} for n = {n}"
+
+    _normal_floats(values, lams, describe)
+    masses, moments, energies = ([t[i] for t in values] for i in range(3))
+    _ratio_terms(energies, moments, [masses], lams, describe)
     out = []
     for lam, (L, M, A) in zip(lams, triples):
         defect = abs(2 * lam * M.value - (n / 2) * L.value) / ((n / 2) * L.value)
@@ -606,7 +622,7 @@ def gaussian_hardy_reports(
     _checked_parameters("a", rates)
     moments = flat_gaussian_moments([(n - 1, lambda s: (1 - s * s) ** 2), (n - 1, None)], spec)
     c = n * ball_volume_constant(n)
-    pairs = [[_scaled(r, c * (2 * a) ** (-n / 2)) for r in moments] for a in rates]
+    pairs = [[_scaled(r, c * _rate_power(2 * a, -n / 2)) for r in moments] for a in rates]
     _normal_floats([[r.value for r in p] for p in pairs], rates, lambda a: f"a = {a!r} for n = {n}")
     return [InequalityReport.quotient(A, H, (n - 2) ** 2 / 4) for A, H in pairs]
 

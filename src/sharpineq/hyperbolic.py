@@ -10,6 +10,7 @@ trial family only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -31,6 +32,7 @@ from .quadrature import (
     QuadratureSpec,
     RadialProfile,
     _gaussian_rates,
+    _ratio_terms,
     gaussian_integrals,
     hyperbolic_gaussian_masses,
     hyperbolic_gaussian_moments,
@@ -217,12 +219,15 @@ def modified_hpw_reports(
     come from one hyperbolic_gaussian_moments pass over the alphas.  Returns
     one (A M / W^2, A M / L^2) pair of reports per alpha, both against n^2/4:
     the equality of modified_hpw_report and the strict inequality of
-    hpw_hyperbolic_report.
+    hpw_hyperbolic_report.  An A M, W^2 or L^2 that is 0 or overflows is a
+    QuadratureError that names its alpha.
     """
     c = (n - 1) / n
     moments, errors, evals = hyperbolic_gaussian_moments(
         n, alphas, 0.0, spec, [lambda rho: 1 + c * (rho / np.tanh(rho) - 1)]
     )
+    A, M, L, W = moments.tolist()
+    _ratio_terms(A, M, [W, L], alphas, lambda a: f"alpha = {a!r} for n = {n}")
     reports = []
     for values, estimates in zip(moments.T, errors.T):
         A, M, L, W = (IntegralResult(float(v), float(e), evals) for v, e in zip(values, estimates))
@@ -366,7 +371,8 @@ def hpw_constant_bounds(
     The minimum is only an upper bound for the grid: on the default grid its
     argmin sits on the edge alpha = 8 for every n from 3 to 8.  Also returns
     the worst relative error estimate of the moments and the integrand
-    evaluations spent on them, one per moment and node.
+    evaluations spent on them, one per moment and node.  An A M or L^2 that
+    is 0 or overflows is a QuadratureError that names its (alpha, beta).
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -374,8 +380,11 @@ def hpw_constant_bounds(
         raise ValueError("need at least one alpha and one beta")
     moments, errors, evals = hyperbolic_gaussian_moments(n, alphas[:, None], betas[None, :], spec)
     A, M, L = moments
-    if np.any(L == 0):
-        raise ValueError("zero test function")
+    _ratio_terms(
+        A.ravel().tolist(), M.ravel().tolist(), [L.ravel().tolist()],
+        list(itertools.product(alphas.tolist(), betas.tolist())),
+        lambda p: f"(alpha, beta) = ({p[0]!r}, {p[1]!r}) for n = {n}",
+    )
     # first minimum in alpha-major order
     i, j = np.unravel_index(np.argmin(A * M / L**2), L.shape)
     return {

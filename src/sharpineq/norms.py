@@ -127,6 +127,10 @@ class DualityCertificate:
         return r1, r2
 
 
+_FLOAT = np.dtype(float)
+_add = np.add.reduce  # what ndarray.sum reaches through numpy's _methods._sum
+
+
 def _check_dim(norm: MinkowskiNorm, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (norm.dimension,):
@@ -158,7 +162,10 @@ def _rows_value(norm: MinkowskiNorm, y: np.ndarray, dual: bool) -> np.ndarray:
         out[nonzero] = _rows_value(norm, y[nonzero], dual)
         return out
     if dual:
-        return np.fromiter((_dual_by_maximization(norm, a)[0] for a in y), float, len(y))
+        # every row climbs from the same lattice starts: one norm_value call
+        # for them all, and none without rows
+        starts = _climb_starts(norm) if len(y) else None
+        return np.fromiter((_dual_by_maximization(norm, a, starts)[0] for a in y), float, len(y))
     return np.fromiter(map(norm.value_fn, y), float, len(y))
 
 
@@ -171,14 +178,19 @@ def norm_value(norm: MinkowskiNorm, y: np.ndarray) -> float | np.ndarray:
     # rows come as an ndarray; np.ndim costs each per-point call several times this test
     if getattr(y, "ndim", 1) == 2:
         return _rows_value(norm, y.astype(float, copy=False), dual=False)
-    y = _check_dim(norm, y)
+    # _check_dim would return a float64 vector of shape (n,) as it is; this
+    # test costs about half its asarray and tuple compare
+    if type(y) is not np.ndarray or y.dtype is not _FLOAT or y.ndim != 1 or len(y) != norm.dimension:
+        y = _check_dim(norm, y)
     # the closed forms give +0.0 at the origin without a zero test (the
-    # products sum from +0.0); the ndarray methods and math.sqrt skip numpy's
-    # dispatch of np.sum and np.sqrt on every per-point call, with the same values
+    # products sum from +0.0).  ndarray.dot, np.add.reduce, math.sqrt and a
+    # Python float ** run the kernels of y @ A @ y, .sum(), np.sqrt and the
+    # numpy scalar ** (BLAS, pairwise sum, libm sqrt and pow) without their
+    # dispatch, which costs the per-point call more than its arithmetic
     if norm.family == "weighted-euclidean":
-        return math.sqrt(y @ norm.matrix @ y)
+        return math.sqrt(y.dot(norm.matrix).dot(y))
     if norm.family == "lp":
-        return float((np.abs(y) ** norm.exponent).sum() ** (1.0 / norm.exponent))
+        return float(_add(np.abs(y) ** norm.exponent)) ** (1.0 / norm.exponent)
     # value_fn is never called at the origin; the Python floats of tolist
     # test that several times faster than ndarray.any
     if not any(y.tolist()):
@@ -208,19 +220,25 @@ def _sphere_lattice(n: int, count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _dual_by_maximization(norm: MinkowskiNorm, alpha: np.ndarray) -> tuple[float, np.ndarray]:
+def _climb_starts(norm: MinkowskiNorm) -> np.ndarray:
+    """The 32 lattice directions of _sphere_lattice on the F-unit sphere, by one norm_value row call."""
+    d = _sphere_lattice(norm.dimension, 32)
+    return d / norm_value(norm, d)[:, None]
+
+
+def _dual_by_maximization(norm: MinkowskiNorm, alpha: np.ndarray, starts: np.ndarray) -> tuple[float, np.ndarray]:
     """sup alpha(y) / F(y) by projected gradient ascent on the F-unit sphere.
 
-    One norm_value row call puts 32 deterministic lattice directions on the
-    sphere, and the climb starts from the best of them.  A move is taken only
-    on a strict increase of val = alpha(y); a rejected move halves the step.
-    After a move s, with dg the fall of the ascent direction
-    g = alpha - val grad F(y), the step becomes a Barzilai-Borwein ratio when
-    s.dg > 0: the short s.dg / dg.dg and the long s.s / s.dg by turns, short
-    first (the long one alone left lp(10) climbs in n = 4 at the cap).  A
-    climb stops once its predicted gain step |g|^2 is at most eps |val| or its
-    move step |g| at most eps |y|, eps the machine epsilon, or after 400
-    iterations.
+    The climb starts from the best of the 32 points of starts, the
+    _climb_starts(norm) that a row call shares among its rows.  A move
+    is taken only on a strict increase of val = alpha(y); a rejected move
+    halves the step.  After a move s, with dg the fall of the ascent
+    direction g = alpha - val grad F(y), the step becomes a Barzilai-Borwein
+    ratio when s.dg > 0: the short s.dg / dg.dg and the long s.s / s.dg by
+    turns, short first (the long one alone left lp(10) climbs in n = 4 at
+    the cap).  A climb stops once its predicted gain step |g|^2 is at most
+    eps |val| or its move step |g| at most eps |y|, eps the machine epsilon,
+    or after 400 iterations.
 
     A stopped climb is settled only when |g| <= 1e-5 |alpha|.  For convex F,
     f(z) = alpha(z) - val F(z) is concave with gradient g at y and f(y) = 0,
@@ -234,8 +252,6 @@ def _dual_by_maximization(norm: MinkowskiNorm, alpha: np.ndarray) -> tuple[float
     """
     eps = np.finfo(float).eps
     gate = 1e-5 * math.sqrt(alpha @ alpha)
-    d = _sphere_lattice(norm.dimension, 32)
-    starts = d / norm_value(norm, d)[:, None]
     start_vals = starts @ alpha
 
     def gradient(y: np.ndarray) -> np.ndarray:
@@ -279,13 +295,21 @@ def _norm_gradient(norm: MinkowskiNorm, y: np.ndarray) -> np.ndarray:
     if norm.gradient_fn is not None:
         # reshape: no rows would otherwise give shape (0,), not (0, n)
         return np.array([norm.gradient_fn(r) for r in y], dtype=float).reshape(y.shape)
-    # central differences, scaled to each point; stencil[:, i] moves coordinate i
+    # central differences, scaled to each point; stencil[:, i] moves
+    # coordinate i by h = 1e-6 max(1, |y|).  A nonzero coordinate below h
+    # moves by half its size instead, so the stencil stays on its side of the
+    # axis, where lp norms of p < 2 bend sharply: a step across it read an
+    # lp1.5 dual 3e-11 low.  |y| is np.linalg.norm's sum, without its checks
     m, n = y.shape
-    h = 1e-6 * np.maximum(1.0, np.linalg.norm(y, axis=1))
-    shift = h[:, None, None] * np.eye(n)
+    h = 1e-6 * np.maximum(1.0, np.sqrt(_add(y * y, axis=1)))[:, None]
+    size = np.abs(y)
+    below = size < h
+    if below.any():
+        h = np.where(below & (size > 0), size / 2, h)
+    shift = h[:, :, None] * np.eye(n)
     stencil = np.concatenate([y[:, None, :] + shift, y[:, None, :] - shift])
     F = norm_value(norm, stencil.reshape(-1, n)).reshape(2, m, n)
-    return (F[0] - F[1]) / (2 * h[:, None])
+    return (F[0] - F[1]) / (2 * h)
 
 
 def dual_norm_value(norm: MinkowskiNorm, alpha: Covector) -> float | np.ndarray:
@@ -299,17 +323,19 @@ def dual_norm_value(norm: MinkowskiNorm, alpha: Covector) -> float | np.ndarray:
     """
     if getattr(alpha, "ndim", 1) == 2:
         return _rows_value(norm, alpha.astype(float, copy=False), dual=True)
-    alpha = _check_dim(norm, alpha)
-    # zero tests as in norm_value
+    # vector test, zero tests and kernels as in norm_value
+    if (type(alpha) is not np.ndarray or alpha.dtype is not _FLOAT
+            or alpha.ndim != 1 or len(alpha) != norm.dimension):
+        alpha = _check_dim(norm, alpha)
     if norm.family == "weighted-euclidean":
-        return math.sqrt(alpha @ norm._matrix_inv @ alpha)
+        return math.sqrt(alpha.dot(norm._matrix_inv).dot(alpha))
     if norm.family == "lp":
         p = norm.exponent
         s = p / (p - 1)
-        return float((np.abs(alpha) ** s).sum() ** (1.0 / s))
+        return float(_add(np.abs(alpha) ** s)) ** (1.0 / s)
     if not any(alpha.tolist()):
         return 0.0
-    val, _ = _dual_by_maximization(norm, alpha)
+    val, _ = _dual_by_maximization(norm, alpha, _climb_starts(norm))
     return val
 
 
@@ -426,8 +452,11 @@ def uniformity_constant(norm: MinkowskiNorm, resolution: int = 64) -> float:
 _LEAST_NODES = 5
 # a bound settles a sample only this far from F = 1
 _MARGIN = 1e-9
-# rows classified at once: keeps the classifier's temporaries to a few hundred kB
-_CHUNK = 1024
+# rows classified at once (a row's masks and bounds do not depend on the
+# block): keeps the classifier's temporaries near 0.5 MB in n = 3; blocks of
+# 1024 rows took settle about 1.5 times as long, in numpy's per-call
+# overhead, and blocks of 4096 took a few per cent less for 0.3 MB more RSS
+_CHUNK = 2048
 # lower_bound's halving budget: boxes per face, and the least box side in cells
 _BOXES = 1 << 10
 _MIN_SIZE = 2.0**-6

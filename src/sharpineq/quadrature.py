@@ -88,11 +88,34 @@ def _normal_floats(values, params, describe: Callable[[object], str]) -> None:
     names the first by describe(params[i]), a float or a list.
     """
     size = np.abs(np.asarray(values, dtype=float))
-    ok = (size >= _TINY) & (size < math.inf)
+    _name_failures((size >= _TINY) & (size < math.inf), params, describe, "integral outside the normal floats")
+
+
+def _ratio_terms(A, M, masses, params, describe: Callable[[object], str]) -> None:
+    """A QuadratureError unless every uncertainty ratio A M / L^2 divides finite nonzero floats.
+
+    A and M hold one integral per parameter of params, and masses one
+    sequence of such integrals per mass L the ratios divide by, all Python
+    floats, whose products round to 0 or inf without an error or warning.
+    The text is _normal_floats' with "product or squared mass of an
+    uncertainty ratio outside the float range": an A M or L^2 that is 0 or
+    overflows would make the ratio 0, inf or nan.
+    """
+    ok = [0 < a * m < math.inf for a, m in zip(A, M)]
+    for L in masses:
+        ok = [o and 0 < l * l < math.inf for o, l in zip(ok, L)]
+    if not all(ok):
+        _name_failures(
+            np.array(ok), params, describe, "product or squared mass of an uncertainty ratio outside the float range"
+        )
+
+
+def _name_failures(ok: np.ndarray, params, describe: Callable[[object], str], what: str) -> None:
+    """A QuadratureError unless ok, one row per parameter of params, holds everywhere."""
     bad = np.flatnonzero(~ok.all(axis=tuple(range(1, ok.ndim))))
     if bad.size:
         raise QuadratureError(
-            f"integral outside the normal floats at {bad.size} of {len(ok)} parameters, "
+            f"{what} at {bad.size} of {len(ok)} parameters, "
             f"first at {describe(np.asarray(params, dtype=float)[bad[0]].tolist())}"
         )
 

@@ -129,3 +129,28 @@ def test_parameter_outside_the_float_range_named(name, call, error, text):
     if error is quadrature.QuadratureError:
         text = "integral outside the normal floats " + text
     assert str(exc.value) == text
+
+
+# every integral is a normal float but the ratio's L^2 underflows to 0 (a
+# ZeroDivisionError, or for the grid an invalid-value warning), or a scale
+# (2 lam)^(-k) overflows (a bare OverflowError)
+RATIO = "product or squared mass of an uncertainty ratio outside the float range"
+RATIO_CASES = [
+    ("gaussian_hpw_reports", lambda: flat.gaussian_hpw_reports(3, [1.0, 1e110]),
+     f"{RATIO} at 1 of 2 parameters, first at lam = 1e+110 for n = 3"),
+    ("modified_hpw_reports", lambda: hyperbolic.modified_hpw_reports(3, [1e110, 1.0]),
+     f"{RATIO} at 1 of 2 parameters, first at alpha = 1e+110 for n = 3"),
+    ("hpw_constant_bounds", lambda: hyperbolic.hpw_constant_bounds(3, alphas=[1.0, 1e110]),
+     f"{RATIO} at 5 of 10 parameters, first at (alpha, beta) = (1e+110, 0.0) for n = 3"),
+    ("gaussian_hpw_reports_small", lambda: flat.gaussian_hpw_reports(3, [1e-155]),
+     "integral outside the normal floats at 1 of 1 parameters, first at lam = 1e-155 for n = 3"),
+    ("gaussian_hardy_reports_small", lambda: flat.gaussian_hardy_reports(3, [1.0, 1e-210]),
+     "integral outside the normal floats at 1 of 2 parameters, first at a = 1e-210 for n = 3"),
+]
+
+
+@pytest.mark.parametrize("name, call, text", RATIO_CASES, ids=[c[0] for c in RATIO_CASES])
+def test_ratio_outside_the_float_range_named(name, call, text):
+    with pytest.raises(quadrature.QuadratureError) as exc:
+        call()
+    assert str(exc.value) == text

@@ -238,6 +238,16 @@ class TestDualNorm:
         got = dual_norm_value(custom_lp(3, 1.5, grad), alpha)
         assert got == pytest.approx(dual_norm_value(lp(3, 1.5), alpha), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [(3.9e-4, 0.852), (6.7e-4, -0.983)])
+    def test_custom_lp15_dual_next_to_an_axis_by_finite_differences(self, alpha):
+        # the maximiser's first coordinate, about 1e-7, is below the 1e-6
+        # stencil step; a stencil stepping across the axis read these duals
+        # 3.0e-11 and 1.8e-11 low, with no error
+        alpha = np.array(alpha)
+        want = dual_norm_value(lp(2, 1.5), alpha)
+        got = dual_norm_value(custom_lp(2, 1.5, grad=False), alpha)
+        assert abs(got - want) <= 1e-12 * want
+
     def test_custom_dual_raises_at_the_iteration_cap(self):
         # l1 is not smooth, so the ascent never settles; the halving-only
         # step stopped at 1.19573 where the dual is 1.2
@@ -259,7 +269,7 @@ class TestDualNorm:
         # coordinates of size 0.2-2 with random signs, one of them scaled into
         # 0.01-0.1, near an axis, where the curvature of the lp sphere blows up
         # (p < 2) or vanishes (p > 2) and the climbs are longest; below about
-        # 1e-3 of |alpha| lp1.5 climbs can raise or read 3e-11 low
+        # 1e-3 of |alpha| lp1.5 climbs can raise
         for n in (2, 3, 4):
             rng = np.random.Generator(np.random.Philox(key=n))
             alphas = rng.choice([-1.0, 1.0], (12, n)) * rng.uniform(0.2, 2.0, (12, n))
@@ -305,6 +315,26 @@ class TestRowInput:
         assert np.array_equal(
             dual_norm_value(norm, rows[:2]), [dual_norm_value(norm, r) for r in rows[:2]]
         )
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_custom_dual_rows_share_one_lattice(self, grad, monkeypatch):
+        # a row call of m covectors puts the 32 lattice starts on the sphere
+        # once; a one-covector call does it once, as before
+        lattices = []
+        lattice = norms._sphere_lattice
+
+        def counted(n, count):
+            lattices.append(count)
+            return lattice(n, count)
+
+        monkeypatch.setattr(norms, "_sphere_lattice", counted)
+        norm = custom_lp(3, 3.0, grad)
+        rows = np.random.Generator(np.random.Philox(key=47)).standard_normal((5, 3))
+        got = dual_norm_value(norm, rows)
+        assert lattices == [32]
+        lattices.clear()
+        assert np.array_equal(got, [dual_norm_value(norm, r) for r in rows])
+        assert lattices == [32] * 5
 
     def test_zero_rows_give_zero(self):
         def value(y):
@@ -356,6 +386,42 @@ class TestPerPointClosedForms:
                 for shape in [(), (n + 1,), (1, 1, n)]:
                     with pytest.raises(NormError):
                         fn(norm, np.ones(shape))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_every_input_kind_equals_the_reference(self, n):
+        # float64 vectors of shape (n,) skip _check_dim: a strided or
+        # read-only view among them; a list, an int or a float32 array goes
+        # through it
+        rng = np.random.Generator(np.random.Philox(key=53 + n))
+        closed = [lp(n, 1.5), lp(n, 4.0), MinkowskiNorm(n, "weighted-euclidean", matrix=np.diag(np.arange(1.0, n + 1)))]
+        y = rng.standard_normal(2 * n) * 3
+        frozen = y[:n].copy()
+        frozen.setflags(write=False)
+        column = np.asfortranarray(np.stack([y[:n], y[n:]], axis=1))[:, 0]
+        kinds = {
+            "list": y[:n].tolist(),
+            "int": np.rint(y[:n]).astype(int),
+            "float32": y[:n].astype(np.float32),
+            "read-only": frozen,
+            "strided": y[::2],
+            "column": column,
+        }
+        assert not kinds["strided"].flags.contiguous and not frozen.flags.writeable
+        for norm in closed:
+            for fn, dual in ((norm_value, False), (dual_norm_value, True)):
+                for kind, v in kinds.items():
+                    got = fn(norm, v)
+                    assert type(got) is float and got == closed_form_value(norm, v, dual), kind
+
+    @pytest.mark.parametrize("fn", [norm_value, dual_norm_value])
+    def test_wrong_shapes_raise_the_same_error(self, fn):
+        for norm in (lp(3, 1.5), euclid(3)):
+            for v, shape in [(np.ones(4), "(4,)"), (np.ones(()), "()"), ([1.0, 2.0], "(2,)"),
+                             (np.ones((1, 1, 3)), "(1, 1, 3)"), (np.ones(2, dtype=np.float32), "(2,)"),
+                             (np.ones(6)[::3], "(2,)")]:
+                with pytest.raises(NormError) as exc:
+                    fn(norm, v)
+                assert str(exc.value) == f"vector of shape {shape} incompatible with dimension 3"
 
 
 class TestLegendreMap:
@@ -676,6 +742,18 @@ class TestVolumes:
         assert vol == (2 * half) ** n * hits / samples
         monkeypatch.setattr(norms, "_first_nodes", lambda n, m: {2: 129, 3: 17}.get(n, 5))
         assert unit_ball_volume(custom, mc_samples=samples) == vol
+
+    @pytest.mark.parametrize("n, samples", [(2, 1 << 16), (3, 1 << 16), (4, 1 << 14)])
+    def test_block_size_moves_no_count(self, n, samples, monkeypatch):
+        # every sample's masks and every box's bound depend only on its own row
+        w = np.arange(1.0, n + 1)
+        custom = MinkowskiNorm(n, "custom", value_fn=lambda y: float(np.sum(w * np.abs(y) ** 3) ** (1 / 3)))
+        results = []
+        for chunk in (1024, 2048, 4096, 65536):
+            monkeypatch.setattr(norms, "_CHUNK", chunk)
+            grid = norms._FaceGrid(custom, 9)
+            results.append((unit_ball_volume(custom, mc_samples=samples), grid.lower_bound(1.0)))
+        assert results[1:] == results[:-1]
 
     def test_unbounded_ball_raises(self):
         # |y_1| + |y_2| vanishes along y_0: no box holds its "unit ball"
