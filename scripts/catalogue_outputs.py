@@ -2,6 +2,7 @@
 
     python3 scripts/catalogue_outputs.py OUT.json [--root CHECKOUT]
     python3 scripts/catalogue_outputs.py --diff A.json B.json
+    python3 scripts/catalogue_outputs.py --against REV [--root CHECKOUT]
 
 Runs every entry of the suite-all, reports and norms-mc catalogues once,
 with sharpineq imported from CHECKOUT/src (default: the checkout holding
@@ -14,7 +15,11 @@ digest per entry key to OUT.json:
 Artifacts go to a temporary directory, no bytecode is written, and BLAS
 pools are pinned to one thread, as perfbench/run.py pins them.  --diff
 lists the keys whose digests differ between two such files (or that only
-one holds) and exits 1 if there is any.
+one holds) and exits 1 if there is any.  --against REV digests the commit
+REV of CHECKOUT's git repository and CHECKOUT itself, each in its own
+process, and prints their --diff: REV's files come from git archive into a
+temporary directory, which is removed afterwards, so the repository gains
+no worktree, not even from a run that is cut short.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
+import subprocess  # noqa: E402
+import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -63,20 +71,38 @@ def digests(root: Path) -> dict:
     return out
 
 
+def against(rev: str, root: Path) -> int:
+    """The --diff of the digests of rev and of the checkout root, each taken in a fresh process."""
+    tree = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev], capture_output=True)
+    if tree.returncode:
+        print(tree.stderr.decode().strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        with tarfile.open(fileobj=io.BytesIO(tree.stdout)) as tar:
+            tar.extractall(scratch / "rev", filter="data")
+        for out, checkout in (("before.json", scratch / "rev"), ("after.json", root)):
+            subprocess.run([sys.executable, __file__, str(scratch / out), "--root", str(checkout)], check=True)
+        return main(["--diff", str(scratch / "before.json"), str(scratch / "after.json")])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", nargs="?", help="where to write the digests (JSON)")
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="the source checkout to run (default: this one)")
     ap.add_argument("--diff", nargs=2, metavar=("A", "B"), help="list the keys whose digests differ")
+    ap.add_argument("--against", metavar="REV", help="list the keys whose digests differ from those of commit REV")
     args = ap.parse_args(argv)
+    if args.against:
+        return against(args.against, args.root.resolve())
     if args.diff:
         a, b = (json.loads(Path(p).read_text()) for p in args.diff)
         moved = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
         print("\n".join(moved + [f"{len(moved)} of {len(a.keys() | b.keys())} keys moved"]))
         return 1 if moved else 0
     if args.out is None:
-        ap.error("give OUT.json or --diff A B")
+        ap.error("give OUT.json, --diff A B or --against REV")
     found = digests(args.root.resolve())
     Path(args.out).write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
     print(f"{len(found)} entries written to {args.out}")

@@ -18,6 +18,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     RadialProfile,
+    _TINY,
     _checked_parameters,
     _normal_floats,
     _ratio_terms,
@@ -316,11 +317,12 @@ def _scaled(r: IntegralResult, c: float) -> IntegralResult:
 
 
 def _rate_power(rate: float, exponent: float) -> float:
-    """rate ** exponent, or inf where it overflows, for _normal_floats to name the parameter."""
+    """rate ** exponent, or inf where it overflows and 0.0 below the normal floats, for _normal_floats to name."""
     try:
-        return rate**exponent
+        power = rate**exponent
     except OverflowError:
         return math.inf
+    return power if power >= _TINY else 0.0
 
 
 def _extremal_passes(
@@ -492,17 +494,21 @@ def gaussian_T_grid(n: int, lams: Sequence[float], spec: QuadratureSpec = Quadra
     is analytic: in t = rho sqrt(2 lam), T and its higher moment are the
     rate-free I_k = int t^k e^(-t^2) dt, k = n + 1 and n + 3, of one
     flat_gaussian_moments pass for the whole grid times powers of 2 lam.
-    Every lam must be positive and finite, and a T outside the normal
-    floats is a QuadratureError that names its lam.  Returns one dict per lam.
+    Every lam must be positive and finite, and a T or a term
+    8 lam omega_n int rho^(n+3) e^(-2 lam rho^2) of T' outside the normal
+    floats, or scaled by a power of 2 lam outside them (_rate_power), is a
+    QuadratureError that names its lam.  Returns one dict per lam.
     """
     _checked_parameters("lam", lams)
     omega = ball_volume_constant(n)
     low, high = flat_gaussian_moments([(n + 1, None), (n + 3, None)], spec)
-    values = [4 * lam * omega * (2 * lam) ** (-(n + 2) / 2) * low.value for lam in lams]
-    _normal_floats(values, lams, lambda lam: f"lam = {lam!r} for n = {n}")
+    # T and the higher moment's term of T' for every lam
+    terms = [(4 * lam * omega * _rate_power(2 * lam, -(n + 2) / 2) * low.value,
+              8 * lam * omega * _rate_power(2 * lam, -(n + 4) / 2) * high.value) for lam in lams]
+    _normal_floats(terms, lams, lambda lam: f"lam = {lam!r} for n = {n}")
     out = []
-    for lam, value in zip(lams, values):
-        derivative = value / lam - 8 * lam * omega * (2 * lam) ** (-(n + 4) / 2) * high.value
+    for lam, (value, term) in zip(lams, terms):
+        derivative = value / lam - term
         closed = 2 * (2 * lam) ** (-n / 2) * omega * math.gamma(n / 2 + 1) / 2
         out.append({
             "value": value,

@@ -229,8 +229,8 @@ def modified_hpw_reports(
     A, M, L, W = moments.tolist()
     _ratio_terms(A, M, [W, L], alphas, lambda a: f"alpha = {a!r} for n = {n}")
     reports = []
-    for values, estimates in zip(moments.T, errors.T):
-        A, M, L, W = (IntegralResult(float(v), float(e), evals) for v, e in zip(values, estimates))
+    for values, estimates in zip(moments.T.tolist(), errors.T.tolist()):
+        A, M, L, W = (IntegralResult(v, e, evals) for v, e in zip(values, estimates))
         reports.append(tuple(InequalityReport.product(A, M, mass, n**2 / 4) for mass in (W, L)))
     return reports
 

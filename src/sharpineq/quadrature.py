@@ -23,7 +23,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,8 +59,8 @@ def _checked_parameters(name: str, values, zero: bool = False) -> np.ndarray:
     """values as a float array, each positive (with zero, at least 0) and finite,
     or else a ValueError naming the parameter and its first bad value."""
     values = np.asarray(values, dtype=float)
-    ok = (values >= 0 if zero else values > 0) & (values < math.inf)
-    if not ok.all():
+    if values.size and not ((values.min() >= 0 if zero else values.min() > 0) and values.max() < math.inf):
+        ok = (values >= 0 if zero else values > 0) & (values < math.inf)
         rule = "finite and >= 0" if zero else "positive and finite"
         raise ValueError(f"{name} must be {rule}, got {name} = {float(values[~ok].flat[0])!r}")
     return values
@@ -73,7 +73,7 @@ def _gaussian_rates(name: str, values) -> np.ndarray:
     values = _checked_parameters(name, values)
     with np.errstate(over="ignore"):
         rates = 2 * values
-    if not (rates < math.inf).all():
+    if rates.size and rates.max() == math.inf:
         bad = float(values[rates == math.inf].flat[0])
         raise ValueError(f"{name} = {bad!r} is too large: the rate 2 {name} overflows")
     return rates
@@ -88,26 +88,25 @@ def _normal_floats(values, params, describe: Callable[[object], str]) -> None:
     names the first by describe(params[i]), a float or a list.
     """
     size = np.abs(np.asarray(values, dtype=float))
-    _name_failures((size >= _TINY) & (size < math.inf), params, describe, "integral outside the normal floats")
+    if size.size and not (size.min() >= _TINY and size.max() < math.inf):
+        _name_failures((size >= _TINY) & (size < math.inf), params, describe, "integral outside the normal floats")
 
 
 def _ratio_terms(A, M, masses, params, describe: Callable[[object], str]) -> None:
-    """A QuadratureError unless every uncertainty ratio A M / L^2 divides finite nonzero floats.
+    """A QuadratureError unless every uncertainty ratio A M / L^2 divides normal floats.
 
     A and M hold one integral per parameter of params, and masses one
-    sequence of such integrals per mass L the ratios divide by, all Python
-    floats, whose products round to 0 or inf without an error or warning.
-    The text is _normal_floats' with "product or squared mass of an
-    uncertainty ratio outside the float range": an A M or L^2 that is 0 or
-    overflows would make the ratio 0, inf or nan.
+    sequence of such integrals per mass L the ratios divide by, all normal
+    Python floats, whose products round to a subnormal, 0 or inf without an
+    error or warning.  The text is _normal_floats' with "product or squared
+    mass of an uncertainty ratio outside the float range", the range of the
+    normal floats: an A M or L^2 below it has lost digits to underflow, and
+    one that is 0 or overflows would make the ratio 0, inf or nan.
     """
-    ok = [0 < a * m < math.inf for a, m in zip(A, M)]
-    for L in masses:
-        ok = [o and 0 < l * l < math.inf for o, l in zip(ok, L)]
-    if not all(ok):
-        _name_failures(
-            np.array(ok), params, describe, "product or squared mass of an uncertainty ratio outside the float range"
-        )
+    terms = [list(map(mul, A, M)), *(list(map(mul, L, L)) for L in masses)]
+    if not all(all(map(_TINY.__le__, t)) and all(map(math.inf.__gt__, t)) for t in terms):
+        ok = np.array([[_TINY <= x < math.inf for x in t] for t in terms]).all(axis=0)
+        _name_failures(ok, params, describe, "product or squared mass of an uncertainty ratio outside the float range")
 
 
 def _name_failures(ok: np.ndarray, params, describe: Callable[[object], str], what: str) -> None:
@@ -614,10 +613,11 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
     """
     tol = spec.relative_tolerance
     # per pass: a heap of (-key, piece, a, b, K, |K - G|), piece 1 the tail,
-    # the running sums and the evaluations; scale holds 1 / |value| of every
-    # row of every pass after the first sweep
+    # K and |K - G| lists of q Python floats, and the running sums (lists of
+    # q) and evaluations; scale holds 1 / |value| of every row of every pass
+    # after the first sweep
     heaps = [[] for _ in range(passes)]
-    value, error, evals, scale = [0.0] * passes, [0.0] * passes, [0] * passes, None
+    value, error, evals, scale = None, None, [0] * passes, None
     results, stop, failure = [None] * passes, passes, None  # the passes from stop on are dropped
     live = range(passes)
     todo = [(j, i, 0.0, 0.5, 1.0) for j in live for i in (0, 1)]
@@ -635,10 +635,10 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
             if min(tails) == max(tails):
                 rho, jac = _graded(x, tails[0])
             else:
-                tail = np.array(tails, dtype=bool)
-                rho, jac = np.empty_like(x), np.empty_like(x)
-                rho[tail], jac[tail] = _graded(x[tail], 1)
-                rho[~tail], jac[~tail] = _graded(x[~tail], 0)
+                # both maps at every node, the tail's with the head's nodes
+                # at x = 0, and each bisection's taken
+                tail = np.array(tails, dtype=bool)[:, None, None]
+                rho, jac = (np.where(tail, t, u) for t, u in zip(_graded(np.where(tail, x, 0.0), 1), _graded(x, 0)))
             which = np.array([j for j, *_ in todo])
             f = rows(rho, which)
             q = f.shape[1]
@@ -648,52 +648,51 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
             kd = (v.reshape(-1, 2, _NODE_COUNT) @ _GK15_WEIGHTS).reshape(-1, q, 2, 2)
             kd = kd.transpose(0, 3, 2, 1) * h[:, None]
             ks, es = kd[:, 0], np.abs(kd[:, 1], out=kd[:, 1])
-            sums = kd.sum(axis=2)
+            sums = np.add.reduce(kd, axis=2)
             if scale is None:  # the first sweep: both pieces of every pass
                 scale = 1.0 / np.maximum(np.abs(sums[0::2, 0] + sums[1::2, 0]), _TINY)
-            keys = (es * scale[which][:, None]).max(axis=2).tolist()
+                value, error = [[0.0] * q for _ in range(passes)], [[0.0] * q for _ in range(passes)]
+            keys = np.maximum.reduce(es * scale.take(which, axis=0)[:, None], axis=2).tolist()
             # the Kronrod weights are positive: a value outside the float
-            # range leaves its K outside it too
-            finite = np.isfinite(ks)
-            finite = [True] * len(todo) if finite.all() else finite.all(axis=(1, 2)).tolist()
-            for r, (j, i, a, mid, b) in enumerate(todo):
+            # range leaves its K outside it too, and the sum of every K too
+            finite = [True] * len(todo)
+            if not math.isfinite(np.add.reduce(ks, axis=None)):
+                finite = np.isfinite(ks).all(axis=(1, 2)).tolist()
+            for r, ((j, i, a, mid, b), ((kl, kr), (el, er)), (ksum, esum), (left, right)) in enumerate(
+                zip(todo, kd.tolist(), sums.tolist(), keys)
+            ):
                 if not finite[r]:
                     piece = _in_rho(0.0, 1.0, _GRADED_MAPS[i])
                     stop, failure = j, QuadratureError(
                         _overflow(f[r].reshape(q, -1), rho[r].ravel(), ks[r], i, heaps[j], piece)
                     )
                     break
-                (kl, kr), (el, er), (ksum, esum), (left, right) = ks[r], es[r], sums[r], keys[r]
                 heapq.heappush(heaps[j], (-left, i, a, mid, kl, el))
                 heapq.heappush(heaps[j], (-right, i, mid, b, kr, er))
-                value[j] += ksum
-                error[j] += esum
+                value[j] = list(map(add, value[j], ksum))
+                error[j] = list(map(add, error[j], esum))
                 evals[j] += 2 * _NODE_COUNT
             todo = []
             for j in live:
                 if j >= stop:
                     break
                 heap = heaps[j]
-                if (error[j] <= tol * np.abs(value[j])).all():
+                if all(e <= tol * abs(v) for v, e in zip(value[j], error[j])):
                     # the running sums drift; accept on the exact ones
-                    value[j], error[j] = (
-                        np.array([math.fsum(row) for row in np.array([p[col] for p in heap]).T.tolist()])
-                        for col in (4, 5)
-                    )
-                    if (error[j] <= tol * np.abs(value[j])).all():
-                        results[j] = (value[j], error[j], q * evals[j])
+                    value[j], error[j] = ([math.fsum(row) for row in zip(*(p[col] for p in heap))] for col in (4, 5))
+                    if all(e <= tol * abs(v) for v, e in zip(value[j], error[j])):
+                        results[j] = (np.array(value[j]), np.array(error[j]), q * evals[j])
                         continue
                 _, i, a, b, k, e = heap[0]
                 cause = _stuck(len(heap), a, b, _GRADED_MAPS[i])
                 if cause is not None:
                     stop, failure = j, QuadratureError(
-                        f"requested tolerance {tol!r} not met {cause}: "
-                        f"value={value[j].tolist()!r}, error={error[j].tolist()!r}"
+                        f"requested tolerance {tol!r} not met {cause}: value={value[j]!r}, error={error[j]!r}"
                     )
                     break
                 heapq.heappop(heap)
-                value[j] -= k
-                error[j] -= e
+                value[j] = list(map(sub, value[j], k))
+                error[j] = list(map(sub, error[j], e))
                 todo.append((j, i, a, 0.5 * (a + b), b))
             live = [j for j, *_ in todo]
     return _in_order(results[:stop], failure)
@@ -752,6 +751,18 @@ _FIRST_PANELS = 4
 _BLOCK_VALUES = 1 << 15
 
 
+@functools.lru_cache(maxsize=None)
+def _panel_table(panels: int) -> tuple:
+    """The G10/K21 nodes of panels equal panels of [0, 1] and _GK21_WEIGHTS
+    times their half-width: gauss_kronrod_batch's rule at that panel count,
+    built once and read-only, since every integrand reads the same nodes."""
+    half = 0.5 / panels
+    table = ((np.arange(panels)[:, None] + 0.5) / panels + half * _GK21_NODES).ravel(), half * _GK21_WEIGHTS
+    for t in table:
+        t.flags.writeable = False
+    return table
+
+
 def gauss_kronrod_batch(
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     params: np.ndarray,
@@ -783,61 +794,57 @@ def gauss_kronrod_batch(
     """
     params = np.asarray(params, dtype=float)
     count = len(params)
-    todo = np.arange(count)
-    values = errors = None
+    todo, values, errors = np.arange(count), None, None
     tol = spec.relative_tolerance
     panels, evals, per = _FIRST_PANELS, 0, 1
-    while True:
-        half = 0.5 / panels
-        x = ((np.arange(panels)[:, None] + 0.5) / panels + half * _GK21_NODES).ravel()
-        weights = half * _GK21_WEIGHTS
-        start = 0
-        # values outside the float range are caught below, with their parameter
-        with np.errstate(over="ignore", invalid="ignore"):
+    # values outside the float range are caught below, with their parameter
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            x, weights = _panel_table(panels)
+            # while every parameter refines, as in the first round, the blocks are slices of params
+            every, start, sums = todo.size == count, 0, []
             # one block at least: the block of an empty grid still tells q
-            while True:
+            while not sums or start < todo.size:
                 # until the first block tells, one integral per parameter
-                idx = todo[start:start + max(1, _BLOCK_VALUES // (per * x.size))]
-                start += idx.size
-                f = integrand(x, params[idx, None])
-                if values is None:
-                    values = np.empty(f.shape[:-2] + (count,))
-                    errors = np.empty(values.shape)
-                    per = math.prod(f.shape[:-2])
+                stop = start + max(1, _BLOCK_VALUES // (per * x.size))
+                f = integrand(x, params[start:stop, None] if every else params[todo[start:stop], None])
+                per = math.prod(f.shape[:-2])
                 # K and K - G of every panel of the block in one product; the
                 # block's values are dropped before the next block is evaluated
-                kd = (f.reshape(-1, _GK21_NODES.size) @ weights).reshape(
-                    f.shape[:-2] + (idx.size, panels, 2))
+                kd = (f.reshape(-1, _GK21_NODES.size) @ weights).reshape(f.shape[:-1] + (panels, 2))
                 del f
-                values[..., idx] = kd[..., 0].sum(axis=-1)
-                errors[..., idx] = np.abs(kd[..., 1]).sum(axis=-1)
-                if start >= todo.size:
-                    break
-        evals += todo.size * x.size
-        # one row per integral of a parameter, one column per parameter
-        val = values[..., todo].reshape(per, todo.size)
-        err = errors[..., todo].reshape(per, todo.size)
-        bad = todo[~np.isfinite(val).all(axis=0)]
-        if bad.size:
-            raise QuadratureError(
-                f"non-finite integral at {bad.size} of {count} parameters, first at "
-                f"{describe(params[bad[0]].tolist())}: outside the float range"
-            )
-        missed = (err > tol * np.abs(val)).any(axis=0)
-        if not missed.any():
-            return values, errors, evals
-        if 2 * panels > _MAX_SUBINTERVALS:
-            with np.errstate(divide="ignore"):
-                rel = (err[:, missed] / np.abs(val[:, missed])).max(axis=0)
-            worst = int(np.argmax(rel))
-            raise QuadratureError(
-                f"requested tolerance {tol!r} not met with {panels} panels at "
-                f"{int(missed.sum())} parameters; worst at "
-                f"{describe(params[todo[missed][worst]].tolist())}: "
-                f"relative error estimate {float(rel[worst])!r}"
-            )
-        todo = todo[missed]
-        panels *= 2
+                sums.append((np.add.reduce(kd[..., 0], axis=-1), np.add.reduce(np.abs(kd[..., 1]), axis=-1)))
+                start = stop
+            val, err = sums[0] if len(sums) == 1 else (np.concatenate(s, axis=-1) for s in zip(*sums))
+            if every:
+                values, errors = val, err
+            else:
+                values[..., todo], errors[..., todo] = val, err
+            evals += todo.size * x.size
+            # one row per integral of a parameter, one column per parameter
+            val, err = val.reshape(per, todo.size), err.reshape(per, todo.size)
+            if not np.isfinite(val).all():
+                bad = todo[~np.isfinite(val).all(axis=0)]
+                raise QuadratureError(
+                    f"non-finite integral at {bad.size} of {count} parameters, first at "
+                    f"{describe(params[bad[0]].tolist())}: outside the float range"
+                )
+            missed = err > tol * np.abs(val)
+            if not missed.any():
+                return values, errors, evals
+            missed = missed.any(axis=0)
+            if 2 * panels > _MAX_SUBINTERVALS:
+                with np.errstate(divide="ignore"):
+                    rel = (err[:, missed] / np.abs(val[:, missed])).max(axis=0)
+                worst = int(np.argmax(rel))
+                raise QuadratureError(
+                    f"requested tolerance {tol!r} not met with {panels} panels at "
+                    f"{int(missed.sum())} parameters; worst at "
+                    f"{describe(params[todo[missed][worst]].tolist())}: "
+                    f"relative error estimate {float(rel[worst])!r}"
+                )
+            todo = todo[missed]
+            panels *= 2
 
 
 def flat_gaussian_moments(rows: Sequence[tuple], spec: QuadratureSpec = QuadratureSpec()) -> list[IntegralResult]:
@@ -919,18 +926,12 @@ def gaussian_integrals(
     tol = spec.relative_tolerance
     rate, beta = params.T
     root = np.sqrt(rate)
-    # a small rate overflows g, and with it S, into a non-finite integral
-    # that gauss_kronrod_batch names; with a large beta it also overflows b
-    # into a psi of nan, where a <= _PEAK_GATE keeps S
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.maximum(top - 2 * beta, 0) / root
-        S = (g + np.sqrt(g * g + 4 * _tail_budget(tol))) / 2
-        S = _peak_cut(S, top, tol, 1 - top / (6 * rate), 2 * beta / root)
 
     def integrand(x, p):
-        beta, S = p[..., 1], p[..., 2]
+        # p holds (rate, beta, S, sqrt(rate), 2 beta)
+        S = p[..., 2]
         s = S * x
-        rho = s / np.sqrt(p[..., 0])
+        rho = s / p[..., 3]
         s2 = s * s
         # log sinh rho = rho + log(1 - e^(-2 rho)) - log 2
         log_w = rho + np.log(-np.expm1(-2 * rho)) - math.log(2)
@@ -938,7 +939,7 @@ def gaussian_integrals(
         for k in dict.fromkeys(k for k, _ in rows):
             # S e^(k log w - s s - 2 beta rho), in place in the exponent's array
             e = k * log_w - s2
-            e -= 2 * beta * rho
+            e -= p[..., 4] * rho
             bases[k] = np.multiply(S, np.exp(e, out=e), out=e)
         out = np.empty((len(rows),) + rho.shape)
         for row, (k, f) in zip(out, rows):
@@ -948,10 +949,16 @@ def gaussian_integrals(
                 np.multiply(f(rho, p), bases[k], out=row)
         return out
 
-    values, errors, evals = gauss_kronrod_batch(
-        integrand, np.column_stack([params, S]), spec, lambda p: describe(p[:2]))
-    c = np.array([(k + 1) * ball_volume_constant(k + 1) for k, _ in rows])[:, None] / root
-    with np.errstate(over="ignore"):
+    # a small rate overflows g, and with it S, into a non-finite integral
+    # that gauss_kronrod_batch names; with a large beta it also overflows b
+    # into a psi of nan, where a <= _PEAK_GATE keeps S
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.maximum(top - 2 * beta, 0) / root
+        S = (g + np.sqrt(g * g + 4 * _tail_budget(tol))) / 2
+        S = _peak_cut(S, top, tol, 1 - top / (6 * rate), 2 * beta / root)
+        grid = np.column_stack([params, S, root, 2 * beta])
+        values, errors, evals = gauss_kronrod_batch(integrand, grid, spec, lambda p: describe(p[:2]))
+        c = np.array([(k + 1) * ball_volume_constant(k + 1) for k, _ in rows])[:, None] / root
         values, errors = c * values, c * errors
     _normal_floats(values.T, params, describe)
     return values, errors, len(rows) * evals
@@ -971,10 +978,12 @@ def _peak_cut(S, K: int, tol: float, a, b=0.0):
     where it lies past p with psi(S) <= 0, and elsewhere becomes
     max(S, p + sqrt(psi(p) / a)): psi'' = -K / s^2 - 2a <= -2a, so
     psi(s) <= psi(p) - a (s - p)^2, which is <= 0 from there on, and
-    psi(p) >= psi(t) = (1 - a) t^2 - ln tol > 0.  At K = 0 (n = 1) S stands.
+    psi(p) >= psi(t) = (1 - a) t^2 - ln tol > 0.  At K = 0 (n = 1), or where no
+    a passes the gate, S stands and psi is not formed.
     Every S here is at least sqrt(_tail_budget(tol)).
     """
-    if K == 0:
+    below = a <= _PEAK_GATE
+    if K == 0 or below.all():
         return S
     t = math.sqrt(K / 2)
     c = K * math.log(t) - t * t + math.log(tol)
@@ -986,7 +995,7 @@ def _peak_cut(S, K: int, tol: float, a, b=0.0):
     # past the gate the peak lies before sqrt(K), so before S for K < budget
     if K >= _tail_budget(tol):
         ok &= K < S * (2 * a * S + b)
-    ok |= a <= _PEAK_GATE
+    ok |= below
     if ok.all():
         return S
     # where S stands, a = 1 keeps the peak finite
@@ -1193,9 +1202,9 @@ def hyperbolic_gaussian_moments(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    rates, betas = np.broadcast_arrays(
-        _gaussian_rates("alpha", alphas), _checked_parameters("beta", betas, zero=True)
-    )
+    rates, betas = _gaussian_rates("alpha", alphas), _checked_parameters("beta", betas, zero=True)
+    grid = np.empty(np.broadcast(rates, betas).shape + (2,))
+    grid[..., 0], grid[..., 1] = rates, betas
     m = n - 1
     # u' = -(2 alpha rho + beta) u, and p holds (2 alpha, beta)
     rows = [
@@ -1208,9 +1217,8 @@ def hyperbolic_gaussian_moments(
     def describe(p):
         return f"(alpha, beta) = ({p[0] / 2!r}, {p[1]!r}) for n = {n}"
 
-    grid = np.stack([rates.ravel(), betas.ravel()], axis=1)
-    values, errors, evals = gaussian_integrals(rows, grid, spec, describe)
-    shape = (len(rows),) + rates.shape
+    values, errors, evals = gaussian_integrals(rows, grid.reshape(-1, 2), spec, describe)
+    shape = (len(rows),) + grid.shape[:-1]
     return values.reshape(shape), errors.reshape(shape), evals
 
 

@@ -110,6 +110,15 @@ FLOAT_RANGE_CASES = [
      quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+308 for n = 3"),
     ("gaussian_T_grid", lambda: flat.gaussian_T_grid(3, [1.0, 1e308]),
      quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+308 for n = 3"),
+    # T is a normal float, but the term (2 lam)^(-(n+4)/2) of T' overflows
+    # (a bare OverflowError), underflows to 0 (a residual of -2.5) or is
+    # subnormal (a residual of 0.29 at 1e92)
+    ("gaussian_T_grid_small", lambda: flat.gaussian_T_grid(3, [1e-90]),
+     quadrature.QuadratureError, "at 1 of 1 parameters, first at lam = 1e-90 for n = 3"),
+    ("gaussian_T_grid_large", lambda: flat.gaussian_T_grid(3, [1.0, 1e100]),
+     quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+100 for n = 3"),
+    ("gaussian_T_grid_subnormal", lambda: flat.gaussian_T_grid(3, [1e92, 1.0]),
+     quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+92 for n = 3"),
     ("gaussian_hardy_reports", lambda: flat.gaussian_hardy_reports(3, [1.0, 1e308]),
      quadrature.QuadratureError, "at 1 of 2 parameters, first at a = 1e+308 for n = 3"),
     ("modified_hpw_reports", lambda: hyperbolic.modified_hpw_reports(3, [1.0, 1e200]),
@@ -142,6 +151,20 @@ RATIO_CASES = [
      f"{RATIO} at 1 of 2 parameters, first at alpha = 1e+110 for n = 3"),
     ("hpw_constant_bounds", lambda: hyperbolic.hpw_constant_bounds(3, alphas=[1.0, 1e110]),
      f"{RATIO} at 5 of 10 parameters, first at (alpha, beta) = (1e+110, 0.0) for n = 3"),
+    # A M and L^2 are subnormal: the flat ratio, exactly n^2/4 = 2.25, read
+    # 2.251275510204082 at 1e107 and 2.250000000000956 at 1e104
+    ("gaussian_hpw_reports_subnormal", lambda: flat.gaussian_hpw_reports(3, [1e107]),
+     f"{RATIO} at 1 of 1 parameters, first at lam = 1e+107 for n = 3"),
+    ("modified_hpw_reports_subnormal", lambda: hyperbolic.modified_hpw_reports(3, [1e107]),
+     f"{RATIO} at 1 of 1 parameters, first at alpha = 1e+107 for n = 3"),
+    ("hpw_constant_bounds_subnormal", lambda: hyperbolic.hpw_constant_bounds(3, alphas=[1e107], betas=[0.0]),
+     f"{RATIO} at 1 of 1 parameters, first at (alpha, beta) = (1e+107, 0.0) for n = 3"),
+    ("gaussian_hpw_reports_subnormal_1e104", lambda: flat.gaussian_hpw_reports(3, [1e104]),
+     f"{RATIO} at 1 of 1 parameters, first at lam = 1e+104 for n = 3"),
+    ("modified_hpw_reports_subnormal_1e104", lambda: hyperbolic.modified_hpw_reports(3, [1e104]),
+     f"{RATIO} at 1 of 1 parameters, first at alpha = 1e+104 for n = 3"),
+    ("hpw_constant_bounds_subnormal_1e104", lambda: hyperbolic.hpw_constant_bounds(3, alphas=[1e104], betas=[0.0]),
+     f"{RATIO} at 1 of 1 parameters, first at (alpha, beta) = (1e+104, 0.0) for n = 3"),
     ("gaussian_hpw_reports_small", lambda: flat.gaussian_hpw_reports(3, [1e-155]),
      "integral outside the normal floats at 1 of 1 parameters, first at lam = 1e-155 for n = 3"),
     ("gaussian_hardy_reports_small", lambda: flat.gaussian_hardy_reports(3, [1.0, 1e-210]),

@@ -481,6 +481,12 @@ PASS_ROWS = {
     "late": lambda rho: np.stack([1 / (1 + rho) ** 1.0005, 1 / (1 + rho) ** 3]),
     "early": lambda rho: np.stack([1 / (1 + rho) ** 3, np.where(rho < 0.25, np.inf, 1 / (1 + rho) ** 3)]),
     "cubic": lambda rho: np.stack([1 / (1 + rho) ** 3, rho / (1 + rho) ** 4]),
+    # "cubic" near the float range: integrals 4e307 and 1.3e307
+    "big": lambda rho: 8e307 * np.stack([1 / (1 + rho) ** 3, rho / (1 + rho) ** 4]),
+    # a narrow bump on the head, at rho = 0.3, or on the tail, at rho = 3:
+    # each pass refines that piece alone
+    "bump_head": lambda rho: np.stack([1 / ((1 + 400 * (rho - 0.3) ** 2) * (1 + rho) ** 3), 1 / (1 + rho) ** 3]),
+    "bump_tail": lambda rho: np.stack([1 / ((1 + 400 * (rho - 3) ** 2) * (1 + rho) ** 3), rho / (1 + rho) ** 4]),
 }
 
 
@@ -576,6 +582,46 @@ class TestLockstepPasses:
     def test_no_passes(self):
         results, calls = self.lockstep([])
         assert list(results) == [] and calls == []
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_rounds_on_both_pieces_equal_each_pass_alone(self, tol, monkeypatch):
+        # a round whose bisections lie on both pieces, the first sweep among
+        # them, takes both maps at every node and each bisection's own; a
+        # round on one piece takes that map alone
+        spec = QuadratureSpec(relative_tolerance=tol)
+        pieces = []
+        graded = quadrature._graded
+
+        def recording(x, tail):
+            pieces.append(tail)
+            return graded(x, tail)
+
+        monkeypatch.setattr(quadrature, "_graded", recording)
+        names = ["bump_tail", "ok", "bump_head", "cubic"]
+        results, calls = self.lockstep(names, spec)
+        got, failure = self.run(results)
+        # a round on both pieces maps twice, the first sweep too
+        assert failure is None and len(pieces) > len(calls) + 1
+        self.same(got, self.alone(names, spec)[0])
+
+    @pytest.mark.parametrize(
+        "names, fails",
+        [(["big"] * 4, False), (["big", "big", "early", "big", "big"], True), (["big", "late", "big"], True)],
+    )
+    def test_round_whose_integrals_overflow_together(self, names, fails):
+        # every K of a "big" pass is finite and so is their sum, but the Ks
+        # of four such passes in one round sum past the float range: that
+        # round checks the Ks of each bisection, and every pass gives what it
+        # gives alone, where the sum is finite; a pass in the middle that
+        # fails, in the first round or after many, raises its own error
+        # after the results of the passes before it
+        big = one_pass(PASS_ROWS["big"])[0].tolist()
+        assert math.isfinite(sum(big)) and 4 * sum(big) == math.inf
+        results, _ = self.lockstep(names)
+        got, failure = self.run(results)
+        want, want_failure = self.alone(names)
+        assert failure == want_failure and (failure is not None) == fails
+        self.same(got, want)
 
 
 class TestVolumeIntegrals:
@@ -925,6 +971,78 @@ class TestBatchSums:
     def test_block_boundary_falls_inside_the_grid(self):
         # the first pass of a 4096-alpha grid spans several blocks
         assert 1 < _BLOCK_VALUES // (_FIRST_PANELS * _GK21_NODES.size) < 4096
+
+
+def batch_result(call):
+    """call()'s (values, estimates, evaluations) as lists, or the text of its QuadratureError."""
+    try:
+        values, errors, evals = call()
+    except QuadratureError as exc:
+        return str(exc)
+    return values.tolist(), errors.tolist(), evals
+
+
+# two integrals per parameter on [0, 1]: at 1e-12 the rule meets e^(-p x)
+# and cos(p x) on 4 panels for a small p and refines them for a large one
+def two_rows(x, p):
+    return np.stack([np.exp(-p * x), np.cos(p * x)])
+
+
+MIXED_GRID = np.array([0.5, 40.0, 1.0, 90.0, 2.0, 160.0, 0.25])
+
+
+class TestBatchPaths:
+    """The first round of one block, and blocks that are slices of params,
+    against several blocks and the refining rounds' indexed blocks."""
+
+    @pytest.mark.parametrize("block", [1, 2 * 84, 3 * 84 + 5])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: gauss_kronrod_batch(two_rows, MIXED_GRID, spec),
+            lambda spec: gauss_kronrod_batch(lambda x, p: np.exp(p * 1e3 * x), [0.1, 0.2, 1.0, 0.3, 2.0], spec),
+            lambda spec: gauss_kronrod_batch(two_rows, MIXED_GRID, QuadratureSpec(relative_tolerance=1e-15)),
+            lambda spec: gaussian_integrals(
+                [(4, None), (4, lambda rho, p: rho * rho)], [(a, b) for a in (0.5, 4.0, 50.0) for b in (0.0, 2.0)], spec
+            ),
+        ],
+        ids=["refining", "non-finite", "tolerance", "gaussian"],
+    )
+    def test_several_first_blocks_equal_one(self, call, block, monkeypatch):
+        # a block of 1 value holds one parameter; 2 * 84 values hold two
+        # parameters at the first panel count, until the first block tells
+        # how many integrals a parameter has, and fewer after it
+        spec = QuadratureSpec(relative_tolerance=1e-12)
+        with np.errstate(over="ignore"):
+            one = batch_result(lambda: call(spec))
+            monkeypatch.setattr(quadrature, "_BLOCK_VALUES", block)
+            several = batch_result(lambda: call(spec))
+        assert several == one
+
+    def test_refusals_name_the_same_parameter(self):
+        # the texts the comparison above holds equal
+        with np.errstate(over="ignore"):
+            texts = [
+                batch_result(lambda: gauss_kronrod_batch(lambda x, p: np.exp(p * 1e3 * x), [0.1, 0.2, 1.0, 0.3, 2.0])),
+                batch_result(lambda: gauss_kronrod_batch(two_rows, MIXED_GRID, QuadratureSpec(1e-15))),
+            ]
+        assert texts[0] == "non-finite integral at 2 of 5 parameters, first at 1.0: outside the float range"
+        assert re.fullmatch(
+            r"requested tolerance 1e-15 not met with 512 panels at \d parameters; "
+            r"worst at \S+: relative error estimate \S+", texts[1]
+        )
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_only_some_parameters_refine(self, tol):
+        # the parameters that refine are evaluated from indexed blocks in the
+        # rounds after the first: the grid gives what each gives alone
+        spec = QuadratureSpec(relative_tolerance=tol)
+        grid = gauss_kronrod_batch(two_rows, MIXED_GRID, spec)
+        alone = [gauss_kronrod_batch(two_rows, MIXED_GRID[i:i + 1], spec) for i in range(MIXED_GRID.size)]
+        evals = [a[2] for a in alone]
+        assert min(evals) == 4 * 21 < max(evals) and grid[2] == sum(evals)
+        for got, want in zip(grid[:2], zip(*(a[:2] for a in alone))):
+            assert np.array_equal(got, np.concatenate(want, axis=1))
 
 
 def series_against_quadrature(n, band, tol):
