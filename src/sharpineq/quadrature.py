@@ -584,6 +584,33 @@ _GRADED_MAPS = (
     lambda x: (1.0 - x) ** -_GRADE if x < 1.0 else math.inf,
 )
 
+# the most panels _panel_nodes keeps, about 1 KB each; the identities passes
+# of perfbench's catalogues visit 73
+_PANEL_NODES = 512
+
+
+@functools.lru_cache(maxsize=_PANEL_NODES)
+def _panel_nodes(piece: int, a: float, b: float) -> np.ndarray:
+    """radial_integral_rows' rule on the panel [a, b] of piece 0 (the head)
+    or 1 (the tail), built on first use: a read-only (3, 1, 2, 15) array of
+    the nodes in rho, d rho / dx there and the half-width, for both halves.
+    _graded squares, divides and multiplies only, so a node is the same
+    float whatever array it is mapped in."""
+    mid = 0.5 * (a + b)
+    table = np.empty((3, 1, 2, _NODE_COUNT))
+    table[2, 0] = [[0.5 * (mid - a)], [0.5 * (b - mid)]]
+    table[:2] = _graded(np.array([[[0.5 * (a + mid)], [0.5 * (mid + b)]]]) + table[2] * _NODES, piece)
+    table.flags.writeable = False
+    return table
+
+
+def _worst(es: list, scale: list) -> float:
+    """The largest product of es and scale, nan if one is, as np.maximum takes it: a key past the float range."""
+    p = list(map(mul, es, scale))
+    s = sum(p)
+    # the products are >= 0 or nan, so their sum is nan only if one is
+    return max(p) if s == s else s
+
 
 def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = QuadratureSpec()):
     """Integrals over [0, oo) of algebraically decaying row integrands, passes sets of them in lockstep.
@@ -600,16 +627,18 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
     sweep.  Each round evaluates one bisection of every pass still refining
     (in the first, both pieces of every pass) from one call of
     rows(rho, which): rho of shape (k, 2, 15) holds the nodes of both halves
-    of k bisections, which of shape (k,) the pass of each, and rows returns
-    the (k, q, 2, 15) integrand values.  A pass keeps its own heap, sums and
-    checks, so it gives what it gives alone; it leaves once it meets the
-    rule, and one that fails drops the passes after it.  A value outside the
-    float range at a node, or an integral outside it over a piece, raises
-    QuadratureError naming the node or the piece; panels and nodes are named
-    in rho.  Returns an iterator over the (values, error_estimates,
-    evaluations) of the passes in order, arrays of q and q evaluations per
-    node, which raises the error of the first failing pass after the results
-    of the passes before it, as a loop of one pass at a time would.
+    of k bisections, a fresh array every round that rows may overwrite (the
+    nodes come from _panel_nodes' table), which of shape (k,) the pass of
+    each, and rows returns the (k, q, 2, 15) integrand values.  A pass keeps
+    its own heap, sums and checks, so it gives what it gives alone; it
+    leaves once it meets the rule, and one that fails drops the passes after
+    it.  A value outside the float range at a node, or an integral outside
+    it over a piece, raises QuadratureError naming the node or the piece;
+    panels and nodes are named in rho.  Returns an iterator over the
+    (values, error_estimates, evaluations) of the passes in order, arrays of
+    q and q evaluations per node, which raises the error of the first
+    failing pass after the results of the passes before it, as a loop of one
+    pass at a time would.
     """
     tol = spec.relative_tolerance
     # per pass: a heap of (-key, piece, a, b, K, |K - G|), piece 1 the tail,
@@ -621,58 +650,51 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
     results, stop, failure = [None] * passes, passes, None  # the passes from stop on are dropped
     live = range(passes)
     todo = [(j, i, 0.0, 0.5, 1.0) for j in live for i in (0, 1)]
+    which = np.arange(passes).repeat(2)
     with np.errstate(over="ignore", invalid="ignore"):
         while todo:
-            # centres and half-widths of both halves of every bisection, and
-            # their nodes in x, (bisection, half, node)
-            ch = np.array([
-                (0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)) for *_, a, mid, b in todo
-            ])
-            c, h = ch[:, :2, None], ch[:, 2:, None]
-            x = c + h * _NODES
-            # the nodes in rho and d rho / dx, each bisection on its piece's map
-            tails = [i for _, i, *_ in todo]
-            if min(tails) == max(tails):
-                rho, jac = _graded(x, tails[0])
-            else:
-                # both maps at every node, the tail's with the head's nodes
-                # at x = 0, and each bisection's taken
-                tail = np.array(tails, dtype=bool)[:, None, None]
-                rho, jac = (np.where(tail, t, u) for t, u in zip(_graded(np.where(tail, x, 0.0), 1), _graded(x, 0)))
-            which = np.array([j for j, *_ in todo])
+            # the nodes in rho, d rho / dx and the half-widths of both halves
+            # of every bisection, (bisection, half, node), in a fresh array
+            nodes = np.concatenate([_panel_nodes(i, a, b) for _, i, a, _, b in todo], axis=1)
+            rho, jac, h = nodes[0], nodes[1], nodes[2, :, :, :1, None]
             f = rows(rho, which)
             q = f.shape[1]
             v = f * jac[:, None]
-            # K and |K - G| of both halves of every row, (bisection, K or
-            # |K - G|, half, row), and both summed over the halves
+            # K and K - G of both halves of every row in one product, times
+            # the half-widths, as Python floats (bisection, half, K or K - G,
+            # row)
             kd = (v.reshape(-1, 2, _NODE_COUNT) @ _GK15_WEIGHTS).reshape(-1, q, 2, 2)
-            kd = kd.transpose(0, 3, 2, 1) * h[:, None]
-            ks, es = kd[:, 0], np.abs(kd[:, 1], out=kd[:, 1])
-            sums = np.add.reduce(kd, axis=2)
+            kd = (kd.transpose(0, 2, 3, 1) * h).tolist()
             if scale is None:  # the first sweep: both pieces of every pass
-                scale = 1.0 / np.maximum(np.abs(sums[0::2, 0] + sums[1::2, 0]), _TINY)
+                # 1 / |value| of every row of every pass: the Ks of the head's
+                # halves plus those of the tail's
+                scale = [
+                    [1.0 / max(abs(w + x + (y + z)), _TINY) for w, x, y, z in zip(hl, hr, tl, tr)]
+                    for ((hl, _), (hr, _)), ((tl, _), (tr, _)) in zip(kd[0::2], kd[1::2])
+                ]
                 value, error = [[0.0] * q for _ in range(passes)], [[0.0] * q for _ in range(passes)]
-            keys = np.maximum.reduce(es * scale.take(which, axis=0)[:, None], axis=2).tolist()
-            # the Kronrod weights are positive: a value outside the float
-            # range leaves its K outside it too, and the sum of every K too
-            finite = [True] * len(todo)
-            if not math.isfinite(np.add.reduce(ks, axis=None)):
-                finite = np.isfinite(ks).all(axis=(1, 2)).tolist()
-            for r, ((j, i, a, mid, b), ((kl, kr), (el, er)), (ksum, esum), (left, right)) in enumerate(
-                zip(todo, kd.tolist(), sums.tolist(), keys)
-            ):
-                if not finite[r]:
+            for r, ((j, i, a, mid, b), ((kl, el), (kr, er))) in enumerate(zip(todo, kd)):
+                el, er, sc = list(map(abs, el)), list(map(abs, er)), scale[j]
+                # a half keys on its largest row |K - G| relative to that
+                # row's value after the first sweep; the Kronrod weights are
+                # positive, so a value outside the float range leaves its K
+                # outside it too
+                if math.isfinite(sum(kl) + sum(kr) + sum(el) + sum(er)):
+                    left, right = max(map(mul, el, sc)), max(map(mul, er, sc))
+                elif all(map(math.isfinite, kl + kr)):
+                    left, right = _worst(el, sc), _worst(er, sc)
+                else:
                     piece = _in_rho(0.0, 1.0, _GRADED_MAPS[i])
                     stop, failure = j, QuadratureError(
-                        _overflow(f[r].reshape(q, -1), rho[r].ravel(), ks[r], i, heaps[j], piece)
+                        _overflow(f[r].reshape(q, -1), rho[r].ravel(), np.array([kl, kr]), i, heaps[j], piece)
                     )
                     break
                 heapq.heappush(heaps[j], (-left, i, a, mid, kl, el))
                 heapq.heappush(heaps[j], (-right, i, mid, b, kr, er))
-                value[j] = list(map(add, value[j], ksum))
-                error[j] = list(map(add, error[j], esum))
+                value[j] = list(map(add, value[j], map(add, kl, kr)))
+                error[j] = list(map(add, error[j], map(add, el, er)))
                 evals[j] += 2 * _NODE_COUNT
-            todo = []
+            todo, refining = [], []
             for j in live:
                 if j >= stop:
                     break
@@ -694,7 +716,8 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
                 value[j] = list(map(sub, value[j], k))
                 error[j] = list(map(sub, error[j], e))
                 todo.append((j, i, a, 0.5 * (a + b), b))
-            live = [j for j, *_ in todo]
+                refining.append(j)
+            live, which = refining, np.array(refining)
     return _in_order(results[:stop], failure)
 
 
@@ -787,8 +810,10 @@ def gauss_kronrod_batch(
     an estimate above relative_tolerance * |value|, up to _MAX_SUBINTERVALS
     panels, the cap radial_integral has too.  A value depends only on
     its parameter, never on the rest of the grid.  A QuadratureError counts
-    the parameters of params and names one by describe(params[i].tolist()).
-    Returns (values,
+    the parameters of params and names one by describe(params[i].tolist());
+    a parameter that misses the tolerance on an integral that is zero or
+    subnormal, relative to which no panel count meets the rule, is named in
+    that round as an integral outside the normal floats.  Returns (values,
     error_estimates, integrand evaluations), values and estimates of shape
     (N,), or (q, N) for q integrals per parameter.
     """
@@ -829,9 +854,16 @@ def gauss_kronrod_batch(
                     f"non-finite integral at {bad.size} of {count} parameters, first at "
                     f"{describe(params[bad[0]].tolist())}: outside the float range"
                 )
-            missed = err > tol * np.abs(val)
+            size = np.abs(val)
+            missed = err > tol * size
             if not missed.any():
                 return values, errors, evals
+            # no panel count meets the rule relative to a zero or subnormal
+            # integral: its parameter is named at once
+            if np.minimum.reduce(size, axis=None) < _TINY:
+                ok = np.ones(count, dtype=bool)
+                ok[todo[(missed & (size < _TINY)).any(axis=0)]] = False
+                _name_failures(ok, params, describe, "integral outside the normal floats")
             missed = missed.any(axis=0)
             if 2 * panels > _MAX_SUBINTERVALS:
                 with np.errstate(divide="ignore"):
@@ -901,12 +933,14 @@ def gaussian_integrals(
       * raised where the peak needs it (_peak_cut).  With b = 2 beta / sqrt(rate)
         and a = 1 - K / (6 rate), s^K e^(-a s^2 - b s) bounds the integrand
         times rate^(K/2) from above (sinh rho <= rho e^(rho^2 / 6)), and
-        t^K e^(-t^2 - b t), t = sqrt(K/2), bounds its peak from below
-        (sinh rho >= rho).  At rate > 2K/3 (a > _PEAK_GATE) S is at least
-        an s past the first one's peak where it has fallen to tol times
-        the second.  s^K e^(-s^2) peaks at sqrt(K/2), so this moves S for
-        large K at large rates only (K >= 10 at 1e-12, K >= 15 at 1e-9);
-        no row of perfbench's catalogues or of tests/golden moves.
+        t^K e^(-t^2 - b t) bounds its peak from below (sinh rho >= rho),
+        t = sqrt(K/2), or where that does not let S stand the peak
+        (sqrt(b^2 + 8K) - b) / 4 of s^K e^(-s^2 - b s).  At rate > 2K/3
+        (a > _PEAK_GATE) S is at least an s past the first one's peak
+        where it has fallen to tol times the second.  s^K e^(-s^2) peaks
+        at sqrt(K/2), so this moves S for large K at large rates only
+        (K >= 10 at 1e-12, K >= 15 at 1e-9); no row of perfbench's
+        catalogues or of tests/golden moves.
     The integrand S e^(k log sinh rho - s^2 - 2 beta rho) is formed in log
     space, so it stays finite where sinh^k alone would overflow (small
     rates); rows of one k share one exp, taken in place in the exponent's
@@ -974,28 +1008,43 @@ def _peak_cut(S, K: int, tol: float, a, b=0.0):
     """S raised where a > _PEAK_GATE and the peak needs it: the cut of gaussian_integrals.
 
     psi(s) = ln(s^K e^(-a s^2 - b s) / (t^K e^(-t^2 - b t))) - ln tol, with
-    t = sqrt(K/2), falls past the peak p of s^K e^(-a s^2 - b s).  S stands
-    where it lies past p with psi(S) <= 0, and elsewhere becomes
-    max(S, p + sqrt(psi(p) / a)): psi'' = -K / s^2 - 2a <= -2a, so
-    psi(s) <= psi(p) - a (s - p)^2, which is <= 0 from there on, and
-    psi(p) >= psi(t) = (1 - a) t^2 - ln tol > 0.  At K = 0 (n = 1), or where no
-    a passes the gate, S stands and psi is not formed.
-    Every S here is at least sqrt(_tail_budget(tol)).
+    t = (sqrt(b^2 + 8K) - b) / 4 the peak of s^K e^(-s^2 - b s), falls past
+    the peak p of s^K e^(-a s^2 - b s).  S stands where it lies past p with
+    psi(S) <= 0, and elsewhere becomes max(S, p + sqrt(psi(p) / a)):
+    psi'' = -K / s^2 - 2a <= -2a, so psi(s) <= psi(p) - a (s - p)^2, which
+    is <= 0 from there on, and psi(p) >= psi(t) = (1 - a) t^2 - ln tol > 0.
+    Both steps hold for any t > 0; the peak gives the largest reference
+    t^K e^(-t^2 - b t), so the least psi and the least cut, and S stands
+    where it stands at t = sqrt(K/2), the peak at b = 0, which is tested
+    first.  At K = 0 (n = 1), or where no a passes the gate, S stands and
+    psi is not formed.  Every S here is at least sqrt(_tail_budget(tol)).
     """
     below = a <= _PEAK_GATE
     if K == 0 or below.all():
         return S
+    # first t = sqrt(K/2), the peak at b = 0, on which most S stand
     t = math.sqrt(K / 2)
     c = K * math.log(t) - t * t + math.log(tol)
 
     def psi(s, a):
+        # at the t and c that stand when it is called
         return K * np.log(s) - s * (a * s + b) + b * t - c
 
-    ok = psi(S, a) <= 0
-    # past the gate the peak lies before sqrt(K), so before S for K < budget
-    if K >= _tail_budget(tol):
-        ok &= K < S * (2 * a * S + b)
-    ok |= below
+    def stands():
+        # psi(S) <= 0 and S past p: past the gate p lies before sqrt(K), so
+        # before S for K < budget
+        ok = psi(S, a) <= 0
+        return ok & (K < S * (2 * a * S + b)) if K >= _tail_budget(tol) else ok
+
+    ok = stands() | below
+    if ok.all():
+        return S
+    # then the peak where b > 0: (sqrt(b^2 + 8K) - b) / 4 in a form without
+    # cancellation, and its log without a log of 0 where b overflows
+    root = np.hypot(b, math.sqrt(8 * K)) + b
+    t = np.where(b > 0, 2 * K / root, t)
+    c = np.where(b > 0, K * (math.log(2 * K) - np.log(root)) - t * t + math.log(tol), c)
+    ok |= stands()
     if ok.all():
         return S
     # where S stands, a = 1 keeps the peak finite

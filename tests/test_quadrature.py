@@ -585,24 +585,81 @@ class TestLockstepPasses:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_rounds_on_both_pieces_equal_each_pass_alone(self, tol, monkeypatch):
-        # a round whose bisections lie on both pieces, the first sweep among
-        # them, takes both maps at every node and each bisection's own; a
-        # round on one piece takes that map alone
+        # rounds whose bisections lie on both pieces, the first sweep among
+        # them, give each pass what it gives alone; from an empty table
+        # every panel is mapped once, by one _graded call, however many
+        # passes and rounds bisect it
         spec = QuadratureSpec(relative_tolerance=tol)
-        pieces = []
+        names = ["bump_tail", "ok", "bump_head", "cubic"]
+        mapped, rounds = [], []
         graded = quadrature._graded
 
         def recording(x, tail):
-            pieces.append(tail)
+            mapped.append((tail, x.tobytes()))
             return graded(x, tail)
 
+        def rows(rho, which):
+            # head nodes lie below rho = 1, tail nodes above it
+            rounds.append([(r.tobytes(), bool(r.max() > 1)) for r in rho])
+            return np.stack([PASS_ROWS[names[j]](r) for r, j in zip(rho, which.tolist())])
+
         monkeypatch.setattr(quadrature, "_graded", recording)
-        names = ["bump_tail", "ok", "bump_head", "cubic"]
-        results, calls = self.lockstep(names, spec)
-        got, failure = self.run(results)
-        # a round on both pieces maps twice, the first sweep too
-        assert failure is None and len(pieces) > len(calls) + 1
+        quadrature._panel_nodes.cache_clear()
+        got, failure = self.run(radial_integral_rows(rows, len(names), spec))
+        assert failure is None
+        assert sum(len({tail for _, tail in r}) == 2 for r in rounds) > 1
+        panels = {r for rnd in rounds for r, _ in rnd}
+        assert len(mapped) == len(set(mapped)) == len(panels) < sum(map(len, rounds))
         self.same(got, self.alone(names, spec)[0])
+
+    @pytest.mark.parametrize("piece", [0, 1])
+    def test_table_entry_is_its_panel_mapped(self, piece):
+        # a table entry holds the nodes in rho and d rho / dx of both halves
+        # of its panel, bit for bit as a round mapping many panels at once
+        # forms them, and the half-widths, read-only
+        panels = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.25, 0.375), (0.96875, 1.0), (0.1, 0.7), (2.0**-30, 2.0**-29)]
+        mids = [0.5 * (a + b) for a, b in panels]
+        ch = np.array([(0.5 * (a + m), 0.5 * (m + b), 0.5 * (m - a), 0.5 * (b - m)) for (a, b), m in zip(panels, mids)])
+        rho, jac = quadrature._graded(ch[:, :2, None] + ch[:, 2:, None] * quadrature._NODES, piece)
+        for r, (a, b) in enumerate(panels):
+            table = quadrature._panel_nodes(piece, a, b)
+            assert table.shape == (3, 1, 2, 15) and not table.flags.writeable
+            assert table[0, 0].tobytes() == rho[r].tobytes(), (a, b)
+            assert table[1, 0].tobytes() == jac[r].tobytes(), (a, b)
+            assert table[2, 0].tolist() == [[ch[r, 2]] * 15, [ch[r, 3]] * 15], (a, b)
+            with pytest.raises(ValueError):
+                table[0, 0, 0, 0] = 0.0
+
+    def test_rows_cannot_corrupt_the_table(self):
+        # every round hands rows a fresh rho, so a row function that
+        # overwrites it leaves the table as it was: its passes, and those
+        # of later calls on the same table, give what a fresh table gives
+        names = ["ok", "cubic", "bump_head", "bump_tail"]
+        seen = []
+
+        def overwriting(rho, which):
+            out = np.stack([PASS_ROWS[names[j]](r) for r, j in zip(rho, which.tolist())])
+            seen.append(rho.flags.writeable)
+            rho[...] = np.nan
+            return out
+
+        got = self.run(radial_integral_rows(overwriting, len(names)))
+        after = self.run(self.lockstep(names)[0])
+        quadrature._panel_nodes.cache_clear()
+        fresh = self.run(self.lockstep(names)[0])
+        assert all(seen) and got[1] is after[1] is fresh[1] is None
+        self.same(got[0], fresh[0])
+        self.same(after[0], fresh[0])
+
+    def test_table_stays_within_its_bound(self):
+        # a pass up to the panel cap (test_panel_cap) bisects more panels
+        # than the table keeps; the table holds its bound
+        quadrature._panel_nodes.cache_clear()
+        spec = QuadratureSpec(relative_tolerance=1e-12)
+        with pytest.raises(QuadratureError, match=f"with {_MAX_SUBINTERVALS} panels"):
+            one_pass(lambda rho: np.where(rho <= 1, np.cos(2e4 * rho), 0.0)[None], spec)
+        info = quadrature._panel_nodes.cache_info()
+        assert info.misses > info.maxsize == info.currsize == quadrature._PANEL_NODES
 
     @pytest.mark.parametrize(
         "names, fails",
@@ -1019,6 +1076,44 @@ class TestBatchPaths:
             several = batch_result(lambda: call(spec))
         assert several == one
 
+    @pytest.mark.parametrize(
+        "call, text, evaluations",
+        [
+            ("hardy", "at 1 of 1 parameters, first at a = 1e+209 for n = 4", 84),
+            ("moments", "at 2 of 2 parameters, first at (alpha, beta) = (1e+209, 0.0) for n = 4", 168),
+            ("mixed", "at 1 of 2 parameters, first at a = 1e+209 for n = 4", 168),
+        ],
+        ids=["hardy", "moments", "mixed"],
+    )
+    def test_underflowed_parameter_named_in_the_first_round(self, call, text, evaluations, monkeypatch):
+        # a row whose integral is subnormal, with a positive estimate, misses
+        # the rule at every panel count; its parameter is named after the
+        # first round's 84 nodes (it refined up to 512 panels, then read
+        # "relative error estimate nan"), and a normal parameter beside it
+        # is not refined either
+        from sharpineq.hyperbolic import gaussian_hardy_hyperbolic_reports
+
+        calls = {
+            "hardy": lambda: gaussian_hardy_hyperbolic_reports(4, [1e209]),
+            "moments": lambda: hyperbolic_gaussian_moments(4, [1e209], [0.0, 2.0]),
+            "mixed": lambda: gaussian_hardy_hyperbolic_reports(4, [1.0, 1e209]),
+        }
+        nodes = []
+        batch = quadrature.gauss_kronrod_batch
+
+        def counting(integrand, params, spec=QuadratureSpec(), describe=repr):
+            def f(x, p):
+                nodes.append(x.size * len(p))
+                return integrand(x, p)
+
+            return batch(f, params, spec, describe)
+
+        monkeypatch.setattr(quadrature, "gauss_kronrod_batch", counting)
+        with pytest.raises(QuadratureError) as exc:
+            calls[call]()
+        assert str(exc.value) == "integral outside the normal floats " + text
+        assert sum(nodes) == evaluations
+
     def test_refusals_name_the_same_parameter(self):
         # the texts the comparison above holds equal
         with np.errstate(over="ignore"):
@@ -1375,6 +1470,20 @@ class TestGaussianPeakCut:
             alone, alone_errors, _ = gaussian_integrals(rows, [p], spec)
             assert values[:, i].tolist() == alone[:, 0].tolist(), p
             assert errors[:, i].tolist() == alone_errors[:, 0].tolist(), p
+
+    def test_large_beta_cut_at_the_true_peak(self):
+        # K = 80 at rate 1e4: the reference peak at the peak of
+        # s^K e^(-s^2 - b s) keeps the cut near psi's root; with sqrt(K/2)
+        # beta = 1e3 took 588 evaluations (value 2.703017255941374e-181) and
+        # beta = 1e5, whose integral underflows, refined to 512 panels
+        spec = QuadratureSpec(relative_tolerance=1e-9)
+        values, errors, evals = gaussian_integrals([(80, None)], [(1e4, 1e3)], spec)
+        assert evals == 252
+        assert abs(values[0, 0] - 2.703017255941374e-181) <= errors[0, 0]
+        assert f"{values[0, 0]:.8e}" == "2.70301726e-181"
+        with pytest.raises(QuadratureError) as exc:
+            gaussian_integrals([(80, None)], [(1e4, 1e5)], spec)
+        assert str(exc.value) == "integral outside the normal floats at 1 of 1 parameters, first at [10000.0, 100000.0]"
 
     def test_one_dimension_has_no_peak(self):
         # K = 0 (n = 1): L = 2 int e^(-rate rho^2) = sqrt(pi / rate), rate 2e4
