@@ -18,12 +18,12 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     RadialProfile,
-    _TINY,
+    _UNIT,
     _checked_parameters,
+    _name_failures,
     _normal_floats,
     _ratio_terms,
     fd_derivative,
-    flat_gaussian_moments,
     flat_radial_volume_integral,  # unused here; perfbench/tracer.py wraps it at this import site
     gauss_kronrod_batch,
     monte_carlo_integral,
@@ -316,15 +316,6 @@ def _scaled(r: IntegralResult, c: float) -> IntegralResult:
     return IntegralResult(c * r.value, c * r.error_estimate, r.nodes_used)
 
 
-def _rate_power(rate: float, exponent: float) -> float:
-    """rate ** exponent, or inf where it overflows and 0.0 below the normal floats, for _normal_floats to name."""
-    try:
-        power = rate**exponent
-    except OverflowError:
-        return math.inf
-    return power if power >= _TINY else 0.0
-
-
 def _extremal_passes(
     t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec, fd: bool = True
 ) -> Iterator[tuple]:
@@ -485,30 +476,70 @@ def extremal_profile(t: ExponentTriple, lam: float) -> RadialFunction:
     )
 
 
+def _gamma_half(m: float) -> tuple[float, int]:
+    """Gamma(m) / 2 for m in 1/2, 1, 3/2, ..., by Gamma(x + 1) = x Gamma(x) from
+    Gamma(1) = 1 or Gamma(1/2) = sqrt(pi), and the roundings that took: two
+    for sqrt(pi), one a step."""
+    g, x, roundings = (1.0, 1.0, 0) if m == int(m) else (math.sqrt(math.pi), 0.5, 2)
+    while x < m:
+        g, x, roundings = g * x, x + 1, roundings + 1
+    return g / 2, roundings
+
+
+def _gaussian_moments(rows: Sequence, params: np.ndarray, spec: QuadratureSpec, describe: Callable) -> list:
+    """Flat space's gaussian moments in closed form: one IntegralResult per row, for every p of params.
+
+    A row sums terms (c, k, j), each c rate^j int_0^oo rho^k e^(-rate rho^2) d rho
+    = c rate^(j - m) Gamma(m) / 2 with m = (k + 1) / 2 and rate = 2 p, the
+    rate of u^2 for u = e^(-p rho^2).  Its error_estimate is the rounding
+    bound gamma_r sum |c rate^(j - m) Gamma(m) / 2|, gamma_r = r u / (1 - r u)
+    for u the unit roundoff, c taken as exact and r the most roundings of
+    a term (those of Gamma(m) / 2, two for the power, which is within one
+    ulp, two products) plus one an addition.  A value or a power outside
+    the normal floats, whose digits are lost, or a bound above
+    relative_tolerance times its value is a QuadratureError that names its
+    p by describe(p).  nodes_used is 0.
+    """
+    # an inf power, or inf - inf in a sum, is named below
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        rates, powers, values, bounds = 2 * params, [], [], []
+        for terms in rows:
+            value = size = most = 0
+            for c, k, j in terms:
+                g, r = _gamma_half((k + 1) / 2)
+                powers.append(np.power(rates, j - (k + 1) / 2))
+                term = c * g * powers[-1]
+                value, size, most = value + term, size + np.abs(term), max(most, r)
+            roundings = most + len(terms) + 3
+            values.append(value)
+            bounds.append(roundings * _UNIT / (1 - roundings * _UNIT) * size)
+    values, bounds = np.array(values), np.array(bounds)
+    _normal_floats(np.column_stack([values.T, np.array(powers).T]), params, describe)
+    ok = bounds <= spec.relative_tolerance * np.abs(values)
+    _name_failures(ok.T, params, describe, f"rounding bound above the requested tolerance {spec.relative_tolerance!r}")
+    return [[IntegralResult(v, e, 0) for v, e in zip(vs, es)] for vs, es in zip(values.T.tolist(), bounds.T.tolist())]
+
+
 def gaussian_T_grid(n: int, lams: Sequence[float], spec: QuadratureSpec = QuadratureSpec()) -> list[dict]:
     """Gaussian moment integral, its closed form, and the scaling ODE residual, for every lam.
 
     T(lam) = 4 lam omega_n int rho^(n+1) e^(-2 lam rho^2) d rho, which must
     equal 2 (2 lam)^(-n/2) omega_n int t^(n+1) e^(-t^2) dt and satisfy
     -lam T' = (n/2) T.  T' = T/lam - 8 lam omega_n int rho^(n+3) e^(-2 lam rho^2)
-    is analytic: in t = rho sqrt(2 lam), T and its higher moment are the
-    rate-free I_k = int t^k e^(-t^2) dt, k = n + 1 and n + 3, of one
-    flat_gaussian_moments pass for the whole grid times powers of 2 lam.
-    Every lam must be positive and finite, and a T or a term
-    8 lam omega_n int rho^(n+3) e^(-2 lam rho^2) of T' outside the normal
-    floats, or scaled by a power of 2 lam outside them (_rate_power), is a
-    QuadratureError that names its lam.  Returns one dict per lam.
+    is analytic.  T and that term of T' are Gamma values times powers of
+    2 lam, with their rounding bounds (_gaussian_moments).  Every lam must
+    be positive and finite, and a T or a term of T' outside the normal
+    floats is a QuadratureError that names its lam.  Returns one dict per
+    lam.
     """
-    _checked_parameters("lam", lams)
+    lams = _checked_parameters("lam", lams)
     omega = ball_volume_constant(n)
-    low, high = flat_gaussian_moments([(n + 1, None), (n + 3, None)], spec)
-    # T and the higher moment's term of T' for every lam
-    terms = [(4 * lam * omega * _rate_power(2 * lam, -(n + 2) / 2) * low.value,
-              8 * lam * omega * _rate_power(2 * lam, -(n + 4) / 2) * high.value) for lam in lams]
-    _normal_floats(terms, lams, lambda lam: f"lam = {lam!r} for n = {n}")
+    # T and the higher moment's term of T' for every lam, 4 lam = 2 rate
+    pairs = _gaussian_moments([[(2 * omega, n + 1, 1)], [(4 * omega, n + 3, 1)]], lams, spec,
+                              lambda lam: f"lam = {lam!r} for n = {n}")
     out = []
-    for lam, (value, term) in zip(lams, terms):
-        derivative = value / lam - term
+    for lam, (T, term) in zip(lams.tolist(), pairs):
+        value, derivative = T.value, T.value / lam - term.value
         closed = 2 * (2 * lam) ** (-n / 2) * omega * math.gamma(n / 2 + 1) / 2
         out.append({
             "value": value,
@@ -546,33 +577,27 @@ def gaussian_hpw_reports(
 ) -> list[tuple[InequalityReport, float]]:
     """hpw_report of e^(-lam F^2) and gaussian_moment_identity, for every lam.
 
-    For u = e^(-lam F^2), L = int u^2 = n omega_n (2 lam)^(-n/2) I_(n-1),
-    M = int F^2 u^2 = n omega_n (2 lam)^(-(n+2)/2) I_(n+1) and
-    A = int F*(Du)^2 = 4 lam^2 M, with the rate-free moments
-    I_k = int s^k e^(-s^2) ds of one flat_gaussian_moments pass for the
-    whole grid.  Every lam must be positive and finite, and an A, M or L
-    outside the normal floats, or an A M or L^2 that is 0 or overflows, is
-    a QuadratureError that names its lam.  Returns one (A M / L^2 against
-    n^2/4, relative defect of 2 lam M = (n/2) L) pair per lam.
+    For u = e^(-lam F^2), L = int u^2 = n omega_n int rho^(n-1) e^(-2 lam rho^2),
+    M = int F^2 u^2 = n omega_n int rho^(n+1) e^(-2 lam rho^2) and
+    A = int F*(Du)^2 = 4 lam^2 M, each a Gamma value times a power of 2 lam,
+    with its rounding bound (_gaussian_moments).  Every lam must be
+    positive and finite, and an A, M or L outside the normal floats, or an
+    A M or L^2 that is 0 or overflows, is a QuadratureError that names its
+    lam.  Returns one (A M / L^2 against n^2/4, relative defect of
+    2 lam M = (n/2) L) pair per lam.
     """
-    _checked_parameters("lam", lams)
-    low, high = flat_gaussian_moments([(n - 1, None), (n + 1, None)], spec)
+    lams = _checked_parameters("lam", lams)
     c = n * ball_volume_constant(n)
-    triples = []
-    for lam in lams:
-        L = _scaled(low, c * _rate_power(2 * lam, -n / 2))
-        M = _scaled(high, c * _rate_power(2 * lam, -(n + 2) / 2))
-        triples.append((L, M, _scaled(M, 4 * lam * lam)))
-    values = [[r.value for r in t] for t in triples]
 
     def describe(lam):
         return f"lam = {lam!r} for n = {n}"
 
-    _normal_floats(values, lams, describe)
-    masses, moments, energies = ([t[i] for t in values] for i in range(3))
+    # L, M and A = rate^2 M for every lam
+    triples = _gaussian_moments([[(c, n - 1, 0)], [(c, n + 1, 0)], [(c, n + 1, 2)]], lams, spec, describe)
+    masses, moments, energies = ([t[i].value for t in triples] for i in range(3))
     _ratio_terms(energies, moments, [masses], lams, describe)
     out = []
-    for lam, (L, M, A) in zip(lams, triples):
+    for lam, (L, M, A) in zip(lams.tolist(), triples):
         defect = abs(2 * lam * M.value - (n / 2) * L.value) / ((n / 2) * L.value)
         out.append((InequalityReport.product(A, M, L, n**2 / 4), defect))
     return out
@@ -581,8 +606,7 @@ def gaussian_hpw_reports(
 def gaussian_moment_identity(n: int, lam: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Relative defect of 2 lam int F^2 e^(-2 lam F^2) = (n/2) int e^(-2 lam F^2).
 
-    Both sides are rate-free moments times exact powers of 2 lam
-    (gaussian_hpw_reports).
+    Both sides are Gamma values times powers of 2 lam (gaussian_hpw_reports).
     """
     return gaussian_hpw_reports(n, [lam], spec)[0][1]
 
@@ -598,7 +622,7 @@ def hardy_report(
 
     Flat space has no curvature defect, so c enters only as a guard that the
     caller is on the flat instance (c = 0).  For u = rho e^(-a rho^2),
-    gaussian_hardy_reports takes A and H from one batched pass.
+    gaussian_hardy_reports takes A and H in closed form.
     """
     if n < 3:
         raise ValueError("Hardy needs n >= 3")
@@ -615,21 +639,21 @@ def gaussian_hardy_reports(
 ) -> list[InequalityReport]:
     """hardy_report of u = rho e^(-a F^2) for every a of rates.
 
-    In s = rho sqrt(2a), (u')^2 = (1 - s^2)^2 e^(-s^2) and
-    u^2/rho^2 = e^(-s^2), so A = int F*(Du)^2 and H = int u^2/F^2 are
-    n omega_n (2a)^(-n/2) times the rate-free rows (n - 1, (1 - s^2)^2) and
-    (n - 1, None) of one flat_gaussian_moments pass for every a; A / H =
-    n^2/4 - n/2 + 1 for every a.  Every a must be positive and finite, and
-    an A or H outside the normal floats is a QuadratureError that names its a.
-    Returns one report, A / H against (n-2)^2/4, per a.
+    (u')^2 = (1 - 4 a rho^2 + 4 a^2 rho^4) e^(-2 a rho^2) and
+    u^2/rho^2 = e^(-2 a rho^2), so A = int F*(Du)^2 and H = int u^2/F^2 are
+    sums of Gamma values times (2a)^(-n/2), with their rounding bounds
+    (_gaussian_moments); A / H = n^2/4 - n/2 + 1 for every a.  Every a must
+    be positive and finite, and an A or H outside the normal floats is a
+    QuadratureError that names its a.  Returns one report, A / H against
+    (n-2)^2/4, per a.
     """
     if n < 3:
         raise ValueError("Hardy needs n >= 3")
-    _checked_parameters("a", rates)
-    moments = flat_gaussian_moments([(n - 1, lambda s: (1 - s * s) ** 2), (n - 1, None)], spec)
+    rates = _checked_parameters("a", rates)
     c = n * ball_volume_constant(n)
-    pairs = [[_scaled(r, c * _rate_power(2 * a, -n / 2)) for r in moments] for a in rates]
-    _normal_floats([[r.value for r in p] for p in pairs], rates, lambda a: f"a = {a!r} for n = {n}")
+    # 4 a = 2 rate and 4 a^2 = rate^2
+    pairs = _gaussian_moments([[(c, n - 1, 0), (-2 * c, n + 1, 1), (c, n + 3, 2)], [(c, n - 1, 0)]], rates, spec,
+                              lambda a: f"a = {a!r} for n = {n}")
     return [InequalityReport.quotient(A, H, (n - 2) ** 2 / 4) for A, H in pairs]
 
 
@@ -682,10 +706,10 @@ def hardy_sharpness_sweep(
     (fit_coefficient is B).
 
     The quotient is int (u_eps')^2 over int u_eps^2/rho^2, both against
-    rho^(n-1) d rho (n omega_n cancels), for every eps from one
-    gauss_kronrod_batch pass.  [0, eps], [eps, r] and [r, R] are each mapped
-    onto [0, 1], and the integrand on [0, 1] is the sum of the three; on
-    [eps, r], rho = eps (r/eps)^x turns the 1/rho integrand into a constant.
+    rho^(n-1) d rho (n omega_n cancels).  On [0, r] the cutoff is 1, so
+    [0, eps] and [eps, r] are exact: the energy is 0 and gamma^2 ln(r/eps),
+    the Hardy integral 1/(n-2) and ln(r/eps).  The eps-free smoothstep piece
+    [r, R] is one gauss_kronrod_batch pass, mapped onto [0, 1].
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -697,26 +721,20 @@ def hardy_sharpness_sweep(
         raise ValueError("need r < R")
     gamma = (n - 2) / 2
 
-    def integrand(x, eps):
-        span = np.log(r / eps)
-        inner = eps * np.exp(span * x)
-        pieces = ((eps * x, eps), (inner, inner * span), (r + (R - r) * x, R - r))
-        energy = hardy = 0.0
-        for rho, jac in pieces:
-            psi, dpsi = _smoothstep(np.clip((rho - r) / (R - r), 0.0, 1.0), R - r)
-            u = psi * np.maximum(eps, rho) ** -gamma
-            du = np.where(rho <= eps, 0.0, dpsi * rho**-gamma - gamma * psi * rho ** (-gamma - 1))
-            w = rho ** (n - 1) * jac
-            energy = energy + du**2 * w
-            hardy = hardy + u**2 / rho**2 * w
-        return np.stack([energy, hardy])
+    def integrand(x, p):
+        # one parameter, which the piece does not read
+        rho = r + (R - r) * x
+        psi, dpsi = _smoothstep(x, R - r)
+        w = rho ** (n - 1) * (R - r)
+        u = psi * rho**-gamma
+        du = dpsi * rho**-gamma - gamma * psi * rho ** (-gamma - 1)
+        return np.stack([du**2 * w, u**2 / rho**2 * w])[:, None]
 
-    def describe(eps):
-        return f"eps = {eps!r} for n = {n}"
-
-    (energy, hardy), _, _ = gauss_kronrod_batch(integrand, eps_list, spec, describe)
-    y = energy / hardy
+    (energy, hardy), _, _ = gauss_kronrod_batch(integrand, np.zeros(1), spec, lambda _: f"r = {r!r}, R = {R!r} for n = {n}")
     ell = np.array([math.log(1.0 / e) for e in eps_list])
+    # ln(r/eps) = ln r + ell, the length of [eps, r] against d rho / rho
+    span = math.log(r) + ell
+    y = (gamma**2 * span + energy[0]) / (1 / (n - 2) + span + hardy[0])
     # y is exactly A + B/(ell + C); times ell + C it is linear in (A, D, C),
     # y ell = A ell + D - C y with D = A C + B.  Two eps fit C = 0.
     columns = [ell, np.ones_like(ell), -y][: min(len(eps_list), 3)]

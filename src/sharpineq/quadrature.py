@@ -10,8 +10,9 @@ each round one call for the nodes of one bisection of every pass still
 refining (radial_integral_rows); a vectorised composite Gauss-Kronrod rule
 over a whole parameter grid at once, which takes the gaussian rows of the
 ball in s = rho sqrt(rate), each parameter on its own cut
-(gaussian_integrals), and the rate-free gaussian moments of flat space at
-rate 1 (flat_gaussian_moments); the gaussian masses on the ball as a
+(gaussian_integrals), and the smooth piece of flat space's Hardy sharpness
+sweep (flat space's gaussian moments are Gamma values, which flat.py takes
+in closed form); the gaussian masses on the ball as a
 positive series in 1/alpha, n-dimensional Monte Carlo
 cross-validation with a counter-based generator, and Richardson-extrapolated
 finite differences.
@@ -42,7 +43,6 @@ __all__ = [
     "flat_radial_volume_integral",
     "hyperbolic_radial_volume_integral",
     "gauss_kronrod_batch",
-    "flat_gaussian_moments",
     "gaussian_integrals",
     "hyperbolic_gaussian_masses",
     "hyperbolic_gaussian_moments",
@@ -879,35 +879,6 @@ def gauss_kronrod_batch(
             panels *= 2
 
 
-def flat_gaussian_moments(rows: Sequence[tuple], spec: QuadratureSpec = QuadratureSpec()) -> list[IntegralResult]:
-    """int_0^oo f(s) s^k e^(-s^2) ds for every row (k, f), from one gauss_kronrod_batch pass.
-
-    Every gaussian row of flat space is one of these rate-free moments times
-    an exact power of its rate, in s = rho sqrt(rate).  f is None for 1 or
-    a function of the node positions s.  The rows share one node set on
-    [0, S], S the root of s^2 - K s = budget, K the largest k of rows: the
-    tail bound _truncation_radius puts on rho^K at rate 1, absolute, and
-    relative too for f = None, since every such moment is at least
-    Gamma(1.4616) / 2 > 0.44.  At rate 1 the peak of s^K e^(-s^2) needs no
-    more room: the cut _peak_cut would raise it to at a = 1,
-    sqrt(K/2) + sqrt(-ln tol), lies before S for K = 1..199 at 1e-6 to
-    1e-14.  Returns one IntegralResult per row, each counting every
-    evaluation of the pass.
-    """
-    top = max(k for k, _ in rows)
-    S = (top + math.sqrt(top * top + 4 * _tail_budget(spec.relative_tolerance))) / 2
-
-    def integrand(x, p):
-        # one parameter, which no row reads; rows of one k share one exp
-        s = S * x[None]
-        log_s, s2 = np.log(s), s * s
-        bases = {k: S * np.exp(k * log_s - s2) for k in {k for k, _ in rows}}
-        return np.stack([bases[k] if f is None else f(s) * bases[k] for k, f in rows])
-
-    values, errors, evals = gauss_kronrod_batch(integrand, np.zeros(1), spec)
-    return [IntegralResult(v, e, len(rows) * evals) for v, e in zip(values[:, 0].tolist(), errors[:, 0].tolist())]
-
-
 def gaussian_integrals(
     rows: Sequence[tuple],
     params,
@@ -985,8 +956,9 @@ def gaussian_integrals(
 
     # a small rate overflows g, and with it S, into a non-finite integral
     # that gauss_kronrod_batch names; with a large beta it also overflows b
-    # into a psi of nan, where a <= _PEAK_GATE keeps S
-    with np.errstate(over="ignore", invalid="ignore"):
+    # into a psi of nan, where a <= _PEAK_GATE keeps S (past the gate the
+    # peak at b = inf is 0, whose log is -inf and psi nan)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = np.maximum(top - 2 * beta, 0) / root
         S = (g + np.sqrt(g * g + 4 * _tail_budget(tol))) / 2
         S = _peak_cut(S, top, tol, 1 - top / (6 * rate), 2 * beta / root)
@@ -1047,9 +1019,10 @@ def _peak_cut(S, K: int, tol: float, a, b=0.0):
     ok |= stands()
     if ok.all():
         return S
-    # where S stands, a = 1 keeps the peak finite
+    # where S stands, a = 1 keeps the peak finite; (sqrt(b^2 + 8Ka) - b) / (4a)
+    # in a form without cancellation, and without b^2, which overflows first
     a = np.where(ok, 1.0, a)
-    peak = (np.sqrt(b * b + 8 * K * a) - b) / (4 * a)
+    peak = 2 * K / (np.hypot(b, np.sqrt(8 * K * a)) + b)
     return np.where(ok, S, np.maximum(S, peak + np.sqrt(psi(peak, a) / a)))
 
 

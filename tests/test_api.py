@@ -110,15 +110,15 @@ FLOAT_RANGE_CASES = [
      quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+308 for n = 3"),
     ("gaussian_T_grid", lambda: flat.gaussian_T_grid(3, [1.0, 1e308]),
      quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+308 for n = 3"),
-    # T is a normal float, but the term (2 lam)^(-(n+4)/2) of T' overflows
-    # (a bare OverflowError), underflows to 0 (a residual of -2.5) or is
-    # subnormal (a residual of 0.29 at 1e92)
-    ("gaussian_T_grid_small", lambda: flat.gaussian_T_grid(3, [1e-90]),
-     quadrature.QuadratureError, "at 1 of 1 parameters, first at lam = 1e-90 for n = 3"),
-    ("gaussian_T_grid_large", lambda: flat.gaussian_T_grid(3, [1.0, 1e100]),
-     quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+100 for n = 3"),
-    ("gaussian_T_grid_subnormal", lambda: flat.gaussian_T_grid(3, [1e92, 1.0]),
-     quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+92 for n = 3"),
+    # T is a normal float, but the term 8 lam omega_n int rho^(n+3) e^(-2 lam rho^2)
+    # of T', about 27.8 (2 lam)^(-5/2) at n = 3, overflows, underflows to 0
+    # or is subnormal (about 4.9e-310 at 1e124)
+    ("gaussian_T_grid_small", lambda: flat.gaussian_T_grid(3, [1e-125]),
+     quadrature.QuadratureError, "at 1 of 1 parameters, first at lam = 1e-125 for n = 3"),
+    ("gaussian_T_grid_large", lambda: flat.gaussian_T_grid(3, [1.0, 1e130]),
+     quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+130 for n = 3"),
+    ("gaussian_T_grid_subnormal", lambda: flat.gaussian_T_grid(3, [1e124, 1.0]),
+     quadrature.QuadratureError, "at 1 of 2 parameters, first at lam = 1e+124 for n = 3"),
     ("gaussian_hardy_reports", lambda: flat.gaussian_hardy_reports(3, [1.0, 1e308]),
      quadrature.QuadratureError, "at 1 of 2 parameters, first at a = 1e+308 for n = 3"),
     ("modified_hpw_reports", lambda: hyperbolic.modified_hpw_reports(3, [1.0, 1e200]),

@@ -457,13 +457,19 @@ class TestRunSuite:
     def test_identities_one_pass_per_lambda(self, tmp_path, monkeypatch):
         # P(lam) is integrated once per lam, for both the identity and the
         # ODE rows, the passes of every lam in one lockstep call, and the
-        # gaussian-T rows take one moments pass for the grid
-        from sharpineq import flat
+        # gaussian-T rows take their Gamma values from one call for the grid,
+        # with no Gauss-Kronrod pass
+        from sharpineq import flat, quadrature
+
+        def no_batch(*args):
+            raise AssertionError("a Gauss-Kronrod pass ran")
 
         passes, moments = [], []
-        rows_pass, moments_pass = flat.radial_integral_rows, flat.flat_gaussian_moments
+        rows_pass, moments_pass = flat.radial_integral_rows, flat._gaussian_moments
         monkeypatch.setattr(flat, "radial_integral_rows", lambda *a: passes.append(a[1]) or rows_pass(*a))
-        monkeypatch.setattr(flat, "flat_gaussian_moments", lambda *a: moments.append(1) or moments_pass(*a))
+        monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: moments.append(1) or moments_pass(*a))
+        monkeypatch.setattr(flat, "gauss_kronrod_batch", no_batch)
+        monkeypatch.setattr(quadrature, "gauss_kronrod_batch", no_batch)
         cfg = parse_config(MINIMAL)
         assert run_suite(cfg, str(tmp_path)).passed
         assert (passes, len(moments)) == ([len(cfg.lambda_grid)], 1)

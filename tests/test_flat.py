@@ -1,5 +1,7 @@
 import functools
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -590,14 +592,16 @@ class TestGaussianT:
             assert abs(out["ode_relative_residual"] - fd_residual) <= 1e-6
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    def test_grid_from_one_moments_pass(self, tol, monkeypatch):
-        # the grid form equals gaussian_T at each lam, bit for bit, from one pass
+    def test_grid_from_one_moments_call(self, tol, monkeypatch):
+        # the grid form equals gaussian_T at each lam, bit for bit, from one
+        # call for the Gamma values of the grid, with no Gauss-Kronrod pass
         spec = QuadratureSpec(relative_tolerance=tol)
         lams = [0.5, 1.0, 2.0]
         singles = [gaussian_T(4, lam, spec) for lam in lams]
         calls = []
-        moments = flat.flat_gaussian_moments
-        monkeypatch.setattr(flat, "flat_gaussian_moments", lambda *a: calls.append(a) or moments(*a))
+        moments = flat._gaussian_moments
+        monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: calls.append(a) or moments(*a))
+        monkeypatch.setattr(flat, "gauss_kronrod_batch", None)
         assert gaussian_T_grid(4, lams, spec) == singles
         assert len(calls) == 1
         with pytest.raises(ValueError):
@@ -612,6 +616,65 @@ class TestGaussianT:
             prof = RadialProfile(lambda r: math.exp(-2 * lam * r * r), DecayClass.gaussian(2 * lam))
             scalar = 4 * lam * omega * radial_integral(prof, ("power", n + 1), spec).value
             assert gaussian_T(n, lam, spec)["value"] == pytest.approx(scalar, rel=1e-12)
+
+
+# sqrt(pi) to 60 digits
+SQRT_PI = Fraction(Decimal("1.77245385090551602729816748334114518279754945612238712821381"))
+
+
+class TestGaussianMoments:
+    """The closed-form moments of flat space and their rounding bounds."""
+
+    @staticmethod
+    def gamma(k):
+        # Gamma((k+1)/2): i! for k = 2i + 1, (2i)! / (4^i i!) sqrt(pi) for k = 2i
+        i = k // 2
+        if k % 2:
+            return Fraction(math.factorial(i))
+        return Fraction(math.factorial(2 * i), 4**i * math.factorial(i)) * SQRT_PI
+
+    @pytest.mark.parametrize("k", range(0, 24))
+    def test_gamma_values_within_their_bound(self, k):
+        # c rate^j int rho^k e^(-rate rho^2) = c rate^(j - (k+1)/2) Gamma((k+1)/2) / 2
+        # at rates 4^p, whose powers are exact, against the exact value
+        params = np.array([4.0**p / 2 for p in range(-3, 4)])
+        got = flat._gaussian_moments([[(1.0, k, 0)], [(3.0, k, 1)]], params, QuadratureSpec(), repr)
+        for p, (plain, scaled) in zip(range(-3, 4), got):
+            for r, c, j in ((plain, 1, 0), (scaled, 3, 1)):
+                exact = c * self.gamma(k) / 2 * Fraction(2) ** (p * (2 * j - k - 1))
+                assert abs(Fraction(r.value) - exact) <= Fraction(r.error_estimate), (k, p, j)
+                assert 0 < r.error_estimate <= (k + 8) * EPS * r.value and r.nodes_used == 0
+        if k % 2:
+            # ((k-1)/2)! / 2 is a float: the odd moments at rate 1 are exact
+            assert got[3][0].value == self.gamma(k) / 2
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_hardy_sum_within_its_bound(self, n):
+        # A at rate 1 is (1 - n + n(n+2)/4) Gamma(n/2) / 2 for c = 1; its
+        # bound covers the cancellation of the three terms
+        A, H = flat._gaussian_moments([[(1.0, n - 1, 0), (-2.0, n + 1, 1), (1.0, n + 3, 2)], [(1.0, n - 1, 0)]],
+                                      np.array([0.5]), QuadratureSpec(), repr)[0]
+        exact = Fraction(n * n - 2 * n + 4, 4) * self.gamma(n - 1) / 2
+        assert abs(Fraction(A.value) - exact) <= Fraction(A.error_estimate)
+        assert abs(Fraction(H.value) - self.gamma(n - 1) / 2) <= Fraction(H.error_estimate)
+
+    def test_bound_above_the_tolerance_named(self):
+        # the bounds of L, M and A at n = 3 are about 8e-16 of their values
+        with pytest.raises(QuadratureError) as exc:
+            gaussian_hpw_reports(3, [1.0, 2.0], QuadratureSpec(relative_tolerance=1e-16))
+        assert str(exc.value) == (
+            "rounding bound above the requested tolerance 1e-16 at 2 of 2 parameters, first at lam = 1.0 for n = 3")
+
+    def test_float_edge_named(self):
+        # at n = 3 the term 27.8 (2 lam)^(-5/2) of T' is a normal float from
+        # lam = 1e122 to about 2.2e123, but at 1e123 its power of the rate,
+        # 5.6e-309, is subnormal and has lost digits: it is named
+        (out,) = gaussian_T_grid(3, [1e122])
+        assert abs(out["ode_relative_residual"]) <= 4 * EPS
+        with pytest.raises(QuadratureError) as exc:
+            gaussian_T_grid(3, [1e122, 1e123])
+        assert str(exc.value) == (
+            "integral outside the normal floats at 1 of 2 parameters, first at lam = 1e+123 for n = 3")
 
 
 class TestHpw:
@@ -660,14 +723,16 @@ class TestHpw:
         with pytest.raises(ValueError):
             gaussian_hpw_reports(3, (1.0, 0.0))
 
-    def test_gaussian_reports_one_moments_pass(self, monkeypatch):
-        # L and M of every lam are the rate-free moments I_(n-1) and I_(n+1)
-        # of one pass, and A is 4 lam^2 M
-        passes = []
-        moments = flat.flat_gaussian_moments
-        monkeypatch.setattr(flat, "flat_gaussian_moments", lambda *a: passes.append(a[0]) or moments(*a))
+    def test_gaussian_reports_one_moments_call(self, monkeypatch):
+        # L and M of every lam are the moments of rho^(n-1) and rho^(n+1),
+        # and A is rate^2 M, from one call for the grid, with no
+        # Gauss-Kronrod pass
+        calls = []
+        moments = flat._gaussian_moments
+        monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: calls.append(a[0]) or moments(*a))
+        monkeypatch.setattr(flat, "gauss_kronrod_batch", None)
         assert len(gaussian_hpw_reports(5, (0.5, 1.0, 2.0))) == 3
-        assert [[k for k, _ in rows] for rows in passes] == [[4, 6]]
+        assert [[[(k, j) for _, k, j in terms] for terms in rows] for rows in calls] == [[[(4, 0)], [(6, 0)], [(6, 2)]]]
 
     def test_slack_never_below_numerics(self):
         for lam in (0.5, 1.0, 2.0):
@@ -750,15 +815,18 @@ class TestGaussianHardy:
             closed = n * flat.ball_volume_constant(n) * (2 * a) ** (-n / 2) * math.gamma(n / 2) / 2
             assert H == pytest.approx(closed, rel=err_h + 16 * EPS)
 
-    def test_one_batch_pass_no_scalar_integral(self, monkeypatch):
-        from sharpineq import quadrature
-
-        passes = []
-        moments = flat.flat_gaussian_moments
-        monkeypatch.setattr(flat, "flat_gaussian_moments", lambda *a: passes.append(a[0]) or moments(*a))
+    def test_one_moments_call_no_integral(self, monkeypatch):
+        # A is the moment of (1 - 2 rate rho^2 + rate^2 rho^4) rho^(n-1) and
+        # H that of rho^(n-1), from one call for every a, with no
+        # Gauss-Kronrod pass and no scalar integral
+        calls = []
+        moments = flat._gaussian_moments
+        monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: calls.append(a[0]) or moments(*a))
         monkeypatch.setattr(quadrature, "_adaptive_gk15", None)
+        monkeypatch.setattr(flat, "gauss_kronrod_batch", None)
         assert len(gaussian_hardy_reports(4, (0.5, 1.0, 2.0))) == 3
-        assert [[k for k, _ in rows] for rows in passes] == [[3, 3]]
+        assert [[[(k, j) for _, k, j in terms] for terms in rows] for rows in calls] == [
+            [[(3, 0), (5, 1), (7, 2)], [(3, 0)]]]
 
     def test_rejects_low_dimension_and_rates(self):
         with pytest.raises(ValueError, match="Hardy needs n >= 3"):
@@ -862,14 +930,12 @@ class TestSharpnessSweep:
             raise AssertionError("the sweep called a scalar radial integral")
 
         monkeypatch.setattr(quadrature, "_adaptive_gk15", scalar)
+        # one batched pass, over the eps-free piece [r, R] alone
+        calls, batch = [], flat.gauss_kronrod_batch
+        monkeypatch.setattr(flat, "gauss_kronrod_batch", lambda *a: calls.append(len(a[1])) or batch(*a))
         out = hardy_sharpness_sweep(EUCLID3, 3, 1.0, 2.0, [1e-2, 1e-4, 1e-8])
         assert len(out["quotients"]) == 3
-
-    def test_profile_outside_float_range(self):
-        # u_eps^2 = eps^-6 overflows at n = 8
-        norm = MinkowskiNorm(8, "weighted-euclidean", matrix=np.eye(8))
-        with pytest.raises(QuadratureError, match="float range"):
-            hardy_sharpness_sweep(norm, 8, 1.0, 2.0, [1e-60, 1e-61])
+        assert calls == [1]
 
 
 class TestDoubleHardy:

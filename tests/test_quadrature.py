@@ -15,7 +15,6 @@ from sharpineq import (
     bh_density,
     ball_volume_constant,
     fd_derivative,
-    flat_gaussian_moments,
     flat_radial_volume_integral,
     gauss_kronrod_batch,
     gaussian_integrals,
@@ -871,13 +870,17 @@ class TestGaussKronrodBatch:
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("k", range(0, 12))
     def test_flat_moments_closed_form(self, k, tol):
-        # int_0^oo s^k e^(-s^2) ds = Gamma((k+1)/2) / 2
-        moments = flat_gaussian_moments([(k, None), (k + 2, None)], QuadratureSpec(relative_tolerance=tol))
+        # int_0^oo s^k e^(-s^2) ds = Gamma((k+1)/2) / 2, for k and k + 2 on
+        # one pass over [0, 12], past which s^13 e^(-s^2) is below 1e-48
+        def integrand(x, p):
+            s = 12.0 * x + 0.0 * p
+            return np.stack([12.0 * s**j * np.exp(-s * s) for j in (k, k + 2)])
+
+        values, errors, evals = gauss_kronrod_batch(integrand, np.zeros(1), QuadratureSpec(relative_tolerance=tol))
         want = [math.gamma((j + 1) / 2) / 2 for j in (k, k + 2)]
-        assert [r.value for r in moments] == pytest.approx(want, rel=1e-12)
-        assert all(r.error_estimate <= tol * r.value for r in moments)
-        evals = {r.nodes_used for r in moments}
-        assert len(evals) == 1 and evals.pop() % (2 * _GK21_NODES.size) == 0
+        assert values[:, 0].tolist() == pytest.approx(want, rel=1e-12)
+        assert np.all(errors <= tol * values)
+        assert evals % (_FIRST_PANELS * _GK21_NODES.size) == 0
 
     @pytest.mark.parametrize("params", [[1.0, 2.0], [[1.0, 0.0, 0.0]], [[[1.0, 0.0]]], 1.0])
     def test_params_must_be_rate_beta_pairs(self, params):
@@ -1351,29 +1354,6 @@ GAUSSIAN_PINNED = [
     (1e-09, [[5.17612165328033, 0.017808520633893536, 0.00020687586168816944], [25.576728872606388, 0.015356804121400497, 1.8540713068052944e-05], [25.576728872606388, 0.19457738411176426, 0.01550566891491031]], [[4.098795194714426e-12, 4.261765363028743e-15, 1.8394709262287583e-17], [5.867837786651164e-11, 2.1761699282800756e-14, 7.904919349215975e-18], [5.867837786651164e-11, 1.1138085108469628e-13, 4.5244509753344047e-14]], 756),
     (1e-12, [[5.1761216532803305, 0.017808520633893536, 0.0002068758616881694], [25.576728872606388, 0.015356804121400499, 1.854071306805295e-05], [25.576728872606388, 0.19457738411176426, 0.01550566891491031]], [[1.1627003598372042e-15, 2.868174211484205e-18, 4.959946008516931e-20], [7.577838501570963e-15, 1.830347214291081e-18, 4.755517033814771e-21], [7.577838501570963e-15, 2.689254170339994e-17, 3.530805544041384e-18]], 2268),
 ]
-# the rate-free flat moments of the suites' row sets, (n - 1, n + 1) and
-# (n + 1, n + 3) for n = 2..8, as gaussian_integrals gave them on flat
-# space's rho^k weight at rate 1: (ks, tol, values, estimates, evaluations)
-FLAT_PINNED = [
-    ((1, 3), 1e-09, [0.5, 0.49999999999999994], [1.0863976737604897e-13, 3.986444306258665e-12], 168),
-    ((2, 4), 1e-09, [0.443113462726379, 0.6646701940895685], [9.24516777290175e-12, 4.5581217675547385e-11], 168),
-    ((3, 5), 1e-09, [0.49999999999999994, 1.0], [1.6897528075872297e-16, 1.57736179335144e-15], 504),
-    ((4, 6), 1e-09, [0.6646701940895685, 1.6616754852239215], [1.3552020735039214e-15, 2.449613629821773e-15], 504),
-    ((5, 7), 1e-09, [1.0, 3.0000000000000004], [3.474779894327018e-14, 2.1765937066310242e-13], 504),
-    ((6, 8), 1e-09, [1.6616754852239213, 5.815864198283723], [2.394249655176735e-13, 2.0881512283407895e-12], 504),
-    ((7, 9), 1e-09, [2.9999999999999996, 12.0], [1.6365843290854513e-12, 3.125678531239496e-12], 504),
-    ((8, 10), 1e-09, [5.815864198283726, 26.171388892276756], [3.085560264569291e-11, 1.3689490184250595e-10], 504),
-    ((9, 11), 1e-09, [12.0, 60.000000000000014], [2.0314617421122739e-10, 1.3620382845577982e-09], 504),
-    ((1, 3), 1e-12, [0.5, 0.5], [1.0539219716116185e-17, 2.179926631681219e-17], 504),
-    ((2, 4), 1e-12, [0.443113462726379, 0.6646701940895684], [3.0478388734413894e-17, 1.8254056320563416e-16], 504),
-    ((3, 5), 1e-12, [0.5, 1.0], [2.6658238714688594e-16, 2.3697312435066766e-15], 504),
-    ((4, 6), 1e-12, [0.6646701940895685, 1.6616754852239208], [1.5255452206733458e-15, 1.963564785016481e-15], 504),
-    ((5, 7), 1e-12, [1.0, 2.9999999999999996], [4.7028496801564584e-14, 2.740060551480729e-13], 504),
-    ((6, 8), 1e-12, [1.6616754852239213, 5.815864198283725], [3.4222733152899273e-13, 2.799713022508154e-12], 504),
-    ((7, 9), 1e-12, [3.0000000000000004, 11.999999999999998], [1.7974847791594176e-12, 5.10027177499792e-12], 504),
-    ((8, 10), 1e-12, [5.815864198283724, 26.171388892276763], [4.4289678095674367e-16, 8.568297352113539e-15], 1176),
-    ((9, 11), 1e-12, [12.000000000000002, 60.00000000000001], [1.6881878006237116e-15, 1.3590915775717846e-14], 1176),
-]
 
 
 class TestGaussianIntegralsPinned:
@@ -1383,12 +1363,6 @@ class TestGaussianIntegralsPinned:
         c = 5 * ball_volume_constant(5) / np.sqrt(np.array(GAUSSIAN_PARAMS)[:, 0])
         want = (c * np.array(values)).tolist(), (c * np.array(errors)).tolist(), evals
         assert (got[0].tolist(), got[1].tolist(), got[2]) == want
-
-    @pytest.mark.parametrize("ks, tol, values, errors, evals", FLAT_PINNED)
-    def test_flat_moments_bit_for_bit(self, ks, tol, values, errors, evals):
-        got = flat_gaussian_moments([(k, None) for k in ks], QuadratureSpec(relative_tolerance=tol))
-        assert [(r.value, r.error_estimate, r.nodes_used) for r in got] == [
-            (v, e, evals) for v, e in zip(values, errors)]
 
 
 def peak_cut_cases(tol):
@@ -1492,16 +1466,20 @@ class TestGaussianPeakCut:
         assert abs(moments[2, 0] - L) <= 1e-9 * L
         assert np.isfinite(moments).all() and np.isfinite(errors).all()
 
-    def test_flat_moments_keep_the_budget_cut(self):
-        # at a = 1 and b = 0 the peak is t = sqrt(K/2) and psi(t) = -ln tol,
-        # so the raised cut t + sqrt(-ln tol) lies before the budget cut of
-        # flat_gaussian_moments, s^2 - K s = budget, which _peak_cut keeps
-        for tol in (1e-6, 1e-9, 1e-12, 1e-14):
-            budget = quadrature._tail_budget(tol)
-            for K in range(1, 200):
-                cut = (K + math.sqrt(K * K + 4 * budget)) / 2
-                assert math.sqrt(K / 2) + math.sqrt(-math.log(tol)) <= cut, (tol, K)
-                assert quadrature._peak_cut(np.array([cut]), K, tol, np.array([1.0]))[0] == cut, (tol, K)
+    @pytest.mark.parametrize("beta, text", [
+        (1e12, "integral outside the normal floats at 1 of 2 parameters, first at [10000.0, 1000000000000.0]"),
+        (1e308, "non-finite integral at 1 of 2 parameters, first at [10000.0, 1e+308]: outside the float range"),
+    ])
+    def test_raised_peak_at_large_b_named_without_warning(self, beta, text):
+        # beside a rate-1e4 beta = 0 parameter, whose cut is raised, b =
+        # 2 beta / sqrt(rate) is 2e10, where (sqrt(b^2 + 8Ka) - b) / (4a)
+        # cancels to 0 and took a log of 0, or 2 beta overflows b to inf
+        spec = QuadratureSpec(relative_tolerance=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError) as exc:
+                gaussian_integrals([(80, None)], [(1e4, beta), (1e4, 0.0)], spec)
+        assert str(exc.value) == text
 
 
 class TestMonteCarlo:
