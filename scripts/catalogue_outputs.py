@@ -8,18 +8,22 @@ Runs every entry of the suite-all, reports and norms-mc catalogues once,
 with sharpineq imported from CHECKOUT/src (default: the checkout holding
 this script) and the catalogues from CHECKOUT/perfbench, and writes one
 digest per entry key to OUT.json:
-  * suite-all: the SHA-256 of every artifact but summary.txt, by path;
+  * suite-all: the SHA-256 of every artifact but summary.txt, by path, and
+    the text of all.csv;
   * the other kinds: the repr of the raw result, floats and arrays printed
     as their shortest unique decimals;
   * an entry that raises: "Type: message".
 Artifacts go to a temporary directory, no bytecode is written, and BLAS
 pools are pinned to one thread, as perfbench/run.py pins them.  --diff
 lists the keys whose digests differ between two such files (or that only
-one holds) and exits 1 if there is any.  --against REV digests the commit
-REV of CHECKOUT's git repository and CHECKOUT itself, each in its own
-process, and prints their --diff: REV's files come from git archive into a
-temporary directory, which is removed afterwards, so the repository gains
-no worktree, not even from a run that is cut short.
+one holds), each with the largest relative change of its numbers by name
+(the fields of the repr, the columns of all.csv for suite-all) where both
+hold the same text around them, and exits 1 if there is any.  --against
+REV digests the commit REV of CHECKOUT's git repository and CHECKOUT
+itself, each in its own process, and prints their --diff: REV's files come
+from git archive into a temporary directory, which is removed afterwards,
+so the repository gains no worktree, not even from a run that is cut
+short.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
+import re  # noqa: E402
 import subprocess  # noqa: E402
 import tarfile  # noqa: E402
 import tempfile  # noqa: E402
@@ -62,13 +68,58 @@ def digests(root: Path) -> dict:
                 continue
             if entry.kind == "suite-all":
                 out[entry.key] = {
-                    str(f.relative_to(raw)): hashlib.sha256(f.read_bytes()).hexdigest()
-                    for f in sorted(raw.rglob("*")) if f.is_file() and f.name != "summary.txt"
+                    "sha256": {
+                        str(f.relative_to(raw)): hashlib.sha256(f.read_bytes()).hexdigest()
+                        for f in sorted(raw.rglob("*")) if f.is_file() and f.name != "summary.txt"
+                    },
+                    "all.csv": (raw / "all.csv").read_text(),
                 }
             else:
                 out[entry.key] = repr(raw)
     print(f"{len(out)} entries, {raised} raised", file=sys.stderr)
     return out
+
+
+# a decimal number, inf or nan that is not part of a name such as float64
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
+# a name a repr gives the numbers after it, as in lhs=1.0, 'value': 1.0 or err=(1.0, 2.0)
+_LABEL = re.compile(r"(\w+)'?(?:=|: )")
+
+
+def _labelled(text: str) -> list:
+    """(name, number) for every number of text, named by the last name before it."""
+    out, label, at = [], "", 0
+    for m in _NUMBER.finditer(text):
+        for named in _LABEL.finditer(text, at, m.start()):
+            label = named.group(1)
+        out.append((label, float(m.group())))
+        at = m.end()
+    return out
+
+
+def _csv_as_repr(text: str) -> str:
+    """all.csv as column=value pairs, so that each number is named by its column."""
+    header, *rows = text.splitlines()
+    names = header.split(",")
+    return "\n".join(", ".join(f"{n}={v}" for n, v in zip(names, row.split(","))) for row in rows)
+
+
+def size(a, b) -> str:
+    """How far the digest a moved to b: the largest relative change of its
+    numbers by name (the field of a repr, the column of all.csv) where the
+    text around them is the same, or why they cannot be compared."""
+    if a is None or b is None:
+        return "only in " + ("B" if a is None else "A")
+    a, b = (_csv_as_repr(d["all.csv"]) if isinstance(d, dict) else d for d in (a, b))
+    if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+        return "text differs"
+    worst = {}
+    for (label, x), (_, y) in zip(_labelled(a), _labelled(b)):
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            worst[label] = max(worst.get(label, 0.0), abs(y - x) / abs(x) if x else math.inf)
+    if not worst:
+        return "same numbers, other artifact bytes"
+    return "largest relative change " + ", ".join(f"{label or '-'} {w:.3g}" for label, w in worst.items())
 
 
 def against(rev: str, root: Path) -> int:
@@ -99,7 +150,8 @@ def main(argv=None) -> int:
     if args.diff:
         a, b = (json.loads(Path(p).read_text()) for p in args.diff)
         moved = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-        print("\n".join(moved + [f"{len(moved)} of {len(a.keys() | b.keys())} keys moved"]))
+        print("\n".join([f"{k}: {size(a.get(k), b.get(k))}" for k in moved]
+                        + [f"{len(moved)} of {len(a.keys() | b.keys())} keys moved"]))
         return 1 if moved else 0
     if args.out is None:
         ap.error("give OUT.json, --diff A B or --against REV")

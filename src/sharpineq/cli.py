@@ -225,7 +225,8 @@ def _tolerance_errors(tolerance: float, source: str) -> list:
 def render_config(cfg: RunConfig) -> str:
     """Inverse of parse_config for generated configs (round-trip safe)."""
     cp = configparser.ConfigParser()
-    cp["run"] = {"suite": cfg.suite, "n": str(cfg.n), "output_dir": cfg.output_dir}
+    # parse_config reads %% as %, the only value here that may hold one
+    cp["run"] = {"suite": cfg.suite, "n": str(cfg.n), "output_dir": cfg.output_dir.replace("%", "%%")}
     norm = {k: (" ".join(_fmt(v) for v in val) if isinstance(val, list) else str(val))
             for k, val in cfg.norm_spec.items()}
     cp["norm"] = norm

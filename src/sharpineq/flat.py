@@ -18,6 +18,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     RadialProfile,
+    _TINY,
     _UNIT,
     _checked_parameters,
     _name_failures,
@@ -486,35 +487,52 @@ def _gamma_half(m: float) -> tuple[float, int]:
     return g / 2, roundings
 
 
+def _rate_terms(cg: float, rates: np.ndarray, e: float) -> np.ndarray:
+    """cg rate^e for every rate, e a multiple of 1/2: the product of cg and
+    rate^e where that power is a normal float, and elsewhere, where it has
+    lost digits or overflowed, cg (rate / 4^s)^e times 2^(2 s e), 4^s within
+    a factor 2 of the rate: the same roundings, and an ldexp that is exact
+    wherever the term is a normal float."""
+    power = np.power(rates, e)
+    terms = cg * power
+    # a Python min and max of the few powers cost less than numpy's tests
+    listed = power.tolist()
+    if min(listed, default=1.0) < _TINY or max(listed, default=1.0) == math.inf:
+        out = (power < _TINY) | (power == math.inf)
+        s = np.frexp(rates[out])[1] // 2
+        terms[out] = np.ldexp(cg * np.power(np.ldexp(rates[out], -2 * s), e), (2 * e * s).astype(int))
+    return terms
+
+
 def _gaussian_moments(rows: Sequence, params: np.ndarray, spec: QuadratureSpec, describe: Callable) -> list:
     """Flat space's gaussian moments in closed form: one IntegralResult per row, for every p of params.
 
     A row sums terms (c, k, j), each c rate^j int_0^oo rho^k e^(-rate rho^2) d rho
     = c rate^(j - m) Gamma(m) / 2 with m = (k + 1) / 2 and rate = 2 p, the
-    rate of u^2 for u = e^(-p rho^2).  Its error_estimate is the rounding
-    bound gamma_r sum |c rate^(j - m) Gamma(m) / 2|, gamma_r = r u / (1 - r u)
+    rate of u^2 for u = e^(-p rho^2), formed by _rate_terms.  Its
+    error_estimate is the rounding bound
+    gamma_r sum |c rate^(j - m) Gamma(m) / 2|, gamma_r = r u / (1 - r u)
     for u the unit roundoff, c taken as exact and r the most roundings of
     a term (those of Gamma(m) / 2, two for the power, which is within one
-    ulp, two products) plus one an addition.  A value or a power outside
+    ulp, two products) plus one an addition.  A value or a term outside
     the normal floats, whose digits are lost, or a bound above
     relative_tolerance times its value is a QuadratureError that names its
     p by describe(p).  nodes_used is 0.
     """
-    # an inf power, or inf - inf in a sum, is named below
+    # an inf term, or inf - inf in a sum, is named below
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rates, powers, values, bounds = 2 * params, [], [], []
+        rates, every, values, bounds = 2 * params, [], [], []
         for terms in rows:
             value = size = most = 0
             for c, k, j in terms:
                 g, r = _gamma_half((k + 1) / 2)
-                powers.append(np.power(rates, j - (k + 1) / 2))
-                term = c * g * powers[-1]
-                value, size, most = value + term, size + np.abs(term), max(most, r)
+                every.append(_rate_terms(c * g, rates, j - (k + 1) / 2))
+                value, size, most = value + every[-1], size + np.abs(every[-1]), max(most, r)
             roundings = most + len(terms) + 3
             values.append(value)
             bounds.append(roundings * _UNIT / (1 - roundings * _UNIT) * size)
     values, bounds = np.array(values), np.array(bounds)
-    _normal_floats(np.column_stack([values.T, np.array(powers).T]), params, describe)
+    _normal_floats(np.column_stack([values.T, np.array(every).T]), params, describe)
     ok = bounds <= spec.relative_tolerance * np.abs(values)
     _name_failures(ok.T, params, describe, f"rounding bound above the requested tolerance {spec.relative_tolerance!r}")
     return [[IntegralResult(v, e, 0) for v, e in zip(vs, es)] for vs, es in zip(values.T.tolist(), bounds.T.tolist())]

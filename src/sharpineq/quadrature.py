@@ -1,19 +1,23 @@
 """Deterministic integration of radial profiles on [0, oo).
 
-Two globally adaptive G7/K15 loops on a split domain, which share one panel
-guard: q integrands of one report on one mesh in Python floats, one call per
-bisection for the columns of its 30 radii, the tail mapped by the rational
-transform rho = end + t/(1 - t) (radial_integrals, and radial_integral, its
-one-row case), and passes of q numpy row integrands in lockstep, [0, 1] and
-the tail past 1 taken in graded variables, rho = x^2 and rho = (1 - x)^-2,
-each round one call for the nodes of one bisection of every pass still
-refining (radial_integral_rows); a vectorised composite Gauss-Kronrod rule
-over a whole parameter grid at once, which takes the gaussian rows of the
-ball in s = rho sqrt(rate), each parameter on its own cut
-(gaussian_integrals), and the smooth piece of flat space's Hardy sharpness
-sweep (flat space's gaussian moments are Gamma values, which flat.py takes
-in closed form); the gaussian masses on the ball as a
-positive series in 1/alpha, n-dimensional Monte Carlo
+Two globally adaptive Gauss-Kronrod loops on a split domain, which share
+one panel guard and QUADPACK's split of its rules: qags' G10/K21 (qk21) on
+every finite piece and qagi's G7/K15 (qk15) on a rational tail.  One takes
+q integrands of one report on one mesh in Python floats, one call per
+bisection for the columns of its 42 radii (30 on the tail), the tail mapped
+by rho = end + t/(1 - t), where a slowly decaying profile is singular at
+t = 1 and qk15 stops with a named error where qk21's estimate can miss
+(radial_integrals, and radial_integral, its one-row case); the other takes
+passes of q numpy row integrands in lockstep, [0, 1] and the tail past 1 in
+graded variables, rho = x^2 and rho = (1 - x)^-2, both finite pieces on
+qk21, each round one call for the nodes, of shape (k, 2, 21), of one
+bisection of every pass still refining (radial_integral_rows); a
+vectorised composite G10/K21 rule over a whole parameter grid at once,
+which takes the gaussian rows of the ball in s = rho sqrt(rate), each
+parameter on its own cut (gaussian_integrals), and the smooth piece of flat
+space's Hardy sharpness sweep (flat space's gaussian moments are Gamma
+values, which flat.py takes in closed form); the gaussian masses on the
+ball as a positive series in 1/alpha, n-dimensional Monte Carlo
 cross-validation with a counter-based generator, and Richardson-extrapolated
 finite differences.
 """
@@ -170,7 +174,8 @@ class RadialProfile:
 class QuadratureSpec:
     """Accuracy, truncation and seeding parameters shared by all integrals.
 
-    radial_integral (G7/K15) and gauss_kronrod_batch (G10/K21) run two
+    radial_integral (G10/K21, G7/K15 on its mapped tail),
+    radial_integral_rows and gauss_kronrod_batch (G10/K21) run two
     Gauss-Kronrod tables under one acceptance rule: a value is accepted only
     when its summed estimate sum |K - G| is at most relative_tolerance x |value|.
     """
@@ -223,7 +228,7 @@ def _gauss_kronrod_table(xgk, wgk, wg):
     return mirror(xgk, -1.0), mirror(wgk), mirror(gauss)
 
 
-# QUADPACK qk15 (G7/K15), the rule of radial_integral
+# QUADPACK qk15 (G7/K15), the rule of radial_integral's mapped tail
 _GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = _gauss_kronrod_table(
     [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
      0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
@@ -236,8 +241,9 @@ _GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = _gauss_kronrod_table(
     [0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
      0.381830050505118944950369775488975, 0.417959183673469387755102040816327],
 )
-# QUADPACK qk21 (G10/K21), the rule of gauss_kronrod_batch, whose integrands
-# are smooth on [0, 1]; the centre is a Kronrod node only
+# QUADPACK qk21 (G10/K21), the rule of gauss_kronrod_batch, of every finite
+# piece of radial_integral and of both graded pieces of radial_integral_rows;
+# the centre is a Kronrod node only
 _GK21_NODES, _GK21_KRONROD, _GK21_GAUSS = _gauss_kronrod_table(
     [0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
      0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -257,21 +263,44 @@ _GK21_NODES, _GK21_KRONROD, _GK21_GAUSS = _gauss_kronrod_table(
 # columns K and K - G: one product of a panel's 21 values gives its Kronrod
 # sum and its Kronrod-minus-Gauss difference
 _GK21_WEIGHTS = np.stack([_GK21_KRONROD, _GK21_KRONROD - _GK21_GAUSS], axis=1)
-# G7/K15 as Python floats, for the columns of radial_integrals, in the order
-# QUADPACK's qk15 evaluates it (the centre, the Gauss pairs, the Kronrod
-# pairs): a profile that overflows is named at the first node it overflows
-# at in that order
-_ORDER = [7, 1, 13, 3, 11, 5, 9, 0, 14, 2, 12, 4, 10, 6, 8]
-_NODE_LIST = _GK15_NODES[_ORDER].tolist()
-_NODE_COUNT = len(_NODE_LIST)
-_OUTER_NODE = float(_GK15_NODES[-1])
-_KRONROD_LIST = _GK15_KRONROD[_ORDER].tolist()
-_DIFF_LIST = (_GK15_KRONROD - _GK15_GAUSS)[_ORDER].tolist()
-# the same for the row integrands of radial_integral_rows: the nodes in that
-# order, and the (15, 2) matrix of Kronrod and Kronrod-minus-Gauss weights
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """A Gauss-Kronrod rule of the adaptive loops as Python floats, in the
+    order QUADPACK's qk15 and qk21 evaluate it (the centre, the Gauss pairs
+    from the outside in, then the Kronrod pairs): a profile that overflows is
+    named at the first node it overflows at in that order.  outer is the
+    largest node, the one nearest a panel's right end."""
+
+    nodes: list
+    kronrod: list
+    diff: list
+    outer: float
+
+    @staticmethod
+    def of(nodes: np.ndarray, kronrod: np.ndarray, gauss: np.ndarray) -> "_Rule":
+        size = nodes.size
+        c = size // 2
+        # node xgk(m) of QUADPACK's half-table (1 from the outside) and its mirror
+        pairs = [i for m in [*range(2, c + 1, 2), *range(1, c + 1, 2)] for i in (m - 1, size - m)]
+        order = [c, *pairs]
+        diff = kronrod - gauss
+        return _Rule(nodes[order].tolist(), kronrod[order].tolist(), diff[order].tolist(), float(nodes[-1]))
+
+
+# qk21 on every finite piece, qk15 on radial_integral's rational tail, as
+# QUADPACK's qags and qagi take them: under rho = end + t/(1 - t) a profile
+# that decays slower than rho^-2 is singular at t = 1, where qk21's estimate
+# can fall short of its error (int rho^-1/2 / (1 + rho) = pi at 1e-9 returns
+# 1.0e-8 off with an estimate of 3.1e-9) and qk15 stops with a named error
+_QK21 = _Rule.of(_GK21_NODES, _GK21_KRONROD, _GK21_GAUSS)
+_QK15 = _Rule.of(_GK15_NODES, _GK15_KRONROD, _GK15_GAUSS)
+# qk21 for the row integrands of radial_integral_rows: its nodes in that
+# order, and the (21, 2) matrix of Kronrod and Kronrod-minus-Gauss weights
 # that gives both sums of a panel in one product
-_NODES = np.array(_NODE_LIST)
-_GK15_WEIGHTS = np.stack([_KRONROD_LIST, _DIFF_LIST], axis=1)
+_NODES = np.array(_QK21.nodes)
+_ROW_WEIGHTS = np.stack([_QK21.kronrod, _QK21.diff], axis=1)
 
 
 def _tail_budget(tol: float) -> float:
@@ -328,8 +357,9 @@ def radial_integrals(
     to its end: the largest truncation radius T of the rows, or for
     algebraic decay the larger of 1 and the last breakpoint.  Unless the
     decay is compact, the tail past the end is mapped onto [0, 1) by
-    rho = end + t/(1 - t).  The rule is G7/K15, globally adaptive over all
-    pieces (_adaptive_gk15), one call of columns per bisection, the panel
+    rho = end + t/(1 - t).  The rule is G10/K21 on the finite pieces and
+    G7/K15 on the tail, globally adaptive over all pieces (_adaptive_gk),
+    one call of columns per bisection, the panel
     bisected next the one of largest row |K - G| relative to that row's
     value, for one row as for q.  A row's
     error_estimate is its summed |K - G| over every panel, at most
@@ -429,7 +459,7 @@ def radial_integrals(
     interior = {b for b in breakpoints if 0 < b < T}
     end = T if math.isfinite(T) else max({1.0} | interior)
     cuts = sorted({0.0, min(1.0, end), end} | interior)
-    values, errors, nodes = _adaptive_gk15(cols, cuts, tail, tol)
+    values, errors, nodes = _adaptive_gk(cols, cuts, tail, tol)
     return [IntegralResult(v, e, nodes, truncation=T) for v, e in zip(values, errors)]
 
 
@@ -440,40 +470,45 @@ def _in_rho(a: float, b: float, rho: Optional[Callable[[float], float]]) -> str:
     return f"rho in [{a!r}, {b!r}]"
 
 
-def _stuck(panels: int, a: float, b: float, rho: Optional[Callable[[float], float]]) -> Optional[str]:
-    """Why the worst of panels panels, [a, b] (rho as for _in_rho), cannot be bisected, or None."""
+def _stuck(panels: int, a: float, b: float, rho: Optional[Callable[[float], float]], outer: float) -> Optional[str]:
+    """Why the worst of panels panels, [a, b] (rho as for _in_rho), cannot be
+    bisected, or None; outer is the largest node of the rule on its piece."""
     mid = 0.5 * (a + b)
     if panels >= _MAX_SUBINTERVALS:
         return f"with {panels} panels, the worst at {_in_rho(a, b, rho)}"
     if not a < mid < b:
         return f"at {_in_rho(a, b, rho)}: the panel cannot be bisected in floating point"
     # a tail maps t = 1 to rho = oo, where no node may lie
-    if rho is not None and 0.5 * (mid + b) + 0.5 * (b - mid) * _OUTER_NODE >= 1.0 and rho(1.0) == math.inf:
+    if rho is not None and 0.5 * (mid + b) + 0.5 * (b - mid) * outer >= 1.0 and rho(1.0) == math.inf:
         return f"at {_in_rho(a, b, rho)}: a node of its right half rounds to t = 1.0"
     return None
 
 
-def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[list, list, int]:
-    """Globally adaptive G7/K15 for q rows on one mesh: over [cuts[0], cuts[-1]], and past it if tail.
+def _adaptive_gk(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[list, list, int]:
+    """Globally adaptive Gauss-Kronrod for q rows on one mesh: over [cuts[0], cuts[-1]], and past it if tail.
 
-    The pieces are the intervals between cuts and, if tail, the tail past
-    end = cuts[-1] mapped onto t in [0, 1) by rho = end + t/(1 - t),
-    d rho = dt/(1 - t)^2.  Every piece starts as its two halves.  While a
-    row's summed |K - G| exceeds tol x |its sum of K|, the panel of largest
-    key is bisected, until _stuck names a cause, whose text prints the
-    values and estimates as lists of q.  The key is the panel's largest row
-    |K - G| relative to that row's |value| after the first sweep; for one
-    row that is its |K - G| times one positive number, so its panels are
-    bisected in the order of the plain |K - G| (ties of rounding aside).  A
+    The pieces are the intervals between cuts, on G10/K21 (_QK21), and, if
+    tail, the tail past end = cuts[-1] mapped onto t in [0, 1) by
+    rho = end + t/(1 - t), d rho = dt/(1 - t)^2, on G7/K15 (_QK15), as
+    QUADPACK's qags and qagi split them.  Every piece starts as its two
+    halves.  While a row's summed |K - G| exceeds tol x |its sum of K|, the
+    panel of largest key is bisected, until _stuck names a cause, whose
+    text prints the values and estimates as lists of q.  The key is the
+    panel's largest row |K - G| relative to that row's |value| after the
+    first sweep; for one row that is its |K - G| times one positive number,
+    so its panels are bisected in the order of the plain |K - G| (ties of
+    rounding aside).  A
     call whose first sweep meets the rule returns before any panel is keyed.
     A bisection is one call cols(rs) on the radii of both halves, the left
-    first, each in QUADPACK's node order, which returns q lists of values.
-    Returns (values, error estimates, radii evaluated), the first two lists
-    of q.
+    first, each in QUADPACK's node order of its piece's rule, which returns
+    q lists of values.  Returns (values, error estimates, radii evaluated),
+    the first two lists of q.
     """
     pieces = list(zip(cuts, cuts[1:]))
+    rules = [_QK21] * len(pieces)
     if tail:
         pieces.append((0.0, 1.0))
+        rules.append(_QK15)
     end, last = cuts[-1], len(cuts) - 1 if tail else -1
 
     def past_end(t: float) -> float:
@@ -484,21 +519,21 @@ def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[
 
     def bisect(i: int, a: float, b: float) -> tuple:
         """(mid, Ks and |K - G|s of [a, mid], Ks and |K - G|s of [mid, b]) of the panel [a, b] of piece i."""
-        mid = 0.5 * (a + b)
+        mid, rule = 0.5 * (a + b), rules[i]
         cl, cr, hl, hr = 0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)
-        xs = [c + h * x for c, h in ((cl, hl), (cr, hr)) for x in _NODE_LIST]
+        xs = [c + h * x for c, h in ((cl, hl), (cr, hr)) for x in rule.nodes]
         if i == last:
             rows = [[v / (1.0 - t) ** 2 for v, t in zip(row, xs)] for row in cols([end + t / (1.0 - t) for t in xs])]
         else:
             rows = cols(xs)
         kl, el, kr, er = [], [], [], []
         for v in rows:
-            # map stops at the 15 weights, so v gives the left half
-            w = v[_NODE_COUNT:]
-            kl.append(hl * sum(map(mul, _KRONROD_LIST, v)))
-            el.append(abs(hl * sum(map(mul, _DIFF_LIST, v))))
-            kr.append(hr * sum(map(mul, _KRONROD_LIST, w)))
-            er.append(abs(hr * sum(map(mul, _DIFF_LIST, w))))
+            # map stops at the rule's weights, so v gives the left half
+            w = v[len(rule.nodes):]
+            kl.append(hl * sum(map(mul, rule.kronrod, v)))
+            el.append(abs(hl * sum(map(mul, rule.diff, v))))
+            kr.append(hr * sum(map(mul, rule.kronrod, w)))
+            er.append(abs(hr * sum(map(mul, rule.diff, w))))
         # a sum of finite Ks may overflow too; the loop finds a K that does not
         if not math.isfinite(sum(kl) + sum(kr)):
             for half, ks in enumerate((kl, kr)):
@@ -530,7 +565,7 @@ def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[
     value, error = [0.0] * q, [0.0] * q
     for halves in first:
         tally(zero, zero, halves)
-    evals = 2 * _NODE_COUNT * len(pieces)
+    evals = sum(2 * len(rule.nodes) for rule in rules)
 
     while True:
         for v, e in zip(value, error):
@@ -551,21 +586,22 @@ def _adaptive_gk15(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[
             for (i, (a, b)), halves in zip(enumerate(pieces), first):
                 push(i, a, b, halves)
         _, i, a, b, ks, es = heap[0]
-        cause = _stuck(len(heap), a, b, past_end if i == last else None)
+        cause = _stuck(len(heap), a, b, past_end if i == last else None, rules[i].outer)
         if cause is not None:
             raise QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}")
         heapq.heappop(heap)
         halves = bisect(i, a, b)
         push(i, a, b, halves)
         tally(ks, es, halves)
-        evals += 2 * _NODE_COUNT
+        evals += 2 * len(rules[i].nodes)
 
 
 # the exponent k of radial_integral_rows' graded maps, rho = x^k on [0, 1]
 # and rho = (1 - x)^-k on the tail past 1: over the P and R passes of the
-# perfbench reports catalogue, k = 2 takes 5.9 rounds a job, against 7.4 to
-# 8.9 for the (head, tail) exponents (1, 2), (2, 1), (3, 3) and (4, 4), and
-# 10.5 for (1, 1), where the tail map is rho = 1 + t/(1 - t)
+# perfbench reports catalogue that return (70 of 96), on G10/K21, k = 2
+# takes 2.3 rounds and 253 radii a job, against 2.9 to 5.6 rounds for the
+# (head, tail) exponents (3, 2), (2, 3), (3, 3), (4, 4), (1, 2) and (2, 1),
+# and 7.4 for (1, 1), where the tail map is rho = 1 + t/(1 - t)
 _GRADE = 2
 
 
@@ -592,12 +628,12 @@ _PANEL_NODES = 512
 @functools.lru_cache(maxsize=_PANEL_NODES)
 def _panel_nodes(piece: int, a: float, b: float) -> np.ndarray:
     """radial_integral_rows' rule on the panel [a, b] of piece 0 (the head)
-    or 1 (the tail), built on first use: a read-only (3, 1, 2, 15) array of
+    or 1 (the tail), built on first use: a read-only (3, 1, 2, 21) array of
     the nodes in rho, d rho / dx there and the half-width, for both halves.
     _graded squares, divides and multiplies only, so a node is the same
     float whatever array it is mapped in."""
     mid = 0.5 * (a + b)
-    table = np.empty((3, 1, 2, _NODE_COUNT))
+    table = np.empty((3, 1, 2, _NODES.size))
     table[2, 0] = [[0.5 * (mid - a)], [0.5 * (b - mid)]]
     table[:2] = _graded(np.array([[[0.5 * (a + mid)], [0.5 * (mid + b)]]]) + table[2] * _NODES, piece)
     table.flags.writeable = False
@@ -621,15 +657,15 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
     rho = x^2 on [0, 1] and rho = (1 - x)^-2 on the tail, so that an
     algebraic power of rho at 0 or at infinity is a milder one in x (rho^-1/2
     at 0 and rho^-3/2 at infinity become constants).  Each pass runs on its
-    own G7/K15 mesh under radial_integral's rule, guard and error texts:
+    own G10/K21 mesh under radial_integral's rule, guard and error texts:
     every row must meet the rule on its own, and the panel bisected next has
     the largest row error relative to that row's value after the first
     sweep.  Each round evaluates one bisection of every pass still refining
     (in the first, both pieces of every pass) from one call of
-    rows(rho, which): rho of shape (k, 2, 15) holds the nodes of both halves
+    rows(rho, which): rho of shape (k, 2, 21) holds the nodes of both halves
     of k bisections, a fresh array every round that rows may overwrite (the
     nodes come from _panel_nodes' table), which of shape (k,) the pass of
-    each, and rows returns the (k, q, 2, 15) integrand values.  A pass keeps
+    each, and rows returns the (k, q, 2, 21) integrand values.  A pass keeps
     its own heap, sums and checks, so it gives what it gives alone; it
     leaves once it meets the rule, and one that fails drops the passes after
     it.  A value outside the float range at a node, or an integral outside
@@ -663,7 +699,7 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
             # K and K - G of both halves of every row in one product, times
             # the half-widths, as Python floats (bisection, half, K or K - G,
             # row)
-            kd = (v.reshape(-1, 2, _NODE_COUNT) @ _GK15_WEIGHTS).reshape(-1, q, 2, 2)
+            kd = (v.reshape(-1, 2, _NODES.size) @ _ROW_WEIGHTS).reshape(-1, q, 2, 2)
             kd = (kd.transpose(0, 2, 3, 1) * h).tolist()
             if scale is None:  # the first sweep: both pieces of every pass
                 # 1 / |value| of every row of every pass: the Ks of the head's
@@ -693,7 +729,7 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
                 heapq.heappush(heaps[j], (-right, i, mid, b, kr, er))
                 value[j] = list(map(add, value[j], map(add, kl, kr)))
                 error[j] = list(map(add, error[j], map(add, el, er)))
-                evals[j] += 2 * _NODE_COUNT
+                evals[j] += 2 * _NODES.size
             todo, refining = [], []
             for j in live:
                 if j >= stop:
@@ -706,7 +742,7 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
                         results[j] = (np.array(value[j]), np.array(error[j]), q * evals[j])
                         continue
                 _, i, a, b, k, e = heap[0]
-                cause = _stuck(len(heap), a, b, _GRADED_MAPS[i])
+                cause = _stuck(len(heap), a, b, _GRADED_MAPS[i], _QK21.outer)
                 if cause is not None:
                     stop, failure = j, QuadratureError(
                         f"requested tolerance {tol!r} not met {cause}: value={value[j]!r}, error={error[j]!r}"
@@ -730,7 +766,7 @@ def _in_order(results: list, failure: Optional[QuadratureError]):
 
 def _overflow(v, rho, k, i: int, panels: list, piece: str) -> str:
     """Why a bisection's K left the float range: the first node, in the scalar
-    order, where a row value is outside it (v and rho of the bisection's 30
+    order, where a row value is outside it (v and rho of the bisection's 42
     nodes), or else the first row whose sum over piece i is."""
     if not np.isfinite(v).all():
         bad = int((~np.isfinite(v)).any(axis=0).argmax())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -221,6 +222,23 @@ class TestRoundTrip:
         cfg = parse_config(MINIMAL + "\n[grids]\nlambda = 0.5 1 2\n")
         again = parse_config(render_config(cfg))
         assert again == cfg
+
+    def test_percent_in_output_dir(self, tmp_path):
+        # configparser's escape %% reads as %, which render_config writes
+        # back escaped: the config round-trips, and run_suite hashes it and
+        # writes its artifacts to that directory
+        cfg = parse_config(MINIMAL.replace("[run]", f"[run]\noutput_dir = {tmp_path}/out%%1"))
+        assert cfg.output_dir == f"{tmp_path}/out%1"
+        assert parse_config(render_config(cfg)) == cfg
+        run_suite(cfg)
+        assert (tmp_path / "out%1" / "identities.csv").is_file()
+
+    def test_config_hash_without_percent_unchanged(self):
+        # a config without % renders as before escaping: the hash in
+        # all.json of the default --suite all run and of MINIMAL
+        default = RunConfig("all", triple=(3, 3.0, 1.0))
+        for cfg, digest in ((default, "1b283043de0b888e"), (parse_config(MINIMAL), "3ec3de8b41683f53")):
+            assert hashlib.sha256(render_config(cfg).encode()).hexdigest()[:16] == digest
 
     def test_weighted_matrix_round_trip(self):
         text = MINIMAL + "\n[norm]\nfamily = weighted-euclidean\ndimension = 2\nmatrix = 4 0 0 1\n"

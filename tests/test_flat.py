@@ -1,6 +1,6 @@
 import functools
 import math
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -160,7 +160,7 @@ class TestExtremalIntegrals:
         # the report triples whose passes meet the tolerance: P, Q and R are
         # the rows check_pqr_identity reads, so Q R / P^2 is its ratio bit for
         # bit, and no scalar integral runs
-        monkeypatch.setattr(quadrature, "_adaptive_gk15", None)
+        monkeypatch.setattr(quadrature, "_adaptive_gk", None)
         t, spec = ExponentTriple(*triple), QuadratureSpec(relative_tolerance=tol)
         for lam in (0.5, 1.0, 2.0):
             P, Q, R = (pqr(t, lam, which, spec) for which in "PQR")
@@ -203,22 +203,24 @@ class TestExtremalIntegrals:
 
         def fake(rows, passes, spec):
             which = np.arange(passes)
-            shape = rows(np.full((passes, 2, 15), 0.5), which).shape
+            # the (k, 2, 21) rows contract: both halves of a bisection on G10/K21
+            shape = rows(np.full((passes, 2, quadrature._GK21_NODES.size), 0.5), which).shape
             calls.append((passes, shape))
             return [(np.ones(shape[1]), np.zeros(shape[1]), 1)] * passes
 
         monkeypatch.setattr(flat, "radial_integral_rows", fake)
-        monkeypatch.setattr(quadrature, "_adaptive_gk15", None)
+        monkeypatch.setattr(quadrature, "_adaptive_gk", None)
         t = ExponentTriple(3, 3.0, 0.0005)
         for check, q in ((check_pqr_identity, 2), (check_p_ode, 6)):
             calls.clear()
             check(t, [0.5, 1.0, 2.0])
-            assert calls == [(3, (3, q, 2, 15))]
+            assert calls == [(3, (3, q, 2, quadrature._GK21_NODES.size))]
 
     def test_overflow_named(self):
         # P of (3, 2.002, 1) is about 1e600 at lam = 0.5; at lam = 0.25 the
         # kernel itself overflows near the origin: the scalar loop names the
-        # piece, then the node
+        # piece, then the first such node in QUADPACK's order, the outer
+        # Gauss node 0.25 (1 - 0.97390...) of [0, 1]'s left half on G10/K21
         t = ExponentTriple(3, 2.002, 1.0)
 
         def scalar_p(lam):
@@ -228,7 +230,7 @@ class TestExtremalIntegrals:
         with pytest.raises(QuadratureError) as exc:
             scalar_p(0.5)
         assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
-        with pytest.raises(QuadratureError, match=r"profile exceeds the float range at rho=0\.01"):
+        with pytest.raises(QuadratureError, match=r"^profile exceeds the float range at rho=0\.006523367870707064$"):
             scalar_p(0.25)
 
     @pytest.mark.parametrize("check", [check_pqr_identity, check_p_ode])
@@ -236,10 +238,10 @@ class TestExtremalIntegrals:
         # the pass names the first node where a row leaves the float range,
         # in the scalar node order of the head's variable x = sqrt(rho): at
         # lam = 0.25 the left half's centre x = 0.25, at lam = 0.5 its outer
-        # Gauss node x = 0.0127..., where the kernel is inf (pqr reports the
-        # sum it makes); no numpy warning escapes
+        # Gauss node on G10/K21, x = 0.0065233..., where the kernel is inf
+        # (pqr reports the sum it makes); no numpy warning escapes
         t = ExponentTriple(3, 2.002, 1.0)
-        for lam, rho in ((0.5, "0.00016187528663202212"), (0.25, "0.0625")):
+        for lam, rho in ((0.5, "4.255432837657321e-05"), (0.25, "0.0625")):
             with pytest.raises(QuadratureError) as exc:
                 check(t, [lam])
             assert str(exc.value) == f"profile exceeds the float range at rho={rho}"
@@ -345,7 +347,7 @@ class TestExtremalPass:
             return wrapped
 
         monkeypatch.setattr(flat, "_kernel_h", counted)
-        passes = list(flat._extremal_passes(t, [0.25, 0.5, 4.0], QuadratureSpec(relative_tolerance=1e-12)))
+        passes = list(flat._extremal_passes(t, [0.5, 1.0, 4.0], QuadratureSpec(relative_tolerance=1e-12)))
         evals = [R.nodes_used for _, _, R in passes]
         assert len(set(evals)) == 3
         assert sum(seen) == sum(evals) // 6
@@ -385,11 +387,12 @@ class TestExtremalPass:
 
         assert outcome(lambda: flat.pqr_reports(t, grid)) == outcome(lambda: one_lambda_at_a_time(t, grid))
 
-    @pytest.mark.parametrize("triple, rounds", [((3, 2.5, 1.5), 4), ((4, 3.0, 0.5), 5)])
+    @pytest.mark.parametrize("triple, rounds", [((3, 2.5, 1.5), 1), ((5, 2.4, 0.2), 3), ((7, 2.2, 0.1), 4)])
     def test_rounds_of_one_pass(self, monkeypatch, triple, rounds):
         # the lam = 1 pass at 1e-12 meets the rule in this many rounds, one
         # call of its rows each: the graded maps take the algebraic endpoint
-        # powers of these integrands in a few bisections
+        # powers of these integrands in a few bisections, and G10/K21 takes
+        # (3, 2.5, 1.5) on its first sweep
         calls = []
         original = flat.radial_integral_rows
 
@@ -666,15 +669,24 @@ class TestGaussianMoments:
             "rounding bound above the requested tolerance 1e-16 at 2 of 2 parameters, first at lam = 1.0 for n = 3")
 
     def test_float_edge_named(self):
-        # at n = 3 the term 27.8 (2 lam)^(-5/2) of T' is a normal float from
-        # lam = 1e122 to about 2.2e123, but at 1e123 its power of the rate,
-        # 5.6e-309, is subnormal and has lost digits: it is named
-        (out,) = gaussian_T_grid(3, [1e122])
-        assert abs(out["ode_relative_residual"]) <= 4 * EPS
+        # at n = 3 the term 4 omega Gamma(7/2) / 2 (2 lam)^(-5/2) = 27.8
+        # (2 lam)^(-5/2) of T' is a normal float from lam = 1e122 to about
+        # 2.2e123, though at 1e123 its power of the rate, 5.6e-309, is
+        # subnormal: the term is formed in one scaled step there, within its
+        # bound of the exact value; past the normal floats it is named
+        c, rate = 4 * flat.ball_volume_constant(3), 2e123
+        ((term,),) = flat._gaussian_moments([[(c, 6, 1)]], np.array([1e123]), QuadratureSpec(), repr)
+        root = Fraction(Decimal(rate).sqrt(Context(prec=60)))
+        exact = Fraction(c) * self.gamma(6) / 2 / (Fraction(rate) ** 2 * root)
+        assert abs(Fraction(term.value) - exact) <= Fraction(term.error_estimate)
+        assert 1.5e-307 < term.value < 1.6e-307
+        for lam in (1e122, 1e123):
+            (out,) = gaussian_T_grid(3, [lam])
+            assert abs(out["ode_relative_residual"]) <= 4 * EPS
         with pytest.raises(QuadratureError) as exc:
-            gaussian_T_grid(3, [1e122, 1e123])
+            gaussian_T_grid(3, [1e123, 1e124])
         assert str(exc.value) == (
-            "integral outside the normal floats at 1 of 2 parameters, first at lam = 1e+123 for n = 3")
+            "integral outside the normal floats at 1 of 2 parameters, first at lam = 1e+124 for n = 3")
 
 
 class TestHpw:
@@ -822,7 +834,7 @@ class TestGaussianHardy:
         calls = []
         moments = flat._gaussian_moments
         monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: calls.append(a[0]) or moments(*a))
-        monkeypatch.setattr(quadrature, "_adaptive_gk15", None)
+        monkeypatch.setattr(quadrature, "_adaptive_gk", None)
         monkeypatch.setattr(flat, "gauss_kronrod_batch", None)
         assert len(gaussian_hardy_reports(4, (0.5, 1.0, 2.0))) == 3
         assert [[[(k, j) for _, k, j in terms] for terms in rows] for rows in calls] == [
@@ -929,7 +941,7 @@ class TestSharpnessSweep:
         def scalar(*args, **kwargs):
             raise AssertionError("the sweep called a scalar radial integral")
 
-        monkeypatch.setattr(quadrature, "_adaptive_gk15", scalar)
+        monkeypatch.setattr(quadrature, "_adaptive_gk", scalar)
         # one batched pass, over the eps-free piece [r, R] alone
         calls, batch = [], flat.gauss_kronrod_batch
         monkeypatch.setattr(flat, "gauss_kronrod_batch", lambda *a: calls.append(len(a[1])) or batch(*a))

@@ -29,15 +29,20 @@ from sharpineq import quadrature
 from sharpineq.quadrature import (
     _BLOCK_VALUES,
     _FIRST_PANELS,
+    _GK15_NODES,
     _GK21_GAUSS,
     _GK21_KRONROD,
     _GK21_NODES,
     _MAX_SUBINTERVALS,
     _UNIT,
-    _adaptive_gk15,
+    _adaptive_gk,
     _mass_series,
     _series_masses,
 )
+
+# the nodes of a panel under each rule: G10/K21 on every finite piece and
+# every graded pass, G7/K15 on radial_integral's rational tail
+QK21, QK15 = _GK21_NODES.size, _GK15_NODES.size
 
 
 def gauss_profile(rate=1.0):
@@ -179,47 +184,66 @@ class TestRadialIntegralAccuracy:
 
         res = radial_integral(RadialProfile(f, DecayClass.algebraic()), ("power", 2))
         assert res.nodes_used == len(calls) > 0
-        assert res.nodes_used % 15 == 0
+        # a bisection of [0, 1] evaluates both halves on G10/K21, one of the
+        # tail past rho = 1 both halves on G7/K15
+        head = sum(r <= 1.0 for r in calls)
+        assert head % (2 * QK21) == 0 and (len(calls) - head) % (2 * QK15) == 0 and head < len(calls)
 
     def test_rule_exact_on_polynomials(self):
-        # K15 is exact to degree 22 and G7 to degree 13 on each of the two
-        # first halves, which pins every entry of the scalar G7/K15 table;
-        # at 1e-6 no degree needs a bisection
-        for j in range(23):
-            (value,), (error,), evals = _adaptive_gk15(lambda rs: [[x**j for x in rs]], [0.0, 1.0], False, 1e-6)
-            assert value == pytest.approx(1 / (j + 1), rel=1e-14)
-            assert error <= 1e-15 or j > 13
-            assert evals == 30
+        # on the two first halves of a finite piece K21 is exact to degree 31
+        # and G10 to degree 19, and on those of the tail, t^j in its variable
+        # t = rho / (1 + rho), K15 to degree 22 and G7 to degree 13: this pins
+        # every entry of both tables; at 1e-6 no degree needs a bisection
+        for size, exact, cuts, tail, row in (
+            (QK21, 19, [0.0, 1.0], False, lambda x, j: x**j),
+            (QK15, 13, [0.0], True, lambda r, j: (r / (1 + r)) ** j / (1 + r) ** 2),
+        ):
+            for j in range(3 * (size // 2) + 2):
+                (value,), (error,), evals = _adaptive_gk(lambda rs: [[row(x, j) for x in rs]], cuts, tail, 1e-6)
+                assert value == pytest.approx(1 / (j + 1), rel=1e-14)
+                assert error <= 1e-15 or j > exact
+                assert evals == 2 * size
 
     def test_first_sweep_accepts_before_any_key(self, monkeypatch):
         # a call that meets the rule on its first sweep keys and pushes no
-        # panel; a call that bisects pushes both halves of each of its 30-node
-        # evaluations, the first sweep's too
+        # panel; a call that bisects pushes both halves of each of its
+        # evaluations of 2 QK21 nodes, the first sweep's too
         pushed = []
         push = quadrature.heapq.heappush
         monkeypatch.setattr(quadrature.heapq, "heappush", lambda heap, item: pushed.append(item) or push(heap, item))
-        (value,), (error,), evals = _adaptive_gk15(lambda rs: [[x**5 for x in rs]], [0.0, 1.0], False, 1e-6)
+        (value,), (error,), evals = _adaptive_gk(lambda rs: [[x**5 for x in rs]], [0.0, 1.0], False, 1e-6)
         assert value == pytest.approx(1 / 6, rel=1e-14) and error <= 1e-15
-        assert (evals, pushed) == (30, [])
-        _, _, evals = _adaptive_gk15(lambda rs: [[abs(x - 0.3) ** 0.5 for x in rs]], [0.0, 1.0], False, 1e-9)
-        assert evals > 30 and len(pushed) == 2 * evals // 30
+        assert (evals, pushed) == (2 * QK21, [])
+        _, _, evals = _adaptive_gk(lambda rs: [[abs(x - 0.3) ** 0.5 for x in rs]], [0.0, 1.0], False, 1e-9)
+        assert evals > 2 * QK21 and len(pushed) == 2 * evals // (2 * QK21)
 
 
 # radial_integral's value, error estimate and nodes_used for algebraic and
-# compact profiles, as the node-by-node loop gave them before the loop took
-# rows: the one-row case keys on |K - G| over its value, which orders its
-# panels as the plain |K - G| did, and keeps the node order and the order of
-# the running sums, so every bit stays
+# compact profiles, as the node-by-node loop gives them: the one-row case
+# keys on |K - G| over its value, which orders its panels as the plain
+# |K - G| does, and keeps QUADPACK's node order and the order of the running
+# sums.  A first sweep evaluates 2 QK21 nodes a finite piece and 2 QK15 on
+# the tail; each value lies within its estimate of PINNED_EXACT, plus a few
+# ulp of rounding
 PINNED = [
-    ("algebraic", 1e-09, 0.7853981633974483, 1.0632701316626303e-12, 60),
-    ("algebraic-breakpoint", 1e-09, 0.06786800974595249, 5.3763235928328946e-11, 720),
-    ("compact-polynomial", 1e-09, 0.05729166666666667, 2.6020852139652106e-18, 60),
-    ("compact-ball", 1e-09, 14.654656241891933, 2.6144451187315454e-15, 60),
-    ("algebraic", 1e-12, 0.7853981633974483, 5.168842784342154e-13, 90),
-    ("algebraic-breakpoint", 1e-12, 0.0678680097433544, 6.540782452269556e-14, 1260),
-    ("compact-polynomial", 1e-12, 0.05729166666666667, 2.6020852139652106e-18, 60),
-    ("compact-ball", 1e-12, 14.654656241891933, 2.6144451187315454e-15, 60),
+    ("algebraic", 1e-09, 0.7853981633974483, 5.756549750768336e-13, 2 * QK21 + 2 * QK15),
+    ("algebraic-breakpoint", 1e-09, 0.06786800974595918, 5.418446292206135e-11, 780),
+    ("compact-polynomial", 1e-09, 0.05729166666666666, 3.618524750670371e-18, 2 * 2 * QK21),
+    ("compact-ball", 1e-09, 14.654656241891932, 8.573870780015369e-16, 2 * 2 * QK21),
+    ("algebraic", 1e-12, 0.7853981633974483, 5.756549750768336e-13, 2 * QK21 + 2 * QK15),
+    ("algebraic-breakpoint", 1e-12, 0.06786800974335572, 6.040999670267e-14, 1332),
+    ("compact-polynomial", 1e-12, 0.05729166666666666, 3.618524750670371e-18, 2 * 2 * QK21),
+    ("compact-ball", 1e-12, 14.654656241891932, 8.573870780015369e-16, 2 * 2 * QK21),
 ]
+PINNED_EXACT = {
+    "algebraic": math.pi / 4,
+    # int |r - 5/2|^(1/2) r / (1 + r)^6 dr over [0, oo): mpmath's quad at
+    # 40 and 60 digits, split at 1 and 5/2
+    "algebraic-breakpoint": 0.06786800974335261,
+    "compact-polynomial": 11 / 192,
+    # int_0^2 sinh^3 = cosh^3(2)/3 - cosh(2) + 2/3
+    "compact-ball": math.cosh(2) ** 3 / 3 - math.cosh(2) + 2 / 3,
+}
 PINNED_PROFILES = {
     "algebraic": (lambda: RadialProfile(lambda r: (1 + r * r) ** -2, DecayClass.algebraic()), ("power", 2)),
     "algebraic-breakpoint": (
@@ -240,25 +264,31 @@ PINNED_PROFILES = {
 }
 # P and R of the extremal family, omega_n radial_integral of rho^n h and
 # rho^n g (flat.kernel_h, kernel_g), as above: (triple, selector, tol,
-# value, error, nodes)
+# value, error, nodes), each value within its estimate of test_flat's
+# closed_p or closed_r
 PINNED_PQR = [
-    ((3, 3.0, 1.0), "P", 1e-09, 6.283185307179586, 5.3344565300235044e-11, 60),
-    ((5, 2.4, 0.2), "R", 1e-09, 0.22636183565616955, 1.5636809744228642e-10, 90),
-    ((3, 3.0, 1.0), "P", 1e-12, 6.283185307179586, 1.1258003876410881e-13, 120),
-    ((5, 2.4, 0.2), "R", 1e-12, 0.22636183565617046, 1.478323610889447e-13, 210),
+    ((3, 3.0, 1.0), "P", 1e-09, 6.283185307179586, 3.5462125449483416e-11, 2 * QK21 + 2 * QK15),
+    ((5, 2.4, 0.2), "R", 1e-09, 0.22636183565617043, 9.733636763675435e-12, 102),
+    ((3, 3.0, 1.0), "P", 1e-12, 6.283185307179586, 8.310573335775983e-14, 102),
+    ((5, 2.4, 0.2), "R", 1e-12, 0.22636183565617046, 1.303322829839475e-13, 162),
 ]
 
 
 class TestRadialIntegralPinned:
-    @pytest.mark.parametrize("name, tol, value, error, nodes", PINNED)
+    @pytest.mark.parametrize("name, tol, value, error, nodes", [pytest.param(*c, id=f"{c[0]}-{c[1]}") for c in PINNED])
     def test_bit_for_bit(self, name, tol, value, error, nodes):
         prof, weight = PINNED_PROFILES[name]
         res = radial_integral(prof(), weight, QuadratureSpec(relative_tolerance=tol))
         assert (res.value, res.error_estimate, res.nodes_used) == (value, error, nodes)
+        exact = PINNED_EXACT[name]
+        assert abs(value - exact) <= error + 4 * math.ulp(exact)
 
-    @pytest.mark.parametrize("triple, which, tol, value, error, nodes", PINNED_PQR)
+    @pytest.mark.parametrize(
+        "triple, which, tol, value, error, nodes", [pytest.param(*c, id="-".join(map(str, (*c[0], *c[1:3])))) for c in PINNED_PQR]
+    )
     def test_scalar_pqr_bit_for_bit(self, triple, which, tol, value, error, nodes):
         from sharpineq import flat
+        from test_flat import closed_p, closed_r
 
         t = flat.ExponentTriple(*triple)
         kernel = flat.kernel_h if which == "P" else flat.kernel_g
@@ -266,6 +296,8 @@ class TestRadialIntegralPinned:
         res = radial_integral(prof, ("power", t.n), QuadratureSpec(relative_tolerance=tol))
         omega = ball_volume_constant(t.n)
         assert (omega * res.value, omega * res.error_estimate, res.nodes_used) == (value, error, nodes)
+        exact, slack = (closed_p if which == "P" else closed_r)(t, 1.0)
+        assert abs(value - exact) <= error + slack
 
 
 class TestRadialIntegralFailures:
@@ -296,7 +328,7 @@ class TestRadialIntegralFailures:
         assert str(exc.value) == (
             "requested tolerance 1e-09 not met at rho in [0.5, 0.5000000000000001]: "
             "the panel cannot be bisected in floating point: "
-            "value=[18.19390961420758], error=[0.0025846519113374195]"
+            "value=[18.17386565144981], error=[0.0022032624573450886]"
         )
 
     def test_tail_node_at_one(self):
@@ -315,6 +347,22 @@ class TestRadialIntegralFailures:
                 r"a node of its right half rounds to t = 1\.0: value=\S+, error=\S+",
                 str(exc.value),
             )
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_slow_tail_named(self, tol):
+        # int rho^-1/2 / (1 + rho) = pi decays like rho^-3/2, singular at
+        # t = 1 under the tail map: on G7/K15 the tail stops at a node that
+        # rounds to t = 1.0 and names itself, where G10/K21 there returned a
+        # value 1.0e-8 off with an estimate of 3.1e-9 at 1e-9; the graded
+        # pass takes it on its first sweep (test_slow_algebraic_tail)
+        prof = RadialProfile(lambda r: 1 / (math.sqrt(r) * (1 + r)), DecayClass.algebraic())
+        with pytest.raises(QuadratureError) as exc:
+            radial_integral(prof, ("power", 0), QuadratureSpec(relative_tolerance=tol))
+        assert re.fullmatch(
+            rf"requested tolerance {tol!r} not met at rho in \[70368744177664\.0, inf\]: "
+            r"a node of its right half rounds to t = 1\.0: value=\[\S+\], error=\[\S+\]",
+            str(exc.value),
+        )
 
     def test_non_finite_piece(self):
         # every value is finite, but a Kronrod sum of 1e308 overflows; the
@@ -350,7 +398,8 @@ class TestRadialIntegralRows:
         for value, error, exact in zip(values, errors, ALGEBRAIC_EXACT):
             assert abs(value - exact) <= tol * abs(exact)
             assert error <= tol * abs(value)
-        assert evals % 45 == 0
+        # q = 3 rows at both halves of every bisection
+        assert evals % (3 * 2 * QK21) == 0
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_rows_agree_with_scalar_integrals(self, tol):
@@ -369,7 +418,7 @@ class TestRadialIntegralRows:
         values, errors, evals = one_pass(lambda rho: (1 / (np.sqrt(rho) * (1 + rho)))[None],
                                          QuadratureSpec(relative_tolerance=tol))
         assert abs(values[0] - math.pi) <= errors[0] <= tol * math.pi
-        assert evals == 60
+        assert evals == 2 * 2 * QK21
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_beta_rows(self, tol):
@@ -385,18 +434,20 @@ class TestRadialIntegralRows:
             assert error <= tol * abs(value)
 
     def test_rule_exact_on_polynomials(self):
-        # the row loop on the same table: x^j for j <= 22 in the head's
+        # the row loop on the G10/K21 table: x^j for j <= 31 in the head's
         # variable x = sqrt(rho) on the two first halves of [0, 1], every
         # row from one call, so the row in rho is x^j / (d rho / dx) =
         # x^(j-1) / 2; every tail node lies past rho = 1, where the rows are 0
+        degrees = range(3 * (QK21 // 2) + 2)
+
         def rows(rho):
             x = np.sqrt(rho)
-            return np.stack([np.where(rho < 1.0, x ** (j - 1) / 2, 0.0) for j in range(23)])
+            return np.stack([np.where(rho < 1.0, x ** (j - 1) / 2, 0.0) for j in degrees])
 
         values, errors, evals = one_pass(rows, QuadratureSpec(relative_tolerance=1e-6))
-        assert values == pytest.approx([1 / (j + 1) for j in range(23)], rel=1e-14)
-        assert (errors[:14] <= 1e-15).all()
-        assert evals == 23 * 60
+        assert values == pytest.approx([1 / (j + 1) for j in degrees], rel=1e-14)
+        assert (errors[:20] <= 1e-15).all()
+        assert evals == len(degrees) * 2 * 2 * QK21
 
     def test_non_finite_row_named(self):
         # every value is finite, but the Kronrod sum of the second row
@@ -444,6 +495,14 @@ class TestRadialIntegralRows:
             r"the panel cannot be bisected in floating point: value=\[\S+\], error=\[\S+\]",
             str(exc.value),
         )
+
+    def test_tail_guard_on_the_pass_rule(self):
+        # the graded tail's guard tests the outer node of G10/K21, the rule
+        # of the pass: no node rounds to x = 1.0, where _graded would divide
+        # by zero, so a caller's divide="raise" sees the named error
+        with np.errstate(divide="raise"):
+            with pytest.raises(QuadratureError, match=r"rounds to t = 1\.0"):
+                one_pass(lambda rho: np.stack([1 / (1 + rho) ** 1.0005, 1 / (1 + rho) ** 3]))
 
     def test_tolerance_failure_lists_every_row(self):
         # P of (3, 3, 1.49975) on the pass: the tail stops as in
@@ -540,8 +599,8 @@ class TestLockstepPasses:
         self.same(got, want)
         # one call per round for every pass still refining, the first for
         # both halves of both pieces of all: a pass of r rounds evaluates
-        # 60 + 30 (r - 1) nodes of its two rows
-        rounds = [(n // 2 - 60) // 30 + 1 for *_, n in want]
+        # 4 QK21 + 2 QK21 (r - 1) nodes of its two rows
+        rounds = [(n // 2 - 4 * QK21) // (2 * QK21) + 1 for *_, n in want]
         assert calls[0] == [0, 0, 1, 1, 2, 2, 3, 3] and len(calls) == max(rounds)
         assert [sum(j in c for c in calls) for j in range(4)] == rounds
 
@@ -622,10 +681,10 @@ class TestLockstepPasses:
         rho, jac = quadrature._graded(ch[:, :2, None] + ch[:, 2:, None] * quadrature._NODES, piece)
         for r, (a, b) in enumerate(panels):
             table = quadrature._panel_nodes(piece, a, b)
-            assert table.shape == (3, 1, 2, 15) and not table.flags.writeable
+            assert table.shape == (3, 1, 2, QK21) and not table.flags.writeable
             assert table[0, 0].tobytes() == rho[r].tobytes(), (a, b)
             assert table[1, 0].tobytes() == jac[r].tobytes(), (a, b)
-            assert table[2, 0].tolist() == [[ch[r, 2]] * 15, [ch[r, 3]] * 15], (a, b)
+            assert table[2, 0].tolist() == [[ch[r, 2]] * QK21, [ch[r, 3]] * QK21], (a, b)
             with pytest.raises(ValueError):
                 table[0, 0, 0, 0] = 0.0
 
