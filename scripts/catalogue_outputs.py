@@ -3,6 +3,7 @@
     python3 scripts/catalogue_outputs.py OUT.json [--root CHECKOUT]
     python3 scripts/catalogue_outputs.py --diff A.json B.json
     python3 scripts/catalogue_outputs.py --against REV [--root CHECKOUT]
+    python3 scripts/catalogue_outputs.py --times N [TIMES.json] [--against REV] [--root CHECKOUT]
 
 Runs every entry of the suite-all, reports and norms-mc catalogues once,
 with sharpineq imported from CHECKOUT/src (default: the checkout holding
@@ -24,6 +25,17 @@ itself, each in its own process, and prints their --diff: REV's files come
 from git archive into a temporary directory, which is removed afterwards,
 so the repository gains no worktree, not even from a run that is cut
 short.
+
+--times N times the entries instead: after one untimed pass over them,
+N timed passes, each entry's inputs built outside its timer, and prints,
+for each kind, its entry count and the mean and largest of its entries'
+best-of-N call times, and the sum of all best times, one pass at each
+entry's best.  With --against REV, REV's tree and CHECKOUT run in
+alternating processes, N of each, each tree first in every second round,
+every process one untimed and one timed pass, an entry's time its best
+over the N processes of its tree, and the table gains their ratio.
+TIMES.json, if given, receives the best time of every entry by key, in
+seconds.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ import re  # noqa: E402
 import subprocess  # noqa: E402
 import tarfile  # noqa: E402
 import tempfile  # noqa: E402
+import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 WORKLOADS = ("suite-all", "reports", "norms-mc")
@@ -122,29 +135,115 @@ def size(a, b) -> str:
     return "largest relative change " + ", ".join(f"{label or '-'} {w:.3g}" for label, w in worst.items())
 
 
-def against(rev: str, root: Path) -> int:
-    """The --diff of the digests of rev and of the checkout root, each taken in a fresh process."""
+def _archive(rev: str, root: Path, into: Path) -> bool:
+    """The files of commit rev of root's repository, extracted into the directory into."""
     tree = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev], capture_output=True)
     if tree.returncode:
         print(tree.stderr.decode().strip(), file=sys.stderr)
-        return 2
+        return False
+    with tarfile.open(fileobj=io.BytesIO(tree.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return True
+
+
+def against(rev: str, root: Path) -> int:
+    """The --diff of the digests of rev and of the checkout root, each taken in a fresh process."""
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
-        with tarfile.open(fileobj=io.BytesIO(tree.stdout)) as tar:
-            tar.extractall(scratch / "rev", filter="data")
+        if not _archive(rev, root, scratch / "rev"):
+            return 2
         for out, checkout in (("before.json", scratch / "rev"), ("after.json", root)):
             subprocess.run([sys.executable, __file__, str(scratch / out), "--root", str(checkout)], check=True)
         return main(["--diff", str(scratch / "before.json"), str(scratch / "after.json")])
 
 
+def best_times(root: Path, passes: int) -> dict:
+    """key -> (kind, best call time in seconds over passes timed passes), after one untimed pass."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads as wl
+
+    entries = [e for w in WORKLOADS for e in wl.catalogue(w)]
+    best = {e.key: (e.kind, math.inf) for e in entries}
+    with tempfile.TemporaryDirectory() as scratch:
+        for timed in [False] + [True] * passes:
+            for entry in entries:
+                kind = wl.KINDS[entry.kind]
+                args = kind.build(entry.params)
+                t0 = time.perf_counter()
+                try:
+                    kind.call(args, scratch)
+                except Exception:
+                    pass
+                t = time.perf_counter() - t0
+                if timed and t < best[entry.key][1]:
+                    best[entry.key] = (entry.kind, t)
+    return best
+
+
+def _by_kind(best: dict) -> dict:
+    """kind -> the best times of its entries."""
+    kinds = {}
+    for kind, t in best.values():
+        kinds.setdefault(kind, []).append(t)
+    return kinds
+
+
+def print_times(tables: list, names: list) -> None:
+    """Each kind's entry count and the mean and largest time of its entries, in µs, for each table, and their ratio."""
+    kinds = [_by_kind(t) for t in tables]
+    head = f"{'kind':<18}{'entries':>8}" + "".join(f"{name + ' mean':>14}{name + ' max':>13}" for name in names)
+    print(head + (f"{'mean ratio':>12}" if len(tables) == 2 else ""))
+    for kind in kinds[0]:
+        means = [sum(k[kind]) / len(k[kind]) for k in kinds]
+        line = f"{kind:<18}{len(kinds[0][kind]):>8}" + "".join(
+            f"{1e6 * mean:>14.1f}{1e6 * max(k[kind]):>13.1f}" for mean, k in zip(means, kinds))
+        print(line + (f"{means[1] / means[0]:>12.3f}" if len(tables) == 2 else ""))
+    totals = [sum(t for _, t in table.values()) for table in tables]
+    line = f"{'one pass':<18}{len(tables[0]):>8}" + "".join(f"{1e3 * total:>12.3f}ms{'':>13}" for total in totals)
+    print(line + (f"{totals[1] / totals[0]:>12.3f}" if len(tables) == 2 else ""))
+
+
+def times_against(rev: str, root: Path, passes: int, out) -> int:
+    """--times of rev and of the checkout root in alternating processes, passes of each."""
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        if not _archive(rev, root, scratch / "rev"):
+            return 2
+        trees = {rev: scratch / "rev", "tree": root}
+        best = {name: {} for name in trees}
+        for i in range(passes):
+            # each tree runs first in every second round
+            for name, checkout in list(trees.items())[:: 1 - 2 * (i % 2)]:
+                part = scratch / f"{name}.json"
+                subprocess.run([sys.executable, __file__, "--times", "1", str(part), "--root", str(checkout)],
+                               check=True, stdout=subprocess.DEVNULL)
+                for key, (kind, t) in json.loads(part.read_text()).items():
+                    best[name][key] = (kind, min(t, best[name].get(key, (kind, math.inf))[1]))
+    print_times(list(best.values()), [rev[:10], "tree"])
+    if out:
+        Path(out).write_text(json.dumps(best, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out", nargs="?", help="where to write the digests (JSON)")
+    ap.add_argument("out", nargs="?", help="where to write the digests (JSON), or with --times the best times")
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="the source checkout to run (default: this one)")
     ap.add_argument("--diff", nargs=2, metavar=("A", "B"), help="list the keys whose digests differ")
     ap.add_argument("--against", metavar="REV", help="list the keys whose digests differ from those of commit REV")
+    ap.add_argument("--times", type=int, metavar="N", help="time every entry, best of N")
     args = ap.parse_args(argv)
+    if args.times is not None:
+        if args.times < 1:
+            ap.error("--times needs N >= 1")
+        if args.against:
+            return times_against(args.against, args.root.resolve(), args.times, args.out)
+        best = best_times(args.root.resolve(), args.times)
+        print_times([best], ["best"])
+        if args.out:
+            Path(args.out).write_text(json.dumps(best, indent=1, sort_keys=True) + "\n")
+        return 0
     if args.against:
         return against(args.against, args.root.resolve())
     if args.diff:
@@ -154,7 +253,7 @@ def main(argv=None) -> int:
                         + [f"{len(moved)} of {len(a.keys() | b.keys())} keys moved"]))
         return 1 if moved else 0
     if args.out is None:
-        ap.error("give OUT.json, --diff A B or --against REV")
+        ap.error("give OUT.json, --diff A B, --against REV or --times N")
     found = digests(args.root.resolve())
     Path(args.out).write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
     print(f"{len(found)} entries written to {args.out}")

@@ -95,6 +95,11 @@ MIN_N = {"flat-hpw": 2, "flat-hardy": 3, "hyperbolic": 2, "ko-refute": 3, "chpw-
 NORM_SUITES = ("flat-hpw", "flat-hardy", "all")
 
 
+def _parser() -> configparser.ConfigParser:
+    """The reader of parse_config and of render_config's round-trip check: ';' starts an inline comment."""
+    return configparser.ConfigParser(inline_comment_prefixes=(";",))
+
+
 def parse_config(text: str, suite: Optional[str] = None) -> RunConfig:
     """Parse and validate an INI config block; raise ConfigError listing defects.
 
@@ -107,7 +112,7 @@ def parse_config(text: str, suite: Optional[str] = None) -> RunConfig:
     needs two distinct values in (0, 1) for the sweep's extrapolation.
     suite, when given (the --suite flag), replaces run.suite before any check.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cp = _parser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -223,10 +228,26 @@ def _tolerance_errors(tolerance: float, source: str) -> list:
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config for generated configs (round-trip safe)."""
+    """Inverse of parse_config for generated configs (round-trip safe).
+
+    An output_dir that the rendered text cannot hold, one that parse_config
+    reads back as another value (a ' ;' starts its inline comment, and
+    configparser strips the whitespace around a value), is a ValueError
+    that names it.
+    """
     cp = configparser.ConfigParser()
     # parse_config reads %% as %, the only value here that may hold one
     cp["run"] = {"suite": cfg.suite, "n": str(cfg.n), "output_dir": cfg.output_dir.replace("%", "%%")}
+    buf = io.StringIO()
+    cp.write(buf)
+    back = _parser()
+    back.read_string(buf.getvalue())
+    if back["run"]["output_dir"] != cfg.output_dir:
+        raise ValueError(
+            f"output_dir {cfg.output_dir!r} does not round-trip: the config reads it back as {back['run']['output_dir']!r}"
+        )
+    # the other sections follow [run] as one write of them all would put them
+    cp.remove_section("run")
     norm = {k: (" ".join(_fmt(v) for v in val) if isinstance(val, list) else str(val))
             for k, val in cfg.norm_spec.items()}
     cp["norm"] = norm
@@ -240,7 +261,6 @@ def render_config(cfg: RunConfig) -> str:
         "alpha_nodes": str(cfg.alpha_nodes),
     }
     cp["quadrature"] = {"tolerance": _fmt(cfg.tolerance), "seed": str(cfg.seed)}
-    buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
@@ -506,7 +526,12 @@ SUITES = (*RUNNERS, "all")
 
 
 def run_suite(cfg: RunConfig, out_dir: Optional[str] = None) -> SuiteResult:
-    """Execute the configured suite and write CSV/JSON/summary artifacts."""
+    """Execute the configured suite and write CSV/JSON/summary artifacts.
+
+    The config is rendered, for its hash, before any suite runs, so a config
+    that render_config refuses fails at once.
+    """
+    cfg_hash = hashlib.sha256(render_config(cfg).encode()).hexdigest()[:16]
     start = time.perf_counter()
     suites = tuple(RUNNERS) if cfg.suite == "all" else (cfg.suite,)
     checks: list = []
@@ -528,7 +553,6 @@ def run_suite(cfg: RunConfig, out_dir: Optional[str] = None) -> SuiteResult:
             )
         runner_s[s] = time.perf_counter() - t0
     wall = time.perf_counter() - start
-    cfg_hash = hashlib.sha256(render_config(cfg).encode()).hexdigest()[:16]
     result = SuiteResult(cfg.suite, checks, wall, cfg_hash, cfg.seed, series, runner_s)
     target = Path(out_dir or cfg.output_dir)
     target.mkdir(parents=True, exist_ok=True)

@@ -28,6 +28,7 @@ from .quadrature import (
     flat_radial_volume_integral,  # unused here; perfbench/tracer.py wraps it at this import site
     gauss_kronrod_batch,
     monte_carlo_integral,
+    radial_integral,
     radial_integral_rows,
     radial_integrals,
 )
@@ -208,16 +209,16 @@ def _relative_errors(*results: IntegralResult) -> tuple:
     return tuple(r.error_estimate / max(abs(r.value), 1e-300) for r in results)
 
 
-def _integrals(u: RadialFunction, weight: str, n: int, spec: QuadratureSpec, *terms) -> list:
+def _integrals(u: RadialFunction, weight: str, n: int, spec: QuadratureSpec, *terms, cuts: tuple = ()) -> list:
     """n omega_n int row(rho) w(rho)^(n-1) d rho for every (row, power) term, on one adaptive mesh.
 
     weight is 'power' (w = rho, flat space) or 'sinh-power' (w = sinh, the
     curvature -1 model).  A row maps the columns of one bisection's radii
     rs, u and u' there (us, ds) and the weights ws to its values times ws;
     it decays like |u|^power times a power of rho, so it gets that decay
-    class.  All rows share one radial_integrals pass over u's breakpoints,
-    cut at the largest truncation radius of their decay classes; u and u'
-    are evaluated once per radius for every row.
+    class.  All rows share one radial_integrals pass over u's breakpoints
+    and the extra cuts, cut at the largest truncation radius of their decay
+    classes; u and u' are evaluated once per radius for every row.
     """
     prof, du = u.profile, u.derivative
     f = prof.evaluator
@@ -229,7 +230,7 @@ def _integrals(u: RadialFunction, weight: str, n: int, spec: QuadratureSpec, *te
 
     decays = [prof.decay.scaled(power) for _, power in terms]
     c = n * ball_volume_constant(n)
-    return [_scaled(r, c) for r in radial_integrals(columns, decays, (weight, n - 1), spec, prof.breakpoints)]
+    return [_scaled(r, c) for r in radial_integrals(columns, decays, (weight, n - 1), spec, (*prof.breakpoints, *cuts))]
 
 
 # rows of _integrals shared by several reports
@@ -779,21 +780,47 @@ def double_hardy_report(
 
     Requires the support radius of u strictly inside R; flat instance, so the
     curvature defect vanishes and the remainder is (l/4) int u^2/(rho ln(eR/rho))^2.
+    The energy, the Hardy integral and the remainder share one radial_integrals
+    pass, except where the remainder's rho^(n-3) / ln^2(eR/rho) has no bounded
+    second derivative at 0 (n = 3, 4), whose refinement toward 0 would drive
+    the shared mesh: there the remainder's head [0, b], b the first cut of
+    u's mesh (the least of 1, the support radius and u's breakpoints inside
+    it), is one radial_integral in t = ln(b/rho),
+    int_0^oo u(b e^-t)^2 (b e^-t)^(n-2) / (ln(eR/b) + t)^2 dt, and the shared
+    pass, given b as a cut, carries the remainder on [b, support] alone.  The values, error
+    estimates and nodes_used of the two parts are summed.
     """
     prof = u.profile
     if prof.decay.kind != "compact":
         raise ValueError("double Hardy needs compact support")
-    if R <= prof.decay.support_radius:
+    support = prof.decay.support_radius
+    if R <= support:
         raise ValueError("R must exceed the support radius")
     if n < 3:
         raise ValueError("need n >= 3")
     eR = math.e * R
+    # below b the shared pass leaves the remainder to the head in t (n = 3, 4);
+    # b is handed to the pass as a cut, and is u's first cut, so the mesh is u's own
+    b = min([1.0, support, *(p for p in prof.breakpoints if 0 < p < support)]) if n < 5 else 0.0
     A, H, Rem = _integrals(
         u, "power", n, spec,
         (_energy_col, 2),
         (_hardy_col, 2),
-        (lambda rs, us, ds, ws: [v * v / (r * math.log(eR / r)) ** 2 * w for r, v, w in zip(rs, us, ws)], 2),
+        (lambda rs, us, ds, ws: [
+            v * v / (r * math.log(eR / r)) ** 2 * w if r > b else 0.0 for r, v, w in zip(rs, us, ws)
+        ], 2),
+        cuts=(b,) if b else (),
     )
     if H.value == 0:
         raise ValueError("zero test function")
+    if b:
+        f, log_eR_b = prof.evaluator, math.log(eR / b)
+
+        def head(t):
+            rho = b * math.exp(-t)
+            return f(rho) ** 2 * rho ** (n - 2) / (log_eR_b + t) ** 2
+
+        h = _scaled(radial_integral(RadialProfile(head, DecayClass.algebraic()), ("power", 0), spec),
+                    n * ball_volume_constant(n))
+        Rem = IntegralResult(Rem.value + h.value, Rem.error_estimate + h.error_estimate, Rem.nodes_used + h.nodes_used)
     return InequalityReport.normalised(A, ((n - 2) ** 2 / 4, H), (uniformity / 4, Rem))

@@ -33,6 +33,7 @@ from .quadrature import (
     RadialProfile,
     _gaussian_rates,
     _ratio_terms,
+    _volume_ratio_series,
     gaussian_integrals,
     hyperbolic_gaussian_masses,
     hyperbolic_gaussian_moments,
@@ -107,10 +108,12 @@ def radial_laplacian(u: Callable, du: Callable, d2u: Callable, n: int, rho: floa
     return d2u(rho) + (n - 1) / math.tanh(rho) * du(rho)
 
 
-def _check_radii(rho_grid: Sequence[float]) -> None:
+def _check_radii(rho_grid: Sequence[float], finite: bool = False) -> None:
     for rho in rho_grid:
         if not rho > 0:
             raise ValueError(f"need rho > 0 for every rho, got rho = {rho!r}")
+        if finite and rho == math.inf:
+            raise ValueError(f"need a finite rho for every rho, got rho = {rho!r}")
 
 
 def laplace_comparison_check(n: int, c_list: Sequence[float], rho_grid: Sequence[float]) -> dict:
@@ -147,19 +150,48 @@ def laplace_comparison_check(n: int, c_list: Sequence[float], rho_grid: Sequence
     }
 
 
-def hyp_ball_volume(n: int, rho: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Volume of the centered hyperbolic ball of radius rho."""
+def _volume_ratio(n: int, rho: float, spec: QuadratureSpec) -> float:
+    """V(rho) / rho^n: the series of _volume_ratio_series, past its term cap the volume integral over rho^n."""
+    ratio = _volume_ratio_series(n, rho, spec.relative_tolerance)
+    if ratio is not None:
+        return ratio.value
     prof = RadialProfile(lambda r: 1.0 if r < rho else 0.0, DecayClass.compact(rho))
-    return hyperbolic_radial_volume_integral(prof, n, spec).value
+    return hyperbolic_radial_volume_integral(prof, n, spec).value / rho**n
+
+
+def hyp_ball_volume(n: int, rho: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+    """Volume of the centered hyperbolic ball of radius rho, for n >= 1 and rho positive and finite.
+
+    rho^n times hyp_volume_ratio_check's ratio V(rho) / rho^n.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_radii([rho], finite=True)
+    return _volume_ratio(n, rho, spec) * rho**n
 
 
 def hyp_volume_ratio_check(
     n: int, rho_grid: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
 ) -> dict:
-    """Ball-volume over rho^n: non-decreasing, >= omega_n, -> omega_n at 0."""
-    _check_radii(rho_grid)
+    """Ball-volume over rho^n: non-decreasing, >= omega_n, -> omega_n at 0.
+
+    V(rho) / rho^n = n omega_n sum_j a_j rho^(2j), a_j = c_j / (n + 2j) with
+    c_j the positive Taylor coefficients of (sinh y / y)^(n-1), is summed in
+    Python floats until its tail bound is below a unit roundoff of the sum,
+    and serves when that bound plus the rounding bound is within
+    relative_tolerance of the sum (quadrature._volume_ratio_series).  The
+    sum takes about (n - 1) rho / 2 plus 7 to 45 terms; a rho whose sum
+    needs more terms than the series holds or overflows first (from
+    (n - 1) rho of 76 to 89 on, n = 2..8), or misses the tolerance, takes V(rho) from
+    hyperbolic_radial_volume_integral of the ball's indicator instead, as
+    the gaussian masses fall back.  Every rho must be positive and finite,
+    and n at least 1.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_radii(rho_grid, finite=True)
     omega = ball_volume_constant(n)
-    ratios = [hyp_ball_volume(n, rho, spec) / rho**n for rho in rho_grid]
+    ratios = [_volume_ratio(n, rho, spec) for rho in rho_grid]
     return {
         "rho": list(rho_grid),
         "ratios": ratios,
@@ -221,6 +253,11 @@ def modified_hpw_reports(
     the equality of modified_hpw_report and the strict inequality of
     hpw_hyperbolic_report.  An A M, W^2 or L^2 that is 0 or overflows is a
     QuadratureError that names its alpha.
+
+    The equality is exact: rho coth rho sinh^(n-1) = (rho / (n-1)) (sinh^(n-1))',
+    so by parts int rho coth rho u^2 sinh^(n-1) = (4 alpha M - L) / (n - 1)
+    for u = e^(-alpha rho^2), whence W = (4 alpha / n) M, and with
+    A = 4 alpha^2 M, A M / W^2 = n^2 / 4.
     """
     c = (n - 1) / n
     moments, errors, evals = hyperbolic_gaussian_moments(

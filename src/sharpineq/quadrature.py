@@ -17,9 +17,10 @@ which takes the gaussian rows of the ball in s = rho sqrt(rate), each
 parameter on its own cut (gaussian_integrals), and the smooth piece of flat
 space's Hardy sharpness sweep (flat space's gaussian moments are Gamma
 values, which flat.py takes in closed form); the gaussian masses on the
-ball as a positive series in 1/alpha, n-dimensional Monte Carlo
-cross-validation with a counter-based generator, and Richardson-extrapolated
-finite differences.
+ball as a positive series in 1/alpha and its ball volumes as one in
+rho^2, both from the exact Taylor coefficients of (sinh y / y)^k,
+n-dimensional Monte Carlo cross-validation with a counter-based generator,
+and Richardson-extrapolated finite differences.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from operator import add, mul, sub
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -1069,17 +1070,31 @@ _SERIES_TERMS = 96
 _UNIT = 2.0**-53
 
 
+def _sinh_series(k: int) -> Iterator[tuple]:
+    """The Taylor coefficients of (sinh y / y)^k as exact fractions.
+
+    (sinh y / y)^k = sum_j c_j y^(2j), a k-fold convolution of 1/(2i + 1)!,
+    so every c_j is positive: c_j = sum_i (-1)^i C(k, i) (k - 2i)^(k+2j) /
+    (2^k (k + 2j)!).  Coefficient by coefficient sinh y / y is at most
+    cosh y, and cosh^k y at most cosh ky, so c_j <= k^(2j) / (2j)!.  Yields
+    the integer pairs (top, bottom), c_j = top / bottom, for j up to
+    _SERIES_TERMS: the float tables built from them are cached, the large
+    integers are not kept.
+    """
+    for j in range(_SERIES_TERMS + 1):
+        top = sum((-1) ** i * math.comb(k, i) * (k - 2 * i) ** (k + 2 * j) for i in range(k + 1))
+        yield top, 2**k * math.factorial(k + 2 * j)
+
+
 @functools.lru_cache(maxsize=None)
 def _mass_series(k: int) -> tuple:
     """The series of M_k(alpha) = int_0^oo sinh^k(rho) e^(-alpha rho^2) d rho in x = 1/alpha.
 
-    sinh^k(rho) = rho^k sum_j c_j rho^(2j), where the Taylor coefficients
-    c_j of (sinh y / y)^k, a k-fold convolution of 1/(2i + 1)!, are
-    positive: c_j = sum_i (-1)^i C(k, i) (k - 2i)^(k+2j) / (2^k (k + 2j)!).
-    Term by term, M_k(alpha) = x^((k+1)/2) sum_j b_j x^j with
-    b_j = c_j Gamma((k + 2j + 1)/2) / 2, a sum that cannot cancel.  Since
-    c_j <= k^(2j) / (2j)! (coefficient by coefficient, sinh y / y is at
-    most cosh y, and cosh^k y at most cosh ky), the terms from j = J on are
+    sinh^k(rho) = rho^k sum_j c_j rho^(2j), with the positive Taylor
+    coefficients c_j <= k^(2j) / (2j)! of _sinh_series.  Term by term,
+    M_k(alpha) = x^((k+1)/2) sum_j b_j x^j with
+    b_j = c_j Gamma((k + 2j + 1)/2) / 2, a sum that cannot cancel.  By the
+    bound on c_j the terms from j = J on are
     at most those of the majorant T_j = m_j x^j,
     m_j = k^(2j) Gamma((k + 2j + 1)/2) / (2 (2j)!), whose ratio
     T_(j+1) / T_j = rho_j x, rho_j = k^2 (k + 2j + 1) / (2 (2j + 1)(2j + 2)),
@@ -1097,17 +1112,16 @@ def _mass_series(k: int) -> tuple:
     """
     scale = 1.0 if k % 2 else math.sqrt(math.pi)
     b, m = [], []
-    for j in range(_SERIES_TERMS + 1):
-        top = sum((-1) ** i * math.comb(k, i) * (k - 2 * i) ** (k + 2 * j) for i in range(k + 1))
+    for j, (top, bottom) in enumerate(_sinh_series(k)):
         if k % 2:
             # Gamma((k + 2j + 1)/2) = h!
             h = (k - 1) // 2 + j
-            ratios = ((top * math.factorial(h), 2 ** (k + 1) * math.factorial(k + 2 * j)),
+            ratios = ((top * math.factorial(h), 2 * bottom),
                       (k ** (2 * j) * math.factorial(h), 2 * math.factorial(2 * j)))
         else:
             # Gamma(h + 1/2) = (2h)! sqrt(pi) / (4^h h!), 2h = k + 2j
             h = k // 2 + j
-            ratios = ((top, 2 ** (k + 1) * 4**h * math.factorial(h)),
+            ratios = ((top * math.factorial(2 * h), 2 * bottom * 4**h * math.factorial(h)),
                       (k ** (2 * j) * math.factorial(2 * h), 2 * math.factorial(2 * j) * 4**h * math.factorial(h)))
         try:
             bj, mj = (num / den * scale for num, den in ratios)
@@ -1134,6 +1148,73 @@ def _mass_series(k: int) -> tuple:
     for t in tables:
         t.flags.writeable = False
     return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _volume_series(n: int) -> tuple:
+    """The series of V(rho) / rho^n in x = rho^2, V the volume of the ball of radius rho on the curvature -1 model.
+
+    V(rho) = n omega_n int_0^rho sinh^k, k = n - 1, and sinh^k(r) =
+    r^k sum_j c_j r^(2j) with the positive c_j <= k^(2j) / (2j)! of
+    _sinh_series, so V(rho) / rho^n = n omega_n sum_j a_j x^j with
+    a_j = c_j / (n + 2j), a sum that cannot cancel.  Its terms from j = J on
+    are at most those of the majorant m_j x^j, m_j = k^(2j) / ((2j)! (n + 2j)),
+    whose ratio m_(j+1) x / m_j is at most q_j x,
+    q_j = k^2 / ((2j + 1)(2j + 2)), which falls with j: the tail from J on
+    is at most m_J x^J / (1 - q_J x) once q_J x < 1.  Each a_j and m_j is
+    its rational rounded to the nearest float.  Returns (c, a, m, q):
+    c = n omega_n, a_j for j < cap and m_J and q_J at index J <= cap, as
+    Python floats, where cap is _SERIES_TERMS or fewer if the floats do
+    not hold the coefficients of a large k.
+    """
+    k = n - 1
+    a, m = [], []
+    for j, (top, bottom) in enumerate(_sinh_series(k)):
+        try:
+            aj, mj = top / (bottom * (n + 2 * j)), k ** (2 * j) / (math.factorial(2 * j) * (n + 2 * j))
+        except OverflowError:
+            break
+        # past here the floats overflow or lose digits to underflow
+        if not (aj < math.inf and mj < math.inf) or 0 < aj < _TINY or 0 < mj < _TINY:
+            break
+        a.append(aj)
+        m.append(mj)
+    q = [k * k / ((2 * j + 1) * (2 * j + 2)) for j in range(len(m))]
+    return n * ball_volume_constant(n), a[: len(m) - 1], m, q
+
+
+def _volume_ratio_series(n: int, rho: float, tol: float) -> Optional[IntegralResult]:
+    """V(rho) / rho^n from the series of _volume_series, or None where the series does not serve.
+
+    The partial sums S_J = sum_(j<J) a_j x^j, x = rho^2, are summed in
+    Python floats up to the least J whose tail bound m_J x^J / (1 - q_J x)
+    is at most a unit roundoff u of S_J, as the series masses are.  The
+    rounding bound: a_j carries 1 u, x^j j + 1, the product 1, the sum of
+    positive terms J - 1 and n omega_n S_J 1, so the ratio is within
+    gamma_(2J+4) = (2J + 4) u / (1 - (2J + 4) u) of its computed value
+    (n omega_n taken as exact, as the quadrature path takes it).  Returns
+    n omega_n S_J, with n omega_n times both bounds as its error estimate
+    and the J terms as nodes_used, if that estimate is at most
+    tol x the ratio; None where it is not, where no J up to the term cap
+    serves, or where x^J or the sum overflows first: the cue to integrate
+    instead.
+    """
+    c, a, m, q = _volume_series(n)
+    x = rho * rho
+    s, p = 0.0, 1.0
+    for J, aj in enumerate(a, 1):
+        s += aj * p
+        p *= x
+        # x^J or the sum overflows before the tail bound serves
+        if not (p < math.inf and s < math.inf):
+            return None
+        if q[J] * x < 1.0:
+            tail = m[J] * p / (1.0 - q[J] * x)
+            if tail <= _UNIT * s:
+                steps = 2 * J + 4
+                error = tail + steps * _UNIT / (1 - steps * _UNIT) * s
+                return IntegralResult(c * s, c * error, J) if error <= tol * s else None
+    return None
 
 
 def _series_masses(ns: list, alphas: np.ndarray) -> tuple:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import asdict
 from decimal import Decimal
 from pathlib import Path
@@ -239,6 +240,18 @@ class TestRoundTrip:
         default = RunConfig("all", triple=(3, 3.0, 1.0))
         for cfg, digest in ((default, "1b283043de0b888e"), (parse_config(MINIMAL), "3ec3de8b41683f53")):
             assert hashlib.sha256(render_config(cfg).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("output_dir", ["a ;b", " a", "a ", "a\t;b", "a\n b"])
+    def test_output_dir_read_back_as_another_named(self, tmp_path, output_dir):
+        # parse_config reads these back as another directory (' ;' starts an
+        # inline comment, the whitespace around a value is stripped), so
+        # render_config refuses them by name, and run_suite before any suite runs
+        cfg = RunConfig("identities", triple=(3, 3.0, 1.0), output_dir=output_dir)
+        with pytest.raises(ValueError, match=re.escape(f"output_dir {output_dir!r} does not round-trip")):
+            render_config(cfg)
+        with pytest.raises(ValueError, match="does not round-trip"):
+            run_suite(cfg, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_weighted_matrix_round_trip(self):
         text = MINIMAL + "\n[norm]\nfamily = weighted-euclidean\ndimension = 2\nmatrix = 4 0 0 1\n"

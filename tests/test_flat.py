@@ -977,6 +977,26 @@ class TestDoubleHardy:
         with pytest.raises(ValueError):
             double_hardy_report(EUCLID3, 3, self.bump(), 0.5)
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_rhs_within_its_err_of_quadpack(self, n, tol):
+        # the rhs against scipy's QUADPACK qags, split at the bump's
+        # breakpoint, which the scalar loop does not share
+        quad = pytest.importorskip("scipy.integrate").quad
+        psi, _ = smoothstep_cutoff(0.5, 1.0)
+        R, ell, eR = 2.0, 0.5, 2.0 * math.e
+        rows = (lambda r: psi(r) ** 2 * r ** (n - 3), lambda r: psi(r) ** 2 * r ** (n - 3) / math.log(eR / r) ** 2)
+        ref, ref_err = 0.0, 0.0
+        for coeff, row in zip(((n - 2) ** 2 / 4, ell / 4), rows):
+            for a, b in ((0.0, 0.5), (0.5, 1.0)):
+                v, e = quad(row, a, b, epsabs=0.0, epsrel=1e-13, limit=200)
+                ref, ref_err = ref + coeff * v, ref_err + coeff * e
+        c = n * math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+        ref, ref_err = c * ref, c * ref_err
+        rep = double_hardy_report(MinkowskiNorm(n, "weighted-euclidean", matrix=np.eye(n)), n, self.bump(), R, ell,
+                                  QuadratureSpec(relative_tolerance=tol))
+        assert abs(rep.rhs - ref) <= rep.combined_error * rep.rhs + ref_err, (rep, ref, ref_err)
+
 
 def rho_gauss(a):
     """u = rho e^(-a rho^2) and its derivative."""
@@ -1014,27 +1034,64 @@ SCALAR_REPORTS = {
 class TestSharedMesh:
     """The integrals of a report share one adaptive mesh and agree with one pass per integral."""
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    @pytest.mark.parametrize("report", SCALAR_REPORTS)
-    def test_rows_within_the_estimates_of_one_row_integrals(self, monkeypatch, report, tol):
-        # every row of the shared pass lies within the sum of its estimate
-        # and that of radial_integral of the row alone, with its own decay
-        # class and u's breakpoints
-        shared, passes = flat.radial_integrals, []
+    @staticmethod
+    def checked_rows(tol, passes):
+        """radial_integrals, each of whose rows must lie within the sum of its
+        estimate and that of radial_integral of the row alone, with its own
+        decay class and u's breakpoints; passes gets (columns, results) of every pass."""
+        shared = flat.radial_integrals
 
         def spy(columns, decays, weight, spec, breakpoints=()):
             results = shared(columns, decays, weight, spec, breakpoints)
-            passes.append(len(results))
             for j, (decay, res) in enumerate(zip(decays, results)):
                 row = RadialProfile(lambda r, j=j: columns([r], [1.0])[j][0], decay, breakpoints)
                 one = radial_integral(row, weight, spec)
                 assert abs(res.value - one.value) <= res.error_estimate + one.error_estimate, (j, res, one)
                 assert res.error_estimate <= tol * abs(res.value)
+            passes.append((columns, results))
             return results
 
-        monkeypatch.setattr(flat, "radial_integrals", spy)
+        return spy
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("report", SCALAR_REPORTS)
+    def test_rows_within_the_estimates_of_one_row_integrals(self, monkeypatch, report, tol):
+        passes = []
+        monkeypatch.setattr(flat, "radial_integrals", self.checked_rows(tol, passes))
         SCALAR_REPORTS[report](QuadratureSpec(relative_tolerance=tol))
-        assert len(passes) == 1 and passes[0] >= 2
+        assert len(passes) == 1 and len(passes[0][1]) >= 2
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_double_hardy_head_in_log_radius(self, monkeypatch, tol):
+        # at n = 3 the remainder's head [0, 1/2] is one radial_integral in
+        # t = ln(b / rho) and the shared pass carries the remainder past
+        # 1/2 alone: every row of the shared pass and the head lie within
+        # the sum of their estimates and those of one-row integrals in rho,
+        # and the report sums the two parts of the remainder
+        spec = QuadratureSpec(relative_tolerance=tol)
+        head, passes, heads = flat.radial_integral, [], []
+
+        def head_spy(f, weight, spec):
+            heads.append(head(f, weight, spec))
+            return heads[-1]
+
+        monkeypatch.setattr(flat, "radial_integrals", self.checked_rows(tol, passes))
+        monkeypatch.setattr(flat, "radial_integral", head_spy)
+        rep = double_hardy_report(EUCLID3, 3, smoothstep_bump(), 2.0, 0.5, spec)
+        ((columns, (A, H, rem)),), (t,) = passes, heads
+        below, above = columns([0.25, 0.75], [1.0, 1.0])[2]
+        assert below == 0.0 and above > 0.0
+        eR = 2.0 * math.e
+        inner = radial_integral(
+            RadialProfile(lambda r: 1.0 / math.log(eR / r) ** 2 if r < 0.5 else 0.0, DecayClass.compact(0.5)),
+            ("power", 0), spec)
+        assert abs(t.value - inner.value) <= t.error_estimate + inner.error_estimate, (t, inner)
+        assert t.error_estimate <= tol * t.value
+        # the shared pass's integrals and the head, each times n omega_n
+        A, H, rem, t = (flat._scaled(r, 3 * flat.ball_volume_constant(3)) for r in (A, H, rem, t))
+        total = IntegralResult(rem.value + t.value, rem.error_estimate + t.error_estimate, 0)
+        assert rep.rhs == 0.25 * H.value + 0.125 * total.value
+        assert rep.integral_errors == flat._relative_errors(A, H, total)
 
     def test_u_and_derivative_once_per_node(self):
         # one evaluation of u and of u' per node for all three hpw rows

@@ -30,8 +30,9 @@ from sharpineq import (
     radial_laplacian,
 )
 from sharpineq.flat import RadialFunction
+from sharpineq import hyperbolic
 from sharpineq.hyperbolic import _sign_change_brackets, conformal_factor
-from sharpineq.quadrature import _FIRST_PANELS, _GK21_NODES
+from sharpineq.quadrature import _FIRST_PANELS, _GK21_NODES, _volume_ratio_series
 
 
 def d_gauss():
@@ -142,6 +143,66 @@ class TestVolumes:
         ratio = hyp_ball_volume(3, 1e-3) / 1e-9
         assert ratio == pytest.approx(ball_volume_constant(3), rel=1e-4)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+    def test_radius_positive_and_finite_named(self, rho):
+        # 0 and nan used to raise a bare IndexError, -1 a QuadratureError
+        # about a compact profile, and inf returned a volume and a ratio 0
+        for call in (lambda: hyp_ball_volume(3, rho), lambda: hyp_volume_ratio_check(3, [1.0, rho])):
+            with pytest.raises(ValueError, match=f"got rho = {rho!r}"):
+                call()
+
+    def test_dimension_at_least_one(self):
+        for call in (lambda: hyp_ball_volume(0, 1.0), lambda: hyp_volume_ratio_check(0, [1.0])):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                call()
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_series_within_the_estimates_of_the_scalar_loop(self, n, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        for rho in (0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0):
+            series = _volume_ratio_series(n, rho, tol)
+            ball = RadialProfile(lambda r: 1.0 if r < rho else 0.0, DecayClass.compact(rho))
+            loop = hyperbolic_radial_volume_integral(ball, n, spec)
+            value, error = loop.value / rho**n, loop.error_estimate / rho**n
+            assert abs(series.value - value) <= series.error_estimate + error, (rho, series, loop)
+            assert series.error_estimate <= tol * series.value
+            assert hyp_volume_ratio_check(n, [rho], spec)["ratios"] == [series.value]
+            assert hyp_ball_volume(n, rho, spec) == series.value * rho**n
+
+    def test_past_the_term_cap_the_scalar_loop(self):
+        # the disk: V = 2 pi (cosh rho - 1); at rho = 200 the series needs
+        # more terms than its cap, and the ratio comes from the volume integral
+        rho, spec = 200.0, QuadratureSpec()
+        assert _volume_ratio_series(2, rho, 1e-9) is None
+        ball = RadialProfile(lambda r: 1.0 if r < rho else 0.0, DecayClass.compact(rho))
+        (ratio,) = hyp_volume_ratio_check(2, [rho], spec)["ratios"]
+        assert ratio == hyperbolic_radial_volume_integral(ball, 2, spec).value / rho**2
+        assert ratio == pytest.approx(2 * math.pi * (math.cosh(rho) - 1) / rho**2, rel=1e-9)
+
+    @pytest.mark.parametrize("n, rho, served", [
+        (2, 75.75, True), (2, 90.0, False), (2, 130.0, False), (2, 165.0, False),
+        (3, 43.75, True), (3, 50.0, False),
+    ])
+    def test_overflow_of_x_to_the_j_goes_to_the_scalar_loop(self, n, rho, served):
+        # past these radii x^J overflows before the tail bound serves: the
+        # series used to return inf there instead of handing over
+        exact = {2: lambda r: 2 * math.pi * (math.cosh(r) - 1) / r**2,
+                 3: lambda r: math.pi * (math.sinh(2 * r) - 2 * r) / r**3}[n](rho)
+        spec = QuadratureSpec()
+        series = _volume_ratio_series(n, rho, spec.relative_tolerance)
+        (ratio,) = hyp_volume_ratio_check(n, [rho], spec)["ratios"]
+        if served:
+            assert ratio == series.value
+            assert abs(ratio - exact) <= series.error_estimate + 4e-16 * exact
+        else:
+            assert series is None
+            ball = RadialProfile(lambda r: 1.0 if r < rho else 0.0, DecayClass.compact(rho))
+            loop = hyperbolic_radial_volume_integral(ball, n, spec)
+            assert ratio == loop.value / rho**n
+            assert abs(ratio - exact) <= (loop.error_estimate + 4e-16 * loop.value) / rho**n
+        assert hyp_ball_volume(n, rho, spec) == ratio * rho**n
+
 
 class TestHpwHyperbolic:
     def test_strictly_above_flat_constant(self):
@@ -204,6 +265,22 @@ class TestModifiedHpw:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             modified_hpw_report(3, alpha=0.0)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_corrected_mass_by_parts(self, monkeypatch, n, tol):
+        # W = (4 alpha / n) M exactly, so the batch's W and M meet it within
+        # the sum of their estimates, plus 4 ulp of W for the roundings of
+        # the sums and of the product, which the estimates do not count
+        batch, passes = hyperbolic.hyperbolic_gaussian_moments, []
+        monkeypatch.setattr(hyperbolic, "hyperbolic_gaussian_moments", lambda *a: passes.append(batch(*a)) or passes[-1])
+        alphas = (0.25, 1.0, 4.0, 16.0)
+        modified_hpw_reports(n, alphas, QuadratureSpec(relative_tolerance=tol))
+        ((moments, errors, _),) = passes
+        (_, M, _, W), (_, eM, _, eW) = moments.tolist(), errors.tolist()
+        for alpha, m, w, em, ew in zip(alphas, M, W, eM, eW):
+            c = 4 * alpha / n
+            assert abs(w - c * m) <= ew + c * em + 4 * math.ulp(w), (alpha, w, c * m, ew, em)
 
 
 class TestHardyHyperbolic:
