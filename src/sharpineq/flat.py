@@ -721,8 +721,9 @@ def hardy_sharpness_sweep(
     u_eps = max(rho, eps)^(-gamma), gamma = (n-2)/2, multiplied by a quintic
     smoothstep supported in [0, R].  The quotient sequence is non-increasing
     toward (n-2)^2/4; the extrapolated limit A comes from a linear
-    least-squares fit of A + B/(ln(1/eps) + C) over at least two eps
-    (fit_coefficient is B).
+    least-squares fit of A + B/(ln(1/eps) + C) over at least two distinct
+    eps (fit_coefficient is B); a repeated eps is a ValueError that names
+    it, since it leaves the fit's system rank-deficient.
 
     The quotient is int (u_eps')^2 over int u_eps^2/rho^2, both against
     rho^(n-1) d rho (n omega_n cancels).  On [0, r] the cutoff is 1, so
@@ -736,6 +737,9 @@ def hardy_sharpness_sweep(
         raise ValueError("need at least two eps for the extrapolation")
     if not all(0 < e < r for e in eps_list):
         raise ValueError("need 0 < eps < r for every eps")
+    repeats = [e for i, e in enumerate(eps_list) if e in eps_list[:i]]
+    if repeats:
+        raise ValueError(f"eps = {repeats[0]!r} repeats: the fit needs distinct eps")
     if not (r < R):
         raise ValueError("need r < R")
     gamma = (n - 2) / 2

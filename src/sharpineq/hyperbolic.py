@@ -175,6 +175,10 @@ def hyp_volume_ratio_check(
 ) -> dict:
     """Ball-volume over rho^n: non-decreasing, >= omega_n, -> omega_n at 0.
 
+    non_decreasing allows each ratio a drop of 1e-10 relative to the one
+    before it, and all_above_omega each ratio 1e-12 relative to omega_n:
+    a slack relative to the ratios sees a drop among ratios of any size.
+
     V(rho) / rho^n = n omega_n sum_j a_j rho^(2j), a_j = c_j / (n + 2j) with
     c_j the positive Taylor coefficients of (sinh y / y)^(n-1), is summed in
     Python floats until its tail bound is below a unit roundoff of the sum,
@@ -196,7 +200,7 @@ def hyp_volume_ratio_check(
         "rho": list(rho_grid),
         "ratios": ratios,
         "omega_n": omega,
-        "non_decreasing": all(b >= a - 1e-10 for a, b in zip(ratios, ratios[1:])),
+        "non_decreasing": all(b >= a * (1 - 1e-10) for a, b in zip(ratios, ratios[1:])),
         "all_above_omega": all(v >= omega * (1 - 1e-12) for v in ratios),
     }
 

@@ -1,17 +1,19 @@
 """Deterministic integration of radial profiles on [0, oo).
 
-Two globally adaptive Gauss-Kronrod loops on a split domain, which share
-one panel guard and QUADPACK's split of its rules: qags' G10/K21 (qk21) on
-every finite piece and qagi's G7/K15 (qk15) on a rational tail.  One takes
-q integrands of one report on one mesh in Python floats, one call per
+One globally adaptive Gauss-Kronrod loop on a split domain
+(_adaptive_passes), with QUADPACK's split of its rules: qags' G10/K21
+(qk21) on every finite piece and qagi's G7/K15 (qk15) on a rational tail.
+The loop keeps the heap, running sums, keys, acceptance and panel guard of
+every pass; its two front ends give it the pieces as data and evaluate its
+rounds.  radial_integrals (and radial_integral, its one-row case) takes q
+integrands of one report on one mesh in Python floats, one call per
 bisection for the columns of its 42 radii (30 on the tail), the tail mapped
 by rho = end + t/(1 - t), where a slowly decaying profile is singular at
-t = 1 and qk15 stops with a named error where qk21's estimate can miss
-(radial_integrals, and radial_integral, its one-row case); the other takes
-passes of q numpy row integrands in lockstep, [0, 1] and the tail past 1 in
-graded variables, rho = x^2 and rho = (1 - x)^-2, both finite pieces on
-qk21, each round one call for the nodes, of shape (k, 2, 21), of one
-bisection of every pass still refining (radial_integral_rows); a
+t = 1 and qk15 stops with a named error where qk21's estimate can miss;
+radial_integral_rows takes passes of q numpy row integrands in lockstep,
+[0, 1] and the tail past 1 in graded variables, rho = x^2 and
+rho = (1 - x)^-2, both on qk21, each round one call for the nodes, of
+shape (k, 2, 21), of one bisection of every pass still refining.  Also a
 vectorised composite G10/K21 rule over a whole parameter grid at once,
 which takes the gaussian rows of the ball in s = rho sqrt(rate), each
 parameter on its own cut (gaussian_integrals), and the smooth piece of flat
@@ -29,8 +31,8 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from operator import add, mul, sub
-from typing import Callable, Iterator, Optional, Sequence
+from operator import itemgetter, le, mul, truediv
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -175,10 +177,11 @@ class RadialProfile:
 class QuadratureSpec:
     """Accuracy, truncation and seeding parameters shared by all integrals.
 
-    radial_integral (G10/K21, G7/K15 on its mapped tail),
-    radial_integral_rows and gauss_kronrod_batch (G10/K21) run two
-    Gauss-Kronrod tables under one acceptance rule: a value is accepted only
-    when its summed estimate sum |K - G| is at most relative_tolerance x |value|.
+    The adaptive loop of radial_integrals and radial_integral_rows
+    (G10/K21, and G7/K15 on radial_integrals' mapped tail) and
+    gauss_kronrod_batch (G10/K21) run two Gauss-Kronrod tables under one
+    acceptance rule: a value is accepted only when its summed estimate
+    sum |K - G| is at most relative_tolerance x |value|.
     """
 
     relative_tolerance: float = 1e-9
@@ -202,7 +205,7 @@ class IntegralResult:
     truncation: float = math.inf
 
 
-# the panel cap of radial_integral and of gauss_kronrod_batch
+# the panel cap of the adaptive loop and of gauss_kronrod_batch
 _MAX_SUBINTERVALS = 600
 
 # e^(-x) underflows to 0.0 once x passes about 745
@@ -359,16 +362,18 @@ def radial_integrals(
     algebraic decay the larger of 1 and the last breakpoint.  Unless the
     decay is compact, the tail past the end is mapped onto [0, 1) by
     rho = end + t/(1 - t).  The rule is G10/K21 on the finite pieces and
-    G7/K15 on the tail, globally adaptive over all pieces (_adaptive_gk),
-    one call of columns per bisection, the panel
-    bisected next the one of largest row |K - G| relative to that row's
-    value, for one row as for q.  A row's
-    error_estimate is its summed |K - G| over every panel, at most
-    relative_tolerance x |value|; nodes_used counts the radii evaluated.
-    The weights are taken once per radius.  Where sinh^k overflows, a row
-    value times it is formed in log space, since it may still be large (small
-    gaussian rates); where rho^k overflows (far out in the mapped tail, where
-    the true product has underflowed) it is 0.0.
+    G7/K15 on the tail, globally adaptive over all pieces in the loop
+    radial_integral_rows shares (_adaptive_passes), under its keys and
+    acceptance, for one row as for q.  Every bisection is one call of
+    columns on the radii of both halves, the left first, each in QUADPACK's
+    node order of its piece's rule, and each row's K and K - G are summed
+    in Python floats.  A row's error_estimate is its summed |K - G| over
+    every panel, at most relative_tolerance x |value|; nodes_used counts
+    the radii evaluated.  The weights are taken once per radius.  Where
+    sinh^k overflows, a row value times it is formed in log space, since it
+    may still be large (small gaussian rates); where rho^k overflows (far
+    out in the mapped tail, where the true product has underflowed) it is
+    0.0.
 
     QuadratureError names its cause: the _MAX_SUBINTERVALS cap, a panel too
     narrow to bisect in floating point, a tail node that rounds to t = 1.0,
@@ -460,7 +465,38 @@ def radial_integrals(
     interior = {b for b in breakpoints if 0 < b < T}
     end = T if math.isfinite(T) else max({1.0} | interior)
     cuts = sorted({0.0, min(1.0, end), end} | interior)
-    values, errors, nodes = _adaptive_gk(cols, cuts, tail, tol)
+    # qk21 between the cuts, qk15 on the tail past end, as QUADPACK's qags and qagi split them
+    pieces = [(a, b, _QK21, None) for a, b in zip(cuts, cuts[1:])]
+    if tail:
+        pieces.append((0.0, 1.0, _QK15, lambda t: end + t / (1.0 - t) if t < 1.0 else math.inf))
+
+    def bisect(bisection: tuple) -> tuple:
+        """K and |K - G| of both halves of one bisection of _adaptive_passes, from one call of cols."""
+        _, i, a, mid, b = bisection
+        _, _, rule, rho = pieces[i]
+        cl, cr, hl, hr = 0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)
+        xs = [c + h * x for c, h in ((cl, hl), (cr, hr)) for x in rule.nodes]
+        if rho is None:
+            rows = cols(xs)
+        else:
+            # rho = end + t/(1 - t), d rho = dt/(1 - t)^2
+            jac = [(1.0 - t) ** 2 for t in xs]
+            rows = [list(map(truediv, row, jac)) for row in cols([end + t / (1.0 - t) for t in xs])]
+        kl, el, kr, er = [], [], [], []
+        for v in rows:
+            # map stops at the rule's weights, so v gives the left half
+            w = v[len(rule.nodes):]
+            kl.append(hl * sum(map(mul, rule.kronrod, v)))
+            el.append(abs(hl * sum(map(mul, rule.diff, v))))
+            kr.append(hr * sum(map(mul, rule.kronrod, w)))
+            er.append(abs(hr * sum(map(mul, rule.diff, w))))
+        return (kl, el), (kr, er)
+
+    # a round's bisections are evaluated one at a time, so none past a failing one is
+    results, failure = _adaptive_passes(pieces, 1, functools.partial(map, bisect), tol)
+    if failure is not None:
+        raise failure
+    ((values, errors, nodes),) = results
     return [IntegralResult(v, e, nodes, truncation=T) for v, e in zip(values, errors)]
 
 
@@ -485,116 +521,133 @@ def _stuck(panels: int, a: float, b: float, rho: Optional[Callable[[float], floa
     return None
 
 
-def _adaptive_gk(cols: Callable, cuts: list, tail: bool, tol: float) -> tuple[list, list, int]:
-    """Globally adaptive Gauss-Kronrod for q rows on one mesh: over [cuts[0], cuts[-1]], and past it if tail.
+def _met(values: list, errors: list, tol: float) -> bool:
+    """Whether every row meets the acceptance rule, its estimate at most tol x |its value|."""
+    return all(map(le, errors, map(tol.__mul__, map(abs, values))))
 
-    The pieces are the intervals between cuts, on G10/K21 (_QK21), and, if
-    tail, the tail past end = cuts[-1] mapped onto t in [0, 1) by
-    rho = end + t/(1 - t), d rho = dt/(1 - t)^2, on G7/K15 (_QK15), as
-    QUADPACK's qags and qagi split them.  Every piece starts as its two
-    halves.  While a row's summed |K - G| exceeds tol x |its sum of K|, the
-    panel of largest key is bisected, until _stuck names a cause, whose
-    text prints the values and estimates as lists of q.  The key is the
+
+def _key(es: list, scale: list) -> float:
+    """A panel's key: the largest product of its rows' |K - G| and scale, nan if one is, as np.maximum takes it."""
+    if math.isfinite(sum(es)):
+        return max(map(mul, es, scale))
+    p = list(map(mul, es, scale))
+    s = sum(p)
+    # the products are >= 0 or nan, so their sum is nan only if one is
+    return max(p) if s == s else s
+
+
+def _adaptive_passes(
+    pieces: list,
+    passes: int,
+    halves: Callable[[list], Iterable],
+    tol: float,
+    named: Callable[[int], Optional[str]] = lambda r: None,
+) -> tuple[list, Optional[QuadratureError]]:
+    """Globally adaptive Gauss-Kronrod: the one loop of radial_integrals and radial_integral_rows.
+
+    passes sets of q rows run in lockstep rounds, each pass on its own mesh
+    over the pieces, (a, b, rule, rho) each: an interval in the piece's own
+    variable, its _Rule, and rho, that variable's map back to rho for the
+    texts of _in_rho and _stuck (None where it is rho).  A round is one call
+    halves(todo) on its bisections (pass, piece, a, mid, b) in pass order,
+    in the first round one per piece and pass; halves gives, bisection by
+    bisection and read one at a time, ((K, |K - G|), (K, |K - G|)) of the
+    left and right half, lists of q.  Where a K of the round's bisection r
+    is outside the float range, named(r) names the node where a row value
+    is, or else the first such K (the left half's rows first) names the
+    piece and that row's sum over it.
+
+    A pass keeps its own heap, running sums and checks, so it gives what it
+    gives alone.  While a row's summed |K - G| exceeds tol x |its sum of K|,
+    on the running sums and then on their exact fsum (they drift), the
+    panel of largest key is bisected, until _stuck names a cause; the text
+    prints the sums as lists of q.  A running sum drops the bisected
+    panel's K and adds the sum of its halves' Ks.  The key (_key) is a
     panel's largest row |K - G| relative to that row's |value| after the
-    first sweep; for one row that is its |K - G| times one positive number,
-    so its panels are bisected in the order of the plain |K - G| (ties of
-    rounding aside).  A
-    call whose first sweep meets the rule returns before any panel is keyed.
-    A bisection is one call cols(rs) on the radii of both halves, the left
-    first, each in QUADPACK's node order of its piece's rule, which returns
-    q lists of values.  Returns (values, error estimates, radii evaluated),
-    the first two lists of q.
+    first sweep, the fsum of its Ks, so for one row the panels go in the
+    order of the plain |K - G| (ties of rounding aside); a pass that meets
+    the rule on its first sweep keys none.  A pass that fails drops the
+    passes after it.  Returns the (values, error estimates, radii
+    evaluated) of the passes before the first that fails, the first two
+    lists of q, and its QuadratureError (None if none fails): what a loop
+    of one pass at a time meets.
     """
-    pieces = list(zip(cuts, cuts[1:]))
-    rules = [_QK21] * len(pieces)
-    if tail:
-        pieces.append((0.0, 1.0))
-        rules.append(_QK15)
-    end, last = cuts[-1], len(cuts) - 1 if tail else -1
+    # per pass: its panels, the first sweep's halves (piece, a, b, K,
+    # |K - G|) until they are keyed after it, then a heap of (-key, piece,
+    # a, b, K, |K - G|); 1 / |value| of every row, for the keys; the radii
+    # evaluated; the running sums; K and |K - G| of the panel it bisects,
+    # 0 in the first sweep
+    heaps, scale, evals = [[] for _ in range(passes)], [None] * passes, [0] * passes
+    value, error, dropped = [None] * passes, [None] * passes, [None] * passes
+    results, stop, failure, keyed = [None] * passes, passes, None, False  # the passes from stop on are dropped
+    sizes = [2 * len(p[2].nodes) for p in pieces]
 
-    def past_end(t: float) -> float:
-        """rho of the tail's t."""
-        return end + t / (1.0 - t) if t < 1.0 else math.inf
-
-    heap = []  # (-key, piece, a, b, K of every row, |K - G| of every row)
-
-    def bisect(i: int, a: float, b: float) -> tuple:
-        """(mid, Ks and |K - G|s of [a, mid], Ks and |K - G|s of [mid, b]) of the panel [a, b] of piece i."""
-        mid, rule = 0.5 * (a + b), rules[i]
-        cl, cr, hl, hr = 0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)
-        xs = [c + h * x for c, h in ((cl, hl), (cr, hr)) for x in rule.nodes]
-        if i == last:
-            rows = [[v / (1.0 - t) ** 2 for v, t in zip(row, xs)] for row in cols([end + t / (1.0 - t) for t in xs])]
-        else:
-            rows = cols(xs)
-        kl, el, kr, er = [], [], [], []
-        for v in rows:
-            # map stops at the rule's weights, so v gives the left half
-            w = v[len(rule.nodes):]
-            kl.append(hl * sum(map(mul, rule.kronrod, v)))
-            el.append(abs(hl * sum(map(mul, rule.diff, v))))
-            kr.append(hr * sum(map(mul, rule.kronrod, w)))
-            er.append(abs(hr * sum(map(mul, rule.diff, w))))
-        # a sum of finite Ks may overflow too; the loop finds a K that does not
-        if not math.isfinite(sum(kl) + sum(kr)):
-            for half, ks in enumerate((kl, kr)):
-                for j, k in enumerate(ks):
-                    if not math.isfinite(k):
-                        # the row's K over the panels of piece i, the left half first
-                        total = math.fsum([p[4][j] for p in heap if p[1] == i] + [kl[j], k][: half + 1])
-                        piece = _in_rho(*pieces[i], past_end if i == last else None)
-                        raise QuadratureError(f"integral over {piece} is {total!r}: outside the float range")
-        return mid, kl, el, kr, er
-
-    def tally(ks: list, es: list, halves: tuple) -> None:
-        """The running sums with a panel's ks and es out, and its halves' in."""
-        _, kl, el, kr, er = halves
-        # one row's sums stay those of a one-integral loop
-        for r in rows:
-            value[r] = value[r] - ks[r] + kl[r] + kr[r]
-            error[r] = error[r] - es[r] + el[r] + er[r]
-
-    def push(i: int, a: float, b: float, halves: tuple) -> None:
-        """The halves of the panel [a, b] of piece i in the heap."""
-        mid, kl, el, kr, er = halves
-        heapq.heappush(heap, (-max(map(mul, el, scale)), i, a, mid, kl, el))
-        heapq.heappush(heap, (-max(map(mul, er, scale)), i, mid, b, kr, er))
-
-    first = [bisect(i, a, b) for i, (a, b) in enumerate(pieces)]
-    q = len(first[0][1])
-    rows, zero = range(q), [0.0] * q
-    value, error = [0.0] * q, [0.0] * q
-    for halves in first:
-        tally(zero, zero, halves)
-    evals = sum(2 * len(rule.nodes) for rule in rules)
-
-    while True:
-        for v, e in zip(value, error):
-            if e > tol * abs(v):
+    live = range(passes)
+    todo = [(j, i, a, 0.5 * (a + b), b) for j in live for i, (a, b, _, _) in enumerate(pieces)]
+    while todo:
+        for t, ((kl, el), (kr, er)) in zip(todo, halves(todo)):
+            j, i, a, mid, b = t
+            # the Kronrod weights are positive, so a value outside the float
+            # range leaves its K outside it too
+            if not (math.isfinite(sum(kl) + sum(kr)) or all(map(math.isfinite, kl + kr))):
+                # the bisections of a round are distinct, so t is found at its own place
+                text = named(todo.index(t))
+                if text is None:
+                    half, row = next(
+                        (h, x) for h, ks in enumerate((kl, kr)) for x, k in enumerate(ks) if not math.isfinite(k)
+                    )
+                    # the row's K over the other panels of piece i and the halves up to the first outside the range
+                    total = math.fsum([p[-2][row] for p in heaps[j] if p[-5] == i] + [kl[row], kr[row]][: half + 1])
+                    lo, hi, _, rho = pieces[i]
+                    text = f"integral over {_in_rho(lo, hi, rho)} is {total!r}: outside the float range"
+                stop, failure = j, QuadratureError(text)
                 break
-        else:
-            # the running sums drift; accept on the exact ones, over the
-            # first sweep's halves until a bisection puts them in the heap
-            ks, es = zip(*([p[4:] for p in heap] or [h for _, kl, el, kr, er in first for h in ((kl, el), (kr, er))]))
-            value = [math.fsum(k) for k in zip(*ks)]
-            error = [math.fsum(e) for e in zip(*es)]
-            if all(e <= tol * abs(v) for v, e in zip(value, error)):
-                return value, error, evals
-        if not heap:
-            # most calls meet the rule on the first sweep and never key a panel; a
-            # panel keys on its largest row |K - G| relative to that row's value after it
-            scale = [1.0 / max(abs(math.fsum(ks)), _TINY) for ks in zip(*(k for _, kl, _, kr, _ in first for k in (kl, kr)))]
-            for (i, (a, b)), halves in zip(enumerate(pieces), first):
-                push(i, a, b, halves)
-        _, i, a, b, ks, es = heap[0]
-        cause = _stuck(len(heap), a, b, past_end if i == last else None, rules[i].outer)
-        if cause is not None:
-            raise QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}")
-        heapq.heappop(heap)
-        halves = bisect(i, a, b)
-        push(i, a, b, halves)
-        tally(ks, es, halves)
-        evals += 2 * len(rules[i].nodes)
+            if keyed:
+                sc = scale[j]
+                heapq.heappush(heaps[j], (-_key(el, sc), i, a, mid, kl, el))
+                heapq.heappush(heaps[j], (-_key(er, sc), i, mid, b, kr, er))
+            else:
+                heaps[j] += (i, a, mid, kl, el), (i, mid, b, kr, er)
+            v, w = value[j], error[j]
+            if v is None:  # the pass's first bisection: its sums from 0
+                v, w, zero = [0.0] * len(kl), [0.0] * len(kl), [0.0] * len(kl)
+                value[j], error[j], dropped[j] = v, w, (zero, zero)
+            k, e = dropped[j]
+            for x in range(len(v)):
+                v[x] = (v[x] - k[x]) + (kl[x] + kr[x])
+                w[x] = (w[x] - e[x]) + (el[x] + er[x])
+            evals[j] += sizes[i]
+        todo, refining = [], []
+        for j in live:
+            if j >= stop:
+                break
+            heap = heaps[j]
+            if _met(value[j], error[j], tol):
+                # the running sums drift: accept on the exact ones
+                value[j] = list(map(math.fsum, zip(*map(itemgetter(-2), heap))))
+                error[j] = list(map(math.fsum, zip(*map(itemgetter(-1), heap))))
+                if _met(value[j], error[j], tol):
+                    results[j] = (value[j], error[j], evals[j])
+                    continue
+            if not keyed:
+                # key the first sweep's halves
+                sc = scale[j] = [1.0 / max(abs(v), _TINY) for v in map(math.fsum, zip(*map(itemgetter(-2), heap)))]
+                swept, heap = heap, []
+                heaps[j] = heap
+                for i, a, b, ks, es in swept:
+                    heapq.heappush(heap, (-_key(es, sc), i, a, b, ks, es))
+            _, i, a, b, *dropped[j] = heap[0]
+            cause = _stuck(len(heap), a, b, pieces[i][3], pieces[i][2].outer)
+            if cause is not None:
+                stop, failure = j, QuadratureError(
+                    f"requested tolerance {tol!r} not met {cause}: value={value[j]!r}, error={error[j]!r}"
+                )
+                break
+            heapq.heappop(heap)
+            todo.append((j, i, a, 0.5 * (a + b), b))
+            refining.append(j)
+        live, keyed = refining, True
+    return results[:stop], failure
 
 
 # the exponent k of radial_integral_rows' graded maps, rho = x^k on [0, 1]
@@ -641,14 +694,6 @@ def _panel_nodes(piece: int, a: float, b: float) -> np.ndarray:
     return table
 
 
-def _worst(es: list, scale: list) -> float:
-    """The largest product of es and scale, nan if one is, as np.maximum takes it: a key past the float range."""
-    p = list(map(mul, es, scale))
-    s = sum(p)
-    # the products are >= 0 or nan, so their sum is nan only if one is
-    return max(p) if s == s else s
-
-
 def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = QuadratureSpec()):
     """Integrals over [0, oo) of algebraically decaying row integrands, passes sets of them in lockstep.
 
@@ -657,124 +702,60 @@ def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = Qua
     [0, 1] and the tail past 1, each in a graded variable x in [0, 1]:
     rho = x^2 on [0, 1] and rho = (1 - x)^-2 on the tail, so that an
     algebraic power of rho at 0 or at infinity is a milder one in x (rho^-1/2
-    at 0 and rho^-3/2 at infinity become constants).  Each pass runs on its
-    own G10/K21 mesh under radial_integral's rule, guard and error texts:
-    every row must meet the rule on its own, and the panel bisected next has
-    the largest row error relative to that row's value after the first
-    sweep.  Each round evaluates one bisection of every pass still refining
-    (in the first, both pieces of every pass) from one call of
-    rows(rho, which): rho of shape (k, 2, 21) holds the nodes of both halves
-    of k bisections, a fresh array every round that rows may overwrite (the
-    nodes come from _panel_nodes' table), which of shape (k,) the pass of
-    each, and rows returns the (k, q, 2, 21) integrand values.  A pass keeps
-    its own heap, sums and checks, so it gives what it gives alone; it
-    leaves once it meets the rule, and one that fails drops the passes after
-    it.  A value outside the float range at a node, or an integral outside
-    it over a piece, raises QuadratureError naming the node or the piece;
-    panels and nodes are named in rho.  Returns an iterator over the
-    (values, error_estimates, evaluations) of the passes in order, arrays of
-    q and q evaluations per node, which raises the error of the first
-    failing pass after the results of the passes before it, as a loop of one
-    pass at a time would.
+    at 0 and rho^-3/2 at infinity become constants).  Both pieces run on
+    G10/K21 in radial_integrals' loop (_adaptive_passes), under its rule,
+    keys, guard and error texts: every row must meet the rule on its own,
+    and each pass keeps its own mesh, so it gives what it gives alone.  Each
+    round evaluates one bisection of every pass still refining (in the
+    first, both pieces of every pass) from one call of rows(rho, which): rho
+    of shape (k, 2, 21) holds the nodes of both halves of k bisections, a
+    fresh array every round that rows may overwrite (the nodes come from
+    _panel_nodes' table), which of shape (k,) the pass of each, and rows
+    returns the (k, q, 2, 21) integrand values, whose K and K - G are one
+    product with the (21, 2) weights and one tolist.  A pass leaves once it
+    meets the rule, and one that fails drops the passes after it.  A value
+    outside the float range at a node, or an integral outside it over a
+    piece, raises QuadratureError naming the node (the first in the scalar
+    node order) or the piece; panels and nodes are named in rho.  Returns an
+    iterator over the (values, error_estimates, evaluations) of the passes
+    in order, arrays of q and q evaluations per node, which raises the error
+    of the first failing pass after the results of the passes before it, as
+    a loop of one pass at a time would.
     """
-    tol = spec.relative_tolerance
-    # per pass: a heap of (-key, piece, a, b, K, |K - G|), piece 1 the tail,
-    # K and |K - G| lists of q Python floats, and the running sums (lists of
-    # q) and evaluations; scale holds 1 / |value| of every row of every pass
-    # after the first sweep
-    heaps = [[] for _ in range(passes)]
-    value, error, evals, scale = None, None, [0] * passes, None
-    results, stop, failure = [None] * passes, passes, None  # the passes from stop on are dropped
-    live = range(passes)
-    todo = [(j, i, 0.0, 0.5, 1.0) for j in live for i in (0, 1)]
-    which = np.arange(passes).repeat(2)
+    f = rho = None  # the last round's values and nodes
+
+    def halves(todo: list) -> list:
+        """K and |K - G| of both halves of every bisection of todo, from one call of rows."""
+        nonlocal f, rho
+        # the nodes in rho, d rho / dx and the half-widths of both halves of
+        # every bisection, (bisection, half, node), in a fresh array
+        nodes = np.concatenate([_panel_nodes(i, a, b) for _, i, a, _, b in todo], axis=1)
+        rho, jac, h = nodes[0], nodes[1], nodes[2, :, :, :1, None]
+        f = rows(rho, np.array([t[0] for t in todo]))
+        q = f.shape[1]
+        # K and K - G of both halves of every row in one product, times the
+        # half-widths, as Python floats (bisection, half, K or K - G, row)
+        kd = ((f * jac[:, None]).reshape(-1, 2, _NODES.size) @ _ROW_WEIGHTS).reshape(-1, q, 2, 2)
+        kd = kd.transpose(0, 2, 3, 1) * h
+        np.abs(kd[:, :, 1], out=kd[:, :, 1])
+        return kd.tolist()
+
+    def named(r: int) -> Optional[str]:
+        """The first node of bisection r, in the scalar order, where a row value is outside the float range."""
+        bad = ~np.isfinite(f[r].reshape(f.shape[1], -1)).all(axis=0)
+        return f"profile exceeds the float range at rho={float(rho[r].ravel()[bad.argmax()])!r}" if bad.any() else None
+
+    pieces = [(0.0, 1.0, _QK21, x_to_rho) for x_to_rho in _GRADED_MAPS]
     with np.errstate(over="ignore", invalid="ignore"):
-        while todo:
-            # the nodes in rho, d rho / dx and the half-widths of both halves
-            # of every bisection, (bisection, half, node), in a fresh array
-            nodes = np.concatenate([_panel_nodes(i, a, b) for _, i, a, _, b in todo], axis=1)
-            rho, jac, h = nodes[0], nodes[1], nodes[2, :, :, :1, None]
-            f = rows(rho, which)
-            q = f.shape[1]
-            v = f * jac[:, None]
-            # K and K - G of both halves of every row in one product, times
-            # the half-widths, as Python floats (bisection, half, K or K - G,
-            # row)
-            kd = (v.reshape(-1, 2, _NODES.size) @ _ROW_WEIGHTS).reshape(-1, q, 2, 2)
-            kd = (kd.transpose(0, 2, 3, 1) * h).tolist()
-            if scale is None:  # the first sweep: both pieces of every pass
-                # 1 / |value| of every row of every pass: the Ks of the head's
-                # halves plus those of the tail's
-                scale = [
-                    [1.0 / max(abs(w + x + (y + z)), _TINY) for w, x, y, z in zip(hl, hr, tl, tr)]
-                    for ((hl, _), (hr, _)), ((tl, _), (tr, _)) in zip(kd[0::2], kd[1::2])
-                ]
-                value, error = [[0.0] * q for _ in range(passes)], [[0.0] * q for _ in range(passes)]
-            for r, ((j, i, a, mid, b), ((kl, el), (kr, er))) in enumerate(zip(todo, kd)):
-                el, er, sc = list(map(abs, el)), list(map(abs, er)), scale[j]
-                # a half keys on its largest row |K - G| relative to that
-                # row's value after the first sweep; the Kronrod weights are
-                # positive, so a value outside the float range leaves its K
-                # outside it too
-                if math.isfinite(sum(kl) + sum(kr) + sum(el) + sum(er)):
-                    left, right = max(map(mul, el, sc)), max(map(mul, er, sc))
-                elif all(map(math.isfinite, kl + kr)):
-                    left, right = _worst(el, sc), _worst(er, sc)
-                else:
-                    piece = _in_rho(0.0, 1.0, _GRADED_MAPS[i])
-                    stop, failure = j, QuadratureError(
-                        _overflow(f[r].reshape(q, -1), rho[r].ravel(), np.array([kl, kr]), i, heaps[j], piece)
-                    )
-                    break
-                heapq.heappush(heaps[j], (-left, i, a, mid, kl, el))
-                heapq.heappush(heaps[j], (-right, i, mid, b, kr, er))
-                value[j] = list(map(add, value[j], map(add, kl, kr)))
-                error[j] = list(map(add, error[j], map(add, el, er)))
-                evals[j] += 2 * _NODES.size
-            todo, refining = [], []
-            for j in live:
-                if j >= stop:
-                    break
-                heap = heaps[j]
-                if all(e <= tol * abs(v) for v, e in zip(value[j], error[j])):
-                    # the running sums drift; accept on the exact ones
-                    value[j], error[j] = ([math.fsum(row) for row in zip(*(p[col] for p in heap))] for col in (4, 5))
-                    if all(e <= tol * abs(v) for v, e in zip(value[j], error[j])):
-                        results[j] = (np.array(value[j]), np.array(error[j]), q * evals[j])
-                        continue
-                _, i, a, b, k, e = heap[0]
-                cause = _stuck(len(heap), a, b, _GRADED_MAPS[i], _QK21.outer)
-                if cause is not None:
-                    stop, failure = j, QuadratureError(
-                        f"requested tolerance {tol!r} not met {cause}: value={value[j]!r}, error={error[j]!r}"
-                    )
-                    break
-                heapq.heappop(heap)
-                value[j] = list(map(sub, value[j], k))
-                error[j] = list(map(sub, error[j], e))
-                todo.append((j, i, a, 0.5 * (a + b), b))
-                refining.append(j)
-            live, which = refining, np.array(refining)
-    return _in_order(results[:stop], failure)
+        results, failure = _adaptive_passes(pieces, passes, halves, spec.relative_tolerance, named)
 
+    def in_order() -> Iterator[tuple]:
+        for v, e, n in results:
+            yield np.array(v), np.array(e), len(v) * n
+        if failure is not None:
+            raise failure
 
-def _in_order(results: list, failure: Optional[QuadratureError]):
-    """The results, then failure raised if there is one: what a loop of one pass at a time meets."""
-    yield from results
-    if failure is not None:
-        raise failure
-
-
-def _overflow(v, rho, k, i: int, panels: list, piece: str) -> str:
-    """Why a bisection's K left the float range: the first node, in the scalar
-    order, where a row value is outside it (v and rho of the bisection's 42
-    nodes), or else the first row whose sum over piece i is."""
-    if not np.isfinite(v).all():
-        bad = int((~np.isfinite(v)).any(axis=0).argmax())
-        return f"profile exceeds the float range at rho={float(rho[bad])!r}"
-    r = int((~np.isfinite(k)).any(axis=0).argmax())
-    total = math.fsum([p[4][r] for p in panels if p[1] == i] + k[:, r].tolist())
-    return f"integral over {piece} is {total!r}: outside the float range"
+    return in_order()
 
 
 def _volume_integral(f: RadialProfile, weight, n: int, spec: QuadratureSpec) -> IntegralResult:

@@ -159,8 +159,10 @@ class TestExtremalIntegrals:
     def test_pqr_is_the_identity_pass(self, triple, tol, monkeypatch):
         # the report triples whose passes meet the tolerance: P, Q and R are
         # the rows check_pqr_identity reads, so Q R / P^2 is its ratio bit for
-        # bit, and no scalar integral runs
-        monkeypatch.setattr(quadrature, "_adaptive_gk", None)
+        # bit, and no scalar integral runs: radial_integrals, the scalar
+        # front end of the adaptive loop, is gone at both of its call sites
+        monkeypatch.setattr(quadrature, "radial_integrals", None)
+        monkeypatch.setattr(flat, "radial_integrals", None)
         t, spec = ExponentTriple(*triple), QuadratureSpec(relative_tolerance=tol)
         for lam in (0.5, 1.0, 2.0):
             P, Q, R = (pqr(t, lam, which, spec) for which in "PQR")
@@ -209,7 +211,8 @@ class TestExtremalIntegrals:
             return [(np.ones(shape[1]), np.zeros(shape[1]), 1)] * passes
 
         monkeypatch.setattr(flat, "radial_integral_rows", fake)
-        monkeypatch.setattr(quadrature, "_adaptive_gk", None)
+        # with the passes faked, no adaptive loop runs at all
+        monkeypatch.setattr(quadrature, "_adaptive_passes", None)
         t = ExponentTriple(3, 3.0, 0.0005)
         for check, q in ((check_pqr_identity, 2), (check_p_ode, 6)):
             calls.clear()
@@ -830,11 +833,11 @@ class TestGaussianHardy:
     def test_one_moments_call_no_integral(self, monkeypatch):
         # A is the moment of (1 - 2 rate rho^2 + rate^2 rho^4) rho^(n-1) and
         # H that of rho^(n-1), from one call for every a, with no
-        # Gauss-Kronrod pass and no scalar integral
+        # Gauss-Kronrod pass and no adaptive loop
         calls = []
         moments = flat._gaussian_moments
         monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: calls.append(a[0]) or moments(*a))
-        monkeypatch.setattr(quadrature, "_adaptive_gk", None)
+        monkeypatch.setattr(quadrature, "_adaptive_passes", None)
         monkeypatch.setattr(flat, "gauss_kronrod_batch", None)
         assert len(gaussian_hardy_reports(4, (0.5, 1.0, 2.0))) == 3
         assert [[[(k, j) for _, k, j in terms] for terms in rows] for rows in calls] == [
@@ -885,6 +888,15 @@ class TestSharpnessSweep:
     def test_needs_two_epsilons(self, eps):
         # one eps leaves the extrapolation underdetermined
         with pytest.raises(ValueError, match="two eps"):
+            hardy_sharpness_sweep(EUCLID3, 3, 1.0, 2.0, eps)
+
+    @pytest.mark.parametrize("eps, repeated", [([1e-3, 1e-3], 1e-3), ([1e-3, 1e-3, 1e-4], 1e-3),
+                                               ([1e-2, 1e-4, 0.01], 0.01)])
+    def test_repeated_epsilon_named(self, eps, repeated):
+        # a repeated eps leaves the least-squares system rank-deficient: it
+        # used to return a limit far from the target ([1e-3, 1e-3] gave
+        # 0.5296 and [1e-3, 1e-3, 1e-4] 0.3095, against 0.25)
+        with pytest.raises(ValueError, match=rf"^eps = {repeated!r} repeats"):
             hardy_sharpness_sweep(EUCLID3, 3, 1.0, 2.0, eps)
 
     @staticmethod
@@ -939,9 +951,9 @@ class TestSharpnessSweep:
 
     def test_no_scalar_quadrature(self, monkeypatch):
         def scalar(*args, **kwargs):
-            raise AssertionError("the sweep called a scalar radial integral")
+            raise AssertionError("the sweep ran the adaptive loop of a radial integral")
 
-        monkeypatch.setattr(quadrature, "_adaptive_gk", scalar)
+        monkeypatch.setattr(quadrature, "_adaptive_passes", scalar)
         # one batched pass, over the eps-free piece [r, R] alone
         calls, batch = [], flat.gauss_kronrod_batch
         monkeypatch.setattr(flat, "gauss_kronrod_batch", lambda *a: calls.append(len(a[1])) or batch(*a))

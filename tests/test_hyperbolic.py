@@ -134,6 +134,15 @@ class TestVolumes:
         assert all(b > a for a, b in zip(out["ratios"], out["ratios"][1:]))
         assert min(out["ratios"]) >= ball_volume_constant(3)
 
+    @pytest.mark.parametrize("n", [52, 60])
+    def test_drop_among_tiny_ratios_seen(self, n):
+        # the ratios at rho = 1 and 0.5 fall from 6.1e-11 to 1.6e-13 at
+        # n = 52 and from 3.3e-14 to 3.3e-17 at n = 60, drops far below the
+        # absolute 1e-10 the flag used to allow
+        out = hyp_volume_ratio_check(n, [1.0, 0.5])
+        assert 0 < out["ratios"][1] < out["ratios"][0] < 1e-10
+        assert out["non_decreasing"] is False
+
     def test_zero_radius_named(self):
         # the ratio divides by rho^n
         with pytest.raises(ValueError, match="rho = 0.0"):
@@ -351,7 +360,7 @@ class TestHardyHyperbolic:
         passes = []
         batch = hyperbolic.gaussian_integrals
         monkeypatch.setattr(hyperbolic, "gaussian_integrals", lambda *a: passes.append(a[:2]) or batch(*a))
-        monkeypatch.setattr(quadrature, "_adaptive_gk", None)
+        monkeypatch.setattr(quadrature, "_adaptive_passes", None)
         assert len(gaussian_hardy_hyperbolic_reports(5, (0.5, 1.0, 2.0))) == 3
         ((rows, grid),) = passes
         assert [k for k, _ in rows] == [4] * 4

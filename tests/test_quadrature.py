@@ -35,9 +35,9 @@ from sharpineq.quadrature import (
     _GK21_NODES,
     _MAX_SUBINTERVALS,
     _UNIT,
-    _adaptive_gk,
     _mass_series,
     _series_masses,
+    radial_integrals,
 )
 
 # the nodes of a panel under each rule: G10/K21 on every finite piece and
@@ -191,18 +191,21 @@ class TestRadialIntegralAccuracy:
 
     def test_rule_exact_on_polynomials(self):
         # on the two first halves of a finite piece K21 is exact to degree 31
-        # and G10 to degree 19, and on those of the tail, t^j in its variable
-        # t = rho / (1 + rho), K15 to degree 22 and G7 to degree 13: this pins
-        # every entry of both tables; at 1e-6 no degree needs a bisection
-        for size, exact, cuts, tail, row in (
-            (QK21, 19, [0.0, 1.0], False, lambda x, j: x**j),
-            (QK15, 13, [0.0], True, lambda r, j: (r / (1 + r)) ** j / (1 + r) ** 2),
+        # and G10 to degree 19, and on those of the tail past rho = 1, t^j in
+        # its variable t = (rho - 1) / rho, K15 to degree 22 and G7 to degree
+        # 13, where [0, 1] holds a zero row: this pins every entry of both
+        # tables; at 1e-6 no degree needs a bisection
+        for size, exact, decay, row, evals_of in (
+            (QK21, 19, DecayClass.compact(1.0), lambda x, j: x**j if x <= 1.0 else 0.0, 2 * QK21),
+            (QK15, 13, DecayClass.algebraic(), lambda r, j: ((r - 1) / r) ** j / (r * r) if r > 1.0 else 0.0,
+             2 * QK21 + 2 * QK15),
         ):
             for j in range(3 * (size // 2) + 2):
-                (value,), (error,), evals = _adaptive_gk(lambda rs: [[row(x, j) for x in rs]], cuts, tail, 1e-6)
-                assert value == pytest.approx(1 / (j + 1), rel=1e-14)
-                assert error <= 1e-15 or j > exact
-                assert evals == 2 * size
+                (res,) = radial_integrals(lambda rs, ws: [[row(x, j) for x in rs]], [decay], ("power", 0),
+                                          QuadratureSpec(relative_tolerance=1e-6))
+                assert res.value == pytest.approx(1 / (j + 1), rel=1e-14)
+                assert res.error_estimate <= 1e-15 or j > exact
+                assert res.nodes_used == evals_of
 
     def test_first_sweep_accepts_before_any_key(self, monkeypatch):
         # a call that meets the rule on its first sweep keys and pushes no
@@ -211,10 +214,16 @@ class TestRadialIntegralAccuracy:
         pushed = []
         push = quadrature.heapq.heappush
         monkeypatch.setattr(quadrature.heapq, "heappush", lambda heap, item: pushed.append(item) or push(heap, item))
-        (value,), (error,), evals = _adaptive_gk(lambda rs: [[x**5 for x in rs]], [0.0, 1.0], False, 1e-6)
+
+        def on_unit(g, tol):
+            (res,) = radial_integrals(lambda rs, ws: [[g(x) if x <= 1.0 else 0.0 for x in rs]],
+                                      [DecayClass.compact(1.0)], ("power", 0), QuadratureSpec(relative_tolerance=tol))
+            return res.value, res.error_estimate, res.nodes_used
+
+        value, error, evals = on_unit(lambda x: x**5, 1e-6)
         assert value == pytest.approx(1 / 6, rel=1e-14) and error <= 1e-15
         assert (evals, pushed) == (2 * QK21, [])
-        _, _, evals = _adaptive_gk(lambda rs: [[abs(x - 0.3) ** 0.5 for x in rs]], [0.0, 1.0], False, 1e-9)
+        _, _, evals = on_unit(lambda x: abs(x - 0.3) ** 0.5, 1e-9)
         assert evals > 2 * QK21 and len(pushed) == 2 * evals // (2 * QK21)
 
 
@@ -324,11 +333,13 @@ class TestRadialIntegralFailures:
         )
         with pytest.raises(QuadratureError) as exc:
             radial_integral(prof, ("power", 0))
-        # one row prints its value and estimate as lists, as q rows do
+        # one row prints its value and estimate as lists, as q rows do: its
+        # running sums, which drop a bisected panel's K and add the sum of
+        # its halves' Ks
         assert str(exc.value) == (
             "requested tolerance 1e-09 not met at rho in [0.5, 0.5000000000000001]: "
             "the panel cannot be bisected in floating point: "
-            "value=[18.17386565144981], error=[0.0022032624573450886]"
+            "value=[18.173865651449802], error=[0.002203262457345144]"
         )
 
     def test_tail_node_at_one(self):
@@ -371,6 +382,34 @@ class TestRadialIntegralFailures:
         with pytest.raises(QuadratureError) as exc:
             radial_integral(prof, ("power", 0))
         assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
+
+    def test_non_finite_row_on_a_later_piece(self):
+        # of two rows on the pieces [0, 1], [1, 2], [2, 6] and [6, 8], the
+        # second is 1e308 on [2, 6] alone, where its Kronrod sums overflow:
+        # the message names that piece, not the first, and that row's sum
+        with pytest.raises(QuadratureError) as exc:
+            radial_integrals(lambda rs, ws: [[1.0 if r <= 8 else 0.0 for r in rs],
+                                             [(1e308 if 2 < r < 6 else 1.0) if r <= 8 else 0.0 for r in rs]],
+                             [DecayClass.compact(8.0)] * 2, ("power", 0), breakpoints=(2.0, 6.0))
+        assert str(exc.value) == "integral over rho in [2.0, 6.0] is inf: outside the float range"
+
+    def test_overflow_on_two_pieces_named_in_piece_order(self):
+        # the profile overflows near the right end of [0, 1/2], at its last
+        # half's outer Gauss node 0.375 + 0.125 x, and around the first node
+        # of [1/2, 1], its left half's centre 0.625: the first sweep
+        # evaluates the pieces in order, so the first piece's node is named,
+        # as that piece alone names it
+        def named(*regions):
+            prof = RadialProfile(lambda r: math.exp(800.0) if any(a < r < b for a, b in regions) else float(r <= 1),
+                                 DecayClass.compact(1.0), breakpoints=(0.5,))
+            with pytest.raises(QuadratureError) as exc:
+                radial_integral(prof, ("power", 0))
+            return str(exc.value)
+
+        first, second = (0.45, 0.5), (0.6, 0.65)
+        rho = 0.375 + 0.125 * float(_GK21_NODES[-2])
+        assert named(first, second) == named(first) == f"profile exceeds the float range at rho={rho!r}"
+        assert named(second) == "profile exceeds the float range at rho=0.625"
 
 
 def algebraic_rows(rho):
