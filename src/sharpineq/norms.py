@@ -7,9 +7,12 @@ Busemann-Hausdorff density normalization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -162,10 +165,10 @@ def _rows_value(norm: MinkowskiNorm, y: np.ndarray, dual: bool) -> np.ndarray:
         out[nonzero] = _rows_value(norm, y[nonzero], dual)
         return out
     if dual:
-        # every row climbs from the same lattice starts: one norm_value call
-        # for them all, and none without rows
-        starts = _climb_starts(norm) if len(y) else None
-        return np.fromiter((_dual_by_maximization(norm, a, starts)[0] for a in y), float, len(y))
+        # every row climbs first from alpha / F(alpha); the rows whose first
+        # climb does not settle share one lattice, built by the first of them
+        starts = functools.cache(functools.partial(_climb_starts, norm))
+        return np.fromiter((_dual_by_maximization(norm, a, starts) for a in y), float, len(y))
     return np.fromiter(map(norm.value_fn, y), float, len(y))
 
 
@@ -220,17 +223,44 @@ def _sphere_lattice(n: int, count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _climb_starts(norm: MinkowskiNorm) -> np.ndarray:
-    """The 32 lattice directions of _sphere_lattice on the F-unit sphere, by one norm_value row call."""
+def _climb_starts(norm: MinkowskiNorm) -> list:
+    """The 32 lattice directions of _sphere_lattice on the F-unit sphere, by one norm_value row call, as lists of floats."""
     d = _sphere_lattice(norm.dimension, 32)
-    return d / norm_value(norm, d)[:, None]
+    return (d / norm_value(norm, d)[:, None]).tolist()
 
 
-def _dual_by_maximization(norm: MinkowskiNorm, alpha: np.ndarray, starts: np.ndarray) -> tuple[float, np.ndarray]:
+def _fd_gradient(value_fn: Callable[[np.ndarray], float], y: list) -> list:
+    """Central-difference gradient of a custom F at a point y of the F-unit sphere, 2(n - 1) value_fn calls.
+
+    Axis j moves by h = 1e-6 max(1, |y|), or by half |y_j| when 0 < |y_j| < h,
+    so the stencil stays on its side of the axis, where lp norms of p < 2
+    bend sharply: a step across it read an lp1.5 dual 3e-11 low.  The axis k
+    of the largest |y_k| takes no step: Euler's identity for the
+    1-homogeneous F, sum_j y_j dF/dy_j = F(y) = 1 on the sphere, gives
+    dF/dy_k = (1 - sum_{j != k} y_j dF/dy_j) / y_k.  The 2(n - 1) points are
+    the rows of one array; nothing else leaves Python floats.
+    """
+    size = [abs(v) for v in y]
+    k = size.index(max(size))
+    h = 1e-6 * max(1.0, math.sqrt(sum(map(mul, y, y))))
+    axes = [j for j in range(len(y)) if j != k]
+    steps = [size[j] / 2 if 0 < size[j] < h else h for j in axes]
+    plus = [y[:j] + [y[j] + step] + y[j + 1:] for j, step in zip(axes, steps)]
+    minus = [y[:j] + [y[j] - step] + y[j + 1:] for j, step in zip(axes, steps)]
+    F = list(map(float, map(value_fn, np.array(plus + minus))))
+    m = len(axes)
+    partial = [(F[i] - F[m + i]) / (2 * step) for i, step in enumerate(steps)]
+    partial.insert(k, (1.0 - sum(map(mul, y[:k] + y[k + 1:], partial))) / y[k])
+    return partial
+
+
+def _dual_by_maximization(norm: MinkowskiNorm, alpha: np.ndarray, starts: Callable[[], list]) -> float:
     """sup alpha(y) / F(y) by projected gradient ascent on the F-unit sphere.
 
-    The climb starts from the best of the 32 points of starts, the
-    _climb_starts(norm) that a row call shares among its rows.  A move
+    The first climb starts from alpha / F(alpha), one value_fn call.  Only
+    if it does not settle does starts() put the 32 lattice directions on the
+    sphere (a row call shares one lattice among its rows and builds it at
+    most once), and the climb is run again from the best 4 of them.  A move
     is taken only on a strict increase of val = alpha(y); a rejected move
     halves the step.  After a move s, with dg the fall of the ascent
     direction g = alpha - val grad F(y), the step becomes a Barzilai-Borwein
@@ -238,7 +268,10 @@ def _dual_by_maximization(norm: MinkowskiNorm, alpha: np.ndarray, starts: np.nda
     turns, short first (the long one alone left lp(10) climbs in n = 4 at
     the cap).  A climb stops once its predicted gain step |g|^2 is at most
     eps |val| or its move step |g| at most eps |y|, eps the machine epsilon,
-    or after 400 iterations.
+    or after 400 iterations.  The iterate, steps and dot products are Python
+    floats; value_fn gets each candidate, and gradient_fn each new iterate,
+    as an array (without gradient_fn, _fd_gradient's stencil rows).  A
+    candidate at the origin is rejected without a value_fn call.
 
     A stopped climb is settled only when |g| <= 1e-5 |alpha|.  For convex F,
     f(z) = alpha(z) - val F(z) is concave with gradient g at y and f(y) = 0,
@@ -247,69 +280,69 @@ def _dual_by_maximization(norm: MinkowskiNorm, alpha: np.ndarray, starts: np.nda
     shortfall of val.  Settled climbs on smooth lp norms left |g| at most
     4e-7 |alpha| with an analytic gradient and 7e-6 with finite differences
     next to an axis; the wrong near-l1 values that 32 restarts used to return
-    left at least 8e-4 |alpha|.  An unsettled climb hands over to the
-    next-best start; after 4 starts NormError is raised.
+    left at least 8e-4 |alpha|.  NormError is raised when neither the first
+    climb nor any of the 4 lattice climbs settles.
     """
-    eps = np.finfo(float).eps
-    gate = 1e-5 * math.sqrt(alpha @ alpha)
-    start_vals = starts @ alpha
+    value_fn, gradient_fn = norm.value_fn, norm.gradient_fn
+    eps = sys.float_info.epsilon
+    a = alpha.tolist()
+    gate = 1e-5 * math.sqrt(sum(map(mul, a, a)))
 
-    def gradient(y: np.ndarray) -> np.ndarray:
-        return _norm_gradient(norm, y[None])[0]
+    if gradient_fn is None:
+        def gradient(y: list) -> list:
+            return _fd_gradient(value_fn, y)
+    else:
+        def gradient(y: list) -> list:
+            return np.asarray(gradient_fn(np.array(y)), dtype=float).tolist()
 
-    def stopped(y, val, g, step) -> bool:
-        gg = g @ g
-        return step * gg <= eps * abs(val) or step * math.sqrt(gg) <= eps * math.sqrt(y @ y)
+    def stopped(y: list, val: float, g: list, step: float) -> bool:
+        gg = sum(map(mul, g, g))
+        return step * gg <= eps * abs(val) or step * math.sqrt(gg) <= eps * math.sqrt(sum(map(mul, y, y)))
 
-    for k in np.argsort(-start_vals, kind="stable")[:4]:
-        y, val = starts[k], start_vals[k]
-        g = alpha - val * gradient(y)
+    def climb(y: list, val: float) -> Optional[float]:
+        """val at the end of a settled climb from y, or None."""
+        g = [ai - val * d for ai, d in zip(a, gradient(y))]
         step, long_step = 1.0, False
         for _ in range(400):
             if stopped(y, val, g, step):
                 break
-            cand = y + step * g
-            cand = cand / norm_value(norm, cand)
-            cand_val = cand @ alpha
+            cand = [yi + step * gi for yi, gi in zip(y, g)]
+            cand_val = -math.inf  # the origin is no increase
+            if any(cand):
+                f = float(value_fn(np.array(cand)))
+                cand = [c / f for c in cand]
+                cand_val = sum(map(mul, cand, a))
             if not cand_val > val:
                 step *= 0.5
                 continue
-            cand_g = alpha - cand_val * gradient(cand)
-            s, dg = cand - y, g - cand_g
-            sdg = s @ dg
+            cand_g = [ai - cand_val * d for ai, d in zip(a, gradient(cand))]
+            s = [c - yi for c, yi in zip(cand, y)]
+            dg = [gi - c for gi, c in zip(g, cand_g)]
+            sdg = sum(map(mul, s, dg))
             if sdg > 0:
-                step = (s @ s) / sdg if long_step else sdg / (dg @ dg)
+                step = sum(map(mul, s, s)) / sdg if long_step else sdg / sum(map(mul, dg, dg))
             long_step = not long_step
             y, val, g = cand, cand_val, cand_g
-        if stopped(y, val, g, step) and math.sqrt(g @ g) <= gate:
-            return float(val), y
+        if stopped(y, val, g, step) and math.sqrt(sum(map(mul, g, g))) <= gate:
+            return val
+        return None
+
+    f = float(value_fn(alpha))
+    first = [ai / f for ai in a]
+    val = climb(first, sum(map(mul, first, a)))
+    if val is not None:
+        return val
+    lattice = starts()
+    start_vals = [sum(map(mul, y, a)) for y in lattice]
+    for k in sorted(range(len(lattice)), key=lambda k: -start_vals[k])[:4]:
+        val = climb(lattice[k], start_vals[k])
+        if val is not None:
+            return val
     raise NormError(
-        f"dual norm of {alpha!r} not converged: the climbs from the 4 best "
-        "lattice starts stalled or reached the 400-iteration cap with "
+        f"dual norm of {alpha!r} not converged: the climbs from alpha / F(alpha) and "
+        "the 4 best lattice starts stalled or reached the 400-iteration cap with "
         "|alpha - val grad F(y)| above 1e-5 |alpha|"
     )
-
-
-def _norm_gradient(norm: MinkowskiNorm, y: np.ndarray) -> np.ndarray:
-    """Gradient of a custom F at every row of y (rows nonzero)."""
-    if norm.gradient_fn is not None:
-        # reshape: no rows would otherwise give shape (0,), not (0, n)
-        return np.array([norm.gradient_fn(r) for r in y], dtype=float).reshape(y.shape)
-    # central differences, scaled to each point; stencil[:, i] moves
-    # coordinate i by h = 1e-6 max(1, |y|).  A nonzero coordinate below h
-    # moves by half its size instead, so the stencil stays on its side of the
-    # axis, where lp norms of p < 2 bend sharply: a step across it read an
-    # lp1.5 dual 3e-11 low.  |y| is np.linalg.norm's sum, without its checks
-    m, n = y.shape
-    h = 1e-6 * np.maximum(1.0, np.sqrt(_add(y * y, axis=1)))[:, None]
-    size = np.abs(y)
-    below = size < h
-    if below.any():
-        h = np.where(below & (size > 0), size / 2, h)
-    shift = h[:, :, None] * np.eye(n)
-    stencil = np.concatenate([y[:, None, :] + shift, y[:, None, :] - shift])
-    F = norm_value(norm, stencil.reshape(-1, n)).reshape(2, m, n)
-    return (F[0] - F[1]) / (2 * h)
 
 
 def dual_norm_value(norm: MinkowskiNorm, alpha: Covector) -> float | np.ndarray:
@@ -319,7 +352,10 @@ def dual_norm_value(norm: MinkowskiNorm, alpha: Covector) -> float | np.ndarray:
     (m, n) ndarray, which gives an ndarray of m values.  lp and custom rows
     equal their one-covector calls bit for bit (the finite-difference
     Hessian of uniformity_constant relies on it); weighted-euclidean rows
-    are within 4 ulp of them.
+    are within 4 ulp of them.  A custom norm climbs on its F-unit sphere
+    (_dual_by_maximization): first from alpha / F(alpha), and from the
+    32-point start lattice only when that climb does not settle, the lattice
+    built at most once per call, for one covector or all the rows.
     """
     if getattr(alpha, "ndim", 1) == 2:
         return _rows_value(norm, alpha.astype(float, copy=False), dual=True)
@@ -335,15 +371,18 @@ def dual_norm_value(norm: MinkowskiNorm, alpha: Covector) -> float | np.ndarray:
         return float(_add(np.abs(alpha) ** s)) ** (1.0 / s)
     if not any(alpha.tolist()):
         return 0.0
-    val, _ = _dual_by_maximization(norm, alpha, _climb_starts(norm))
-    return val
+    return _dual_by_maximization(norm, alpha, functools.partial(_climb_starts, norm))
 
 
 def legendre_map(norm: MinkowskiNorm, alpha: Covector) -> DualityCertificate:
     """Legendre transform: the gradient of half the squared dual norm.
 
     Returns the vector y with F(y) = F*(alpha) and alpha(y) = F(y) F*(alpha),
-    packaged with its certificate.
+    packaged with its certificate.  For a custom norm y is the central
+    difference of (1/2) F*^2 with step h = 1e-6 F*(alpha), its 2n points in
+    one dual_norm_value row call: each climbs first from its own
+    alpha / F(alpha), and the row call builds the start lattice only for a
+    point whose first climb does not settle.
     """
     alpha = _check_dim(norm, alpha)
     if not np.any(alpha):

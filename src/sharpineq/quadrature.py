@@ -132,12 +132,19 @@ class DecayClass:
 
     kind: 'algebraic' (an integrable tail, mapped from 1 or a breakpoint past it),
     'gaussian' (f = O(exp(-rate rho^2))) or 'compact' (support inside
-    [0, support_radius]).
+    [0, support_radius], which must be positive and finite, or else a
+    ValueError names it).
     """
 
     kind: str
     rate: float = 0.0
     support_radius: float = 0.0
+
+    def __post_init__(self):
+        if self.kind == "compact" and not 0 < self.support_radius < math.inf:
+            raise ValueError(
+                f"support_radius must be positive and finite, got support_radius = {self.support_radius!r}"
+            )
 
     @staticmethod
     def algebraic() -> "DecayClass":

@@ -1698,6 +1698,15 @@ class TestSpecAndProfiles:
         assert DecayClass.algebraic().scaled(2) == DecayClass.algebraic()
         assert DecayClass.compact(2.0).scaled(3) == DecayClass.compact(2.0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_compact_support_radius_must_be_positive_and_finite(self, radius):
+        # a support of radius 0 or below left radial_integral no piece to
+        # integrate, and it failed with a bare TypeError
+        with pytest.raises(ValueError, match="support_radius must be positive and finite"):
+            radial_integral(RadialProfile(lambda r: 0.0, DecayClass.compact(radius)), ("power", 1))
+        with pytest.raises(ValueError, match=f"got support_radius = {radius!r}"):
+            DecayClass("compact", support_radius=radius)
+
 
 class TestFiniteDifference:
     def test_square(self):
