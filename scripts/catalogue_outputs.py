@@ -19,12 +19,12 @@ pools are pinned to one thread, as perfbench/run.py pins them.  --diff
 lists the keys whose digests differ between two such files (or that only
 one holds), each with the largest relative change of its numbers by name
 (the fields of the repr, the columns of all.csv for suite-all) where both
-hold the same text around them, and exits 1 if there is any.  --against
-REV digests the commit REV of CHECKOUT's git repository and CHECKOUT
-itself, each in its own process, and prints their --diff: REV's files come
-from git archive into a temporary directory, which is removed afterwards,
-so the repository gains no worktree, not even from a run that is cut
-short.
+hold the same text around them up to whitespace, and exits 1 if there is
+any.  --against REV digests the commit REV of CHECKOUT's git repository
+and CHECKOUT itself, each in its own process, and prints their --diff:
+REV's files come from git archive into a temporary directory, which is
+removed afterwards, so the repository gains no worktree, not even from a
+run that is cut short.
 
 --times N times the entries instead: after one untimed pass over them,
 N timed passes, each entry's inputs built outside its timer, and prints,
@@ -97,6 +97,7 @@ def digests(root: Path) -> dict:
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 # a name a repr gives the numbers after it, as in lhs=1.0, 'value': 1.0 or err=(1.0, 2.0)
 _LABEL = re.compile(r"(\w+)'?(?:=|: )")
+_SPACE = re.compile(r"\s+")
 
 
 def _labelled(text: str) -> list:
@@ -120,11 +121,12 @@ def _csv_as_repr(text: str) -> str:
 def size(a, b) -> str:
     """How far the digest a moved to b: the largest relative change of its
     numbers by name (the field of a repr, the column of all.csv) where the
-    text around them is the same, or why they cannot be compared."""
+    text around them is the same up to whitespace (numpy pads the elements
+    of an array to the widest), or why they cannot be compared."""
     if a is None or b is None:
         return "only in " + ("B" if a is None else "A")
     a, b = (_csv_as_repr(d["all.csv"]) if isinstance(d, dict) else d for d in (a, b))
-    if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+    if _SPACE.sub("", _NUMBER.sub("#", a)) != _SPACE.sub("", _NUMBER.sub("#", b)):
         return "text differs"
     worst = {}
     for (label, x), (_, y) in zip(_labelled(a), _labelled(b)):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .quadrature import (
     gauss_kronrod_batch,
     monte_carlo_integral,
     radial_integral,
-    radial_integral_rows,
     radial_integrals,
 )
 
@@ -297,11 +296,12 @@ def pqr(t: ExponentTriple, lam: float, which: str, spec: QuadratureSpec = Quadra
     """The integrals P, Q, R of the extremal family at parameter lam.
 
     P = omega_n int rho^n h, R = omega_n int rho^n g and
-    Q = ((2-q)/(p-2))^2 * R.  P and R are the two rows of the one
-    radial_integral_rows pass check_pqr_identity reads at lam
-    (_extremal_passes without the finite-difference points), so Q R / P^2
-    from these is its ratio, bit for bit; nodes_used counts the pass's
-    evaluations of both rows.
+    Q = ((2-q)/(p-2))^2 * R.  P and R are the two integrals
+    check_pqr_identity reads at lam (_extremal_passes without the
+    finite-difference points), so Q R / P^2 from these is its ratio, bit
+    for bit; nodes_used counts the kernel values of both rows.  An integral
+    that leaves the float range, or is 0 or subnormal, is a QuadratureError
+    that names lam.
     """
     if which not in ("P", "Q", "R"):
         raise ValueError("selector must be one of P, Q, R")
@@ -318,40 +318,63 @@ def _scaled(r: IntegralResult, c: float) -> IntegralResult:
     return IntegralResult(c * r.value, c * r.error_estimate, r.nodes_used)
 
 
-def _extremal_passes(
-    t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec, fd: bool = True
-) -> Iterator[tuple]:
+def _extremal_passes(t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec, fd: bool = True) -> list:
     """P at lam and, if fd, at fd_derivative's four points around it, and R at lam, for every lam of lam_grid.
 
     The points are lam + h, lam - h, lam + h/2 and lam - h/2 with
     h = 1e-5 lam, as fd_derivative forms them.  The integrals of a lam (six,
-    or P and R without fd) are the rows of one radial_integral_rows pass,
-    and the passes of the grid run in lockstep, each on its own mesh: P and
-    R of pqr and check_pqr_identity are the same floats, and pqr_reports'
-    P and R are the same integrals on a mesh that also refines the
-    finite-difference rows.  A round's rows are h(rho, lam) and
-    g(rho, lam) at its nodes against the lams of the passes it names, so
-    only the passes still refining are evaluated.  Yields one (the points,
-    lam first; P at each; R) per lam, in grid order; a failed pass raises
-    its error when its turn comes.
+    or P and R without fd) are the integrals of its parameter row in one
+    gauss_kronrod_batch call over the grid, so a value depends only on its
+    lam: P and R of pqr and check_pqr_identity are the same floats, and
+    pqr_reports' P and R are the same integrals on panels that also refine
+    the finite-difference rows.  Each row is one integral over [0, oo) in
+    x in [0, 1], the head rho = c x^2 and the tail rho = c (1 - x)^-2 added
+    at every node, split at c = (lam y*)^(1/(2-q)): the peak of P's
+    integrand y^(m-1) (1 + y)^e in y = rho^(2-q) / lam, where
+    y* = (m - 1) / (-e - m + 1) with m = (n - q)/(2 - q) and
+    e = (2p - 2)/(2 - p), positive on every admissible triple.  A lam whose
+    integrals leave the float range or miss the tolerance fails the grid
+    with gauss_kronrod_batch's QuadratureError, and one whose integral is 0
+    or subnormal with _normal_floats': the error counts the failing lams
+    and names the first.  nodes_used counts the kernel values of the whole
+    call, every row at both radii of every node.  Returns one (the points,
+    lam first; P at each; R) per lam, in grid order.
     """
     lam = _checked_parameters("lam", lam_grid)[:, None]
     h = 1e-5 * lam
-    lams = np.concatenate([lam, lam + h, lam - h, lam + h / 2, lam - h / 2], axis=1) if fd else lam
-    n, kh, kg = t.n, _kernel_h(t), _kernel_g(t)
-    # the lam of every P row and of the R row of every pass, (pass, row, 1, 1)
-    lp, lr = lams[:, :, None, None], lam[:, :, None, None]
+    n, p, q = t.n, t.p, t.q
+    m, e = (n - q) / (2 - q), (2 * p - 2) / (2 - p)
+    # a parameter row per lam: the points, lam first, then the split c
+    points = np.concatenate([lam, lam + h, lam - h, lam + h / 2, lam - h / 2], axis=1) if fd else lam
+    grid = np.concatenate([points, (lam * ((m - 1) / (-e - m + 1))) ** (1 / (2 - q))], axis=1)
+    kh, kg, describe = _kernel_h(t), _kernel_g(t), _lam_text(t)
 
-    def rows(rho, which):
-        # the round's nodes, (bisection, 1, half, node), against the lams of
-        # their passes (take costs half of lp[which] on these small arrays)
-        at, P, R = rho[:, None], lp.take(which, axis=0), lr.take(which, axis=0)
-        return np.concatenate([kh(at, P), kg(at, R)], axis=1) * at**n
+    def integrand(x, row):
+        # the head rho = c x^2 and the tail rho = c (1 - x)^-2 side by side
+        # for the splits c of the (r, 1) column, and d rho / dx there
+        w = 1 / (1 - x)
+        rho = row[..., -1] * np.concatenate([x * x, w * w])
+        jac = rho * np.concatenate([2 / x, 2 * w])
+        # P at every point, a (points, r, 1) column against rho, and R at lam
+        f = np.concatenate([kh(rho, row[:, 0, :-1].T[:, :, None]), kg(rho, row[..., 0])[None]])
+        f *= rho**n * jac
+        return f[..., : x.size] + f[..., x.size :]
 
+    values, errors, evals = gauss_kronrod_batch(integrand, grid, spec, describe)
     omega = ball_volume_constant(n)
-    for points, (values, errors, evals) in zip(lams.tolist(), radial_integral_rows(rows, len(lam), spec)):
-        results = [IntegralResult(omega * v, omega * e, evals) for v, e in zip(values.tolist(), errors.tolist())]
-        yield points, results[:-1], results[-1]
+    values, errors = omega * values, omega * errors
+    _normal_floats(values.T, grid, describe)
+    used = 2 * len(values) * evals
+    out = []
+    for row, vs, es in zip(points.tolist(), values.T.tolist(), errors.T.tolist()):
+        results = [IntegralResult(v, e, used) for v, e in zip(vs, es)]
+        out.append((row, results[:-1], results[-1]))
+    return out
+
+
+def _lam_text(t: ExponentTriple) -> Callable:
+    """The describe of the extremal family's errors: a parameter row, lam first, as text."""
+    return lambda row: f"lam = {row[0]!r} for (n, p, q) = ({t.n}, {t.p!r}, {t.q!r})"
 
 
 def _identity_report(t: ExponentTriple, P: IntegralResult, R: IntegralResult) -> InequalityReport:
@@ -360,25 +383,36 @@ def _identity_report(t: ExponentTriple, P: IntegralResult, R: IntegralResult) ->
     return replace(InequalityReport.product(Q, R, P, t.target), integral_errors=_relative_errors(P, Q, R))
 
 
+def _identity_reports(t: ExponentTriple, passes: list) -> list[InequalityReport]:
+    """_identity_report of every pass of _extremal_passes, or a QuadratureError
+    naming the first lam whose Q R or P^2 leaves the normal floats (_ratio_terms)."""
+    P = [Ps[0].value for _, Ps, _ in passes]
+    Q, R = [_q_from_r(t, r).value for *_, r in passes], [r.value for *_, r in passes]
+    _ratio_terms(Q, R, [P], [points for points, _, _ in passes], _lam_text(t))
+    return [_identity_report(t, Ps[0], R) for _, Ps, R in passes]
+
+
 def pqr_reports(
     t: ExponentTriple, lam_grid: Sequence[float], spec: QuadratureSpec = QuadratureSpec()
 ) -> list[tuple[InequalityReport, float]]:
-    """check_pqr_identity and check_p_ode, one pass per lam.
+    """check_pqr_identity and check_p_ode, from one batch over the grid.
 
     Q R / P^2 against (n-q)^2 / p^2 (an equality), and the relative residual
     of the first-order ODE of P, coeff P + lam P' = 0, with P' from
-    fd_derivative.  P, R and the four finite-difference points of P come
-    from one radial_integral_rows pass per lam, the passes of the grid in
-    lockstep (_extremal_passes), so a value depends only on its lam; of
-    several failing lam, the first raises.  Returns one (report, residual)
-    pair per lam.
+    fd_derivative.  P, R and the four finite-difference points of P of
+    every lam are the integrals of its row in one gauss_kronrod_batch call
+    over the grid (_extremal_passes), so a value depends only on its lam.
+    A lam whose integrals fail, or whose Q R or P^2 leaves the normal
+    floats, is a QuadratureError for the grid that counts the failing lams
+    and names the first.  Returns one (report, residual) pair per lam.
     """
     coeff = (1 / (2 - t.q)) * (-t.n + 2 * (t.p - t.q) / (t.p - 2))
+    passes = _extremal_passes(t, lam_grid, spec)
     out = []
-    for lam, (lams, Ps, R) in zip(lam_grid, _extremal_passes(t, lam_grid, spec)):
-        P = Ps[0]
+    for lam, report, (lams, Ps, _) in zip(lam_grid, _identity_reports(t, passes), passes):
+        P = Ps[0].value
         derivative = fd_derivative(dict(zip(lams, (x.value for x in Ps))).__getitem__, lam)
-        out.append((_identity_report(t, P, R), (coeff * P.value + lam * derivative) / P.value))
+        out.append((report, (coeff * P + lam * derivative) / P))
     return out
 
 
@@ -387,11 +421,12 @@ def check_pqr_identity(
 ) -> list[InequalityReport]:
     """Q R / P^2 against (n-q)^2 / p^2 on a lambda grid (an equality).
 
-    P and R of every lam are the two rows of one radial_integral_rows pass,
-    the passes in lockstep (_extremal_passes without the finite-difference
-    points, which only check_p_ode reads).
+    P and R of every lam are the two integrals of its row in one
+    gauss_kronrod_batch call over the grid (_extremal_passes without the
+    finite-difference points, which only check_p_ode reads), and fail as
+    pqr_reports' do.
     """
-    return [_identity_report(t, Ps[0], R) for _, Ps, R in _extremal_passes(t, lam_grid, spec, fd=False)]
+    return _identity_reports(t, _extremal_passes(t, lam_grid, spec, fd=False))
 
 
 def check_p_ode(

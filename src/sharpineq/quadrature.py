@@ -1,28 +1,25 @@
 """Deterministic integration of radial profiles on [0, oo).
 
-One globally adaptive Gauss-Kronrod loop on a split domain
-(_adaptive_passes), with QUADPACK's split of its rules: qags' G10/K21
-(qk21) on every finite piece and qagi's G7/K15 (qk15) on a rational tail.
-The loop keeps the heap, running sums, keys, acceptance and panel guard of
-every pass; its two front ends give it the pieces as data and evaluate its
-rounds.  radial_integrals (and radial_integral, its one-row case) takes q
-integrands of one report on one mesh in Python floats, one call per
-bisection for the columns of its 42 radii (30 on the tail), the tail mapped
-by rho = end + t/(1 - t), where a slowly decaying profile is singular at
-t = 1 and qk15 stops with a named error where qk21's estimate can miss;
-radial_integral_rows takes passes of q numpy row integrands in lockstep,
-[0, 1] and the tail past 1 in graded variables, rho = x^2 and
-rho = (1 - x)^-2, both on qk21, each round one call for the nodes, of
-shape (k, 2, 21), of one bisection of every pass still refining.  Also a
-vectorised composite G10/K21 rule over a whole parameter grid at once,
-which takes the gaussian rows of the ball in s = rho sqrt(rate), each
-parameter on its own cut (gaussian_integrals), and the smooth piece of flat
-space's Hardy sharpness sweep (flat space's gaussian moments are Gamma
-values, which flat.py takes in closed form); the gaussian masses on the
-ball as a positive series in 1/alpha and its ball volumes as one in
-rho^2, both from the exact Taylor coefficients of (sinh y / y)^k,
-n-dimensional Monte Carlo cross-validation with a counter-based generator,
-and Richardson-extrapolated finite differences.
+Two Gauss-Kronrod engines: one globally adaptive loop for one-off
+integrals, and one batched rule for parameter grids.  The loop
+(_adaptive_pass) runs on a split domain with QUADPACK's split of its rules:
+qags' G10/K21 (qk21) on every finite piece and qagi's G7/K15 (qk15) on a
+rational tail.  Its front end radial_integrals (and radial_integral, its
+one-row case) takes q integrands of one report on one mesh in Python
+floats, one call per bisection for the columns of its 42 radii (30 on the
+tail), the tail mapped by rho = end + t/(1 - t), where a slowly decaying
+profile is singular at t = 1 and qk15 stops with a named error where
+qk21's estimate can miss.  The batched rule (gauss_kronrod_batch) is
+composite G10/K21 over a whole parameter grid at once, each parameter
+refined on its own: it takes the gaussian rows of the ball in
+s = rho sqrt(rate), each parameter on its own cut (gaussian_integrals),
+the smooth piece of flat space's Hardy sharpness sweep and the integrals
+P and R of flat space's extremal family over a lambda grid (flat space's
+gaussian moments are Gamma values, which flat.py takes in closed form).
+Also the gaussian masses on the ball as a positive series in 1/alpha and
+its ball volumes as one in rho^2, both from the exact Taylor coefficients
+of (sinh y / y)^k, n-dimensional Monte Carlo cross-validation with a
+counter-based generator, and Richardson-extrapolated finite differences.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from operator import itemgetter, le, mul, truediv
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +43,6 @@ __all__ = [
     "QuadratureError",
     "radial_integral",
     "radial_integrals",
-    "radial_integral_rows",
     "flat_radial_volume_integral",
     "hyperbolic_radial_volume_integral",
     "gauss_kronrod_batch",
@@ -184,11 +180,10 @@ class RadialProfile:
 class QuadratureSpec:
     """Accuracy, truncation and seeding parameters shared by all integrals.
 
-    The adaptive loop of radial_integrals and radial_integral_rows
-    (G10/K21, and G7/K15 on radial_integrals' mapped tail) and
-    gauss_kronrod_batch (G10/K21) run two Gauss-Kronrod tables under one
-    acceptance rule: a value is accepted only when its summed estimate
-    sum |K - G| is at most relative_tolerance x |value|.
+    The adaptive loop of radial_integrals (G10/K21, and G7/K15 on its
+    mapped tail) and gauss_kronrod_batch (G10/K21) run two Gauss-Kronrod
+    tables under one acceptance rule: a value is accepted only when its
+    summed estimate sum |K - G| is at most relative_tolerance x |value|.
     """
 
     relative_tolerance: float = 1e-9
@@ -252,9 +247,8 @@ _GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = _gauss_kronrod_table(
     [0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
      0.381830050505118944950369775488975, 0.417959183673469387755102040816327],
 )
-# QUADPACK qk21 (G10/K21), the rule of gauss_kronrod_batch, of every finite
-# piece of radial_integral and of both graded pieces of radial_integral_rows;
-# the centre is a Kronrod node only
+# QUADPACK qk21 (G10/K21), the rule of gauss_kronrod_batch and of every
+# finite piece of radial_integral; the centre is a Kronrod node only
 _GK21_NODES, _GK21_KRONROD, _GK21_GAUSS = _gauss_kronrod_table(
     [0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
      0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -307,11 +301,6 @@ class _Rule:
 # 1.0e-8 off with an estimate of 3.1e-9) and qk15 stops with a named error
 _QK21 = _Rule.of(_GK21_NODES, _GK21_KRONROD, _GK21_GAUSS)
 _QK15 = _Rule.of(_GK15_NODES, _GK15_KRONROD, _GK15_GAUSS)
-# qk21 for the row integrands of radial_integral_rows: its nodes in that
-# order, and the (21, 2) matrix of Kronrod and Kronrod-minus-Gauss weights
-# that gives both sums of a panel in one product
-_NODES = np.array(_QK21.nodes)
-_ROW_WEIGHTS = np.stack([_QK21.kronrod, _QK21.diff], axis=1)
 
 
 def _tail_budget(tol: float) -> float:
@@ -369,18 +358,17 @@ def radial_integrals(
     algebraic decay the larger of 1 and the last breakpoint.  Unless the
     decay is compact, the tail past the end is mapped onto [0, 1) by
     rho = end + t/(1 - t).  The rule is G10/K21 on the finite pieces and
-    G7/K15 on the tail, globally adaptive over all pieces in the loop
-    radial_integral_rows shares (_adaptive_passes), under its keys and
-    acceptance, for one row as for q.  Every bisection is one call of
-    columns on the radii of both halves, the left first, each in QUADPACK's
-    node order of its piece's rule, and each row's K and K - G are summed
-    in Python floats.  A row's error_estimate is its summed |K - G| over
-    every panel, at most relative_tolerance x |value|; nodes_used counts
-    the radii evaluated.  The weights are taken once per radius.  Where
-    sinh^k overflows, a row value times it is formed in log space, since it
-    may still be large (small gaussian rates); where rho^k overflows (far
-    out in the mapped tail, where the true product has underflowed) it is
-    0.0.
+    G7/K15 on the tail, globally adaptive over all pieces (_adaptive_pass),
+    under its keys and acceptance, for one row as for q.  Every bisection
+    is one call of columns on the radii of both halves, the left first,
+    each in QUADPACK's node order of its piece's rule, and each row's K and
+    K - G are summed in Python floats.  A row's error_estimate is its
+    summed |K - G| over every panel, at most relative_tolerance x |value|;
+    nodes_used counts the radii evaluated.  The weights are taken once per
+    radius.  Where sinh^k overflows, a row value times it is formed in log
+    space, since it may still be large (small gaussian rates); where rho^k
+    overflows (far out in the mapped tail, where the true product has
+    underflowed) it is 0.0.
 
     QuadratureError names its cause: the _MAX_SUBINTERVALS cap, a panel too
     narrow to bisect in floating point, a tail node that rounds to t = 1.0,
@@ -477,9 +465,8 @@ def radial_integrals(
     if tail:
         pieces.append((0.0, 1.0, _QK15, lambda t: end + t / (1.0 - t) if t < 1.0 else math.inf))
 
-    def bisect(bisection: tuple) -> tuple:
-        """K and |K - G| of both halves of one bisection of _adaptive_passes, from one call of cols."""
-        _, i, a, mid, b = bisection
+    def bisect(i: int, a: float, mid: float, b: float) -> tuple:
+        """K and |K - G| of both halves of one bisection of _adaptive_pass, from one call of cols."""
         _, _, rule, rho = pieces[i]
         cl, cr, hl, hr = 0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)
         xs = [c + h * x for c, h in ((cl, hl), (cr, hr)) for x in rule.nodes]
@@ -499,11 +486,7 @@ def radial_integrals(
             er.append(abs(hr * sum(map(mul, rule.diff, w))))
         return (kl, el), (kr, er)
 
-    # a round's bisections are evaluated one at a time, so none past a failing one is
-    results, failure = _adaptive_passes(pieces, 1, functools.partial(map, bisect), tol)
-    if failure is not None:
-        raise failure
-    ((values, errors, nodes),) = results
+    values, errors, nodes = _adaptive_pass(pieces, bisect, tol)
     return [IntegralResult(v, e, nodes, truncation=T) for v, e in zip(values, errors)]
 
 
@@ -543,226 +526,77 @@ def _key(es: list, scale: list) -> float:
     return max(p) if s == s else s
 
 
-def _adaptive_passes(
-    pieces: list,
-    passes: int,
-    halves: Callable[[list], Iterable],
-    tol: float,
-    named: Callable[[int], Optional[str]] = lambda r: None,
-) -> tuple[list, Optional[QuadratureError]]:
-    """Globally adaptive Gauss-Kronrod: the one loop of radial_integrals and radial_integral_rows.
+def _adaptive_pass(pieces: list, bisect: Callable, tol: float) -> tuple[list, list, int]:
+    """Globally adaptive Gauss-Kronrod over split pieces: the loop of radial_integrals.
 
-    passes sets of q rows run in lockstep rounds, each pass on its own mesh
-    over the pieces, (a, b, rule, rho) each: an interval in the piece's own
-    variable, its _Rule, and rho, that variable's map back to rho for the
-    texts of _in_rho and _stuck (None where it is rho).  A round is one call
-    halves(todo) on its bisections (pass, piece, a, mid, b) in pass order,
-    in the first round one per piece and pass; halves gives, bisection by
-    bisection and read one at a time, ((K, |K - G|), (K, |K - G|)) of the
-    left and right half, lists of q.  Where a K of the round's bisection r
-    is outside the float range, named(r) names the node where a row value
-    is, or else the first such K (the left half's rows first) names the
-    piece and that row's sum over it.
+    q rows run on one mesh over the pieces, (a, b, rule, rho) each: an
+    interval in the piece's own variable, its _Rule, and rho, that
+    variable's map back to rho for the texts of _in_rho and _stuck (None
+    where it is rho).  bisect(i, a, mid, b) gives ((K, |K - G|), (K, |K - G|))
+    of the left and right half of the panel [a, b] of piece i, lists of q;
+    the first sweep bisects every piece once, in order.  Where a K is
+    outside the float range, the first such K (the left half's rows first)
+    names the piece and that row's sum over it.
 
-    A pass keeps its own heap, running sums and checks, so it gives what it
-    gives alone.  While a row's summed |K - G| exceeds tol x |its sum of K|,
-    on the running sums and then on their exact fsum (they drift), the
-    panel of largest key is bisected, until _stuck names a cause; the text
-    prints the sums as lists of q.  A running sum drops the bisected
-    panel's K and adds the sum of its halves' Ks.  The key (_key) is a
-    panel's largest row |K - G| relative to that row's |value| after the
-    first sweep, the fsum of its Ks, so for one row the panels go in the
-    order of the plain |K - G| (ties of rounding aside); a pass that meets
-    the rule on its first sweep keys none.  A pass that fails drops the
-    passes after it.  Returns the (values, error estimates, radii
-    evaluated) of the passes before the first that fails, the first two
-    lists of q, and its QuadratureError (None if none fails): what a loop
-    of one pass at a time meets.
+    While a row's summed |K - G| exceeds tol x |its sum of K|, on the
+    running sums and then on their exact fsum (they drift), the panel of
+    largest key is bisected, until _stuck names a cause; the text prints
+    the sums as lists of q.  A running sum drops the bisected panel's K and
+    adds the sum of its halves' Ks.  The key (_key) is a panel's largest row
+    |K - G| relative to that row's |value| after the first sweep, the fsum of
+    its Ks, so for one row the panels go in the order of the plain |K - G|
+    (ties of rounding aside); a pass that meets the rule on its first sweep
+    keys none.  Returns (values, error estimates, radii evaluated), the
+    first two lists of q, or raises the QuadratureError.
     """
-    # per pass: its panels, the first sweep's halves (piece, a, b, K,
-    # |K - G|) until they are keyed after it, then a heap of (-key, piece,
-    # a, b, K, |K - G|); 1 / |value| of every row, for the keys; the radii
-    # evaluated; the running sums; K and |K - G| of the panel it bisects,
-    # 0 in the first sweep
-    heaps, scale, evals = [[] for _ in range(passes)], [None] * passes, [0] * passes
-    value, error, dropped = [None] * passes, [None] * passes, [None] * passes
-    results, stop, failure, keyed = [None] * passes, passes, None, False  # the passes from stop on are dropped
-    sizes = [2 * len(p[2].nodes) for p in pieces]
-
-    live = range(passes)
-    todo = [(j, i, a, 0.5 * (a + b), b) for j in live for i, (a, b, _, _) in enumerate(pieces)]
-    while todo:
-        for t, ((kl, el), (kr, er)) in zip(todo, halves(todo)):
-            j, i, a, mid, b = t
+    # the panels, the first sweep's halves (piece, a, b, K, |K - G|) until
+    # they are keyed after it, then a heap of (-key, piece, a, b, K, |K - G|);
+    # 1 / |value| of every row, for the keys; the running sums; K and
+    # |K - G| of the panel bisected, 0 in the first sweep
+    heap, scale, evals, value, error, keyed = [], None, 0, None, None, False
+    todo = [(i, a, 0.5 * (a + b), b) for i, (a, b, _, _) in enumerate(pieces)]
+    while True:
+        for i, a, mid, b in todo:
+            (kl, el), (kr, er) = bisect(i, a, mid, b)
             # the Kronrod weights are positive, so a value outside the float
             # range leaves its K outside it too
             if not (math.isfinite(sum(kl) + sum(kr)) or all(map(math.isfinite, kl + kr))):
-                # the bisections of a round are distinct, so t is found at its own place
-                text = named(todo.index(t))
-                if text is None:
-                    half, row = next(
-                        (h, x) for h, ks in enumerate((kl, kr)) for x, k in enumerate(ks) if not math.isfinite(k)
-                    )
-                    # the row's K over the other panels of piece i and the halves up to the first outside the range
-                    total = math.fsum([p[-2][row] for p in heaps[j] if p[-5] == i] + [kl[row], kr[row]][: half + 1])
-                    lo, hi, _, rho = pieces[i]
-                    text = f"integral over {_in_rho(lo, hi, rho)} is {total!r}: outside the float range"
-                stop, failure = j, QuadratureError(text)
-                break
-            if keyed:
-                sc = scale[j]
-                heapq.heappush(heaps[j], (-_key(el, sc), i, a, mid, kl, el))
-                heapq.heappush(heaps[j], (-_key(er, sc), i, mid, b, kr, er))
-            else:
-                heaps[j] += (i, a, mid, kl, el), (i, mid, b, kr, er)
-            v, w = value[j], error[j]
-            if v is None:  # the pass's first bisection: its sums from 0
-                v, w, zero = [0.0] * len(kl), [0.0] * len(kl), [0.0] * len(kl)
-                value[j], error[j], dropped[j] = v, w, (zero, zero)
-            k, e = dropped[j]
-            for x in range(len(v)):
-                v[x] = (v[x] - k[x]) + (kl[x] + kr[x])
-                w[x] = (w[x] - e[x]) + (el[x] + er[x])
-            evals[j] += sizes[i]
-        todo, refining = [], []
-        for j in live:
-            if j >= stop:
-                break
-            heap = heaps[j]
-            if _met(value[j], error[j], tol):
-                # the running sums drift: accept on the exact ones
-                value[j] = list(map(math.fsum, zip(*map(itemgetter(-2), heap))))
-                error[j] = list(map(math.fsum, zip(*map(itemgetter(-1), heap))))
-                if _met(value[j], error[j], tol):
-                    results[j] = (value[j], error[j], evals[j])
-                    continue
-            if not keyed:
-                # key the first sweep's halves
-                sc = scale[j] = [1.0 / max(abs(v), _TINY) for v in map(math.fsum, zip(*map(itemgetter(-2), heap)))]
-                swept, heap = heap, []
-                heaps[j] = heap
-                for i, a, b, ks, es in swept:
-                    heapq.heappush(heap, (-_key(es, sc), i, a, b, ks, es))
-            _, i, a, b, *dropped[j] = heap[0]
-            cause = _stuck(len(heap), a, b, pieces[i][3], pieces[i][2].outer)
-            if cause is not None:
-                stop, failure = j, QuadratureError(
-                    f"requested tolerance {tol!r} not met {cause}: value={value[j]!r}, error={error[j]!r}"
+                half, row = next(
+                    (h, x) for h, ks in enumerate((kl, kr)) for x, k in enumerate(ks) if not math.isfinite(k)
                 )
-                break
-            heapq.heappop(heap)
-            todo.append((j, i, a, 0.5 * (a + b), b))
-            refining.append(j)
-        live, keyed = refining, True
-    return results[:stop], failure
-
-
-# the exponent k of radial_integral_rows' graded maps, rho = x^k on [0, 1]
-# and rho = (1 - x)^-k on the tail past 1: over the P and R passes of the
-# perfbench reports catalogue that return (70 of 96), on G10/K21, k = 2
-# takes 2.3 rounds and 253 radii a job, against 2.9 to 5.6 rounds for the
-# (head, tail) exponents (3, 2), (2, 3), (3, 3), (4, 4), (1, 2) and (2, 1),
-# and 7.4 for (1, 1), where the tail map is rho = 1 + t/(1 - t)
-_GRADE = 2
-
-
-def _graded(x, tail: int):
-    """rho and d rho / dx at the nodes x of the head (tail 0) or the tail (tail 1)."""
-    if tail:
-        w = 1.0 / (1.0 - x)
-        rho = w**_GRADE
-        return rho, _GRADE * rho * w
-    return x**_GRADE, _GRADE * x ** (_GRADE - 1)
-
-
-# the graded maps as functions of a float, for the texts of _in_rho and _stuck
-_GRADED_MAPS = (
-    lambda x: x**_GRADE,
-    lambda x: (1.0 - x) ** -_GRADE if x < 1.0 else math.inf,
-)
-
-# the most panels _panel_nodes keeps, about 1 KB each; the identities passes
-# of perfbench's catalogues visit 73
-_PANEL_NODES = 512
-
-
-@functools.lru_cache(maxsize=_PANEL_NODES)
-def _panel_nodes(piece: int, a: float, b: float) -> np.ndarray:
-    """radial_integral_rows' rule on the panel [a, b] of piece 0 (the head)
-    or 1 (the tail), built on first use: a read-only (3, 1, 2, 21) array of
-    the nodes in rho, d rho / dx there and the half-width, for both halves.
-    _graded squares, divides and multiplies only, so a node is the same
-    float whatever array it is mapped in."""
-    mid = 0.5 * (a + b)
-    table = np.empty((3, 1, 2, _NODES.size))
-    table[2, 0] = [[0.5 * (mid - a)], [0.5 * (b - mid)]]
-    table[:2] = _graded(np.array([[[0.5 * (a + mid)], [0.5 * (mid + b)]]]) + table[2] * _NODES, piece)
-    table.flags.writeable = False
-    return table
-
-
-def radial_integral_rows(rows: Callable, passes: int, spec: QuadratureSpec = QuadratureSpec()):
-    """Integrals over [0, oo) of algebraically decaying row integrands, passes sets of them in lockstep.
-
-    Every pass integrates q row integrands (weight included) over
-    radial_integral's pieces for an algebraic profile without breakpoints,
-    [0, 1] and the tail past 1, each in a graded variable x in [0, 1]:
-    rho = x^2 on [0, 1] and rho = (1 - x)^-2 on the tail, so that an
-    algebraic power of rho at 0 or at infinity is a milder one in x (rho^-1/2
-    at 0 and rho^-3/2 at infinity become constants).  Both pieces run on
-    G10/K21 in radial_integrals' loop (_adaptive_passes), under its rule,
-    keys, guard and error texts: every row must meet the rule on its own,
-    and each pass keeps its own mesh, so it gives what it gives alone.  Each
-    round evaluates one bisection of every pass still refining (in the
-    first, both pieces of every pass) from one call of rows(rho, which): rho
-    of shape (k, 2, 21) holds the nodes of both halves of k bisections, a
-    fresh array every round that rows may overwrite (the nodes come from
-    _panel_nodes' table), which of shape (k,) the pass of each, and rows
-    returns the (k, q, 2, 21) integrand values, whose K and K - G are one
-    product with the (21, 2) weights and one tolist.  A pass leaves once it
-    meets the rule, and one that fails drops the passes after it.  A value
-    outside the float range at a node, or an integral outside it over a
-    piece, raises QuadratureError naming the node (the first in the scalar
-    node order) or the piece; panels and nodes are named in rho.  Returns an
-    iterator over the (values, error_estimates, evaluations) of the passes
-    in order, arrays of q and q evaluations per node, which raises the error
-    of the first failing pass after the results of the passes before it, as
-    a loop of one pass at a time would.
-    """
-    f = rho = None  # the last round's values and nodes
-
-    def halves(todo: list) -> list:
-        """K and |K - G| of both halves of every bisection of todo, from one call of rows."""
-        nonlocal f, rho
-        # the nodes in rho, d rho / dx and the half-widths of both halves of
-        # every bisection, (bisection, half, node), in a fresh array
-        nodes = np.concatenate([_panel_nodes(i, a, b) for _, i, a, _, b in todo], axis=1)
-        rho, jac, h = nodes[0], nodes[1], nodes[2, :, :, :1, None]
-        f = rows(rho, np.array([t[0] for t in todo]))
-        q = f.shape[1]
-        # K and K - G of both halves of every row in one product, times the
-        # half-widths, as Python floats (bisection, half, K or K - G, row)
-        kd = ((f * jac[:, None]).reshape(-1, 2, _NODES.size) @ _ROW_WEIGHTS).reshape(-1, q, 2, 2)
-        kd = kd.transpose(0, 2, 3, 1) * h
-        np.abs(kd[:, :, 1], out=kd[:, :, 1])
-        return kd.tolist()
-
-    def named(r: int) -> Optional[str]:
-        """The first node of bisection r, in the scalar order, where a row value is outside the float range."""
-        bad = ~np.isfinite(f[r].reshape(f.shape[1], -1)).all(axis=0)
-        return f"profile exceeds the float range at rho={float(rho[r].ravel()[bad.argmax()])!r}" if bad.any() else None
-
-    pieces = [(0.0, 1.0, _QK21, x_to_rho) for x_to_rho in _GRADED_MAPS]
-    with np.errstate(over="ignore", invalid="ignore"):
-        results, failure = _adaptive_passes(pieces, passes, halves, spec.relative_tolerance, named)
-
-    def in_order() -> Iterator[tuple]:
-        for v, e, n in results:
-            yield np.array(v), np.array(e), len(v) * n
-        if failure is not None:
-            raise failure
-
-    return in_order()
+                # the row's K over the other panels of piece i and the halves up to the first outside the range
+                total = math.fsum([p[-2][row] for p in heap if p[-5] == i] + [kl[row], kr[row]][: half + 1])
+                lo, hi, _, rho = pieces[i]
+                raise QuadratureError(f"integral over {_in_rho(lo, hi, rho)} is {total!r}: outside the float range")
+            if keyed:
+                heapq.heappush(heap, (-_key(el, scale), i, a, mid, kl, el))
+                heapq.heappush(heap, (-_key(er, scale), i, mid, b, kr, er))
+            else:
+                heap += (i, a, mid, kl, el), (i, mid, b, kr, er)
+            if value is None:  # the first bisection: the sums from 0
+                value, error, k, e = [0.0] * len(kl), [0.0] * len(kl), [0.0] * len(kl), [0.0] * len(kl)
+            for x in range(len(value)):
+                value[x] = (value[x] - k[x]) + (kl[x] + kr[x])
+                error[x] = (error[x] - e[x]) + (el[x] + er[x])
+            evals += 2 * len(pieces[i][2].nodes)
+        if _met(value, error, tol):
+            # the running sums drift: accept on the exact ones
+            value = list(map(math.fsum, zip(*map(itemgetter(-2), heap))))
+            error = list(map(math.fsum, zip(*map(itemgetter(-1), heap))))
+            if _met(value, error, tol):
+                return value, error, evals
+        if not keyed:
+            # key the first sweep's halves
+            scale = [1.0 / max(abs(v), _TINY) for v in map(math.fsum, zip(*map(itemgetter(-2), heap)))]
+            swept, heap, keyed = heap, [], True
+            for i, a, b, ks, es in swept:
+                heapq.heappush(heap, (-_key(es, scale), i, a, b, ks, es))
+        _, i, a, b, k, e = heap[0]
+        cause = _stuck(len(heap), a, b, pieces[i][3], pieces[i][2].outer)
+        if cause is not None:
+            raise QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}")
+        heapq.heappop(heap)
+        todo = [(i, a, 0.5 * (a + b), b)]
 
 
 def _volume_integral(f: RadialProfile, weight, n: int, spec: QuadratureSpec) -> IntegralResult:
@@ -825,16 +659,16 @@ def gauss_kronrod_batch(
     an (r, m) array, or to a (q, r, m) array for q integrals per parameter on
     the same nodes.  The rule is composite G10/K21 (QUADPACK qk21) on
     _FIRST_PANELS equal panels: every integrand the package batches is
-    smooth on [0, 1], where this rule meets the tolerance on fewer nodes than
-    G7/K15.  A panel's
-    Kronrod sum K and its difference K - G from the embedded Gauss rule come
-    from one product of its 21 values with the (21, 2) matrix of Kronrod and
-    Kronrod-minus-Gauss weights.  Every integral carries its own error
-    estimate, the sum over panels of |K - G|, under radial_integral's
-    acceptance rule; the panel count is doubled only for the parameters with
-    an estimate above relative_tolerance * |value|, up to _MAX_SUBINTERVALS
-    panels, the cap radial_integral has too.  A value depends only on
-    its parameter, never on the rest of the grid.  A QuadratureError counts
+    smooth on [0, 1], or for the extremal family's P and R algebraic at its
+    ends, where this rule meets the tolerance on fewer nodes than G7/K15.  A
+    panel's Kronrod sum K and its difference K - G from the embedded Gauss
+    rule come from one product of its 21 values with the (21, 2) matrix of
+    Kronrod and Kronrod-minus-Gauss weights.  Every integral carries its
+    own error estimate, the sum over panels of |K - G|, under
+    radial_integral's acceptance rule; the panel count is doubled only for
+    the parameters with an estimate above relative_tolerance * |value|, up
+    to _MAX_SUBINTERVALS panels, the cap radial_integral has too.  A value
+    depends only on its parameter, never on the rest of the grid.  A QuadratureError counts
     the parameters of params and names one by describe(params[i].tolist());
     a parameter that misses the tolerance on an integral that is zero or
     subnormal, relative to which no panel count meets the rule, is named in

@@ -90,8 +90,8 @@ def test_bad_parameter_named_before_any_integral(index, bad, monkeypatch):
     def no_integral(*args, **kwargs):
         raise AssertionError("an integral ran")
 
-    for module, attr in ((quadrature, "gauss_kronrod_batch"), (quadrature, "_adaptive_passes"),
-                         (flat, "radial_integral_rows")):
+    for module, attr in ((quadrature, "gauss_kronrod_batch"), (quadrature, "_adaptive_pass"),
+                         (flat, "gauss_kronrod_batch")):
         monkeypatch.setattr(module, attr, no_integral)
     with pytest.raises(ValueError, match=f"^{name} must be ") as exc:
         call(bad)

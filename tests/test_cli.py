@@ -485,22 +485,22 @@ class TestRunSuite:
                  if line.startswith("time: ")]
         assert times == [*cli.RUNNERS, "artifacts"]
 
-    def test_identities_one_pass_per_lambda(self, tmp_path, monkeypatch):
+    def test_identities_one_batch_for_the_grid(self, tmp_path, monkeypatch):
         # P(lam) is integrated once per lam, for both the identity and the
-        # ODE rows, the passes of every lam in one lockstep call, and the
-        # gaussian-T rows take their Gamma values from one call for the grid,
-        # with no Gauss-Kronrod pass
+        # ODE rows, every lam a parameter of one gauss_kronrod_batch call,
+        # and the gaussian-T rows take their Gamma values from one call for
+        # the grid, with no other Gauss-Kronrod pass and no adaptive loop
         from sharpineq import flat, quadrature
 
         def no_batch(*args):
             raise AssertionError("a Gauss-Kronrod pass ran")
 
         passes, moments = [], []
-        rows_pass, moments_pass = flat.radial_integral_rows, flat._gaussian_moments
-        monkeypatch.setattr(flat, "radial_integral_rows", lambda *a: passes.append(a[1]) or rows_pass(*a))
+        batch, moments_pass = flat.gauss_kronrod_batch, flat._gaussian_moments
+        monkeypatch.setattr(flat, "gauss_kronrod_batch", lambda *a: passes.append(len(a[1])) or batch(*a))
         monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: moments.append(1) or moments_pass(*a))
-        monkeypatch.setattr(flat, "gauss_kronrod_batch", no_batch)
         monkeypatch.setattr(quadrature, "gauss_kronrod_batch", no_batch)
+        monkeypatch.setattr(quadrature, "_adaptive_pass", None)
         cfg = parse_config(MINIMAL)
         assert run_suite(cfg, str(tmp_path)).passed
         assert (passes, len(moments)) == ([len(cfg.lambda_grid)], 1)

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -168,10 +169,45 @@ class TestExtremalIntegrals:
             P, Q, R = (pqr(t, lam, which, spec) for which in "PQR")
             assert Q.value * R.value / P.value**2 == check_pqr_identity(t, [lam], spec)[0].ratio
 
-    def test_pqr_raises_as_the_pass(self):
+    def test_pqr_raises_as_the_batch(self):
         t = ExponentTriple(3, 2.002, 1.0)
-        with pytest.raises(QuadratureError, match=r"profile exceeds the float range at rho=0\.0625$"):
+        with pytest.raises(QuadratureError) as exc:
             pqr(t, 0.25, "P")
+        assert str(exc.value) == (
+            "non-finite integral at 1 of 1 parameters, first at lam = 0.25 for (n, p, q) = (3, 2.002, 1.0): "
+            "outside the float range"
+        )
+
+    @pytest.mark.parametrize("check", [check_pqr_identity, check_p_ode])
+    def test_tolerance_failure_names_its_lambda(self, check):
+        # P of (3, 3, 1.49975) decays like rho^-1.0005, (1 - x)^-0.999 on the
+        # tail map: the batch doubles its panels to the cap and counts the
+        # lambdas that miss the tolerance, naming the worst
+        with pytest.raises(QuadratureError) as exc:
+            check(ExponentTriple(3, 3.0, 1.49975), [1.0, 0.5])
+        assert re.fullmatch(
+            r"requested tolerance 1e-09 not met with 512 panels at 2 parameters; worst at "
+            r"lam = (1\.0|0\.5) for \(n, p, q\) = \(3, 3\.0, 1\.49975\): relative error estimate \S+",
+            str(exc.value),
+        )
+
+    @pytest.mark.parametrize("call, lam, what", [
+        # P = 2.3e-306 is a normal float, but a row of the ODE check's
+        # batch is not, and misses the tolerance relative to it
+        (lambda t: flat.pqr_reports(t, [2.0]), "2.0", "integral outside the normal floats at 1 of 1"),
+        # P underflows to 0.0, which meets the rule with an estimate of 0
+        (lambda t: pqr(t, 4.0, "P"), "4.0", "integral outside the normal floats at 1 of 1"),
+        # P and R are normal floats, but P^2 and Q R are not
+        (lambda t: check_pqr_identity(t, [1.0, 1.5]), "1.5",
+         "product or squared mass of an uncertainty ratio outside the float range at 1 of 2"),
+    ])
+    def test_underflow_named(self, call, lam, what):
+        # (3, 2.002, 1): P falls like lam^-999; an integral, or a term of
+        # Q R / P^2, outside the normal floats names its lam, instead of a
+        # ZeroDivisionError or a P of 0.0
+        with pytest.raises(QuadratureError) as exc:
+            call(ExponentTriple(3, 2.002, 1.0))
+        assert str(exc.value) == f"{what} parameters, first at lam = {lam} for (n, p, q) = (3, 2.002, 1.0)"
 
     def test_bad_selector(self):
         with pytest.raises(ValueError):
@@ -197,27 +233,25 @@ class TestExtremalIntegrals:
 
     def test_each_integral_once(self, monkeypatch):
         # near the boundary (q < 1e-3) as anywhere: each check takes its
-        # integrals from one pass per lambda, the passes of the grid in one
-        # lockstep call, and no scalar integral; the identity reads P and R,
-        # two rows, the ODE check P, R and the four finite-difference points
-        # of P, six rows
-        calls = []
+        # integrals from one gauss_kronrod_batch call over the grid, one
+        # parameter row per lambda, and no scalar integral; the identity
+        # reads P and R, two integrals, the ODE check P, R and the four
+        # finite-difference points of P, six; a row holds the points of P
+        # and the split c
+        calls, batch = [], flat.gauss_kronrod_batch
 
-        def fake(rows, passes, spec):
-            which = np.arange(passes)
-            # the (k, 2, 21) rows contract: both halves of a bisection on G10/K21
-            shape = rows(np.full((passes, 2, quadrature._GK21_NODES.size), 0.5), which).shape
-            calls.append((passes, shape))
-            return [(np.ones(shape[1]), np.zeros(shape[1]), 1)] * passes
+        def recording(integrand, params, spec, describe):
+            x = np.full(5, 0.5)
+            calls.append((params.shape, integrand(x, params[:, None]).shape))
+            return batch(integrand, params, spec, describe)
 
-        monkeypatch.setattr(flat, "radial_integral_rows", fake)
-        # with the passes faked, no adaptive loop runs at all
-        monkeypatch.setattr(quadrature, "_adaptive_passes", None)
+        monkeypatch.setattr(flat, "gauss_kronrod_batch", recording)
+        monkeypatch.setattr(quadrature, "_adaptive_pass", None)
         t = ExponentTriple(3, 3.0, 0.0005)
         for check, q in ((check_pqr_identity, 2), (check_p_ode, 6)):
             calls.clear()
             check(t, [0.5, 1.0, 2.0])
-            assert calls == [(3, (3, q, 2, quadrature._GK21_NODES.size))]
+            assert calls == [((3, q), (q, 3, 5))]
 
     def test_overflow_named(self):
         # P of (3, 2.002, 1) is about 1e600 at lam = 0.5; at lam = 0.25 the
@@ -237,17 +271,18 @@ class TestExtremalIntegrals:
             scalar_p(0.25)
 
     @pytest.mark.parametrize("check", [check_pqr_identity, check_p_ode])
-    def test_overflow_named_on_the_pass(self, check):
-        # the pass names the first node where a row leaves the float range,
-        # in the scalar node order of the head's variable x = sqrt(rho): at
-        # lam = 0.25 the left half's centre x = 0.25, at lam = 0.5 its outer
-        # Gauss node on G10/K21, x = 0.0065233..., where the kernel is inf
-        # (pqr reports the sum it makes); no numpy warning escapes
+    def test_overflow_named_on_the_batch(self, check):
+        # at lam = 0.5 and 0.25 the kernels of (3, 2.002, 1), about
+        # lam^-1002 near the origin, overflow: the batch counts the lambdas
+        # whose integrals leave the float range and names the first; no
+        # numpy warning escapes
         t = ExponentTriple(3, 2.002, 1.0)
-        for lam, rho in ((0.5, "4.255432837657321e-05"), (0.25, "0.0625")):
-            with pytest.raises(QuadratureError) as exc:
-                check(t, [lam])
-            assert str(exc.value) == f"profile exceeds the float range at rho={rho}"
+        with pytest.raises(QuadratureError) as exc:
+            check(t, [1.0, 0.5, 0.25])
+        assert str(exc.value) == (
+            "non-finite integral at 2 of 3 parameters, first at lam = 0.5 for (n, p, q) = (3, 2.002, 1.0): "
+            "outside the float range"
+        )
 
 
 def beta_form(t, lam, m, e, c1, c0):
@@ -280,24 +315,29 @@ def closed_r(t, lam):
 
 
 def one_lambda_at_a_time(t, grid, spec=QuadratureSpec()):
-    """pqr_reports as a loop of one-lambda calls: the reference of the lockstep passes."""
+    """pqr_reports as a loop of one-lambda calls: the reference of the batch over a grid."""
     return [pair for lam in grid for pair in flat.pqr_reports(t, [lam], spec)]
 
 
 EPS = 2.0**-52
 PASS_TRIPLES = [(3, 3.0, 1.0), (4, 3.0, 0.5), (3, 2.5, 1.5), (5, 2.4, 0.2), (7, 2.2, 0.1), (3, 3.0, 0.0005)]
+# p near 2: |e| = (2p - 2)/(p - 2) is in the thousands, and P's mass lies
+# near rho = (lam y*)^(1/(2-q)), about 1e-3; at other lambdas of the
+# report grids the kernels leave the float range
+NEAR_TRIPLES = [(4, 2.0008, 1.0), (3, 2.0005, 1.0), (3, 2.002, 1.0)]
 
 
 class TestExtremalPass:
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    @pytest.mark.parametrize("triple", PASS_TRIPLES)
-    def test_rows_within_their_estimates_of_the_closed_form(self, triple, tol):
+    @pytest.mark.parametrize("triple, lams", [(t, [0.25, 0.5, 1.0, 2.0, 4.0]) for t in PASS_TRIPLES]
+                             + [(t, [1.0]) for t in NEAR_TRIPLES])
+    def test_rows_within_their_estimates_of_the_closed_form(self, triple, lams, tol):
         # every row, P at the five points and R, lies within its own error
         # estimate of the Beta form (plus its rounding): for these integrands,
         # endpoint singularities included, |K - G| bounds the error
         t = ExponentTriple(*triple)
-        for lam in (0.5, 1.0, 2.0):
-            lams, P, R = next(flat._extremal_passes(t, [lam], QuadratureSpec(relative_tolerance=tol)))
+        for lam in lams:
+            ((lams, P, R),) = flat._extremal_passes(t, [lam], QuadratureSpec(relative_tolerance=tol))
             h = 1e-5 * lam
             assert lams == [lam, lam + h, lam - h, lam + h / 2, lam - h / 2]
             rows = [(closed_p(t, la), got) for la, got in zip(lams, P)] + [(closed_r(t, lam), R)]
@@ -308,7 +348,7 @@ class TestExtremalPass:
     def test_pass_matches_scalar_integrals(self):
         t = ExponentTriple(4, 3.0, 0.5)
         spec = QuadratureSpec(relative_tolerance=1e-12)
-        lams, P, R = next(flat._extremal_passes(t, [1.0], spec))
+        ((lams, P, R),) = flat._extremal_passes(t, [1.0], spec)
         omega = flat.ball_volume_constant(t.n)
         for got, kernel in ((P[0], kernel_h), (R, kernel_g)):
             prof = RadialProfile(functools.partial(kernel, t, 1.0), DecayClass.algebraic())
@@ -320,7 +360,7 @@ class TestExtremalPass:
         # scaling it scales the R row, and Q R / P^2 by its square
         t = ExponentTriple(3, 3.0, 1.0)
         factor = 1 + 3e-7
-        R0 = next(flat._extremal_passes(t, [1.0], QuadratureSpec()))[2].value
+        R0 = flat._extremal_passes(t, [1.0], QuadratureSpec())[0][2].value
         ratio0 = check_pqr_identity(t, [1.0])[0].ratio
         original = flat._kernel_g
 
@@ -330,14 +370,15 @@ class TestExtremalPass:
 
         monkeypatch.setattr(flat, "_kernel_g", scaled)
         assert kernel_g(t, 1.0, 0.7) == original(t)(0.7, 1.0) * factor
-        assert next(flat._extremal_passes(t, [1.0], QuadratureSpec()))[2].value / R0 == pytest.approx(factor, rel=1e-13)
+        assert flat._extremal_passes(t, [1.0], QuadratureSpec())[0][2].value / R0 == pytest.approx(factor, rel=1e-13)
         assert check_pqr_identity(t, [1.0])[0].ratio / ratio0 == pytest.approx(factor**2, rel=1e-13)
 
     def test_kernels_evaluate_only_the_counted_nodes(self, monkeypatch):
-        # at 1e-12 the passes of this grid finish in different rounds; the
-        # kernels see the nodes of the passes still refining and no others,
-        # so the radii they take are the passes' evaluations over q = 6 rows
-        t = ExponentTriple(3, 2.5, 1.5)
+        # at 1e-9 both lambdas of this near-boundary grid refine once, from
+        # 4 panels to 8; the kernels see both radii of every node of both
+        # rounds and no others, so the radii they take are the batch's
+        # kernel values over q = 6 rows, which every result carries
+        t = ExponentTriple(3, 2.002, 1.0)
         original, seen = flat._kernel_h, []
 
         def counted(t):
@@ -350,10 +391,9 @@ class TestExtremalPass:
             return wrapped
 
         monkeypatch.setattr(flat, "_kernel_h", counted)
-        passes = list(flat._extremal_passes(t, [0.5, 1.0, 4.0], QuadratureSpec(relative_tolerance=1e-12)))
-        evals = [R.nodes_used for _, _, R in passes]
-        assert len(set(evals)) == 3
-        assert sum(seen) == sum(evals) // 6
+        passes = flat._extremal_passes(t, [1.0, 1.01], QuadratureSpec(relative_tolerance=1e-9))
+        (evals,) = {x.nodes_used for _, Ps, R in passes for x in (*Ps, R)}
+        assert sum(seen) == evals // 6 == 2 * 2 * (4 + 8) * quadrature._GK21_NODES.size
 
     def test_value_depends_only_on_its_lambda(self):
         t = ExponentTriple(3, 2.5, 1.5)
@@ -364,52 +404,64 @@ class TestExtremalPass:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("triple", PASS_TRIPLES)
-    def test_lockstep_equals_one_lambda_at_a_time(self, triple, tol):
-        # the passes of a grid run in lockstep, each on its own mesh: every
-        # report and residual is == to that of its lambda alone
+    def test_grid_equals_one_lambda_at_a_time(self, triple, tol):
+        # the batch refines every lambda on its own panels: every report and
+        # residual of a grid is == to that of its lambda alone
         t, spec = ExponentTriple(*triple), QuadratureSpec(relative_tolerance=tol)
         grid = [0.25, 0.5, 1.0, 2.0, 4.0, 1.0]
         assert flat.pqr_reports(t, grid, spec) == one_lambda_at_a_time(t, grid, spec)
 
-    @pytest.mark.parametrize(
-        "grid",
-        [[0.5, 0.25], [1.0, 0.5], [1.0, 0.25, 0.5], [2.0, 0.5], [1.0, 2.0, 0.25], [1.0, 1.0]],
-    )
-    def test_lockstep_raises_as_one_lambda_at_a_time(self, grid):
-        # (3, 2.002, 1): lam = 0.25 and 0.5 overflow in the first round, so
-        # a later lam fails before an earlier one has finished; lam = 2
-        # underflows to P = 0 and its report divides by zero.  The grid
-        # raises what a loop over its lambdas raises first
+    @pytest.mark.parametrize("grid, failing, first, text", [
+        ([0.5, 0.25], 2, 0.5, "non-finite integral"),
+        ([1.0, 0.5], 1, 0.5, "non-finite integral"),
+        ([1.0, 0.25, 0.5], 2, 0.25, "non-finite integral"),
+        ([2.0, 0.5], 1, 0.5, "non-finite integral"),
+        ([1.0, 2.0, 0.25], 1, 0.25, "non-finite integral"),
+        ([1.0, 2.0, 4.0], 1, 2.0, "integral outside the normal floats"),
+        ([1.0, 1.0], 0, None, None),
+    ])
+    def test_raises_for_the_grid(self, grid, failing, first, text):
+        # (3, 2.002, 1): lam = 0.25 and 0.5 overflow in the first round,
+        # lam = 2 falls below the normal floats a round later, and lam = 4
+        # underflows.  A grid with a failing lambda raises one
+        # QuadratureError that counts the lambdas failing in the earliest
+        # round that has one and names the first of them in grid order, and
+        # every lambda alone raises as its own grid of one
         t = ExponentTriple(3, 2.002, 1.0)
+        if first is None:
+            assert flat.pqr_reports(t, grid) == one_lambda_at_a_time(t, grid)
+            return
+        with pytest.raises(QuadratureError) as exc:
+            flat.pqr_reports(t, grid)
+        assert str(exc.value).startswith(
+            f"{text} at {failing} of {len(grid)} parameters, first at lam = {first!r} for (n, p, q) = (3, 2.002, 1.0)"
+        )
+        with pytest.raises(QuadratureError):
+            one_lambda_at_a_time(t, [first])
 
-        def outcome(f):
-            try:
-                return f()
-            except Exception as exc:
-                return type(exc), str(exc)
+    @pytest.mark.parametrize("triple, rounds", [
+        (PASS_TRIPLES[0], 1), (PASS_TRIPLES[1], 1), (PASS_TRIPLES[2], 1), (PASS_TRIPLES[3], 1),
+        (PASS_TRIPLES[4], 1), (PASS_TRIPLES[5], 1), (NEAR_TRIPLES[0], 2), (NEAR_TRIPLES[1], 2),
+        (NEAR_TRIPLES[2], 2),
+    ])
+    def test_rounds_of_one_lambda(self, monkeypatch, triple, rounds):
+        # the lam = 1 row at 1e-12 meets the rule in this many rounds of the
+        # batch, one integrand call each: split at the peak of P's
+        # integrand, the smooth triples meet it on 4 panels and the
+        # near-boundary ones on 8
+        calls, batch = [], flat.gauss_kronrod_batch
 
-        assert outcome(lambda: flat.pqr_reports(t, grid)) == outcome(lambda: one_lambda_at_a_time(t, grid))
+        def counted(integrand, *args):
+            return batch(lambda x, p: calls.append(x.size) or integrand(x, p), *args)
 
-    @pytest.mark.parametrize("triple, rounds", [((3, 2.5, 1.5), 1), ((5, 2.4, 0.2), 3), ((7, 2.2, 0.1), 4)])
-    def test_rounds_of_one_pass(self, monkeypatch, triple, rounds):
-        # the lam = 1 pass at 1e-12 meets the rule in this many rounds, one
-        # call of its rows each: the graded maps take the algebraic endpoint
-        # powers of these integrands in a few bisections, and G10/K21 takes
-        # (3, 2.5, 1.5) on its first sweep
-        calls = []
-        original = flat.radial_integral_rows
-
-        def counted(rows, passes, spec):
-            return original(lambda rho, which: calls.append(which) or rows(rho, which), passes, spec)
-
-        monkeypatch.setattr(flat, "radial_integral_rows", counted)
+        monkeypatch.setattr(flat, "gauss_kronrod_batch", counted)
         flat.pqr_reports(ExponentTriple(*triple), [1.0], QuadratureSpec(relative_tolerance=1e-12))
         assert len(calls) == rounds
 
     def test_p_ode_residual_from_the_pass_points(self):
         # fd_derivative's Richardson quotient of the pass's five P values
         t = ExponentTriple(5, 2.4, 0.2)
-        lams, P, _ = next(flat._extremal_passes(t, [2.0], QuadratureSpec()))
+        ((lams, P, _),) = flat._extremal_passes(t, [2.0], QuadratureSpec())
         values = dict(zip(lams, (x.value for x in P)))
         coeff = (-t.n + 2 * (t.p - t.q) / (t.p - 2)) / (2 - t.q)
         expected = (coeff * P[0].value + 2.0 * fd_derivative(values.__getitem__, 2.0)) / P[0].value
@@ -837,7 +889,7 @@ class TestGaussianHardy:
         calls = []
         moments = flat._gaussian_moments
         monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: calls.append(a[0]) or moments(*a))
-        monkeypatch.setattr(quadrature, "_adaptive_passes", None)
+        monkeypatch.setattr(quadrature, "_adaptive_pass", None)
         monkeypatch.setattr(flat, "gauss_kronrod_batch", None)
         assert len(gaussian_hardy_reports(4, (0.5, 1.0, 2.0))) == 3
         assert [[[(k, j) for _, k, j in terms] for terms in rows] for rows in calls] == [
@@ -953,7 +1005,7 @@ class TestSharpnessSweep:
         def scalar(*args, **kwargs):
             raise AssertionError("the sweep ran the adaptive loop of a radial integral")
 
-        monkeypatch.setattr(quadrature, "_adaptive_passes", scalar)
+        monkeypatch.setattr(quadrature, "_adaptive_pass", scalar)
         # one batched pass, over the eps-free piece [r, R] alone
         calls, batch = [], flat.gauss_kronrod_batch
         monkeypatch.setattr(flat, "gauss_kronrod_batch", lambda *a: calls.append(len(a[1])) or batch(*a))

@@ -360,7 +360,7 @@ class TestHardyHyperbolic:
         passes = []
         batch = hyperbolic.gaussian_integrals
         monkeypatch.setattr(hyperbolic, "gaussian_integrals", lambda *a: passes.append(a[:2]) or batch(*a))
-        monkeypatch.setattr(quadrature, "_adaptive_passes", None)
+        monkeypatch.setattr(quadrature, "_adaptive_pass", None)
         assert len(gaussian_hardy_hyperbolic_reports(5, (0.5, 1.0, 2.0))) == 3
         ((rows, grid),) = passes
         assert [k for k, _ in rows] == [4] * 4

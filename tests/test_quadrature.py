@@ -23,7 +23,6 @@ from sharpineq import (
     hyperbolic_radial_volume_integral,
     monte_carlo_integral,
     radial_integral,
-    radial_integral_rows,
 )
 from sharpineq import quadrature
 from sharpineq.quadrature import (
@@ -41,7 +40,7 @@ from sharpineq.quadrature import (
 )
 
 # the nodes of a panel under each rule: G10/K21 on every finite piece and
-# every graded pass, G7/K15 on radial_integral's rational tail
+# on the batched grids, G7/K15 on radial_integral's rational tail
 QK21, QK15 = _GK21_NODES.size, _GK15_NODES.size
 
 
@@ -412,6 +411,23 @@ class TestRadialIntegralFailures:
         assert named(second) == "profile exceeds the float range at rho=0.625"
 
 
+def half_line(rows):
+    """gauss_kronrod_batch's integrand of rows over rho in [0, oo), as _extremal_passes maps P and R.
+
+    A parameter (j, c) is rows[j] split at c: the head rho = c x^2 and the
+    tail rho = c (1 - x)^-2 added at every node x of [0, 1], times
+    d rho / dx.  rows[j] maps an array of radii to (q,) + its shape.
+    """
+    def integrand(x, p):
+        w = 1 / (1 - x)
+        rho = p[..., 1] * np.concatenate([x * x, w * w])
+        jac = rho * np.concatenate([2 / x, 2 * w])
+        f = np.stack([rows[int(j)](r) for j, r in zip(p[:, 0, 0].tolist(), rho)], axis=-2) * jac
+        return f[..., : x.size] + f[..., x.size :]
+
+    return integrand
+
+
 def algebraic_rows(rho):
     """Three algebraic integrands on [0, oo), one singular at 0, far apart in size."""
     return np.stack([rho * rho / (1 + rho * rho) ** 2, 1e-8 / (1 + rho) ** 3, 1e6 / (np.sqrt(rho) * (1 + rho) ** 2)])
@@ -419,45 +435,58 @@ def algebraic_rows(rho):
 
 ALGEBRAIC_EXACT = [math.pi / 4, 0.5e-8, 1e6 * math.pi / 2]
 
+# rows of a grid: "ok" and "cubic" meet the rule, "late" decays like
+# rho^-1.0005 and reaches the panel cap, "early" leaves the float range in
+# the first round
+GRID_ROWS = [
+    lambda rho: np.stack([rho * rho / (1 + rho * rho) ** 2, 1e6 / (np.sqrt(rho) * (1 + rho) ** 2)]),
+    lambda rho: np.stack([1 / (1 + rho) ** 3, rho / (1 + rho) ** 4]),
+    lambda rho: np.stack([1 / (1 + rho) ** 1.0005, 1 / (1 + rho) ** 3]),
+    lambda rho: np.stack([1 / (1 + rho) ** 3, np.where(rho < 0.25, np.inf, 1 / (1 + rho) ** 3)]),
+    # "cubic" near the float range: integrals 4e307 and 1.3e307
+    lambda rho: 8e307 * np.stack([1 / (1 + rho) ** 3, rho / (1 + rho) ** 4]),
+    # a narrow bump on the head, at rho = 0.3, or on the tail, at rho = 3
+    lambda rho: np.stack([1 / ((1 + 400 * (rho - 0.3) ** 2) * (1 + rho) ** 3), 1 / (1 + rho) ** 3]),
+    lambda rho: np.stack([1 / ((1 + 400 * (rho - 3) ** 2) * (1 + rho) ** 3), rho / (1 + rho) ** 4]),
+]
+OK, CUBIC, LATE, EARLY, BIG, BUMP_HEAD, BUMP_TAIL = range(len(GRID_ROWS))
 
-def one_pass(rows, spec=QuadratureSpec()):
-    """radial_integral_rows of one pass whose rows map an array of radii to (q,) + its shape: its one result."""
-    ((values, errors, evals),) = radial_integral_rows(lambda rho, which: np.moveaxis(rows(rho), 0, 1), 1, spec)
-    return values, errors, evals
+# the most panels the batch evaluates: _FIRST_PANELS doubled up to the cap
+CAP_PANELS = _FIRST_PANELS * 2 ** int(math.log2(_MAX_SUBINTERVALS / _FIRST_PANELS))
 
 
-class TestRadialIntegralRows:
-    """q integrands on one adaptive mesh, under the scalar rule, cap and messages."""
+class TestBatchOnTheHalfLine:
+    """Integrals over [0, oo) on gauss_kronrod_batch under the extremal family's split map."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_closed_forms(self, tol):
         # every row meets the tolerance on its own, whatever its size
-        values, errors, evals = one_pass(algebraic_rows, QuadratureSpec(relative_tolerance=tol))
-        assert values.shape == errors.shape == (3,)
-        for value, error, exact in zip(values, errors, ALGEBRAIC_EXACT):
+        values, errors, _ = gauss_kronrod_batch(half_line([algebraic_rows]), [[0, 1.0]],
+                                                QuadratureSpec(relative_tolerance=tol))
+        assert values.shape == errors.shape == (3, 1)
+        for value, error, exact in zip(values[:, 0], errors[:, 0], ALGEBRAIC_EXACT):
             assert abs(value - exact) <= tol * abs(exact)
             assert error <= tol * abs(value)
-        # q = 3 rows at both halves of every bisection
-        assert evals % (3 * 2 * QK21) == 0
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_rows_agree_with_scalar_integrals(self, tol):
         spec = QuadratureSpec(relative_tolerance=tol)
-        values, errors, _ = one_pass(algebraic_rows, spec)
-        for i, (value, error) in enumerate(zip(values, errors)):
+        values, errors, _ = gauss_kronrod_batch(half_line([algebraic_rows]), [[0, 1.0]], spec)
+        for i, (value, error) in enumerate(zip(values[:, 0], errors[:, 0])):
             prof = RadialProfile(lambda r, i=i: float(algebraic_rows(np.array([r]))[i, 0]), DecayClass.algebraic())
             scalar = radial_integral(prof, ("power", 0), spec)
             assert abs(value - scalar.value) <= error + scalar.error_estimate
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_slow_algebraic_tail(self, tol):
-        # int rho^-1/2 / (1 + rho) = pi: rho^-1/2 at 0 and rho^-3/2 at
-        # infinity are constants in the graded variables, so the first sweep
-        # meets the rule
-        values, errors, evals = one_pass(lambda rho: (1 / (np.sqrt(rho) * (1 + rho)))[None],
-                                         QuadratureSpec(relative_tolerance=tol))
-        assert abs(values[0] - math.pi) <= errors[0] <= tol * math.pi
-        assert evals == 2 * 2 * QK21
+        # int rho^-1/2 / (1 + rho) = pi: 2 / (1 + x^2) on the head and
+        # 2 / (1 + (1 - x)^2) on the tail, so the first panels meet the rule
+        # at every split
+        rows = [lambda rho: (1 / (np.sqrt(rho) * (1 + rho)))[None]]
+        values, errors, evals = gauss_kronrod_batch(half_line(rows), [[0, 0.25], [0, 1.0], [0, 4.0]],
+                                                    QuadratureSpec(relative_tolerance=tol))
+        assert (np.abs(values[0] - math.pi) <= errors[0]).all() and (errors[0] <= tol * math.pi).all()
+        assert evals == 3 * _FIRST_PANELS * QK21
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_beta_rows(self, tol):
@@ -465,317 +494,90 @@ class TestRadialIntegralRows:
         # and at infinity, every row within its estimate of the Beta function
         # (plus a few ulp of its lgamma form)
         ab = [(0.5, 0.5), (1.5, 0.5), (0.5, 1.5)]
-        values, errors, _ = one_pass(lambda rho: np.stack([rho ** (a - 1) * (1 + rho) ** -(a + b) for a, b in ab]),
-                                     QuadratureSpec(relative_tolerance=tol))
-        for value, error, (a, b) in zip(values, errors, ab):
+        rows = [lambda rho: np.stack([rho ** (a - 1) * (1 + rho) ** -(a + b) for a, b in ab])]
+        values, errors, _ = gauss_kronrod_batch(half_line(rows), [[0, 1.0]], QuadratureSpec(relative_tolerance=tol))
+        for value, error, (a, b) in zip(values[:, 0], errors[:, 0], ab):
             exact = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
             assert abs(value - exact) <= error + 2.0**-50 * exact
             assert error <= tol * abs(value)
 
-    def test_rule_exact_on_polynomials(self):
-        # the row loop on the G10/K21 table: x^j for j <= 31 in the head's
-        # variable x = sqrt(rho) on the two first halves of [0, 1], every
-        # row from one call, so the row in rho is x^j / (d rho / dx) =
-        # x^(j-1) / 2; every tail node lies past rho = 1, where the rows are 0
-        degrees = range(3 * (QK21 // 2) + 2)
-
-        def rows(rho):
-            x = np.sqrt(rho)
-            return np.stack([np.where(rho < 1.0, x ** (j - 1) / 2, 0.0) for j in degrees])
-
-        values, errors, evals = one_pass(rows, QuadratureSpec(relative_tolerance=1e-6))
-        assert values == pytest.approx([1 / (j + 1) for j in degrees], rel=1e-14)
-        assert (errors[:20] <= 1e-15).all()
-        assert evals == len(degrees) * 2 * 2 * QK21
-
-    def test_non_finite_row_named(self):
-        # every value is finite, but the Kronrod sum of the second row
-        # overflows, and so do its values times d rho / dx = 2x near x = 1;
-        # the message names the piece and that row's sum
-        with pytest.raises(QuadratureError) as exc:
-            one_pass(lambda rho: np.stack([1 / (1 + rho) ** 3, np.full(rho.shape, 1e308)]))
-        assert str(exc.value) == "integral over rho in [0.0, 1.0] is inf: outside the float range"
-
-    def test_node_outside_float_range_named(self):
-        # the first node outside the float range in the scalar order: the
-        # left half's centre x = 0.25, rho = x^2 = 0.0625
-        def rows(rho):
-            return np.stack([1 / (1 + rho) ** 3, np.where(rho < 0.25, np.inf, 1 / (1 + rho) ** 3)])
-
-        with pytest.raises(QuadratureError) as exc:
-            one_pass(rows)
-        assert str(exc.value) == "profile exceeds the float range at rho=0.0625"
-
-    def test_panel_cap(self):
-        # test_panel_cap of the scalar loop on a row, 0 on the tail: the
-        # text lists the row's value and estimate
-        with pytest.raises(QuadratureError) as exc:
-            one_pass(lambda rho: np.where(rho <= 1, np.cos(2e4 * rho), 0.0)[None],
-                     QuadratureSpec(relative_tolerance=1e-12))
-        assert re.fullmatch(
-            rf"requested tolerance 1e-12 not met with {_MAX_SUBINTERVALS} panels, the worst at "
-            r"rho in \[\S+, \S+\]: value=\[\S+\], error=\[\S+\]",
-            str(exc.value),
-        )
-
-    def test_panel_too_narrow_to_bisect(self):
-        # test_panel_too_narrow_to_bisect of the scalar loop on a row: x = 1/2
-        # is where [0, 1] is first bisected, rho = x^2 = 1/4 there, and the
-        # node rho = 1/4 of the narrowest panels is guarded as the scalar
-        # profile guards rho = 1/2
-        def rows(rho):
-            d = np.abs(rho - 0.25)
-            return np.where((d > 0) & (rho <= 1), np.where(d > 0, d, 1.0) ** -0.9, 0.0)[None]
-
-        with pytest.raises(QuadratureError) as exc:
-            one_pass(rows)
-        assert re.fullmatch(
-            r"requested tolerance 1e-09 not met at rho in \[0\.25, 0\.2500000000000001\]: "
-            r"the panel cannot be bisected in floating point: value=\[\S+\], error=\[\S+\]",
-            str(exc.value),
-        )
-
-    def test_tail_guard_on_the_pass_rule(self):
-        # the graded tail's guard tests the outer node of G10/K21, the rule
-        # of the pass: no node rounds to x = 1.0, where _graded would divide
-        # by zero, so a caller's divide="raise" sees the named error
-        with np.errstate(divide="raise"):
-            with pytest.raises(QuadratureError, match=r"rounds to t = 1\.0"):
-                one_pass(lambda rho: np.stack([1 / (1 + rho) ** 1.0005, 1 / (1 + rho) ** 3]))
-
-    def test_tolerance_failure_lists_every_row(self):
-        # P of (3, 3, 1.49975) on the pass: the tail stops as in
-        # test_tail_node_at_one, and the message holds the six rows of the
-        # ODE check's pass, P and R and the four finite-difference points of P
-        from sharpineq.flat import ExponentTriple, check_p_ode
-
-        with pytest.raises(QuadratureError) as exc:
-            check_p_ode(ExponentTriple(3, 3.0, 1.49975), [1.0])
-        assert re.fullmatch(
-            r"requested tolerance 1e-09 not met at rho in \[\S+, inf\]: a node of its right half "
-            r"rounds to t = 1\.0: value=\[(\S+, ){5}\S+\], error=\[(\S+, ){5}\S+\]",
-            str(exc.value),
-        )
-
-    def test_identity_failure_lists_p_and_r(self):
-        # the identity's pass holds P and R only
+    def test_nodes_inside_the_unit_interval(self):
+        # the map divides by x on the head and by 1 - x on the tail: no node
+        # of any panel count up to the cap is 0 or rounds to 1.0, so a
+        # caller's divide="raise" sees the cap's QuadratureError
+        panels = _FIRST_PANELS
+        while panels <= _MAX_SUBINTERVALS:
+            x, _ = quadrature._panel_table(panels)
+            assert x.size == panels * QK21 and 0.0 < x.min() and x.max() < 1.0
+            panels *= 2
         from sharpineq.flat import ExponentTriple, check_pqr_identity
 
+        with np.errstate(divide="raise"):
+            with pytest.raises(QuadratureError, match=f"not met with {CAP_PANELS} panels at 1 parameters"):
+                gauss_kronrod_batch(half_line(GRID_ROWS), [[OK, 1.0], [LATE, 1.0]])
+            with pytest.raises(QuadratureError, match=f"not met with {CAP_PANELS} panels at 1 parameters"):
+                check_pqr_identity(ExponentTriple(3, 3.0, 1.49975), [1.0])
+
+    def test_non_finite_row_named(self):
+        # every value is finite, but the Kronrod sums of the second row
+        # overflow, and so do its values times d rho / dx on the tail; the
+        # text counts that parameter and names it
+        rows = [GRID_ROWS[CUBIC], lambda rho: np.stack([1 / (1 + rho) ** 3, np.full(rho.shape, 1e308)])]
         with pytest.raises(QuadratureError) as exc:
-            check_pqr_identity(ExponentTriple(3, 3.0, 1.49975), [1.0])
+            gauss_kronrod_batch(half_line(rows), [[0, 1.0], [1, 1.0], [0, 2.0]])
+        assert str(exc.value) == "non-finite integral at 1 of 3 parameters, first at [1.0, 1.0]: outside the float range"
+
+    def test_panel_cap(self):
+        # a row that oscillates on the head, 0 on the tail: the text counts
+        # the parameters that miss the rule and names the worst
+        rows = [GRID_ROWS[OK], lambda rho: np.where(rho <= 1, np.cos(2e4 * rho), 0.0)[None]]
+        with pytest.raises(QuadratureError) as exc:
+            gauss_kronrod_batch(half_line(rows[1:]), [[0, 1.0]], QuadratureSpec(relative_tolerance=1e-12))
         assert re.fullmatch(
-            r"requested tolerance 1e-09 not met at rho in \[\S+, inf\]: a node of its right half "
-            r"rounds to t = 1\.0: value=\[\S+, \S+\], error=\[\S+, \S+\]",
+            rf"requested tolerance 1e-12 not met with {CAP_PANELS} panels at 1 parameters; "
+            r"worst at \[0\.0, 1\.0\]: relative error estimate \S+",
             str(exc.value),
         )
 
-
-# the two rows of a pass: "ok" and "cubic" meet the rule, "late" stops at a
-# tail node that rounds to t = 1.0 after many rounds, "early" leaves the
-# float range in the first round
-PASS_ROWS = {
-    "ok": lambda rho: np.stack([rho * rho / (1 + rho * rho) ** 2, 1e6 / (np.sqrt(rho) * (1 + rho) ** 2)]),
-    "late": lambda rho: np.stack([1 / (1 + rho) ** 1.0005, 1 / (1 + rho) ** 3]),
-    "early": lambda rho: np.stack([1 / (1 + rho) ** 3, np.where(rho < 0.25, np.inf, 1 / (1 + rho) ** 3)]),
-    "cubic": lambda rho: np.stack([1 / (1 + rho) ** 3, rho / (1 + rho) ** 4]),
-    # "cubic" near the float range: integrals 4e307 and 1.3e307
-    "big": lambda rho: 8e307 * np.stack([1 / (1 + rho) ** 3, rho / (1 + rho) ** 4]),
-    # a narrow bump on the head, at rho = 0.3, or on the tail, at rho = 3:
-    # each pass refines that piece alone
-    "bump_head": lambda rho: np.stack([1 / ((1 + 400 * (rho - 0.3) ** 2) * (1 + rho) ** 3), 1 / (1 + rho) ** 3]),
-    "bump_tail": lambda rho: np.stack([1 / ((1 + 400 * (rho - 3) ** 2) * (1 + rho) ** 3), rho / (1 + rho) ** 4]),
-}
-
-
-class TestLockstepPasses:
-    """m passes in lockstep give what each gives alone, and fail as a loop over them would."""
-
-    @staticmethod
-    def lockstep(names, spec=QuadratureSpec()):
-        calls = []
-
-        def rows(rho, which):
-            calls.append(which.tolist())
-            return np.stack([PASS_ROWS[names[j]](r) for r, j in zip(rho, which.tolist())])
-
-        return radial_integral_rows(rows, len(names), spec), calls
-
-    @staticmethod
-    def alone(names, spec=QuadratureSpec()):
-        """The loop of one pass at a time: its results, then the text of the first error."""
-        out = []
-        for name in names:
-            try:
-                out.append(one_pass(PASS_ROWS[name], spec))
-            except QuadratureError as exc:
-                return out, str(exc)
-        return out, None
-
-    @staticmethod
-    def run(results):
-        out = []
-        try:
-            for r in results:
-                out.append(r)
-        except QuadratureError as exc:
-            return out, str(exc)
-        return out, None
-
-    @staticmethod
-    def same(got, want):
-        assert len(got) == len(want)
-        for (v, e, n), (v0, e0, n0) in zip(got, want):
-            assert np.array_equal(v, v0) and np.array_equal(e, e0) and n == n0
-
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    def test_equal_to_each_pass_alone(self, tol):
+    def test_grid_equals_each_parameter_alone(self, tol):
+        # a grid whose parameters refine on the head, on the tail or not at
+        # all, at several splits, gives each parameter the bits it gives alone
         spec = QuadratureSpec(relative_tolerance=tol)
-        names = ["ok", "cubic", "ok", "cubic"]
-        results, calls = self.lockstep(names, spec)
-        got, failure = self.run(results)
-        want, _ = self.alone(names, spec)
-        assert failure is None
-        self.same(got, want)
-        # one call per round for every pass still refining, the first for
-        # both halves of both pieces of all: a pass of r rounds evaluates
-        # 4 QK21 + 2 QK21 (r - 1) nodes of its two rows
-        rounds = [(n // 2 - 4 * QK21) // (2 * QK21) + 1 for *_, n in want]
-        assert calls[0] == [0, 0, 1, 1, 2, 2, 3, 3] and len(calls) == max(rounds)
-        assert [sum(j in c for c in calls) for j in range(4)] == rounds
+        grid = [[BUMP_TAIL, 1.0], [OK, 0.5], [BUMP_HEAD, 1.0], [CUBIC, 2.0], [OK, 1.0]]
+        values, errors, evals = gauss_kronrod_batch(half_line(GRID_ROWS), grid, spec)
+        alone = [gauss_kronrod_batch(half_line(GRID_ROWS), [p], spec) for p in grid]
+        for i, (v, e, n) in enumerate(alone):
+            assert values[:, i].tobytes() == v[:, 0].tobytes() and errors[:, i].tobytes() == e[:, 0].tobytes()
+        # the bumps refine, the smooth rows do not
+        assert evals == sum(n for *_, n in alone) > len(grid) * _FIRST_PANELS * QK21
+        assert [n for *_, n in alone][1::2] == [_FIRST_PANELS * QK21] * 2
 
     @pytest.mark.parametrize(
-        "names",
-        [["late", "early", "ok"], ["ok", "early", "late"], ["ok", "late", "early"], ["early", "late"], ["cubic", "late"]],
+        "rows, text",
+        [
+            ([BIG] * 4, None),
+            ([BIG, BIG, EARLY, BIG, BIG], r"non-finite integral at 1 of 5 parameters, first at \[3\.0, 1\.0\]: "
+                                          r"outside the float range"),
+            ([BIG, LATE, BIG], rf"requested tolerance 1e-09 not met with {CAP_PANELS} panels at 1 "
+                               r"parameters; worst at \[2\.0, 1\.0\]: relative error estimate \S+"),
+        ],
     )
-    def test_first_failing_pass_raises_after_the_passes_before_it(self, names):
-        # "early" overflows in the first round, "late" stops at t = 1.0 after
-        # many rounds: whichever comes first in order is raised, after the
-        # results of the passes before it, as a loop over the passes raises
-        results, calls = self.lockstep(names)
-        got, failure = self.run(results)
-        want, want_failure = self.alone(names)
-        assert failure == want_failure is not None
-        self.same(got, want)
-        # a pass that fails drops the passes after it
-        first = names.index("early") if "early" in names else len(names)
-        assert all(max(c) < first for c in calls[1:])
-
-    def test_caller_error_state_between_results(self):
-        # the rows run with overflow and invalid values ignored, but no
-        # result reaches its consumer in that state, and a row function
-        # that raises leaves the caller in its own
-        with np.errstate(over="raise", invalid="raise"):
-            state = np.geterr()
-            results, _ = self.lockstep(["ok", "cubic"])
-            assert [np.geterr() for _ in results] == [state, state]
-
-            def rows(rho, which):
-                raise ValueError("a row function failed")
-
-            with pytest.raises(ValueError):
-                radial_integral_rows(rows, 2)
-            assert np.geterr() == state
-
-    def test_no_passes(self):
-        results, calls = self.lockstep([])
-        assert list(results) == [] and calls == []
-
-    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    def test_rounds_on_both_pieces_equal_each_pass_alone(self, tol, monkeypatch):
-        # rounds whose bisections lie on both pieces, the first sweep among
-        # them, give each pass what it gives alone; from an empty table
-        # every panel is mapped once, by one _graded call, however many
-        # passes and rounds bisect it
-        spec = QuadratureSpec(relative_tolerance=tol)
-        names = ["bump_tail", "ok", "bump_head", "cubic"]
-        mapped, rounds = [], []
-        graded = quadrature._graded
-
-        def recording(x, tail):
-            mapped.append((tail, x.tobytes()))
-            return graded(x, tail)
-
-        def rows(rho, which):
-            # head nodes lie below rho = 1, tail nodes above it
-            rounds.append([(r.tobytes(), bool(r.max() > 1)) for r in rho])
-            return np.stack([PASS_ROWS[names[j]](r) for r, j in zip(rho, which.tolist())])
-
-        monkeypatch.setattr(quadrature, "_graded", recording)
-        quadrature._panel_nodes.cache_clear()
-        got, failure = self.run(radial_integral_rows(rows, len(names), spec))
-        assert failure is None
-        assert sum(len({tail for _, tail in r}) == 2 for r in rounds) > 1
-        panels = {r for rnd in rounds for r, _ in rnd}
-        assert len(mapped) == len(set(mapped)) == len(panels) < sum(map(len, rounds))
-        self.same(got, self.alone(names, spec)[0])
-
-    @pytest.mark.parametrize("piece", [0, 1])
-    def test_table_entry_is_its_panel_mapped(self, piece):
-        # a table entry holds the nodes in rho and d rho / dx of both halves
-        # of its panel, bit for bit as a round mapping many panels at once
-        # forms them, and the half-widths, read-only
-        panels = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.25, 0.375), (0.96875, 1.0), (0.1, 0.7), (2.0**-30, 2.0**-29)]
-        mids = [0.5 * (a + b) for a, b in panels]
-        ch = np.array([(0.5 * (a + m), 0.5 * (m + b), 0.5 * (m - a), 0.5 * (b - m)) for (a, b), m in zip(panels, mids)])
-        rho, jac = quadrature._graded(ch[:, :2, None] + ch[:, 2:, None] * quadrature._NODES, piece)
-        for r, (a, b) in enumerate(panels):
-            table = quadrature._panel_nodes(piece, a, b)
-            assert table.shape == (3, 1, 2, QK21) and not table.flags.writeable
-            assert table[0, 0].tobytes() == rho[r].tobytes(), (a, b)
-            assert table[1, 0].tobytes() == jac[r].tobytes(), (a, b)
-            assert table[2, 0].tolist() == [[ch[r, 2]] * QK21, [ch[r, 3]] * QK21], (a, b)
-            with pytest.raises(ValueError):
-                table[0, 0, 0, 0] = 0.0
-
-    def test_rows_cannot_corrupt_the_table(self):
-        # every round hands rows a fresh rho, so a row function that
-        # overwrites it leaves the table as it was: its passes, and those
-        # of later calls on the same table, give what a fresh table gives
-        names = ["ok", "cubic", "bump_head", "bump_tail"]
-        seen = []
-
-        def overwriting(rho, which):
-            out = np.stack([PASS_ROWS[names[j]](r) for r, j in zip(rho, which.tolist())])
-            seen.append(rho.flags.writeable)
-            rho[...] = np.nan
-            return out
-
-        got = self.run(radial_integral_rows(overwriting, len(names)))
-        after = self.run(self.lockstep(names)[0])
-        quadrature._panel_nodes.cache_clear()
-        fresh = self.run(self.lockstep(names)[0])
-        assert all(seen) and got[1] is after[1] is fresh[1] is None
-        self.same(got[0], fresh[0])
-        self.same(after[0], fresh[0])
-
-    def test_table_stays_within_its_bound(self):
-        # a pass up to the panel cap (test_panel_cap) bisects more panels
-        # than the table keeps; the table holds its bound
-        quadrature._panel_nodes.cache_clear()
-        spec = QuadratureSpec(relative_tolerance=1e-12)
-        with pytest.raises(QuadratureError, match=f"with {_MAX_SUBINTERVALS} panels"):
-            one_pass(lambda rho: np.where(rho <= 1, np.cos(2e4 * rho), 0.0)[None], spec)
-        info = quadrature._panel_nodes.cache_info()
-        assert info.misses > info.maxsize == info.currsize == quadrature._PANEL_NODES
-
-    @pytest.mark.parametrize(
-        "names, fails",
-        [(["big"] * 4, False), (["big", "big", "early", "big", "big"], True), (["big", "late", "big"], True)],
-    )
-    def test_round_whose_integrals_overflow_together(self, names, fails):
-        # every K of a "big" pass is finite and so is their sum, but the Ks
-        # of four such passes in one round sum past the float range: that
-        # round checks the Ks of each bisection, and every pass gives what it
-        # gives alone, where the sum is finite; a pass in the middle that
-        # fails, in the first round or after many, raises its own error
-        # after the results of the passes before it
-        big = one_pass(PASS_ROWS["big"])[0].tolist()
-        assert math.isfinite(sum(big)) and 4 * sum(big) == math.inf
-        results, _ = self.lockstep(names)
-        got, failure = self.run(results)
-        want, want_failure = self.alone(names)
-        assert failure == want_failure and (failure is not None) == fails
-        self.same(got, want)
+    def test_grid_near_the_float_range(self, rows, text):
+        # the integrals of a "big" row are finite, their sum over four such
+        # parameters is not: each parameter gives what it gives alone, and a
+        # parameter in the middle that fails, in the first round or at the
+        # cap, names itself
+        big = gauss_kronrod_batch(half_line(GRID_ROWS), [[BIG, 1.0]])[0][:, 0]
+        assert big == pytest.approx([4e307, 8e307 / 6], rel=1e-9) and 4 * sum(big.tolist()) == math.inf
+        grid = [[j, 1.0] for j in rows]
+        if text is None:
+            values, _, _ = gauss_kronrod_batch(half_line(GRID_ROWS), grid)
+            assert all(values[:, i].tobytes() == big.tobytes() for i in range(len(grid)))
+        else:
+            with pytest.raises(QuadratureError) as exc:
+                gauss_kronrod_batch(half_line(GRID_ROWS), grid)
+            assert re.fullmatch(text, str(exc.value))
 
 
 class TestVolumeIntegrals:
@@ -884,6 +686,24 @@ class TestGaussKronrodBatch:
     def test_non_finite_raises(self):
         with pytest.raises(QuadratureError, match="non-finite"), np.errstate(all="ignore"):
             gauss_kronrod_batch(lambda x, p: np.exp(p * 1e3 * x), [1.0])
+
+    def test_caller_error_state(self):
+        # the integrand runs with overflow and invalid values ignored, but
+        # the caller gets its own state back, after a result, an error the
+        # batch raises, or an integrand that raises
+        def raising(x, p):
+            raise ValueError("an integrand failed")
+
+        with np.errstate(over="raise", invalid="raise"):
+            state = np.geterr()
+            gauss_kronrod_batch(lambda x, p: np.exp(-p * x), [1.0, 2.0])
+            assert np.geterr() == state
+            with pytest.raises(QuadratureError, match="non-finite"):
+                gauss_kronrod_batch(lambda x, p: np.exp(p * 1e3 * x), [1.0])
+            assert np.geterr() == state
+            with pytest.raises(ValueError):
+                gauss_kronrod_batch(raising, [1.0])
+            assert np.geterr() == state
 
     def test_mass_beyond_float_range_named_without_warning(self):
         # at n = 4, alpha = 0.001 the mass is about e^2250; alpha = 0.5 is a
