@@ -1,17 +1,17 @@
 """Deterministic integration of radial profiles on [0, oo).
 
-Two Gauss-Kronrod engines: one globally adaptive loop for one-off
-integrals, and one batched rule for parameter grids.  The loop
-(_adaptive_pass) runs on a split domain with QUADPACK's split of its rules:
-qags' G10/K21 (qk21) on every finite piece and qagi's G7/K15 (qk15) on a
-rational tail.  Its front end radial_integrals (and radial_integral, its
-one-row case) takes q integrands of one report on one mesh in Python
-floats, one call per bisection for the columns of its 42 radii (30 on the
-tail), the tail mapped by rho = end + t/(1 - t), where a slowly decaying
-profile is singular at t = 1 and qk15 stops with a named error where
-qk21's estimate can miss.  The batched rule (gauss_kronrod_batch) is
-composite G10/K21 over a whole parameter grid at once, each parameter
-refined on its own: it takes the gaussian rows of the ball in
+Two Gauss-Kronrod engines on one rule, QUADPACK's G10/K21 (qk21): one
+globally adaptive loop for one-off integrals, and one batched rule for
+parameter grids.  The loop (_adaptive_pass) runs on a split domain.  Its
+front end radial_integrals (and radial_integral, its one-row case) takes q
+integrands of one report on one mesh in Python floats, one call per
+bisection for the columns of its 42 radii, the tail past the domain's end
+mapped by rho = end (1 - t)^-2, the map the extremal family's batch takes:
+a profile decaying slower than rho^-3/2 is singular at t = 1, where the
+loop stops with a named error once a node rounds to t = 1.0.  The batched
+rule (gauss_kronrod_batch) is composite G10/K21 over a whole parameter
+grid at once, each parameter refined on its own: it takes the gaussian
+rows of the ball in
 s = rho sqrt(rate), each parameter on its own cut (gaussian_integrals),
 the smooth piece of flat space's Hardy sharpness sweep and the integrals
 P and R of flat space's extremal family over a lambda grid (flat space's
@@ -28,7 +28,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from operator import itemgetter, le, mul, truediv
+from operator import itemgetter, le, mul
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -95,21 +95,22 @@ def _normal_floats(values, params, describe: Callable[[object], str]) -> None:
         _name_failures((size >= _TINY) & (size < math.inf), params, describe, "integral outside the normal floats")
 
 
-def _ratio_terms(A, M, masses, params, describe: Callable[[object], str]) -> None:
-    """A QuadratureError unless every uncertainty ratio A M / L^2 divides normal floats.
+def _ratio_terms(X, Y, squares, params, describe: Callable[[object], str]) -> None:
+    """A QuadratureError unless every ratio X Y / Z^2 divides normal floats.
 
-    A and M hold one integral per parameter of params, and masses one
-    sequence of such integrals per mass L the ratios divide by, all normal
+    X and Y hold one integral per parameter of params, and squares one
+    sequence of such integrals per Z the ratios divide by (the mass L of an
+    uncertainty ratio A M / L^2, P of the identity Q R / P^2), all normal
     Python floats, whose products round to a subnormal, 0 or inf without an
-    error or warning.  The text is _normal_floats' with "product or squared
-    mass of an uncertainty ratio outside the float range", the range of the
-    normal floats: an A M or L^2 below it has lost digits to underflow, and
-    one that is 0 or overflows would make the ratio 0, inf or nan.
+    error or warning.  The text is _normal_floats' with "product X Y or
+    square Z^2 of a ratio X Y / Z^2 outside the float range", the range of
+    the normal floats: an X Y or Z^2 below it has lost digits to underflow,
+    and one that is 0 or overflows would make the ratio 0, inf or nan.
     """
-    terms = [list(map(mul, A, M)), *(list(map(mul, L, L)) for L in masses)]
+    terms = [list(map(mul, X, Y)), *(list(map(mul, Z, Z)) for Z in squares)]
     if not all(all(map(_TINY.__le__, t)) and all(map(math.inf.__gt__, t)) for t in terms):
         ok = np.array([[_TINY <= x < math.inf for x in t] for t in terms]).all(axis=0)
-        _name_failures(ok, params, describe, "product or squared mass of an uncertainty ratio outside the float range")
+        _name_failures(ok, params, describe, "product X Y or square Z^2 of a ratio X Y / Z^2 outside the float range")
 
 
 def _name_failures(ok: np.ndarray, params, describe: Callable[[object], str], what: str) -> None:
@@ -180,10 +181,10 @@ class RadialProfile:
 class QuadratureSpec:
     """Accuracy, truncation and seeding parameters shared by all integrals.
 
-    The adaptive loop of radial_integrals (G10/K21, and G7/K15 on its
-    mapped tail) and gauss_kronrod_batch (G10/K21) run two Gauss-Kronrod
-    tables under one acceptance rule: a value is accepted only when its
-    summed estimate sum |K - G| is at most relative_tolerance x |value|.
+    The adaptive loop of radial_integrals and gauss_kronrod_batch run one
+    Gauss-Kronrod table, G10/K21, under one acceptance rule: a value is
+    accepted only when its summed estimate sum |K - G| is at most
+    relative_tolerance x |value|.
     """
 
     relative_tolerance: float = 1e-9
@@ -234,21 +235,8 @@ def _gauss_kronrod_table(xgk, wgk, wg):
     return mirror(xgk, -1.0), mirror(wgk), mirror(gauss)
 
 
-# QUADPACK qk15 (G7/K15), the rule of radial_integral's mapped tail
-_GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = _gauss_kronrod_table(
-    [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-     0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-     0.207784955007898467600689403773245, 0.0],
-    [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-     0.204432940075298892414161999234649, 0.209482141084727828012999174891714],
-    [0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-     0.381830050505118944950369775488975, 0.417959183673469387755102040816327],
-)
 # QUADPACK qk21 (G10/K21), the rule of gauss_kronrod_batch and of every
-# finite piece of radial_integral; the centre is a Kronrod node only
+# piece of radial_integrals; the centre is a Kronrod node only
 _GK21_NODES, _GK21_KRONROD, _GK21_GAUSS = _gauss_kronrod_table(
     [0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
      0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -272,11 +260,11 @@ _GK21_WEIGHTS = np.stack([_GK21_KRONROD, _GK21_KRONROD - _GK21_GAUSS], axis=1)
 
 @dataclass(frozen=True)
 class _Rule:
-    """A Gauss-Kronrod rule of the adaptive loops as Python floats, in the
-    order QUADPACK's qk15 and qk21 evaluate it (the centre, the Gauss pairs
-    from the outside in, then the Kronrod pairs): a profile that overflows is
-    named at the first node it overflows at in that order.  outer is the
-    largest node, the one nearest a panel's right end."""
+    """The rule of the adaptive loop as Python floats, in the order QUADPACK's
+    qk21 evaluates it (the centre, the Gauss pairs from the outside in, then
+    the Kronrod pairs): a profile that overflows is named at the first node it
+    overflows at in that order.  outer is the largest node, the one nearest a
+    panel's right end."""
 
     nodes: list
     kronrod: list
@@ -294,13 +282,7 @@ class _Rule:
         return _Rule(nodes[order].tolist(), kronrod[order].tolist(), diff[order].tolist(), float(nodes[-1]))
 
 
-# qk21 on every finite piece, qk15 on radial_integral's rational tail, as
-# QUADPACK's qags and qagi take them: under rho = end + t/(1 - t) a profile
-# that decays slower than rho^-2 is singular at t = 1, where qk21's estimate
-# can fall short of its error (int rho^-1/2 / (1 + rho) = pi at 1e-9 returns
-# 1.0e-8 off with an estimate of 3.1e-9) and qk15 stops with a named error
 _QK21 = _Rule.of(_GK21_NODES, _GK21_KRONROD, _GK21_GAUSS)
-_QK15 = _Rule.of(_GK15_NODES, _GK15_KRONROD, _GK15_GAUSS)
 
 
 def _tail_budget(tol: float) -> float:
@@ -357,18 +339,20 @@ def radial_integrals(
     to its end: the largest truncation radius T of the rows, or for
     algebraic decay the larger of 1 and the last breakpoint.  Unless the
     decay is compact, the tail past the end is mapped onto [0, 1) by
-    rho = end + t/(1 - t).  The rule is G10/K21 on the finite pieces and
-    G7/K15 on the tail, globally adaptive over all pieces (_adaptive_pass),
-    under its keys and acceptance, for one row as for q.  Every bisection
-    is one call of columns on the radii of both halves, the left first,
-    each in QUADPACK's node order of its piece's rule, and each row's K and
-    K - G are summed in Python floats.  A row's error_estimate is its
-    summed |K - G| over every panel, at most relative_tolerance x |value|;
-    nodes_used counts the radii evaluated.  The weights are taken once per
-    radius.  Where sinh^k overflows, a row value times it is formed in log
-    space, since it may still be large (small gaussian rates); where rho^k
-    overflows (far out in the mapped tail, where the true product has
-    underflowed) it is 0.0.
+    rho = end (1 - t)^-2, d rho / dt = 2 rho / (1 - t), as _extremal_passes
+    maps its tail: rho^-3/2 is smooth at t = 1 under it, a slower decay
+    singular.  The rule is G10/K21 on every piece, globally adaptive over
+    all pieces (_adaptive_pass), under its keys and acceptance, for one
+    row as for q.  Every bisection is one call of columns on the radii of
+    both halves, the left first, each in QUADPACK's node order, and each
+    row's K and K - G are summed in Python floats.  A row's error_estimate
+    is its summed |K - G| over every panel, which the acceptance rule holds
+    to at most relative_tolerance x |value|, plus one ulp of its value, so
+    no estimate claims more than the float holds; nodes_used counts the
+    radii evaluated.  The weights are taken once per radius.  Where sinh^k
+    overflows, a row value times it is formed in log space, since it may
+    still be large (small gaussian rates); where rho^k overflows (far out
+    in the mapped tail, where the true product has underflowed) it is 0.0.
 
     QuadratureError names its cause: the _MAX_SUBINTERVALS cap, a panel too
     narrow to bisect in floating point, a tail node that rounds to t = 1.0,
@@ -460,34 +444,35 @@ def radial_integrals(
     interior = {b for b in breakpoints if 0 < b < T}
     end = T if math.isfinite(T) else max({1.0} | interior)
     cuts = sorted({0.0, min(1.0, end), end} | interior)
-    # qk21 between the cuts, qk15 on the tail past end, as QUADPACK's qags and qagi split them
-    pieces = [(a, b, _QK21, None) for a, b in zip(cuts, cuts[1:])]
+    pieces = [(a, b, None) for a, b in zip(cuts, cuts[1:])]
     if tail:
-        pieces.append((0.0, 1.0, _QK15, lambda t: end + t / (1.0 - t) if t < 1.0 else math.inf))
+        pieces.append((0.0, 1.0, lambda t: end / (1.0 - t) ** 2 if t < 1.0 else math.inf))
 
     def bisect(i: int, a: float, mid: float, b: float) -> tuple:
         """K and |K - G| of both halves of one bisection of _adaptive_pass, from one call of cols."""
-        _, _, rule, rho = pieces[i]
         cl, cr, hl, hr = 0.5 * (a + mid), 0.5 * (mid + b), 0.5 * (mid - a), 0.5 * (b - mid)
-        xs = [c + h * x for c, h in ((cl, hl), (cr, hr)) for x in rule.nodes]
-        if rho is None:
+        xs = [c + h * x for c, h in ((cl, hl), (cr, hr)) for x in _QK21.nodes]
+        if pieces[i][2] is None:
             rows = cols(xs)
         else:
-            # rho = end + t/(1 - t), d rho = dt/(1 - t)^2
-            jac = [(1.0 - t) ** 2 for t in xs]
-            rows = [list(map(truediv, row, jac)) for row in cols([end + t / (1.0 - t) for t in xs])]
+            # rho = end w^2 and d rho / dt = 2 rho w, w = 1/(1 - t), as _extremal_passes maps its tail
+            ws = [1.0 / (1.0 - t) for t in xs]
+            rhos = [end * (w * w) for w in ws]
+            jac = [r * (2 * w) for r, w in zip(rhos, ws)]
+            rows = [list(map(mul, row, jac)) for row in cols(rhos)]
         kl, el, kr, er = [], [], [], []
         for v in rows:
             # map stops at the rule's weights, so v gives the left half
-            w = v[len(rule.nodes):]
-            kl.append(hl * sum(map(mul, rule.kronrod, v)))
-            el.append(abs(hl * sum(map(mul, rule.diff, v))))
-            kr.append(hr * sum(map(mul, rule.kronrod, w)))
-            er.append(abs(hr * sum(map(mul, rule.diff, w))))
+            w = v[len(_QK21.nodes):]
+            kl.append(hl * sum(map(mul, _QK21.kronrod, v)))
+            el.append(abs(hl * sum(map(mul, _QK21.diff, v))))
+            kr.append(hr * sum(map(mul, _QK21.kronrod, w)))
+            er.append(abs(hr * sum(map(mul, _QK21.diff, w))))
         return (kl, el), (kr, er)
 
     values, errors, nodes = _adaptive_pass(pieces, bisect, tol)
-    return [IntegralResult(v, e, nodes, truncation=T) for v, e in zip(values, errors)]
+    # an estimate below one ulp of its value would claim more than the float holds
+    return [IntegralResult(v, e + math.ulp(v), nodes, truncation=T) for v, e in zip(values, errors)]
 
 
 def _in_rho(a: float, b: float, rho: Optional[Callable[[float], float]]) -> str:
@@ -497,16 +482,15 @@ def _in_rho(a: float, b: float, rho: Optional[Callable[[float], float]]) -> str:
     return f"rho in [{a!r}, {b!r}]"
 
 
-def _stuck(panels: int, a: float, b: float, rho: Optional[Callable[[float], float]], outer: float) -> Optional[str]:
-    """Why the worst of panels panels, [a, b] (rho as for _in_rho), cannot be
-    bisected, or None; outer is the largest node of the rule on its piece."""
+def _stuck(panels: int, a: float, b: float, rho: Optional[Callable[[float], float]]) -> Optional[str]:
+    """Why the worst of panels panels, [a, b] (rho as for _in_rho), cannot be bisected, or None."""
     mid = 0.5 * (a + b)
     if panels >= _MAX_SUBINTERVALS:
         return f"with {panels} panels, the worst at {_in_rho(a, b, rho)}"
     if not a < mid < b:
         return f"at {_in_rho(a, b, rho)}: the panel cannot be bisected in floating point"
-    # a tail maps t = 1 to rho = oo, where no node may lie
-    if rho is not None and 0.5 * (mid + b) + 0.5 * (b - mid) * outer >= 1.0 and rho(1.0) == math.inf:
+    # the tail, the one mapped piece, maps t = 1 to rho = oo, where no node may lie
+    if rho is not None and 0.5 * (mid + b) + 0.5 * (b - mid) * _QK21.outer >= 1.0:
         return f"at {_in_rho(a, b, rho)}: a node of its right half rounds to t = 1.0"
     return None
 
@@ -529,10 +513,10 @@ def _key(es: list, scale: list) -> float:
 def _adaptive_pass(pieces: list, bisect: Callable, tol: float) -> tuple[list, list, int]:
     """Globally adaptive Gauss-Kronrod over split pieces: the loop of radial_integrals.
 
-    q rows run on one mesh over the pieces, (a, b, rule, rho) each: an
-    interval in the piece's own variable, its _Rule, and rho, that
-    variable's map back to rho for the texts of _in_rho and _stuck (None
-    where it is rho).  bisect(i, a, mid, b) gives ((K, |K - G|), (K, |K - G|))
+    q rows run on one mesh over the pieces, (a, b, rho) each: an interval
+    in the piece's own variable and rho, that variable's map back to rho
+    for the texts of _in_rho and _stuck (None where it is rho), every piece
+    on _QK21.  bisect(i, a, mid, b) gives ((K, |K - G|), (K, |K - G|))
     of the left and right half of the panel [a, b] of piece i, lists of q;
     the first sweep bisects every piece once, in order.  Where a K is
     outside the float range, the first such K (the left half's rows first)
@@ -554,7 +538,7 @@ def _adaptive_pass(pieces: list, bisect: Callable, tol: float) -> tuple[list, li
     # 1 / |value| of every row, for the keys; the running sums; K and
     # |K - G| of the panel bisected, 0 in the first sweep
     heap, scale, evals, value, error, keyed = [], None, 0, None, None, False
-    todo = [(i, a, 0.5 * (a + b), b) for i, (a, b, _, _) in enumerate(pieces)]
+    todo = [(i, a, 0.5 * (a + b), b) for i, (a, b, _) in enumerate(pieces)]
     while True:
         for i, a, mid, b in todo:
             (kl, el), (kr, er) = bisect(i, a, mid, b)
@@ -566,7 +550,7 @@ def _adaptive_pass(pieces: list, bisect: Callable, tol: float) -> tuple[list, li
                 )
                 # the row's K over the other panels of piece i and the halves up to the first outside the range
                 total = math.fsum([p[-2][row] for p in heap if p[-5] == i] + [kl[row], kr[row]][: half + 1])
-                lo, hi, _, rho = pieces[i]
+                lo, hi, rho = pieces[i]
                 raise QuadratureError(f"integral over {_in_rho(lo, hi, rho)} is {total!r}: outside the float range")
             if keyed:
                 heapq.heappush(heap, (-_key(el, scale), i, a, mid, kl, el))
@@ -578,7 +562,7 @@ def _adaptive_pass(pieces: list, bisect: Callable, tol: float) -> tuple[list, li
             for x in range(len(value)):
                 value[x] = (value[x] - k[x]) + (kl[x] + kr[x])
                 error[x] = (error[x] - e[x]) + (el[x] + er[x])
-            evals += 2 * len(pieces[i][2].nodes)
+            evals += 2 * len(_QK21.nodes)
         if _met(value, error, tol):
             # the running sums drift: accept on the exact ones
             value = list(map(math.fsum, zip(*map(itemgetter(-2), heap))))
@@ -592,7 +576,7 @@ def _adaptive_pass(pieces: list, bisect: Callable, tol: float) -> tuple[list, li
             for i, a, b, ks, es in swept:
                 heapq.heappush(heap, (-_key(es, scale), i, a, b, ks, es))
         _, i, a, b, k, e = heap[0]
-        cause = _stuck(len(heap), a, b, pieces[i][3], pieces[i][2].outer)
+        cause = _stuck(len(heap), a, b, pieces[i][2])
         if cause is not None:
             raise QuadratureError(f"requested tolerance {tol!r} not met {cause}: value={value!r}, error={error!r}")
         heapq.heappop(heap)
@@ -658,19 +642,18 @@ def gauss_kronrod_batch(
     x, shape (m,), and a column of parameters, shape (r, 1) or (r, 1, k), to
     an (r, m) array, or to a (q, r, m) array for q integrals per parameter on
     the same nodes.  The rule is composite G10/K21 (QUADPACK qk21) on
-    _FIRST_PANELS equal panels: every integrand the package batches is
-    smooth on [0, 1], or for the extremal family's P and R algebraic at its
-    ends, where this rule meets the tolerance on fewer nodes than G7/K15.  A
-    panel's Kronrod sum K and its difference K - G from the embedded Gauss
-    rule come from one product of its 21 values with the (21, 2) matrix of
-    Kronrod and Kronrod-minus-Gauss weights.  Every integral carries its
-    own error estimate, the sum over panels of |K - G|, under
-    radial_integral's acceptance rule; the panel count is doubled only for
-    the parameters with an estimate above relative_tolerance * |value|, up
-    to _MAX_SUBINTERVALS panels, the cap radial_integral has too.  A value
-    depends only on its parameter, never on the rest of the grid.  A QuadratureError counts
-    the parameters of params and names one by describe(params[i].tolist());
-    a parameter that misses the tolerance on an integral that is zero or
+    _FIRST_PANELS equal panels: every integrand the package batches is smooth
+    on [0, 1], or for the extremal family's P and R algebraic at its ends.  A
+    panel's Kronrod sum K and its difference K - G from the embedded Gauss rule
+    come from one product of its 21 values with the (21, 2) matrix of Kronrod
+    and Kronrod-minus-Gauss weights.  Every integral carries its own error
+    estimate, the sum over panels of |K - G|, under radial_integral's
+    acceptance rule; the panel count is doubled only for the parameters with an
+    estimate above relative_tolerance * |value|, up to _MAX_SUBINTERVALS
+    panels, the cap radial_integral has too.  A value depends only on its
+    parameter, never on the rest of the grid.  A QuadratureError counts the
+    parameters of params and names one by describe(params[i].tolist()); a
+    parameter that misses the tolerance on an integral that is zero or
     subnormal, relative to which no panel count meets the rule, is named in
     that round as an integral outside the normal floats.  Returns (values,
     error_estimates, integrand evaluations), values and estimates of shape

@@ -143,7 +143,7 @@ def test_parameter_outside_the_float_range_named(name, call, error, text):
 # every integral is a normal float but the ratio's L^2 underflows to 0 (a
 # ZeroDivisionError, or for the grid an invalid-value warning), or a scale
 # (2 lam)^(-k) overflows (a bare OverflowError)
-RATIO = "product or squared mass of an uncertainty ratio outside the float range"
+RATIO = "product X Y or square Z^2 of a ratio X Y / Z^2 outside the float range"
 RATIO_CASES = [
     ("gaussian_hpw_reports", lambda: flat.gaussian_hpw_reports(3, [1.0, 1e110]),
      f"{RATIO} at 1 of 2 parameters, first at lam = 1e+110 for n = 3"),

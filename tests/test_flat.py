@@ -1,7 +1,7 @@
 import functools
 import math
 import re
-from decimal import Context, Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -199,7 +199,7 @@ class TestExtremalIntegrals:
         (lambda t: pqr(t, 4.0, "P"), "4.0", "integral outside the normal floats at 1 of 1"),
         # P and R are normal floats, but P^2 and Q R are not
         (lambda t: check_pqr_identity(t, [1.0, 1.5]), "1.5",
-         "product or squared mass of an uncertainty ratio outside the float range at 1 of 2"),
+         "product X Y or square Z^2 of a ratio X Y / Z^2 outside the float range at 1 of 2"),
     ])
     def test_underflow_named(self, call, lam, what):
         # (3, 2.002, 1): P falls like lam^-999; an integral, or a term of
@@ -403,13 +403,17 @@ class TestExtremalPass:
         assert check_p_ode(t, [1.0]) == [alone[0][1]]
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    @pytest.mark.parametrize("triple", PASS_TRIPLES)
+    @pytest.mark.parametrize("triple", PASS_TRIPLES + [(6, 2.3, 0.5), (8, 2.2, 0.1)])
     def test_grid_equals_one_lambda_at_a_time(self, triple, tol):
         # the batch refines every lambda on its own panels: every report and
-        # residual of a grid is == to that of its lambda alone
+        # residual of a grid, through pqr_reports, check_pqr_identity and
+        # check_p_ode, prints as that of its lambda alone, on every smooth
+        # report triple of perfbench's catalogue
         t, spec = ExponentTriple(*triple), QuadratureSpec(relative_tolerance=tol)
         grid = [0.25, 0.5, 1.0, 2.0, 4.0, 1.0]
-        assert flat.pqr_reports(t, grid, spec) == one_lambda_at_a_time(t, grid, spec)
+        assert repr(flat.pqr_reports(t, grid, spec)) == repr(one_lambda_at_a_time(t, grid, spec))
+        for check in (check_pqr_identity, check_p_ode):
+            assert repr(check(t, grid, spec)) == repr([x for lam in grid for x in check(t, [lam], spec)])
 
     @pytest.mark.parametrize("grid, failing, first, text", [
         ([0.5, 0.25], 2, 0.5, "non-finite integral"),
@@ -742,6 +746,46 @@ class TestGaussianMoments:
             gaussian_T_grid(3, [1e123, 1e124])
         assert str(exc.value) == (
             "integral outside the normal floats at 1 of 2 parameters, first at lam = 1e+124 for n = 3")
+
+
+# pi to 50 digits, for the exact Gaussian rows at 40
+PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+class TestGaussianRowsExact:
+    """Every integral of flat space's Gaussian rows within its own estimate of its exact value."""
+
+    @staticmethod
+    def integrals(monkeypatch, call):
+        # the IntegralResults that call takes from _gaussian_moments, one list per parameter
+        seen, moments = [], flat._gaussian_moments
+        monkeypatch.setattr(flat, "_gaussian_moments", lambda *args: seen.append(moments(*args)) or seen[-1])
+        call()
+        (rows,) = seen
+        return rows
+
+    @staticmethod
+    def within(result, exact):
+        return abs(Decimal(result.value) - exact) <= Decimal(result.error_estimate)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_hpw_rows(self, monkeypatch, n):
+        # L = (pi / (2 lam))^(n/2), M = n L / (4 lam), A = n lam L
+        lams = [0.5, 1.0, 2.0]
+        rows = self.integrals(monkeypatch, lambda: gaussian_hpw_reports(n, lams))
+        with localcontext(Context(prec=40)):
+            for lam, (L, M, A) in zip(map(Decimal, lams), rows):
+                exact = (PI / (2 * lam)).sqrt() ** n
+                for result, want in ((L, exact), (M, n * exact / (4 * lam)), (A, n * lam * exact)):
+                    assert self.within(result, want), (n, lam, result)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_hardy_rows(self, monkeypatch, n):
+        # at a = 1, H = (pi / 2)^(n/2) and A = (n^2/4 - n/2 + 1) H
+        ((A, H),) = self.integrals(monkeypatch, lambda: gaussian_hardy_reports(n, [1.0]))
+        with localcontext(Context(prec=40)):
+            exact = (PI / 2).sqrt() ** n
+            assert self.within(H, exact) and self.within(A, (Decimal(n * n - 2 * n + 4) / 4) * exact)
 
 
 class TestHpw:

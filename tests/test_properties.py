@@ -1,5 +1,5 @@
 """Property tests: scaling laws, the dual-norm bound, Legendre certificates,
-algebraic tails and seed-free CSVs."""
+algebraic tails, estimates of at least an ulp and seed-free CSVs."""
 
 import math
 import tempfile
@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sharpineq import (
     DecayClass,
     MinkowskiNorm,
+    QuadratureSpec,
     RadialProfile,
     dual_norm_value,
     flat_radial_volume_integral,
@@ -142,6 +143,27 @@ def test_algebraic_tail_with_breakpoints_on_both_sides_of_one(below, above, k):
     )
     res = radial_integral(prof, ("power", k))
     assert math.isclose(res.value, math.pi / 4, rel_tol=1e-9)
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(["gaussian", "algebraic", "polynomial"]),
+    scale=st.integers(-250, 250),
+    k=st.sampled_from([0, 1, 3]),
+    tol=st.sampled_from([1e-9, 1e-12]),
+)
+def test_estimate_holds_an_ulp_of_its_value(kind, scale, k, tol):
+    # 10^scale times a gaussian, an algebraic tail or 1 on [0, 1], the last
+    # against rho^k, where G10/K21 is exact and |K - G| can round to 0: no
+    # estimate claims less than one ulp of its value
+    c = 10.0**scale
+    prof = {
+        "gaussian": RadialProfile(lambda r: c * math.exp(-r * r), DecayClass.gaussian(1.0)),
+        "algebraic": RadialProfile(lambda r: c / (1 + r) ** 5, DecayClass.algebraic()),
+        "polynomial": RadialProfile(lambda r: c if r <= 1 else 0.0, DecayClass.compact(1.0)),
+    }[kind]
+    res = radial_integral(prof, ("power", k), QuadratureSpec(relative_tolerance=tol))
+    assert res.error_estimate >= math.ulp(res.value) > 0
 
 
 @PROPERTY

@@ -28,7 +28,6 @@ from sharpineq import quadrature
 from sharpineq.quadrature import (
     _BLOCK_VALUES,
     _FIRST_PANELS,
-    _GK15_NODES,
     _GK21_GAUSS,
     _GK21_KRONROD,
     _GK21_NODES,
@@ -39,9 +38,9 @@ from sharpineq.quadrature import (
     radial_integrals,
 )
 
-# the nodes of a panel under each rule: G10/K21 on every finite piece and
-# on the batched grids, G7/K15 on radial_integral's rational tail
-QK21, QK15 = _GK21_NODES.size, _GK15_NODES.size
+# the nodes of a panel of G10/K21, the rule of every piece of
+# radial_integrals and of the batched grids
+QK21 = _GK21_NODES.size
 
 
 def gauss_profile(rate=1.0):
@@ -154,6 +153,10 @@ def closed_form_cases():
     # int r^2 / (1 + r^2)^2 = pi/4, algebraic decay through the mapped tail
     algebraic = RadialProfile(lambda r: (1 + r * r) ** -2, DecayClass.algebraic())
     cases.append(("algebraic", algebraic, ("power", 2), math.pi / 4))
+    # int rho^-1/2 / (1 + rho) = pi, singular at 0 and decaying like
+    # rho^-3/2: 2 / (1 + (1 - t)^2) under the tail map rho = (1 - t)^-2
+    slow = RadialProfile(lambda r: 1 / (math.sqrt(r) * (1 + r)), DecayClass.algebraic())
+    cases.append(("slow-algebraic", slow, ("power", 0), math.pi))
     # r^2 on [0, 1/2] and (1 - r)/2 on [1/2, 1], against r: 1/64 + 1/24
     piecewise = RadialProfile(
         lambda r: r * r if r < 0.5 else (0.5 * (1 - r) if r < 1 else 0.0),
@@ -183,27 +186,26 @@ class TestRadialIntegralAccuracy:
 
         res = radial_integral(RadialProfile(f, DecayClass.algebraic()), ("power", 2))
         assert res.nodes_used == len(calls) > 0
-        # a bisection of [0, 1] evaluates both halves on G10/K21, one of the
-        # tail past rho = 1 both halves on G7/K15
+        # a bisection of [0, 1] or of the tail past rho = 1 evaluates both
+        # halves on G10/K21
         head = sum(r <= 1.0 for r in calls)
-        assert head % (2 * QK21) == 0 and (len(calls) - head) % (2 * QK15) == 0 and head < len(calls)
+        assert head % (2 * QK21) == 0 and (len(calls) - head) % (2 * QK21) == 0 and head < len(calls)
 
     def test_rule_exact_on_polynomials(self):
         # on the two first halves of a finite piece K21 is exact to degree 31
-        # and G10 to degree 19, and on those of the tail past rho = 1, t^j in
-        # its variable t = (rho - 1) / rho, K15 to degree 22 and G7 to degree
-        # 13, where [0, 1] holds a zero row: this pins every entry of both
-        # tables; at 1e-6 no degree needs a bisection
-        for size, exact, decay, row, evals_of in (
-            (QK21, 19, DecayClass.compact(1.0), lambda x, j: x**j if x <= 1.0 else 0.0, 2 * QK21),
-            (QK15, 13, DecayClass.algebraic(), lambda r, j: ((r - 1) / r) ** j / (r * r) if r > 1.0 else 0.0,
-             2 * QK21 + 2 * QK15),
+        # and G10 to degree 19, and so on those of the tail past rho = 1,
+        # t^j in its variable t = 1 - rho^-1/2 (rho = (1 - t)^-2, d rho / dt
+        # = 2 rho^3/2), where [0, 1] holds a zero row: this pins every entry
+        # of the table and the tail map; at 1e-6 no degree needs a bisection
+        for decay, row, evals_of in (
+            (DecayClass.compact(1.0), lambda x, j: x**j if x <= 1.0 else 0.0, 2 * QK21),
+            (DecayClass.algebraic(), lambda r, j: (1 - r**-0.5) ** j / (2 * r**1.5) if r > 1.0 else 0.0, 2 * 2 * QK21),
         ):
-            for j in range(3 * (size // 2) + 2):
+            for j in range(3 * (QK21 // 2) + 2):
                 (res,) = radial_integrals(lambda rs, ws: [[row(x, j) for x in rs]], [decay], ("power", 0),
                                           QuadratureSpec(relative_tolerance=1e-6))
                 assert res.value == pytest.approx(1 / (j + 1), rel=1e-14)
-                assert res.error_estimate <= 1e-15 or j > exact
+                assert res.error_estimate <= 1e-15 or j > 19
                 assert res.nodes_used == evals_of
 
     def test_first_sweep_accepts_before_any_key(self, monkeypatch):
@@ -230,18 +232,18 @@ class TestRadialIntegralAccuracy:
 # compact profiles, as the node-by-node loop gives them: the one-row case
 # keys on |K - G| over its value, which orders its panels as the plain
 # |K - G| does, and keeps QUADPACK's node order and the order of the running
-# sums.  A first sweep evaluates 2 QK21 nodes a finite piece and 2 QK15 on
-# the tail; each value lies within its estimate of PINNED_EXACT, plus a few
-# ulp of rounding
+# sums.  A first sweep evaluates 2 QK21 nodes a piece, the tail's too; each
+# estimate holds one ulp of its value, and each value lies within its
+# estimate of PINNED_EXACT, plus a few ulp of rounding
 PINNED = [
-    ("algebraic", 1e-09, 0.7853981633974483, 5.756549750768336e-13, 2 * QK21 + 2 * QK15),
-    ("algebraic-breakpoint", 1e-09, 0.06786800974595918, 5.418446292206135e-11, 780),
-    ("compact-polynomial", 1e-09, 0.05729166666666666, 3.618524750670371e-18, 2 * 2 * QK21),
-    ("compact-ball", 1e-09, 14.654656241891932, 8.573870780015369e-16, 2 * 2 * QK21),
-    ("algebraic", 1e-12, 0.7853981633974483, 5.756549750768336e-13, 2 * QK21 + 2 * QK15),
-    ("algebraic-breakpoint", 1e-12, 0.06786800974335572, 6.040999670267e-14, 1332),
-    ("compact-polynomial", 1e-12, 0.05729166666666666, 3.618524750670371e-18, 2 * 2 * QK21),
-    ("compact-ball", 1e-12, 14.654656241891932, 8.573870780015369e-16, 2 * 2 * QK21),
+    ("algebraic", 1e-09, 0.7853981633974483, 1.596812959636651e-15, 2 * 2 * QK21),
+    ("algebraic-breakpoint", 1e-09, 0.06786800974660787, 5.74922726307172e-11, 840),
+    ("compact-polynomial", 1e-09, 0.05729166666666666, 1.05574186545776e-17, 2 * 2 * QK21),
+    ("compact-ball", 1e-09, 14.654656241891932, 2.6337439174017874e-15, 2 * 2 * QK21),
+    ("algebraic", 1e-12, 0.7853981633974483, 1.596812959636651e-15, 2 * 2 * QK21),
+    ("algebraic-breakpoint", 1e-12, 0.06786800974335616, 6.294402822754812e-14, 1386),
+    ("compact-polynomial", 1e-12, 0.05729166666666666, 1.05574186545776e-17, 2 * 2 * QK21),
+    ("compact-ball", 1e-12, 14.654656241891932, 2.6337439174017874e-15, 2 * 2 * QK21),
 ]
 PINNED_EXACT = {
     "algebraic": math.pi / 4,
@@ -275,10 +277,10 @@ PINNED_PROFILES = {
 # value, error, nodes), each value within its estimate of test_flat's
 # closed_p or closed_r
 PINNED_PQR = [
-    ((3, 3.0, 1.0), "P", 1e-09, 6.283185307179586, 3.5462125449483416e-11, 2 * QK21 + 2 * QK15),
-    ((5, 2.4, 0.2), "R", 1e-09, 0.22636183565617043, 9.733636763675435e-12, 102),
-    ((3, 3.0, 1.0), "P", 1e-12, 6.283185307179586, 8.310573335775983e-14, 102),
-    ((5, 2.4, 0.2), "R", 1e-12, 0.22636183565617046, 1.303322829839475e-13, 162),
+    ((3, 3.0, 1.0), "P", 1e-09, 6.283185307179586, 2.0418563498758864e-15, 2 * 2 * QK21),
+    ((5, 2.4, 0.2), "R", 1e-09, 0.2263618356561704, 2.9714031664182643e-12, 2 * 2 * QK21),
+    ((3, 3.0, 1.0), "P", 1e-12, 6.283185307179586, 2.0418563498758864e-15, 2 * 2 * QK21),
+    ((5, 2.4, 0.2), "R", 1e-12, 0.22636183565617046, 1.1086381513207876e-13, 168),
 ]
 
 
@@ -360,16 +362,15 @@ class TestRadialIntegralFailures:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_slow_tail_named(self, tol):
-        # int rho^-1/2 / (1 + rho) = pi decays like rho^-3/2, singular at
-        # t = 1 under the tail map: on G7/K15 the tail stops at a node that
-        # rounds to t = 1.0 and names itself, where G10/K21 there returned a
-        # value 1.0e-8 off with an estimate of 3.1e-9 at 1e-9; the graded
-        # pass takes it on its first sweep (test_slow_algebraic_tail)
-        prof = RadialProfile(lambda r: 1 / (math.sqrt(r) * (1 + r)), DecayClass.algebraic())
+        # int (1 + rho)^-6/5 = 5 decays slower than rho^-3/2, like
+        # (1 - t)^-3/5 under the tail map rho = (1 - t)^-2: the tail stops at
+        # a node that rounds to t = 1.0 and names itself; rho^-3/2 itself is
+        # smooth there (closed_form_cases' slow-algebraic)
+        prof = RadialProfile(lambda r: (1 + r) ** -1.2, DecayClass.algebraic())
         with pytest.raises(QuadratureError) as exc:
             radial_integral(prof, ("power", 0), QuadratureSpec(relative_tolerance=tol))
         assert re.fullmatch(
-            rf"requested tolerance {tol!r} not met at rho in \[70368744177664\.0, inf\]: "
+            rf"requested tolerance {tol!r} not met at rho in \[1\.2379400392853803e\+27, inf\]: "
             r"a node of its right half rounds to t = 1\.0: value=\[\S+\], error=\[\S+\]",
             str(exc.value),
         )
