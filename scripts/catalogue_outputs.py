@@ -14,6 +14,10 @@ digest per entry key to OUT.json:
   * the other kinds: the repr of the raw result, floats and arrays printed
     as their shortest unique decimals;
   * an entry that raises: "Type: message".
+The same pass checks every entry against CHECKOUT/perfbench/reference.json:
+a returning one by the workloads' Out.mismatches, a known failure by its
+recorded exception type, and their count; it lists what is wrong and then
+exits 1, the digests written all the same.
 Artifacts go to a temporary directory, no bytecode is written, and BLAS
 pools are pinned to one thread, as perfbench/run.py pins them.  --diff
 lists the keys whose digests differ between two such files (or that only
@@ -21,7 +25,8 @@ one holds), each with the largest relative change of its numbers by name
 (the fields of the repr, the columns of all.csv for suite-all) where both
 hold the same text around them up to whitespace, and exits 1 if there is
 any.  --against REV digests the commit REV of CHECKOUT's git repository
-and CHECKOUT itself, each in its own process, and prints their --diff:
+and CHECKOUT itself, each in its own process, and prints their --diff
+(exiting 1 also if either fails its reference):
 REV's files come from git archive into a temporary directory, which is
 removed afterwards, so the repository gains no worktree, not even from a
 run that is cut short.
@@ -64,21 +69,35 @@ from pathlib import Path  # noqa: E402
 WORKLOADS = ("suite-all", "reports", "norms-mc")
 
 
-def digests(root: Path) -> dict:
+def digests(root: Path) -> tuple[dict, list]:
+    """The digest of every catalogue entry by key, and what is wrong against the reference."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import numpy as np
     import workloads as wl
 
-    out, raised = {}, 0
+    reference = json.loads((root / "perfbench" / "reference.json").read_text())
+    known = {f["key"]: f["error"] for f in reference["known_failures"]}
+    out, raised, runs, wrong = {}, 0, 0, []
     with tempfile.TemporaryDirectory() as scratch, np.printoptions(floatmode="unique", threshold=sys.maxsize):
         for entry in (e for w in WORKLOADS for e in wl.catalogue(w)):
-            kind = wl.KINDS[entry.kind]
+            kind, runs = wl.KINDS[entry.kind], runs + 1
             try:
                 raw = kind.call(kind.build(entry.params), scratch)
             except Exception as exc:
                 out[entry.key] = f"{type(exc).__name__}: {exc}"
                 raised += 1
+                want = known.get(entry.key, "returns").split(":")[0]
+                if type(exc).__name__ != want:
+                    wrong.append(f"{entry.key}: {out[entry.key]} (expected {want})")
                 continue
+            if entry.key in known:
+                wrong.append(f"{entry.key}: returns, expected {known[entry.key]}")
+            elif entry.key not in reference["entries"]:
+                wrong.append(f"{entry.key}: not in perfbench/reference.json")
+            else:
+                miss = kind.outputs(entry.params, raw).mismatches(reference["entries"][entry.key]["out"])
+                if miss:
+                    wrong.append(f"{entry.key}: outside tolerance: {', '.join(miss[:5])}")
             if entry.kind == "suite-all":
                 out[entry.key] = {
                     "sha256": {
@@ -89,8 +108,11 @@ def digests(root: Path) -> dict:
                 }
             else:
                 out[entry.key] = repr(raw)
-    print(f"{len(out)} entries, {raised} raised", file=sys.stderr)
-    return out
+    if runs != len(reference["entries"]) + len(known):
+        wrong.append(f"{runs} entries run, {len(reference['entries'])} in perfbench/reference.json")
+    print("\n".join([*wrong, f"{runs} entries, {raised} raised, {len(known)} known failures, {len(wrong)} wrong"]),
+          file=sys.stderr)
+    return out, wrong
 
 
 # a decimal number, inf or nan that is not part of a name such as float64
@@ -154,9 +176,9 @@ def against(rev: str, root: Path) -> int:
         scratch = Path(scratch)
         if not _archive(rev, root, scratch / "rev"):
             return 2
-        for out, checkout in (("before.json", scratch / "rev"), ("after.json", root)):
-            subprocess.run([sys.executable, __file__, str(scratch / out), "--root", str(checkout)], check=True)
-        return main(["--diff", str(scratch / "before.json"), str(scratch / "after.json")])
+        codes = [subprocess.run([sys.executable, __file__, str(scratch / out), "--root", str(checkout)]).returncode
+                 for out, checkout in (("before.json", scratch / "rev"), ("after.json", root))]
+        return main(["--diff", str(scratch / "before.json"), str(scratch / "after.json")]) or int(any(codes))
 
 
 def best_times(root: Path, passes: int) -> dict:
@@ -256,10 +278,10 @@ def main(argv=None) -> int:
         return 1 if moved else 0
     if args.out is None:
         ap.error("give OUT.json, --diff A B, --against REV or --times N")
-    found = digests(args.root.resolve())
+    found, wrong = digests(args.root.resolve())
     Path(args.out).write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
     print(f"{len(found)} entries written to {args.out}")
-    return 0
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ front end radial_integrals (and radial_integral, its one-row case) takes q
 integrands of one report on one mesh in Python floats, one call per
 bisection for the columns of its 42 radii, the tail past the domain's end
 mapped by rho = end (1 - t)^-2, the map the extremal family's batch takes:
-a profile decaying slower than rho^-3/2 is singular at t = 1, where the
-loop stops with a named error once a node rounds to t = 1.0.  The batched
+a profile decaying slower than rho^-3/2 is singular at t = 1.  There the
+loop stops with a named error once a node rounds to t = 1.0, but it may
+meet the rule first with an estimate below its error: (1 + rho)^-5/4 at
+1e-9 returns a value 1.9e-8 off with an estimate of 3.1e-9.  The batched
 rule (gauss_kronrod_batch) is composite G10/K21 over a whole parameter
 grid at once, each parameter refined on its own: it takes the gaussian
 rows of the ball in
@@ -341,11 +343,13 @@ def radial_integrals(
     decay is compact, the tail past the end is mapped onto [0, 1) by
     rho = end (1 - t)^-2, d rho / dt = 2 rho / (1 - t), as _extremal_passes
     maps its tail: rho^-3/2 is smooth at t = 1 under it, a slower decay
-    singular.  The rule is G10/K21 on every piece, globally adaptive over
-    all pieces (_adaptive_pass), under its keys and acceptance, for one
-    row as for q.  Every bisection is one call of columns on the radii of
-    both halves, the left first, each in QUADPACK's node order, and each
-    row's K and K - G are summed in Python floats.  A row's error_estimate
+    singular, and such a tail may be accepted with an estimate below its
+    error before a node rounds to t = 1.0.  The rule is G10/K21 on every
+    piece, globally adaptive over all pieces (_adaptive_pass), under its
+    keys and acceptance, for one row as for q.  Every bisection is one call
+    of columns on the radii of both halves, the left first, each in
+    QUADPACK's node order, and each row's K and K - G are summed in Python
+    floats.  A row's error_estimate
     is its summed |K - G| over every panel, which the acceptance rule holds
     to at most relative_tolerance x |value|, plus one ulp of its value, so
     no estimate claims more than the float holds; nodes_used counts the
@@ -501,13 +505,12 @@ def _met(values: list, errors: list, tol: float) -> bool:
 
 
 def _key(es: list, scale: list) -> float:
-    """A panel's key: the largest product of its rows' |K - G| and scale, nan if one is, as np.maximum takes it."""
-    if math.isfinite(sum(es)):
-        return max(map(mul, es, scale))
-    p = list(map(mul, es, scale))
-    s = sum(p)
-    # the products are >= 0 or nan, so their sum is nan only if one is
-    return max(p) if s == s else s
+    """A panel's key: the largest product of its rows' |K - G| and scale.
+
+    No product is nan: a panel is keyed only once its Ks are finite, so its
+    node values are (the Kronrod weights are positive) and its |K - G| is
+    finite or inf, and every scale is finite and positive."""
+    return max(map(mul, es, scale))
 
 
 def _adaptive_pass(pieces: list, bisect: Callable, tol: float) -> tuple[list, list, int]:
@@ -643,7 +646,12 @@ def gauss_kronrod_batch(
     an (r, m) array, or to a (q, r, m) array for q integrals per parameter on
     the same nodes.  The rule is composite G10/K21 (QUADPACK qk21) on
     _FIRST_PANELS equal panels: every integrand the package batches is smooth
-    on [0, 1], or for the extremal family's P and R algebraic at its ends.  A
+    on [0, 1] but the extremal family's P and R.  Under their tail map those
+    behave as (1 - x)^(2 sigma - 1) at x = 1, sigma = 2(p - q)/(p - 2) - n,
+    which equal panels resolve slowly where 2 sigma - 1 is small and not a
+    whole number: at 1e-9 the triples (3, 3, q) of sigma = 0.0005, 0.4, 0.55,
+    0.6, 0.8 and 0.9 reach the panel cap and raise, and at 1e-12 also those of
+    1.1 and 1.2, while those of sigma = 0.5, 1 and 1.5 to 2.5 return.  A
     panel's Kronrod sum K and its difference K - G from the embedded Gauss rule
     come from one product of its 21 values with the (21, 2) matrix of Kronrod
     and Kronrod-minus-Gauss weights.  Every integral carries its own error

@@ -269,8 +269,14 @@ class TestRoundTrip:
         series = Series([x for x, _ in xy], [y for _, y in xy])
         result = SuiteResult("ko-refute", [], 0.0, "", 0, {"phi_vs_alpha": series})
         (path,) = emit_plot_data(result, tmp_path)
-        want = "alpha,phi\n" + "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in xy)
-        assert path.read_text() == want
+        assert_same_text(path.read_text(), "alpha,phi\n" + "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in xy))
+
+
+def assert_same_text(got, want) -> None:
+    """got == want, the rows that differ named first: pytest's own diff of
+    two 4 000-row series that differ throughout runs for many minutes."""
+    assert [i for i, (a, b) in enumerate(zip(got.splitlines(), want.splitlines())) if a != b] == []
+    assert got == want
 
 
 def percent_pass(x, y) -> bytes:
@@ -367,16 +373,16 @@ class TestSeriesFormat:
         for v in values:
             assert_written_as_percent_would([v])
 
-    @pytest.mark.parametrize("n, tolerance", [(3, 1e-9), (6, 1e-12)])
-    def test_whole_phi_series_as_percent_writes_it(self, tmp_path, monkeypatch, n, tolerance):
-        # every row of a real scan, and none of it through the % pass
+    @pytest.mark.parametrize("n, alpha, tolerance", [(3, (3.0, 100.0), 1e-9), (6, (3.0, 100.0), 1e-12),
+                                                     (6, (0.05, 1e6), 1e-12)], ids=["3-1e-09", "6-1e-12", "wide"])
+    def test_whole_phi_series_as_percent_writes_it(self, tmp_path, monkeypatch, n, alpha, tolerance):
+        # every row of a real scan, and none of it through the % pass; the
+        # wide scan runs from alpha = 0.05, phi = 6.2 to alpha = 1e6, phi = 1.5e6
         blocks = counting_blocks(monkeypatch)
-        run_suite(RunConfig(suite="ko-refute", n=n, tolerance=tolerance), str(tmp_path))
-        text = (tmp_path / "phi_vs_alpha.csv").read_text()
-        header, *rows = text.splitlines()
-        pairs = [tuple(map(float, r.split(","))) for r in rows]
-        assert header == "alpha,phi" and len(pairs) == 4096
-        assert text == "alpha,phi\n" + "".join("%.16e,%.16e\n" % xy for xy in pairs)
+        result = run_suite(RunConfig(suite="ko-refute", n=n, alpha_range=alpha, tolerance=tolerance), str(tmp_path))
+        text = (tmp_path / "phi_vs_alpha.csv").read_bytes()
+        assert len(text.splitlines()) == 1 + 4096
+        assert_same_text(text, b"alpha,phi\n" + percent_pass(*result.series["phi_vs_alpha"]))
         assert len(blocks) == -(-4096 // _BLOCK_ROWS) and None not in blocks
 
     def test_digit_groups_0000_and_9999(self):

@@ -656,16 +656,17 @@ class TestGaussianT:
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     def test_grid_from_one_moments_call(self, tol, monkeypatch):
         # the grid form equals gaussian_T at each lam, bit for bit, from one
-        # call for the Gamma values of the grid, with no Gauss-Kronrod pass
+        # call for the Gamma values of the grid, with no Gauss-Kronrod pass;
+        # n = 3 on the lambdas 0.25, 0.5 and 4 is an identities run's grid
         spec = QuadratureSpec(relative_tolerance=tol)
-        lams = [0.5, 1.0, 2.0]
-        singles = [gaussian_T(4, lam, spec) for lam in lams]
+        grids = [(4, [0.5, 1.0, 2.0]), (3, [0.25, 0.5, 4.0])]
+        singles = [[gaussian_T(n, lam, spec) for lam in lams] for n, lams in grids]
         calls = []
         moments = flat._gaussian_moments
         monkeypatch.setattr(flat, "_gaussian_moments", lambda *a: calls.append(a) or moments(*a))
         monkeypatch.setattr(flat, "gauss_kronrod_batch", None)
-        assert gaussian_T_grid(4, lams, spec) == singles
-        assert len(calls) == 1
+        assert [gaussian_T_grid(n, lams, spec) for n, lams in grids] == singles
+        assert len(calls) == len(grids)
         with pytest.raises(ValueError):
             gaussian_T_grid(4, [1.0, 0.0])
 
